@@ -50,7 +50,7 @@
 //! The whole sweep runs twice and must be byte-for-byte reproducible.
 //! Set `EDGELAB_QUICK=1` for a smoke run with a smaller population.
 
-use ei_bench::{quick_mode, ResultsWriter};
+use ei_bench::{percentile, quick_mode, ResultsWriter};
 use ei_core::impulse::ImpulseDesign;
 use ei_data::synth::KwsGenerator;
 use ei_dsp::{DspConfig, MfccConfig};
@@ -204,15 +204,6 @@ fn schedule(scale: &Scale) -> Vec<Event> {
             Event { at_us: t_us, op, tenant, key: 0 }
         })
         .collect()
-}
-
-/// Nearest-rank percentile of an ascending-sorted series.
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len()).div_ceil(100).max(1);
-    sorted[rank - 1]
 }
 
 /// `hits / lookups` of one counter snapshot (0 when the stripe was idle).

@@ -13,7 +13,7 @@
 //!
 //! Set `EDGELAB_QUICK=1` for a smoke run with a shorter trace.
 
-use ei_bench::{quick_mode, ResultsWriter};
+use ei_bench::{percentile, quick_mode, ResultsWriter};
 use ei_core::impulse::ImpulseDesign;
 use ei_data::synth::KwsGenerator;
 use ei_dsp::{DspConfig, MfccConfig};
@@ -95,15 +95,6 @@ fn request(
         deadline_ms: 0,
         precomputed: false,
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted latency series.
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len()).div_ceil(100).max(1);
-    sorted[rank - 1]
 }
 
 /// Replays the trace once and returns the fully-populated results writer.

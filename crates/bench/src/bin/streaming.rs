@@ -23,7 +23,7 @@
 //!
 //! Set `EDGELAB_QUICK=1` for a smoke run with shorter streams.
 
-use ei_bench::{quick_mode, ResultsWriter};
+use ei_bench::{percentile, quick_mode, ResultsWriter};
 use ei_core::impulse::ImpulseDesign;
 use ei_data::synth::KwsGenerator;
 use ei_dsp::{DspConfig, MfccConfig};
@@ -92,15 +92,6 @@ fn model() -> ModelSource {
     let trained =
         design.train(&spec, &generator().dataset(4, 11), &config).expect("bench model trains");
     ModelSource::new("stream-kws", trained.to_json().expect("serializes"))
-}
-
-/// Nearest-rank percentile of an ascending-sorted series.
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len()).div_ceil(100).max(1);
-    sorted[rank - 1]
 }
 
 /// Per-tenant outcome of one scenario run.

@@ -297,6 +297,15 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     format!("{}{}", "#".repeat(filled), ".".repeat(width - filled))
 }
 
+/// Nearest-rank percentile of an ascending-sorted series (0 when empty).
+pub fn percentile(sorted: &[u64], p: usize) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (p * sorted.len()).div_ceil(100).max(1);
+    sorted[rank - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +326,18 @@ mod tests {
         let dims = design.feature_dims().unwrap();
         assert_eq!((dims.w, dims.c), (10, 1));
         assert_eq!(dims.h, 99);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 50), 0);
+        for p in [0, 50, 100] {
+            assert_eq!(percentile(&[7], p), 7);
+        }
+        let sorted = [10, 20, 30, 40];
+        assert_eq!(percentile(&sorted, 50), 20);
+        assert_eq!(percentile(&sorted, 51), 30);
+        assert_eq!(percentile(&sorted, 100), 40);
     }
 
     #[test]

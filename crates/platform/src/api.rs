@@ -56,8 +56,7 @@ pub fn shards_from_env() -> usize {
 }
 
 /// One consolidated snapshot of the sharded store, returned by
-/// [`Api::shard_report`]: everything the separate `shard_count` /
-/// `shard_occupancy` / `occupancy_skew` calls reported, plus the
+/// [`Api::shard_report`]: shard count, occupancy and skew, plus the
 /// rebalance-policy status and the serving artifact-cache counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
@@ -199,32 +198,12 @@ impl Api {
         }
     }
 
-    /// The number of shards state is striped across.
-    #[deprecated(since = "0.1.0", note = "use `Api::shard_report().shards` instead")]
-    pub fn shard_count(&self) -> usize {
-        self.projects.shard_count()
-    }
-
-    /// Projects per shard, by shard index.
-    #[deprecated(since = "0.1.0", note = "use `Api::shard_report().occupancy` instead")]
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.projects.occupancy()
-    }
-
-    /// max/mean project-shard occupancy (1.0 = perfectly even).
-    #[deprecated(since = "0.1.0", note = "use `Api::shard_report().skew` instead")]
-    pub fn occupancy_skew(&self) -> f64 {
-        self.projects.occupancy_skew()
-    }
-
     /// One consolidated snapshot of the sharded store: shard count,
     /// per-shard occupancy and skew of the project map, the last
     /// rebalance outcome, the installed [`RebalancePolicy`]'s status,
     /// and the serving layer's artifact-cache counters (merged and per
     /// cache stripe; empty until a serving layer is attached or lazily
-    /// initialized). Replaces the separate `shard_count` /
-    /// `shard_occupancy` / `occupancy_skew` calls, which survive one
-    /// release as deprecated delegates.
+    /// initialized).
     pub fn shard_report(&self) -> ShardReport {
         let occupancy = self.projects.occupancy();
         let (cache, cache_shards) = match self.serving.get() {
@@ -1292,22 +1271,6 @@ mod tests {
         // placement changed (possibly), bytes did not
         assert_eq!(api.export_json().unwrap(), before);
         assert_eq!(api.shard_report().last_rebalance, Some(rebalanced));
-    }
-
-    /// The deprecated one-number introspection calls survive one release
-    /// as thin delegates and must agree with the consolidated report.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_introspection_delegates_match_shard_report() {
-        let api = Api::with_shards(4);
-        let u = api.create_user("u");
-        for i in 0..9 {
-            api.create_project(&format!("p{i}"), u).unwrap();
-        }
-        let report = api.shard_report();
-        assert_eq!(api.shard_count(), report.shards);
-        assert_eq!(api.shard_occupancy(), report.occupancy);
-        assert!((api.occupancy_skew() - report.skew).abs() < 1e-12);
     }
 
     #[test]

@@ -27,11 +27,23 @@
 //! status transition, and the watchdog re-scans deadlines by waiting for
 //! the injected clock to tick ([`Clock::wait_for_tick_ms`]).
 //!
-//! Schedulers built with [`JobScheduler::new`] own dedicated worker
-//! threads; those built with [`JobScheduler::with_pool`] instead run
-//! every attempt as a detached task on a shared [`ei_par::ParPool`], so
-//! one process-wide pool can serve the scheduler, the EON Tuner and DSP
-//! sweeps without oversubscribing the host.
+//! There is one execution backend: every attempt runs as a detached
+//! task on an [`ei_par::ParPool`], fed two ways.
+//!
+//! * **Unkeyed** jobs ([`JobScheduler::submit`] / `submit_with`) go
+//!   straight onto the pool: work-conserving and FIFO through the pool's
+//!   injector, so a `workers`-wide scheduler runs `workers` jobs at once.
+//! * **Keyed** jobs ([`JobScheduler::submit_keyed`] / `submit_keyed_with`)
+//!   join FIFO lane `fnv1a(key) % lanes`. One drainer task owns a lane at
+//!   a time, so one tenant's jobs run in submission order and its burst
+//!   queues behind itself, while different lanes run concurrently up to
+//!   the pool's width.
+//!
+//! [`JobScheduler::new`] and its `with_clock*` siblings build a *private*
+//! pool of exactly `workers` threads (and as many lanes);
+//! [`JobScheduler::with_sharded_pool`] takes a *shared* pool and a lane
+//! count, so one process-wide pool can serve the scheduler, the EON Tuner
+//! and DSP sweeps without oversubscribing the host.
 //!
 //! The scheduler is also observable through [`ei_trace`]: construct it
 //! with [`JobScheduler::with_clock_and_tracer`] and every lifecycle
@@ -44,12 +56,11 @@
 use crate::{PlatformError, Result};
 use ei_faults::retry::{self, RetryEvent, RetryOutcome};
 use ei_faults::{AttemptRecord, CancelToken, Clock, FailureCause, RetryPolicy, SystemClock};
-use ei_par::ParPool;
-use ei_shard::{fnv1a_u64, DeadLetterShards};
+use ei_par::{ParPool, Parallelism};
+use ei_shard::fnv1a_u64;
 use ei_trace::{SpanGuard, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -91,7 +102,7 @@ pub struct DeadLetter {
     pub id: u64,
     /// The tenant key the job was routed under (the job's own id for
     /// unkeyed submissions) — the attribution a hot-shard operator
-    /// pivots on. Stamped by the scheduler when the letter is recorded.
+    /// pivots on.
     pub key: u64,
     /// Description of the final failure.
     pub error: String,
@@ -112,6 +123,8 @@ type JobFn = Box<dyn FnMut(&JobContext<'_>) -> std::result::Result<String, Strin
 
 struct QueuedJob {
     id: u64,
+    /// The tenant key (the job's own id when submitted unkeyed).
+    key: u64,
     policy: RetryPolicy,
     work: JobFn,
     /// The job's `"job"` span, opened at submission on the submitter's
@@ -120,9 +133,15 @@ struct QueuedJob {
     /// request's causal tree) and closed when the job reaches a terminal
     /// state. Lifecycle events are emitted through it.
     span: SpanGuard,
+    /// Declared last so the in-flight count drops only after `span` has
+    /// closed.
+    _slot: ActiveSlot,
 }
 
 struct JobState {
+    /// Copied from [`QueuedJob::key`] so shutdown can attribute a job
+    /// whose `QueuedJob` it never sees.
+    key: u64,
     status: JobStatus,
     cancel: CancelToken,
     attempts: Vec<AttemptRecord>,
@@ -145,20 +164,17 @@ struct Shared {
     /// keyed by the dead-lettered job id.
     parked: Mutex<HashMap<u64, JobFn>>,
     watch: Mutex<HashMap<u64, WatchEntry>>,
+    /// Jobs whose `QueuedJob` is still alive (queued or running), so
+    /// shutdown can wait them out.
+    active: AtomicUsize,
     shutdown: AtomicBool,
     tracer: Tracer,
-    /// job id → tenant key, recorded at submission. Sharded backends use
-    /// it to place dead letters into the failing tenant's shard view.
-    job_key: Mutex<HashMap<u64, u64>>,
-    /// Per-shard dead-letter index (sharded backends only): which jobs
-    /// died on which shard, keyed by the tenant key that routed them.
-    dead_shards: Option<Arc<DeadLetterShards<u64>>>,
 }
 
 impl Shared {
     /// Wakes every thread blocked in [`JobScheduler::wait`] /
-    /// [`JobScheduler::wait_for_status`] (and the pool-backend shutdown
-    /// drain) after a status transition.
+    /// [`JobScheduler::wait_for_status`] (and the shutdown drain) after a
+    /// status transition.
     fn notify_status(&self) {
         self.jobs_cond.notify_all();
     }
@@ -168,17 +184,13 @@ impl Shared {
     /// span when the caller still holds it, so the event names its
     /// causal chain for the flight recorder. Must never take the `jobs`
     /// lock: shutdown calls this while holding it.
-    fn dead_letter(&self, span: Option<&SpanGuard>, mut letter: DeadLetter) {
-        letter.key = lock(&self.job_key).get(&letter.id).copied().unwrap_or(letter.id);
+    fn dead_letter(&self, span: Option<&SpanGuard>, letter: DeadLetter) {
         let fields = vec![("job", letter.id.into()), ("error", letter.error.as_str().into())];
         match span {
             Some(span) => span.event("job.dead_letter", fields),
             None => self.tracer.event("job.dead_letter", fields),
         }
         self.tracer.counter("jobs.dead_lettered").inc();
-        if let Some(shards) = &self.dead_shards {
-            shards.push(letter.key, letter.id, letter.error.clone());
-        }
         lock(&self.dead).push(letter);
     }
 }
@@ -215,46 +227,43 @@ const STATUS_WAIT_CAP_MS: u64 = 1;
 /// Message shutdown stamps on jobs it refuses to run.
 const SHUTDOWN_ERROR: &str = "scheduler shut down";
 
-/// One per-shard submission queue of a sharded backend. `draining` is
-/// `true` while a drainer task owns the queue; a submit that flips it
-/// from `false` spawns a new drainer on the shared pool.
+/// One FIFO lane of keyed submissions. `draining` is `true` while a
+/// drainer task owns the queue; a submit that flips it from `false`
+/// spawns a new drainer on the pool.
+#[derive(Default)]
 struct ShardQueue {
     queue: Mutex<VecDeque<QueuedJob>>,
     draining: AtomicBool,
 }
 
-/// Decrements the in-flight count even if execution unwinds — and wakes
-/// the shutdown drain — so shutdown never waits forever.
-struct ActiveSlot(Arc<AtomicUsize>, Arc<Shared>);
+/// Counts its job as in flight from submission until the job is dropped
+/// — even if execution unwinds — and then wakes the shutdown drain, so
+/// shutdown never waits forever.
+struct ActiveSlot(Arc<Shared>);
 
-impl Drop for ActiveSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-        self.1.notify_status();
+impl ActiveSlot {
+    fn new(shared: &Arc<Shared>) -> ActiveSlot {
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        ActiveSlot(Arc::clone(shared))
     }
 }
 
-/// Where a scheduler executes its attempts.
-enum Backend {
-    /// Dedicated worker threads draining an mpsc channel.
-    Dedicated { sender: Option<Sender<QueuedJob>>, workers: Vec<JoinHandle<()>> },
-    /// Detached tasks on a shared [`ei_par::ParPool`]; `active` counts
-    /// submitted-but-not-terminal jobs so shutdown can wait them out.
-    Pool { pool: Arc<ParPool>, active: Arc<AtomicUsize> },
-    /// Per-shard FIFO submission queues feeding the shared pool: jobs
-    /// route to `fnv1a(key) % shards`, one shard's jobs run in
-    /// submission order (a single drainer task owns the queue at a
-    /// time), different shards run concurrently up to the pool budget.
-    Sharded { pool: Arc<ParPool>, active: Arc<AtomicUsize>, queues: Arc<Vec<ShardQueue>> },
+impl Drop for ActiveSlot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::SeqCst);
+        self.0.notify_status();
+    }
 }
 
-/// A fixed-size worker pool with retry, timeout, panic-isolation,
-/// cancellation and dead-letter support.
+/// A job scheduler with retry, timeout, panic-isolation, cancellation
+/// and dead-letter support, running every attempt on a [`ParPool`].
 ///
 /// Dropping the scheduler stops accepting jobs, lets running attempts
 /// finish, and marks still-queued jobs [`JobStatus::Failed`].
 pub struct JobScheduler {
-    backend: Backend,
+    pool: Arc<ParPool>,
+    /// The keyed-submission lanes; see the module docs.
+    queues: Arc<Vec<ShardQueue>>,
     shared: Arc<Shared>,
     clock: Arc<dyn Clock>,
     watchdog: Option<JoinHandle<()>>,
@@ -263,15 +272,10 @@ pub struct JobScheduler {
 
 impl std::fmt::Debug for JobScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("JobScheduler");
-        match &self.backend {
-            Backend::Dedicated { workers, .. } => s.field("workers", &workers.len()),
-            Backend::Pool { pool, .. } => s.field("pool_threads", &pool.threads()),
-            Backend::Sharded { pool, queues, .. } => {
-                s.field("pool_threads", &pool.threads()).field("shards", &queues.len())
-            }
-        };
-        s.finish_non_exhaustive()
+        f.debug_struct("JobScheduler")
+            .field("pool_threads", &self.pool.threads())
+            .field("shards", &self.queues.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -297,7 +301,8 @@ impl JobScheduler {
 
     /// Starts a scheduler with `workers` threads on an explicit clock,
     /// emitting job lifecycle events and `jobs.*` counters through
-    /// `tracer`.
+    /// `tracer`. The threads are a private [`ParPool`] with `workers`
+    /// keyed-submission lanes.
     ///
     /// # Panics
     ///
@@ -308,72 +313,19 @@ impl JobScheduler {
         tracer: Tracer,
     ) -> JobScheduler {
         assert!(workers > 0, "need at least one worker");
-        let (sender, receiver) = channel::<QueuedJob>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let shared = Arc::new(Shared { tracer, ..Shared::default() });
-        let handles = (0..workers)
-            .map(|_| {
-                let receiver = Arc::clone(&receiver);
-                let shared = Arc::clone(&shared);
-                let clock = Arc::clone(&clock);
-                std::thread::spawn(move || worker_loop(&receiver, &shared, &clock))
-            })
-            .collect();
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            let clock = Arc::clone(&clock);
-            std::thread::spawn(move || watchdog_loop(&shared, &clock))
-        };
-        JobScheduler {
-            backend: Backend::Dedicated { sender: Some(sender), workers: handles },
-            shared,
-            clock,
-            watchdog: Some(watchdog),
-            next_id: Mutex::new(0),
-        }
+        // a detached job has no helping caller, so a pool of `workers + 1`
+        // executors is exactly `workers` job threads
+        let pool = Arc::new(ParPool::new(Parallelism::new(workers + 1)));
+        JobScheduler::with_sharded_pool_clock_and_tracer(pool, workers, clock, tracer)
     }
 
-    /// Starts a scheduler that runs jobs as detached tasks on `pool`
-    /// (system clock) instead of spawning dedicated worker threads.
-    ///
-    /// Concurrency is bounded by the pool's thread budget, and the pool
-    /// can be shared with other subsystems (tuner sweeps, DSP feature
-    /// extraction) so the process keeps a single thread roster.
-    pub fn with_pool(pool: Arc<ParPool>) -> JobScheduler {
-        JobScheduler::with_pool_clock_and_tracer(
-            pool,
-            Arc::new(SystemClock::new()),
-            Tracer::disabled(),
-        )
-    }
-
-    /// Starts a pool-backed scheduler on an explicit clock and tracer;
-    /// see [`JobScheduler::with_pool`].
-    pub fn with_pool_clock_and_tracer(
-        pool: Arc<ParPool>,
-        clock: Arc<dyn Clock>,
-        tracer: Tracer,
-    ) -> JobScheduler {
-        let shared = Arc::new(Shared { tracer, ..Shared::default() });
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            let clock = Arc::clone(&clock);
-            std::thread::spawn(move || watchdog_loop(&shared, &clock))
-        };
-        JobScheduler {
-            backend: Backend::Pool { pool, active: Arc::new(AtomicUsize::new(0)) },
-            shared,
-            clock,
-            watchdog: Some(watchdog),
-            next_id: Mutex::new(0),
-        }
-    }
-
-    /// Starts a shard-aware pool-backed scheduler (system clock):
-    /// `shards` per-tenant FIFO submission queues feed `pool`. Use
-    /// [`JobScheduler::submit_keyed`] to route jobs by tenant key — one
-    /// tenant's burst queues behind itself on its shard instead of
-    /// starving the whole scheduler.
+    /// Starts a scheduler on a shared `pool` (system clock) with `shards`
+    /// keyed-submission lanes. Concurrency is bounded by the pool's
+    /// thread budget, and the pool can be shared with other subsystems
+    /// (tuner sweeps, DSP feature extraction) so the process keeps a
+    /// single thread roster. Use [`JobScheduler::submit_keyed`] to route
+    /// jobs by tenant key — one tenant's burst queues behind itself on
+    /// its lane instead of starving the whole scheduler.
     pub fn with_sharded_pool(pool: Arc<ParPool>, shards: usize) -> JobScheduler {
         JobScheduler::with_sharded_pool_clock_and_tracer(
             pool,
@@ -383,37 +335,24 @@ impl JobScheduler {
         )
     }
 
-    /// Starts a sharded pool-backed scheduler on an explicit clock and
-    /// tracer; see [`JobScheduler::with_sharded_pool`].
+    /// Starts a shared-pool scheduler on an explicit clock and tracer;
+    /// see [`JobScheduler::with_sharded_pool`].
     pub fn with_sharded_pool_clock_and_tracer(
         pool: Arc<ParPool>,
         shards: usize,
         clock: Arc<dyn Clock>,
         tracer: Tracer,
     ) -> JobScheduler {
-        let shards = shards.max(1);
-        let shared = Arc::new(Shared {
-            tracer,
-            dead_shards: Some(Arc::new(DeadLetterShards::new(shards))),
-            ..Shared::default()
-        });
+        let shared = Arc::new(Shared { tracer, ..Shared::default() });
         let watchdog = {
             let shared = Arc::clone(&shared);
             let clock = Arc::clone(&clock);
             std::thread::spawn(move || watchdog_loop(&shared, &clock))
         };
-        let queues = (0..shards)
-            .map(|_| ShardQueue {
-                queue: Mutex::new(VecDeque::new()),
-                draining: AtomicBool::new(false),
-            })
-            .collect();
+        let queues = (0..shards.max(1)).map(|_| ShardQueue::default()).collect();
         JobScheduler {
-            backend: Backend::Sharded {
-                pool,
-                active: Arc::new(AtomicUsize::new(0)),
-                queues: Arc::new(queues),
-            },
+            pool,
+            queues: Arc::new(queues),
             shared,
             clock,
             watchdog: Some(watchdog),
@@ -421,45 +360,29 @@ impl JobScheduler {
         }
     }
 
-    /// The number of submission shards (1 for non-sharded backends).
+    /// The number of keyed-submission lanes: the `shards` argument of
+    /// [`JobScheduler::with_sharded_pool`], or `workers` for a
+    /// private-pool scheduler.
     pub fn shard_count(&self) -> usize {
-        match &self.backend {
-            Backend::Sharded { queues, .. } => queues.len(),
-            _ => 1,
-        }
+        self.queues.len()
     }
 
-    /// Jobs waiting in each shard's submission queue, by shard index
-    /// (empty for non-sharded backends, which queue elsewhere).
+    /// Keyed jobs waiting in each lane, by lane index (unkeyed jobs queue
+    /// in the pool itself).
     pub fn queue_depths(&self) -> Vec<usize> {
-        match &self.backend {
-            Backend::Sharded { queues, .. } => {
-                queues.iter().map(|q| lock(&q.queue).len()).collect()
-            }
-            _ => Vec::new(),
-        }
+        self.queues.iter().map(|q| lock(&q.queue).len()).collect()
     }
 
-    /// Dead letters produced by jobs routed to `shard` — the hot-shard
-    /// operator's view. On a non-sharded backend shard 0 holds every
-    /// letter.
+    /// The lane jobs keyed `key` queue on.
+    fn lane_of(&self, key: u64) -> usize {
+        (fnv1a_u64(key) % self.queues.len() as u64) as usize
+    }
+
+    /// Dead letters whose key places them on lane `shard` — the hot-shard
+    /// operator's view. The views of `0..shard_count()` partition
+    /// [`JobScheduler::dead_letters`]; any other `shard` is empty.
     pub fn dead_letters_in_shard(&self, shard: usize) -> Vec<DeadLetter> {
-        match &self.shared.dead_shards {
-            None => {
-                if shard == 0 {
-                    self.dead_letters()
-                } else {
-                    Vec::new()
-                }
-            }
-            Some(shards) => {
-                let shard = shard % shards.shard_count();
-                self.dead_letters()
-                    .into_iter()
-                    .filter(|l| shards.shard_of(&l.key) == shard)
-                    .collect()
-            }
-        }
+        self.dead_letters().into_iter().filter(|l| self.lane_of(l.key) == shard).collect()
     }
 
     /// The clock the scheduler runs on.
@@ -480,11 +403,10 @@ impl JobScheduler {
         self.submit_with(RetryPolicy::immediate(attempts), move |_| work())
     }
 
-    /// Submits a job routed by a tenant key (a project/user raw id): on a
-    /// sharded backend it lands on submission shard `fnv1a(key) % shards`
-    /// and runs FIFO with respect to every other job sharing that shard.
-    /// Non-sharded backends accept the key (it still tags the job for
-    /// [`JobScheduler::dead_letters_in_shard`]) but route as usual.
+    /// Submits a job routed by a tenant key (a project/user raw id): it
+    /// joins lane `fnv1a(key) % shard_count()` and runs FIFO with respect
+    /// to every other keyed job sharing that lane. The key also
+    /// attributes the job's dead letter.
     ///
     /// # Errors
     ///
@@ -505,7 +427,7 @@ impl JobScheduler {
     where
         F: FnMut(&JobContext<'_>) -> std::result::Result<String, String> + Send + 'static,
     {
-        self.submit_boxed_keyed(policy, Box::new(work), Some(key))
+        self.submit_boxed(policy, Box::new(work), Some(key))
     }
 
     /// Submits a job governed by `policy`; the closure receives a
@@ -518,25 +440,15 @@ impl JobScheduler {
     where
         F: FnMut(&JobContext<'_>) -> std::result::Result<String, String> + Send + 'static,
     {
-        self.submit_boxed(policy, Box::new(work))
+        self.submit_boxed(policy, Box::new(work), None)
     }
 
-    /// [`JobScheduler::submit_with`] for an already-boxed closure — the
-    /// path [`JobScheduler::requeue`] reuses for parked dead letters.
-    fn submit_boxed(&self, policy: RetryPolicy, work: JobFn) -> Result<u64> {
-        self.submit_boxed_keyed(policy, work, None)
-    }
-
-    /// The one true submission path: allocates the id, registers state,
-    /// and hands the job to the backend. `key` routes sharded backends
-    /// (`None` falls back to the job's own id, spreading unkeyed jobs
-    /// evenly).
-    fn submit_boxed_keyed(
-        &self,
-        policy: RetryPolicy,
-        work: JobFn,
-        key: Option<u64>,
-    ) -> Result<u64> {
+    /// The one submission path (also what [`JobScheduler::requeue`]
+    /// resubmits parked closures through): allocates the id, registers
+    /// state, and hands the job to the pool — through its key's lane, or
+    /// directly when `key` is `None` (the job is then attributed to its
+    /// own id).
+    fn submit_boxed(&self, policy: RetryPolicy, work: JobFn, key: Option<u64>) -> Result<u64> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(PlatformError::SchedulerStopped);
         }
@@ -545,11 +457,12 @@ impl JobScheduler {
             *next += 1;
             *next
         };
+        let lane = key.map(|key| self.lane_of(key));
         let key = key.unwrap_or(id);
-        lock(&self.shared.job_key).insert(id, key);
         lock(&self.shared.jobs).insert(
             id,
             JobState {
+                key,
                 status: JobStatus::Queued,
                 cancel: CancelToken::new(),
                 attempts: Vec::new(),
@@ -558,35 +471,17 @@ impl JobScheduler {
         let span = self.shared.tracer.span_with("job", vec![("job", id.into())]);
         span.event("job.queued", vec![("job", id.into())]);
         self.shared.tracer.counter("jobs.submitted").inc();
-        let job = QueuedJob { id, policy, work, span };
-        match &self.backend {
-            Backend::Dedicated { sender, .. } => {
-                let sender = sender.as_ref().ok_or(PlatformError::SchedulerStopped)?;
-                sender.send(job).map_err(|_| PlatformError::SchedulerStopped)?;
-            }
-            Backend::Pool { pool, active } => {
-                active.fetch_add(1, Ordering::SeqCst);
-                let guard = ActiveSlot(Arc::clone(active), Arc::clone(&self.shared));
-                let shared = Arc::clone(&self.shared);
-                let clock = Arc::clone(&self.clock);
-                pool.spawn_detached(move || {
-                    let _guard = guard;
-                    execute_queued(job, &shared, &clock);
-                });
-            }
-            Backend::Sharded { pool, active, queues } => {
-                let shard = (fnv1a_u64(key) % queues.len() as u64) as usize;
-                active.fetch_add(1, Ordering::SeqCst);
-                lock(&queues[shard].queue).push_back(job);
+        let job = QueuedJob { id, key, policy, work, span, _slot: ActiveSlot::new(&self.shared) };
+        let shared = Arc::clone(&self.shared);
+        let clock = Arc::clone(&self.clock);
+        match lane {
+            None => self.pool.spawn_detached(move || execute_queued(job, &shared, &clock)),
+            Some(lane) => {
+                lock(&self.queues[lane].queue).push_back(job);
                 // first submitter after idle owns spawning the drainer
-                if !queues[shard].draining.swap(true, Ordering::SeqCst) {
-                    let queues = Arc::clone(queues);
-                    let active = Arc::clone(active);
-                    let shared = Arc::clone(&self.shared);
-                    let clock = Arc::clone(&self.clock);
-                    pool.spawn_detached(move || {
-                        drain_shard(&queues, shard, &shared, &clock, &active);
-                    });
+                if !self.queues[lane].draining.swap(true, Ordering::SeqCst) {
+                    let queues = Arc::clone(&self.queues);
+                    self.pool.spawn_detached(move || drain_shard(&queues[lane], &shared, &clock));
                 }
             }
         }
@@ -653,9 +548,8 @@ impl JobScheduler {
     }
 
     /// Terminally failed jobs with their full attempt history, sorted by
-    /// `(key, id)` — the same deterministic order
-    /// [`DeadLetterShards::merged`] uses — so the fleet-wide view reads
-    /// identically on every backend and at every shard count.
+    /// `(key, id)`, so the fleet-wide view reads identically at every
+    /// lane count and pool width.
     pub fn dead_letters(&self) -> Vec<DeadLetter> {
         let mut out = lock(&self.shared.dead).clone();
         out.sort_by(|a, b| a.key.cmp(&b.key).then(a.id.cmp(&b.id)));
@@ -678,8 +572,10 @@ impl JobScheduler {
     }
 
     /// Resubmits a dead-lettered job under its original retry policy and
-    /// returns the **new** job id. The original letter stays in the queue
-    /// for the record but is marked no longer requeueable.
+    /// key (for an unkeyed job, its original id) — so a tenant's retry
+    /// rejoins that tenant's lane and a second failure is attributed to
+    /// the same key — and returns the **new** job id. The original letter
+    /// stays in the queue for the record but is marked no longer requeueable.
     ///
     /// # Errors
     ///
@@ -691,7 +587,7 @@ impl JobScheduler {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(PlatformError::SchedulerStopped);
         }
-        let policy = {
+        let (policy, key) = {
             let mut dead = lock(&self.shared.dead);
             let letter = dead
                 .iter_mut()
@@ -701,14 +597,14 @@ impl JobScheduler {
                 (Some(policy), true) => {
                     let policy = policy.clone();
                     letter.requeueable = false;
-                    policy
+                    (policy, letter.key)
                 }
                 _ => return Err(PlatformError::NotRequeueable { id }),
             }
         };
         let work =
             lock(&self.shared.parked).remove(&id).ok_or(PlatformError::NotRequeueable { id })?;
-        let new_id = self.submit_boxed(policy, work)?;
+        let new_id = self.submit_boxed(policy, work, Some(key))?;
         self.shared.tracer.event("job.requeued", vec![("job", id.into()), ("as", new_id.into())]);
         self.shared.tracer.counter("jobs.requeued").inc();
         Ok(new_id)
@@ -781,34 +677,25 @@ impl JobScheduler {
         }
     }
 
-    /// Stops accepting new jobs, joins workers after running attempts
-    /// finish, and marks every still-queued job
+    /// Stops accepting new jobs, waits for running attempts to finish,
+    /// and marks every still-queued job
     /// `Failed("scheduler shut down")` (dead-lettered) so no observer
     /// waits on a `Queued` status forever.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &mut self.backend {
-            Backend::Dedicated { sender, workers } => {
-                sender.take();
-                for handle in workers.drain(..) {
-                    let _ = handle.join();
-                }
-            }
-            Backend::Pool { active, .. } | Backend::Sharded { active, .. } => {
-                // queued tasks observe the shutdown flag when the pool
-                // (or a shard drainer) reaches them and fail fast, so
-                // this drains promptly; each finishing task notifies the
-                // status condvar
-                let mut jobs = lock(&self.shared.jobs);
-                while active.load(Ordering::SeqCst) > 0 {
-                    jobs = wait_on(&self.shared.jobs_cond, jobs);
-                }
+        {
+            // queued tasks observe the shutdown flag when the pool (or a
+            // lane drainer) reaches them and fail fast, so this drains
+            // promptly; each finishing task notifies the status condvar
+            let mut jobs = lock(&self.shared.jobs);
+            while self.shared.active.load(Ordering::SeqCst) > 0 {
+                jobs = wait_on(&self.shared.jobs_cond, jobs);
             }
         }
         if let Some(handle) = self.watchdog.take() {
             let _ = handle.join();
         }
-        // belt-and-braces: workers normally stamp drained jobs themselves.
+        // belt-and-braces: pool tasks normally stamp drained jobs themselves.
         // Letters go in before the status flips so a waiter woken by
         // `Failed` always finds its dead letter (jobs → dead lock order).
         {
@@ -816,13 +703,13 @@ impl JobScheduler {
             for (id, state) in jobs.iter_mut() {
                 if state.status == JobStatus::Queued {
                     // The job's span is inside the still-queued
-                    // `QueuedJob` (dropped with the channel/pool), so the
-                    // letter is recorded span-free.
+                    // `QueuedJob` (dropped with the pool), so the letter
+                    // is recorded span-free.
                     self.shared.dead_letter(
                         None,
                         DeadLetter {
                             id: *id,
-                            key: 0, // stamped by `Shared::dead_letter`
+                            key: state.key,
                             error: SHUTDOWN_ERROR.to_string(),
                             attempts: Vec::new(),
                             policy: None,
@@ -843,33 +730,21 @@ impl Drop for JobScheduler {
     }
 }
 
-/// Drains one submission shard on a pool thread: jobs run strictly in
-/// submission order (per-shard FIFO). When the queue looks empty the
-/// drainer retires — unless a submit raced the handoff, in which case it
-/// reclaims the queue and keeps going, so no job is ever stranded
-/// without a drainer.
-fn drain_shard(
-    queues: &Arc<Vec<ShardQueue>>,
-    shard: usize,
-    shared: &Arc<Shared>,
-    clock: &Arc<dyn Clock>,
-    active: &Arc<AtomicUsize>,
-) {
+/// Drains one lane on a pool thread: jobs run strictly in submission
+/// order (per-lane FIFO). When the queue looks empty the drainer retires
+/// — unless a submit raced the handoff, in which case it reclaims the
+/// queue and keeps going, so no job is ever stranded without a drainer.
+fn drain_shard(lane: &ShardQueue, shared: &Shared, clock: &Arc<dyn Clock>) {
     loop {
-        let job = lock(&queues[shard].queue).pop_front();
+        let job = lock(&lane.queue).pop_front();
         match job {
-            Some(job) => {
-                let _slot = ActiveSlot(Arc::clone(active), Arc::clone(shared));
-                execute_queued(job, shared, clock);
-            }
+            Some(job) => execute_queued(job, shared, clock),
             None => {
-                queues[shard].draining.store(false, Ordering::SeqCst);
+                lane.draining.store(false, Ordering::SeqCst);
                 // a submit may have pushed between the empty pop and the
                 // flag store and seen `draining == true` (so spawned no
                 // drainer); reclaim the queue if so
-                if lock(&queues[shard].queue).is_empty()
-                    || queues[shard].draining.swap(true, Ordering::SeqCst)
-                {
+                if lock(&lane.queue).is_empty() || lane.draining.swap(true, Ordering::SeqCst) {
                     return;
                 }
             }
@@ -877,21 +752,8 @@ fn drain_shard(
     }
 }
 
-fn worker_loop(receiver: &Mutex<Receiver<QueuedJob>>, shared: &Shared, clock: &Arc<dyn Clock>) {
-    loop {
-        // holding the lock only while receiving serializes pickup, not
-        // execution
-        let job = match lock(receiver).recv() {
-            Ok(job) => job,
-            Err(_) => return, // channel closed and drained
-        };
-        execute_queued(job, shared, clock);
-    }
-}
-
 /// Runs one picked-up job: the queued-state pre-checks (cancelled while
-/// waiting, scheduler shut down) followed by the retry loop. Shared by
-/// dedicated workers and pool-backed execution.
+/// waiting, scheduler shut down) followed by the retry loop.
 fn execute_queued(job: QueuedJob, shared: &Shared, clock: &Arc<dyn Clock>) {
     let token = {
         let mut jobs = lock(&shared.jobs);
@@ -909,7 +771,7 @@ fn execute_queued(job: QueuedJob, shared: &Shared, clock: &Arc<dyn Clock>) {
                 Some(&job.span),
                 DeadLetter {
                     id: job.id,
-                    key: 0, // stamped by `Shared::dead_letter`
+                    key: job.key,
                     error: SHUTDOWN_ERROR.to_string(),
                     attempts: Vec::new(),
                     policy: Some(job.policy.clone()),
@@ -993,7 +855,7 @@ fn run_job(mut job: QueuedJob, shared: &Shared, clock: &Arc<dyn Clock>, token: &
                 Some(span),
                 DeadLetter {
                     id,
-                    key: 0, // stamped by `Shared::dead_letter`
+                    key: job.key,
                     error: error.clone(),
                     attempts: result.attempts,
                     policy: Some(job.policy.clone()),
@@ -1062,6 +924,30 @@ mod tests {
             (0..16).map(|i| scheduler.submit(1, move || Ok(format!("job {i}"))).unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(scheduler.wait(*id).unwrap(), format!("job {i}"));
+        }
+    }
+
+    /// `new(n)` is `n` lanes over exactly `n` job threads, and unkeyed
+    /// jobs are not hashed onto lanes: three jobs that can only finish
+    /// together all finish.
+    #[test]
+    fn unkeyed_jobs_run_as_wide_as_the_scheduler() {
+        let scheduler = JobScheduler::new(3);
+        assert_eq!(scheduler.shard_count(), 3);
+        let barrier = Arc::new(std::sync::Barrier::new(3));
+        let ids: Vec<u64> = (0..3)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                scheduler
+                    .submit(1, move || {
+                        barrier.wait();
+                        Ok("met".into())
+                    })
+                    .unwrap()
+            })
+            .collect();
+        for id in ids {
+            assert_eq!(scheduler.wait(id).unwrap(), "met");
         }
     }
 
@@ -1295,49 +1181,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_backed_scheduler_runs_retries_and_finishes() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(4)));
-        let scheduler = JobScheduler::with_pool(Arc::clone(&pool));
-        let counter = Arc::new(AtomicU32::new(0));
-        let c = Arc::clone(&counter);
-        let flaky = scheduler
-            .submit(3, move || {
-                if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                    Err("transient".to_string())
-                } else {
-                    Ok("recovered".to_string())
-                }
-            })
-            .unwrap();
-        let ids: Vec<u64> =
-            (0..8).map(|i| scheduler.submit(1, move || Ok(format!("job {i}"))).unwrap()).collect();
-        assert_eq!(scheduler.wait(flaky).unwrap(), "recovered");
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(scheduler.wait(*id).unwrap(), format!("job {i}"));
-        }
-    }
-
-    #[test]
-    fn pool_backed_scheduler_isolates_panics_and_shuts_down() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(2)));
-        let mut scheduler = JobScheduler::with_pool(Arc::clone(&pool));
-        let bad = scheduler.submit(1, || panic!("job exploded")).unwrap();
-        assert!(matches!(scheduler.wait(bad), Err(PlatformError::JobFailed(_))));
-        let ok = scheduler.submit(1, || Ok("alive".into())).unwrap();
-        assert_eq!(scheduler.wait(ok).unwrap(), "alive");
-        scheduler.shutdown();
-        assert!(matches!(
-            scheduler.submit(1, || Ok(String::new())),
-            Err(PlatformError::SchedulerStopped)
-        ));
-        // the shared pool is still usable by other subsystems
-        assert_eq!(pool.par_map(&[1, 2, 3], |x| x * 2), vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn pool_backed_cancellation_reaches_the_job() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(2)));
-        let scheduler = JobScheduler::with_pool(pool);
+    fn cancellation_reaches_a_running_job() {
+        let scheduler = JobScheduler::new(2);
         let id = scheduler
             .submit_with(RetryPolicy::immediate(1), |ctx| {
                 while !ctx.cancel.is_cancelled() {
@@ -1459,7 +1304,7 @@ mod tests {
 
     #[test]
     fn sharded_scheduler_runs_jobs_and_reports_shards() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(4)));
+        let pool = Arc::new(ParPool::new(Parallelism::new(4)));
         let scheduler = JobScheduler::with_sharded_pool(pool, 4);
         assert_eq!(scheduler.shard_count(), 4);
         assert_eq!(scheduler.queue_depths().len(), 4);
@@ -1469,14 +1314,14 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(scheduler.wait(*id).unwrap(), format!("job {i}"));
         }
-        // unkeyed submission works too (routes by job id)
+        // unkeyed submission works too (straight onto the pool)
         let plain = scheduler.submit(1, || Ok("plain".into())).unwrap();
         assert_eq!(scheduler.wait(plain).unwrap(), "plain");
     }
 
     #[test]
     fn same_key_jobs_run_fifo_even_on_a_wide_pool() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(4)));
+        let pool = Arc::new(ParPool::new(Parallelism::new(4)));
         let scheduler = JobScheduler::with_sharded_pool(pool, 8);
         let order = Arc::new(Mutex::new(Vec::new()));
         let ids: Vec<u64> = (0..12u32)
@@ -1498,42 +1343,67 @@ mod tests {
         assert_eq!(*lock(&order), (0..12).collect::<Vec<u32>>());
     }
 
+    /// Four racing submitters keep two lanes flipping between "drainer
+    /// retiring" and "submit arriving" on a pool with a single job
+    /// thread: no job may be stranded by the swap-reclaim handoff in
+    /// `drain_shard`, and each key's jobs still run in submission order.
     #[test]
-    fn dead_letters_land_in_the_tenants_shard_view() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(2)));
-        let scheduler = JobScheduler::with_sharded_pool(Arc::clone(&pool), 4);
-        let key_a = 7u64;
-        let key_b = 1000u64;
-        let dead_a = scheduler.submit_keyed(key_a, 1, || Err("a failed".into())).unwrap();
-        let dead_b = scheduler.submit_keyed(key_b, 1, || Err("b failed".into())).unwrap();
-        let ok = scheduler.submit_keyed(key_a, 1, || Ok("fine".into())).unwrap();
-        assert!(scheduler.wait(dead_a).is_err());
-        assert!(scheduler.wait(dead_b).is_err());
-        scheduler.wait(ok).unwrap();
-        let shard_a = (fnv1a_u64(key_a) % 4) as usize;
-        let shard_b = (fnv1a_u64(key_b) % 4) as usize;
-        assert_ne!(shard_a, shard_b, "test keys should land on distinct shards");
-        let view_a = scheduler.dead_letters_in_shard(shard_a);
-        assert!(view_a.iter().any(|l| l.id == dead_a));
-        assert!(!view_a.iter().any(|l| l.id == dead_b));
-        let view_b = scheduler.dead_letters_in_shard(shard_b);
-        assert!(view_b.iter().any(|l| l.id == dead_b));
-        // the global queue still sees everything
-        assert_eq!(scheduler.dead_letters().len(), 2);
-        // non-sharded backends expose everything through shard 0
-        let plain = JobScheduler::new(1);
-        let dead = plain.submit(1, || Err("x".into())).unwrap();
-        let _ = plain.wait(dead);
-        assert_eq!(plain.dead_letters_in_shard(0).len(), 1);
-        assert!(plain.dead_letters_in_shard(3).is_empty());
+    fn racing_submitters_never_strand_a_lane() {
+        const PER_KEY: u32 = 500;
+        let pool = Arc::new(ParPool::new(Parallelism::new(2)));
+        let mut scheduler = JobScheduler::with_sharded_pool(pool, 2);
+        let ran: Vec<Arc<Mutex<Vec<u32>>>> = (0..4).map(|_| Arc::default()).collect();
+        std::thread::scope(|threads| {
+            for (key, ran) in ran.iter().enumerate() {
+                let scheduler = &scheduler;
+                threads.spawn(move || {
+                    let ids: Vec<u64> = (0..PER_KEY)
+                        .map(|i| {
+                            let ran = Arc::clone(ran);
+                            scheduler
+                                .submit_keyed(key as u64, 1, move || {
+                                    lock(&ran).push(i);
+                                    Ok(String::new())
+                                })
+                                .unwrap()
+                        })
+                        .collect();
+                    for id in ids {
+                        scheduler.wait(id).unwrap();
+                    }
+                });
+            }
+        });
+        for ran in &ran {
+            assert_eq!(*lock(ran), (0..PER_KEY).collect::<Vec<u32>>());
+        }
+        assert_eq!(scheduler.queue_depths(), vec![0, 0]);
+        scheduler.shutdown();
+    }
+
+    /// The per-shard views partition the global one by key placement,
+    /// and nothing lives past the last lane.
+    fn assert_shard_views_partition_dead_letters(scheduler: &JobScheduler) {
+        let lanes = scheduler.shard_count();
+        let mut reassembled = Vec::new();
+        for shard in 0..lanes {
+            for letter in scheduler.dead_letters_in_shard(shard) {
+                assert_eq!((fnv1a_u64(letter.key) % lanes as u64) as usize, shard);
+                reassembled.push(letter);
+            }
+        }
+        reassembled.sort_by_key(|l| (l.key, l.id));
+        assert_eq!(reassembled, scheduler.dead_letters());
+        assert!(scheduler.dead_letters_in_shard(lanes).is_empty());
+        assert!(scheduler.dead_letters_in_shard(lanes + 7).is_empty());
     }
 
     /// Regression: letters carry their tenant key, and the global view is
-    /// `(key, id)`-sorted exactly like `DeadLetterShards::merged()`, no
-    /// matter which shard's worker lost the race to record first.
+    /// `(key, id)`-sorted, no matter which lane's drainer lost the race
+    /// to record first.
     #[test]
     fn dead_letters_are_attributed_and_merge_in_key_order() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(2)));
+        let pool = Arc::new(ParPool::new(Parallelism::new(2)));
         let scheduler = JobScheduler::with_sharded_pool(Arc::clone(&pool), 4);
         // failures submitted out of tenant order, across three tenants
         let submitted: Vec<(u64, u64)> = [900u64, 3, 900, 41, 3]
@@ -1555,28 +1425,42 @@ mod tests {
         expected.sort_unstable();
         let got: Vec<(u64, u64)> = letters.iter().map(|l| (l.key, l.id)).collect();
         assert_eq!(got, expected, "global view must be (key, id)-sorted");
-        // and per-shard views partition the global one by key placement
-        let mut reassembled: Vec<(u64, u64)> = (0..scheduler.shard_count())
-            .flat_map(|s| scheduler.dead_letters_in_shard(s))
-            .map(|l| (l.key, l.id))
-            .collect();
-        reassembled.sort_unstable();
-        assert_eq!(reassembled, expected);
-        for shard in 0..scheduler.shard_count() {
-            for letter in scheduler.dead_letters_in_shard(shard) {
-                assert_eq!((fnv1a_u64(letter.key) % 4) as usize, shard);
-            }
+        assert_shard_views_partition_dead_letters(&scheduler);
+        // unkeyed submissions attribute to their own job id, and a
+        // private-pool scheduler partitions keyed and unkeyed alike
+        let plain = JobScheduler::new(3);
+        let unkeyed: Vec<u64> =
+            (0..5).map(|_| plain.submit(1, || Err("x".into())).unwrap()).collect();
+        let keyed = plain.submit_keyed(900, 1, || Err("y".into())).unwrap();
+        for id in unkeyed.iter().chain([&keyed]) {
+            assert!(plain.wait(*id).is_err());
         }
-        // unkeyed submissions attribute to their own job id
-        let plain = JobScheduler::new(1);
-        let id = plain.submit(1, || Err("x".into())).unwrap();
-        let _ = plain.wait(id);
-        assert_eq!(plain.dead_letters()[0].key, id);
+        for id in unkeyed {
+            assert_eq!(plain.dead_letter(id).unwrap().key, id);
+        }
+        assert_eq!(plain.dead_letter(keyed).unwrap().key, 900);
+        assert_shard_views_partition_dead_letters(&plain);
+    }
+
+    /// Regression: a requeued keyed job stays with its tenant — same
+    /// lane, and a second failure is attributed to the same key.
+    #[test]
+    fn requeue_keeps_the_tenant_key() {
+        let pool = Arc::new(ParPool::new(Parallelism::new(2)));
+        let scheduler = JobScheduler::with_sharded_pool(pool, 4);
+        let id = scheduler.submit_keyed(42, 1, || Err("still down".into())).unwrap();
+        assert!(scheduler.wait(id).is_err());
+        let new_id = scheduler.requeue(id).unwrap();
+        assert!(scheduler.wait(new_id).is_err());
+        assert_eq!(scheduler.dead_letter(new_id).unwrap().key, 42);
+        let shard = (fnv1a_u64(42) % 4) as usize;
+        let view: Vec<u64> = scheduler.dead_letters_in_shard(shard).iter().map(|l| l.id).collect();
+        assert_eq!(view, vec![id, new_id]);
     }
 
     #[test]
     fn sharded_scheduler_shuts_down_cleanly() {
-        let pool = Arc::new(ParPool::new(ei_par::Parallelism::new(2)));
+        let pool = Arc::new(ParPool::new(Parallelism::new(2)));
         let mut scheduler = JobScheduler::with_sharded_pool(Arc::clone(&pool), 4);
         let ids: Vec<u64> = (0..8u64)
             .map(|i| scheduler.submit_keyed(i, 1, move || Ok("ok".into())).unwrap())

