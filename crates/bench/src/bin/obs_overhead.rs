@@ -7,7 +7,9 @@
 //! Two measurements:
 //!
 //! 1. **Quiet path** — classify one window through a compiled artifact
-//!    `iters` times, bare vs. with [`Obs::record_request`] after every
+//!    `iters` times, bare vs. with what the server records per completed
+//!    request (tenant-labeled latency histogram and ok counter through
+//!    the hub's tracer, then [`Obs::record_request`]) after every
 //!    request (healthy latencies, so no SLO ever fires and the recorder
 //!    never dumps — the steady state production runs in). Min-of-repeats
 //!    wall time, `overhead_ratio = instrumented / baseline`.
@@ -25,7 +27,7 @@ use ei_dsp::{DspConfig, MfccConfig};
 use ei_faults::{Clock, VirtualClock};
 use ei_nn::presets;
 use ei_nn::train::TrainConfig;
-use ei_obs::{BurnWindow, Obs, SloSpec};
+use ei_obs::{BurnWindow, Obs, SloSpec, LATENCY_BOUNDS};
 use ei_par::{ParPool, Parallelism};
 use ei_platform::JobScheduler;
 use ei_runtime::EngineKind;
@@ -99,7 +101,14 @@ fn quiet_pass(
         ok += (out.confidence >= 0.0) as u64;
         if let Some(obs) = obs {
             // healthy latencies: under the 100 ms objective, never bad
-            obs.record_request(TENANTS[i % TENANTS.len()], (i % 40) as f64, true);
+            let (tenant, latency_ms) = (TENANTS[i % TENANTS.len()], (i % 40) as f64);
+            let tracer = obs.tracer();
+            tracer
+                .histogram("serve.latency_ms", &LATENCY_BOUNDS)
+                .labeled(tenant)
+                .observe(latency_ms);
+            tracer.quiet_counter("serve.ok").labeled(tenant).inc();
+            obs.record_request(tenant, latency_ms, true);
         }
     }
     assert_eq!(ok, iters as u64, "every classify must succeed");

@@ -498,9 +498,9 @@ mod tests {
         assert_eq!(degraded[0].fields(), &[("error", ei_trace::Value::Str("ewma down".into()))]);
         // retries inside the stage surface as attempt/backoff events
         assert!(records.iter().any(|r| r.name() == "stage.backoff"));
-        let snapshot = tracer.metrics_snapshot();
-        assert_eq!(snapshot.get("flow.stages_completed"), Some(&ei_trace::MetricValue::Counter(1)));
-        assert_eq!(snapshot.get("flow.stages_degraded"), Some(&ei_trace::MetricValue::Counter(1)));
+        let registry = tracer.registry().unwrap();
+        assert_eq!(registry.counter("flow.stages_completed", ""), Some(1));
+        assert_eq!(registry.counter("flow.stages_degraded", ""), Some(1));
     }
 
     #[test]

@@ -423,13 +423,8 @@ mod tests {
         assert_eq!(layer_events, layers.len());
         // the profile span opens and closes
         assert_eq!(records.iter().filter(|r| r.name() == "profile").count(), 2);
-        let snapshot = tracer.metrics_snapshot();
-        match snapshot.get("profile.inference_ms") {
-            Some(ei_trace::MetricValue::Gauge(v)) => {
-                assert_eq!(*v, profiler.inference_ms(&eon));
-            }
-            other => panic!("expected inference gauge, got {other:?}"),
-        }
+        let gauge = tracer.registry().unwrap().gauge("profile.inference_ms", "");
+        assert_eq!(gauge, Some(profiler.inference_ms(&eon)));
     }
 
     #[test]

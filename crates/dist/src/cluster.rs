@@ -809,12 +809,9 @@ mod tests {
             .with_tracer(tracer.clone())
             .train(&mut model, &inputs, &labels)
             .unwrap();
-        let metrics = tracer.metrics_snapshot();
-        assert_eq!(metrics.get("dist.epochs"), Some(&ei_trace::MetricValue::Counter(3)));
-        match metrics.get("dist.reductions") {
-            Some(ei_trace::MetricValue::Counter(n)) => assert!(*n > 0),
-            other => panic!("missing dist.reductions counter: {other:?}"),
-        }
+        let registry = tracer.registry().unwrap();
+        assert_eq!(registry.counter("dist.epochs", ""), Some(3));
+        assert!(registry.counter("dist.reductions", "").is_some_and(|n| n > 0));
         let names: Vec<String> = collector.records().iter().map(|r| r.name().to_string()).collect();
         assert!(names.iter().any(|n| n == "dist.train"));
         assert!(names.iter().any(|n| n == "dist.epoch"));

@@ -904,14 +904,10 @@ mod tests {
             assert_eq!(loss, traced.train_loss[i]);
         }
         // the gauges hold the final epoch's values
-        let snapshot = tracer.metrics_snapshot();
-        match snapshot.get("train.loss") {
-            Some(ei_trace::MetricValue::Gauge(v)) => {
-                assert_eq!(*v as f32, *traced.train_loss.last().unwrap());
-            }
-            other => panic!("expected train.loss gauge, got {other:?}"),
-        }
-        assert!(snapshot.contains_key("train.val_accuracy"));
+        let registry = tracer.registry().unwrap();
+        let loss = registry.gauge("train.loss", "").expect("train.loss gauge");
+        assert_eq!(loss as f32, *traced.train_loss.last().unwrap());
+        assert!(registry.gauge("train.val_accuracy", "").is_some());
     }
 
     #[test]

@@ -2,16 +2,12 @@
 
 //! Always-on production telemetry for the MLOps platform.
 //!
-//! `ei-trace` (PR 2) built the *per-run* substrate: spans, events and a
-//! metrics registry behind one subscriber, aimed at offline export. This
-//! crate is the *fleet-scale* layer the ROADMAP's north star (heavy
-//! traffic from millions of tenants) demands — telemetry that is always
-//! on, cardinality-bounded, and cheap enough to leave enabled:
+//! `ei-trace` is the substrate: spans, events and the one metric
+//! [`Registry`] (striped, tenant-labeled, label-capped) behind a
+//! [`Tracer`]. This crate is the *fleet-scale* layer the ROADMAP's north
+//! star (heavy traffic from millions of tenants) demands on top of it —
+//! telemetry that is always on and cheap enough to leave enabled:
 //!
-//! * [`registry`] — [`ObsRegistry`], a striped per-shard metric table
-//!   with one label dimension (the tenant) and a hard per-metric label
-//!   cardinality cap: overflow folds into a single `__other__` series,
-//!   so tenants can't allocate unbounded series. Shards merge on scrape.
 //! * [`slo`] — declarative latency/error-rate objectives evaluated as
 //!   multi-window burn rates on the injected [`ei_faults::Clock`],
 //!   firing typed `slo.breach` events.
@@ -20,9 +16,11 @@
 //!   request tree, via the `trace` id every span now carries) whenever
 //!   an SLO breach, deadline-exceeded, dead-letter or worker crash
 //!   fires.
-//! * [`Obs`] — the facade wiring all three to one [`Tracer`]: serving
-//!   calls [`Obs::record_request`] per completed request; breaches flow
-//!   through the tracer, trip the recorder, and land in [`Obs::dumps`].
+//! * [`Obs`] — the hub: one [`Tracer`] whose subscriber is the recorder
+//!   and whose metric handles write [`Obs::registry`], plus the SLO
+//!   monitors. Serving calls [`Obs::record_request`] per completed
+//!   request to evaluate them; breaches flow through the tracer, trip
+//!   the recorder, and land in [`Obs::dumps`].
 //!
 //! Everything is deterministic under an [`ei_faults::VirtualClock`]:
 //! same record stream in, byte-identical dumps and expositions out, at
@@ -39,28 +37,29 @@
 //!     .build();
 //! for i in 0..8 {
 //!     clock.advance_ms(10);
+//!     obs.tracer().quiet_counter("serve.ok").labeled("alpha").inc();
 //!     // A storm of slow requests burns the 10% error budget…
 //!     obs.record_request("alpha", 500.0, true);
 //! }
 //! // …and the breach left a flight-recorder capture behind.
 //! assert_eq!(obs.dumps().len(), 1);
-//! assert!(obs.prometheus().contains("tenant=\"alpha\""));
+//! // The hub's registry is the table its tracer's handles write.
+//! assert_eq!(obs.registry().counter("serve.ok", "alpha"), Some(8));
+//! assert!(obs.prometheus().contains("serve_ok{tenant=\"alpha\"} 8"));
 //! ```
 
 pub mod recorder;
-pub mod registry;
 pub mod slo;
 
 pub use recorder::{FlightDump, FlightRecorder, DEFAULT_TRIGGERS};
-pub use registry::{ObsRegistry, SeriesValue, OTHER_LABEL};
 pub use slo::{BurnWindow, SloBreach, SloKind, SloMonitor, SloSpec};
 
 use ei_faults::Clock;
-use ei_trace::{Subscriber, Tracer};
+use ei_trace::{Registry, Subscriber, Tracer};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Latency histogram bounds used by [`Obs::record_request`] (logical
-/// ms; same decade ladder the serving layer uses).
+/// Latency histogram bounds (logical ms, a decade ladder) shared by the
+/// serving layer's `serve.latency_ms` and the platform's lock-wait series.
 pub const LATENCY_BOUNDS: [f64; 10] =
     [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
 
@@ -127,24 +126,29 @@ impl ObsBuilder {
             recorder = recorder.with_tee(tee);
         }
         let recorder = Arc::new(recorder);
-        let tracer = Tracer::new(Arc::<FlightRecorder>::clone(&recorder) as _, self.clock.clone());
+        let registry = Arc::new(Registry::new(self.shards, self.label_cap));
+        let tracer = Tracer::with_registry(
+            Arc::<FlightRecorder>::clone(&recorder) as _,
+            self.clock.clone(),
+            Arc::clone(&registry),
+        );
         Arc::new(Obs {
             tracer,
             clock: self.clock,
             recorder,
-            registry: ObsRegistry::new(self.shards, self.label_cap),
+            registry,
             monitors: Mutex::new(self.slos.into_iter().map(SloMonitor::new).collect()),
         })
     }
 }
 
-/// The telemetry hub: one tracer (backed by the flight recorder), one
-/// sharded registry, and the SLO monitors, all on one injected clock.
+/// The telemetry hub: one tracer (backed by the flight recorder, writing
+/// the hub's registry) and the SLO monitors, all on one injected clock.
 pub struct Obs {
     tracer: Tracer,
     clock: Arc<dyn Clock>,
     recorder: Arc<FlightRecorder>,
-    registry: ObsRegistry,
+    registry: Arc<Registry>,
     monitors: Mutex<Vec<SloMonitor>>,
 }
 
@@ -176,13 +180,14 @@ impl Obs {
     }
 
     /// The tracer instrumented layers should record through: its
-    /// subscriber is the flight recorder (plus any tee).
+    /// subscriber is the flight recorder (plus any tee) and its metric
+    /// handles write [`Obs::registry`].
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// The sharded always-on metric registry.
-    pub fn registry(&self) -> &ObsRegistry {
+    /// The metric registry, shared with [`Obs::tracer`].
+    pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
@@ -199,12 +204,11 @@ impl Obs {
         &self.clock
     }
 
-    /// Folds one completed request into the registry and every matching
-    /// SLO monitor; fires `slo.breach` (tripping the recorder) on
-    /// breach. Call this from the serving completion path.
+    /// Folds one completed request into every matching SLO monitor;
+    /// fires `slo.breach` (tripping the recorder) on breach. Call this
+    /// from the serving completion path. It writes no metric series —
+    /// the caller records those through [`Obs::tracer`].
     pub fn record_request(&self, tenant: &str, latency_ms: f64, ok: bool) {
-        self.registry.observe("serve.latency_ms", tenant, latency_ms, &LATENCY_BOUNDS);
-        self.registry.add(if ok { "serve.ok" } else { "serve.err" }, tenant, 1);
         let now_ms = self.clock.now_ms();
         let mut breaches = Vec::new();
         {
@@ -235,13 +239,9 @@ impl Obs {
         self.recorder.dumps()
     }
 
-    /// The sharded registry *and* the tracer's own metric registry,
-    /// rendered as one Prometheus-style exposition (labeled series
-    /// first, then the tracer's unlabeled ones).
+    /// The registry rendered as a Prometheus-style exposition.
     pub fn prometheus(&self) -> String {
-        let mut out = self.registry.to_prometheus();
-        out.push_str(&self.tracer.prometheus());
-        out
+        self.registry.to_prometheus()
     }
 }
 
@@ -251,7 +251,7 @@ mod tests {
     use ei_faults::VirtualClock;
 
     #[test]
-    fn record_request_feeds_registry_and_monitors() {
+    fn record_request_feeds_the_watching_monitors() {
         let clock = VirtualClock::shared();
         let obs = Obs::builder(clock.clone())
             .slo(SloSpec::latency("p99", 100.0, 0.9).with_min_samples(4).for_tenant("alpha"))
@@ -261,11 +261,10 @@ mod tests {
             obs.record_request("alpha", 400.0, true);
             obs.record_request("beta", 400.0, true); // unwatched tenant
         }
-        assert_eq!(obs.registry().counter("serve.ok", "alpha"), Some(4));
         let dumps = obs.dumps();
         assert_eq!(dumps.len(), 1, "alpha's storm must breach exactly once");
         assert_eq!(dumps[0].trigger, "slo.breach");
-        assert!(obs.prometheus().contains("serve_latency_ms_bucket{tenant=\"alpha\",le=\"1\"}"));
+        assert_eq!(obs.prometheus(), "", "the series are the caller's to record");
     }
 
     #[test]
@@ -279,7 +278,6 @@ mod tests {
             obs.record_request("alpha", 3.0, true);
         }
         assert!(obs.dumps().is_empty());
-        assert_eq!(obs.registry().counter("serve.ok", "alpha"), Some(50));
     }
 
     #[test]
@@ -292,7 +290,6 @@ mod tests {
         obs.record_request("t", 1.0, false);
         clock.advance_ms(1);
         obs.record_request("t", 1.0, false);
-        assert_eq!(obs.registry().counter("serve.err", "t"), Some(2));
         assert!(!obs.dumps().is_empty());
     }
 }

@@ -786,13 +786,9 @@ mod tests {
         let p = ParPool::with_tracer(Parallelism::new(4), tracer.clone());
         let items: Vec<u64> = (0..64).collect();
         p.par_map(&items, |x| x * 3);
-        let snapshot = tracer.metrics_snapshot();
-        assert_eq!(
-            snapshot.get("par.queue_depth"),
-            Some(&ei_trace::MetricValue::Gauge(0.0)),
-            "queue must be drained"
-        );
-        assert_eq!(snapshot.get("par.tasks"), Some(&ei_trace::MetricValue::Counter(64)));
+        let registry = tracer.registry().unwrap();
+        assert_eq!(registry.gauge("par.queue_depth", ""), Some(0.0), "queue must be drained");
+        assert_eq!(registry.counter("par.tasks", ""), Some(64));
         for record in collector.records() {
             let name = record.name();
             assert!(

@@ -274,7 +274,7 @@ impl Api {
         let occupancy: Vec<usize> = (0..self.projects.shard_count())
             .map(|shard| {
                 match snapshot.get(&("platform.shard.occupancy".into(), format!("shard-{shard}"))) {
-                    Some(ei_obs::SeriesValue::Gauge { value, .. }) => *value as usize,
+                    Some(ei_trace::SeriesValue::Gauge { value, .. }) => *value as usize,
                     _ => 0,
                 }
             })
@@ -487,7 +487,9 @@ impl Api {
     ///
     /// # Errors
     ///
-    /// Fails for unknown projects or when `acting` is not the owner.
+    /// Fails for unknown projects, when `acting` is not the owner, or
+    /// with [`PlatformError::BadRequest`] for a negative or non-finite
+    /// `refill_per_sec`.
     pub fn set_project_burst(
         &self,
         project: ProjectId,
@@ -498,6 +500,11 @@ impl Api {
         let owner = self.with_project(project, acting, |p| p.owner)?;
         if owner != acting {
             return Err(PlatformError::AccessDenied("only the owner sets quotas".into()));
+        }
+        if !refill_per_sec.is_finite() || refill_per_sec < 0.0 {
+            return Err(PlatformError::BadRequest(format!(
+                "refill rate must be finite and non-negative, got {refill_per_sec}"
+            )));
         }
         self.quotas.set_burst(&project.0, capacity, refill_per_sec, self.quota_now_ms());
         Ok(())
@@ -1234,6 +1241,10 @@ mod tests {
         let outsider = api.create_user("o");
         let p = api.create_project("bursty", u).unwrap();
         assert!(api.set_project_burst(p, outsider, 2, 1.0).is_err(), "owner only");
+        for rate in [f64::NAN, f64::INFINITY, -1.0] {
+            let refused = api.set_project_burst(p, u, 2, rate);
+            assert!(matches!(refused, Err(PlatformError::BadRequest(_))), "{rate}: {refused:?}");
+        }
         api.set_project_burst(p, u, 2, 1.0).unwrap();
         // two units of burst admit, the third denies with zero tokens left
         api.ingest(p, u, "csv", b"x\n1\n", None).unwrap();

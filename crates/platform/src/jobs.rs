@@ -1224,7 +1224,8 @@ mod tests {
             names,
             vec!["job.queued", "job.running", "job.backoff", "job.running", "job.finished"]
         );
-        assert_eq!(tracer.metrics_snapshot().len(), 2, "submitted + finished counters");
+        let series = tracer.registry().unwrap().snapshot().len();
+        assert_eq!(series, 2, "submitted + finished counters");
         let jsonl = collector.jsonl();
         assert!(jsonl.contains(r#""name":"job.backoff""#), "{jsonl}");
         assert!(jsonl.contains(r#""delay_ms""#), "{jsonl}");
@@ -1258,9 +1259,9 @@ mod tests {
         let records = collector.records();
         assert!(records.iter().any(|r| r.name() == "job.dead_letter"));
         assert!(records.iter().any(|r| r.name() == "job.cancelled"));
-        let snapshot = tracer.metrics_snapshot();
-        assert_eq!(snapshot.get("jobs.dead_lettered"), Some(&ei_trace::MetricValue::Counter(1)));
-        assert_eq!(snapshot.get("jobs.cancelled"), Some(&ei_trace::MetricValue::Counter(1)));
+        let registry = tracer.registry().unwrap();
+        assert_eq!(registry.counter("jobs.dead_lettered", ""), Some(1));
+        assert_eq!(registry.counter("jobs.cancelled", ""), Some(1));
     }
 
     #[test]
@@ -1298,8 +1299,7 @@ mod tests {
             Err(PlatformError::NotRequeueable { id: stale }) if stale == id
         ));
         assert!(collector.records().iter().any(|r| r.name() == "job.requeued"));
-        let snapshot = tracer.metrics_snapshot();
-        assert_eq!(snapshot.get("jobs.requeued"), Some(&ei_trace::MetricValue::Counter(1)));
+        assert_eq!(tracer.registry().unwrap().counter("jobs.requeued", ""), Some(1));
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   propagation into [`ei_faults`] per-attempt timeouts, and
 //!   micro-batching that dispatches same-artifact requests through one
 //!   [`ei_par::ParPool::par_map`] call.
-//! * Full [`ei_trace`] instrumentation: queue-depth gauges, per-tenant
-//!   latency histograms (`serve.latency_ms.<tenant>`), batch-size
-//!   distribution and cache hit/miss/eviction counters.
+//! * Full [`ei_trace`] instrumentation, every series recorded once
+//!   through the server's tracer: the `serve.queue_depth` gauge,
+//!   tenant-labeled (and therefore label-capped) `serve.latency_ms`
+//!   histograms, `serve.inflight` gauges and `serve.ok` / `serve.err` /
+//!   `serve.rejected` counters, the batch-size distribution and cache
+//!   hit/miss/eviction counters.
 //!
 //! Everything runs on an injected [`ei_faults::Clock`] with *modeled*
 //! latencies, so a load test under a [`ei_faults::VirtualClock`] is
@@ -28,13 +31,12 @@
 
 pub mod cache;
 pub mod error;
-pub mod quota;
 pub mod request;
 pub mod server;
 
 pub use cache::{content_hash, ArtifactKey, CacheStats, CompiledArtifact, CompiledArtifactCache};
+pub use ei_shard::TokenBucket;
 pub use error::ServeError;
-pub use quota::TokenBucket;
 pub use request::{
     Completion, InferenceRequest, InferenceSpec, ModelName, ModelSource, Outcome, Rejected,
 };

@@ -35,23 +35,19 @@
 
 use crate::cache::{ArtifactKey, CacheStats, CompiledArtifact, CompiledArtifactCache};
 use crate::error::ServeError;
-use crate::quota::TokenBucket;
 use crate::request::{Completion, InferenceRequest, Outcome, Rejected};
 use crate::ModelSource;
 use ei_core::Classification;
 use ei_device::{Board, Profiler};
 use ei_faults::retry::{self, RetryOutcome};
 use ei_faults::{CancelToken, Clock, FailureCause, RetryPolicy};
-use ei_obs::Obs;
+use ei_obs::{Obs, LATENCY_BOUNDS};
 use ei_par::ParPool;
 use ei_runtime::EngineKind;
-use ei_shard::ShardKey;
+use ei_shard::{ShardKey, TokenBucket};
 use ei_trace::{SpanGuard, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Latency histogram bucket bounds (logical milliseconds).
-const LATENCY_BOUNDS: [f64; 10] = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1_000.0];
 
 /// Batch-size histogram bucket bounds.
 const BATCH_BOUNDS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
@@ -161,8 +157,8 @@ struct Inner {
     buckets: Vec<HashMap<String, TokenBucket>>,
     next_ticket: u64,
     completed: Vec<Completion>,
-    /// Admitted-but-not-completed requests per tenant, mirrored into the
-    /// obs registry as the `serve.inflight` gauge.
+    /// Admitted-but-not-completed requests per tenant, published as the
+    /// `serve.inflight` gauge.
     inflight: HashMap<String, u64>,
 }
 
@@ -245,10 +241,10 @@ impl Server {
         self.config.queue_capacity.div_ceil(self.admission_shards()).max(1)
     }
 
-    /// Attaches an always-on telemetry hub: every completion feeds the
-    /// hub's sharded per-tenant registry and SLO monitors (breaches trip
-    /// its flight recorder). Typically the server's `tracer` is
-    /// `obs.tracer().clone()` so spans land in the same recorder.
+    /// Attaches a telemetry hub for SLO evaluation: every completion
+    /// feeds the hub's monitors (breaches trip its flight recorder).
+    /// Spans and metric series go through `tracer` either way — typically
+    /// `obs.tracer().clone()`, so they land in the hub's recorder and registry.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Server {
         self.obs = Some(obs);
         self
@@ -274,25 +270,6 @@ impl Server {
     /// Admitted-but-not-completed requests for `tenant`.
     pub fn tenant_inflight(&self, tenant: &str) -> u64 {
         self.lock_inner().inflight.get(tenant).copied().unwrap_or(0)
-    }
-
-    /// Mirrors the admission-queue depth into the obs registry (the
-    /// tracer's quiet gauge only surfaces in per-run exports, which left
-    /// backpressure invisible to always-on telemetry until requests were
-    /// actually rejected). The `__all__` sentinel marks the one
-    /// cross-tenant series, mirroring the registry's `__other__` overflow
-    /// label.
-    fn publish_queue_depth(&self, depth: usize) {
-        if let Some(obs) = &self.obs {
-            obs.registry().set_gauge("serve.queue_depth", "__all__", depth as f64);
-        }
-    }
-
-    /// Mirrors one tenant's in-flight count into the obs registry.
-    fn publish_inflight(&self, tenant: &str, count: u64) {
-        if let Some(obs) = &self.obs {
-            obs.registry().set_gauge("serve.inflight", tenant, count as f64);
-        }
     }
 
     /// Current artifact-cache counters, merged across every stripe.
@@ -338,20 +315,16 @@ impl Server {
         let mut inner = self.lock_inner();
         if inner.queues[shard].len() >= per_shard {
             self.tracer.quiet_counter("serve.rejected.overloaded").inc();
-            if let Some(obs) = &self.obs {
-                obs.registry().add("serve.rejected", &req.tenant, 1);
-            }
+            self.tracer.quiet_counter("serve.rejected").labeled(&req.tenant).inc();
             return Err(Rejected::Overloaded { queue_depth: inner.queues[shard].len() });
         }
         let (capacity, refill) = (self.config.quota_capacity, self.config.quota_refill_per_sec);
         let bucket = inner.buckets[shard]
             .entry(req.tenant.clone())
-            .or_insert_with(|| TokenBucket::new(capacity, refill, now));
+            .or_insert_with(|| TokenBucket::new(capacity.into(), refill, now));
         if !bucket.try_take(now) {
             self.tracer.quiet_counter("serve.rejected.quota").inc();
-            if let Some(obs) = &self.obs {
-                obs.registry().add("serve.rejected", &req.tenant, 1);
-            }
+            self.tracer.quiet_counter("serve.rejected").labeled(&req.tenant).inc();
             return Err(Rejected::QuotaExceeded { tenant: req.tenant });
         }
         let ticket = inner.next_ticket;
@@ -383,8 +356,7 @@ impl Server {
         };
         self.tracer.quiet_counter("serve.submitted").inc();
         self.tracer.quiet_gauge("serve.queue_depth").set(depth as f64);
-        self.publish_queue_depth(depth);
-        self.publish_inflight(&tenant, inflight);
+        self.tracer.quiet_gauge("serve.inflight").labeled(&tenant).set(inflight as f64);
         Ok(ticket)
     }
 
@@ -475,7 +447,6 @@ impl Server {
                     }
                     let depth = inner.queues.iter().map(VecDeque::len).sum::<usize>();
                     self.tracer.quiet_gauge("serve.queue_depth").set(depth as f64);
-                    self.publish_queue_depth(depth);
                     batch
                 };
                 self.run_batch(batch);
@@ -626,8 +597,8 @@ impl Server {
     }
 
     /// Records one finished request: outcome event on (and close of) the
-    /// request span, completion buffer, per-tenant latency histogram,
-    /// outcome counters, and the attached [`Obs`] hub, if any.
+    /// request span, completion buffer, per-tenant latency histogram and
+    /// outcome counters, and the attached [`Obs`] hub's SLOs, if any.
     fn complete(
         &self,
         p: Pending,
@@ -652,15 +623,15 @@ impl Server {
             event,
             vec![("tenant", p.req.tenant.clone().into()), ("latency_ms", latency_ms.into())],
         );
+        let tenant = &p.req.tenant;
+        let ok = matches!(outcome, Outcome::Classified(_));
         self.tracer
-            .histogram(&format!("serve.latency_ms.{}", p.req.tenant), &LATENCY_BOUNDS)
+            .histogram("serve.latency_ms", &LATENCY_BOUNDS)
+            .labeled(tenant)
             .observe(latency_ms as f64);
+        self.tracer.quiet_counter(if ok { "serve.ok" } else { "serve.err" }).labeled(tenant).inc();
         if let Some(obs) = &self.obs {
-            obs.record_request(
-                &p.req.tenant,
-                latency_ms as f64,
-                matches!(outcome, Outcome::Classified(_)),
-            );
+            obs.record_request(tenant, latency_ms as f64, ok);
         }
         let completion = Completion {
             ticket: p.ticket,
@@ -680,6 +651,6 @@ impl Server {
             *count = count.saturating_sub(1);
             *count
         };
-        self.publish_inflight(&p.req.tenant, inflight);
+        self.tracer.quiet_gauge("serve.inflight").labeled(&p.req.tenant).set(inflight as f64);
     }
 }

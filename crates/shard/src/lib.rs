@@ -9,12 +9,13 @@
 //!
 //! * [`ShardMap`] — a tenant-partitioned key→value store striping
 //!   entries across N independently locked shards by FNV-1a of the
-//!   typed key (the same idiom as `ei-obs`'s `ObsRegistry`). Snapshots
+//!   typed key (the same idiom as `ei-trace`'s `Registry`). Snapshots
 //!   lock every shard at once and merge in key order, so an export of a
 //!   16-shard store is **byte-identical** to the serial reference.
 //! * [`QuotaLedger`] — per-shard quota accounting: admitted/denied unit
 //!   counters per tenant, checked and charged under only that tenant's
-//!   shard lock.
+//!   shard lock — and [`TokenBucket`], the one clock-driven token bucket
+//!   behind both the ledger's burst quotas and `ei-serve`'s admission.
 //! * a seeded cross-shard **rebalance/eviction** pass
 //!   ([`ShardMap::rebalance`]) for skewed tenant distributions: moves
 //!   are a pure function of `(occupancy, seed)`, recorded in an
@@ -34,4 +35,4 @@ pub mod quota;
 
 pub use map::{fnv1a_u64, RebalanceReport, ShardKey, ShardMap, ShardObserver, SplitMix64};
 pub use policy::{RebalancePolicy, RebalancePolicyStatus};
-pub use quota::{QuotaDecision, QuotaLedger, QuotaUsage};
+pub use quota::{QuotaDecision, QuotaLedger, QuotaUsage, TokenBucket};

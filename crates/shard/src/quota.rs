@@ -6,9 +6,9 @@
 //! protects. A merged, key-ordered snapshot serves billing/export.
 //!
 //! Tenants can additionally carry a *burst bucket*
-//! ([`QuotaLedger::set_burst`]): a token bucket with per-tenant burst
-//! capacity and clock-driven refill, the same shape as the serving
-//! layer's admission buckets. [`QuotaLedger::charge_at`] refills from
+//! ([`QuotaLedger::set_burst`]): a [`TokenBucket`] with per-tenant burst
+//! capacity and clock-driven refill — the same type the serving layer's
+//! admission uses. [`QuotaLedger::charge_at`] refills from
 //! elapsed logical time, then admits or denies atomically under the one
 //! shard lock — a denial consumes neither tokens nor cumulative units.
 //! Tenants without a bucket (the default) behave exactly as the plain
@@ -55,27 +55,67 @@ pub struct QuotaUsage {
     pub denied: u64,
 }
 
-/// One tenant's burst bucket: capacity, refill rate, and the current
-/// token level as of `updated_ms` on the caller's clock.
-#[derive(Debug, Clone, Copy)]
-struct Burst {
-    capacity: u64,
+/// A token bucket over the caller's logical milliseconds: `capacity`
+/// burst tokens, refilled at `refill_per_sec`.
+///
+/// Refill arithmetic is plain `f64`; for a fixed sequence of
+/// `(now_ms, take)` calls the token trajectory is bit-reproducible.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TokenBucket {
+    capacity: f64,
     refill_per_sec: f64,
     tokens: f64,
     updated_ms: u64,
 }
 
-impl Burst {
+impl TokenBucket {
+    /// A full bucket observed at logical time `now_ms`.
+    ///
+    /// `capacity` is clamped to at least one token; a negative or NaN
+    /// `refill_per_sec` means the bucket never refills (burst-only).
+    pub fn new(capacity: u64, refill_per_sec: f64, now_ms: u64) -> TokenBucket {
+        let capacity = capacity.max(1) as f64;
+        TokenBucket {
+            capacity,
+            refill_per_sec: refill_per_sec.max(0.0),
+            tokens: capacity,
+            updated_ms: now_ms,
+        }
+    }
+
     /// Advances the bucket to `now_ms`, refilling `refill_per_sec`
-    /// tokens per elapsed second, saturating at `capacity`. Time never
-    /// runs backwards: a stale `now_ms` leaves the bucket untouched.
-    fn refill(&mut self, now_ms: u64) {
+    /// tokens per elapsed second, saturating at `capacity`, and returns
+    /// the token level. Time never runs backwards: a stale `now_ms`
+    /// leaves the bucket untouched.
+    fn refill(&mut self, now_ms: u64) -> f64 {
         if now_ms > self.updated_ms {
             let elapsed_ms = (now_ms - self.updated_ms) as f64;
-            self.tokens = (self.tokens + elapsed_ms * self.refill_per_sec / 1_000.0)
-                .min(self.capacity as f64);
+            self.tokens =
+                (self.tokens + elapsed_ms * self.refill_per_sec / 1_000.0).min(self.capacity);
             self.updated_ms = now_ms;
         }
+        self.tokens
+    }
+
+    /// Refills to `now_ms`, then spends `units` tokens if the bucket
+    /// holds them; `false` (nothing spent) means over quota right now.
+    fn try_take_units(&mut self, units: u64, now_ms: u64) -> bool {
+        let admitted = self.refill(now_ms) >= units as f64;
+        if admitted {
+            self.tokens -= units as f64;
+        }
+        admitted
+    }
+
+    /// Refills to `now_ms`, then spends one token if the bucket holds it;
+    /// `false` means over quota right now.
+    pub fn try_take(&mut self, now_ms: u64) -> bool {
+        self.try_take_units(1, now_ms)
+    }
+
+    /// Whole tokens currently available.
+    pub fn available(&self) -> u32 {
+        self.tokens.floor().max(0.0) as u32
     }
 }
 
@@ -84,7 +124,7 @@ struct Ledger {
     limit: u64,
     used: u64,
     denied: u64,
-    burst: Option<Burst>,
+    burst: Option<TokenBucket>,
 }
 
 /// A sharded per-tenant quota ledger. See the module docs.
@@ -135,17 +175,13 @@ impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
 
     /// Gives `key` a burst bucket: at most `capacity` units of burst,
     /// refilled at `refill_per_sec` units per second of the caller's
-    /// clock, full as of `now_ms`. A `capacity` of 0 removes the bucket,
-    /// degenerating the tenant back to the plain cumulative ledger.
+    /// clock (negative or NaN: never), full as of `now_ms`. A `capacity`
+    /// of 0 removes the bucket, degenerating the tenant back to the plain
+    /// cumulative ledger.
     pub fn set_burst(&self, key: &K, capacity: u64, refill_per_sec: f64, now_ms: u64) {
         let mut guard = lock_plain(&self.shards[self.shard_of(key)]);
         let ledger = Self::entry(&mut guard, key, self.default_limit);
-        ledger.burst = (capacity > 0).then_some(Burst {
-            capacity,
-            refill_per_sec,
-            tokens: capacity as f64,
-            updated_ms: now_ms,
-        });
+        ledger.burst = (capacity > 0).then(|| TokenBucket::new(capacity, refill_per_sec, now_ms));
     }
 
     /// Atomically admits or denies `units` against `key`'s ledger,
@@ -169,20 +205,22 @@ impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
     pub fn charge_at(&self, key: &K, units: u64, now_ms: u64) -> QuotaDecision {
         let mut guard = lock_plain(&self.shards[self.shard_of(key)]);
         let ledger = Self::entry(&mut guard, key, self.default_limit);
-        if let Some(burst) = &mut ledger.burst {
-            burst.refill(now_ms);
-        }
         let over_limit = ledger.used.saturating_add(units) > ledger.limit;
-        let out_of_burst = ledger.burst.as_ref().is_some_and(|b| b.tokens < units as f64);
-        if over_limit || out_of_burst {
-            ledger.denied += 1;
-            QuotaDecision::Denied { used: ledger.used, limit: ledger.limit }
-        } else {
-            if let Some(burst) = &mut ledger.burst {
-                burst.tokens -= units as f64;
+        let admitted = match &mut ledger.burst {
+            // the bucket still advances to `now_ms`, but spends nothing
+            Some(burst) if over_limit => {
+                burst.refill(now_ms);
+                false
             }
+            Some(burst) => burst.try_take_units(units, now_ms),
+            None => !over_limit,
+        };
+        if admitted {
             ledger.used += units;
             QuotaDecision::Admitted { remaining: ledger.limit.saturating_sub(ledger.used) }
+        } else {
+            ledger.denied += 1;
+            QuotaDecision::Denied { used: ledger.used, limit: ledger.limit }
         }
     }
 
@@ -190,10 +228,7 @@ impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
     /// bucket is not refilled). `None` when the tenant has no bucket.
     pub fn burst_tokens(&self, key: &K, now_ms: u64) -> Option<f64> {
         let guard = lock_plain(&self.shards[self.shard_of(key)]);
-        guard.get(key).and_then(|l| l.burst).map(|mut b| {
-            b.refill(now_ms);
-            b.tokens
-        })
+        guard.get(key).and_then(|l| l.burst).map(|mut b| b.refill(now_ms))
     }
 
     /// Refunds `units` to `key` (e.g. a job that never ran).
@@ -234,6 +269,33 @@ impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn burst_then_reject_then_refill() {
+        let mut bucket = TokenBucket::new(2, 1_000.0, 0);
+        assert!(bucket.try_take(0));
+        assert!(bucket.try_take(0));
+        assert!(!bucket.try_take(0), "burst capacity exhausted");
+        // 1000 tokens/s -> one token per logical millisecond
+        assert!(bucket.try_take(1));
+        assert!(!bucket.try_take(1));
+    }
+
+    #[test]
+    fn refill_caps_at_capacity() {
+        let mut bucket = TokenBucket::new(3, 1_000.0, 0);
+        assert!(bucket.try_take(0));
+        // an hour of idle refill still leaves at most `capacity` tokens
+        assert!(bucket.try_take(3_600_000));
+        assert_eq!(bucket.available(), 2);
+    }
+
+    #[test]
+    fn zero_refill_is_burst_only() {
+        let mut bucket = TokenBucket::new(1, 0.0, 0);
+        assert!(bucket.try_take(0));
+        assert!(!bucket.try_take(10_000_000));
+    }
 
     #[test]
     fn unlimited_by_default_then_limited() {
@@ -295,6 +357,17 @@ mod tests {
         assert!(!ledger.charge_at(&1, 1, 3_600_000 + 1_000).is_admitted());
         // time running backwards never refills
         assert!(!ledger.charge_at(&1, 1, 0).is_admitted());
+    }
+
+    #[test]
+    fn nan_or_negative_refill_rates_never_refill() {
+        for rate in [f64::NAN, -1_000.0] {
+            let ledger: QuotaLedger<u64> = QuotaLedger::new(4, u64::MAX);
+            ledger.set_burst(&1, 2, rate, 0);
+            let admitted = (0..100).filter(|i| ledger.charge_at(&1, 1, i * 1_000).is_admitted());
+            assert_eq!(admitted.count(), 2, "rate {rate}: only the burst capacity admits");
+            assert_eq!(ledger.burst_tokens(&1, 1_000_000), Some(0.0), "rate {rate}");
+        }
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! Exporters: JSONL, Chrome-trace spans, Prometheus-style metrics text.
+//! Record-stream exporters: JSONL and Chrome-trace spans. (The metrics
+//! exposition is rendered by the [`crate::registry`] that holds them.)
 //!
-//! All three are deterministic functions of their input — same records
-//! (or registry snapshot) in, byte-identical text out — which is what
-//! makes traces under an [`ei_faults::VirtualClock`] reproducible and
-//! diffable in tests.
+//! Both are deterministic functions of their input — same records in,
+//! byte-identical text out — which is what makes traces under an
+//! [`ei_faults::VirtualClock`] reproducible and diffable in tests.
 
-use crate::json::{escape, Json, JsonObject};
-use crate::metrics::MetricValue;
+use crate::json::{Json, JsonObject};
 use crate::record::{MetricUpdate, RecordKind, TraceRecord};
 use crate::value::Field;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 fn fields_object(fields: &[Field]) -> Json {
     let mut obj = JsonObject::new();
@@ -53,9 +50,14 @@ pub fn record_to_json(record: &TraceRecord) -> String {
             obj.push("name", Json::Str(name.clone()));
             obj.push("fields", fields_object(fields));
         }
-        RecordKind::Metric { name, update } => {
+        RecordKind::Metric { name, label, update } => {
             obj.push("type", Json::Str("metric".into()));
             obj.push("name", Json::Str(name.clone()));
+            // only labeled series carry the field, so unlabeled lines
+            // keep the bytes they had before labels existed
+            if !label.is_empty() {
+                obj.push("label", Json::Str(label.clone()));
+            }
             match update {
                 MetricUpdate::CounterAdd(n) => {
                     obj.push("metric", Json::Str("counter".into()));
@@ -121,53 +123,6 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
     Json::Object(JsonObject::new().field("traceEvents", Json::Array(events))).to_json()
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect()
-}
-
-/// Renders a metrics snapshot as a Prometheus-style text exposition.
-///
-/// Series names are sanitized (`.` and other punctuation become `_`),
-/// histogram buckets are emitted cumulatively with `le` labels plus the
-/// conventional `_sum`/`_count` series. Output order follows the
-/// snapshot's sorted keys, so the exposition is deterministic.
-pub fn to_prometheus(snapshot: &BTreeMap<String, MetricValue>) -> String {
-    let mut out = String::new();
-    for (name, value) in snapshot {
-        let metric = sanitize(name);
-        match value {
-            MetricValue::Counter(total) => {
-                let _ = writeln!(out, "# TYPE {metric} counter");
-                let _ = writeln!(out, "{metric} {total}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "# TYPE {metric} gauge");
-                let _ = writeln!(out, "{metric} {v}");
-            }
-            MetricValue::Histogram { bounds, counts, sum, count, dropped } => {
-                let _ = writeln!(out, "# TYPE {metric} histogram");
-                let mut cumulative = 0u64;
-                for (bound, bucket) in bounds.iter().zip(counts) {
-                    cumulative += bucket;
-                    let _ = writeln!(out, "{metric}_bucket{{le=\"{bound}\"}} {cumulative}");
-                }
-                let _ = writeln!(out, "{metric}_bucket{{le=\"+Inf\"}} {count}");
-                let _ = writeln!(out, "{metric}_sum {sum}");
-                let _ = writeln!(out, "{metric}_count {count}");
-                if *dropped > 0 {
-                    let _ = writeln!(out, "{metric}_dropped {dropped}");
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Escape helper re-exported for the bench harness's JSON rows.
-pub fn json_escape(s: &str) -> String {
-    escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +155,7 @@ mod tests {
                 ts_ms: 9,
                 kind: RecordKind::Metric {
                     name: "train.loss".into(),
+                    label: String::new(),
                     update: MetricUpdate::GaugeSet(0.5),
                 },
             },
@@ -246,85 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_is_sorted_and_cumulative() {
-        let mut snapshot = BTreeMap::new();
-        snapshot.insert("jobs.dead".to_string(), MetricValue::Counter(2));
-        snapshot.insert("train.loss".to_string(), MetricValue::Gauge(0.25));
-        snapshot.insert(
-            "attempt.ms".to_string(),
-            MetricValue::Histogram {
-                bounds: vec![1.0, 10.0],
-                counts: vec![1, 2, 1],
-                sum: 25.5,
-                count: 4,
-                dropped: 0,
-            },
-        );
-        let text = to_prometheus(&snapshot);
-        let expected = "# TYPE attempt_ms histogram\n\
-                        attempt_ms_bucket{le=\"1\"} 1\n\
-                        attempt_ms_bucket{le=\"10\"} 3\n\
-                        attempt_ms_bucket{le=\"+Inf\"} 4\n\
-                        attempt_ms_sum 25.5\n\
-                        attempt_ms_count 4\n\
-                        # TYPE jobs_dead counter\n\
-                        jobs_dead 2\n\
-                        # TYPE train_loss gauge\n\
-                        train_loss 0.25\n";
-        assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn prometheus_inf_bucket_counts_overflow_observations() {
-        // 3 observations above the last bound: finite buckets stay below
-        // the +Inf line, and +Inf must equal _count exactly.
-        let mut snapshot = BTreeMap::new();
-        snapshot.insert(
-            "lat.ms".to_string(),
-            MetricValue::Histogram {
-                bounds: vec![1.0, 10.0],
-                counts: vec![1, 0, 3],
-                sum: 3001.5,
-                count: 4,
-                dropped: 0,
-            },
-        );
-        let text = to_prometheus(&snapshot);
-        let expected = "# TYPE lat_ms histogram\n\
-                        lat_ms_bucket{le=\"1\"} 1\n\
-                        lat_ms_bucket{le=\"10\"} 1\n\
-                        lat_ms_bucket{le=\"+Inf\"} 4\n\
-                        lat_ms_sum 3001.5\n\
-                        lat_ms_count 4\n";
-        assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn prometheus_empty_bounds_histogram_is_inf_only() {
-        let mut snapshot = BTreeMap::new();
-        snapshot.insert(
-            "free.ms".to_string(),
-            MetricValue::Histogram {
-                bounds: vec![],
-                counts: vec![2],
-                sum: 7.0,
-                count: 2,
-                dropped: 1,
-            },
-        );
-        let text = to_prometheus(&snapshot);
-        let expected = "# TYPE free_ms histogram\n\
-                        free_ms_bucket{le=\"+Inf\"} 2\n\
-                        free_ms_sum 7\n\
-                        free_ms_count 2\n\
-                        free_ms_dropped 1\n";
-        assert_eq!(text, expected);
-    }
-
-    #[test]
     fn empty_inputs_render_empty() {
         assert_eq!(to_jsonl(&[]), "");
-        assert_eq!(to_prometheus(&BTreeMap::new()), "");
         assert_eq!(to_chrome_trace(&[]), r#"{"traceEvents":[]}"#);
     }
 }

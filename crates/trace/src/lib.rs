@@ -20,10 +20,13 @@
 //!   request's causal tree (every span carries its root's `trace` id).
 //! * [`subscriber`] — the [`Subscriber`] sink trait and the
 //!   [`CollectingSubscriber`] used by tests, benches and the examples.
-//! * [`metrics`] — counters, gauges and fixed-bucket histograms,
-//!   aggregated in a [`MetricsRegistry`] snapshot.
-//! * [`export`] — three exporters: JSONL trace dump, Prometheus-style
-//!   text exposition, and a Chrome-trace (`chrome://tracing`) span view.
+//! * [`registry`] — the one metric store: counters, gauges and
+//!   fixed-bucket histograms in a striped [`Registry`] with one label
+//!   dimension, a per-metric label cap (overflow folds into `__other__`)
+//!   and the Prometheus-style text exposition. Every tracer's metric
+//!   handles record into one; `ei-obs` shares its hub's with its tracer.
+//! * [`export`] — the record-stream exporters: JSONL trace dump and a
+//!   Chrome-trace (`chrome://tracing`) span view.
 //! * [`json`] — the tiny hand-rolled JSON writer the exporters (and the
 //!   bench harness's machine-readable results) are built on.
 //!
@@ -34,15 +37,15 @@
 pub mod context;
 pub mod export;
 pub mod json;
-pub mod metrics;
 pub mod record;
+pub mod registry;
 pub mod subscriber;
 pub mod tracer;
 pub mod value;
 
 pub use context::{ContextGuard, TraceContext};
-pub use metrics::{MetricValue, MetricsRegistry};
 pub use record::{RecordKind, TraceRecord};
+pub use registry::{Registry, SeriesValue, OTHER_LABEL};
 pub use subscriber::{CollectingSubscriber, Subscriber};
 pub use tracer::{SpanGuard, Tracer};
 pub use value::{Field, Value};

@@ -54,6 +54,9 @@ pub enum RecordKind {
     Metric {
         /// Metric name (e.g. `"jobs.dead_lettered"`).
         name: String,
+        /// The series' label value (e.g. a tenant id); empty for the
+        /// unlabeled series.
+        label: String,
         /// The update applied.
         update: MetricUpdate,
     },

@@ -1,13 +1,14 @@
-//! The sharded, always-on metrics registry with bounded label cardinality.
+//! The metrics registry: counters, gauges and fixed-bucket histograms
+//! in one striped table with bounded label cardinality.
 //!
-//! [`ObsRegistry`] is the production counterpart of the per-run
-//! [`ei_trace::MetricsRegistry`]: series carry one label dimension
-//! (typically the tenant), recording is striped over independently locked
-//! shards so concurrent hot paths do not serialize on one mutex, and the
-//! number of distinct labels per metric is capped — once a metric has
-//! `label_cap` admitted labels, every new label folds into a single
-//! `__other__` series, so a million tenants cannot allocate a million
-//! series per metric.
+//! [`Registry`] is the only metric store: every [`crate::Tracer`] records
+//! into one (its own, or the one an `ei-obs` hub shares with it). Series
+//! carry one label dimension (typically the tenant; empty = unlabeled),
+//! recording is striped over independently locked shards so concurrent
+//! hot paths do not serialize on one mutex, and the number of distinct
+//! labels per metric is capped — once a metric has `label_cap` admitted
+//! labels, every new label folds into a single `__other__` series, so a
+//! million tenants cannot allocate a million series per metric.
 //!
 //! Shard choice is a pure function of the series key (FNV-1a of
 //! `metric\0label`), so one key always lands in one shard and a merged
@@ -39,13 +40,17 @@ pub enum SeriesValue {
         /// Registry-global write stamp (higher wins on merge).
         stamp: u64,
     },
-    /// Fixed-bucket histogram (same shape as
-    /// [`ei_trace::MetricValue::Histogram`]).
+    /// Fixed-bucket histogram.
     Histogram {
-        /// Finite bucket upper bounds, ascending, sanitized at creation.
+        /// Finite bucket upper bounds, ascending. Sanitized at creation:
+        /// non-finite bounds are removed, the rest sorted and
+        /// deduplicated (empty bounds are legal — the series degenerates
+        /// to a `+Inf`-only bucket).
         bounds: Vec<f64>,
         /// Non-cumulative per-bucket counts (`bounds.len() + 1`; last is
-        /// the implicit `+Inf` bucket).
+        /// the implicit `+Inf` bucket). An observation exactly on a bound
+        /// lands in that bound's bucket (`v <= bound`, Prometheus `le`
+        /// semantics).
         counts: Vec<u64>,
         /// Sum of accepted observations.
         sum: f64,
@@ -86,7 +91,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A striped, label-aware metric aggregation table. See the module docs.
-pub struct ObsRegistry {
+pub struct Registry {
     shards: Vec<Mutex<Shard>>,
     /// Max distinct labels admitted per metric before folding.
     label_cap: usize,
@@ -96,21 +101,21 @@ pub struct ObsRegistry {
     folded: AtomicU64,
 }
 
-impl std::fmt::Debug for ObsRegistry {
+impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsRegistry")
+        f.debug_struct("Registry")
             .field("shards", &self.shards.len())
             .field("label_cap", &self.label_cap)
             .finish()
     }
 }
 
-impl ObsRegistry {
+impl Registry {
     /// A registry striped over `shards` mutexes, folding each metric's
     /// labels past `label_cap` into [`OTHER_LABEL`].
-    pub fn new(shards: usize, label_cap: usize) -> ObsRegistry {
+    pub fn new(shards: usize, label_cap: usize) -> Registry {
         let shards = shards.max(1);
-        ObsRegistry {
+        Registry {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             label_cap: label_cap.max(1),
             admitted: Mutex::new(BTreeMap::new()),
@@ -288,6 +293,14 @@ impl ObsRegistry {
             _ => None,
         }
     }
+
+    /// The current gauge value for `(metric, label)`, if any.
+    pub fn gauge(&self, metric: &str, label: &str) -> Option<f64> {
+        match self.snapshot().get(&(metric.to_string(), label.to_string())) {
+            Some(SeriesValue::Gauge { value, .. }) => Some(*value),
+            _ => None,
+        }
+    }
 }
 
 fn merge(into: &mut SeriesValue, from: &SeriesValue) {
@@ -332,13 +345,21 @@ fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect()
 }
 
+/// Escapes a label value as the Prometheus text format requires. Labels
+/// are tenant ids chosen by callers, so an unescaped `"` or newline would
+/// let one tenant forge exposition lines.
+fn escape_label(label: &str) -> String {
+    label.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+}
+
 /// Renders a merged snapshot as Prometheus text with a `tenant` label.
-pub fn snapshot_to_prometheus(snapshot: &BTreeMap<SeriesKey, SeriesValue>) -> String {
+fn snapshot_to_prometheus(snapshot: &BTreeMap<SeriesKey, SeriesValue>) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let mut last_metric: Option<&str> = None;
     for ((metric, label), value) in snapshot {
         let name = sanitize(metric);
+        let label = escape_label(label);
         if last_metric != Some(metric.as_str()) {
             let kind = match value {
                 SeriesValue::Counter(_) => "counter",
@@ -391,7 +412,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_label() {
-        let reg = ObsRegistry::new(8, 16);
+        let reg = Registry::new(8, 16);
         reg.add("serve.ok", "alpha", 2);
         reg.add("serve.ok", "alpha", 3);
         reg.add("serve.ok", "beta", 1);
@@ -402,7 +423,7 @@ mod tests {
 
     #[test]
     fn labels_past_the_cap_fold_into_other() {
-        let reg = ObsRegistry::new(4, 2);
+        let reg = Registry::new(4, 2);
         for tenant in ["a", "b", "c", "d", "c", "d"] {
             reg.add("serve.ok", tenant, 1);
         }
@@ -418,7 +439,7 @@ mod tests {
 
     #[test]
     fn histograms_aggregate_and_reject_non_finite() {
-        let reg = ObsRegistry::new(4, 8);
+        let reg = Registry::new(4, 8);
         let bounds = [1.0, 10.0];
         for v in [0.5, 5.0, 50.0, f64::NAN] {
             reg.observe("lat.ms", "alpha", v, &bounds);
@@ -435,7 +456,7 @@ mod tests {
 
     #[test]
     fn gauges_keep_the_latest_write_across_folds() {
-        let reg = ObsRegistry::new(4, 1);
+        let reg = Registry::new(4, 1);
         reg.set_gauge("depth", "a", 1.0);
         reg.set_gauge("depth", "b", 2.0); // folds
         reg.set_gauge("depth", "c", 3.0); // folds
@@ -448,7 +469,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_labeled_and_cumulative() {
-        let reg = ObsRegistry::new(2, 8);
+        let reg = Registry::new(2, 8);
         reg.add("serve.ok", "alpha", 2);
         reg.observe("lat.ms", "alpha", 0.5, &[1.0, 10.0]);
         reg.observe("lat.ms", "alpha", 500.0, &[1.0, 10.0]);
@@ -462,25 +483,64 @@ mod tests {
                         # TYPE serve_ok counter\n\
                         serve_ok{tenant=\"alpha\"} 2\n";
         assert_eq!(text, expected);
+
+        // a hostile tenant id cannot close its label early or forge a line
+        reg.add("serve.ok", "be\"ta\nx 1\\", 1);
+        let text = reg.to_prometheus();
+        assert!(text.ends_with("serve_ok{tenant=\"be\\\"ta\\nx 1\\\\\"} 1\n"), "{text}");
+        for line in text.lines().filter(|l| !l.starts_with("# TYPE ")) {
+            let (series, value) = line.rsplit_once(' ').expect("`series value`");
+            assert!(value.parse::<f64>().is_ok(), "{line:?}");
+            assert!(!series.contains('{') || series.ends_with("\"}"), "{line:?}");
+        }
     }
 
     #[test]
     fn unlabeled_series_render_bare() {
-        let reg = ObsRegistry::new(2, 8);
+        let reg = Registry::new(2, 8);
+        assert_eq!(reg.to_prometheus(), "");
         reg.add("up", "", 1);
         assert_eq!(reg.to_prometheus(), "# TYPE up counter\nup 1\n");
     }
 
     #[test]
+    fn histogram_edge_cases_render_sanitized_inf_and_dropped_lines() {
+        let reg = Registry::new(2, 8);
+        // messy bounds are sorted, deduplicated and stripped of non-finite
+        // entries at creation; an observation on a bound lands in its
+        // bucket, the 3 above the last bound only in +Inf (== _count)
+        for v in [1.0, 1000.0, 1000.5, 1000.5] {
+            reg.observe("lat.ms", "", v, &[10.0, 1.0, f64::INFINITY, 10.0, f64::NAN]);
+        }
+        // empty bounds degenerate to a +Inf-only bucket; non-finite
+        // observations are counted as dropped, not summed
+        for v in [3.0, 4.0, f64::NEG_INFINITY] {
+            reg.observe("free.ms", "", v, &[]);
+        }
+        let expected = "# TYPE free_ms histogram\n\
+                        free_ms_bucket{le=\"+Inf\"} 2\n\
+                        free_ms_sum 7\n\
+                        free_ms_count 2\n\
+                        free_ms_dropped 1\n\
+                        # TYPE lat_ms histogram\n\
+                        lat_ms_bucket{le=\"1\"} 1\n\
+                        lat_ms_bucket{le=\"10\"} 1\n\
+                        lat_ms_bucket{le=\"+Inf\"} 4\n\
+                        lat_ms_sum 3002\n\
+                        lat_ms_count 4\n";
+        assert_eq!(reg.to_prometheus(), expected);
+    }
+
+    #[test]
     fn snapshot_is_identical_regardless_of_shard_count() {
-        let feed = |reg: &ObsRegistry| {
+        let feed = |reg: &Registry| {
             for (i, tenant) in ["a", "b", "c", "d", "e"].iter().enumerate() {
                 reg.add("ok", tenant, i as u64 + 1);
                 reg.observe("ms", tenant, i as f64, &[1.0, 3.0]);
             }
         };
-        let one = ObsRegistry::new(1, 16);
-        let many = ObsRegistry::new(16, 16);
+        let one = Registry::new(1, 16);
+        let many = Registry::new(16, 16);
         feed(&one);
         feed(&many);
         assert_eq!(one.snapshot(), many.snapshot());

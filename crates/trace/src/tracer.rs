@@ -1,12 +1,11 @@
 //! The [`Tracer`] handle, RAII span guards and metric handles.
 
 use crate::context::{ContextGuard, TraceContext};
-use crate::metrics::MetricsRegistry;
 use crate::record::{MetricUpdate, RecordKind, TraceRecord};
+use crate::registry::Registry;
 use crate::subscriber::{CollectingSubscriber, Subscriber};
 use crate::value::Field;
 use ei_faults::Clock;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -15,7 +14,7 @@ struct Inner {
     clock: Arc<dyn Clock>,
     next_span: AtomicU64,
     seq: AtomicU64,
-    metrics: MetricsRegistry,
+    registry: Arc<Registry>,
 }
 
 /// A cloneable handle the pipeline layers record through.
@@ -49,15 +48,26 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A tracer feeding `subscriber`, timestamped from `clock`.
+    /// A tracer feeding `subscriber`, timestamped from `clock`, with a
+    /// private metric [`Registry`] (8 stripes, 64 labels per metric).
     pub fn new(subscriber: Arc<dyn Subscriber>, clock: Arc<dyn Clock>) -> Tracer {
+        Tracer::with_registry(subscriber, clock, Arc::new(Registry::new(8, 64)))
+    }
+
+    /// Like [`Tracer::new`], recording metrics into a shared `registry`
+    /// (how an `ei-obs` hub and its tracer see the same series).
+    pub fn with_registry(
+        subscriber: Arc<dyn Subscriber>,
+        clock: Arc<dyn Clock>,
+        registry: Arc<Registry>,
+    ) -> Tracer {
         Tracer {
             inner: Some(Arc::new(Inner {
                 subscriber,
                 clock,
                 next_span: AtomicU64::new(1),
                 seq: AtomicU64::new(0),
-                metrics: MetricsRegistry::new(),
+                registry,
             })),
         }
     }
@@ -133,14 +143,15 @@ impl Tracer {
         }
     }
 
-    /// A counter handle (monotonic total).
+    /// A counter handle (monotonic total). Like every metric handle it
+    /// writes the unlabeled series until given a label with `.labeled()`.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter { tracer: self.clone(), name: name.to_string(), quiet: false }
+        Counter { tracer: self.clone(), name: name.to_string(), label: String::new(), quiet: false }
     }
 
     /// A gauge handle (last value wins).
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge { tracer: self.clone(), name: name.to_string(), quiet: false }
+        Gauge { tracer: self.clone(), name: name.to_string(), label: String::new(), quiet: false }
     }
 
     /// A *quiet* counter: updates the metrics registry but emits no record
@@ -148,43 +159,51 @@ impl Tracer {
     /// scheduling-dependent (e.g. work-steal counts), so that the record
     /// stream itself stays byte-deterministic.
     pub fn quiet_counter(&self, name: &str) -> Counter {
-        Counter { tracer: self.clone(), name: name.to_string(), quiet: true }
+        Counter { tracer: self.clone(), name: name.to_string(), label: String::new(), quiet: true }
     }
 
     /// A *quiet* gauge: registry-only, no stream record. See
     /// [`Tracer::quiet_counter`].
     pub fn quiet_gauge(&self, name: &str) -> Gauge {
-        Gauge { tracer: self.clone(), name: name.to_string(), quiet: true }
+        Gauge { tracer: self.clone(), name: name.to_string(), label: String::new(), quiet: true }
     }
 
     /// A fixed-bucket histogram handle. `bounds` are ascending upper
     /// bounds; an implicit `+Inf` bucket catches the rest. The bounds are
     /// fixed by the series' first observation.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        Histogram { tracer: self.clone(), name: name.to_string(), bounds: bounds.to_vec() }
+        Histogram {
+            tracer: self.clone(),
+            name: name.to_string(),
+            label: String::new(),
+            bounds: bounds.to_vec(),
+        }
     }
 
-    fn metric(&self, name: &str, update: MetricUpdate, bounds: &[f64], quiet: bool) {
+    fn metric(&self, name: &str, label: &str, update: MetricUpdate, bounds: &[f64], quiet: bool) {
         if let Some(inner) = &self.inner {
-            inner.metrics.apply(name, &update, bounds);
+            match update {
+                MetricUpdate::CounterAdd(n) => inner.registry.add(name, label, n),
+                MetricUpdate::GaugeSet(v) => inner.registry.set_gauge(name, label, v),
+                MetricUpdate::HistogramObserve(v) => inner.registry.observe(name, label, v, bounds),
+            }
             if !quiet {
-                Self::emit(inner, RecordKind::Metric { name: name.to_string(), update });
+                let (name, label) = (name.to_string(), label.to_string());
+                Self::emit(inner, RecordKind::Metric { name, label, update });
             }
         }
     }
 
-    /// A snapshot of the metrics registry (empty when disabled).
-    pub fn metrics_snapshot(&self) -> BTreeMap<String, crate::metrics::MetricValue> {
-        match &self.inner {
-            Some(inner) => inner.metrics.snapshot(),
-            None => BTreeMap::new(),
-        }
+    /// The registry every metric handle of this tracer records into
+    /// (`None` when disabled).
+    pub fn registry(&self) -> Option<&Arc<Registry>> {
+        self.inner.as_ref().map(|inner| &inner.registry)
     }
 
     /// The registry rendered as a Prometheus-style text exposition
     /// (empty string when disabled or nothing was recorded).
     pub fn prometheus(&self) -> String {
-        crate::export::to_prometheus(&self.metrics_snapshot())
+        self.registry().map(|r| r.to_prometheus()).unwrap_or_default()
     }
 }
 
@@ -260,13 +279,21 @@ impl Drop for SpanGuard {
 pub struct Counter {
     tracer: Tracer,
     name: String,
+    label: String,
     quiet: bool,
 }
 
 impl Counter {
+    /// This counter's `label` series (typically a tenant id; subject to
+    /// the registry's per-metric label cap).
+    pub fn labeled(mut self, label: &str) -> Counter {
+        self.label = label.to_string();
+        self
+    }
+
     /// Adds `n` to the total.
     pub fn add(&self, n: u64) {
-        self.tracer.metric(&self.name, MetricUpdate::CounterAdd(n), &[], self.quiet);
+        self.tracer.metric(&self.name, &self.label, MetricUpdate::CounterAdd(n), &[], self.quiet);
     }
 
     /// Adds one.
@@ -280,13 +307,20 @@ impl Counter {
 pub struct Gauge {
     tracer: Tracer,
     name: String,
+    label: String,
     quiet: bool,
 }
 
 impl Gauge {
+    /// This gauge's `label` series; see [`Counter::labeled`].
+    pub fn labeled(mut self, label: &str) -> Gauge {
+        self.label = label.to_string();
+        self
+    }
+
     /// Sets the instantaneous value.
     pub fn set(&self, v: f64) {
-        self.tracer.metric(&self.name, MetricUpdate::GaugeSet(v), &[], self.quiet);
+        self.tracer.metric(&self.name, &self.label, MetricUpdate::GaugeSet(v), &[], self.quiet);
     }
 }
 
@@ -295,20 +329,28 @@ impl Gauge {
 pub struct Histogram {
     tracer: Tracer,
     name: String,
+    label: String,
     bounds: Vec<f64>,
 }
 
 impl Histogram {
+    /// This histogram's `label` series; see [`Counter::labeled`].
+    pub fn labeled(mut self, label: &str) -> Histogram {
+        self.label = label.to_string();
+        self
+    }
+
     /// Records one observation.
     pub fn observe(&self, v: f64) {
-        self.tracer.metric(&self.name, MetricUpdate::HistogramObserve(v), &self.bounds, false);
+        let update = MetricUpdate::HistogramObserve(v);
+        self.tracer.metric(&self.name, &self.label, update, &self.bounds, false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricValue;
+    use crate::registry::OTHER_LABEL;
     use ei_faults::VirtualClock;
 
     fn traced() -> (Tracer, Arc<CollectingSubscriber>, Arc<VirtualClock>) {
@@ -353,14 +395,31 @@ mod tests {
 
     #[test]
     fn metrics_reach_registry_and_stream() {
-        let (tracer, collector, _) = traced();
-        tracer.counter("jobs").add(2);
-        tracer.gauge("loss").set(0.25);
-        tracer.histogram("ms", &[10.0]).observe(3.0);
-        let snapshot = tracer.metrics_snapshot();
-        assert_eq!(snapshot.get("jobs"), Some(&MetricValue::Counter(2)));
-        assert_eq!(snapshot.get("loss"), Some(&MetricValue::Gauge(0.25)));
-        assert_eq!(collector.len(), 3);
+        // handles on a shared registry are the same writes as direct calls
+        let (registry, direct) = (Arc::new(Registry::new(4, 2)), Registry::new(4, 2));
+        let collector = Arc::new(CollectingSubscriber::new());
+        let sink = Arc::<CollectingSubscriber>::clone(&collector);
+        let tracer = Tracer::with_registry(sink, VirtualClock::shared(), Arc::clone(&registry));
+        for (i, tenant) in ["a", "b", "c", ""].into_iter().enumerate() {
+            tracer.counter("jobs").labeled(tenant).add(2);
+            direct.add("jobs", tenant, 2);
+            tracer.gauge("loss").labeled(tenant).set(i as f64);
+            direct.set_gauge("loss", tenant, i as f64);
+            tracer.histogram("ms", &[10.0]).labeled(tenant).observe(3.0);
+            direct.observe("ms", tenant, 3.0, &[10.0]);
+        }
+        assert_eq!(registry.counter("jobs", ""), Some(2));
+        assert_eq!(registry.gauge("loss", OTHER_LABEL), Some(2.0), "`c` is past the cap of 2");
+        assert_eq!(registry.snapshot(), direct.snapshot());
+        assert_eq!(tracer.prometheus(), direct.to_prometheus());
+        assert_eq!(collector.len(), 12);
+        // the label rides on streamed records, and only when non-empty
+        let jsonl = collector.jsonl();
+        assert!(
+            jsonl.contains(r#""name":"jobs","label":"c","metric":"counter","add":2"#),
+            "{jsonl}"
+        );
+        assert!(jsonl.contains(r#""name":"jobs","metric":"counter","add":2"#), "{jsonl}");
     }
 
     #[test]
@@ -368,18 +427,10 @@ mod tests {
         let (tracer, collector, _) = traced();
         tracer.quiet_counter("steals").add(3);
         tracer.quiet_gauge("queue_depth").set(2.0);
-        let snapshot = tracer.metrics_snapshot();
-        assert_eq!(snapshot.get("steals"), Some(&MetricValue::Counter(3)));
-        assert_eq!(snapshot.get("queue_depth"), Some(&MetricValue::Gauge(2.0)));
+        let registry = tracer.registry().unwrap();
+        assert_eq!(registry.counter("steals", ""), Some(3));
+        assert_eq!(registry.gauge("queue_depth", ""), Some(2.0));
         assert_eq!(collector.len(), 0, "quiet metrics must not emit records");
-    }
-
-    #[test]
-    fn quiet_metrics_on_disabled_tracer_are_no_ops() {
-        let tracer = Tracer::disabled();
-        tracer.quiet_counter("steals").inc();
-        tracer.quiet_gauge("queue_depth").set(1.0);
-        assert!(tracer.metrics_snapshot().is_empty());
     }
 
     #[test]
@@ -393,8 +444,10 @@ mod tests {
         drop(child);
         tracer.counter("c").inc();
         tracer.gauge("g").set(1.0);
-        tracer.histogram("h", &[1.0]).observe(2.0);
-        assert!(tracer.metrics_snapshot().is_empty());
+        tracer.histogram("h", &[1.0]).labeled("t").observe(2.0);
+        tracer.quiet_counter("steals").inc();
+        tracer.quiet_gauge("queue_depth").set(1.0);
+        assert!(tracer.registry().is_none());
         assert_eq!(tracer.prometheus(), "");
     }
 

@@ -15,27 +15,11 @@ EI_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q --workspace (EI_THREADS=4, parallel pool)"
 EI_THREADS=4 cargo test -q --workspace
 
-echo "==> serving integration suite (EI_THREADS=1 and 4)"
-EI_THREADS=1 cargo test -q --test serving
-EI_THREADS=4 cargo test -q --test serving
-
-echo "==> kernel parity suite (EI_THREADS=1 and 4)"
-EI_THREADS=1 cargo test -q --test kernel_parity
-EI_THREADS=4 cargo test -q --test kernel_parity
-
 echo "==> distributed training suite (EI_THREADS=1 and 4 × two fault seeds)"
 for seed in 42 1337; do
   EI_THREADS=1 EI_DIST_FAULT_SEED=$seed cargo test -q --test dist_training
   EI_THREADS=4 EI_DIST_FAULT_SEED=$seed cargo test -q --test dist_training
 done
-
-echo "==> observability suite (EI_THREADS=1 and 4)"
-EI_THREADS=1 cargo test -q --test observability
-EI_THREADS=4 cargo test -q --test observability
-
-echo "==> streaming suite (EI_THREADS=1 and 4)"
-EI_THREADS=1 cargo test -q --test streaming
-EI_THREADS=4 cargo test -q --test streaming
 
 echo "==> shard-invariance suite (EI_THREADS=1 and 4 × EI_SHARDS=1 and 16)"
 for shards in 1 16; do

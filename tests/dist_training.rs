@@ -16,7 +16,7 @@ use edgelab::nn::train::TrainConfig;
 use edgelab::nn::Sequential;
 use edgelab::platform::dist::{submit_distributed_training, DistTrainingJob};
 use edgelab::platform::JobScheduler;
-use edgelab::trace::{MetricValue, Tracer};
+use edgelab::trace::Tracer;
 
 fn fault_seed() -> u64 {
     std::env::var("EI_DIST_FAULT_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42)
@@ -154,13 +154,11 @@ fn trace_counters_record_the_recovery() {
         .with_faults(DistFaultPlan::new().inject(1, 2, 1, WorkerFault::Crash));
     let mut model = Sequential::build(&spec(), cfg.seed).unwrap();
     trainer.train(&mut model, &inputs, &labels).unwrap();
-    let snapshot = tracer.metrics_snapshot();
-    assert_eq!(snapshot.get("dist.epochs"), Some(&MetricValue::Counter(cfg.epochs as u64)));
-    assert_eq!(snapshot.get("dist.crashes_detected"), Some(&MetricValue::Counter(1)));
-    assert!(
-        matches!(snapshot.get("dist.partitions_rescheduled"), Some(&MetricValue::Counter(n)) if n >= 1)
-    );
-    assert!(matches!(snapshot.get("dist.reductions"), Some(&MetricValue::Counter(n)) if n > 0));
+    let registry = tracer.registry().unwrap();
+    assert_eq!(registry.counter("dist.epochs", ""), Some(cfg.epochs as u64));
+    assert_eq!(registry.counter("dist.crashes_detected", ""), Some(1));
+    assert!(registry.counter("dist.partitions_rescheduled", "").is_some_and(|n| n >= 1));
+    assert!(registry.counter("dist.reductions", "").is_some_and(|n| n > 0));
     let records = collector.records();
     assert!(records.iter().any(|r| r.name() == "dist.train"));
     assert!(records.iter().any(|r| r.name() == "dist.crash_detected"));

@@ -17,12 +17,12 @@ use edgelab::dsp::{DspConfig, MfccConfig};
 use edgelab::faults::{Clock, RetryPolicy, VirtualClock};
 use edgelab::nn::spec::{Activation, Dims, LayerSpec, ModelSpec};
 use edgelab::nn::{presets, train::TrainConfig, Sequential};
-use edgelab::obs::{FlightDump, Obs, ObsRegistry, SloSpec, OTHER_LABEL};
+use edgelab::obs::{FlightDump, Obs, SloSpec};
 use edgelab::par::{ParPool, Parallelism};
 use edgelab::platform::JobScheduler;
 use edgelab::runtime::{EngineKind, EonProgram, InferenceEngine, Interpreter};
 use edgelab::serve::{InferenceRequest, ModelSource, Outcome, Server, ServerConfig};
-use edgelab::trace::Tracer;
+use edgelab::trace::{CollectingSubscriber, Registry, Tracer, OTHER_LABEL};
 use ei_bench::Task;
 use std::sync::Arc;
 
@@ -117,7 +117,7 @@ fn disabled_subscriber_changes_no_behaviour_and_records_nothing() {
     // identical flow outcomes, stage by stage (including retry histories)
     assert_eq!(silent.stages, observed.stages);
     // the disabled tracer recorded and registered nothing
-    assert!(disabled.metrics_snapshot().is_empty());
+    assert!(disabled.registry().is_none());
     assert_eq!(disabled.prometheus(), "");
     // while the enabled one saw the whole pipeline
     assert!(!collector.is_empty());
@@ -125,7 +125,7 @@ fn disabled_subscriber_changes_no_behaviour_and_records_nothing() {
     for name in ["flow", "flow.stage", "stage.degraded", "train", "train.epoch", "profile.layer"] {
         assert!(records.iter().any(|r| r.name() == name), "missing {name}");
     }
-    assert!(enabled.metrics_snapshot().contains_key("profile.inference_ms"));
+    assert!(enabled.registry().unwrap().gauge("profile.inference_ms", "").is_some());
 }
 
 #[test]
@@ -340,7 +340,7 @@ fn concurrent_metric_recording_merges_to_the_serial_reference() {
     const ROUNDS: usize = 50;
     const BOUNDS: [f64; 3] = [1.0, 5.0, 10.0];
 
-    let record = |registry: &ObsRegistry| {
+    let record = |registry: &Registry| {
         for round in 0..ROUNDS {
             for t in 0..TENANTS {
                 let tenant = format!("tenant-{t}");
@@ -352,12 +352,12 @@ fn concurrent_metric_recording_merges_to_the_serial_reference() {
         }
     };
 
-    let serial = ObsRegistry::new(1, 64);
+    let serial = Registry::new(1, 64);
     for _ in 0..THREADS {
         record(&serial);
     }
 
-    let hammered = Arc::new(ObsRegistry::new(4, 64));
+    let hammered = Arc::new(Registry::new(4, 64));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
             let registry = Arc::clone(&hammered);
@@ -377,31 +377,34 @@ fn concurrent_metric_recording_merges_to_the_serial_reference() {
     assert_eq!(hammered.to_prometheus(), serial.to_prometheus());
 }
 
+/// A default-config server on `tracer`, and one classified request for
+/// each of `tenant-0..tenants` through it.
+fn serve_tenants(clock: Arc<VirtualClock>, tracer: Tracer, obs: Option<&Arc<Obs>>, tenants: usize) {
+    let pool = Arc::new(ParPool::new(Parallelism::from_env()));
+    let mut srv = Server::new(ServerConfig::default(), clock, pool, tracer);
+    if let Some(obs) = obs {
+        srv = srv.with_obs(Arc::clone(obs));
+    }
+    let model = ModelSource::new("kws", served_model_json());
+    for t in 0..tenants {
+        let ticket = srv.submit(serve_request(&format!("tenant-{t}"), &model, 0)).unwrap();
+        let completion = srv.resolve(ticket).expect("completed");
+        assert!(matches!(completion.outcome, Outcome::Classified(_)), "{completion:?}");
+    }
+}
+
 /// Satellite: served traffic breaching a latency SLO leaves a breach
 /// dump, while the label-cardinality cap folds overflow tenants into
 /// `__other__` instead of growing the registry.
 #[test]
 fn served_slo_breach_dumps_and_overflow_tenants_fold() {
-    let json = served_model_json();
     let clock = VirtualClock::shared();
     let obs = Obs::builder(clock.clone() as Arc<dyn Clock>)
         .label_cap(2)
         // virtual-clock service time (compile + batch) dwarfs 1 ms
         .slo(SloSpec::latency("serve-p99", 1.0, 0.99).with_min_samples(3).with_cooldown_ms(0))
         .build();
-    let srv = Server::new(
-        ServerConfig::default(),
-        clock as Arc<dyn Clock>,
-        Arc::new(ParPool::new(Parallelism::from_env())),
-        obs.tracer().clone(),
-    )
-    .with_obs(Arc::clone(&obs));
-    let model = ModelSource::new("kws", json);
-    for t in 0..4 {
-        let ticket = srv.submit(serve_request(&format!("tenant-{t}"), &model, 0)).unwrap();
-        let completion = srv.resolve(ticket).expect("completed");
-        assert!(matches!(completion.outcome, Outcome::Classified(_)), "{completion:?}");
-    }
+    serve_tenants(clock, obs.tracer().clone(), Some(&obs), 4);
 
     assert!(
         obs.dumps().iter().any(|d| d.trigger == "slo.breach"),
@@ -415,4 +418,59 @@ fn served_slo_breach_dumps_and_overflow_tenants_fold() {
         prometheus.contains(&format!("tenant=\"{OTHER_LABEL}\"")),
         "folded tenants must surface as {OTHER_LABEL}:\n{prometheus}"
     );
+}
+
+/// Tentpole: one registry, one renderer. A server wired to a hub the
+/// usual way declares every `# TYPE` family once, keeps each family's
+/// samples contiguous, and counts each request once.
+#[test]
+fn hub_exposition_declares_each_family_once_and_counts_each_request_once() {
+    let clock = VirtualClock::shared();
+    let obs = Obs::builder(clock.clone() as Arc<dyn Clock>).build();
+    serve_tenants(clock, obs.tracer().clone(), Some(&obs), 2);
+
+    let text = obs.prometheus();
+    let mut families: Vec<&str> = Vec::new();
+    for line in text.lines() {
+        if let Some(declared) = line.strip_prefix("# TYPE ") {
+            let family = declared.split(' ').next().unwrap();
+            assert!(!families.contains(&family), "{family} declared twice:\n{text}");
+            families.push(family);
+        } else {
+            let name = line.split(['{', ' ']).next().unwrap();
+            let suffix = name.strip_prefix(families.last().copied().unwrap_or("# no family"));
+            let in_family = suffix.is_some_and(|s| ["", "_bucket", "_sum", "_count"].contains(&s));
+            assert!(in_family, "{line:?} is outside the family declared above it:\n{text}");
+        }
+    }
+    for tenant in ["tenant-0", "tenant-1"] {
+        let once = format!("serve_latency_ms_count{{tenant=\"{tenant}\"}} 1\n");
+        assert!(text.contains(&once), "{tenant} must be counted exactly once:\n{text}");
+        assert_eq!(obs.registry().counter("serve.ok", tenant), Some(1));
+    }
+}
+
+/// Tentpole: the label cap needs no hub. A server on a plain tracer
+/// records the same capped series — tenant ids only in labels, tenants
+/// past the cap folded — and a hub of the same shape adds nothing.
+#[test]
+fn plain_tracer_server_folds_tenants_past_the_label_cap() {
+    let clock = VirtualClock::shared();
+    let registry = Arc::new(Registry::new(4, 2));
+    let sink = Arc::new(CollectingSubscriber::new());
+    let tracer = Tracer::with_registry(sink, clock.clone(), Arc::clone(&registry));
+    serve_tenants(clock, tracer, None, 6);
+
+    let snapshot = registry.snapshot();
+    let labels = snapshot.keys().filter(|(metric, _)| metric == "serve.latency_ms");
+    let labels: Vec<&str> = labels.map(|(_, label)| label.as_str()).collect();
+    assert_eq!(labels, [OTHER_LABEL, "tenant-0", "tenant-1"]);
+    let leaked: Vec<_> = snapshot.keys().filter(|(metric, _)| metric.contains("tenant-")).collect();
+    assert!(leaked.is_empty(), "tenant ids belong in labels, not metric names: {leaked:?}");
+    assert!(registry.folded() > 0, "tenants past the cap of 2 must fold");
+
+    let clock = VirtualClock::shared();
+    let obs = Obs::builder(clock.clone() as Arc<dyn Clock>).shards(4).label_cap(2).build();
+    serve_tenants(clock, obs.tracer().clone(), Some(&obs), 6);
+    assert_eq!(obs.prometheus(), registry.to_prometheus(), "a hub must not change any series");
 }

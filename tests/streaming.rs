@@ -174,7 +174,6 @@ fn slo_breach_dump_chains_back_to_the_stream_session() {
 /// per-tenant in-flight request gauges into the ei-obs registry.
 #[test]
 fn serve_exports_queue_depth_and_inflight_gauges() {
-    use edgelab::obs::SeriesValue;
     let json = model_json();
     let clock = VirtualClock::shared();
     let obs = Obs::builder(clock.clone() as Arc<dyn Clock>).build();
@@ -193,15 +192,10 @@ fn serve_exports_queue_depth_and_inflight_gauges() {
         StreamSession::open(Arc::clone(&server), ModelSource::new("kws", json), config).unwrap();
     session.push(&audio(2)).unwrap();
 
-    let gauge = |metric: &str, label: &str| -> Option<f64> {
-        match obs.registry().snapshot().get(&(metric.to_string(), label.to_string())) {
-            Some(SeriesValue::Gauge { value, .. }) => Some(*value),
-            _ => None,
-        }
-    };
+    let gauge = |metric: &str, label: &str| obs.registry().gauge(metric, label);
     // windows were submitted but not yet resolved: both gauges are live
     assert!(
-        gauge("serve.queue_depth", "__all__").is_some(),
+        gauge("serve.queue_depth", "").is_some(),
         "queue depth gauge must exist: {:?}",
         obs.registry().snapshot().keys().collect::<Vec<_>>()
     );
@@ -214,7 +208,7 @@ fn serve_exports_queue_depth_and_inflight_gauges() {
     session.close();
     // everything resolved: the gauges drain back to zero
     assert_eq!(gauge("serve.inflight", "gauge-tenant"), Some(0.0));
-    assert_eq!(gauge("serve.queue_depth", "__all__"), Some(0.0));
+    assert_eq!(gauge("serve.queue_depth", ""), Some(0.0));
 }
 
 /// The platform API's stream endpoints: project-scoped access control,
