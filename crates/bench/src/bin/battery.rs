@@ -6,14 +6,14 @@
 //! accepts trigger radio transmissions, so a worse operating point on the
 //! calibration curve directly shortens battery life.
 
-use ei_bench::{ResultsWriter, Task};
+use ei_bench::{Measurement, ResultsWriter, Task};
 use ei_device::energy::energy_per_inference_mj;
 use ei_device::{estimate_energy, Battery, Board, EnergyWorkload, Profiler};
 use ei_runtime::EonProgram;
 use ei_trace::json::Json;
 
 fn main() {
-    let mut results = ResultsWriter::new("battery");
+    let mut results = ResultsWriter::new("battery", Measurement::Model);
     let (_, int8_a) = Task::KeywordSpotting.untrained_artifacts();
     let eon = EonProgram::compile(int8_a).expect("compiles");
     let dsp_cost = Task::KeywordSpotting.dsp_cost();

@@ -16,7 +16,7 @@
 //! replay the sweep under multiple scripts. Set `EDGELAB_QUICK=1` for a
 //! shorter run.
 
-use ei_bench::{quick_mode, ResultsWriter};
+use ei_bench::{quick_mode, Measurement, ResultsWriter};
 use ei_dist::{train_serial_reference, weight_checksum, DistConfig, DistFaultPlan, DistTrainer};
 use ei_faults::VirtualClock;
 use ei_nn::spec::{Activation, Dims, LayerSpec, ModelSpec};
@@ -84,7 +84,7 @@ fn main() {
         ref_loss.last().copied().unwrap_or(f32::NAN)
     );
 
-    let mut writer = ResultsWriter::new("dist_training");
+    let mut writer = ResultsWriter::new("dist_training", Measurement::Wall);
     let mut total_crashes = 0u64;
     for workers in WORKERS {
         for crash_rate in CRASH_RATES {

@@ -15,7 +15,7 @@
 //!
 //! Writes machine-readable rows to `results/kernels.json`.
 
-use ei_bench::{quick_mode, ResultsWriter};
+use ei_bench::{quick_mode, Measurement, ResultsWriter};
 use ei_nn::layers::conv::{conv2d_forward, depthwise_forward, Conv2dGeom};
 use ei_nn::par::{conv2d_forward_auto, depthwise_forward_auto, gemm_f32_auto};
 use ei_nn::spec::Padding;
@@ -366,7 +366,7 @@ fn main() {
     let reps = if quick_mode() { 5 } else { 10 };
     let pool1 = ParPool::new(Parallelism::serial());
     let pool4 = ParPool::new(Parallelism::new(4));
-    let mut writer = ResultsWriter::new("kernels");
+    let mut writer = ResultsWriter::new("kernels", Measurement::Wall);
 
     println!("kernel layer: naive reference vs blocked/fused (best of {reps} reps)");
     println!();

@@ -20,11 +20,11 @@
 //!
 //! Set `EDGELAB_QUICK=1` for a shorter timing loop.
 
-use ei_bench::{quick_mode, ResultsWriter};
+use ei_bench::{quick_mode, Measurement, ResultsWriter};
 use ei_core::impulse::ImpulseDesign;
 use ei_data::synth::KwsGenerator;
 use ei_dsp::{DspConfig, MfccConfig};
-use ei_faults::{Clock, VirtualClock};
+use ei_faults::{CancelToken, Clock, VirtualClock};
 use ei_nn::presets;
 use ei_nn::train::TrainConfig;
 use ei_obs::{BurnWindow, Obs, SloSpec, LATENCY_BOUNDS};
@@ -35,6 +35,7 @@ use ei_serve::{
     ArtifactKey, CompiledArtifact, InferenceRequest, ModelSource, Outcome, Server, ServerConfig,
 };
 use ei_trace::json::Json;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -133,14 +134,28 @@ fn request(
     }
 }
 
-/// Deadline-overrun serving trace: the 1 s batch overhead blows the
-/// 200 ms deadline, tripping the recorder. Returns the dump JSONLs.
+/// A clock that moves 150 ms on every read, so a deadline can blow
+/// inside a batch (the server itself never advances time).
+#[derive(Default)]
+struct SteppingClock(AtomicU64);
+
+impl Clock for SteppingClock {
+    fn now_ms(&self) -> u64 {
+        self.0.fetch_add(150, Ordering::SeqCst)
+    }
+    fn sleep_ms(&self, _ms: u64, _cancel: Option<&CancelToken>) -> bool {
+        false
+    }
+}
+
+/// Deadline-overrun serving trace: the server's stepping clock blows the
+/// 200 ms deadline in-batch, tripping the recorder (which stays on the
+/// virtual clock). Returns the dump JSONLs.
 fn deadline_dumps(json: &str, window: &[f32], threads: usize) -> Vec<String> {
-    let clock = VirtualClock::shared();
-    let obs = quiet_obs(clock.clone());
+    let obs = quiet_obs(VirtualClock::shared());
     let srv = Server::new(
-        ServerConfig { batch_overhead_ms: 1_000, ..ServerConfig::default() },
-        clock as Arc<dyn Clock>,
+        ServerConfig::default(),
+        Arc::new(SteppingClock::default()),
         Arc::new(ParPool::with_tracer(Parallelism::new(threads), obs.tracer().clone())),
         obs.tracer().clone(),
     )
@@ -233,7 +248,7 @@ fn main() {
     );
     assert!(dumps_identical, "flight dumps must not depend on pool width or run");
 
-    let mut results = ResultsWriter::new("obs_overhead");
+    let mut results = ResultsWriter::new("obs_overhead", Measurement::Wall);
     results.push(
         results
             .stamp()

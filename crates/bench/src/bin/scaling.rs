@@ -2,23 +2,17 @@
 //! sweep-shaped workloads, written as machine-readable rows to
 //! `results/parallel_scaling.json`:
 //!
-//! 1. **Tuner sweep, cpu** — a real [`EonTuner::run`] over the small
+//! 1. **Tuner sweep** — a real [`EonTuner::run`] over the small
 //!    search space at 1/2/4 threads, recording wall-clock speedup and
 //!    checking the [`ei_tuner::TunerReport`] stays byte-identical to the
 //!    serial run (the determinism guarantee that makes `EI_THREADS` a
 //!    pure wall-clock knob);
-//! 2. **Tuner sweep, modeled_service** — the paper's tuner evaluates
-//!    candidates as cloud build+train jobs, so per-candidate latency is
-//!    service time, not local arithmetic; each trial holds a pool thread
-//!    for `service_ms`, which is what the pool actually overlaps in the
-//!    platform deployment (and the only shape that can speed up on a
-//!    single-core host);
-//! 3. **DSP sweep, cpu** — dataset-wide feature extraction through
+//! 2. **DSP sweep** — dataset-wide feature extraction through
 //!    [`ei_dsp::parallel::process_windows`].
 //!
 //! Set `EDGELAB_QUICK=1` for a smoke run with shrunk workloads.
 
-use ei_bench::{ms, quick_mode, ResultsWriter};
+use ei_bench::{ms, quick_mode, Measurement, ResultsWriter};
 use ei_data::synth::KwsGenerator;
 use ei_data::Dataset;
 use ei_device::{Board, Profiler};
@@ -85,40 +79,32 @@ fn tuner(epochs: usize) -> EonTuner {
 }
 
 fn main() {
-    let mut writer = ResultsWriter::new("parallel_scaling");
+    let mut writer = ResultsWriter::new("parallel_scaling", Measurement::Wall);
     let host_threads = Parallelism::available().threads();
     println!("parallel scaling (host threads: {host_threads})");
-    println!("{:<10} {:<16} {:>8} {:>10} {:>8}", "workload", "mode", "threads", "wall ms", "x");
+    println!("{:<10} {:>8} {:>10} {:>8}", "workload", "threads", "wall ms", "x");
 
     tuner_cpu(&mut writer, host_threads);
-    tuner_modeled_service(&mut writer, host_threads);
     dsp_cpu(&mut writer, host_threads);
 
     writer.write_and_report();
 }
 
 /// Pushes one row; `extra` appends workload-specific fields.
-#[allow(clippy::too_many_arguments)] // one call site, flat row fields
 fn row(
     writer: &mut ResultsWriter,
     host_threads: usize,
     workload: &str,
-    mode: &str,
     threads: usize,
     wall_ms: f64,
     serial_ms: f64,
     extra: impl FnOnce(ei_trace::json::JsonObject) -> ei_trace::json::JsonObject,
 ) {
     let speedup = if wall_ms > 0.0 { serial_ms / wall_ms } else { 0.0 };
-    println!(
-        "{workload:<10} {mode:<16} {threads:>8} {:>10} {:>8}",
-        ms(wall_ms),
-        format!("{speedup:.2}")
-    );
+    println!("{workload:<10} {threads:>8} {:>10} {:>8}", ms(wall_ms), format!("{speedup:.2}"));
     let r = writer
         .stamp()
         .field("workload", Json::Str(workload.to_string()))
-        .field("mode", Json::Str(mode.to_string()))
         .field("threads", Json::Uint(threads as u64))
         .field("host_threads", Json::Uint(host_threads as u64))
         .field("wall_ms", Json::Float(wall_ms))
@@ -143,35 +129,10 @@ fn tuner_cpu(writer: &mut ResultsWriter, host_threads: usize) {
             serial_report = json.clone();
         }
         let identical = json == serial_report;
-        row(writer, host_threads, "tuner", "cpu", threads, wall, serial_ms, |r| {
+        row(writer, host_threads, "tuner", threads, wall, serial_ms, |r| {
             r.field("report_identical", Json::Bool(identical))
         });
         assert!(identical, "parallel tuner report diverged from serial at {threads} threads");
-    }
-}
-
-/// Candidate evaluation as a cloud service call: each trial occupies a
-/// pool thread for `service_ms` of latency, the shape the platform's
-/// build+train jobs actually have.
-fn tuner_modeled_service(writer: &mut ResultsWriter, host_threads: usize) {
-    let service_ms: u64 = if quick_mode() { 20 } else { 100 };
-    let trials: Vec<usize> = (0..8).collect();
-    let mut serial_ms = 0.0;
-    for threads in THREADS {
-        let pool = ParPool::new(Parallelism::new(threads));
-        let t0 = Instant::now();
-        let done = pool.par_map(&trials, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(service_ms));
-            1u32
-        });
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(done.len(), trials.len());
-        if threads == 1 {
-            serial_ms = wall;
-        }
-        row(writer, host_threads, "tuner", "modeled_service", threads, wall, serial_ms, |r| {
-            r.field("service_ms", Json::Uint(service_ms))
-        });
     }
 }
 
@@ -202,7 +163,7 @@ fn dsp_cpu(writer: &mut ResultsWriter, host_threads: usize) {
             serial_features = features.clone();
         }
         assert_eq!(features, serial_features, "parallel features diverged at {threads} threads");
-        row(writer, host_threads, "dsp", "cpu", threads, wall, serial_ms, |r| {
+        row(writer, host_threads, "dsp", threads, wall, serial_ms, |r| {
             r.field("windows", Json::Uint(windows_n as u64))
         });
     }

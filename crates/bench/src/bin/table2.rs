@@ -5,7 +5,7 @@
 //! Also prints the §5.2 ratio analysis: preprocessing share of the
 //! end-to-end budget before and after quantization.
 
-use ei_bench::{ms, ResultsWriter, Task};
+use ei_bench::{ms, Measurement, ResultsWriter, Task};
 use ei_device::{Board, Profiler};
 use ei_runtime::{EonProgram, ModelArtifact};
 use ei_trace::json::Json;
@@ -38,7 +38,7 @@ fn cell_str(value: f64, fits: bool) -> String {
 }
 
 fn main() {
-    let mut results = ResultsWriter::new("table2");
+    let mut results = ResultsWriter::new("table2", Measurement::Model);
     let boards = Board::paper_boards();
     println!("Table 2. Preprocessing and inference times (in milliseconds).");
     println!("'-' indicates the model did not fit due to flash or RAM constraints.");

@@ -4,7 +4,7 @@
 //! Models are trained briefly on the synthetic datasets so the accuracy
 //! column is real; memory numbers come from the engine reports.
 
-use ei_bench::{kb, quick_mode, ResultsWriter, Task};
+use ei_bench::{kb, quick_mode, Measurement, ResultsWriter, Task};
 use ei_data::Split;
 use ei_runtime::{EonProgram, InferenceEngine, Interpreter, ModelArtifact};
 use ei_trace::json::Json;
@@ -82,7 +82,7 @@ fn main() {
         ("Int8 (TFLM)", true, false),
         ("Int8 (EON)", true, true),
     ];
-    let mut json_rows = ResultsWriter::new("table4");
+    let mut json_rows = ResultsWriter::new("table4", Measurement::Model);
     for (label, int8, eon) in rows {
         print!("{label:<16}");
         for (task, r) in Task::all().iter().zip(&results) {

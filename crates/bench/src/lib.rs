@@ -205,30 +205,55 @@ impl Task {
 /// so downstream trajectory tooling can tell comparable rows apart.
 pub const RESULTS_SCHEMA_VERSION: u64 = 1;
 
+/// How a results file's numbers were obtained — stamped on every row so a
+/// modeled figure can never be mistaken for a measured one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Measurement {
+    /// Computed by the device cycle/memory model (the paper's hardware,
+    /// substituted): identical on every host.
+    Model,
+    /// Wall-clock time (or a checksum of real work) on the host that ran
+    /// the bench: moves with the machine.
+    Wall,
+}
+
+impl Measurement {
+    fn as_str(self) -> &'static str {
+        match self {
+            Measurement::Model => "model",
+            Measurement::Wall => "wall",
+        }
+    }
+}
+
 /// Collects machine-readable benchmark rows and writes them as JSON Lines
 /// to `results/<bench>.json`, alongside the prose table the binary prints.
 ///
 /// Rows are built on the deterministic [`ei_trace::json`] writer: start
 /// each one with [`ResultsWriter::stamp`] (which prefixes the
-/// `schema_version` and `bench` fields), extend it with
+/// `schema_version`, `bench` and `measurement` fields), extend it with
 /// [`JsonObject::field`], and [`ResultsWriter::push`] it.
 #[derive(Debug, Clone)]
 pub struct ResultsWriter {
     bench: String,
+    measurement: Measurement,
     rows: Vec<JsonObject>,
 }
 
 impl ResultsWriter {
-    /// A writer for one bench binary (e.g. `"table2"`).
-    pub fn new(bench: &str) -> ResultsWriter {
-        ResultsWriter { bench: bench.to_string(), rows: Vec::new() }
+    /// A writer for one bench binary (e.g. `"table2"`) whose rows are all
+    /// of one [`Measurement`] kind.
+    pub fn new(bench: &str, measurement: Measurement) -> ResultsWriter {
+        ResultsWriter { bench: bench.to_string(), measurement, rows: Vec::new() }
     }
 
-    /// Starts a row pre-stamped with `schema_version` and `bench`.
+    /// Starts a row pre-stamped with `schema_version`, `bench` and
+    /// `measurement`.
     pub fn stamp(&self) -> JsonObject {
         JsonObject::new()
             .field("schema_version", Json::Uint(RESULTS_SCHEMA_VERSION))
             .field("bench", Json::Str(self.bench.clone()))
+            .field("measurement", Json::Str(self.measurement.as_str().into()))
     }
 
     /// Appends a finished row.
@@ -297,15 +322,6 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     format!("{}{}", "#".repeat(filled), ".".repeat(width - filled))
 }
 
-/// Nearest-rank percentile of an ascending-sorted series (0 when empty).
-pub fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len()).div_ceil(100).max(1);
-    sorted[rank - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,18 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 50), 0);
-        for p in [0, 50, 100] {
-            assert_eq!(percentile(&[7], p), 7);
-        }
-        let sorted = [10, 20, 30, 40];
-        assert_eq!(percentile(&sorted, 50), 20);
-        assert_eq!(percentile(&sorted, 51), 30);
-        assert_eq!(percentile(&sorted, 100), 40);
-    }
-
-    #[test]
     fn formatting_helpers() {
         assert_eq!(kb(1024), "1.0");
         assert_eq!(ms(1.239), "1.24");
@@ -351,13 +355,14 @@ mod tests {
 
     #[test]
     fn results_rows_are_stamped_and_deterministic() {
-        let mut w = ResultsWriter::new("demo");
+        let mut w = ResultsWriter::new("demo", Measurement::Model);
         assert!(w.is_empty());
         w.push(w.stamp().field("task", Json::Str("kws".into())).field("ms", Json::Float(1.5)));
         assert_eq!(w.len(), 1);
         assert_eq!(
             w.to_jsonl(),
-            "{\"schema_version\":1,\"bench\":\"demo\",\"task\":\"kws\",\"ms\":1.5}\n"
+            "{\"schema_version\":1,\"bench\":\"demo\",\"measurement\":\"model\",\
+             \"task\":\"kws\",\"ms\":1.5}\n"
         );
     }
 

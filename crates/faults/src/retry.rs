@@ -290,7 +290,7 @@ where
         let t0 = clock.now_ms();
         observer(RetryEvent::AttemptStarted {
             attempt,
-            deadline_ms: policy.timeout_ms.map(|t| t0 + t),
+            deadline_ms: policy.timeout_ms.map(|t| t0.saturating_add(t)),
         });
         let caught = catch_unwind(AssertUnwindSafe(|| work(&AttemptContext { attempt, cancel })));
         let duration_ms = clock.now_ms().saturating_sub(t0);

@@ -23,9 +23,7 @@ use crate::error::ServeError;
 use ei_core::TrainedImpulse;
 use ei_dsp::DspCost;
 use ei_runtime::planner::MemoryPlan;
-use ei_runtime::{
-    EngineKind, EonProgram, InferenceEngine, Interpreter, MemoryReport, ModelArtifact,
-};
+use ei_runtime::{EngineKind, EonProgram, InferenceEngine, Interpreter, MemoryReport};
 use ei_shard::ShardKey;
 use ei_trace::Tracer;
 use std::collections::VecDeque;
@@ -62,22 +60,17 @@ pub struct ArtifactKey {
 }
 
 /// Everything the serving layer memoizes for one [`ArtifactKey`]: the
-/// decoded impulse, the ready-to-run engine and its arena memory plan,
-/// plus the modeled compile cost that a cache hit saves.
+/// decoded impulse, the ready-to-run engine and its arena memory plan.
 pub struct CompiledArtifact {
     key: ArtifactKey,
     impulse: TrainedImpulse,
     engine: Box<dyn InferenceEngine + Send + Sync>,
     plan: MemoryPlan,
-    compile_cost_ms: u64,
 }
 
 impl std::fmt::Debug for CompiledArtifact {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledArtifact")
-            .field("key", &self.key)
-            .field("compile_cost_ms", &self.compile_cost_ms)
-            .finish_non_exhaustive()
+        f.debug_struct("CompiledArtifact").field("key", &self.key).finish_non_exhaustive()
     }
 }
 
@@ -112,8 +105,7 @@ impl CompiledArtifact {
                 (Box::new(interp), plan)
             }
         };
-        let compile_cost_ms = modeled_compile_cost_ms(key.engine, engine.artifact());
-        Ok(CompiledArtifact { key, impulse, engine, plan, compile_cost_ms })
+        Ok(CompiledArtifact { key, impulse, engine, plan })
     }
 
     /// The identity this entry is cached under.
@@ -139,12 +131,6 @@ impl CompiledArtifact {
     /// Class labels in output order.
     pub fn labels(&self) -> &[String] {
         self.impulse.labels()
-    }
-
-    /// Modeled milliseconds a cold compile of this entry costs (charged to
-    /// the serving clock on every miss; a hit pays nothing).
-    pub fn compile_cost_ms(&self) -> u64 {
-        self.compile_cost_ms
     }
 
     /// The DSP footprint of one input window.
@@ -198,20 +184,6 @@ impl CompiledArtifact {
             label_index,
         })
     }
-}
-
-/// Deterministic compile-cost model (logical milliseconds).
-///
-/// EON codegen walks the graph and emits source, so it costs more up front
-/// than interpreter setup; both scale with model size. The constants only
-/// need to be stable and large relative to per-request service time — they
-/// are what an artifact-cache hit saves.
-fn modeled_compile_cost_ms(engine: EngineKind, artifact: &ModelArtifact) -> u64 {
-    let base = match engine {
-        EngineKind::EonCompiled => 30,
-        EngineKind::TflmInterpreter => 20,
-    };
-    base + artifact.weight_bytes() as u64 / 4096 + artifact.ops().len() as u64
 }
 
 /// Point-in-time cache counters.

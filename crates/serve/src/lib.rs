@@ -25,9 +25,10 @@
 //!   `serve.rejected` counters, the batch-size distribution and cache
 //!   hit/miss/eviction counters.
 //!
-//! Everything runs on an injected [`ei_faults::Clock`] with *modeled*
-//! latencies, so a load test under a [`ei_faults::VirtualClock`] is
-//! byte-for-byte reproducible regardless of `EI_THREADS` or wall time.
+//! Every timestamp is read from an injected [`ei_faults::Clock`] and the
+//! server never moves it, so under a [`ei_faults::VirtualClock`] latency
+//! is exactly what the test advanced and a load test is byte-for-byte
+//! reproducible regardless of `EI_THREADS` or wall time.
 
 pub mod cache;
 pub mod error;

@@ -24,14 +24,14 @@
 //!    (deadline propagation), executing every window through one
 //!    [`ParPool::par_map`] call.
 //!
-//! All latency in the serving layer is *modeled* and charged to the
-//! injected [`Clock`]: a cold compile costs
-//! [`CompiledArtifact::compile_cost_ms`], a batch costs
-//! `batch_overhead_ms + per_item_ms × batch len`. The model is independent
-//! of thread count and wall time, so a load test on a
-//! [`ei_faults::VirtualClock`] is byte-for-byte reproducible at any
-//! `EI_THREADS` setting — and the artifact cache's hit-path speedup shows
-//! up as honest logical-latency numbers.
+//! The server only ever *reads* the injected [`Clock`]: every
+//! [`Completion::latency_ms`], `queued_ms` and deadline is a difference of
+//! `now_ms()` readings and nothing here sleeps or charges service time.
+//! Under [`ei_faults::SystemClock`] latency is therefore what the request
+//! really took (the wall-clock numbers live in `benchmark/`); under a
+//! [`ei_faults::VirtualClock`] it is whatever the test advanced between
+//! `submit` and `resolve`, so a load test is byte-for-byte reproducible at
+//! any `EI_THREADS` setting.
 
 use crate::cache::{ArtifactKey, CacheStats, CompiledArtifact, CompiledArtifactCache};
 use crate::error::ServeError;
@@ -68,10 +68,6 @@ pub struct ServerConfig {
     pub quota_capacity: u32,
     /// Per-tenant sustained request rate (tokens per second).
     pub quota_refill_per_sec: f64,
-    /// Modeled per-batch dispatch overhead (logical ms).
-    pub batch_overhead_ms: u64,
-    /// Modeled per-request service time (logical ms).
-    pub per_item_ms: u64,
     /// Admission shards. Tenants stripe across shards by FNV-1a of the
     /// tenant id; each shard has its own bounded sub-queue (capacity
     /// `queue_capacity / admission_shards`, rounded up) and owns its
@@ -97,8 +93,6 @@ impl Default for ServerConfig {
             cache_capacity: 8,
             quota_capacity: 64,
             quota_refill_per_sec: 64.0,
-            batch_overhead_ms: 2,
-            per_item_ms: 1,
             admission_shards: 1,
             cache_shards: 1,
         }
@@ -342,7 +336,7 @@ impl Server {
             ticket,
             key: req.artifact_key(),
             enqueued_ms: now,
-            deadline_at_ms: now + budget_ms,
+            deadline_at_ms: now.saturating_add(budget_ms),
             req,
             span,
         };
@@ -379,8 +373,8 @@ impl Server {
     /// Estimates on-device cost for a model through the artifact cache
     /// (the platform's pre-deployment "how will this run on board X"
     /// call), billed to `tenant` — the lookup takes only that tenant's
-    /// cache stripe. A miss charges the modeled compile cost to the
-    /// clock, just like the inference path.
+    /// cache stripe. A miss compiles and caches the artifact, just like
+    /// the inference path.
     ///
     /// # Errors
     ///
@@ -405,9 +399,6 @@ impl Server {
         let (artifact, hit) = self
             .cache
             .get_or_insert_with(tenant, &key, || CompiledArtifact::compile(key.clone(), &json))?;
-        if !hit {
-            self.clock.sleep_ms(artifact.compile_cost_ms(), None);
-        }
         let dsp_cost = artifact.dsp_cost()?;
         let report = Profiler::new(board).profile(Some(dsp_cost), artifact.engine());
         Ok(Estimate {
@@ -430,6 +421,9 @@ impl Server {
     /// (a tenant's requests never straddle shards) and all of them feed
     /// the one shared pool.
     fn process_queue(&self) {
+        // clamped like the shard and stripe counts: a batch of zero would
+        // take nothing and leave the front request queued forever
+        let max_batch = self.config.max_batch.max(1);
         for shard in 0..self.admission_shards() {
             loop {
                 let batch = {
@@ -438,7 +432,7 @@ impl Server {
                     let key = front.key.clone();
                     let mut batch = Vec::new();
                     let mut i = 0;
-                    while i < inner.queues[shard].len() && batch.len() < self.config.max_batch {
+                    while i < inner.queues[shard].len() && batch.len() < max_batch {
                         if inner.queues[shard][i].key == key {
                             batch.push(inner.queues[shard].remove(i).expect("index is in range"));
                         } else {
@@ -455,8 +449,8 @@ impl Server {
     }
 
     /// Runs one same-artifact batch: expiry sweep, cached (or cold)
-    /// compile, then a single deadline-bounded retry attempt that charges
-    /// the modeled service time and fans the windows out over the pool.
+    /// compile, then a single deadline-bounded retry attempt that fans the
+    /// windows out over the pool.
     fn run_batch(&self, batch: Vec<Pending>) {
         let now = self.clock.now_ms();
         let (live, expired): (Vec<Pending>, Vec<Pending>) =
@@ -505,11 +499,6 @@ impl Server {
                 return;
             }
         };
-        if !hit {
-            // cold path: charge the codegen / interpreter-setup cost the
-            // cache exists to amortize
-            self.clock.sleep_ms(artifact.compile_cost_ms(), None);
-        }
 
         let start = self.clock.now_ms();
         // deadline propagation: the batch attempt may run at most as long
@@ -517,8 +506,6 @@ impl Server {
         // deadline passes are marked individually after the attempt
         let slack_ms =
             live.iter().map(|p| p.deadline_at_ms.saturating_sub(start)).max().unwrap_or(0);
-        let service_ms =
-            self.config.batch_overhead_ms + self.config.per_item_ms * live.len() as u64;
         let policy = RetryPolicy::immediate(1).with_timeout(slack_ms);
         let cancel = CancelToken::new();
         let mut outputs: Option<Vec<Result<Classification, ServeError>>> = None;
@@ -531,7 +518,6 @@ impl Server {
                 &cancel,
                 |_| {},
                 |_| {
-                    self.clock.sleep_ms(service_ms, None);
                     outputs = Some(self.pool.par_map(&live, |p| {
                         if p.req.precomputed {
                             artifact.classify_features(&p.req.window)

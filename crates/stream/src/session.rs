@@ -340,8 +340,8 @@ impl StreamSession {
             };
             match completion.outcome {
                 Outcome::Classified(classification) => {
-                    // Deterministic completion stamp: admission time plus
-                    // the server's modeled latency for this request.
+                    // Completion stamp: admission time plus the latency the
+                    // server read off its clock for this request.
                     let completed_ms = w.submitted_ms + completion.latency_ms;
                     let staleness_ms = completed_ms.saturating_sub(w.captured_ms);
                     let smoothed_index = self.smoother.push(classification.label_index);

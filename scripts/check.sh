@@ -9,11 +9,11 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q --workspace (EI_THREADS=1, forced-serial pool)"
-EI_THREADS=1 cargo test -q --workspace
+echo "==> cargo test -q (EI_THREADS=1, forced-serial pool)"
+EI_THREADS=1 cargo test -q
 
-echo "==> cargo test -q --workspace (EI_THREADS=4, parallel pool)"
-EI_THREADS=4 cargo test -q --workspace
+echo "==> cargo test -q (EI_THREADS=4, parallel pool)"
+EI_THREADS=4 cargo test -q
 
 echo "==> distributed training suite (EI_THREADS=1 and 4 × two fault seeds)"
 for seed in 42 1337; do
@@ -30,14 +30,18 @@ done
 echo "==> cargo test --doc"
 cargo test --doc
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy -- -D warnings"
+cargo clippy -- -D warnings
 
-echo "==> results/*.json rows carry schema_version"
+echo "==> results/*.json rows carry schema_version and measurement"
 if compgen -G "results/*.json" > /dev/null; then
   for f in results/*.json; do
     if grep -vqF '"schema_version":' "$f"; then
       echo "row without schema_version in $f" >&2
+      exit 1
+    fi
+    if grep -vqE '"measurement":"(model|wall)"' "$f"; then
+      echo "row in $f does not say whether it is modeled or measured" >&2
       exit 1
     fi
     echo "  ok $f"
@@ -127,71 +131,11 @@ else
   echo "  (no results/obs_overhead.json yet — run scripts/obs_demo.sh)"
 fi
 
-echo "==> results/streaming.json features are bitwise-identical with bounded staleness"
-if [ -f results/streaming.json ]; then
-  if grep -vqF '"schema_version":' results/streaming.json; then
-    echo "row without schema_version in results/streaming.json" >&2
-    exit 1
-  fi
-  if ! grep -qF -- '"features_identical":true' results/streaming.json; then
-    echo "no row proves features_identical:true" >&2
-    exit 1
-  fi
-  if grep -qF -- '"features_identical":false' results/streaming.json; then
-    echo "incremental streaming DSP diverged from the batch oracle" >&2
-    exit 1
-  fi
-  awk -F'"staleness_p99_ms":' '
-    NF > 1 {
-      # drop-oldest backpressure bounds staleness even when overloaded;
-      # the ceiling catches a broken shed policy letting backlogs grow
-      split($2, a, /[,}]/); if (a[1] + 0 > 500) { bad = 1 }
-    }
-    END { exit bad }' results/streaming.json || {
-      echo "p99 window staleness exceeded the 500 ms ceiling" >&2
-      exit 1
-    }
-  echo "  ok results/streaming.json"
-else
-  echo "  (no results/streaming.json yet — run scripts/stream_demo.sh)"
-fi
-
-echo "==> results/platform_scale.json state is shard-count invariant"
-if [ -f results/platform_scale.json ]; then
-  if grep -vqF '"schema_version":' results/platform_scale.json; then
-    echo "row without schema_version in results/platform_scale.json" >&2
-    exit 1
-  fi
-  if ! grep -qF -- '"state_identical":true' results/platform_scale.json; then
-    echo "no row proves state_identical:true" >&2
-    exit 1
-  fi
-  if grep -qF -- '"state_identical":false' results/platform_scale.json; then
-    echo "platform state diverged across shard counts" >&2
-    exit 1
-  fi
-  if ! grep -qF -- '"racing_state_identical":true' results/platform_scale.json; then
-    echo "no row proves racing_state_identical:true" >&2
-    exit 1
-  fi
-  if grep -qF -- '"racing_state_identical":false' results/platform_scale.json; then
-    echo "a racing replay diverged from the serial reference" >&2
-    exit 1
-  fi
-  if ! grep -qF -- '"cache_shard_hit_rates":' results/platform_scale.json; then
-    echo "no row carries per-shard cache hit rates" >&2
-    exit 1
-  fi
-  echo "  ok results/platform_scale.json"
-else
-  echo "  (no results/platform_scale.json yet — run scripts/shard_demo.sh)"
-fi
-
 echo "==> no orphaned results/*.txt shadowing a JSON successor"
 for f in results/*.txt; do
   [ -e "$f" ] || continue
   stem=$(basename "$f" .txt)
-  if grep -rqF "ResultsWriter::new(\"$stem\")" crates/bench/src; then
+  if grep -rqF "ResultsWriter::new(\"$stem\"," crates/bench/src; then
     echo "orphaned $f: the \"$stem\" bench writes results/$stem.json now — delete the stale .txt" >&2
     exit 1
   fi

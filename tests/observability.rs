@@ -14,7 +14,7 @@ use edgelab::data::synth::KwsGenerator;
 use edgelab::device::{Board, Profiler};
 use edgelab::dist::{DistConfig, DistFaultPlan, DistTrainer, WorkerFault};
 use edgelab::dsp::{DspConfig, MfccConfig};
-use edgelab::faults::{Clock, RetryPolicy, VirtualClock};
+use edgelab::faults::{CancelToken, Clock, RetryPolicy, VirtualClock};
 use edgelab::nn::spec::{Activation, Dims, LayerSpec, ModelSpec};
 use edgelab::nn::{presets, train::TrainConfig, Sequential};
 use edgelab::obs::{FlightDump, Obs, SloSpec};
@@ -24,6 +24,7 @@ use edgelab::runtime::{EngineKind, EonProgram, InferenceEngine, Interpreter};
 use edgelab::serve::{InferenceRequest, ModelSource, Outcome, Server, ServerConfig};
 use edgelab::trace::{CollectingSubscriber, Registry, Tracer, OTHER_LABEL};
 use ei_bench::Task;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[test]
@@ -190,6 +191,22 @@ fn serve_request(tenant: &str, model: &ModelSource, deadline_ms: u64) -> Inferen
     }
 }
 
+/// A clock that moves 150 ms on every read, so a deadline can blow
+/// *inside* a batch: the server never advances time itself. It reads its
+/// clock only on the resolving thread, so the read count — and every
+/// latency derived from it — is the same at any pool width.
+#[derive(Default)]
+struct SteppingClock(AtomicU64);
+
+impl Clock for SteppingClock {
+    fn now_ms(&self) -> u64 {
+        self.0.fetch_add(150, Ordering::SeqCst)
+    }
+    fn sleep_ms(&self, _ms: u64, _cancel: Option<&CancelToken>) -> bool {
+        false
+    }
+}
+
 /// Tentpole: a deadline overrun inside a micro-batch trips the flight
 /// recorder, and the capture holds the complete causal chain — request
 /// span, batch span, and the parallel scope that ran it — byte for byte
@@ -198,12 +215,12 @@ fn serve_request(tenant: &str, model: &ModelSource, deadline_ms: u64) -> Inferen
 fn deadline_dump_captures_the_request_chain_at_any_pool_width() {
     let json = served_model_json();
     let run = |threads: Parallelism| -> Vec<FlightDump> {
-        let clock = VirtualClock::shared();
-        let obs = Obs::builder(clock.clone() as Arc<dyn Clock>).build();
+        let obs = Obs::builder(VirtualClock::shared() as Arc<dyn Clock>).build();
         let srv = Server::new(
-            // the 1 s batch overhead guarantees the 200 ms deadline blows
-            ServerConfig { batch_overhead_ms: 1_000, ..ServerConfig::default() },
-            clock as Arc<dyn Clock>,
+            ServerConfig::default(),
+            // only the server steps: spans and SLO windows stay on the
+            // hub's virtual clock, and the 200 ms deadline blows in-batch
+            Arc::new(SteppingClock::default()),
             Arc::new(ParPool::with_tracer(threads, obs.tracer().clone())),
             obs.tracer().clone(),
         )
@@ -378,18 +395,21 @@ fn concurrent_metric_recording_merges_to_the_serial_reference() {
 }
 
 /// A default-config server on `tracer`, and one classified request for
-/// each of `tenant-0..tenants` through it.
+/// each of `tenant-0..tenants` through it, each left queued for 5 ms of
+/// test-driven time.
 fn serve_tenants(clock: Arc<VirtualClock>, tracer: Tracer, obs: Option<&Arc<Obs>>, tenants: usize) {
     let pool = Arc::new(ParPool::new(Parallelism::from_env()));
-    let mut srv = Server::new(ServerConfig::default(), clock, pool, tracer);
+    let mut srv = Server::new(ServerConfig::default(), clock.clone(), pool, tracer);
     if let Some(obs) = obs {
         srv = srv.with_obs(Arc::clone(obs));
     }
     let model = ModelSource::new("kws", served_model_json());
     for t in 0..tenants {
         let ticket = srv.submit(serve_request(&format!("tenant-{t}"), &model, 0)).unwrap();
+        clock.advance_ms(5);
         let completion = srv.resolve(ticket).expect("completed");
         assert!(matches!(completion.outcome, Outcome::Classified(_)), "{completion:?}");
+        assert_eq!(completion.latency_ms, 5, "latency is exactly what the test advanced");
     }
 }
 
@@ -401,7 +421,7 @@ fn served_slo_breach_dumps_and_overflow_tenants_fold() {
     let clock = VirtualClock::shared();
     let obs = Obs::builder(clock.clone() as Arc<dyn Clock>)
         .label_cap(2)
-        // virtual-clock service time (compile + batch) dwarfs 1 ms
+        // every request waits 5 ms of advanced time against 1 ms
         .slo(SloSpec::latency("serve-p99", 1.0, 0.99).with_min_samples(3).with_cooldown_ms(0))
         .build();
     serve_tenants(clock, obs.tracer().clone(), Some(&obs), 4);

@@ -3,13 +3,14 @@
 //! propagation through the fault layer, and the platform API path.
 //!
 //! `scripts/check.sh` runs this suite under both `EI_THREADS=1` and `4`:
-//! the server charges all service time to the injected clock, so results
-//! and latencies must not depend on the pool width.
+//! the server only reads the injected clock (it never sleeps or charges
+//! service time), so results and latencies must not depend on the pool
+//! width. Wall-clock serving numbers live in `benchmark/`.
 
 use edgelab::core::impulse::ImpulseDesign;
 use edgelab::data::synth::KwsGenerator;
 use edgelab::dsp::{DspConfig, MfccConfig};
-use edgelab::faults::{Clock, VirtualClock};
+use edgelab::faults::{CancelToken, Clock, VirtualClock};
 use edgelab::nn::{presets, train::TrainConfig};
 use edgelab::par::{ParPool, Parallelism};
 use edgelab::platform::{Api, PlatformError};
@@ -19,7 +20,11 @@ use edgelab::serve::{
     ModelSource, Outcome, Rejected, Server, ServerConfig,
 };
 use edgelab::trace::Tracer;
-use std::sync::Arc;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn generator() -> KwsGenerator {
     KwsGenerator {
@@ -87,11 +92,26 @@ fn request(
     }
 }
 
-/// Tentpole: a cache hit is indistinguishable from a cold compile except
-/// in latency — byte-identical classification and memory plan, at least
-/// 5x faster because the compile cost is skipped.
+/// A clock that moves 150 ms on every read: the only way time passes
+/// *inside* a batch, since the server never advances the clock it is given.
+#[derive(Default)]
+struct SteppingClock(AtomicU64);
+
+impl Clock for SteppingClock {
+    fn now_ms(&self) -> u64 {
+        self.0.fetch_add(150, Ordering::SeqCst)
+    }
+    fn sleep_ms(&self, _ms: u64, _cancel: Option<&CancelToken>) -> bool {
+        false
+    }
+}
+
+/// Tentpole: a cache hit is indistinguishable from a cold compile —
+/// byte-identical classification and memory plan. (How much faster the
+/// hit is gets measured, not asserted: `serve.compile_miss_ms` vs
+/// `serve.resolve_hit_us` in `benchmark/`.)
 #[test]
-fn cache_hit_is_byte_identical_to_cold_compile_and_5x_faster() {
+fn cache_hit_is_byte_identical_to_cold_compile() {
     let json = model_json(16, 7);
     let model = ModelSource::new("kws", json.clone());
     let clip = generator().generate(0, 42);
@@ -118,12 +138,6 @@ fn cache_hit_is_byte_identical_to_cold_compile_and_5x_faster() {
         served,
         &ground_truth.classify(&clip).expect("runs"),
         "served result must match an independent cold compile byte for byte"
-    );
-    assert!(
-        cold.latency_ms >= 5 * hit.latency_ms.max(1),
-        "cold {} ms vs hit {} ms must be >= 5x",
-        cold.latency_ms,
-        hit.latency_ms
     );
 
     // the memoized memory plan is the one a fresh compile produces
@@ -235,8 +249,10 @@ fn quota_exhausts_per_tenant_and_refills_on_the_clock() {
 }
 
 /// Deadlines propagate into the fault layer: a request whose deadline
-/// passes while queued never runs, and one whose slack cannot cover the
-/// batch service time is cut off by the `ei_faults` timeout.
+/// passes while queued never runs, one whose slack runs out inside the
+/// batch is cut off by the `ei_faults` timeout, and the largest budget
+/// (`u64::MAX`, "never time out") saturates instead of wrapping into the
+/// past.
 #[test]
 fn deadlines_propagate_into_fault_layer_timeouts() {
     let json = model_json(16, 7);
@@ -253,17 +269,123 @@ fn deadlines_propagate_into_fault_layer_timeouts() {
     assert_eq!(completion.outcome, Outcome::DeadlineExceeded { waited_ms: 50 });
     assert_eq!(srv.cache_stats().misses, 0, "expired requests must not compile");
 
-    // slack too small for the batch: the retry timeout fires
-    let (_clock, srv) =
-        server(ServerConfig { batch_overhead_ms: 1_000, ..ServerConfig::default() });
-    let mut req = request("a", &model, EngineKind::EonCompiled, clip);
-    req.deadline_ms = 200; // compile fits, the 1 s batch overhead does not
+    // slack runs out inside the batch: the retry timeout fires
+    let srv = Server::new(
+        ServerConfig::default(),
+        Arc::new(SteppingClock::default()),
+        Arc::new(ParPool::new(Parallelism::from_env())),
+        Tracer::disabled(),
+    );
+    let mut req = request("a", &model, EngineKind::EonCompiled, clip.clone());
+    req.deadline_ms = 200; // admission fits, two more 150 ms reads do not
     let ticket = srv.submit(req).unwrap();
     let completion = srv.resolve(ticket).expect("completed");
     assert!(
         matches!(completion.outcome, Outcome::DeadlineExceeded { .. }),
         "batch overrun must surface as DeadlineExceeded: {completion:?}"
     );
+
+    // the largest budget is the most patient one, at any admission time
+    let (clock, srv) = server(ServerConfig::default());
+    clock.advance_ms(5);
+    let mut req = request("a", &model, EngineKind::EonCompiled, clip);
+    req.deadline_ms = u64::MAX;
+    let ticket = srv.submit(req).unwrap();
+    let completion = srv.resolve(ticket).expect("completed");
+    assert!(
+        matches!(completion.outcome, Outcome::Classified(_)),
+        "a u64::MAX deadline must never expire: {completion:?}"
+    );
+}
+
+/// The server only reads the clock it was given: cold compiles, hits and
+/// estimates leave a `VirtualClock` where the test put it, so every
+/// latency under virtual time is exactly what the test advanced.
+#[test]
+fn server_never_moves_the_clock_it_was_given() {
+    let model = ModelSource::new("kws", model_json(16, 7));
+    let clip = generator().generate(0, 3);
+    let (clock, srv) = server(ServerConfig::default());
+    clock.advance_ms(7);
+
+    for expect_hit in [false, true] {
+        let t = srv.submit(request("a", &model, EngineKind::EonCompiled, clip.clone())).unwrap();
+        let done = srv.resolve(t).expect("completed");
+        assert_eq!(done.cache_hit, expect_hit);
+        assert_eq!((done.latency_ms, done.queued_ms), (0, 0), "no time was advanced: {done:?}");
+    }
+    let estimate = srv
+        .estimate("a", &model, "nano 33", EngineKind::TflmInterpreter, false)
+        .expect("estimates");
+    assert!(!estimate.cache_hit, "a new (board, engine) key compiles cold");
+    assert_eq!(clock.now_ms(), 7, "the server must never advance its clock");
+}
+
+/// `max_batch: 0` is clamped to 1 where it is read (like the shard and
+/// stripe counts); unclamped, dispatch took nothing per round and spun
+/// forever. The resolve runs on its own thread so a regression fails the
+/// test instead of hanging the suite.
+#[test]
+fn zero_max_batch_still_dispatches() {
+    let model = ModelSource::new("kws", model_json(16, 7));
+    let clip = generator().generate(0, 3);
+    let (_clock, srv) = server(ServerConfig { max_batch: 0, ..ServerConfig::default() });
+    let ticket = srv.submit(request("a", &model, EngineKind::EonCompiled, clip)).unwrap();
+    let (tx, rx) = mpsc::channel();
+    // detached on purpose: a livelocked resolver can never be joined
+    std::thread::spawn(move || {
+        let _ = tx.send(srv.resolve(ticket));
+    });
+    let completion = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("resolve must return with max_batch: 0")
+        .expect("completed");
+    assert!(matches!(completion.outcome, Outcome::Classified(_)), "{completion:?}");
+    assert_eq!(completion.batch_size, 1);
+}
+
+/// The striped cache hands back the same compiled artifact for the same
+/// key at 1 and 16 stripes, while 12 tenants with distinct keys churn an
+/// 8-entry LRU at one stripe and fit without eviction at sixteen.
+#[test]
+fn striped_cache_serves_identical_artifacts_at_1_and_16_stripes() {
+    const TENANTS: usize = 12;
+    let json = model_json(16, 7);
+    let content = ModelSource::new("kws", json.clone()).content_hash;
+    // a seeded tenant order with plenty of re-visits
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let accesses: Vec<usize> = (0..240).map(|_| rng.gen_range(0..TENANTS)).collect();
+
+    let run = |stripes: usize| {
+        let cache = CompiledArtifactCache::with_shards(8, stripes, Tracer::disabled());
+        let mut fingerprints = vec![None; TENANTS];
+        for &tenant in &accesses {
+            // every tenant compiles for its own board, so keys are distinct
+            let key = ArtifactKey {
+                content_hash: content,
+                board: format!("board-{tenant}"),
+                engine: EngineKind::EonCompiled,
+                quantized: false,
+            };
+            let (artifact, _hit) = cache
+                .get_or_insert_with(&format!("cache-t{tenant}"), &key, || {
+                    CompiledArtifact::compile(key.clone(), &json)
+                })
+                .expect("compiles");
+            assert_eq!(artifact.key(), &key, "cache must return the requested artifact");
+            let fingerprint = (artifact.plan().clone(), artifact.memory());
+            let seen = fingerprints[tenant].get_or_insert_with(|| fingerprint.clone());
+            assert_eq!(seen, &fingerprint, "re-lookups must serve the same artifact");
+        }
+        assert_eq!(cache.shard_stats().len(), stripes, "one CacheStats per stripe");
+        (fingerprints, cache.stats())
+    };
+
+    let (one, one_stats) = run(1);
+    let (sixteen, sixteen_stats) = run(16);
+    assert_eq!(one, sixteen, "same key must mean same plan and memory at any stripe count");
+    assert!(one_stats.evictions > 0, "12 keys must churn one 8-entry stripe: {one_stats:?}");
+    assert_eq!(sixteen_stats.evictions, 0, "16 stripes hold all 12 keys: {sixteen_stats:?}");
 }
 
 /// Same-artifact requests coalesce into one micro-batch; results and

@@ -3,9 +3,13 @@
 //! a 1-shard and a 16-shard [`Api`], and every observable — the
 //! `export_json` bytes, registry search order, classification outputs,
 //! stream counters, job results and quota decisions — must match
-//! exactly. `scripts/check.sh` runs this suite under `EI_THREADS=1` and
-//! `4` and `EI_SHARDS=1` and `16`, so the contract holds across the
-//! pool-width axis too.
+//! exactly. A seeded mixed-op schedule (classify, estimate, keyed job
+//! uploads, stream pushes over a few hundred tenants) is then replayed at
+//! 1, 4, 16 and 64 shards — serially, and again from real racing threads
+//! — and must leave the identical exported state every time: the
+//! platform-wide linearizability oracle. `scripts/check.sh` runs this
+//! suite under `EI_THREADS=1` and `4` and `EI_SHARDS=1` and `16`, so the
+//! contract holds across the pool-width axis too.
 
 use edgelab::core::impulse::ImpulseDesign;
 use edgelab::data::ingest::to_wav_bytes;
@@ -13,11 +17,16 @@ use edgelab::data::synth::KwsGenerator;
 use edgelab::dsp::{DspConfig, MfccConfig};
 use edgelab::faults::{Clock, VirtualClock};
 use edgelab::nn::{presets, train::TrainConfig};
+use edgelab::obs::Obs;
 use edgelab::par::{ParPool, Parallelism};
-use edgelab::platform::{Api, InferenceSpec, JobScheduler, PlatformError, SessionConfig};
+use edgelab::platform::{
+    Api, InferenceSpec, JobScheduler, PlatformError, ProjectId, SessionConfig, SessionId, UserId,
+};
 use edgelab::runtime::EngineKind;
 use edgelab::serve::{Server, ServerConfig};
 use edgelab::trace::Tracer;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn generator() -> KwsGenerator {
@@ -212,4 +221,216 @@ fn env_shard_count_round_trips_export() {
     let exported = api.export_json().expect("exports");
     let imported = Api::import_json(&exported).expect("imports");
     assert_eq!(imported.export_json().expect("re-exports"), exported);
+}
+
+// --- mixed-op replay: serial vs sharded vs racing ------------------------
+
+/// Replay scale: every shard count × (one serial + two racing) replays
+/// must finish in seconds in a debug build.
+const TENANTS: usize = 400;
+const EVENTS: usize = 600;
+/// Tenants holding the real model; serving ops draw from these.
+const HOT: usize = 16;
+/// Hot tenants with an always-open stream session.
+const STREAMS: usize = 4;
+
+#[derive(Clone, Copy)]
+enum Op {
+    Classify,
+    Estimate,
+    /// A keyed job uploading a uniquely named artifact — the only op that
+    /// mutates exported state, and it commutes with every other upload.
+    JobUpload,
+    StreamPush,
+}
+
+/// The seeded schedule: 35 % classify and 20 % estimate over the hot set,
+/// 25 % job uploads over the whole population, 20 % stream pushes.
+fn schedule() -> Vec<(Op, usize)> {
+    let mut rng = StdRng::seed_from_u64(0xE15_CA1E);
+    (0..EVENTS)
+        .map(|_| match rng.gen_range(0..100) {
+            0..=34 => (Op::Classify, rng.gen_range(0..HOT)),
+            35..=54 => (Op::Estimate, rng.gen_range(0..HOT)),
+            55..=79 => (Op::JobUpload, rng.gen_range(0..TENANTS)),
+            _ => (Op::StreamPush, rng.gen_range(0..STREAMS)),
+        })
+        .collect()
+}
+
+/// A fully provisioned platform: sharded store, serving layer (admission
+/// and cache stripes = store shards), sharded scheduler, the tenant
+/// population with its hot set uploaded and streaming. Serial and racing
+/// replays both drive one of these, so a divergence is the replay's.
+struct Replay {
+    obs: Arc<Obs>,
+    api: Api,
+    scheduler: JobScheduler,
+    population: Vec<(ProjectId, UserId)>,
+    sessions: Vec<SessionId>,
+    signal: Vec<f32>,
+    spec: InferenceSpec,
+}
+
+impl Replay {
+    fn new(shards: usize, model: &str) -> Replay {
+        let clock = VirtualClock::shared();
+        let obs = Obs::builder(clock.clone() as Arc<dyn Clock>).build();
+        let api = Api::with_shards(shards);
+        api.attach_obs(&obs);
+        let pool = Arc::new(ParPool::new(Parallelism::from_env()));
+        // quotas and queues sized so admission never hides a lost update
+        let config = ServerConfig {
+            queue_capacity: 4_096,
+            quota_capacity: 1 << 20,
+            quota_refill_per_sec: 1e6,
+            admission_shards: shards,
+            cache_shards: shards,
+            ..ServerConfig::default()
+        };
+        let server = Server::new(config, clock as Arc<dyn Clock>, pool.clone(), Tracer::disabled());
+        api.attach_serving(Arc::new(server)).expect("attaches");
+        let scheduler = JobScheduler::with_sharded_pool(pool, shards);
+
+        let population: Vec<(ProjectId, UserId)> = (0..TENANTS)
+            .map(|i| {
+                let user = api.create_user(&format!("u{i}"));
+                (api.create_project(&format!("p{i}"), user).expect("project"), user)
+            })
+            .collect();
+        for &(project, user) in &population[..HOT] {
+            api.upload_model(project, user, "m", model.to_string()).expect("upload");
+        }
+        let sessions = population[..STREAMS]
+            .iter()
+            .map(|&(project, user)| {
+                api.stream_open(project, user, "m", SessionConfig::new("", 256)).expect("opens")
+            })
+            .collect();
+        let signal = (0..4).flat_map(|i| generator().generate(i % 2, 17 + i as u64)).collect();
+        let spec = InferenceSpec::new("m", EngineKind::EonCompiled);
+        Replay { obs, api, scheduler, population, sessions, signal, spec }
+    }
+
+    /// Runs event `i`. Returns whether a serving/stream op was served;
+    /// an upload's outcome is checked when its job is awaited.
+    fn run(
+        &self,
+        i: usize,
+        (op, tenant): (Op, usize),
+        pushed: &mut [usize],
+        jobs: &mut Vec<u64>,
+    ) -> bool {
+        let (project, user) = self.population[tenant];
+        match op {
+            Op::Classify => {
+                self.api.classify(project, user, &self.spec, self.signal[..1_000].to_vec()).is_ok()
+            }
+            Op::Estimate => {
+                self.api.estimate(project, user, &self.spec.clone().on_board("nano 33")).is_ok()
+            }
+            Op::JobUpload => {
+                let api = self.api.clone();
+                let name = format!("job-{i}");
+                let id = self
+                    .scheduler
+                    .submit_keyed(project.0, 1, move || {
+                        api.upload_model(project, user, &name, format!("{{\"job\":{i}}}"))
+                            .map_err(|e| e.to_string())?;
+                        Ok(name.clone())
+                    })
+                    .expect("scheduler accepts");
+                jobs.push(id);
+                true
+            }
+            Op::StreamPush => {
+                let off = (pushed[tenant] * 250) % (self.signal.len() - 250);
+                pushed[tenant] += 1;
+                let chunk = &self.signal[off..off + 250];
+                self.api.stream_push(self.sessions[tenant], user, chunk).is_ok()
+            }
+        }
+    }
+
+    /// Awaits every upload, closes the streams and exports the state.
+    fn finish(mut self, jobs: Vec<u64>) -> String {
+        for id in jobs {
+            self.scheduler.wait(id).expect("job uploads succeed");
+        }
+        for (&session, &(_, user)) in self.sessions.iter().zip(&self.population) {
+            self.api.stream_close(session, user).expect("session closes");
+        }
+        self.scheduler.shutdown();
+        self.api.export_json().expect("state exports")
+    }
+}
+
+/// The schedule in arrival order on one thread; nothing may be refused.
+fn serial_replay(events: &[(Op, usize)], shards: usize, model: &str) -> String {
+    let replay = Replay::new(shards, model);
+    let (mut pushed, mut jobs) = (vec![0; STREAMS], Vec::new());
+    for (i, &event) in events.iter().enumerate() {
+        assert!(
+            replay.run(i, event, &mut pushed, &mut jobs),
+            "event {i} refused at {shards} shards"
+        );
+    }
+    assert!(
+        replay.obs.prometheus().contains("platform_shard_occupancy"),
+        "shard occupancy gauges must reach the obs registry"
+    );
+    let report = replay.api.shard_report();
+    assert!(report.cache.is_some(), "serving layer attached");
+    assert_eq!(report.cache_shards.len(), shards, "one CacheStats per cache stripe");
+    replay.finish(jobs)
+}
+
+/// The schedule from `threads` real OS threads (event `i` on thread
+/// `i % threads`), coordinated only by the platform's own locks. Serving
+/// and stream refusals are tolerated — they mutate no exported state —
+/// but every upload must land: the uploads commute, so a final state
+/// different from the serial replay's is a lost or duplicated update
+/// inside the sharded store.
+fn racing_replay(events: &[(Op, usize)], shards: usize, threads: usize, model: &str) -> String {
+    let replay = Replay::new(shards, model);
+    let jobs = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let replay = &replay;
+                scope.spawn(move || {
+                    let (mut pushed, mut jobs) = (vec![0; STREAMS], Vec::new());
+                    for (i, &event) in events.iter().enumerate().filter(|(i, _)| i % threads == t) {
+                        replay.run(i, event, &mut pushed, &mut jobs);
+                    }
+                    jobs
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("racing thread completes")).collect()
+    });
+    replay.finish(jobs)
+}
+
+/// `state_identical` and `racing_state_identical`: one mixed-op schedule
+/// leaves byte-identical exported state at 1, 4, 16 and 64 shards, and at
+/// each shard count a replay from 1 and from 4 racing threads lands on
+/// the serial replay's bytes.
+#[test]
+fn mixed_op_replay_is_identical_at_any_shard_count_serial_or_racing() {
+    let model = model_json();
+    let events = schedule();
+    let mut reference = None;
+    for shards in [1, 4, 16, 64] {
+        let serial = serial_replay(&events, shards, &model);
+        assert!(serial.contains("job-"), "the uploads must show in the exported state");
+        let reference = reference.get_or_insert_with(|| serial.clone());
+        assert!(&serial == reference, "{shards} shards changed the exported state");
+        for threads in [1, 4] {
+            let racing = racing_replay(&events, shards, threads, &model);
+            assert!(
+                racing == serial,
+                "racing replay diverged from serial at {shards} shards x {threads} threads"
+            );
+        }
+    }
 }

@@ -54,9 +54,9 @@ fn audio(clips: usize) -> Vec<f32> {
     (0..clips).flat_map(|i| gen.generate(i % 2, i as u64)).collect()
 }
 
-fn server_on(pool: Parallelism) -> Arc<Server> {
+fn server_on(pool: Parallelism, queue_capacity: usize) -> Arc<Server> {
     Arc::new(Server::new(
-        ServerConfig { queue_capacity: 64, ..ServerConfig::default() },
+        ServerConfig { queue_capacity, ..ServerConfig::default() },
         VirtualClock::shared() as Arc<dyn Clock>,
         Arc::new(ParPool::new(pool)),
         Tracer::disabled(),
@@ -72,7 +72,7 @@ fn run_session(
     let mut config = SessionConfig::new("tenant-a", 256);
     config.max_pending = 64;
     let mut session =
-        StreamSession::open(server_on(pool), ModelSource::new("kws", json.to_string()), config)
+        StreamSession::open(server_on(pool, 64), ModelSource::new("kws", json.to_string()), config)
             .unwrap();
     let signal = audio(4);
     let mut verdicts = Vec::new();
@@ -106,8 +106,52 @@ fn incremental_features_match_batch_bitwise_at_any_chunking() {
     }
 }
 
+/// Three tenants stream distinct signals through one shared server,
+/// polling every `polls_every` pushes against an admission queue of
+/// `queue_capacity`; default `max_pending`, so a slow cadence sheds.
+fn run_shared_server(
+    json: &str,
+    pool: Parallelism,
+    polls_every: usize,
+    queue_capacity: usize,
+) -> Vec<(Vec<WindowVerdict>, SessionStats)> {
+    let server = server_on(pool, queue_capacity);
+    let gen = generator();
+    let mut sessions: Vec<_> = ["alpha", "beta", "gamma"]
+        .iter()
+        .enumerate()
+        .map(|(t, tenant)| {
+            let model = ModelSource::new("kws", json.to_string());
+            let session =
+                StreamSession::open(server.clone(), model, SessionConfig::new(tenant, 256))
+                    .unwrap();
+            let signal: Vec<f32> =
+                (0..8).flat_map(|i| gen.generate((t + i) % 2, (t * 1_000 + i) as u64)).collect();
+            (session, signal, Vec::new())
+        })
+        .collect();
+    for step in 0..16 {
+        for (session, signal, verdicts) in &mut sessions {
+            session.push(&signal[step * 500..(step + 1) * 500]).unwrap();
+            if (step + 1) % polls_every == 0 {
+                verdicts.extend(session.poll());
+            }
+        }
+    }
+    sessions
+        .into_iter()
+        .map(|(mut session, _, mut verdicts)| {
+            verdicts.extend(session.poll());
+            (verdicts, session.close())
+        })
+        .collect()
+}
+
 /// The whole verdict stream — sequence numbers, classifications,
-/// timestamps, smoothed labels — is identical at every pool width.
+/// timestamps, smoothed labels — is identical at every pool width: for
+/// one session, and for three tenants sharing a server at a nominal, a
+/// bursty and an overloaded poll cadence (cadence and queue capacity
+/// alone decide what is shed).
 #[test]
 fn verdict_stream_is_identical_at_any_pool_width() {
     let json = model_json();
@@ -119,6 +163,22 @@ fn verdict_stream_is_identical_at_any_pool_width() {
     assert_eq!(serial_stats, wide_stats);
     assert_eq!(serial, env, "verdicts must not depend on EI_THREADS");
     assert_eq!(serial_stats, env_stats);
+
+    for (polls_every, queue_capacity, sheds) in [(1, 64, false), (4, 16, false), (8, 4, true)] {
+        let serial = run_shared_server(&json, Parallelism::serial(), polls_every, queue_capacity);
+        let wide = run_shared_server(&json, Parallelism::new(4), polls_every, queue_capacity);
+        assert_eq!(serial, wide, "poll every {polls_every}: pool width changed the streams");
+        for (verdicts, stats) in &serial {
+            assert!(!verdicts.is_empty());
+            assert!(stats.features_identical(), "incremental DSP must match batch: {stats:?}");
+            assert_eq!(stats.drops_total(), stats.drops_backpressure, "only backpressure sheds");
+            assert_eq!(
+                stats.drops_backpressure > 0,
+                sheds,
+                "poll every {polls_every} at capacity {queue_capacity}: {stats:?}"
+            );
+        }
+    }
 }
 
 /// Requests submitted by a session adopt its `stream.session` span as
@@ -131,13 +191,13 @@ fn slo_breach_dump_chains_back_to_the_stream_session() {
     let run = || {
         let clock = VirtualClock::shared();
         let obs = Obs::builder(clock.clone() as Arc<dyn Clock>)
-            // virtual-clock service time dwarfs 1 ms, so traffic breaches
+            // each window waits 5 ms of advanced time against 1 ms
             .slo(SloSpec::latency("stream-p99", 1.0, 0.99).with_min_samples(3).with_cooldown_ms(0))
             .build();
         let server = Arc::new(
             Server::new(
                 ServerConfig { queue_capacity: 64, ..ServerConfig::default() },
-                clock as Arc<dyn Clock>,
+                clock.clone() as Arc<dyn Clock>,
                 Arc::new(ParPool::new(Parallelism::from_env())),
                 obs.tracer().clone(),
             )
@@ -150,6 +210,7 @@ fn slo_breach_dump_chains_back_to_the_stream_session() {
                 .unwrap();
         for chunk in audio(2).chunks(500) {
             session.push(chunk).unwrap();
+            clock.advance_ms(5);
             session.poll();
         }
         session.close();
@@ -159,7 +220,7 @@ fn slo_breach_dump_chains_back_to_the_stream_session() {
     let breach = dumps
         .iter()
         .find(|d| d.trigger == "slo.breach")
-        .expect("slow virtual-clock traffic must breach the 1 ms objective");
+        .expect("5 ms between push and poll must breach the 1 ms objective");
     for name in ["stream.session", "serve.request"] {
         assert!(
             breach.jsonl.contains(&format!("\"name\":\"{name}\"")),
@@ -219,7 +280,7 @@ fn platform_stream_endpoints_enforce_access_and_account_windows() {
     let owner = api.create_user("owner");
     let outsider = api.create_user("outsider");
     let project = api.create_project("live", owner).unwrap();
-    api.attach_serving(server_on(Parallelism::from_env())).unwrap();
+    api.attach_serving(server_on(Parallelism::from_env(), 64)).unwrap();
     api.upload_model(project, owner, "kws", model_json()).unwrap();
 
     let mut config = SessionConfig::new("", 256); // empty tenant -> project-<id>
