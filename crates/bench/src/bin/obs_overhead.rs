@@ -191,7 +191,7 @@ fn main() {
     let json = model_json();
     let window = generator().generate(0, 3);
     let key = ArtifactKey {
-        content_hash: ModelSource::new("kws", json.clone()).content_hash,
+        content_hash: ei_serve::content_hash(&json),
         board: String::new(),
         engine: EngineKind::EonCompiled,
         quantized: false,

@@ -425,8 +425,8 @@ impl TrainedImpulse {
     ///
     /// Propagates quantization failures.
     pub fn quantized(&self) -> Result<QuantizedModel> {
-        let calib: Vec<Vec<f32>> = self.feature_cache.iter().take(64).cloned().collect();
-        Ok(quantize_model(&self.model, &calib)?)
+        let calib = &self.feature_cache[..self.feature_cache.len().min(64)];
+        Ok(quantize_model(&self.model, calib)?)
     }
 
     /// The float deployment artifact.

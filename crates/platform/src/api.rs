@@ -19,7 +19,9 @@
 //! a stripe. Per-project quota ledgers ([`Api::set_project_quota`]) ride
 //! the same partition.
 
-use crate::entities::{OrgId, Organization, Project, ProjectId, SessionId, User, UserId};
+use crate::entities::{
+    OrgId, Organization, Project, ProjectId, SessionId, StoredModel, User, UserId,
+};
 use crate::jobs::JobScheduler;
 use crate::{PlatformError, Result};
 use ei_core::impulse::ImpulseDesign;
@@ -617,9 +619,11 @@ impl Api {
         name: &str,
         json: String,
     ) -> Result<()> {
-        self.with_project_mut(project, acting, |p| {
-            p.models.insert(name.to_string(), json);
-        })
+        // hashed before the stripe lock is taken; the version this one
+        // replaces leaves the closure and is freed after the lock, too
+        let stored = StoredModel::new(json);
+        self.with_project_mut(project, acting, |p| p.models.insert(name.to_string(), stored))
+            .map(drop)
     }
 
     /// Fetches a trained-impulse artifact from the registry.
@@ -628,14 +632,27 @@ impl Api {
     ///
     /// Fails for unknown projects/models or denied access.
     pub fn download_model(&self, project: ProjectId, acting: UserId, name: &str) -> Result<String> {
-        self.with_project(project, acting, |p| p.models.get(name).cloned())?
-            .ok_or(PlatformError::NotFound { kind: "model", id: 0 })
+        // copied after the stripe lock is released
+        Ok(self.model_source(project, acting, name)?.blob.json().to_string())
+    }
+
+    /// The access-checked registry lookup behind every serving call: the
+    /// stored blob by pointer, so the stripe lock is never held across a
+    /// copy or a hash of model bytes.
+    fn model_source(&self, project: ProjectId, acting: UserId, name: &str) -> Result<ModelSource> {
+        let blob = self
+            .with_project(project, acting, |p| p.models.get(name).map(|m| Arc::clone(&m.0)))?
+            .ok_or(PlatformError::NotFound { kind: "model", id: 0 })?;
+        Ok(ModelSource::from_blob(name, blob))
     }
 
     /// Classifies one raw window with the registry model `spec` names,
     /// executing through the serving layer (admission control, artifact
     /// cache, micro-batching). Billed to `spec.tenant` when set, otherwise
-    /// to the project (`project-<id>`); charges one project quota unit.
+    /// to the project (`project-<id>`); charges one project quota unit,
+    /// refunded when admission refuses the request (one that was admitted
+    /// and then failed or missed its deadline stays charged). The model
+    /// travels by pointer: no copy or hash of its bytes per request.
     ///
     /// # Errors
     ///
@@ -651,16 +668,16 @@ impl Api {
         spec: &InferenceSpec,
         window: Vec<f32>,
     ) -> Result<ei_core::Classification> {
-        let json = self.download_model(project, acting, spec.model.as_str())?;
+        let source = self.model_source(project, acting, spec.model.as_str())?;
         self.charge_quota(project)?;
         let server = self.serving();
-        let request = InferenceRequest::from_spec(
-            spec,
-            ModelSource::new(spec.model.clone(), json),
-            window,
-            &format!("project-{project}"),
-        );
-        let ticket = server.submit(request).map_err(rejection_to_error)?;
+        let request =
+            InferenceRequest::from_spec(spec, source, window, &format!("project-{project}"));
+        let ticket = server.submit(request).map_err(|rejected| {
+            // refused at the door, the request never ran; refund the unit
+            self.quotas.release(&project.0, 1);
+            rejection_to_error(rejected)
+        })?;
         let completion = server
             .resolve(ticket)
             .ok_or_else(|| PlatformError::JobFailed("serving dropped the request".into()))?;
@@ -689,8 +706,7 @@ impl Api {
         acting: UserId,
         spec: &InferenceSpec,
     ) -> Result<ei_serve::Estimate> {
-        let json = self.download_model(project, acting, spec.model.as_str())?;
-        let source = ModelSource::new(spec.model.clone(), json);
+        let source = self.model_source(project, acting, spec.model.as_str())?;
         let tenant = spec.tenant.clone().unwrap_or_else(|| format!("project-{project}"));
         self.serving().estimate(&tenant, &source, &spec.board, spec.engine, spec.quantized).map_err(
             |e| match e {
@@ -725,11 +741,10 @@ impl Api {
         model: &str,
         mut config: SessionConfig,
     ) -> Result<SessionId> {
-        let json = self.download_model(project, acting, model)?;
+        let source = self.model_source(project, acting, model)?;
         if config.tenant.is_empty() {
             config.tenant = format!("project-{project}");
         }
-        let source = ModelSource::new(model, json);
         let session =
             StreamSession::open(self.serving().clone(), source, config).map_err(stream_to_error)?;
         let id = self.next_stream.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1004,6 +1019,47 @@ mod tests {
     use super::*;
     use ei_data::ingest::to_wav_bytes;
 
+    /// A tiny trained audio model (window 1000 samples, frame stride 64)
+    /// as registry JSON, with the generator its clips come from.
+    fn tiny_kws_model() -> (ei_data::synth::KwsGenerator, String) {
+        let gen = ei_data::synth::KwsGenerator {
+            classes: vec!["yes".into(), "no".into()],
+            sample_rate_hz: 4_000,
+            duration_s: 0.25,
+            noise: 0.02,
+        };
+        let design = ImpulseDesign::new(
+            "live",
+            1_000,
+            ei_dsp::DspConfig::Mfcc(ei_dsp::MfccConfig {
+                frame_s: 0.032,
+                stride_s: 0.016,
+                n_coefficients: 8,
+                n_filters: 16,
+                sample_rate_hz: 4_000,
+            }),
+        )
+        .unwrap();
+        let spec = ei_nn::presets::dense_mlp(design.feature_dims().unwrap(), 2, 8);
+        let config = TrainConfig { epochs: 2, seed: 11, ..TrainConfig::default() };
+        let json = design.train(&spec, &gen.dataset(4, 11), &config).unwrap().to_json().unwrap();
+        (gen, json)
+    }
+
+    /// Attaches a serving layer on a serial pool and a virtual clock,
+    /// which it returns (the server never moves it).
+    fn attach_virtual_serving(api: &Api, config: ServerConfig) -> Arc<ei_faults::VirtualClock> {
+        let clock = ei_faults::VirtualClock::shared();
+        let server = Server::new(
+            config,
+            Arc::clone(&clock) as Arc<dyn ei_faults::Clock>,
+            Arc::new(ei_par::ParPool::new(ei_par::Parallelism::serial())),
+            ei_trace::Tracer::disabled(),
+        );
+        api.attach_serving(Arc::new(server)).unwrap();
+        clock
+    }
+
     #[test]
     fn user_project_lifecycle() {
         let api = Api::new();
@@ -1151,6 +1207,85 @@ mod tests {
     }
 
     #[test]
+    fn model_source_hands_out_the_stored_blob() {
+        let api = Api::new();
+        let u = api.create_user("u");
+        let p = api.create_project("registry", u).unwrap();
+        api.upload_model(p, u, "m", "{\"v\": 1}".to_string()).unwrap();
+        let first = api.model_source(p, u, "m").unwrap();
+        let again = api.model_source(p, u, "m").unwrap();
+        assert!(Arc::ptr_eq(&first.blob, &again.blob), "a lookup clones the Arc, not the bytes");
+        assert_eq!(first.blob.content_hash(), ei_serve::content_hash("{\"v\": 1}"));
+        // a re-upload is a new blob; a request still holding the old one
+        // keeps key and bytes of the version it resolved
+        api.upload_model(p, u, "m", "{\"v\": 2}".to_string()).unwrap();
+        let fresh = api.model_source(p, u, "m").unwrap();
+        assert!(!Arc::ptr_eq(&first.blob, &fresh.blob));
+        assert_ne!(first.blob.content_hash(), fresh.blob.content_hash());
+        assert_eq!(first.blob.json(), "{\"v\": 1}");
+        assert_eq!(api.download_model(p, u, "m").unwrap(), "{\"v\": 2}");
+        assert!(api.model_source(p, u, "missing").is_err());
+    }
+
+    #[test]
+    fn export_bytes_with_models_match_the_string_valued_registry() {
+        // captured from the registry that stored plain `String`s
+        const GOLDEN: &str = concat!(
+            r#"{"users":{"1":{"id":1,"name":"u"}},"orgs":{},"projects":{"2":{"id":2,"#,
+            r#""name":"golden","owner":1,"collaborators":[],"dataset":{"name":"golden","#,
+            r#""samples":{},"test_percent":20,"version":0,"audit_log":[],"next_id":1},"#,
+            r#""impulse":null,"versions":[],"public":false,"tags":[],"models":{"empty":"","#,
+            r#""kws-v1":"{\"w\": [1.5, \"q\\n\"], \"é\": true}"}}},"next_id":2}"#,
+        );
+        let api = Api::with_shards(4);
+        let u = api.create_user("u");
+        let p = api.create_project("golden", u).unwrap();
+        let json = "{\"w\": [1.5, \"q\\n\"], \"é\": true}";
+        api.upload_model(p, u, "kws-v1", json.to_string()).unwrap();
+        api.upload_model(p, u, "empty", String::new()).unwrap();
+        let exported = api.export_json().unwrap();
+        assert_eq!(exported, GOLDEN);
+        // import re-stamps the same content hash and re-exports the bytes
+        let restored = Api::import_json(&exported).unwrap();
+        assert_eq!(restored.export_json().unwrap(), exported);
+        let stamped = restored.model_source(p, u, "kws-v1").unwrap();
+        assert_eq!(stamped.blob.content_hash(), ei_serve::content_hash(json));
+        assert_eq!(stamped.blob.json(), json);
+    }
+
+    #[test]
+    fn refused_classify_refunds_the_project_quota() {
+        let api = Api::new();
+        // one serving token per tenant, never refilled
+        attach_virtual_serving(
+            &api,
+            ServerConfig {
+                quota_capacity: 1,
+                quota_refill_per_sec: 0.0,
+                ..ServerConfig::default()
+            },
+        );
+        let u = api.create_user("u");
+        let p = api.create_project("metered", u).unwrap();
+        api.set_project_quota(p, u, 10).unwrap();
+        let (gen, json) = tiny_kws_model();
+        api.upload_model(p, u, "kws", json).unwrap();
+        let spec = InferenceSpec::new("kws", ei_runtime::EngineKind::EonCompiled);
+        api.classify(p, u, &spec, gen.generate(0, 1)).unwrap();
+        let refused = api.classify(p, u, &spec, gen.generate(0, 2));
+        assert!(matches!(refused, Err(PlatformError::QuotaExceeded { .. })), "{refused:?}");
+        let usage = api.project_quota(p, u).unwrap();
+        assert_eq!(usage.denied, 0, "admission refused the call, not the project ledger");
+        assert_eq!(usage.used, 1, "a request refused at the door must not stay charged");
+        // admitted, then failed: the unit stays charged
+        api.upload_model(p, u, "junk", "not json".to_string()).unwrap();
+        let junk = InferenceSpec::new("junk", ei_runtime::EngineKind::EonCompiled).tenant("other");
+        let failed = api.classify(p, u, &junk, vec![0.0; 8]);
+        assert!(matches!(failed, Err(PlatformError::JobFailed(_))), "{failed:?}");
+        assert_eq!(api.project_quota(p, u).unwrap().used, 2);
+    }
+
+    #[test]
     fn export_import_round_trip() {
         let api = Api::new();
         let u = api.create_user("u");
@@ -1229,14 +1364,7 @@ mod tests {
     #[test]
     fn project_burst_refills_on_the_serving_clock() {
         let api = Api::new();
-        let clock = ei_faults::VirtualClock::shared();
-        let server = Arc::new(Server::new(
-            ServerConfig::default(),
-            Arc::clone(&clock) as Arc<dyn ei_faults::Clock>,
-            Arc::new(ei_par::ParPool::new(ei_par::Parallelism::serial())),
-            ei_trace::Tracer::disabled(),
-        ));
-        api.attach_serving(server).unwrap();
+        let clock = attach_virtual_serving(&api, ServerConfig::default());
         let u = api.create_user("u");
         let outsider = api.create_user("o");
         let p = api.create_project("bursty", u).unwrap();
@@ -1351,37 +1479,10 @@ mod tests {
         let p = api.create_project("live-kws", alice).unwrap();
 
         // deterministic serving stack for the stream to ride on
-        let clock = ei_faults::VirtualClock::shared();
-        let server = Arc::new(Server::new(
-            ServerConfig::default(),
-            clock as Arc<dyn ei_faults::Clock>,
-            Arc::new(ei_par::ParPool::new(ei_par::Parallelism::serial())),
-            ei_trace::Tracer::disabled(),
-        ));
-        api.attach_serving(server).unwrap();
+        attach_virtual_serving(&api, ServerConfig::default());
 
         // train + register a tiny audio model (window 1000, frame stride 64)
-        let gen = ei_data::synth::KwsGenerator {
-            classes: vec!["yes".into(), "no".into()],
-            sample_rate_hz: 4_000,
-            duration_s: 0.25,
-            noise: 0.02,
-        };
-        let design = ImpulseDesign::new(
-            "live",
-            1_000,
-            ei_dsp::DspConfig::Mfcc(ei_dsp::MfccConfig {
-                frame_s: 0.032,
-                stride_s: 0.016,
-                n_coefficients: 8,
-                n_filters: 16,
-                sample_rate_hz: 4_000,
-            }),
-        )
-        .unwrap();
-        let spec = ei_nn::presets::dense_mlp(design.feature_dims().unwrap(), 2, 8);
-        let config = TrainConfig { epochs: 2, seed: 11, ..TrainConfig::default() };
-        let json = design.train(&spec, &gen.dataset(4, 11), &config).unwrap().to_json().unwrap();
+        let (gen, json) = tiny_kws_model();
         api.upload_model(p, alice, "kws", json).unwrap();
 
         // misaligned hop is a BadRequest, not a panic

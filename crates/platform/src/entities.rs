@@ -8,8 +8,11 @@
 
 use ei_core::impulse::ImpulseDesign;
 use ei_data::Dataset;
+use ei_serve::ModelBlob;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident) => {
@@ -95,6 +98,37 @@ pub struct ProjectVersion {
     pub impulse: Option<ImpulseDesign>,
 }
 
+/// One model-registry entry: the uploaded bytes behind a shared
+/// [`ModelBlob`], hashed once when stored and handed to the serving layer
+/// by pointer. Cloning it (project snapshots, registry views) copies the
+/// pointer, not the bytes.
+///
+/// Serializes as the plain JSON string it wraps, so exported platform
+/// state is byte-compatible with the `String`-valued registry; importing
+/// re-stamps the hash. (Written by hand: the vendored serde derive has no
+/// `with`, and the serving crate carries no serde dependency.)
+#[derive(Debug, Clone)]
+pub struct StoredModel(pub Arc<ModelBlob>);
+
+impl StoredModel {
+    /// Wraps (and hashes) uploaded registry bytes.
+    pub fn new(json: String) -> StoredModel {
+        StoredModel(Arc::new(ModelBlob::new(json)))
+    }
+}
+
+impl Serialize for StoredModel {
+    fn to_value(&self) -> Value {
+        Value::String(self.0.json().to_string())
+    }
+}
+
+impl Deserialize for StoredModel {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        String::from_value(value).map(StoredModel::new)
+    }
+}
+
 /// A project: dataset + impulse design + collaboration state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Project {
@@ -118,7 +152,7 @@ pub struct Project {
     pub tags: Vec<String>,
     /// The model registry: trained-impulse JSON artifacts by name.
     #[serde(default)]
-    pub models: BTreeMap<String, String>,
+    pub models: BTreeMap<String, StoredModel>,
 }
 
 impl Project {
@@ -202,5 +236,18 @@ mod tests {
         assert_eq!(serde_json::to_string(&SessionId(9)).unwrap(), "9");
         let s: SessionId = serde_json::from_str("9").unwrap();
         assert_eq!((s, s.0, format!("{s}")), (SessionId(9), 9, "9".into()));
+    }
+
+    #[test]
+    fn stored_model_serializes_as_the_string_it_wraps() {
+        let json = "{\"w\": [1.5, \"q\"]}".to_string();
+        let stored = StoredModel::new(json.clone());
+        assert_eq!(stored.0.content_hash(), ei_serve::content_hash(&json));
+        let encoded = serde_json::to_string(&stored).unwrap();
+        assert_eq!(encoded, serde_json::to_string(&json).unwrap());
+        let decoded: StoredModel = serde_json::from_str(&encoded).unwrap();
+        assert_eq!(decoded.0.json(), json);
+        assert_eq!(decoded.0.content_hash(), stored.0.content_hash());
+        assert!(serde_json::from_str::<StoredModel>("7").is_err());
     }
 }

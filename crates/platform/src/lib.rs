@@ -37,7 +37,7 @@ pub mod registry;
 
 pub use api::{Api, ShardReport};
 pub use entities::{
-    OrgId, Organization, Project, ProjectId, ProjectVersion, SessionId, User, UserId,
+    OrgId, Organization, Project, ProjectId, ProjectVersion, SessionId, StoredModel, User, UserId,
 };
 pub use error::PlatformError;
 pub use jobs::{DeadLetter, JobContext, JobScheduler, JobStatus};

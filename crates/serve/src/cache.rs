@@ -43,6 +43,37 @@ pub fn content_hash(json: &str) -> u64 {
     hash
 }
 
+/// A model's registry JSON together with its [`content_hash`].
+///
+/// The one owner of the bytes: the registry stores an `Arc<ModelBlob>` and
+/// every request for the model carries a clone of that pointer.
+/// [`ModelBlob::new`] is the only constructor and the only pass over the
+/// bytes, so a blob's hash is always the hash of its own JSON — the
+/// artifact cache is shared across tenants and keyed by it.
+#[derive(Debug)]
+pub struct ModelBlob {
+    json: String,
+    content_hash: u64,
+}
+
+impl ModelBlob {
+    /// Takes ownership of `json`, hashing it once.
+    pub fn new(json: String) -> ModelBlob {
+        let content_hash = content_hash(&json);
+        ModelBlob { json, content_hash }
+    }
+
+    /// The registry JSON.
+    pub fn json(&self) -> &str {
+        &self.json
+    }
+
+    /// [`content_hash`] of [`ModelBlob::json`], computed at construction.
+    pub fn content_hash(&self) -> u64 {
+        self.content_hash
+    }
+}
+
 /// Identity of one compiled artifact: what must match for a cache hit.
 ///
 /// Two requests share an entry only when the model *bytes*, the target

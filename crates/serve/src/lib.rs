@@ -35,7 +35,9 @@ pub mod error;
 pub mod request;
 pub mod server;
 
-pub use cache::{content_hash, ArtifactKey, CacheStats, CompiledArtifact, CompiledArtifactCache};
+pub use cache::{
+    content_hash, ArtifactKey, CacheStats, CompiledArtifact, CompiledArtifactCache, ModelBlob,
+};
 pub use ei_shard::TokenBucket;
 pub use error::ServeError;
 pub use request::{

@@ -1,6 +1,6 @@
 //! Request and response types of the serving front-end.
 
-use crate::cache::{content_hash, ArtifactKey};
+use crate::cache::{ArtifactKey, ModelBlob};
 use ei_core::Classification;
 use ei_runtime::EngineKind;
 use std::sync::Arc;
@@ -38,27 +38,30 @@ impl std::fmt::Display for ModelName {
     }
 }
 
-/// A model as the registry stores it: name plus opaque JSON bytes.
+/// A model as the registry stores it: name plus the shared [`ModelBlob`]
+/// that owns its JSON bytes.
 ///
-/// The content hash is computed once at construction; requests carrying
-/// the same bytes share compiled artifacts, while a re-upload of changed
-/// bytes under the same name gets a fresh [`ArtifactKey`] and can never
-/// hit a stale entry.
+/// The content hash is computed once, when the blob is built; requests
+/// carrying the same bytes share compiled artifacts, while a re-upload of
+/// changed bytes under the same name gets a fresh [`ArtifactKey`] and can
+/// never hit a stale entry.
 #[derive(Debug, Clone)]
 pub struct ModelSource {
     /// Registry name (display only — never part of the cache key).
     pub name: ModelName,
-    /// The model's registry JSON, shared without copying.
-    pub json: Arc<String>,
-    /// [`content_hash`] of `json`.
-    pub content_hash: u64,
+    /// The model's bytes and their hash, shared without copying.
+    pub blob: Arc<ModelBlob>,
 }
 
 impl ModelSource {
     /// Wraps registry bytes, stamping their content hash.
     pub fn new(name: impl Into<ModelName>, json: String) -> ModelSource {
-        let content_hash = content_hash(&json);
-        ModelSource { name: name.into(), json: Arc::new(json), content_hash }
+        ModelSource::from_blob(name, Arc::new(ModelBlob::new(json)))
+    }
+
+    /// Names an already-hashed blob: neither copies nor re-reads the bytes.
+    pub fn from_blob(name: impl Into<ModelName>, blob: Arc<ModelBlob>) -> ModelSource {
+        ModelSource { name: name.into(), blob }
     }
 }
 
@@ -203,7 +206,7 @@ impl InferenceRequest {
     /// The cache identity this request resolves to.
     pub fn artifact_key(&self) -> ArtifactKey {
         ArtifactKey {
-            content_hash: self.model.content_hash,
+            content_hash: self.model.blob.content_hash(),
             board: self.board.clone(),
             engine: self.engine,
             quantized: self.quantized,
@@ -287,8 +290,9 @@ mod tests {
         let a = ModelSource::new("kws", "{\"v\":1}".into());
         let b = ModelSource::new("kws-copy", "{\"v\":1}".into());
         let c = ModelSource::new("kws", "{\"v\":2}".into());
-        assert_eq!(a.content_hash, b.content_hash, "names never enter the hash");
-        assert_ne!(a.content_hash, c.content_hash, "content changes change the key");
+        let hash = |m: &ModelSource| m.blob.content_hash();
+        assert_eq!(hash(&a), hash(&b), "names never enter the hash");
+        assert_ne!(hash(&a), hash(&c), "content changes change the key");
     }
 
     #[test]

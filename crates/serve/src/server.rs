@@ -24,6 +24,19 @@
 //!    (deadline propagation), executing every window through one
 //!    [`ParPool::par_map`] call.
 //!
+//! Callers collect with [`Server::resolve`] (one ticket) or
+//! [`Server::drain`] (everything finished so far). Any number of threads
+//! may `submit` + `resolve` on one server: a dispatch pass records the
+//! tickets it takes off a queue until it has completed them, and a
+//! resolver whose ticket another caller's pass holds waits for it. `None`
+//! from `resolve` therefore means an unknown or already-collected ticket,
+//! never a request in flight.
+//!
+//! Model bytes travel by pointer: a request carries an `Arc` of the
+//! registry's [`crate::ModelBlob`], admission reads only its stored hash,
+//! and the JSON itself is read once per cache *miss*, by
+//! [`CompiledArtifact::compile`].
+//!
 //! The server only ever *reads* the injected [`Clock`]: every
 //! [`Completion::latency_ms`], `queued_ms` and deadline is a difference of
 //! `now_ms()` readings and nothing here sleeps or charges service time.
@@ -46,8 +59,8 @@ use ei_par::ParPool;
 use ei_runtime::EngineKind;
 use ei_shard::{ShardKey, TokenBucket};
 use ei_trace::{SpanGuard, Tracer};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Batch-size histogram bucket bounds.
 const BATCH_BOUNDS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
@@ -150,10 +163,38 @@ struct Inner {
     /// Token buckets, held on the owning tenant's shard.
     buckets: Vec<HashMap<String, TokenBucket>>,
     next_ticket: u64,
+    /// Tickets a dispatch pass has taken off a queue and not yet
+    /// completed: inserted under the lock that pops the batch, removed by
+    /// `complete` (or, should the pass unwind, by its [`Dispatching`]
+    /// guard). A resolver whose ticket is here waits for it instead of
+    /// reporting it lost.
+    dispatching: HashSet<u64>,
     completed: Vec<Completion>,
     /// Admitted-but-not-completed requests per tenant, published as the
     /// `serve.inflight` gauge.
     inflight: HashMap<String, u64>,
+}
+
+/// The tickets of one popped batch. Dropped when the batch has run; if
+/// the pass unwound before completing them all, the leftovers leave
+/// `Inner::dispatching` here, so their resolvers get `None` rather than
+/// waiting for a completion that will never come.
+struct Dispatching<'a> {
+    server: &'a Server,
+    tickets: Vec<u64>,
+}
+
+impl Drop for Dispatching<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut inner = self.server.lock_inner();
+            for ticket in &self.tickets {
+                inner.dispatching.remove(ticket);
+            }
+            drop(inner);
+            self.server.completion.notify_all();
+        }
+    }
 }
 
 /// The multi-tenant serving front-end.
@@ -165,6 +206,8 @@ pub struct Server {
     cache: CompiledArtifactCache,
     obs: Option<Arc<Obs>>,
     inner: Mutex<Inner>,
+    /// Paired with `inner`; notified whenever a request completes.
+    completion: Condvar,
 }
 
 impl std::fmt::Debug for Server {
@@ -205,9 +248,11 @@ impl Server {
                 queues: (0..shards).map(|_| VecDeque::new()).collect(),
                 buckets: (0..shards).map(|_| HashMap::new()).collect(),
                 next_ticket: 1,
+                dispatching: HashSet::new(),
                 completed: Vec::new(),
                 inflight: HashMap::new(),
             }),
+            completion: Condvar::new(),
         }
     }
 
@@ -297,6 +342,8 @@ impl Server {
     /// not drain quota), then the tenant's token bucket — and never
     /// compiles or copies model bytes, so a rejection costs nothing and
     /// queue memory stays bounded at `queue_capacity` across shards.
+    /// The ticket stays redeemable through [`Server::resolve`] whichever
+    /// caller's dispatch pass ends up running the request.
     ///
     /// # Errors
     ///
@@ -363,11 +410,25 @@ impl Server {
 
     /// Dispatches the queue, then extracts the completion for `ticket`,
     /// leaving other tenants' completions for their own callers.
+    ///
+    /// Safe to call from many threads at once: when another caller's
+    /// dispatch pass took `ticket` off the queue first, this one waits
+    /// for that pass to complete it. `None` therefore only ever means a
+    /// ticket this server never issued, or one whose completion was
+    /// already collected (by an earlier `resolve` or a [`Server::drain`])
+    /// — never a request in flight.
     pub fn resolve(&self, ticket: u64) -> Option<Completion> {
         self.process_queue();
         let mut inner = self.lock_inner();
-        let pos = inner.completed.iter().position(|c| c.ticket == ticket)?;
-        Some(inner.completed.remove(pos))
+        loop {
+            if let Some(pos) = inner.completed.iter().position(|c| c.ticket == ticket) {
+                return Some(inner.completed.remove(pos));
+            }
+            if !inner.dispatching.contains(&ticket) {
+                return None;
+            }
+            inner = self.completion.wait(inner).unwrap_or_else(|e| e.into_inner());
+        }
     }
 
     /// Estimates on-device cost for a model through the artifact cache
@@ -390,15 +451,14 @@ impl Server {
     ) -> Result<Estimate, ServeError> {
         let board = Board::by_name(board).map_err(|_| ServeError::UnknownBoard(board.into()))?;
         let key = ArtifactKey {
-            content_hash: model.content_hash,
+            content_hash: model.blob.content_hash(),
             board: board.name.clone(),
             engine,
             quantized,
         };
-        let json = Arc::clone(&model.json);
-        let (artifact, hit) = self
-            .cache
-            .get_or_insert_with(tenant, &key, || CompiledArtifact::compile(key.clone(), &json))?;
+        let (artifact, hit) = self.cache.get_or_insert_with(tenant, &key, || {
+            CompiledArtifact::compile(key.clone(), model.blob.json())
+        })?;
         let dsp_cost = artifact.dsp_cost()?;
         let report = Profiler::new(board).profile(Some(dsp_cost), artifact.engine());
         Ok(Estimate {
@@ -439,10 +499,13 @@ impl Server {
                             i += 1;
                         }
                     }
+                    inner.dispatching.extend(batch.iter().map(|p| p.ticket));
                     let depth = inner.queues.iter().map(VecDeque::len).sum::<usize>();
                     self.tracer.quiet_gauge("serve.queue_depth").set(depth as f64);
                     batch
                 };
+                let _taken =
+                    Dispatching { server: self, tickets: batch.iter().map(|p| p.ticket).collect() };
                 self.run_batch(batch);
             }
         }
@@ -473,12 +536,11 @@ impl Server {
             ],
         );
         let key = live[0].key.clone();
-        let json = Arc::clone(&live[0].req.model.json);
         // batches form within one admission shard and share one artifact;
         // the lookup is billed to (and striped by) the oldest member's
         // tenant, the same request that owns the batch span
         let compiled = self.cache.get_or_insert_with(&live[0].req.tenant, &key, || {
-            CompiledArtifact::compile(key.clone(), &json)
+            CompiledArtifact::compile(key.clone(), live[0].req.model.blob.json())
         });
         let (artifact, hit) = match compiled {
             Ok(pair) => pair,
@@ -632,11 +694,13 @@ impl Server {
         drop(p.span);
         let inflight = {
             let mut inner = self.lock_inner();
+            inner.dispatching.remove(&completion.ticket);
             inner.completed.push(completion);
             let count = inner.inflight.entry(p.req.tenant.clone()).or_insert(0);
             *count = count.saturating_sub(1);
             *count
         };
+        self.completion.notify_all();
         self.tracer.quiet_gauge("serve.inflight").labeled(&p.req.tenant).set(inflight as f64);
     }
 }

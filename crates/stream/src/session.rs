@@ -225,7 +225,7 @@ impl StreamSession {
         model: ModelSource,
         config: SessionConfig,
     ) -> Result<StreamSession> {
-        let impulse = TrainedImpulse::from_json(&model.json)
+        let impulse = TrainedImpulse::from_json(model.blob.json())
             .map_err(|e| StreamError::Model(e.to_string()))?;
         let design = impulse.design();
         let dsp_config: DspConfig = design.dsp.clone();

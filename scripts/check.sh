@@ -144,5 +144,6 @@ echo "  ok: no stale .txt outputs"
 
 echo "==> benchmark/ builds against this tree and every workload is correct"
 benchmark/repeat.sh 1 1
+bash -n scripts/ab_bench.sh
 
 echo "==> all checks passed"

@@ -16,14 +16,14 @@ use edgelab::par::{ParPool, Parallelism};
 use edgelab::platform::{Api, PlatformError};
 use edgelab::runtime::EngineKind;
 use edgelab::serve::{
-    ArtifactKey, CompiledArtifact, CompiledArtifactCache, InferenceRequest, InferenceSpec,
-    ModelSource, Outcome, Rejected, Server, ServerConfig,
+    content_hash, ArtifactKey, CompiledArtifact, CompiledArtifactCache, InferenceRequest,
+    InferenceSpec, ModelSource, Outcome, Rejected, Server, ServerConfig,
 };
 use edgelab::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 fn generator() -> KwsGenerator {
@@ -118,7 +118,7 @@ fn cache_hit_is_byte_identical_to_cold_compile() {
 
     // an independent cold compile is the ground truth
     let key = ArtifactKey {
-        content_hash: model.content_hash,
+        content_hash: model.blob.content_hash(),
         board: String::new(),
         engine: EngineKind::EonCompiled,
         quantized: false,
@@ -177,7 +177,7 @@ fn one_entry_cache_never_serves_stale_model_after_reupload() {
         "the re-uploaded model must actually run, not the stale entry"
     );
     let key = ArtifactKey {
-        content_hash: new.content_hash,
+        content_hash: new.blob.content_hash(),
         board: String::new(),
         engine: EngineKind::EonCompiled,
         quantized: false,
@@ -351,7 +351,7 @@ fn zero_max_batch_still_dispatches() {
 fn striped_cache_serves_identical_artifacts_at_1_and_16_stripes() {
     const TENANTS: usize = 12;
     let json = model_json(16, 7);
-    let content = ModelSource::new("kws", json.clone()).content_hash;
+    let content = content_hash(&json);
     // a seeded tenant order with plenty of re-visits
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let accesses: Vec<usize> = (0..240).map(|_| rng.gen_range(0..TENANTS)).collect();
@@ -555,4 +555,133 @@ fn api_classify_and_estimate_run_through_serving() {
         api.classify(project, outsider, &eon_spec, clip).is_err(),
         "access control guards serving too"
     );
+}
+
+/// A serving config that never refuses the racing tests' load.
+fn roomy() -> ServerConfig {
+    ServerConfig { queue_capacity: 1_024, quota_capacity: u32::MAX, ..ServerConfig::default() }
+}
+
+/// Many callers may `submit` + `resolve` on one server at once: a ticket
+/// that another caller's dispatch pass took off the queue is waited for,
+/// never reported lost, and each completion goes to exactly its own
+/// resolver.
+#[test]
+fn racing_resolvers_never_lose_a_ticket() {
+    const THREADS: usize = 4;
+    const REQUESTS: usize = 3_000;
+    let model = ModelSource::new("kws", model_json(16, 7));
+    let clip = generator().generate(0, 3);
+    let (_clock, srv) = server(roomy());
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (srv, model, clip, start) = (&srv, &model, &clip, &start);
+            scope.spawn(move || {
+                let tenant = format!("racer-{t}");
+                start.wait();
+                for i in 0..REQUESTS {
+                    let req = request(&tenant, model, EngineKind::EonCompiled, clip.clone());
+                    let ticket = srv.submit(req).expect("admitted");
+                    let done = srv.resolve(ticket);
+                    let done = done.unwrap_or_else(|| panic!("{tenant} lost ticket {ticket}"));
+                    assert_eq!((done.ticket, done.tenant.as_str()), (ticket, tenant.as_str()));
+                    assert!(
+                        matches!(done.outcome, Outcome::Classified(_)),
+                        "request {i}: {done:?}"
+                    );
+                }
+            });
+        }
+    });
+    assert!(srv.drain().is_empty(), "every completion was collected by its own resolver");
+    assert_eq!(srv.resolve(u64::MAX), None, "a ticket never issued is still None");
+}
+
+/// A clock that panics on every read once armed: the way to make a
+/// dispatch pass unwind after it has taken a batch off the queue.
+#[derive(Default)]
+struct TrippingClock(AtomicBool);
+
+impl Clock for TrippingClock {
+    fn now_ms(&self) -> u64 {
+        assert!(!self.0.load(Ordering::SeqCst), "tripped");
+        0
+    }
+    fn sleep_ms(&self, _ms: u64, _cancel: Option<&CancelToken>) -> bool {
+        false
+    }
+}
+
+/// A dispatch pass that unwinds gives its tickets up: a later `resolve`
+/// reports them gone instead of waiting for a completion nobody will push.
+#[test]
+fn unwound_dispatch_pass_releases_its_tickets() {
+    let model = ModelSource::new("kws", model_json(16, 7));
+    let clock = Arc::new(TrippingClock::default());
+    let pool = Arc::new(ParPool::new(Parallelism::serial()));
+    let srv = Server::new(roomy(), clock.clone() as Arc<dyn Clock>, pool, Tracer::disabled());
+    let req = request("acme", &model, EngineKind::EonCompiled, generator().generate(0, 3));
+    let ticket = srv.submit(req).expect("admitted");
+    clock.0.store(true, Ordering::SeqCst);
+    let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| srv.resolve(ticket)));
+    assert!(pass.is_err(), "the batch read the tripped clock");
+    clock.0.store(false, Ordering::SeqCst);
+    assert_eq!(srv.resolve(ticket), None, "returns, and says the ticket is gone");
+}
+
+/// A model re-uploaded while it is being classified: each request runs
+/// exactly one of the two versions — cache key and bytes always come from
+/// the same stored blob, so no answer mixes them.
+#[test]
+fn reupload_during_classify_serves_one_version_or_the_other() {
+    const CLASSIFIERS: usize = 3;
+    const REQUESTS: usize = 40;
+    let versions = [model_json(16, 7), model_json(24, 8)];
+    let clip = generator().generate(1, 5);
+    let references: Vec<_> = versions
+        .iter()
+        .map(|json| {
+            let key = ArtifactKey {
+                content_hash: content_hash(json),
+                board: String::new(),
+                engine: EngineKind::EonCompiled,
+                quantized: false,
+            };
+            CompiledArtifact::compile(key, json).unwrap().classify(&clip).unwrap()
+        })
+        .collect();
+    assert_ne!(references[0], references[1], "the versions must be told apart");
+
+    let api = Api::new();
+    let owner = api.create_user("owner");
+    let project = api.create_project("churn", owner).unwrap();
+    api.upload_model(project, owner, "kws", versions[0].clone()).unwrap();
+    api.attach_serving(Arc::new(server(roomy()).1)).unwrap();
+    let spec = InferenceSpec::new("kws", EngineKind::EonCompiled);
+
+    // the uploader keeps alternating until the last classifier is done
+    let classifying = AtomicU64::new(CLASSIFIERS as u64);
+    let start = Barrier::new(CLASSIFIERS + 1);
+    std::thread::scope(|scope| {
+        for _ in 0..CLASSIFIERS {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..REQUESTS {
+                    let served = api.classify(project, owner, &spec, clip.clone()).unwrap();
+                    assert!(references.contains(&served), "a mixed-version answer: {served:?}");
+                }
+                classifying.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        scope.spawn(|| {
+            start.wait();
+            for version in versions.iter().cycle().skip(1) {
+                if classifying.load(Ordering::SeqCst) == 0 {
+                    break;
+                }
+                api.upload_model(project, owner, "kws", version.clone()).unwrap();
+            }
+        });
+    });
 }
