@@ -169,7 +169,7 @@ fn dense_mlp_int8(writer: &mut ResultsWriter, reps: usize) -> f64 {
     fill_i8(&mut a, 11);
     fill_i8(&mut b, 12);
     let bias: Vec<i32> = (0..n as i32).map(|j| j * 7 - 512).collect();
-    let a_zp = 3i32;
+    let a_zp = 3i8;
     // a per-column requantize+ReLU of the kind ei-quant's finish() applies
     let epi = |j: usize, acc: i32| {
         let scaled = ((acc as i64 * (1_500_000_000 + j as i64)) >> 40) as i32;

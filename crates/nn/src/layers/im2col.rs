@@ -81,45 +81,6 @@ pub fn im2col_1d<T: Copy>(input: &[T], g: Conv1dGeom, pad: T) -> Vec<T> {
     patches
 }
 
-/// Rows of `(kernel_h * kernel_w)` single-channel taps, one per output
-/// pixel, gathered from channel `ch` of a channels-last input.
-///
-/// A depthwise convolution is `in_c` independent single-channel
-/// convolutions; this is the per-channel patch matrix for one of them,
-/// multiplied against the channel's weight column (see
-/// [`depthwise_weight_col`]). Out-of-bounds taps hold `pad`.
-pub fn im2col_dw_channel<T: Copy>(input: &[T], g: Conv2dGeom, ch: usize, pad: T) -> Vec<T> {
-    let (oh, ow, py, px) = g.output();
-    let c = g.in_c;
-    let window = g.kernel_h * g.kernel_w;
-    let mut patches = vec![pad; oh * ow * window];
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row0 = (oy * ow + ox) * window;
-            for ky in 0..g.kernel_h {
-                let iy = (oy * g.stride + ky) as isize - py as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    continue;
-                }
-                for kx in 0..g.kernel_w {
-                    let ix = (ox * g.stride + kx) as isize - px as isize;
-                    if ix < 0 || ix as usize >= g.in_w {
-                        continue;
-                    }
-                    patches[row0 + ky * g.kernel_w + kx] =
-                        input[((iy as usize) * g.in_w + ix as usize) * c + ch];
-                }
-            }
-        }
-    }
-    patches
-}
-
-/// Channel `ch`'s weight column of a depthwise kernel stored `(kh, kw, c)`.
-pub fn depthwise_weight_col<T: Copy>(weights: &[T], g: Conv2dGeom, ch: usize) -> Vec<T> {
-    (0..g.kernel_h * g.kernel_w).map(|i| weights[i * g.in_c + ch]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,25 +131,5 @@ mod tests {
             Conv1dGeom { in_w: 3, in_c: 1, out_c: 1, kernel: 3, stride: 1, padding: Padding::Same };
         let patches = im2col_1d(&[10i8, 20, 30], g, -128i8);
         assert_eq!(patches, vec![-128, 10, 20, 10, 20, 30, 20, 30, -128]);
-    }
-
-    #[test]
-    fn depthwise_channel_gather() {
-        let g = Conv2dGeom {
-            in_h: 2,
-            in_w: 2,
-            in_c: 2,
-            out_c: 2,
-            kernel_h: 1,
-            kernel_w: 1,
-            stride: 1,
-            padding: Padding::Valid,
-        };
-        // interleaved (h, w, c): ch0 = [1,2,3,4], ch1 = [10,20,30,40]
-        let input = [1.0f32, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0];
-        assert_eq!(im2col_dw_channel(&input, g, 0, 0.0), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(im2col_dw_channel(&input, g, 1, 0.0), vec![10.0, 20.0, 30.0, 40.0]);
-        let w = [0.5f32, -0.5]; // (1,1,2)
-        assert_eq!(depthwise_weight_col(&w, g, 1), vec![-0.5]);
     }
 }

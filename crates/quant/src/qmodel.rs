@@ -11,7 +11,7 @@ use crate::fusion::fold_batch_norm;
 use crate::qparams::{ChannelQuant, FixedMultiplier, QuantParams};
 use crate::{QuantError, Result};
 use ei_nn::layers::conv::{Conv1dGeom, Conv2dGeom};
-use ei_nn::layers::im2col::{depthwise_weight_col, im2col_1d, im2col_2d, im2col_dw_channel};
+use ei_nn::layers::im2col::{im2col_1d, im2col_2d};
 use ei_nn::spec::{Activation, Dims, LayerSpec};
 use ei_nn::Sequential;
 use ei_tensor::gemm::gemm_i8_fused;
@@ -252,12 +252,69 @@ fn out_channels(spec: &LayerSpec, output: Dims) -> usize {
     }
 }
 
-/// Requantizes an int32 accumulator to the output int8 domain, applying the
-/// layer's activation via integer clamping where possible.
-fn requantize(acc: i32, mult: FixedMultiplier, out_q: QuantParams, act: Activation) -> i8 {
-    let v = mult.apply(acc) + out_q.zero_point;
-    let (lo, hi) = activation_bounds(act, out_q);
-    v.clamp(lo, hi) as i8
+/// A layer's requantization to the output int8 domain, resolved once per
+/// layer call: per channel, the [`FixedMultiplier`] as the shift and
+/// rounding terms it implies, plus the activation's clamp bounds.
+///
+/// [`Requantizer::apply`] is [`FixedMultiplier::apply`] followed by the
+/// output zero point and the ReLU-family clamp, bit for bit — except that
+/// the zero-point add saturates: `apply` clamps a huge product to the
+/// `i32` range, and adding the zero point to that used to overflow.
+struct Requantizer {
+    channels: Vec<ChannelScale>,
+    zero_point: i64,
+    /// The clamp bounds minus the zero point: clamping `v` to them and
+    /// then adding the zero point is clamping `v + zp`, with no overflow.
+    lo: i64,
+    hi: i64,
+}
+
+/// One channel's fixed-point multiplier, pre-decoded.
+#[derive(Clone, Copy)]
+struct ChannelScale {
+    /// The mantissa times `2^left`, wrapping: multiplying by it is
+    /// `apply`'s (wrapping) `prod << left`, since wrapping multiplication
+    /// is associative.
+    mantissa: i64,
+    right: u32,
+    /// Added before the right shift to a non-negative product (and
+    /// `round_neg` to a negative one): round half away from zero.
+    round: i64,
+    round_neg: i64,
+}
+
+impl Requantizer {
+    fn new(mults: &[FixedMultiplier], out_q: QuantParams, act: Activation) -> Requantizer {
+        let channels = mults
+            .iter()
+            .map(|m| {
+                // `apply` shifts left by `shift - 31` when that is positive
+                // (no rounding), else right by `31 - shift` with rounding
+                let total = 31 - m.shift;
+                let left = (-total).max(0) as u32;
+                let right = total.max(0) as u32;
+                let round = if right > 0 { 1i64 << (right - 1) } else { 0 };
+                ChannelScale {
+                    mantissa: i64::from(m.mantissa).wrapping_mul(1i64 << left),
+                    right,
+                    round,
+                    round_neg: if right > 0 { round - 1 } else { 0 },
+                }
+            })
+            .collect();
+        let (lo, hi) = activation_bounds(act, out_q);
+        let zp = out_q.zero_point;
+        Requantizer { channels, zero_point: zp.into(), lo: (lo - zp).into(), hi: (hi - zp).into() }
+    }
+
+    /// Requantizes channel `ch`'s accumulator.
+    #[inline]
+    fn apply(&self, ch: usize, acc: i32) -> i8 {
+        let c = self.channels[ch];
+        let prod = i64::from(acc).wrapping_mul(c.mantissa);
+        let round = if prod < 0 { c.round_neg } else { c.round };
+        (((prod + round) >> c.right).clamp(self.lo, self.hi) + self.zero_point) as i8
+    }
 }
 
 /// int8 clamping bounds implementing ReLU-family activations.
@@ -274,22 +331,12 @@ fn activation_bounds(act: Activation, out_q: QuantParams) -> (i32, i32) {
 
 /// Executes one quantized layer.
 fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
-    let act = match &layer.spec {
-        LayerSpec::Dense { activation, .. }
-        | LayerSpec::Conv1d { activation, .. }
-        | LayerSpec::Conv2d { activation, .. }
-        | LayerSpec::Conv2dRect { activation, .. }
-        | LayerSpec::DepthwiseConv2d { activation, .. } => *activation,
-        _ => Activation::None,
-    };
-    // sigmoid/tanh have no integer fast path: fall back to float for them
-    let float_act = matches!(act, Activation::Sigmoid | Activation::Tanh);
+    // activation zero points lie in the int8 range by construction
+    // (`QuantParams::from_range` clamps them)
+    let in_zp = layer.in_q.zero_point as i8;
     match &layer.spec {
-        LayerSpec::Dense { units, .. } => {
-            let w = layer.weights.as_ref().expect("dense has weights");
-            let b = layer.bias.as_ref().expect("dense has bias");
-            let mults = layer.multipliers.as_ref().expect("dense has multipliers");
-            let in_zp = layer.in_q.zero_point;
+        LayerSpec::Dense { units, activation } => {
+            let (w, b) = params(layer);
             let mut out = vec![0i8; *units];
             gemm_i8_fused(
                 1,
@@ -299,12 +346,12 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
                 in_zp,
                 w,
                 b,
-                |j, acc| finish(acc, j, mults, layer, act, float_act),
+                finish(layer, *activation),
                 &mut out,
             );
             Ok(out)
         }
-        LayerSpec::Conv1d { filters, kernel, stride, padding, .. } => {
+        LayerSpec::Conv1d { filters, kernel, stride, padding, activation } => {
             let g = Conv1dGeom {
                 in_w: layer.input.w,
                 in_c: layer.input.c,
@@ -314,13 +361,10 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
                 padding: *padding,
             };
             let (ow, _) = g.output();
-            let w = layer.weights.as_ref().expect("conv1d has weights");
-            let b = layer.bias.as_ref().expect("conv1d has bias");
-            let mults = layer.multipliers.as_ref().expect("conv1d has multipliers");
-            let in_zp = layer.in_q.zero_point;
+            let (w, b) = params(layer);
             // padding taps hold the zero-point code, so `(x - zp) * w == 0`
             // exactly where the naive kernel's bounds check skipped
-            let patches = im2col_1d(input, g, in_zp as i8);
+            let patches = im2col_1d(input, g, in_zp);
             let mut out = vec![0i8; ow * g.out_c];
             gemm_i8_fused(
                 ow,
@@ -330,12 +374,12 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
                 in_zp,
                 w,
                 b,
-                |co, acc| finish(acc, co, mults, layer, act, float_act),
+                finish(layer, *activation),
                 &mut out,
             );
             Ok(out)
         }
-        LayerSpec::Conv2d { filters, kernel, stride, padding, .. } => {
+        LayerSpec::Conv2d { filters, kernel, stride, padding, activation } => {
             let g = Conv2dGeom {
                 in_h: layer.input.h,
                 in_w: layer.input.w,
@@ -346,9 +390,9 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
                 stride: *stride,
                 padding: *padding,
             };
-            run_conv2d_like(layer, input, g, act, float_act, false)
+            Ok(conv2d_q(layer, input, in_zp, g, *activation))
         }
-        LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, .. } => {
+        LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, activation } => {
             let g = Conv2dGeom {
                 in_h: layer.input.h,
                 in_w: layer.input.w,
@@ -359,9 +403,9 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
                 stride: *stride,
                 padding: *padding,
             };
-            run_conv2d_like(layer, input, g, act, float_act, false)
+            Ok(conv2d_q(layer, input, in_zp, g, *activation))
         }
-        LayerSpec::DepthwiseConv2d { kernel, stride, padding, .. } => {
+        LayerSpec::DepthwiseConv2d { kernel, stride, padding, activation } => {
             let g = Conv2dGeom {
                 in_h: layer.input.h,
                 in_w: layer.input.w,
@@ -372,7 +416,7 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
                 stride: *stride,
                 padding: *padding,
             };
-            run_conv2d_like(layer, input, g, act, float_act, true)
+            Ok(depthwise_q(layer, input, in_zp, g, *activation))
         }
         LayerSpec::MaxPool { size } => Ok(maxpool_q(input, layer.input, *size)),
         LayerSpec::AvgPool { size } => Ok(avgpool_q(input, layer.input, *size)),
@@ -408,80 +452,98 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
     }
 }
 
-/// Shared conv2d / depthwise integer kernel: im2col followed by the fused
-/// GEMM, whose epilogue requantizes (and clamps ReLU bounds) straight out
-/// of the register accumulators.
-fn run_conv2d_like(
-    layer: &QLayer,
-    input: &[i8],
-    g: Conv2dGeom,
-    act: Activation,
-    float_act: bool,
-    depthwise: bool,
-) -> Result<Vec<i8>> {
-    let (oh, ow, _, _) = g.output();
-    let w = layer.weights.as_ref().expect("conv has weights");
-    let b = layer.bias.as_ref().expect("conv has bias");
-    let mults = layer.multipliers.as_ref().expect("conv has multipliers");
-    let in_zp = layer.in_q.zero_point;
-    let m = oh * ow;
-    let mut out = vec![0i8; m * g.out_c];
-    if depthwise {
-        // one single-channel GEMV per channel, written back interleaved;
-        // weights are stored `(kh, kw, c)` so each channel's column is a
-        // stride-`c` gather
-        let window = g.kernel_h * g.kernel_w;
-        let mut col = vec![0i8; m];
-        for ch in 0..g.in_c {
-            let patches = im2col_dw_channel(input, g, ch, in_zp as i8);
-            let w_ch = depthwise_weight_col(w, g, ch);
-            gemm_i8_fused(
-                m,
-                window,
-                1,
-                &patches,
-                in_zp,
-                &w_ch,
-                &b[ch..ch + 1],
-                |_, acc| finish(acc, ch, mults, layer, act, float_act),
-                &mut col,
-            );
-            for (pix, &v) in col.iter().enumerate() {
-                out[pix * g.in_c + ch] = v;
-            }
-        }
-    } else {
-        let patches = im2col_2d(input, g, in_zp as i8);
-        gemm_i8_fused(
-            m,
-            g.kernel_h * g.kernel_w * g.in_c,
-            g.out_c,
-            &patches,
-            in_zp,
-            w,
-            b,
-            |co, acc| finish(acc, co, mults, layer, act, float_act),
-            &mut out,
-        );
-    }
-    Ok(out)
+/// A parameterized layer's int8 weights and int32 biases.
+fn params(layer: &QLayer) -> (&[i8], &[i32]) {
+    let w = layer.weights.as_deref().expect("parameterized layer has weights");
+    let b = layer.bias.as_deref().expect("parameterized layer has biases");
+    (w, b)
 }
 
-/// Requantizes an accumulator; for sigmoid/tanh falls back to float.
-fn finish(
-    acc: i32,
-    ch: usize,
-    mults: &[FixedMultiplier],
-    layer: &QLayer,
-    act: Activation,
-    float_act: bool,
-) -> i8 {
-    if float_act {
-        let cq = layer.w_quant.as_ref().expect("parameterized layer");
-        let real = acc as f32 * layer.in_q.scale * cq.scales[ch % cq.len()];
-        layer.out_q.quantize(act.apply(real))
-    } else {
-        requantize(acc, mults[ch % mults.len()], layer.out_q, act)
+/// Conv2d integer kernel: im2col followed by the fused GEMM, whose
+/// epilogue requantizes (and clamps ReLU bounds) each output row as its
+/// accumulators retire.
+fn conv2d_q(layer: &QLayer, input: &[i8], in_zp: i8, g: Conv2dGeom, act: Activation) -> Vec<i8> {
+    let (oh, ow, _, _) = g.output();
+    let (w, b) = params(layer);
+    let patches = im2col_2d(input, g, in_zp);
+    let mut out = vec![0i8; oh * ow * g.out_c];
+    gemm_i8_fused(
+        oh * ow,
+        g.kernel_h * g.kernel_w * g.in_c,
+        g.out_c,
+        &patches,
+        in_zp,
+        w,
+        b,
+        finish(layer, act),
+        &mut out,
+    );
+    out
+}
+
+/// Direct int8 depthwise kernel (no im2col: `kh·kw` taps per channel would
+/// gather more bytes than they feed). Per output pixel one `c`-wide i32
+/// accumulator takes every in-bounds tap as `c` contiguous input codes
+/// times `c` contiguous weights (stored `(kh, kw, c)`), each product an
+/// `i16` exactly as in [`gemm_i8_fused`]. Skipping an out-of-bounds tap is
+/// exact: a zero-point pad would contribute `(zp - zp) * w == 0`.
+fn depthwise_q(layer: &QLayer, input: &[i8], in_zp: i8, g: Conv2dGeom, act: Activation) -> Vec<i8> {
+    let (oh, ow, py, px) = g.output();
+    let c = g.in_c;
+    let (w, bias) = params(layer);
+    let epilogue = finish(layer, act);
+    // widened once per call (`x - zp` and `w`), so the tap loop is a plain
+    // `c`-lane i16 multiply-accumulate
+    let zp = i16::from(in_zp);
+    let xs: Vec<i16> = input.iter().map(|&v| i16::from(v) - zp).collect();
+    let ws: Vec<i16> = w.iter().map(|&v| i16::from(v)).collect();
+    let mut out = vec![0i8; oh * ow * c];
+    let mut acc = vec![0i32; c];
+    for oy in 0..oh {
+        for ox in 0..ow {
+            acc.copy_from_slice(bias);
+            for ky in 0..g.kernel_h {
+                let iy = (oy * g.stride + ky) as isize - py as isize;
+                if iy < 0 || iy as usize >= g.in_h {
+                    continue;
+                }
+                for kx in 0..g.kernel_w {
+                    let ix = (ox * g.stride + kx) as isize - px as isize;
+                    if ix < 0 || ix as usize >= g.in_w {
+                        continue;
+                    }
+                    let src = ((iy as usize) * g.in_w + ix as usize) * c;
+                    let tap = (ky * g.kernel_w + kx) * c;
+                    for (a, (&x, &wv)) in
+                        acc.iter_mut().zip(xs[src..src + c].iter().zip(&ws[tap..tap + c]))
+                    {
+                        *a += i32::from(x * wv);
+                    }
+                }
+            }
+            let base = (oy * ow + ox) * c;
+            for (ch, (o, &v)) in out[base..base + c].iter_mut().zip(&acc).enumerate() {
+                *o = epilogue(ch, v);
+            }
+        }
+    }
+    out
+}
+
+/// A parameterized layer's epilogue: the [`Requantizer`], resolved once
+/// per call; sigmoid/tanh have no integer fast path and fall back to float.
+fn finish(layer: &QLayer, act: Activation) -> impl Fn(usize, i32) -> i8 + '_ {
+    let mults = layer.multipliers.as_deref().expect("parameterized layer has multipliers");
+    let requantizer = Requantizer::new(mults, layer.out_q, act);
+    let float_act = matches!(act, Activation::Sigmoid | Activation::Tanh);
+    move |ch, acc| {
+        if float_act {
+            let cq = layer.w_quant.as_ref().expect("parameterized layer");
+            let real = acc as f32 * layer.in_q.scale * cq.scales[ch % cq.len()];
+            layer.out_q.quantize(act.apply(real))
+        } else {
+            requantizer.apply(ch, acc)
+        }
     }
 }
 
@@ -720,6 +782,52 @@ mod tests {
         let (lo6, hi6) = activation_bounds(Activation::Relu6, q);
         assert_eq!(lo6, q.zero_point);
         assert!(hi6 <= 127);
+    }
+
+    #[test]
+    fn requantizer_is_fixed_multiplier_then_zero_point_then_clamp() {
+        // exact ties (reals 0.5 and 0.25 on odd accumulators), an unshifted
+        // (2e9) and a left-shifting, wrapping (1e12) multiplier, a zero
+        // multiplier and the i32 edges, at both zero-point edges
+        let reals = [0.25f32, 0.5, 0.37, 1.0, 1.7, 3.0e-5, 2.0e9, 1.0e12, 0.0];
+        let mults: Vec<FixedMultiplier> =
+            reals.iter().map(|&r| FixedMultiplier::from_real(r)).collect();
+        let accs = [i32::MIN, -1_000_001, -3, -2, -1, 0, 1, 2, 3, 777, i32::MAX];
+        for out_q in [
+            QuantParams::from_range(-2.0, 2.0),
+            QuantParams::from_range(0.0, 0.0),
+            QuantParams::from_range(-1e-6, 0.0),
+        ] {
+            for act in [Activation::Relu, Activation::Relu6, Activation::None] {
+                let rq = Requantizer::new(&mults, out_q, act);
+                let (lo, hi) = activation_bounds(act, out_q);
+                for (ch, m) in mults.iter().enumerate() {
+                    for acc in accs {
+                        let want = m.apply(acc).saturating_add(out_q.zero_point).clamp(lo, hi);
+                        assert_eq!(
+                            i32::from(rq.apply(ch, acc)),
+                            want,
+                            "{m:?} {acc} {out_q:?} {act:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn requantize_saturates_at_both_zero_point_edges() {
+        // a dead-ReLU layer (calibrated outputs all zero) has zero point
+        // -128 and a multiplier in the thousands, so a strongly negative
+        // accumulator clamps to i32::MIN before the zero point is added
+        let big = [FixedMultiplier::from_real(30_000.0)];
+        let dead = QuantParams::from_range(0.0, 0.0);
+        assert_eq!(dead.zero_point, -128);
+        assert_eq!(Requantizer::new(&big, dead, Activation::Relu).apply(0, -1_000_000), -128);
+        // and the mirror image: zero point 127, i32::MAX
+        let top = QuantParams::from_range(-1e-6, 0.0);
+        assert_eq!(top.zero_point, 127);
+        assert_eq!(Requantizer::new(&big, top, Activation::None).apply(0, 1_000_000), 127);
     }
 
     proptest! {

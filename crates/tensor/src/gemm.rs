@@ -12,7 +12,9 @@
 //!   epilogue (fixed-point multiplier + activation clamp, supplied as a
 //!   closure) runs on the accumulator **while it is still in registers**:
 //!   no int32 intermediate is ever materialized, which is the fusion TFLM
-//!   applies on Cortex-M targets.
+//!   applies on Cortex-M targets. It is not tiled: each output row
+//!   accumulates rows of `B` in `i16` products (see its docs for the range
+//!   argument), which baseline SSE2 multiplies natively.
 //!
 //! # Bitwise parity with the naive oracles
 //!
@@ -231,16 +233,20 @@ pub fn gemm_f32(
 
 /// Fused int8 GEMM: `acc[i][j] = bias[j] + sum_p (a[i*k+p] - a_zp) *
 /// b[p*n+j]`, with `epilogue(j, acc)` — requantization plus activation
-/// clamp — applied to each accumulator before it leaves registers.
+/// clamp — applied to each output row's accumulators as the row retires,
+/// so no `m×n` int32 intermediate ever exists.
 ///
 /// `a` rows are the im2col'd activations (padding positions hold the code
 /// `a_zp`, which contributes exactly zero), `b` is `k×n` row-major int8
 /// weights (output channel fastest, the layout `ei-quant` stores), and
 /// `bias` is the int32 per-column bias at scale `s_in * s_w`.
 ///
+/// Each row accumulates whole rows of `b` into `n` i32 lanes, and every
+/// product is formed in `i16`: `a - a_zp` lies in `[-255, 255]` because
+/// both are `i8`, and `|(a - a_zp) * b| <= 255 * 128 = 32_640`, so the
+/// multiply is SSE2's native 16-bit one and only the sum widens to `i32`.
 /// Integer addition is exact, so the result equals
-/// [`reference::matmul_i8`] + the same epilogue unconditionally; ascending
-/// K order is kept anyway so even wrapping arithmetic would agree.
+/// [`reference::matmul_i8`] + the same epilogue unconditionally.
 ///
 /// # Panics
 ///
@@ -251,7 +257,7 @@ pub fn gemm_i8_fused(
     k: usize,
     n: usize,
     a: &[i8],
-    a_zp: i32,
+    a_zp: i8,
     b: &[i8],
     bias: &[i32],
     epilogue: impl Fn(usize, i32) -> i8,
@@ -264,58 +270,22 @@ pub fn gemm_i8_fused(
     if m == 0 || n == 0 {
         return;
     }
-    if m < MR {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = bias[j];
-                for p in 0..k {
-                    let x = a[i * k + p] as i32 - a_zp;
-                    if x != 0 {
-                        acc += x * b[p * n + j] as i32;
-                    }
-                }
-                out[i * n + j] = epilogue(j, acc);
+    let zp = i16::from(a_zp);
+    // widened once per call: the i8 -> i16 step then stays out of the
+    // inner loop, which is a plain `n`-lane i16 multiply-accumulate
+    let b16: Vec<i16> = b[..k * n].iter().map(|&v| i16::from(v)).collect();
+    let mut acc = vec![0i32; n];
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        acc.copy_from_slice(bias);
+        for (&x, brow) in a[i * k..i * k + k].iter().zip(b16.chunks_exact(n)) {
+            let x = i16::from(x) - zp;
+            for (o, &bv) in acc.iter_mut().zip(brow) {
+                *o += i32::from(x * bv);
             }
         }
-        return;
-    }
-    // One K pass (k fits comfortably: panels are i8), NR-wide B panels,
-    // MR×NR i32 accumulators; the epilogue fires as each tile retires.
-    let mut panel = vec![0i8; k * NR];
-    let mut jr = 0;
-    while jr < n {
-        let nr = NR.min(n - jr);
-        for p in 0..k {
-            let src = p * n + jr;
-            panel[p * nr..p * nr + nr].copy_from_slice(&b[src..src + nr]);
+        for (j, (o, &v)) in orow.iter_mut().zip(&acc).enumerate() {
+            *o = epilogue(j, v);
         }
-        let mut ir = 0;
-        while ir < m {
-            let mr = MR.min(m - ir);
-            let mut acc = [[0i32; NR]; MR];
-            for row in acc.iter_mut().take(mr) {
-                row[..nr].copy_from_slice(&bias[jr..jr + nr]);
-            }
-            for p in 0..k {
-                let bp = &panel[p * nr..p * nr + nr];
-                for (r, row) in acc.iter_mut().enumerate().take(mr) {
-                    let x = a[(ir + r) * k + p] as i32 - a_zp;
-                    if x != 0 {
-                        for (o, &bv) in row[..nr].iter_mut().zip(bp) {
-                            *o += x * bv as i32;
-                        }
-                    }
-                }
-            }
-            for (r, row) in acc.iter().enumerate().take(mr) {
-                let orow = &mut out[(ir + r) * n + jr..(ir + r) * n + jr + nr];
-                for (o, (j, &v)) in orow.iter_mut().zip(row[..nr].iter().enumerate()) {
-                    *o = epilogue(jr + j, v);
-                }
-            }
-            ir += MR;
-        }
-        jr += NR;
     }
 }
 
@@ -371,7 +341,7 @@ pub mod reference {
         k: usize,
         n: usize,
         a: &[i8],
-        a_zp: i32,
+        a_zp: i8,
         b: &[i8],
         bias: &[i32],
     ) -> Vec<i32> {
@@ -383,7 +353,7 @@ pub mod reference {
             for j in 0..n {
                 let mut acc = bias[j];
                 for p in 0..k {
-                    acc += (a[i * k + p] as i32 - a_zp) * b[p * n + j] as i32;
+                    acc += (a[i * k + p] as i32 - a_zp as i32) * b[p * n + j] as i32;
                 }
                 out[i * n + j] = acc;
             }

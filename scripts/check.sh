@@ -67,11 +67,11 @@ if [ -f results/kernels.json ]; then
     exit 1
   fi
   awk -F'"speedup_vs_naive":' '
-    /"shape":"dense_mlp","kernel":"blocked"/ {
+    /"shape":"dense_mlp","kernel":"blocked"|"shape":"dense_mlp_int8","kernel":"blocked_fused"/ {
       split($2, a, ","); if (a[1] + 0 < 2.0) { bad = 1 }
     }
     END { exit bad }' results/kernels.json || {
-      echo "dense_mlp blocked speedup dropped below 2x" >&2
+      echo "dense_mlp blocked or dense_mlp_int8 blocked_fused speedup dropped below 2x" >&2
       exit 1
     }
   awk -F'"speedup_vs_naive":' '

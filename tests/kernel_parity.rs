@@ -96,23 +96,29 @@ fn blocked_gemm_matches_reference_on_odd_shapes() {
 
 #[test]
 fn fused_int8_gemm_matches_two_pass_reference() {
-    for &(m, k, n) in &[(1, 9, 5), (3, 64, 7), (MR + 2, KC + 3, NR + 5), (33, 127, 31)] {
-        let a = data_i8(m * k, 3);
-        let b = data_i8(k * n, 4);
-        let bias: Vec<i32> = (0..n as i32).map(|j| j * 31 - 400).collect();
-        let a_zp = -7;
-        let epi = |j: usize, acc: i32| {
-            let scaled = ((acc as i64 * (1_100_000_000 + j as i64)) >> 38) as i32;
-            scaled.clamp(-128, 127) as i8
-        };
-        let want: Vec<i8> = reference::matmul_i8(m, k, n, &a, a_zp, &b, &bias)
-            .iter()
-            .enumerate()
-            .map(|(i, &acc)| epi(i % n, acc))
-            .collect();
-        let mut got = vec![0i8; m * n];
-        gemm_i8_fused(m, k, n, &a, a_zp, &b, &bias, epi, &mut got);
-        assert_eq!(want, got, "shape ({m},{k},{n})");
+    // zero points at both int8 edges, and a weight column of -128, reach
+    // the i16 product bound |(a - a_zp) * b| = 255 * 128
+    for a_zp in [-7, -128, 127] {
+        for &(m, k, n) in &[(1, 9, 5), (3, 64, 7), (MR + 2, KC + 3, NR + 5), (33, 127, 31)] {
+            let a = data_i8(m * k, 3);
+            let mut b = data_i8(k * n, 4);
+            for row in b.chunks_mut(n) {
+                row[n - 1] = i8::MIN;
+            }
+            let bias: Vec<i32> = (0..n as i32).map(|j| j * 31 - 400).collect();
+            let epi = |j: usize, acc: i32| {
+                let scaled = ((acc as i64 * (1_100_000_000 + j as i64)) >> 38) as i32;
+                scaled.clamp(-128, 127) as i8
+            };
+            let want: Vec<i8> = reference::matmul_i8(m, k, n, &a, a_zp, &b, &bias)
+                .iter()
+                .enumerate()
+                .map(|(i, &acc)| epi(i % n, acc))
+                .collect();
+            let mut got = vec![0i8; m * n];
+            gemm_i8_fused(m, k, n, &a, a_zp, &b, &bias, epi, &mut got);
+            assert_eq!(want, got, "shape ({m},{k},{n})");
+        }
     }
 }
 
