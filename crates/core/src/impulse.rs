@@ -744,6 +744,20 @@ mod tests {
     }
 
     #[test]
+    fn from_json_refuses_an_oversized_dsp_frame_without_allocating_it() {
+        let dataset = small_generator().dataset(4, 1);
+        let design = small_design();
+        let spec = presets::dense_mlp(design.feature_dims().unwrap(), 2, 8);
+        let json = design.train(&spec, &dataset, &quick_config()).unwrap().to_json().unwrap();
+        // a 10^6 s frame at 4 kHz would plan a 2^32-point FFT and a Mel
+        // bank of 2^31 bins per filter
+        let hostile = json.replacen("\"frame_s\":0.032", "\"frame_s\":1000000.0", 1);
+        assert_ne!(hostile, json, "the design's frame length is in the payload");
+        let err = TrainedImpulse::from_json(&hostile).unwrap_err();
+        assert!(err.to_string().contains("maximum"), "{err}");
+    }
+
+    #[test]
     fn transfer_learning_reuses_the_body() {
         let gen = small_generator();
         let base_dataset = gen.dataset(15, 4);

@@ -171,6 +171,29 @@ mod tests {
     }
 
     #[test]
+    fn oversized_frames_and_ffts_are_errors_not_allocations() {
+        let hostile = [
+            // 1.6e10-sample frames: a 2^34-point FFT and 2^33 bins per filter
+            DspConfig::Mfcc(MfccConfig { frame_s: 1e6, ..MfccConfig::default() }),
+            DspConfig::Mfe(MfeConfig { frame_s: 1e6, ..MfeConfig::default() }),
+            // the frame length saturates usize
+            DspConfig::Mfe(MfeConfig { frame_s: 1e30, ..MfeConfig::default() }),
+            DspConfig::Spectrogram(SpectrogramConfig {
+                fft_len: 1 << 40,
+                ..SpectrogramConfig::default()
+            }),
+            DspConfig::Spectrogram(SpectrogramConfig {
+                frame_s: 1e6,
+                ..SpectrogramConfig::default()
+            }),
+            DspConfig::Spectral(SpectralConfig { fft_len: 1 << 40, ..SpectralConfig::default() }),
+        ];
+        for cfg in hostile {
+            assert!(cfg.build().is_err(), "{cfg:?} must be refused");
+        }
+    }
+
+    #[test]
     fn summary_uses_table3_notation() {
         let cfg = DspConfig::Mfcc(MfccConfig { n_coefficients: 40, ..MfccConfig::default() });
         assert_eq!(cfg.summary(), "MFCC (0.02, 0.01, 40)");

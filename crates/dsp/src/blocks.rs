@@ -1,14 +1,77 @@
 //! Concrete processing blocks: MFE, MFCC, spectral analysis, image, raw.
 
 use crate::block::{DspBlock, DspConfig, DspCost};
-use crate::fft::{fft_flops, next_power_of_two, power_spectrum};
-use crate::mel::{dct2, MelFilterbank};
-use crate::window::{windowed_frames, Framing, WindowKind};
+use crate::fft::{fft_flops, FftPlan, FftScratch};
+use crate::mel::{Dct2, MelFilterbank};
+use crate::window::{apply_window, Framing, WindowKind};
 use crate::{DspError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Floor applied before `ln` so silent frames stay finite.
 const LOG_FLOOR: f32 = 1e-10;
+
+/// `ln` of an energy clamped to `[LOG_FLOOR, f32::MAX]`: silence stays at
+/// the floor, a NaN reads as the floor, and an infinite (saturated) energy
+/// reads loud at `ln f32::MAX` ≈ 88.72 instead of non-finite.
+#[allow(clippy::manual_clamp)] // `clamp` would pass a NaN through
+fn log_clamped(e: f32) -> f32 {
+    e.max(LOG_FLOOR).min(f32::MAX).ln()
+}
+
+/// What a framed audio block plans once in `new`: its frame layout, the
+/// Hann table every frame is multiplied by, and the FFT plan.
+#[derive(Debug, Clone)]
+struct FramePlan {
+    framing: Framing,
+    window: Vec<f32>,
+    fft: FftPlan,
+}
+
+impl FramePlan {
+    /// Plans the FFT first, so an oversized frame or FFT is refused before
+    /// the window table is allocated.
+    fn new(framing: Framing, fft_len: usize) -> Result<FramePlan> {
+        let fft = FftPlan::new(fft_len)?;
+        if fft_len < framing.frame_len {
+            return Err(DspError::InvalidConfig(format!(
+                "fft length {fft_len} shorter than the {}-sample frame",
+                framing.frame_len
+            )));
+        }
+        Ok(FramePlan { framing, window: WindowKind::Hann.coefficients(framing.frame_len), fft })
+    }
+
+    fn check_frame(&self, windowed: &[f32]) -> Result<()> {
+        if windowed.len() != self.framing.frame_len {
+            return Err(DspError::InputLengthMismatch {
+                expected: self.framing.frame_len,
+                actual: windowed.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Windows every frame of `input`, in order, into one reused buffer
+    /// and hands it to `column`.
+    fn each_frame(&self, input: &[f32], mut column: impl FnMut(&[f32])) -> Result<()> {
+        let frame_len = self.framing.frame_len;
+        if self.framing.frame_count(input.len()) == 0 {
+            return Err(DspError::InputTooShort { required: frame_len, actual: input.len() });
+        }
+        let mut windowed = vec![0.0; frame_len];
+        for start in self.framing.offsets(input.len()) {
+            apply_window(&input[start..start + frame_len], &self.window, &mut windowed);
+            column(&windowed);
+        }
+        Ok(())
+    }
+}
+
+/// Working buffers of an MFE column: the FFT's and the filter energies.
+struct MfeScratch {
+    fft: FftScratch,
+    energies: Vec<f32>,
+}
 
 // ---------------------------------------------------------------------------
 // MFE
@@ -51,7 +114,7 @@ impl Default for MfeConfig {
 #[derive(Debug, Clone)]
 pub struct MfeBlock {
     config: MfeConfig,
-    framing: Framing,
+    plan: FramePlan,
     fft_len: usize,
     filterbank: MelFilterbank,
 }
@@ -61,12 +124,14 @@ impl MfeBlock {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidConfig`] for zero-length frames, inverted
-    /// frequency ranges, or filter counts that exceed the spectrum size.
+    /// Returns [`DspError::InvalidConfig`] for zero-length frames, frames
+    /// longer than [`crate::fft::MAX_FFT_LEN`], inverted frequency ranges,
+    /// or filter counts that exceed the spectrum size.
     pub fn new(config: MfeConfig) -> Result<MfeBlock> {
         let framing =
             Framing::from_seconds(config.frame_s, config.stride_s, config.sample_rate_hz)?;
-        let fft_len = next_power_of_two(framing.frame_len);
+        let fft_len = framing.frame_len.checked_next_power_of_two().unwrap_or(usize::MAX);
+        let plan = FramePlan::new(framing, fft_len)?;
         let high =
             if config.high_hz <= 0.0 { config.sample_rate_hz as f32 / 2.0 } else { config.high_hz };
         let filterbank = MelFilterbank::new(
@@ -76,17 +141,22 @@ impl MfeBlock {
             config.low_hz,
             high,
         )?;
-        Ok(MfeBlock { config, framing, fft_len, filterbank })
+        Ok(MfeBlock { config, plan, fft_len, filterbank })
     }
 
     /// Number of frames extracted from `input_len` samples.
     pub fn frames(&self, input_len: usize) -> usize {
-        self.framing.frame_count(input_len)
+        self.plan.framing.frame_count(input_len)
     }
 
     /// The frame layout this block cuts its input into.
     pub fn framing(&self) -> Framing {
-        self.framing
+        self.plan.framing
+    }
+
+    /// The Hann taper each frame is multiplied by before the FFT.
+    pub(crate) fn window(&self) -> &[f32] {
+        &self.plan.window
     }
 
     /// Features produced per frame (one Mel filter each).
@@ -96,26 +166,37 @@ impl MfeBlock {
 
     /// One feature column from an already-windowed frame.
     ///
-    /// This is the single per-frame pipeline (power FFT → Mel filterbank →
-    /// log) shared by batch [`DspBlock::process`] and the incremental
-    /// [`crate::streaming::StreamingExtractor`], which is what makes
-    /// streaming features bitwise-equal to batch recomputation: both paths
-    /// run the very same instructions on the very same windowed samples.
+    /// This runs the block's single per-frame routine (power FFT → Mel
+    /// filterbank → log), the one batch [`DspBlock::process`] loops over
+    /// and the incremental [`crate::streaming::StreamingExtractor`] reaches
+    /// through here, which is what makes streaming features bitwise-equal
+    /// to batch recomputation: both paths run the very same instructions
+    /// on the very same windowed samples.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
     /// exactly one frame long.
     pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        if windowed.len() != self.framing.frame_len {
-            return Err(DspError::InputLengthMismatch {
-                expected: self.framing.frame_len,
-                actual: windowed.len(),
-            });
+        self.plan.check_frame(windowed)?;
+        let mut scratch = self.scratch();
+        self.log_energies(windowed, &mut scratch);
+        Ok(scratch.energies)
+    }
+
+    fn scratch(&self) -> MfeScratch {
+        MfeScratch { fft: self.plan.fft.scratch(), energies: vec![0.0; self.config.n_filters] }
+    }
+
+    /// The per-frame pipeline behind [`MfeBlock::frame_column`] and
+    /// `process`: power FFT → Mel filterbank → clamped log, left in
+    /// `scratch.energies`.
+    fn log_energies(&self, windowed: &[f32], scratch: &mut MfeScratch) {
+        let power = self.plan.fft.power(windowed, &mut scratch.fft);
+        self.filterbank.apply_into(power, &mut scratch.energies);
+        for e in &mut scratch.energies {
+            *e = log_clamped(*e);
         }
-        let power = power_spectrum(windowed, self.fft_len)?;
-        let energies = self.filterbank.apply(&power)?;
-        Ok(energies.iter().map(|&e| (e.max(LOG_FLOOR)).ln()).collect())
     }
 }
 
@@ -128,7 +209,7 @@ impl DspBlock for MfeBlock {
         let frames = self.frames(input_len);
         if frames == 0 {
             return Err(DspError::InputTooShort {
-                required: self.framing.frame_len,
+                required: self.plan.framing.frame_len,
                 actual: input_len,
             });
         }
@@ -141,11 +222,12 @@ impl DspBlock for MfeBlock {
     }
 
     fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let frames = windowed_frames(input, self.framing, WindowKind::Hann)?;
-        let mut out = Vec::with_capacity(frames.len() * self.config.n_filters);
-        for frame in &frames {
-            out.extend(self.frame_column(frame)?);
-        }
+        let mut out = Vec::with_capacity(self.frames(input.len()) * self.config.n_filters);
+        let mut scratch = self.scratch();
+        self.plan.each_frame(input, |windowed| {
+            self.log_energies(windowed, &mut scratch);
+            out.extend_from_slice(&scratch.energies);
+        })?;
         Ok(out)
     }
 
@@ -153,18 +235,18 @@ impl DspBlock for MfeBlock {
         let frames = self.frames(input_len) as u64;
         if frames == 0 {
             return Err(DspError::InputTooShort {
-                required: self.framing.frame_len,
+                required: self.plan.framing.frame_len,
                 actual: input_len,
             });
         }
-        let per_frame = self.framing.frame_len as u64      // windowing
+        let per_frame = self.plan.framing.frame_len as u64 // windowing
             + fft_flops(self.fft_len)                      // fft
             + (self.fft_len as u64 / 2 + 1) * 3            // power spectrum
             + self.filterbank.macs() * 2                   // filterbank
             + self.config.n_filters as u64 * 8; // log
         let scratch = self.fft_len * 8          // complex fft buffer
             + (self.fft_len / 2 + 1) * 4        // power spectrum
-            + self.framing.frame_len * 4; // windowed frame
+            + self.plan.framing.frame_len * 4; // windowed frame
         Ok(DspCost {
             flops: frames * per_frame,
             scratch_bytes: scratch,
@@ -207,7 +289,7 @@ impl Default for SpectrogramConfig {
 #[derive(Debug, Clone)]
 pub struct SpectrogramBlock {
     config: SpectrogramConfig,
-    framing: Framing,
+    plan: FramePlan,
 }
 
 impl SpectrogramBlock {
@@ -215,22 +297,15 @@ impl SpectrogramBlock {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidConfig`] for invalid framing or an FFT
-    /// shorter than the frame, and [`DspError::FftLengthNotPowerOfTwo`]
-    /// for a non-power-of-two FFT length.
+    /// Returns [`DspError::InvalidConfig`] for invalid framing, an FFT
+    /// shorter than the frame or longer than [`crate::fft::MAX_FFT_LEN`],
+    /// and [`DspError::FftLengthNotPowerOfTwo`] for a non-power-of-two FFT
+    /// length.
     pub fn new(config: SpectrogramConfig) -> Result<SpectrogramBlock> {
         let framing =
             Framing::from_seconds(config.frame_s, config.stride_s, config.sample_rate_hz)?;
-        if !config.fft_len.is_power_of_two() || config.fft_len == 0 {
-            return Err(DspError::FftLengthNotPowerOfTwo(config.fft_len));
-        }
-        if config.fft_len < framing.frame_len {
-            return Err(DspError::InvalidConfig(format!(
-                "fft length {} shorter than the {}-sample frame",
-                config.fft_len, framing.frame_len
-            )));
-        }
-        Ok(SpectrogramBlock { config, framing })
+        let plan = FramePlan::new(framing, config.fft_len)?;
+        Ok(SpectrogramBlock { config, plan })
     }
 
     /// Frequency bins per frame.
@@ -240,12 +315,17 @@ impl SpectrogramBlock {
 
     /// Number of frames extracted from `input_len` samples.
     pub fn frames(&self, input_len: usize) -> usize {
-        self.framing.frame_count(input_len)
+        self.plan.framing.frame_count(input_len)
     }
 
     /// The frame layout this block cuts its input into.
     pub fn framing(&self) -> Framing {
-        self.framing
+        self.plan.framing
+    }
+
+    /// The Hann taper each frame is multiplied by before the FFT.
+    pub(crate) fn window(&self) -> &[f32] {
+        &self.plan.window
     }
 
     /// One feature column (log-power bins) from an already-windowed frame;
@@ -257,14 +337,16 @@ impl SpectrogramBlock {
     /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
     /// exactly one frame long.
     pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        if windowed.len() != self.framing.frame_len {
-            return Err(DspError::InputLengthMismatch {
-                expected: self.framing.frame_len,
-                actual: windowed.len(),
-            });
-        }
-        let power = power_spectrum(windowed, self.config.fft_len)?;
-        Ok(power.iter().map(|&p| (p.max(LOG_FLOOR)).ln()).collect())
+        self.plan.check_frame(windowed)?;
+        let mut column = Vec::with_capacity(self.bins());
+        self.log_power(windowed, &mut self.plan.fft.scratch(), &mut column);
+        Ok(column)
+    }
+
+    /// The per-frame pipeline behind [`SpectrogramBlock::frame_column`] and
+    /// `process`: power FFT → clamped log, appended to `out`.
+    fn log_power(&self, windowed: &[f32], scratch: &mut FftScratch, out: &mut Vec<f32>) {
+        out.extend(self.plan.fft.power(windowed, scratch).iter().map(|&p| log_clamped(p)));
     }
 }
 
@@ -277,7 +359,7 @@ impl DspBlock for SpectrogramBlock {
         let frames = self.frames(input_len);
         if frames == 0 {
             return Err(DspError::InputTooShort {
-                required: self.framing.frame_len,
+                required: self.plan.framing.frame_len,
                 actual: input_len,
             });
         }
@@ -290,11 +372,9 @@ impl DspBlock for SpectrogramBlock {
     }
 
     fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let frames = windowed_frames(input, self.framing, WindowKind::Hann)?;
-        let mut out = Vec::with_capacity(frames.len() * self.bins());
-        for frame in &frames {
-            out.extend(self.frame_column(frame)?);
-        }
+        let mut out = Vec::with_capacity(self.frames(input.len()) * self.bins());
+        let mut scratch = self.plan.fft.scratch();
+        self.plan.each_frame(input, |windowed| self.log_power(windowed, &mut scratch, &mut out))?;
         Ok(out)
     }
 
@@ -302,16 +382,16 @@ impl DspBlock for SpectrogramBlock {
         let frames = self.frames(input_len) as u64;
         if frames == 0 {
             return Err(DspError::InputTooShort {
-                required: self.framing.frame_len,
+                required: self.plan.framing.frame_len,
                 actual: input_len,
             });
         }
-        let per_frame = self.framing.frame_len as u64
+        let per_frame = self.plan.framing.frame_len as u64
             + fft_flops(self.config.fft_len)
             + self.bins() as u64 * 11; // power + log
         Ok(DspCost {
             flops: frames * per_frame,
-            scratch_bytes: self.config.fft_len * 8 + self.framing.frame_len * 4,
+            scratch_bytes: self.config.fft_len * 8 + self.plan.framing.frame_len * 4,
             output_features: frames as usize * self.bins(),
         })
     }
@@ -359,6 +439,7 @@ impl Default for MfccConfig {
 pub struct MfccBlock {
     config: MfccConfig,
     mfe: MfeBlock,
+    dct: Dct2,
 }
 
 impl MfccBlock {
@@ -383,12 +464,18 @@ impl MfccBlock {
             low_hz: 20.0,
             high_hz: 0.0,
         })?;
-        Ok(MfccBlock { config, mfe })
+        let dct = Dct2::new(config.n_filters, config.n_coefficients);
+        Ok(MfccBlock { config, mfe, dct })
     }
 
     /// The frame layout this block cuts its input into.
     pub fn framing(&self) -> Framing {
         self.mfe.framing()
+    }
+
+    /// The Hann taper each frame is multiplied by before the FFT.
+    pub(crate) fn window(&self) -> &[f32] {
+        self.mfe.window()
     }
 
     /// Cepstral coefficients produced per frame.
@@ -407,7 +494,7 @@ impl MfccBlock {
     /// exactly one frame long.
     pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
         let log_energies = self.mfe.frame_column(windowed)?;
-        Ok(dct2(&log_energies, self.config.n_coefficients))
+        Ok(self.dct.apply(&log_energies))
     }
 }
 
@@ -427,13 +514,12 @@ impl DspBlock for MfccBlock {
     }
 
     fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let log_energies = self.mfe.process(input)?;
-        let n_filters = self.config.n_filters;
-        let mut out =
-            Vec::with_capacity(log_energies.len() / n_filters * self.config.n_coefficients);
-        for frame in log_energies.chunks(n_filters) {
-            out.extend(dct2(frame, self.config.n_coefficients));
-        }
+        let mut out = Vec::with_capacity(self.mfe.frames(input.len()) * self.config.n_coefficients);
+        let mut scratch = self.mfe.scratch();
+        self.mfe.plan.each_frame(input, |windowed| {
+            self.mfe.log_energies(windowed, &mut scratch);
+            self.dct.apply_into(&scratch.energies, &mut out);
+        })?;
         Ok(out)
     }
 
@@ -484,6 +570,7 @@ impl Default for SpectralConfig {
 #[derive(Debug, Clone)]
 pub struct SpectralBlock {
     config: SpectralConfig,
+    fft: FftPlan,
 }
 
 impl SpectralBlock {
@@ -491,15 +578,15 @@ impl SpectralBlock {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidConfig`] for a zero axis count, a
-    /// non-power-of-two FFT length, or more buckets than spectrum bins.
+    /// Returns [`DspError::InvalidConfig`] for a zero axis count, an FFT
+    /// longer than [`crate::fft::MAX_FFT_LEN`] or more buckets than
+    /// spectrum bins, and [`DspError::FftLengthNotPowerOfTwo`] for a
+    /// non-power-of-two FFT length.
     pub fn new(config: SpectralConfig) -> Result<SpectralBlock> {
         if config.axes == 0 {
             return Err(DspError::InvalidConfig("axes must be non-zero".into()));
         }
-        if !config.fft_len.is_power_of_two() {
-            return Err(DspError::FftLengthNotPowerOfTwo(config.fft_len));
-        }
+        let fft = FftPlan::new(config.fft_len)?;
         if config.n_buckets == 0 || config.n_buckets > config.fft_len / 2 {
             return Err(DspError::InvalidConfig(format!(
                 "n_buckets {} must be in 1..={}",
@@ -507,7 +594,7 @@ impl SpectralBlock {
                 config.fft_len / 2
             )));
         }
-        Ok(SpectralBlock { config })
+        Ok(SpectralBlock { config, fft })
     }
 
     /// Features per axis: 3 statistics + `n_buckets` power buckets.
@@ -541,8 +628,11 @@ impl DspBlock for SpectralBlock {
         let axes = self.config.axes;
         let per_axis = input.len() / axes;
         let mut out = Vec::with_capacity(self.output_len(input.len())?);
+        let mut series = Vec::with_capacity(per_axis);
+        let mut scratch = self.fft.scratch();
         for axis in 0..axes {
-            let series: Vec<f32> = (0..per_axis).map(|i| input[i * axes + axis]).collect();
+            series.clear();
+            series.extend(input.iter().skip(axis).step_by(axes));
             let mean = series.iter().sum::<f32>() / per_axis as f32;
             let var = series.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / per_axis as f32;
             let rms = (series.iter().map(|x| x * x).sum::<f32>() / per_axis as f32).sqrt();
@@ -551,7 +641,7 @@ impl DspBlock for SpectralBlock {
             out.push(var.sqrt());
             // bucketed power spectrum over (up to) the first fft_len samples
             let take = per_axis.min(self.config.fft_len);
-            let power = power_spectrum(&series[..take], self.config.fft_len)?;
+            let power = self.fft.power(&series[..take], &mut scratch);
             let bins = power.len() - 1; // skip DC mirror bookkeeping; use 1..=bins
             let per_bucket = (bins / self.config.n_buckets).max(1);
             for b in 0..self.config.n_buckets {
@@ -562,7 +652,7 @@ impl DspBlock for SpectralBlock {
                     1 + (b + 1) * per_bucket
                 };
                 let sum: f32 = power[lo.min(power.len())..hi.min(power.len())].iter().sum();
-                out.push((sum.max(LOG_FLOOR)).ln());
+                out.push(log_clamped(sum));
             }
         }
         Ok(out)
@@ -835,6 +925,31 @@ mod tests {
         let block = MfeBlock::new(MfeConfig::default()).unwrap();
         let features = block.process(&vec![0.0; 16_000]).unwrap();
         assert!(features.iter().all(|&f| (f - LOG_FLOOR.ln()).abs() < 1e-3));
+    }
+
+    #[test]
+    fn saturated_frames_read_loud_not_silent() {
+        // ±1e20 at Nyquist: the top power bins square past f32::MAX to inf
+        let loud: Vec<f32> = (0..16_000).map(|i| if i % 2 == 0 { 1e20 } else { -1e20 }).collect();
+        let top = f32::MAX.ln();
+        let mfe = MfeBlock::new(MfeConfig::default()).unwrap();
+        let features = mfe.process(&loud).unwrap();
+        assert!(features.iter().all(|f| f.is_finite()));
+        assert!(features.iter().all(|&f| f > 0.0), "no filter reads as silence");
+        for frame in features.chunks(40) {
+            assert_eq!(frame[39], top, "the filter over Nyquist saturates at ln f32::MAX");
+        }
+        let spectrogram = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
+        let bins = spectrogram.process(&loud).unwrap();
+        assert!(bins.iter().all(|b| b.is_finite()));
+        assert!(bins.chunks(257).all(|frame| frame[256] == top));
+        let mfcc = MfccBlock::new(MfccConfig::default()).unwrap();
+        assert!(mfcc.process(&loud).unwrap().iter().all(|c| c.is_finite()));
+        // finite energies are untouched by the clamp
+        assert_eq!(log_clamped(2.5), 2.5f32.ln());
+        assert_eq!(log_clamped(0.0), LOG_FLOOR.ln());
+        assert_eq!(log_clamped(f32::NAN), LOG_FLOOR.ln());
+        assert_eq!(log_clamped(f32::INFINITY), top);
     }
 
     #[test]

@@ -13,10 +13,16 @@ pub fn mel_to_hz(mel: f32) -> f32 {
 }
 
 /// A bank of triangular Mel filters over FFT power-spectrum bins.
+///
+/// Each filter keeps only its non-zero support: a triangle spans a few
+/// bins of the spectrum, so a dense `n_filters × n_bins` row set is almost
+/// all zeros (40 × 257 weights, ≈ 510 of them non-zero, for the 16 kHz
+/// defaults).
 #[derive(Debug, Clone)]
 pub struct MelFilterbank {
-    /// `filters[f][bin]` — weight of power bin `bin` in filter `f`.
-    filters: Vec<Vec<f32>>,
+    /// Per filter: the first power bin it weighs and its weights from that
+    /// bin on, in bin order.
+    filters: Vec<(usize, Vec<f32>)>,
     n_bins: usize,
 }
 
@@ -47,7 +53,7 @@ impl MelFilterbank {
             )));
         }
         let n_bins = fft_len / 2 + 1;
-        if n_filters + 2 > n_bins {
+        if n_filters > n_bins.saturating_sub(2) {
             return Err(DspError::InvalidConfig(format!(
                 "{n_filters} filters need more than {n_bins} spectrum bins"
             )));
@@ -62,21 +68,25 @@ impl MelFilterbank {
             })
             .collect();
         let hz_per_bin = sample_rate_hz as f32 / fft_len as f32;
+        let mut row = vec![0.0f32; n_bins];
         let mut filters = Vec::with_capacity(n_filters);
         for f in 0..n_filters {
             let (lo, center, hi) = (points[f], points[f + 1], points[f + 2]);
-            let mut weights = vec![0.0f32; n_bins];
-            for (bin, w) in weights.iter_mut().enumerate() {
+            for (bin, w) in row.iter_mut().enumerate() {
                 let hz = bin as f32 * hz_per_bin;
-                if hz > lo && hz < hi {
-                    *w = if hz <= center {
+                *w = if hz > lo && hz < hi {
+                    if hz <= center {
                         (hz - lo) / (center - lo).max(f32::EPSILON)
                     } else {
                         (hi - hz) / (hi - center).max(f32::EPSILON)
-                    };
-                }
+                    }
+                } else {
+                    0.0
+                };
             }
-            filters.push(weights);
+            let first = row.iter().position(|&w| w != 0.0).unwrap_or(0);
+            let end = row.iter().rposition(|&w| w != 0.0).map_or(first, |last| last + 1);
+            filters.push((first, row[first..end].to_vec()));
         }
         Ok(MelFilterbank { filters, n_bins })
     }
@@ -104,7 +114,25 @@ impl MelFilterbank {
                 actual: power.len(),
             });
         }
-        Ok(self.filters.iter().map(|w| w.iter().zip(power).map(|(a, b)| a * b).sum()).collect())
+        let mut energies = vec![0.0; self.filters.len()];
+        self.apply_into(power, &mut energies);
+        Ok(energies)
+    }
+
+    /// [`MelFilterbank::apply`] into `energies` (one slot per filter) for a
+    /// power spectrum of the planned length.
+    ///
+    /// Each energy sums `w · p` over the filter's support in bin order,
+    /// starting from `+0.0`. A dense row would add `0 · p = +0.0` for every
+    /// other bin, which leaves a sum of non-negative terms unchanged, so
+    /// for finite power the result is the dense dot product bit for bit.
+    /// (A dense row turns an infinite bin into `0 · ∞ = NaN` in *every*
+    /// filter; here only the filters that weigh that bin see it.)
+    pub(crate) fn apply_into(&self, power: &[f32], energies: &mut [f32]) {
+        debug_assert_eq!(power.len(), self.n_bins);
+        for ((first, weights), e) in self.filters.iter().zip(energies) {
+            *e = weights.iter().zip(&power[*first..]).fold(0.0, |acc, (w, p)| acc + w * p);
+        }
     }
 
     /// Approximate multiply–accumulate count of one [`MelFilterbank::apply`].
@@ -115,32 +143,66 @@ impl MelFilterbank {
     }
 }
 
+/// A planned DCT-II with orthonormal scaling: the cosine table for `n`
+/// inputs and `n_out` outputs, each entry the very f32 expression [`dct2`]
+/// would evaluate for it, so applying the table is bitwise [`dct2`].
+#[derive(Debug, Clone)]
+pub(crate) struct Dct2 {
+    n: usize,
+    /// Row `k` holds `cos(π (i + ½) k / n)` for inputs `i = 0..n`.
+    table: Vec<f32>,
+    norm0: f32,
+    norm: f32,
+}
+
+impl Dct2 {
+    /// Tabulates the transform of `n` inputs to its first `n_out`
+    /// coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) if `n_out > n`.
+    pub(crate) fn new(n: usize, n_out: usize) -> Dct2 {
+        debug_assert!(n_out <= n);
+        let table = (0..n_out)
+            .flat_map(|k| {
+                (0..n).map(move |i| {
+                    (std::f32::consts::PI * (i as f32 + 0.5) * k as f32 / n as f32).cos()
+                })
+            })
+            .collect();
+        Dct2 { n, table, norm0: (1.0 / n as f32).sqrt(), norm: (2.0 / n as f32).sqrt() }
+    }
+
+    /// The first `n_out` coefficients of `input` (`n` values).
+    pub(crate) fn apply(&self, input: &[f32]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.table.len() / self.n.max(1));
+        self.apply_into(input, &mut out);
+        out
+    }
+
+    /// [`Dct2::apply`], appending the coefficients to `out`.
+    pub(crate) fn apply_into(&self, input: &[f32], out: &mut Vec<f32>) {
+        debug_assert_eq!(input.len(), self.n);
+        if self.n == 0 {
+            return;
+        }
+        out.extend(self.table.chunks_exact(self.n).enumerate().map(|(k, row)| {
+            let sum: f32 = input.iter().zip(row).map(|(&x, &c)| x * c).sum();
+            sum * if k == 0 { self.norm0 } else { self.norm }
+        }));
+    }
+}
+
 /// Type-II discrete cosine transform with orthonormal scaling, returning
-/// the first `n_out` coefficients.
+/// the first `n_out` coefficients — a `Dct2` table planned for this one
+/// call.
 ///
 /// # Panics
 ///
 /// Panics (debug assertion) if `n_out > input.len()`.
 pub fn dct2(input: &[f32], n_out: usize) -> Vec<f32> {
-    debug_assert!(n_out <= input.len());
-    let n = input.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let norm0 = (1.0 / n as f32).sqrt();
-    let norm = (2.0 / n as f32).sqrt();
-    (0..n_out)
-        .map(|k| {
-            let sum: f32 = input
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| {
-                    x * (std::f32::consts::PI * (i as f32 + 0.5) * k as f32 / n as f32).cos()
-                })
-                .sum();
-            sum * if k == 0 { norm0 } else { norm }
-        })
-        .collect()
+    Dct2::new(input.len(), n_out).apply(input)
 }
 
 #[cfg(test)]
@@ -202,6 +264,120 @@ mod tests {
         // 1 kHz = mel 999.9; filters span 0..2840 mel, so peak should sit in
         // the lower-middle third of the bank
         assert!((3..10).contains(&peak), "peak filter {peak}");
+    }
+
+    /// Dense `n_filters × n_bins` rows built and applied the way the bank
+    /// did before it kept only each filter's support: the bitwise oracle.
+    fn dense_energies(
+        (n_filters, fft_len, rate, low_hz, high_hz): (usize, usize, u32, f32, f32),
+        power: &[f32],
+    ) -> Vec<f32> {
+        let (mel_lo, mel_hi) = (hz_to_mel(low_hz), hz_to_mel(high_hz));
+        let points: Vec<f32> = (0..n_filters + 2)
+            .map(|i| mel_to_hz(mel_lo + (mel_hi - mel_lo) * i as f32 / (n_filters + 1) as f32))
+            .collect();
+        let hz_per_bin = rate as f32 / fft_len as f32;
+        (0..n_filters)
+            .map(|f| {
+                let (lo, center, hi) = (points[f], points[f + 1], points[f + 2]);
+                let mut weights = vec![0.0f32; fft_len / 2 + 1];
+                for (bin, w) in weights.iter_mut().enumerate() {
+                    let hz = bin as f32 * hz_per_bin;
+                    if hz > lo && hz < hi {
+                        *w = if hz <= center {
+                            (hz - lo) / (center - lo).max(f32::EPSILON)
+                        } else {
+                            (hi - hz) / (hi - center).max(f32::EPSILON)
+                        };
+                    }
+                }
+                weights.iter().zip(power).map(|(a, b)| a * b).sum()
+            })
+            .collect()
+    }
+
+    /// The per-call cosine DCT-II [`Dct2`] tabulates: the bitwise oracle.
+    fn direct_dct2(input: &[f32], n_out: usize) -> Vec<f32> {
+        let n = input.len();
+        let norm0 = (1.0 / n as f32).sqrt();
+        let norm = (2.0 / n as f32).sqrt();
+        (0..n_out)
+            .map(|k| {
+                let sum: f32 = input
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| {
+                        x * (std::f32::consts::PI * (i as f32 + 0.5) * k as f32 / n as f32).cos()
+                    })
+                    .sum();
+                sum * if k == 0 { norm0 } else { norm }
+            })
+            .collect()
+    }
+
+    fn to_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Power-spectrum-like values: non-negative, many decades, some zeros.
+    fn power_like(seed: u64, n: usize) -> Vec<f32> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                if s.is_multiple_of(11) {
+                    0.0
+                } else {
+                    (s >> 40) as f32 / (1u64 << 24) as f32 * 10f32.powi((s % 9) as i32 - 5)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_apply_is_bitwise_equal_to_dense_rows() {
+        let configs = [
+            (40, 512, 16_000, 0.0, 8_000.0),
+            (32, 512, 16_000, 20.0, 8_000.0),
+            (12, 128, 4_000, 0.0, 2_000.0),
+            (16, 128, 4_000, 80.0, 1_800.0),
+            (64, 1024, 16_000, 300.0, 7_600.0),
+            (3, 8, 16_000, 0.0, 8_000.0),
+        ];
+        for config in configs {
+            let (n_filters, fft_len, rate, lo, hi) = config;
+            let fb = MelFilterbank::new(n_filters, fft_len, rate, lo, hi).unwrap();
+            for seed in 0..8 {
+                let power = power_like(seed + fft_len as u64, fft_len / 2 + 1);
+                assert_eq!(
+                    to_bits(&fb.apply(&power).unwrap()),
+                    to_bits(&dense_energies(config, &power)),
+                    "{config:?} seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tabulated_dct_is_bitwise_equal_to_per_call_cosines() {
+        for (n, n_out) in [(40, 10), (32, 13), (16, 8), (40, 40), (1, 1), (7, 3)] {
+            let dct = Dct2::new(n, n_out);
+            for seed in 0..6 {
+                let input: Vec<f32> =
+                    power_like(seed + n as u64, n).iter().map(|p| (p + 1e-10).ln()).collect();
+                let want = to_bits(&direct_dct2(&input, n_out));
+                assert_eq!(to_bits(&dct.apply(&input)), want, "n {n} n_out {n_out}");
+                assert_eq!(to_bits(&dct2(&input, n_out)), want);
+            }
+        }
+    }
+
+    #[test]
+    fn filter_count_overflow_is_an_error() {
+        assert!(MelFilterbank::new(usize::MAX, 512, 16_000, 0.0, 8000.0).is_err());
+        assert!(MelFilterbank::new(1, 1, 16_000, 0.0, 8000.0).is_err());
     }
 
     #[test]

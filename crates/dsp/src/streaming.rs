@@ -13,20 +13,18 @@
 //! # Bitwise equivalence to batch
 //!
 //! The per-frame column math is not reimplemented here: the extractor
-//! applies the same [`WindowKind::Hann.coefficients`] taper in the same
-//! `sample * coeff` order as [`crate::window::windowed_frames`], then
-//! calls the block's own `frame_column` — the very function batch
-//! `process` now loops over. Because every audio block's frames depend
-//! only on that frame's samples, a column computed incrementally is
-//! bit-identical to the one batch recomputation would produce, provided
-//! window starts land on frame-stride boundaries. `ei-stream` asserts
-//! this with a batch-recompute oracle on every emitted window.
-//!
-//! [`WindowKind::Hann.coefficients`]: crate::window::WindowKind::coefficients
+//! multiplies each frame by the block's own Hann table through the same
+//! `apply_window` loop batch `process` runs, then calls the block's
+//! `frame_column` — which runs the very column routine batch `process`
+//! loops over. Because every audio block's frames depend only on that
+//! frame's samples, a column computed incrementally is bit-identical to
+//! the one batch recomputation would produce, provided window starts land
+//! on frame-stride boundaries. `ei-stream` asserts this with a
+//! batch-recompute oracle on every emitted window.
 
 use crate::block::DspConfig;
 use crate::blocks::{MfccBlock, MfeBlock, SpectrogramBlock};
-use crate::window::{Framing, WindowKind};
+use crate::window::{apply_window, Framing};
 use crate::{DspError, Result};
 
 /// The audio blocks that support incremental column extraction.
@@ -43,6 +41,14 @@ impl ColumnBlock {
             ColumnBlock::Mfe(b) => b.frame_column(windowed),
             ColumnBlock::Mfcc(b) => b.frame_column(windowed),
             ColumnBlock::Spectrogram(b) => b.frame_column(windowed),
+        }
+    }
+
+    fn window(&self) -> &[f32] {
+        match self {
+            ColumnBlock::Mfe(b) => b.window(),
+            ColumnBlock::Mfcc(b) => b.window(),
+            ColumnBlock::Spectrogram(b) => b.window(),
         }
     }
 }
@@ -77,10 +83,11 @@ impl ColumnBlock {
 pub struct StreamingExtractor {
     block: ColumnBlock,
     framing: Framing,
-    coeffs: Vec<f32>,
     features_per_frame: usize,
     /// Samples at absolute positions `buf_base..buf_base + buffer.len()`.
     buffer: Vec<f32>,
+    /// The frame being windowed, reused for every frame.
+    windowed: Vec<f32>,
     /// Absolute sample index of `buffer[0]`.
     buf_base: u64,
     /// Absolute sample index where the next frame starts.
@@ -125,9 +132,9 @@ impl StreamingExtractor {
         Ok(StreamingExtractor {
             block,
             framing,
-            coeffs: WindowKind::Hann.coefficients(framing.frame_len),
             features_per_frame,
             buffer: Vec::with_capacity(framing.frame_len),
+            windowed: vec![0.0; framing.frame_len],
             buf_base: 0,
             next_frame_start: 0,
             samples_in: 0,
@@ -168,26 +175,26 @@ impl StreamingExtractor {
     pub fn push(&mut self, samples: &[f32]) -> Result<Vec<Vec<f32>>> {
         self.samples_in += samples.len() as u64;
         self.buffer.extend_from_slice(samples);
-        // Discard any prefix before the next frame start (left over when a
-        // gap stride skipped past the end of the previous buffer).
-        let skip =
-            (self.next_frame_start.saturating_sub(self.buf_base) as usize).min(self.buffer.len());
-        self.buffer.drain(..skip);
-        self.buf_base += skip as u64;
-
         let frame_len = self.framing.frame_len;
-        let stride = self.framing.stride;
         let mut columns = Vec::new();
-        while self.buf_base == self.next_frame_start && self.buffer.len() >= frame_len {
-            let windowed: Vec<f32> =
-                self.buffer[..frame_len].iter().zip(&self.coeffs).map(|(s, w)| s * w).collect();
-            columns.push(self.block.column(&windowed)?);
+        // Frames are cut at offsets into the buffer (the next frame starts
+        // at most one stride past `buf_base`); everything before the next
+        // frame start, gap samples included, is drained once per push, not
+        // once per frame.
+        loop {
+            let start = (self.next_frame_start - self.buf_base) as usize;
+            let Some(frame) = self.buffer.get(start..).and_then(|rest| rest.get(..frame_len))
+            else {
+                break;
+            };
+            apply_window(frame, self.block.window(), &mut self.windowed);
+            columns.push(self.block.column(&self.windowed)?);
             self.frames_out += 1;
-            self.next_frame_start += stride as u64;
-            let drop = stride.min(self.buffer.len());
-            self.buffer.drain(..drop);
-            self.buf_base += drop as u64;
+            self.next_frame_start += self.framing.stride as u64;
         }
+        let consumed = ((self.next_frame_start - self.buf_base) as usize).min(self.buffer.len());
+        self.buffer.drain(..consumed);
+        self.buf_base += consumed as u64;
         Ok(columns)
     }
 }

@@ -100,6 +100,14 @@ impl Framing {
     }
 }
 
+/// Writes `frame[i] * coeffs[i]` into `out[i]` — the one windowing loop
+/// batch blocks, [`windowed_frames`] and the streaming extractor share.
+pub(crate) fn apply_window(frame: &[f32], coeffs: &[f32], out: &mut [f32]) {
+    for ((o, s), w) in out.iter_mut().zip(frame).zip(coeffs) {
+        *o = s * w;
+    }
+}
+
 /// Splits `signal` into windowed frames.
 ///
 /// Each returned frame has `framing.frame_len` samples multiplied by the
@@ -120,11 +128,9 @@ pub fn windowed_frames(
     Ok(framing
         .offsets(signal.len())
         .map(|start| {
-            signal[start..start + framing.frame_len]
-                .iter()
-                .zip(&coeffs)
-                .map(|(s, w)| s * w)
-                .collect()
+            let mut frame = vec![0.0; framing.frame_len];
+            apply_window(&signal[start..start + framing.frame_len], &coeffs, &mut frame);
+            frame
         })
         .collect())
 }

@@ -21,7 +21,7 @@
 
 use crate::error::ServeError;
 use ei_core::TrainedImpulse;
-use ei_dsp::DspCost;
+use ei_dsp::{DspBlock, DspCost};
 use ei_runtime::planner::MemoryPlan;
 use ei_runtime::{EngineKind, EonProgram, InferenceEngine, Interpreter, MemoryReport};
 use ei_shard::ShardKey;
@@ -91,10 +91,12 @@ pub struct ArtifactKey {
 }
 
 /// Everything the serving layer memoizes for one [`ArtifactKey`]: the
-/// decoded impulse, the ready-to-run engine and its arena memory plan.
+/// decoded impulse, its DSP block (with the block's FFT, filterbank and
+/// window tables), the ready-to-run engine and its arena memory plan.
 pub struct CompiledArtifact {
     key: ArtifactKey,
     impulse: TrainedImpulse,
+    dsp: Box<dyn DspBlock>,
     engine: Box<dyn InferenceEngine + Send + Sync>,
     plan: MemoryPlan,
 }
@@ -116,6 +118,7 @@ impl CompiledArtifact {
     pub fn compile(key: ArtifactKey, json: &str) -> Result<CompiledArtifact, ServeError> {
         let impulse =
             TrainedImpulse::from_json(json).map_err(|e| ServeError::Model(e.to_string()))?;
+        let dsp = impulse.design().dsp_block().map_err(|e| ServeError::Model(e.to_string()))?;
         let artifact = if key.quantized {
             impulse.int8_artifact().map_err(|e| ServeError::Model(e.to_string()))?
         } else {
@@ -136,7 +139,7 @@ impl CompiledArtifact {
                 (Box::new(interp), plan)
             }
         };
-        Ok(CompiledArtifact { key, impulse, engine, plan })
+        Ok(CompiledArtifact { key, impulse, dsp, engine, plan })
     }
 
     /// The identity this entry is cached under.
@@ -170,9 +173,9 @@ impl CompiledArtifact {
     ///
     /// Propagates DSP configuration failures as [`ServeError::Model`].
     pub fn dsp_cost(&self) -> Result<DspCost, ServeError> {
-        let design = self.impulse.design();
-        let block = design.dsp_block().map_err(|e| ServeError::Model(e.to_string()))?;
-        block.cost(design.window_samples).map_err(|e| ServeError::Model(e.to_string()))
+        self.dsp
+            .cost(self.impulse.design().window_samples)
+            .map_err(|e| ServeError::Model(e.to_string()))
     }
 
     /// Classifies one raw window: DSP then the compiled engine.
@@ -185,9 +188,7 @@ impl CompiledArtifact {
     /// Returns [`ServeError::Model`] for wrongly sized windows or engine
     /// failures.
     pub fn classify(&self, raw: &[f32]) -> Result<ei_core::Classification, ServeError> {
-        let block =
-            self.impulse.design().dsp_block().map_err(|e| ServeError::Model(e.to_string()))?;
-        let features = block.process(raw).map_err(|e| ServeError::Model(e.to_string()))?;
+        let features = self.dsp.process(raw).map_err(|e| ServeError::Model(e.to_string()))?;
         self.classify_features(&features)
     }
 
