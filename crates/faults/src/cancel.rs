@@ -1,5 +1,6 @@
 //! Cooperative cancellation.
 
+use crate::sync;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -33,7 +34,7 @@ impl CancelToken {
     /// [`CancelToken::wait_timeout_ms`].
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::SeqCst);
-        let _guard = self.inner.lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = sync::lock(&self.inner.lock);
         self.inner.cond.notify_all();
     }
 
@@ -46,7 +47,7 @@ impl CancelToken {
     /// early (with `true`) if the token is cancelled.
     pub fn wait_timeout_ms(&self, ms: u64) -> bool {
         let deadline = std::time::Instant::now() + Duration::from_millis(ms);
-        let mut guard = self.inner.lock.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = sync::lock(&self.inner.lock);
         loop {
             if self.is_cancelled() {
                 return true;
@@ -55,12 +56,7 @@ impl CancelToken {
             if now >= deadline {
                 return false;
             }
-            let (g, _timeout) = self
-                .inner
-                .cond
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            guard = g;
+            guard = sync::wait_timeout(&self.inner.cond, guard, deadline - now).0;
         }
     }
 }

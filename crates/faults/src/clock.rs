@@ -5,6 +5,7 @@
 //! exact timing with a [`VirtualClock`] and never sleep for real.
 
 use crate::cancel::CancelToken;
+use crate::sync;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -102,7 +103,7 @@ impl VirtualClock {
     /// [`Clock::wait_for_tick_ms`] waiters.
     pub fn advance_ms(&self, ms: u64) {
         self.now.fetch_add(ms, Ordering::SeqCst);
-        let _guard = self.tick_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = sync::lock(&self.tick_lock);
         self.tick_cond.notify_all();
     }
 }
@@ -123,17 +124,14 @@ impl Clock for VirtualClock {
     }
 
     fn wait_for_tick_ms(&self, from_ms: u64, real_cap_ms: u64) -> u64 {
-        let mut guard = self.tick_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = sync::lock(&self.tick_lock);
         let deadline = Instant::now() + Duration::from_millis(real_cap_ms);
         while self.now_ms() == from_ms {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
             }
-            guard = match self.tick_cond.wait_timeout(guard, left) {
-                Ok((g, _)) => g,
-                Err(e) => e.into_inner().0,
-            };
+            guard = sync::wait_timeout(&self.tick_cond, guard, left).0;
         }
         self.now_ms()
     }

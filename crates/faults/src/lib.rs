@@ -19,7 +19,9 @@
 //!   [`retry::execute`] loop with panic isolation via `catch_unwind`;
 //! * [`plan`] — a scripted [`FaultPlan`] (error-on-attempt-N, panic,
 //!   sleep-past-deadline, flaky-until-K) that wraps any stage closure so
-//!   tests can inject exact failure sequences.
+//!   tests can inject exact failure sequences;
+//! * [`sync`] — poison-recovering `lock` / `wait` / `wait_timeout`, the
+//!   one lock idiom every crate above this one shares.
 //!
 //! `ei-platform`'s job scheduler and `ei-core`'s workflow runner are both
 //! built on [`retry::execute`], so they share one failure model.
@@ -28,6 +30,7 @@ pub mod cancel;
 pub mod clock;
 pub mod plan;
 pub mod retry;
+pub mod sync;
 
 pub use cancel::CancelToken;
 pub use clock::{Clock, SystemClock, VirtualClock};

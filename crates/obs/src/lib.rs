@@ -54,18 +54,15 @@ pub mod slo;
 pub use recorder::{FlightDump, FlightRecorder, DEFAULT_TRIGGERS};
 pub use slo::{BurnWindow, SloBreach, SloKind, SloMonitor, SloSpec};
 
+use ei_faults::sync::lock;
 use ei_faults::Clock;
 use ei_trace::{Registry, Subscriber, Tracer};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Latency histogram bounds (logical ms, a decade ladder) shared by the
 /// serving layer's `serve.latency_ms` and the platform's lock-wait series.
 pub const LATENCY_BOUNDS: [f64; 10] =
     [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Builder for [`Obs`]; see [`Obs::builder`].
 pub struct ObsBuilder {
@@ -198,8 +195,8 @@ impl Obs {
 
     /// The injected clock every monitor and burn-rate window reads.
     /// Layers that make time-based decisions off this hub's telemetry
-    /// (e.g. a rebalance policy polling occupancy gauges) should read
-    /// the same clock so their windows line up with the monitors'.
+    /// should read the same clock so their windows line up with the
+    /// monitors'.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
     }

@@ -14,11 +14,12 @@
 //! Always-on cost is one shard mutex lock and a ring push per record; a
 //! downstream tee subscriber can still collect the full stream.
 
+use ei_faults::sync::lock;
 use ei_trace::export::record_to_json;
 use ei_trace::record::RecordKind;
 use ei_trace::{Subscriber, TraceRecord};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Event names that trip the recorder out of the box.
 pub const DEFAULT_TRIGGERS: [&str; 4] =
@@ -43,10 +44,6 @@ pub struct FlightDump {
 struct Rings {
     shards: Vec<VecDeque<TraceRecord>>,
     per_shard: usize,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// See the module docs.

@@ -9,6 +9,7 @@
 //! `N` concurrent executors (`N - 1` workers plus the scoped caller).
 
 use crate::config::Parallelism;
+use ei_faults::sync::{lock, wait_timeout};
 use ei_faults::CancelToken;
 use ei_trace::Tracer;
 use std::any::Any;
@@ -37,10 +38,6 @@ const SCOPE_WAIT_TIMEOUT: Duration = Duration::from_millis(1);
 thread_local! {
     /// `(pool id, worker index)` of the pool thread we are on, if any.
     static WORKER: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Why a fallible parallel map did not return a full result set.
@@ -159,10 +156,7 @@ fn worker_loop(inner: &Arc<PoolInner>, index: usize) {
         if inner.queued.load(Ordering::SeqCst) > 0 {
             continue;
         }
-        let _ = inner
-            .park_cond
-            .wait_timeout(guard, PARK_TIMEOUT)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let _ = wait_timeout(&inner.park_cond, guard, PARK_TIMEOUT);
     }
 }
 
@@ -584,11 +578,7 @@ impl<'s> Scope<'s> {
             if self.state.pending.load(Ordering::SeqCst) == 0 {
                 break;
             }
-            let _ = self
-                .state
-                .cond
-                .wait_timeout(guard, SCOPE_WAIT_TIMEOUT)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let _ = wait_timeout(&self.state.cond, guard, SCOPE_WAIT_TIMEOUT);
         }
     }
 }

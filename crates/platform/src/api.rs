@@ -14,10 +14,10 @@
 //! `EI_SHARDS` lock-guarded shards by FNV-1a of the raw id. Two tenants on
 //! different shards never contend; [`Api::export_json`] merges shards in
 //! key order, so backups stay **byte-identical** to the serial (1-shard)
-//! reference. Stream sessions are pinned to the shard of the *project*
-//! that owns them, so a tenant's control-plane and data-plane state share
-//! a stripe. Per-project quota ledgers ([`Api::set_project_quota`]) ride
-//! the same partition.
+//! reference. Every map places a key by the same pure function
+//! ([`ei_shard::shard_index`]), so each keyed call takes exactly one
+//! stripe lock. Per-project quota ledgers ([`Api::set_project_quota`])
+//! live on a `ShardMap` of their own, striped the same way.
 
 use crate::entities::{
     OrgId, Organization, Project, ProjectId, SessionId, StoredModel, User, UserId,
@@ -35,14 +35,11 @@ use ei_serve::{
     CacheStats, InferenceRequest, InferenceSpec, ModelSource, Outcome, Rejected, Server,
     ServerConfig,
 };
-use ei_shard::{
-    fnv1a_u64, QuotaLedger, QuotaUsage, RebalancePolicy, RebalancePolicyStatus, RebalanceReport,
-    ShardMap, ShardObserver,
-};
+use ei_shard::{QuotaLedger, QuotaUsage, ShardMap, ShardObserver};
 use ei_stream::{SessionConfig, SessionStats, StreamError, StreamSession, WindowVerdict};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Shard count used when `EI_SHARDS` is unset.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -59,7 +56,7 @@ pub fn shards_from_env() -> usize {
 
 /// One consolidated snapshot of the sharded store, returned by
 /// [`Api::shard_report`]: shard count, occupancy and skew, plus the
-/// rebalance-policy status and the serving artifact-cache counters.
+/// serving artifact-cache counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Shards state is striped across.
@@ -68,20 +65,12 @@ pub struct ShardReport {
     pub occupancy: Vec<usize>,
     /// max/mean project-shard occupancy (1.0 = perfectly even).
     pub skew: f64,
-    /// The most recent rebalance outcome (manual or policy-driven).
-    pub last_rebalance: Option<RebalanceReport>,
-    /// Status of the installed [`RebalancePolicy`], if any.
-    pub policy: Option<RebalancePolicyStatus>,
     /// Artifact-cache counters merged across stripes (`None` until a
     /// serving layer is attached or lazily initialized).
     pub cache: Option<CacheStats>,
     /// Per-stripe artifact-cache counters, in stripe-index order (empty
     /// without a serving layer).
     pub cache_shards: Vec<CacheStats>,
-}
-
-fn lock_plain<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The serialized backup form of the platform (what
@@ -116,8 +105,8 @@ pub struct Api {
     users: Arc<ShardMap<u64, User>>,
     orgs: Arc<ShardMap<u64, Organization>>,
     projects: Arc<ShardMap<u64, Project>>,
-    /// Open streaming sessions, pinned to the owning project's shard
-    /// (process-local; see [`StreamEntry`]).
+    /// Open streaming sessions, keyed by session id (process-local; see
+    /// [`StreamEntry`]).
     streams: Arc<ShardMap<u64, StreamEntry>>,
     /// Per-project unit quotas (unlimited unless
     /// [`Api::set_project_quota`] is called).
@@ -128,15 +117,6 @@ pub struct Api {
     /// through. Lazily built on first use (so the many callers that never
     /// serve inference pay nothing); clones share it like the state maps.
     serving: Arc<OnceLock<Arc<Server>>>,
-    /// The telemetry hub [`Api::attach_obs`] bridged shard gauges into,
-    /// kept so [`Api::poll_rebalance`] can read the live occupancy
-    /// gauges (and the hub's clock) back out.
-    obs: Arc<OnceLock<Arc<ei_obs::Obs>>>,
-    /// The installed telemetry-driven rebalance policy, if any.
-    rebalance_policy: Arc<Mutex<Option<RebalancePolicy>>>,
-    /// The most recent rebalance outcome (manual or policy-driven),
-    /// surfaced in [`Api::shard_report`].
-    last_rebalance: Arc<Mutex<Option<RebalanceReport>>>,
 }
 
 impl Default for Api {
@@ -145,18 +125,19 @@ impl Default for Api {
     }
 }
 
-/// Bridges [`ShardMap`] telemetry into the `ei-obs` registry:
-/// `platform.shard.occupancy` (gauge per shard) and
-/// `platform.shard.lock_wait` (histogram, ms), so flight dumps can name
-/// hot shards.
+/// Bridges one [`ShardMap`]'s telemetry into the `ei-obs` registry
+/// under that map's own series names: an occupancy gauge per shard and a
+/// lock-wait histogram (ms), so flight dumps can name hot shards.
 struct ObsBridge {
     obs: Arc<ei_obs::Obs>,
+    lock_wait: &'static str,
+    occupancy: &'static str,
 }
 
 impl ShardObserver for ObsBridge {
     fn lock_wait(&self, shard: usize, wait_ns: u64) {
         self.obs.registry().observe(
-            "platform.shard.lock_wait",
+            self.lock_wait,
             &format!("shard-{shard}"),
             wait_ns as f64 / 1_000_000.0,
             &ei_obs::LATENCY_BOUNDS,
@@ -164,11 +145,7 @@ impl ShardObserver for ObsBridge {
     }
 
     fn occupancy(&self, shard: usize, len: usize) {
-        self.obs.registry().set_gauge(
-            "platform.shard.occupancy",
-            &format!("shard-{shard}"),
-            len as f64,
-        );
+        self.obs.registry().set_gauge(self.occupancy, &format!("shard-{shard}"), len as f64);
     }
 }
 
@@ -194,107 +171,41 @@ impl Api {
             next_id: Arc::new(AtomicU64::new(0)),
             next_stream: Arc::new(AtomicU64::new(0)),
             serving: Arc::default(),
-            obs: Arc::default(),
-            rebalance_policy: Arc::default(),
-            last_rebalance: Arc::default(),
         }
     }
 
     /// One consolidated snapshot of the sharded store: shard count,
-    /// per-shard occupancy and skew of the project map, the last
-    /// rebalance outcome, the installed [`RebalancePolicy`]'s status,
-    /// and the serving layer's artifact-cache counters (merged and per
-    /// cache stripe; empty until a serving layer is attached or lazily
-    /// initialized).
+    /// per-shard occupancy and skew of the project map, and the serving
+    /// layer's artifact-cache counters (merged and per cache stripe;
+    /// empty until a serving layer is attached or lazily initialized).
     pub fn shard_report(&self) -> ShardReport {
-        let occupancy = self.projects.occupancy();
         let (cache, cache_shards) = match self.serving.get() {
             Some(server) => (Some(server.cache_stats()), server.cache_shard_stats()),
             None => (None, Vec::new()),
         };
         ShardReport {
             shards: self.projects.shard_count(),
-            occupancy,
+            occupancy: self.projects.occupancy(),
             skew: self.projects.occupancy_skew(),
-            last_rebalance: lock_plain(&self.last_rebalance).clone(),
-            policy: lock_plain(&self.rebalance_policy).as_ref().map(RebalancePolicy::status),
             cache,
             cache_shards,
         }
     }
 
-    /// Runs one seeded cross-shard rebalance pass over the project map
-    /// (see [`ShardMap::rebalance`]): moves projects off overfull shards
-    /// deterministically, never changing export bytes. The outcome is
-    /// recorded for [`Api::shard_report`].
-    pub fn rebalance(&self, seed: u64) -> RebalanceReport {
-        let report = self.projects.rebalance(seed);
-        *lock_plain(&self.last_rebalance) = Some(report.clone());
-        report
-    }
-
-    /// Installs (or replaces) the telemetry-driven rebalance policy
-    /// consulted by [`Api::poll_rebalance`].
-    pub fn set_rebalance_policy(&self, policy: RebalancePolicy) {
-        *lock_plain(&self.rebalance_policy) = Some(policy);
-    }
-
-    /// Feeds one occupancy observation to the installed
-    /// [`RebalancePolicy`] and, when it fires, runs the rebalance it
-    /// asked for — closing the loop from the `platform.shard.occupancy`
-    /// gauges back to [`Api::rebalance`], with no manual seed.
-    ///
-    /// The observation is read from the attached telemetry hub
-    /// ([`Api::attach_obs`]) — the same `platform.shard.occupancy`
-    /// gauge vector operators watch — at the hub clock's current time,
-    /// and falls back to the live project map when no hub is attached
-    /// (so the policy still works without telemetry, observing at time
-    /// 0). Returns the rebalance report when a rebalance ran; `None`
-    /// while the policy holds off (or none is installed). Like any
-    /// rebalance, a policy-driven one never changes export bytes.
-    pub fn poll_rebalance(&self) -> Option<RebalanceReport> {
-        let seed = {
-            let mut guard = lock_plain(&self.rebalance_policy);
-            let policy = guard.as_mut()?;
-            let (occupancy, now_ms) = match self.obs.get() {
-                Some(obs) => (
-                    self.occupancy_from_gauges(obs).unwrap_or_else(|| self.projects.occupancy()),
-                    obs.clock().now_ms(),
-                ),
-                None => (self.projects.occupancy(), 0),
-            };
-            policy.observe(&occupancy, now_ms)?
-        };
-        Some(self.rebalance(seed))
-    }
-
-    /// Reads the `platform.shard.occupancy` gauge vector back out of the
-    /// obs registry, in shard-index order (`None` until the gauges have
-    /// been published at least once).
-    fn occupancy_from_gauges(&self, obs: &Arc<ei_obs::Obs>) -> Option<Vec<usize>> {
-        let snapshot = obs.registry().snapshot();
-        let occupancy: Vec<usize> = (0..self.projects.shard_count())
-            .map(|shard| {
-                match snapshot.get(&("platform.shard.occupancy".into(), format!("shard-{shard}"))) {
-                    Some(ei_trace::SeriesValue::Gauge { value, .. }) => *value as usize,
-                    _ => 0,
-                }
-            })
-            .collect();
-        occupancy.iter().any(|&n| n > 0).then_some(occupancy)
-    }
-
-    /// Attaches always-on telemetry: per-shard occupancy gauges
-    /// (`platform.shard.occupancy`) and lock-wait histograms
-    /// (`platform.shard.lock_wait`) flow into `obs`'s registry for the
-    /// project and stream maps, and [`Api::poll_rebalance`] reads its
-    /// occupancy observations (and clock) back from the same hub. First
-    /// caller wins, like [`ShardMap::set_observer`].
+    /// Attaches always-on telemetry: per-shard occupancy gauges and
+    /// lock-wait histograms flow into `obs`'s registry — the project map
+    /// as `platform.shard.{occupancy,lock_wait}`, the stream map as
+    /// `platform.stream_shard.{occupancy,lock_wait}`. First caller wins,
+    /// like [`ShardMap::set_observer`].
     pub fn attach_obs(&self, obs: &Arc<ei_obs::Obs>) {
-        let bridge = Arc::new(ObsBridge { obs: Arc::clone(obs) });
-        self.projects.set_observer(Arc::<ObsBridge>::clone(&bridge) as _);
-        self.streams.set_observer(bridge as _);
-        let _ = self.obs.set(Arc::clone(obs));
+        let bridge = |lock_wait, occupancy| {
+            Arc::new(ObsBridge { obs: Arc::clone(obs), lock_wait, occupancy }) as _
+        };
+        self.projects.set_observer(bridge("platform.shard.lock_wait", "platform.shard.occupancy"));
+        self.streams.set_observer(bridge(
+            "platform.stream_shard.lock_wait",
+            "platform.stream_shard.occupancy",
+        ));
     }
 
     /// Attaches an explicitly configured serving front-end (e.g. one on a
@@ -720,8 +631,7 @@ impl Api {
 
     /// Opens a continuous-inference stream against the registry model
     /// `model`, returning a session id for [`Api::stream_push`] /
-    /// [`Api::stream_close`]. The session is pinned to the owning
-    /// project's shard, so stream and project state share a stripe.
+    /// [`Api::stream_close`].
     ///
     /// When `config.tenant` is empty the session bills to the project
     /// (`project-<id>`), matching [`Api::classify`]; an explicit tenant
@@ -748,8 +658,7 @@ impl Api {
         let session =
             StreamSession::open(self.serving().clone(), source, config).map_err(stream_to_error)?;
         let id = self.next_stream.fetch_add(1, Ordering::SeqCst) + 1;
-        let shard = (fnv1a_u64(project.0) % self.streams.shard_count() as u64) as usize;
-        self.streams.insert_at(id, StreamEntry { project, session }, shard);
+        self.streams.insert(id, StreamEntry { project, session });
         Ok(SessionId(id))
     }
 
@@ -1391,7 +1300,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_introspection_and_rebalance() {
+    fn shard_introspection() {
         let api = Api::with_shards(4);
         let u = api.create_user("u");
         for i in 0..32 {
@@ -1401,49 +1310,7 @@ mod tests {
         assert_eq!(report.shards, 4);
         assert_eq!(report.occupancy.iter().sum::<usize>(), 32);
         assert!(report.skew >= 1.0);
-        assert_eq!(report.last_rebalance, None);
-        assert_eq!(report.policy, None);
         assert_eq!(report.cache, None, "no serving layer attached yet");
-        let before = api.export_json().unwrap();
-        let rebalanced = api.rebalance(7);
-        assert!(rebalanced.skew_after <= rebalanced.skew_before);
-        // placement changed (possibly), bytes did not
-        assert_eq!(api.export_json().unwrap(), before);
-        assert_eq!(api.shard_report().last_rebalance, Some(rebalanced));
-    }
-
-    #[test]
-    fn policy_driven_rebalance_fires_from_telemetry_and_keeps_bytes() {
-        let clock = ei_faults::VirtualClock::shared();
-        let obs = ei_obs::Obs::builder(Arc::clone(&clock) as Arc<dyn ei_faults::Clock>).build();
-        let api = Api::with_shards(4);
-        api.attach_obs(&obs);
-        let u = api.create_user("u");
-        for i in 0..24 {
-            api.create_project(&format!("p{i}"), u).unwrap();
-        }
-        // no policy installed: polling is a no-op
-        assert_eq!(api.poll_rebalance(), None);
-        api.set_rebalance_policy(RebalancePolicy::new(1.01, 2));
-        let skewed = api.shard_report().skew > 1.01;
-        let before = api.export_json().unwrap();
-        clock.advance_ms(50);
-        let first = api.poll_rebalance();
-        assert_eq!(first, None, "one observation is not a streak");
-        clock.advance_ms(50);
-        let second = api.poll_rebalance();
-        if skewed {
-            let report = second.expect("two consecutive over-threshold observations trigger");
-            assert!(report.skew_after <= report.skew_before);
-            let status = api.shard_report().policy.expect("policy installed");
-            assert_eq!(status.triggers, 1);
-            assert_eq!(status.last_trigger_ms, Some(100));
-            assert_eq!(api.shard_report().last_rebalance, Some(report));
-        } else {
-            assert_eq!(second, None);
-        }
-        // telemetry-driven or not, rebalance never changes exported bytes
-        assert_eq!(api.export_json().unwrap(), before);
     }
 
     #[test]
@@ -1457,6 +1324,25 @@ mod tests {
         let metrics = obs.prometheus();
         assert!(metrics.contains("platform_shard_occupancy"), "{metrics}");
         assert!(metrics.contains("platform_shard_lock_wait"), "{metrics}");
+    }
+
+    #[test]
+    fn project_and_stream_maps_publish_separate_occupancy_series() {
+        let clock = ei_faults::VirtualClock::shared();
+        let obs = ei_obs::Obs::builder(clock as Arc<dyn ei_faults::Clock>).build();
+        let api = Api::with_shards(1);
+        api.attach_obs(&obs);
+        attach_virtual_serving(&api, ServerConfig::default());
+        let u = api.create_user("u");
+        let projects: Vec<ProjectId> =
+            (0..3).map(|i| api.create_project(&format!("p{i}"), u).unwrap()).collect();
+        api.upload_model(projects[0], u, "kws", tiny_kws_model().1).unwrap();
+        for _ in 0..2 {
+            api.stream_open(projects[0], u, "kws", SessionConfig::new("", 256)).unwrap();
+        }
+        let registry = obs.registry();
+        assert_eq!(registry.gauge("platform.shard.occupancy", "shard-0"), Some(3.0));
+        assert_eq!(registry.gauge("platform.stream_shard.occupancy", "shard-0"), Some(2.0));
     }
 
     #[test]
@@ -1495,10 +1381,6 @@ mod tests {
         let mut cfg = SessionConfig::new("", 256);
         cfg.max_pending = 64;
         let sid = api.stream_open(p, alice, "kws", cfg).unwrap();
-
-        // the session is pinned to its project's shard
-        let expected = (fnv1a_u64(p.0) % api.streams.shard_count() as u64) as usize;
-        assert_eq!(api.streams.shard_of(&sid.0), expected);
 
         // outsiders can neither feed nor close someone else's stream
         assert!(api.stream_push(sid, outsider, &[0.0; 64]).is_err());

@@ -16,6 +16,7 @@ use crate::error::PlatformError;
 use crate::jobs::JobScheduler;
 use crate::Result;
 use ei_dist::{DistReport, DistTrainer};
+use ei_faults::sync::lock;
 use ei_faults::RetryPolicy;
 use ei_nn::spec::ModelSpec;
 use ei_nn::Sequential;
@@ -47,7 +48,7 @@ pub struct DistJobHandle {
 impl DistJobHandle {
     /// The report of the last successful attempt, once the job finished.
     pub fn report(&self) -> Option<DistReport> {
-        self.report.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.report).clone()
     }
 }
 
@@ -94,7 +95,7 @@ pub fn submit_distributed_training(
             report.weight_checksum,
             report.crashes_detected,
         );
-        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(report);
+        *lock(&slot) = Some(report);
         Ok(summary)
     })?;
     Ok(DistJobHandle { id, report: report_slot })

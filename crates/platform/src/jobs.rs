@@ -55,13 +55,14 @@
 
 use crate::{PlatformError, Result};
 use ei_faults::retry::{self, RetryEvent, RetryOutcome};
+use ei_faults::sync::{lock, wait_timeout};
 use ei_faults::{AttemptRecord, CancelToken, Clock, FailureCause, RetryPolicy, SystemClock};
 use ei_par::{ParPool, Parallelism};
-use ei_shard::fnv1a_u64;
+use ei_shard::shard_index;
 use ei_trace::{SpanGuard, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -195,22 +196,6 @@ impl Shared {
     }
 }
 
-/// Locks a mutex, recovering from poisoning (a panicking holder must not
-/// take the scheduler down with it).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Parks a status waiter on `cond` for at most [`STATUS_WAIT_CAP_MS`]
-/// real milliseconds (recovering from poisoning), returning the reacquired
-/// guard. Replaces the old raw `thread::sleep` poll loops.
-fn wait_on<'a, T>(cond: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    match cond.wait_timeout(guard, Duration::from_millis(STATUS_WAIT_CAP_MS)) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
-}
-
 /// Upper bound (real milliseconds) between watchdog scans for expired
 /// attempt deadlines. The watchdog parks in [`Clock::wait_for_tick_ms`],
 /// so under a [`ei_faults::VirtualClock`] it wakes the instant logical
@@ -218,11 +203,11 @@ fn wait_on<'a, T>(cond: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T>
 /// fallback granularity on the real clock.
 const WATCHDOG_TICK_MS: u64 = 1;
 
-/// Real-time fallback (milliseconds) for status waiters parked on the
-/// scheduler condvar. Status transitions wake waiters immediately; the
-/// cap exists so a *logical* deadline advanced by another thread is still
-/// noticed promptly.
-const STATUS_WAIT_CAP_MS: u64 = 1;
+/// Real-time fallback for status waiters parked on the scheduler
+/// condvar. Status transitions wake waiters immediately; the cap exists
+/// so a *logical* deadline advanced by another thread is still noticed
+/// promptly.
+const STATUS_WAIT_CAP: Duration = Duration::from_millis(1);
 
 /// Message shutdown stamps on jobs it refuses to run.
 const SHUTDOWN_ERROR: &str = "scheduler shut down";
@@ -375,7 +360,7 @@ impl JobScheduler {
 
     /// The lane jobs keyed `key` queue on.
     fn lane_of(&self, key: u64) -> usize {
-        (fnv1a_u64(key) % self.queues.len() as u64) as usize
+        shard_index(&key, self.queues.len())
     }
 
     /// Dead letters whose key places them on lane `shard` — the hot-shard
@@ -628,7 +613,7 @@ impl JobScheduler {
                 JobStatus::Finished(output) => return Ok(output),
                 JobStatus::Failed(e) => return Err(PlatformError::JobFailed(e)),
                 JobStatus::Cancelled => return Err(PlatformError::JobCancelled(id)),
-                _ => jobs = wait_on(&self.shared.jobs_cond, jobs),
+                _ => jobs = wait_timeout(&self.shared.jobs_cond, jobs, STATUS_WAIT_CAP).0,
             }
         }
     }
@@ -673,7 +658,7 @@ impl JobScheduler {
             // park until a status transition notifies; the short real cap
             // only bounds how late a logical-deadline overrun (driven by
             // another thread advancing a virtual clock) is noticed
-            jobs = wait_on(&self.shared.jobs_cond, jobs);
+            jobs = wait_timeout(&self.shared.jobs_cond, jobs, STATUS_WAIT_CAP).0;
         }
     }
 
@@ -689,7 +674,7 @@ impl JobScheduler {
             // promptly; each finishing task notifies the status condvar
             let mut jobs = lock(&self.shared.jobs);
             while self.shared.active.load(Ordering::SeqCst) > 0 {
-                jobs = wait_on(&self.shared.jobs_cond, jobs);
+                jobs = wait_timeout(&self.shared.jobs_cond, jobs, STATUS_WAIT_CAP).0;
             }
         }
         if let Some(handle) = self.watchdog.take() {
@@ -1388,7 +1373,7 @@ mod tests {
         let mut reassembled = Vec::new();
         for shard in 0..lanes {
             for letter in scheduler.dead_letters_in_shard(shard) {
-                assert_eq!((fnv1a_u64(letter.key) % lanes as u64) as usize, shard);
+                assert_eq!(shard_index(&letter.key, lanes), shard);
                 reassembled.push(letter);
             }
         }
@@ -1453,7 +1438,7 @@ mod tests {
         let new_id = scheduler.requeue(id).unwrap();
         assert!(scheduler.wait(new_id).is_err());
         assert_eq!(scheduler.dead_letter(new_id).unwrap().key, 42);
-        let shard = (fnv1a_u64(42) % 4) as usize;
+        let shard = shard_index(&42u64, 4);
         let view: Vec<u64> = scheduler.dead_letters_in_shard(shard).iter().map(|l| l.id).collect();
         assert_eq!(view, vec![id, new_id]);
     }

@@ -22,9 +22,10 @@
 use crate::error::ServeError;
 use ei_core::TrainedImpulse;
 use ei_dsp::{DspBlock, DspCost};
+use ei_faults::sync::lock;
 use ei_runtime::planner::MemoryPlan;
 use ei_runtime::{EngineKind, EonProgram, InferenceEngine, Interpreter, MemoryReport};
-use ei_shard::ShardKey;
+use ei_shard::{fnv1a, shard_index};
 use ei_trace::Tracer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,12 +36,7 @@ use std::sync::{Arc, Mutex};
 /// Stable across runs and platforms (unlike `DefaultHasher`), so cache
 /// keys — and therefore hit/miss traces — are reproducible.
 pub fn content_hash(json: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in json.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a(json.as_bytes())
 }
 
 /// A model's registry JSON together with its [`content_hash`].
@@ -276,7 +272,7 @@ impl CacheShard {
     }
 
     fn stats(&self) -> CacheStats {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = lock(&self.entries);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -343,10 +339,10 @@ impl CompiledArtifactCache {
         self.shards.len()
     }
 
-    /// The stripe `tenant`'s artifacts live on: FNV-1a of the tenant id
-    /// modulo the stripe count.
+    /// The stripe `tenant`'s artifacts live on: [`shard_index`] of the
+    /// tenant id over the stripe count.
     pub fn shard_of(&self, tenant: &str) -> usize {
-        (tenant.shard_hash() % self.shards.len() as u64) as usize
+        shard_index(&tenant, self.shards.len())
     }
 
     /// Looks up `key` on `tenant`'s stripe, building (and inserting) via
@@ -367,7 +363,7 @@ impl CompiledArtifactCache {
         build: impl FnOnce() -> Result<CompiledArtifact, ServeError>,
     ) -> Result<(Arc<CompiledArtifact>, bool), ServeError> {
         let shard = &self.shards[self.shard_of(tenant)];
-        let mut entries = shard.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entries = lock(&shard.entries);
         if let Some(pos) = entries.iter().position(|a| a.key() == key) {
             let entry = entries.remove(pos).expect("position is in range");
             entries.push_back(Arc::clone(&entry));
@@ -391,7 +387,7 @@ impl CompiledArtifactCache {
     /// LRU order or stats).
     pub fn contains(&self, tenant: &str, key: &ArtifactKey) -> bool {
         let shard = &self.shards[self.shard_of(tenant)];
-        let entries = shard.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = lock(&shard.entries);
         entries.iter().any(|a| a.key() == key)
     }
 
@@ -433,7 +429,7 @@ mod tests {
         assert_eq!(cache.shard_count(), 8);
         // placement is the pure FNV-1a function, so it never moves
         assert_eq!(cache.shard_of("project-1"), cache.shard_of("project-1"));
-        assert_eq!(cache.shard_of("project-1"), ("project-1".shard_hash() % 8) as usize);
+        assert_eq!(cache.shard_of("project-1"), shard_index(&"project-1", 8));
         // merged stats are the sum of per-stripe stats
         let merged = cache.stats();
         let per: CacheStats =

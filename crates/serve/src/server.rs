@@ -53,14 +53,15 @@ use crate::ModelSource;
 use ei_core::Classification;
 use ei_device::{Board, Profiler};
 use ei_faults::retry::{self, RetryOutcome};
+use ei_faults::sync::{lock, wait};
 use ei_faults::{CancelToken, Clock, FailureCause, RetryPolicy};
 use ei_obs::{Obs, LATENCY_BOUNDS};
 use ei_par::ParPool;
 use ei_runtime::EngineKind;
-use ei_shard::{ShardKey, TokenBucket};
+use ei_shard::{shard_index, TokenBucket};
 use ei_trace::{SpanGuard, Tracer};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Batch-size histogram bucket bounds.
 const BATCH_BOUNDS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
@@ -187,7 +188,7 @@ struct Dispatching<'a> {
 impl Drop for Dispatching<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let mut inner = self.server.lock_inner();
+            let mut inner = lock(&self.server.inner);
             for ticket in &self.tickets {
                 inner.dispatching.remove(ticket);
             }
@@ -262,15 +263,15 @@ impl Server {
     }
 
     /// The admission shard `tenant`'s requests (and token bucket) live
-    /// on: FNV-1a of the tenant id modulo the shard count — the same
-    /// placement function the platform's `ei-shard` stores use.
+    /// on: [`shard_index`] of the tenant id over the shard count — the
+    /// same placement function the platform's `ei-shard` stores use.
     pub fn admission_shard_of(&self, tenant: &str) -> usize {
-        (tenant.shard_hash() % self.admission_shards() as u64) as usize
+        shard_index(&tenant, self.admission_shards())
     }
 
     /// Pending requests per admission shard, in shard-index order.
     pub fn shard_depths(&self) -> Vec<usize> {
-        self.lock_inner().queues.iter().map(VecDeque::len).collect()
+        lock(&self.inner).queues.iter().map(VecDeque::len).collect()
     }
 
     /// Each shard's queue bound: the configured total capacity split
@@ -308,7 +309,7 @@ impl Server {
 
     /// Admitted-but-not-completed requests for `tenant`.
     pub fn tenant_inflight(&self, tenant: &str) -> u64 {
-        self.lock_inner().inflight.get(tenant).copied().unwrap_or(0)
+        lock(&self.inner).inflight.get(tenant).copied().unwrap_or(0)
     }
 
     /// Current artifact-cache counters, merged across every stripe.
@@ -328,11 +329,7 @@ impl Server {
 
     /// Requests currently queued, summed across admission shards.
     pub fn queue_depth(&self) -> usize {
-        self.lock_inner().queues.iter().map(VecDeque::len).sum()
-    }
-
-    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.inner).queues.iter().map(VecDeque::len).sum()
     }
 
     /// Admits one request, returning its ticket.
@@ -353,7 +350,7 @@ impl Server {
         let now = self.clock.now_ms();
         let shard = self.admission_shard_of(&req.tenant);
         let per_shard = self.per_shard_capacity();
-        let mut inner = self.lock_inner();
+        let mut inner = lock(&self.inner);
         if inner.queues[shard].len() >= per_shard {
             self.tracer.quiet_counter("serve.rejected.overloaded").inc();
             self.tracer.quiet_counter("serve.rejected").labeled(&req.tenant).inc();
@@ -405,7 +402,7 @@ impl Server {
     /// (in dispatch order).
     pub fn drain(&self) -> Vec<Completion> {
         self.process_queue();
-        std::mem::take(&mut self.lock_inner().completed)
+        std::mem::take(&mut lock(&self.inner).completed)
     }
 
     /// Dispatches the queue, then extracts the completion for `ticket`,
@@ -419,7 +416,7 @@ impl Server {
     /// — never a request in flight.
     pub fn resolve(&self, ticket: u64) -> Option<Completion> {
         self.process_queue();
-        let mut inner = self.lock_inner();
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(pos) = inner.completed.iter().position(|c| c.ticket == ticket) {
                 return Some(inner.completed.remove(pos));
@@ -427,7 +424,7 @@ impl Server {
             if !inner.dispatching.contains(&ticket) {
                 return None;
             }
-            inner = self.completion.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner = wait(&self.completion, inner);
         }
     }
 
@@ -487,7 +484,7 @@ impl Server {
         for shard in 0..self.admission_shards() {
             loop {
                 let batch = {
-                    let mut inner = self.lock_inner();
+                    let mut inner = lock(&self.inner);
                     let Some(front) = inner.queues[shard].front() else { break };
                     let key = front.key.clone();
                     let mut batch = Vec::new();
@@ -693,7 +690,7 @@ impl Server {
         };
         drop(p.span);
         let inflight = {
-            let mut inner = self.lock_inner();
+            let mut inner = lock(&self.inner);
             inner.dispatching.remove(&completion.ticket);
             inner.completed.push(completion);
             let count = inner.inflight.entry(p.req.tenant.clone()).or_insert(0);

@@ -1,9 +1,10 @@
 //! [`QuotaLedger`]: per-shard quota accounting for tenant keys.
 //!
-//! Each tenant's ledger (limit, admitted units, denied attempts) lives
-//! on the shard its key hashes to, so a `charge` only takes that
-//! tenant's shard lock — admission control scales with the store it
-//! protects. A merged, key-ordered snapshot serves billing/export.
+//! Each tenant's ledger (limit, admitted units, denied attempts) is an
+//! entry of a [`ShardMap`], so a `charge` only takes that tenant's
+//! shard lock — admission control scales with the store it protects,
+//! on the same stripes. A merged, key-ordered snapshot serves
+//! billing/export.
 //!
 //! Tenants can additionally carry a *burst bucket*
 //! ([`QuotaLedger::set_burst`]): a [`TokenBucket`] with per-tenant burst
@@ -15,9 +16,8 @@
 //! cumulative ledger.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
 
-use crate::map::ShardKey;
+use crate::map::{ShardKey, ShardMap};
 
 /// Outcome of [`QuotaLedger::charge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,15 +127,17 @@ struct Ledger {
     burst: Option<TokenBucket>,
 }
 
+impl Ledger {
+    fn usage(&self) -> QuotaUsage {
+        QuotaUsage { limit: self.limit, used: self.used, denied: self.denied }
+    }
+}
+
 /// A sharded per-tenant quota ledger. See the module docs.
 #[derive(Debug)]
 pub struct QuotaLedger<K> {
-    shards: Vec<Mutex<BTreeMap<K, Ledger>>>,
+    ledgers: ShardMap<K, Ledger>,
     default_limit: u64,
-}
-
-fn lock_plain<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
@@ -144,33 +146,23 @@ impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
     /// (`u64::MAX` = unlimited, the platform default — quotas are
     /// opt-in and existing flows never see a denial).
     pub fn new(shards: usize, default_limit: u64) -> QuotaLedger<K> {
-        QuotaLedger {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            default_limit,
-        }
+        QuotaLedger { ledgers: ShardMap::new(shards), default_limit }
     }
 
-    fn shard_of(&self, key: &K) -> usize {
-        (key.shard_hash() % self.shards.len() as u64) as usize
-    }
-
-    fn entry<'a>(
-        guard: &'a mut BTreeMap<K, Ledger>,
-        key: &K,
-        default_limit: u64,
-    ) -> &'a mut Ledger {
-        guard.entry(key.clone()).or_insert(Ledger {
-            limit: default_limit,
-            used: 0,
-            denied: 0,
-            burst: None,
-        })
+    /// Runs `f` on `key`'s ledger under its one shard lock, opening the
+    /// ledger at the default limit on first use.
+    fn with_ledger<R>(&self, key: &K, f: impl FnOnce(&mut Ledger) -> R) -> R {
+        let limit = self.default_limit;
+        self.ledgers.with_mut_or_insert(
+            key,
+            || Ledger { limit, used: 0, denied: 0, burst: None },
+            f,
+        )
     }
 
     /// Sets `key`'s unit limit (does not reset usage).
     pub fn set_limit(&self, key: &K, limit: u64) {
-        let mut guard = lock_plain(&self.shards[self.shard_of(key)]);
-        Self::entry(&mut guard, key, self.default_limit).limit = limit;
+        self.with_ledger(key, |ledger| ledger.limit = limit);
     }
 
     /// Gives `key` a burst bucket: at most `capacity` units of burst,
@@ -179,9 +171,10 @@ impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
     /// of 0 removes the bucket, degenerating the tenant back to the plain
     /// cumulative ledger.
     pub fn set_burst(&self, key: &K, capacity: u64, refill_per_sec: f64, now_ms: u64) {
-        let mut guard = lock_plain(&self.shards[self.shard_of(key)]);
-        let ledger = Self::entry(&mut guard, key, self.default_limit);
-        ledger.burst = (capacity > 0).then(|| TokenBucket::new(capacity, refill_per_sec, now_ms));
+        self.with_ledger(key, |ledger| {
+            ledger.burst =
+                (capacity > 0).then(|| TokenBucket::new(capacity, refill_per_sec, now_ms));
+        });
     }
 
     /// Atomically admits or denies `units` against `key`'s ledger,
@@ -203,65 +196,57 @@ impl<K: Ord + Clone + ShardKey> QuotaLedger<K> {
     /// the plain ledger. Tenants without a bucket ignore `now_ms`
     /// entirely, so this is byte-for-byte the PR 9 `charge` for them.
     pub fn charge_at(&self, key: &K, units: u64, now_ms: u64) -> QuotaDecision {
-        let mut guard = lock_plain(&self.shards[self.shard_of(key)]);
-        let ledger = Self::entry(&mut guard, key, self.default_limit);
-        let over_limit = ledger.used.saturating_add(units) > ledger.limit;
-        let admitted = match &mut ledger.burst {
-            // the bucket still advances to `now_ms`, but spends nothing
-            Some(burst) if over_limit => {
-                burst.refill(now_ms);
-                false
+        self.with_ledger(key, |ledger| {
+            let over_limit = ledger.used.saturating_add(units) > ledger.limit;
+            let admitted = match &mut ledger.burst {
+                // the bucket still advances to `now_ms`, but spends nothing
+                Some(burst) if over_limit => {
+                    burst.refill(now_ms);
+                    false
+                }
+                Some(burst) => burst.try_take_units(units, now_ms),
+                None => !over_limit,
+            };
+            if admitted {
+                ledger.used += units;
+                QuotaDecision::Admitted { remaining: ledger.limit.saturating_sub(ledger.used) }
+            } else {
+                ledger.denied += 1;
+                QuotaDecision::Denied { used: ledger.used, limit: ledger.limit }
             }
-            Some(burst) => burst.try_take_units(units, now_ms),
-            None => !over_limit,
-        };
-        if admitted {
-            ledger.used += units;
-            QuotaDecision::Admitted { remaining: ledger.limit.saturating_sub(ledger.used) }
-        } else {
-            ledger.denied += 1;
-            QuotaDecision::Denied { used: ledger.used, limit: ledger.limit }
-        }
+        })
     }
 
     /// `key`'s burst tokens projected to `now_ms` (read-only: the stored
     /// bucket is not refilled). `None` when the tenant has no bucket.
     pub fn burst_tokens(&self, key: &K, now_ms: u64) -> Option<f64> {
-        let guard = lock_plain(&self.shards[self.shard_of(key)]);
-        guard.get(key).and_then(|l| l.burst).map(|mut b| b.refill(now_ms))
+        self.ledgers.with(key, |l| l.burst).flatten().map(|mut b| b.refill(now_ms))
     }
 
     /// Refunds `units` to `key` (e.g. a job that never ran).
     pub fn release(&self, key: &K, units: u64) {
-        let mut guard = lock_plain(&self.shards[self.shard_of(key)]);
-        let ledger = Self::entry(&mut guard, key, self.default_limit);
-        ledger.used = ledger.used.saturating_sub(units);
+        self.with_ledger(key, |ledger| ledger.used = ledger.used.saturating_sub(units));
     }
 
     /// `key`'s current usage, if the tenant has a ledger.
     pub fn usage(&self, key: &K) -> Option<QuotaUsage> {
-        let guard = lock_plain(&self.shards[self.shard_of(key)]);
-        guard.get(key).map(|l| QuotaUsage { limit: l.limit, used: l.used, denied: l.denied })
+        self.ledgers.with(key, Ledger::usage)
     }
 
     /// Units admitted per shard, by shard index.
     pub fn used_per_shard(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| lock_plain(s).values().map(|l| l.used).sum()).collect()
+        let mut used = vec![0; self.ledgers.shard_count()];
+        self.ledgers.for_each(|k, l| used[self.ledgers.shard_of(k)] += l.used);
+        used
     }
 
     /// A key-ordered merged snapshot of every tenant's ledger, locking
     /// all shards at once (index order) for a consistent cut.
     pub fn snapshot(&self) -> BTreeMap<K, QuotaUsage> {
-        let guards: Vec<_> = self.shards.iter().map(lock_plain).collect();
         let mut out = BTreeMap::new();
-        for guard in &guards {
-            for (k, l) in guard.iter() {
-                out.insert(
-                    k.clone(),
-                    QuotaUsage { limit: l.limit, used: l.used, denied: l.denied },
-                );
-            }
-        }
+        self.ledgers.for_each(|k, l| {
+            out.insert(k.clone(), l.usage());
+        });
         out
     }
 }

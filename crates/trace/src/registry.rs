@@ -16,9 +16,10 @@
 //! observations stay in the *original* label's shard (keeping the fold
 //! single-lock) and are summed across shards on scrape.
 
+use ei_faults::sync::lock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// The label value overflow series fold into once a metric's label
 /// cardinality cap is reached.
@@ -84,10 +85,6 @@ fn sanitize_bounds(bounds: &[f64]) -> Vec<f64> {
     out.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds compare totally"));
     out.dedup();
     out
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A striped, label-aware metric aggregation table. See the module docs.

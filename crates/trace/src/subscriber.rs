@@ -2,7 +2,8 @@
 
 use crate::export;
 use crate::record::TraceRecord;
-use std::sync::{Mutex, MutexGuard};
+use ei_faults::sync::lock;
+use std::sync::Mutex;
 
 /// A sink for trace records.
 ///
@@ -18,10 +19,6 @@ pub trait Subscriber: Send + Sync {
 #[derive(Debug, Default)]
 pub struct CollectingSubscriber {
     records: Mutex<Vec<TraceRecord>>,
-}
-
-fn lock(m: &Mutex<Vec<TraceRecord>>) -> MutexGuard<'_, Vec<TraceRecord>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl CollectingSubscriber {

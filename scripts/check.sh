@@ -142,6 +142,11 @@ for f in results/*.txt; do
 done
 echo "  ok: no stale .txt outputs"
 
+echo "==> benchmark/Cargo.lock still matches the crate graph it builds"
+# a new [dependencies] edge between crates the benchmark links would make
+# cargo rewrite benchmark/Cargo.lock; --locked turns that into a failure
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+
 echo "==> benchmark/ builds against this tree and every workload is correct"
 benchmark/repeat.sh 1 1
 bash -n scripts/ab_bench.sh

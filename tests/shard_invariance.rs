@@ -23,8 +23,9 @@ use edgelab::platform::{
     Api, InferenceSpec, JobScheduler, PlatformError, ProjectId, SessionConfig, SessionId, UserId,
 };
 use edgelab::runtime::EngineKind;
-use edgelab::serve::{Server, ServerConfig};
+use edgelab::serve::{CompiledArtifactCache, Server, ServerConfig};
 use edgelab::trace::Tracer;
+use ei_shard::{shard_index, QuotaLedger, ShardKey, ShardMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -173,18 +174,12 @@ fn flow(shards: usize, model: &str) -> String {
     log.push(format!("dead={letters:?}"));
     scheduler.shutdown();
 
-    // --- rebalance must never change observable state -------------------
-    let before = api.export_json().expect("exports");
-    let report = api.rebalance(42);
-    let after = api.export_json().expect("exports");
-    assert_eq!(before, after, "rebalance must not change exported bytes");
-    assert!(report.skew_after <= report.skew_before.max(1.0) + 1e-9);
-
     // --- export / import round-trip -------------------------------------
-    let imported = Api::import_json(&after).expect("imports");
-    assert_eq!(imported.export_json().expect("re-exports"), after, "round-trip is exact");
+    let export = api.export_json().expect("exports");
+    let imported = Api::import_json(&export).expect("imports");
+    assert_eq!(imported.export_json().expect("re-exports"), export, "round-trip is exact");
 
-    log.push(format!("export={after}"));
+    log.push(format!("export={export}"));
     log.join("\n")
 }
 
@@ -431,6 +426,63 @@ fn mixed_op_replay_is_identical_at_any_shard_count_serial_or_racing() {
                 racing == serial,
                 "racing replay diverged from serial at {shards} shards x {threads} threads"
             );
+        }
+    }
+}
+
+/// Where `ShardMap` and `QuotaLedger` put each of `keys` at `shards`
+/// stripes, checking both agree with `shard_index` and that no key's
+/// stripe moves while other keys come and go.
+fn placements<K: Ord + Clone + ShardKey>(keys: &[K], shards: usize) -> Vec<usize> {
+    let map: ShardMap<K, usize> = ShardMap::new(shards);
+    let placed: Vec<usize> = keys.iter().map(|k| map.shard_of(k)).collect();
+    for (i, key) in keys.iter().enumerate() {
+        map.insert(key.clone(), i);
+        if i % 3 == 2 {
+            map.remove(&keys[i / 2]);
+        }
+    }
+    let mut occupancy = vec![0; shards];
+    for (i, key) in keys.iter().enumerate() {
+        assert_eq!(map.shard_of(key), placed[i], "key {i} moved under churn at {shards} shards");
+        assert_eq!(shard_index(key, shards), placed[i], "key {i} at {shards} shards");
+        if map.contains_key(key) {
+            occupancy[placed[i]] += 1;
+        }
+        // a lone charge lands on the ledger's stripe for the key
+        let ledger: QuotaLedger<K> = QuotaLedger::new(shards, u64::MAX);
+        ledger.charge(key, 1);
+        assert_eq!(ledger.used_per_shard()[placed[i]], 1, "ledger stripe of key {i}");
+    }
+    assert_eq!(map.occupancy(), occupancy, "entries sit where shard_index puts them");
+    placed
+}
+
+/// Every striped structure places a key with the one pure function
+/// `shard_index`: the platform's `ShardMap`s and `QuotaLedger`, the
+/// serving artifact-cache stripes and the admission shards.
+#[test]
+fn every_store_places_keys_with_one_pure_function() {
+    let numeric: Vec<u64> = (0..200u64).chain([u64::MAX, 1 << 63, 0xdead_beef]).collect();
+    let owned: Vec<String> = (0..200)
+        .map(|i| format!("project-{i}"))
+        .chain(["".to_string(), "tenant-é".to_string()])
+        .collect();
+    let borrowed: Vec<&str> = owned.iter().map(String::as_str).collect();
+    for shards in [1usize, 3, 8, 64] {
+        placements(&numeric, shards);
+        let by_string = placements(&owned, shards);
+        assert_eq!(placements(&borrowed, shards), by_string, "&str and String place alike");
+        let cache = CompiledArtifactCache::with_shards(1, shards, Tracer::disabled());
+        let server = Server::new(
+            ServerConfig { admission_shards: shards, ..ServerConfig::default() },
+            VirtualClock::shared(),
+            Arc::new(ParPool::new(Parallelism::serial())),
+            Tracer::disabled(),
+        );
+        for (tenant, &placed) in borrowed.iter().zip(&by_string) {
+            assert_eq!(cache.shard_of(tenant), placed, "cache stripe of {tenant:?}");
+            assert_eq!(server.admission_shard_of(tenant), placed, "admission shard of {tenant:?}");
         }
     }
 }
