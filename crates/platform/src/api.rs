@@ -88,15 +88,11 @@ struct State {
     next_id: u64,
 }
 
-/// One open stream and the project it is billed against. Not part of
-/// [`State`]: a live stream is bound to this process (its DSP buffers and
-/// serving tickets cannot survive an export/import round trip), so
-/// backups deliberately exclude it.
-#[derive(Debug)]
-struct StreamEntry {
-    project: ProjectId,
-    session: StreamSession,
-}
+/// One project's open streams, by session id. Not part of [`State`]: a
+/// live stream is bound to this process (its DSP buffers and serving
+/// tickets cannot survive an export/import round trip), so backups
+/// deliberately exclude it.
+type ProjectStreams = BTreeMap<u64, StreamSession>;
 
 /// The platform API. Cheap to clone; clones share state (like concurrent
 /// API clients hitting one backend).
@@ -105,9 +101,12 @@ pub struct Api {
     users: Arc<ShardMap<u64, User>>,
     orgs: Arc<ShardMap<u64, Organization>>,
     projects: Arc<ShardMap<u64, Project>>,
-    /// Open streaming sessions, keyed by session id (process-local; see
-    /// [`StreamEntry`]).
-    streams: Arc<ShardMap<u64, StreamEntry>>,
+    /// Open streaming sessions, grouped by the project they bill to
+    /// (process-local; see [`ProjectStreams`]). A project's streams share
+    /// its stripe lock, held for a whole push, so they take turns.
+    streams: Arc<ShardMap<u64, ProjectStreams>>,
+    /// The project each open session belongs to, by session id.
+    stream_owners: Arc<ShardMap<u64, ProjectId>>,
     /// Per-project unit quotas (unlimited unless
     /// [`Api::set_project_quota`] is called).
     quotas: Arc<QuotaLedger<u64>>,
@@ -167,6 +166,7 @@ impl Api {
             orgs: Arc::new(ShardMap::new(shards)),
             projects: Arc::new(ShardMap::new(shards)),
             streams: Arc::new(ShardMap::new(shards)),
+            stream_owners: Arc::new(ShardMap::new(shards)),
             quotas: Arc::new(QuotaLedger::new(shards, u64::MAX)),
             next_id: Arc::new(AtomicU64::new(0)),
             next_stream: Arc::new(AtomicU64::new(0)),
@@ -194,7 +194,8 @@ impl Api {
 
     /// Attaches always-on telemetry: per-shard occupancy gauges and
     /// lock-wait histograms flow into `obs`'s registry — the project map
-    /// as `platform.shard.{occupancy,lock_wait}`, the stream map as
+    /// as `platform.shard.{occupancy,lock_wait}`, the stream map (one
+    /// entry per project that has opened a stream) as
     /// `platform.stream_shard.{occupancy,lock_wait}`. First caller wins,
     /// like [`ShardMap::set_observer`].
     pub fn attach_obs(&self, obs: &Arc<ei_obs::Obs>) {
@@ -658,7 +659,8 @@ impl Api {
         let session =
             StreamSession::open(self.serving().clone(), source, config).map_err(stream_to_error)?;
         let id = self.next_stream.fetch_add(1, Ordering::SeqCst) + 1;
-        self.streams.insert(id, StreamEntry { project, session });
+        self.stream_owners.insert(id, project);
+        self.streams.with_mut_or_insert(&project.0, BTreeMap::new, |open| open.insert(id, session));
         Ok(SessionId(id))
     }
 
@@ -700,37 +702,40 @@ impl Api {
     ///
     /// Fails for unknown sessions or denied access.
     pub fn stream_close(&self, session: SessionId, acting: UserId) -> Result<SessionStats> {
-        let project = self
+        let project = self.stream_owner(session, acting)?;
+        let closed = self
             .streams
-            .with(&session.0, |e| e.project)
+            .with_mut(&project.0, |open| open.remove(&session.0))
+            .flatten()
             .ok_or(PlatformError::NotFound { kind: "stream", id: session.0 })?;
-        self.with_project_mut(project, acting, |_| ())?;
-        let entry = self
-            .streams
-            .remove(&session.0)
-            .ok_or(PlatformError::NotFound { kind: "stream", id: session.0 })?;
-        Ok(entry.session.close())
+        self.stream_owners.remove(&session.0);
+        Ok(closed.close())
     }
 
-    /// Runs `f` on an open stream after re-checking project write access.
-    /// Stream-shard and project-shard locks are taken one at a time,
-    /// never nested. The stream map stays keyed by the raw `u64` inside
-    /// the [`SessionId`], so session placement (and any exported state)
-    /// is byte-identical to the untyped API.
+    /// Runs `f` on an open stream after re-checking project write access,
+    /// under the owning project's stream-map stripe. Stream-map and
+    /// project-map locks are taken one at a time, never nested.
     fn with_stream<T>(
         &self,
         session: SessionId,
         acting: UserId,
         f: impl FnOnce(&mut StreamSession) -> T,
     ) -> Result<T> {
+        let project = self.stream_owner(session, acting)?;
+        self.streams
+            .with_mut(&project.0, |open| open.get_mut(&session.0).map(f))
+            .flatten()
+            .ok_or(PlatformError::NotFound { kind: "stream", id: session.0 })
+    }
+
+    /// The project `session` bills to, once `acting` has write access to it.
+    fn stream_owner(&self, session: SessionId, acting: UserId) -> Result<ProjectId> {
         let project = self
-            .streams
-            .with(&session.0, |e| e.project)
+            .stream_owners
+            .get(&session.0)
             .ok_or(PlatformError::NotFound { kind: "stream", id: session.0 })?;
         self.with_project_mut(project, acting, |_| ())?;
-        self.streams
-            .with_mut(&session.0, |e| f(&mut e.session))
-            .ok_or(PlatformError::NotFound { kind: "stream", id: session.0 })
+        Ok(project)
     }
 
     /// Lists registry model names.
@@ -1336,9 +1341,10 @@ mod tests {
         let u = api.create_user("u");
         let projects: Vec<ProjectId> =
             (0..3).map(|i| api.create_project(&format!("p{i}"), u).unwrap()).collect();
-        api.upload_model(projects[0], u, "kws", tiny_kws_model().1).unwrap();
-        for _ in 0..2 {
-            api.stream_open(projects[0], u, "kws", SessionConfig::new("", 256)).unwrap();
+        let json = tiny_kws_model().1;
+        for &p in &projects[..2] {
+            api.upload_model(p, u, "kws", json.clone()).unwrap();
+            api.stream_open(p, u, "kws", SessionConfig::new("", 256)).unwrap();
         }
         let registry = obs.registry();
         assert_eq!(registry.gauge("platform.shard.occupancy", "shard-0"), Some(3.0));
