@@ -7,7 +7,10 @@
 //! reference at any pool width (that is the contract that lets the
 //! blocked kernels back both engines), so this binary asserts bitwise
 //! equality before it reports a single number, then asserts the blocked
-//! kernel is at least 2x the naive one on the large-GEMM shape.
+//! kernel is at least 2x the naive one on the large-GEMM shape. The int8
+//! GEMM also runs at every `ei_tensor::simd` level the host supports, on
+//! the dense and KWS-conv shapes; the best level must be at least 3x the
+//! `Baseline` one on the dense shape.
 //!
 //! ```bash
 //! cargo run --release -p ei-bench --bin kernels
@@ -17,10 +20,12 @@
 
 use ei_bench::{quick_mode, Measurement, ResultsWriter};
 use ei_nn::layers::conv::{conv2d_forward, depthwise_forward, Conv2dGeom};
+use ei_nn::layers::im2col::im2col_2d;
 use ei_nn::par::{conv2d_forward_auto, depthwise_forward_auto, gemm_f32_auto};
 use ei_nn::spec::Padding;
 use ei_par::{ParPool, Parallelism};
 use ei_tensor::gemm::{gemm_f32, gemm_i8_fused, reference};
+use ei_tensor::simd::{supported_levels, PackedI8};
 use ei_trace::json::Json;
 use std::time::Instant;
 
@@ -61,23 +66,26 @@ struct Row<'a> {
     wall_ms: f64,
     naive_ms: f64,
     bitwise_equal: bool,
+    /// Wall time of the `Baseline` level, on the per-level int8 rows.
+    baseline_ms: Option<f64>,
 }
 
 fn push_row(writer: &mut ResultsWriter, row: &Row<'_>) {
     let (m, k, n) = row.dims;
-    writer.push(
-        writer
-            .stamp()
-            .field("shape", Json::Str(row.shape.to_string()))
-            .field("kernel", Json::Str(row.kernel.to_string()))
-            .field("m", Json::Uint(m as u64))
-            .field("k", Json::Uint(k as u64))
-            .field("n", Json::Uint(n as u64))
-            .field("threads", Json::Uint(row.threads as u64))
-            .field("wall_ms", Json::Float(row.wall_ms))
-            .field("speedup_vs_naive", Json::Float(row.naive_ms / row.wall_ms))
-            .field("bitwise_equal", Json::Bool(row.bitwise_equal)),
-    );
+    let mut json = writer
+        .stamp()
+        .field("shape", Json::Str(row.shape.to_string()))
+        .field("kernel", Json::Str(row.kernel.to_string()))
+        .field("m", Json::Uint(m as u64))
+        .field("k", Json::Uint(k as u64))
+        .field("n", Json::Uint(n as u64))
+        .field("threads", Json::Uint(row.threads as u64))
+        .field("wall_ms", Json::Float(row.wall_ms))
+        .field("speedup_vs_naive", Json::Float(row.naive_ms / row.wall_ms));
+    if let Some(baseline_ms) = row.baseline_ms {
+        json = json.field("speedup_vs_baseline", Json::Float(baseline_ms / row.wall_ms));
+    }
+    writer.push(json.field("bitwise_equal", Json::Bool(row.bitwise_equal)));
     println!(
         "{:<18} {:<14} {:>4}x{:<4}x{:<4} threads={} {:>9.3} ms  {:>5.2}x  {}",
         row.shape,
@@ -129,6 +137,7 @@ fn dense_mlp(writer: &mut ResultsWriter, reps: usize, pool4: &ParPool) -> (f64, 
             wall_ms: naive_ms,
             naive_ms,
             bitwise_equal: true,
+            baseline_ms: None,
         },
     );
     push_row(
@@ -141,6 +150,7 @@ fn dense_mlp(writer: &mut ResultsWriter, reps: usize, pool4: &ParPool) -> (f64, 
             wall_ms: blocked_ms,
             naive_ms,
             bitwise_equal: blocked_equal,
+            baseline_ms: None,
         },
     );
     push_row(
@@ -153,16 +163,68 @@ fn dense_mlp(writer: &mut ResultsWriter, reps: usize, pool4: &ParPool) -> (f64, 
             wall_ms: par_ms,
             naive_ms,
             bitwise_equal: par_equal,
+            baseline_ms: None,
         },
     );
     assert!(blocked_equal && par_equal, "dense_mlp outputs must be bitwise-identical");
     ((naive_ms / blocked_ms), (naive_ms / blocked_ms).min(naive_ms / par_ms))
 }
 
+/// A per-column requantize+ReLU of the kind ei-quant's epilogue applies.
+fn requantize_relu(j: usize, acc: i32) -> i8 {
+    let scaled = ((acc as i64 * (1_500_000_000 + j as i64)) >> 40) as i32;
+    scaled.clamp(0, 127) as i8
+}
+
+/// The int8 GEMM at every level this host supports, over weights packed
+/// once: one `int8_<level>` row each, timed against `naive_ms` and the
+/// `Baseline` level (the first). Returns the best level's speedup over
+/// `Baseline`.
+#[allow(clippy::too_many_arguments)]
+fn int8_levels(
+    writer: &mut ResultsWriter,
+    reps: usize,
+    shape: &str,
+    (m, k, n): (usize, usize, usize),
+    (a, a_zp): (&[i8], i8),
+    (b, bias): (&[i8], &[i32]),
+    naive: &[i8],
+    naive_ms: f64,
+) -> f64 {
+    let mut baseline_ms = None;
+    let mut best = 0.0f64;
+    for level in supported_levels() {
+        let packed = PackedI8::with_level(level, k, n, b, bias, a_zp).expect("level is supported");
+        let mut out = vec![0i8; m * n];
+        packed.gemm(m, a, requantize_relu, &mut out);
+        let equal = out == naive;
+        let wall_ms = time_ms(reps, || packed.gemm(m, a, requantize_relu, &mut out));
+        let base = *baseline_ms.get_or_insert(wall_ms);
+        best = best.max(base / wall_ms);
+        push_row(
+            writer,
+            &Row {
+                shape,
+                kernel: &format!("int8_{}", level.name()),
+                dims: (m, k, n),
+                threads: 1,
+                wall_ms,
+                naive_ms,
+                bitwise_equal: equal,
+                baseline_ms: Some(base),
+            },
+        );
+        assert!(equal, "{shape} at {level:?} must be bitwise-identical to the naive reference");
+    }
+    best
+}
+
 /// Fused int8 shape class: the same GEMM through the quantized kernel,
 /// with requantize+ReLU fused into the epilogue vs applied in a second
-/// pass over an i32 buffer (what the engines did before fusion).
-fn dense_mlp_int8(writer: &mut ResultsWriter, reps: usize) -> f64 {
+/// pass over an i32 buffer (what the engines did before fusion), then at
+/// every level over pre-packed weights. Returns the fused speedup over
+/// naive and the best level's over `Baseline`.
+fn dense_mlp_int8(writer: &mut ResultsWriter, reps: usize) -> (f64, f64) {
     let (m, k, n) = (256, 512, 512);
     let mut a = vec![0i8; m * k];
     let mut b = vec![0i8; k * n];
@@ -170,11 +232,7 @@ fn dense_mlp_int8(writer: &mut ResultsWriter, reps: usize) -> f64 {
     fill_i8(&mut b, 12);
     let bias: Vec<i32> = (0..n as i32).map(|j| j * 7 - 512).collect();
     let a_zp = 3i8;
-    // a per-column requantize+ReLU of the kind ei-quant's finish() applies
-    let epi = |j: usize, acc: i32| {
-        let scaled = ((acc as i64 * (1_500_000_000 + j as i64)) >> 40) as i32;
-        scaled.clamp(0, 127) as i8
-    };
+    let epi = requantize_relu;
 
     let naive_once = || {
         let acc = reference::matmul_i8(m, k, n, &a, a_zp, &b, &bias);
@@ -206,6 +264,7 @@ fn dense_mlp_int8(writer: &mut ResultsWriter, reps: usize) -> f64 {
             wall_ms: naive_ms,
             naive_ms,
             bitwise_equal: true,
+            baseline_ms: None,
         },
     );
     push_row(
@@ -218,10 +277,67 @@ fn dense_mlp_int8(writer: &mut ResultsWriter, reps: usize) -> f64 {
             wall_ms: fused_ms,
             naive_ms,
             bitwise_equal: equal,
+            baseline_ms: None,
         },
     );
     assert!(equal, "int8 fused output must be bitwise-identical to requantize-after");
-    naive_ms / fused_ms
+    let best = int8_levels(
+        writer,
+        reps,
+        "dense_mlp_int8",
+        dims,
+        (&a, a_zp),
+        (&b, &bias),
+        &naive,
+        naive_ms,
+    );
+    (naive_ms / fused_ms, best)
+}
+
+/// The KWS conv shape in int8: the im2col patches of a 49×10×64 input
+/// through the naive GEMM + epilogue and through every level.
+fn kws_conv_int8(writer: &mut ResultsWriter, reps: usize) {
+    let g = Conv2dGeom {
+        in_h: 49,
+        in_w: 10,
+        in_c: 64,
+        out_c: 64,
+        kernel_h: 3,
+        kernel_w: 3,
+        stride: 1,
+        padding: Padding::Same,
+    };
+    let (oh, ow, _, _) = g.output();
+    let (m, k, n) = (oh * ow, g.kernel_h * g.kernel_w * g.in_c, g.out_c);
+    let mut input = vec![0i8; g.in_h * g.in_w * g.in_c];
+    let mut b = vec![0i8; k * n];
+    fill_i8(&mut input, 41);
+    fill_i8(&mut b, 42);
+    let bias: Vec<i32> = (0..n as i32).map(|j| j * 11 - 300).collect();
+    let a_zp = -128i8;
+    let a = im2col_2d(&input, g, a_zp);
+    let naive_once = || -> Vec<i8> {
+        let acc = reference::matmul_i8(m, k, n, &a, a_zp, &b, &bias);
+        acc.iter().enumerate().map(|(i, &v)| requantize_relu(i % n, v)).collect()
+    };
+    let naive = naive_once();
+    let naive_ms = time_ms(reps, || {
+        std::hint::black_box(naive_once());
+    });
+    push_row(
+        writer,
+        &Row {
+            shape: "kws_conv",
+            kernel: "naive_int8",
+            dims: (m, k, n),
+            threads: 1,
+            wall_ms: naive_ms,
+            naive_ms,
+            bitwise_equal: true,
+            baseline_ms: None,
+        },
+    );
+    int8_levels(writer, reps, "kws_conv", (m, k, n), (&a, a_zp), (&b, &bias), &naive, naive_ms);
 }
 
 /// KWS conv shape class: a mid-stack DS-CNN conv2d. At ~18 M MACs this
@@ -277,6 +393,7 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
             wall_ms: naive_ms,
             naive_ms,
             bitwise_equal: serial_equal,
+            baseline_ms: None,
         },
     );
     push_row(
@@ -289,6 +406,7 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
             wall_ms: par_ms,
             naive_ms,
             bitwise_equal: par_equal,
+            baseline_ms: None,
         },
     );
     assert!(serial_equal && par_equal, "kws_conv outputs must be bitwise-identical");
@@ -344,6 +462,7 @@ fn vision_depthwise(
             wall_ms: naive_ms,
             naive_ms,
             bitwise_equal: serial_equal,
+            baseline_ms: None,
         },
     );
     push_row(
@@ -356,6 +475,7 @@ fn vision_depthwise(
             wall_ms: par_ms,
             naive_ms,
             bitwise_equal: par_equal,
+            baseline_ms: None,
         },
     );
     assert!(serial_equal && par_equal, "depthwise outputs must be bitwise-identical");
@@ -371,8 +491,9 @@ fn main() {
     println!("kernel layer: naive reference vs blocked/fused (best of {reps} reps)");
     println!();
     let (dense_speedup, dense_min) = dense_mlp(&mut writer, reps, &pool4);
-    let int8_speedup = dense_mlp_int8(&mut writer, reps);
+    let (int8_speedup, best_level) = dense_mlp_int8(&mut writer, reps);
     let kws_speedup = kws_conv(&mut writer, reps, &pool1, &pool4);
+    kws_conv_int8(&mut writer, reps);
     let depthwise_speedup = vision_depthwise(&mut writer, reps, &pool1, &pool4);
 
     println!();
@@ -382,6 +503,14 @@ fn main() {
         "blocked GEMM must be at least 2x the naive reference on the large shape \
          (measured {dense_speedup:.2}x)"
     );
+    println!("dense_mlp_int8 best level over Baseline: {best_level:.2}x");
+    if supported_levels().len() > 1 {
+        assert!(
+            best_level >= 3.0,
+            "the best int8 level must be at least 3x Baseline on dense_mlp_int8 \
+             (measured {best_level:.2}x)"
+        );
+    }
     // no shape may regress below the naive reference: shapes the auto
     // gate keeps serial measure ~1.0, and the 0.92 floor absorbs timer
     // noise while still catching the 0.88x im2col regression this gate

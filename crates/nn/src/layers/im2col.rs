@@ -30,7 +30,9 @@ use super::conv::{Conv1dGeom, Conv2dGeom};
 /// Rows of `(kernel_h * kernel_w * in_c)` input taps, one per output
 /// pixel of a 2-D convolution, in `(ky, kx, ci)` column order.
 ///
-/// Out-of-bounds taps (padding) hold `pad`.
+/// Out-of-bounds taps (padding) hold `pad`. Each kernel row's in-bounds
+/// taps are contiguous in both the input and the patch row, so they move
+/// as one `(kx_hi - kx_lo) * in_c` slice.
 pub fn im2col_2d<T: Copy>(input: &[T], g: Conv2dGeom, pad: T) -> Vec<T> {
     let (oh, ow, py, px) = g.output();
     let window = g.kernel_h * g.kernel_w * g.in_c;
@@ -38,20 +40,19 @@ pub fn im2col_2d<T: Copy>(input: &[T], g: Conv2dGeom, pad: T) -> Vec<T> {
     for oy in 0..oh {
         for ox in 0..ow {
             let row0 = (oy * ow + ox) * window;
+            let (kx_lo, kx_hi, x0) = in_bounds(ox * g.stride, px, g.kernel_w, g.in_w);
+            if kx_lo == kx_hi {
+                continue;
+            }
             for ky in 0..g.kernel_h {
                 let iy = (oy * g.stride + ky) as isize - py as isize;
                 if iy < 0 || iy as usize >= g.in_h {
                     continue;
                 }
-                for kx in 0..g.kernel_w {
-                    let ix = (ox * g.stride + kx) as isize - px as isize;
-                    if ix < 0 || ix as usize >= g.in_w {
-                        continue;
-                    }
-                    let src = ((iy as usize) * g.in_w + ix as usize) * g.in_c;
-                    let dst = row0 + (ky * g.kernel_w + kx) * g.in_c;
-                    patches[dst..dst + g.in_c].copy_from_slice(&input[src..src + g.in_c]);
-                }
+                let src = ((iy as usize) * g.in_w + x0) * g.in_c;
+                let dst = row0 + (ky * g.kernel_w + kx_lo) * g.in_c;
+                let len = (kx_hi - kx_lo) * g.in_c;
+                patches[dst..dst + len].copy_from_slice(&input[src..src + len]);
             }
         }
     }
@@ -67,18 +68,25 @@ pub fn im2col_1d<T: Copy>(input: &[T], g: Conv1dGeom, pad: T) -> Vec<T> {
     let window = g.kernel * g.in_c;
     let mut patches = vec![pad; ow * window];
     for ox in 0..ow {
-        let row0 = ox * window;
-        for k in 0..g.kernel {
-            let ix = (ox * g.stride + k) as isize - pad_begin as isize;
-            if ix < 0 || ix as usize >= g.in_w {
-                continue;
-            }
-            let src = (ix as usize) * g.in_c;
-            let dst = row0 + k * g.in_c;
-            patches[dst..dst + g.in_c].copy_from_slice(&input[src..src + g.in_c]);
+        let (k_lo, k_hi, x0) = in_bounds(ox * g.stride, pad_begin, g.kernel, g.in_w);
+        if k_lo == k_hi {
+            continue;
         }
+        let src = x0 * g.in_c;
+        let dst = ox * window + k_lo * g.in_c;
+        let len = (k_hi - k_lo) * g.in_c;
+        patches[dst..dst + len].copy_from_slice(&input[src..src + len]);
     }
     patches
+}
+
+/// The taps `[lo, hi)` of a `kernel`-wide window starting at padded
+/// position `start` (`pad` before the input) that fall inside an input of
+/// width `len`, and the input index of tap `lo`.
+fn in_bounds(start: usize, pad: usize, kernel: usize, len: usize) -> (usize, usize, usize) {
+    let lo = pad.saturating_sub(start).min(kernel);
+    let hi = (len + pad).saturating_sub(start).clamp(lo, kernel);
+    (lo, hi, (start + lo).saturating_sub(pad))
 }
 
 #[cfg(test)]
@@ -123,6 +131,65 @@ mod tests {
         // top-left output pixel: row/col -1 are padding
         assert_eq!(&patches[0..3], &[-9.0, -9.0, -9.0]);
         assert_eq!(patches[4], 1.0); // center tap = input[0]
+    }
+
+    /// One tap at a time, bounds-checked: the layout the run copies must
+    /// reproduce.
+    fn per_tap_2d(input: &[i32], g: Conv2dGeom, pad: i32) -> Vec<i32> {
+        let (oh, ow, py, px) = g.output();
+        let mut rows = Vec::new();
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for ky in 0..g.kernel_h {
+                    for kx in 0..g.kernel_w {
+                        let iy = (oy * g.stride + ky) as isize - py as isize;
+                        let ix = (ox * g.stride + kx) as isize - px as isize;
+                        let inside = (0..g.in_h as isize).contains(&iy)
+                            && (0..g.in_w as isize).contains(&ix);
+                        for ci in 0..g.in_c {
+                            rows.push(if inside {
+                                input[(iy as usize * g.in_w + ix as usize) * g.in_c + ci]
+                            } else {
+                                pad
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn run_copies_match_per_tap_copies() {
+        for padding in [Padding::Same, Padding::Valid] {
+            for (in_h, in_w, in_c) in [(5, 7, 1), (4, 3, 2), (9, 2, 3), (1, 6, 1)] {
+                for (kernel_h, kernel_w) in [(1, 1), (3, 3), (2, 4), (5, 1), (1, 5)] {
+                    for stride in 1..=3 {
+                        if padding == Padding::Valid && (kernel_h > in_h || kernel_w > in_w) {
+                            continue;
+                        }
+                        let g = Conv2dGeom {
+                            in_h,
+                            in_w,
+                            in_c,
+                            out_c: 1,
+                            kernel_h,
+                            kernel_w,
+                            stride,
+                            padding,
+                        };
+                        let input: Vec<i32> = (1..=(in_h * in_w * in_c) as i32).collect();
+                        assert_eq!(im2col_2d(&input, g, -1), per_tap_2d(&input, g, -1), "{g:?}");
+                        let g1 =
+                            Conv1dGeom { in_w, in_c, out_c: 1, kernel: kernel_w, stride, padding };
+                        let as_2d = Conv2dGeom { in_h: 1, kernel_h: 1, ..g };
+                        let row = &input[..in_w * in_c];
+                        assert_eq!(im2col_1d(row, g1, -1), per_tap_2d(row, as_2d, -1), "{g1:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

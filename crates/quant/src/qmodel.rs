@@ -14,7 +14,7 @@ use ei_nn::layers::conv::{Conv1dGeom, Conv2dGeom};
 use ei_nn::layers::im2col::{im2col_1d, im2col_2d};
 use ei_nn::spec::{Activation, Dims, LayerSpec};
 use ei_nn::Sequential;
-use ei_tensor::gemm::gemm_i8_fused;
+use ei_tensor::simd::{self, DepthwiseShape, Level, PackedDepthwise, PackedI8};
 
 /// One quantized layer.
 #[derive(Debug, Clone)]
@@ -37,6 +37,9 @@ pub struct QLayer {
     pub out_q: QuantParams,
     /// Per-output-channel requantization multipliers (`s_in*s_w/s_out`).
     pub multipliers: Option<Vec<FixedMultiplier>>,
+    /// The parameterized layer's kernel, built from the fields above when
+    /// the model is quantized.
+    kernel: Option<LayerKernel>,
 }
 
 impl QLayer {
@@ -100,6 +103,21 @@ impl QuantizedModel {
             peak = peak.max(l.output.len());
         }
         peak
+    }
+
+    /// The same model with every kernel packed for `level` instead of the
+    /// host's best one, or `None` if this host cannot run `level`. The
+    /// output bytes are the same at every level; this exists so tests can
+    /// show it.
+    pub fn with_kernel_level(&self, level: Level) -> Option<QuantizedModel> {
+        if !level.is_supported() {
+            return None;
+        }
+        let mut model = self.clone();
+        for layer in &mut model.layers {
+            layer.kernel = LayerKernel::build(layer, level);
+        }
+        Some(model)
     }
 
     /// Runs inference on real-valued input, returning real-valued output.
@@ -205,10 +223,8 @@ pub fn quantize_model(model: &Sequential, calibration: &[Vec<f32>]) -> Result<Qu
                 let wf = w.as_f32()?;
                 let cq = ChannelQuant::from_weights(wf, out_c);
                 let qw = cq.quantize(wf);
-                let qb = bias.as_ref().map(|b| {
-                    b.as_f32()
-                        .expect("bias is f32")
-                        .iter()
+                let qb = bias.as_ref().map(|b| b.as_f32()).transpose()?.map(|b| {
+                    b.iter()
                         .enumerate()
                         .map(|(ch, &v)| (v / (in_q.scale * cq.scales[ch % out_c])).round() as i32)
                         .collect::<Vec<i32>>()
@@ -222,7 +238,7 @@ pub fn quantize_model(model: &Sequential, calibration: &[Vec<f32>]) -> Result<Qu
             }
             _ => (None, None, None, None),
         };
-        layers.push(QLayer {
+        let mut qlayer = QLayer {
             spec: layer.spec.clone(),
             input: layer.input,
             output: layer.output,
@@ -232,7 +248,10 @@ pub fn quantize_model(model: &Sequential, calibration: &[Vec<f32>]) -> Result<Qu
             in_q,
             out_q,
             multipliers,
-        });
+            kernel: None,
+        };
+        qlayer.kernel = LayerKernel::build(&qlayer, simd::level());
+        layers.push(qlayer);
     }
     Ok(QuantizedModel {
         input_q: ranges.qparams(0),
@@ -252,14 +271,15 @@ fn out_channels(spec: &LayerSpec, output: Dims) -> usize {
     }
 }
 
-/// A layer's requantization to the output int8 domain, resolved once per
-/// layer call: per channel, the [`FixedMultiplier`] as the shift and
+/// A layer's requantization to the output int8 domain, resolved once when
+/// the model is quantized: per channel, the [`FixedMultiplier`] as the shift and
 /// rounding terms it implies, plus the activation's clamp bounds.
 ///
 /// [`Requantizer::apply`] is [`FixedMultiplier::apply`] followed by the
 /// output zero point and the ReLU-family clamp, bit for bit — except that
 /// the zero-point add saturates: `apply` clamps a huge product to the
 /// `i32` range, and adding the zero point to that used to overflow.
+#[derive(Debug, Clone)]
 struct Requantizer {
     channels: Vec<ChannelScale>,
     zero_point: i64,
@@ -270,7 +290,7 @@ struct Requantizer {
 }
 
 /// One channel's fixed-point multiplier, pre-decoded.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct ChannelScale {
     /// The mantissa times `2^left`, wrapping: multiplying by it is
     /// `apply`'s (wrapping) `prod << left`, since wrapping multiplication
@@ -329,95 +349,192 @@ fn activation_bounds(act: Activation, out_q: QuantParams) -> (i32, i32) {
     }
 }
 
+/// A parameterized layer's epilogue: the [`Requantizer`], or for
+/// sigmoid/tanh, which have no integer fast path, the float fallback.
+#[derive(Debug, Clone)]
+enum Epilogue {
+    Fixed(Requantizer),
+    Float { act: Activation, in_scale: f32, scales: Vec<f32>, out_q: QuantParams },
+}
+
+impl Epilogue {
+    fn new(layer: &QLayer, mults: &[FixedMultiplier], cq: &ChannelQuant, act: Activation) -> Self {
+        if matches!(act, Activation::Sigmoid | Activation::Tanh) {
+            Epilogue::Float {
+                act,
+                in_scale: layer.in_q.scale,
+                scales: cq.scales.clone(),
+                out_q: layer.out_q,
+            }
+        } else {
+            Epilogue::Fixed(Requantizer::new(mults, layer.out_q, act))
+        }
+    }
+
+    /// Requantizes channel `ch`'s accumulator. The kernels match on the
+    /// variant once per call and take [`Requantizer::apply`] directly.
+    fn apply(&self, ch: usize, acc: i32) -> i8 {
+        match self {
+            Epilogue::Fixed(r) => r.apply(ch, acc),
+            Epilogue::Float { act, in_scale, scales, out_q } => {
+                out_q.quantize(act.apply(acc as f32 * in_scale * scales[ch]))
+            }
+        }
+    }
+}
+
+/// How a parameterized layer feeds its packed weights.
+#[derive(Debug, Clone)]
+enum KernelOp {
+    /// The input already is the GEMM's `m × k` left operand: a dense layer
+    /// (`m = 1`) or a 1×1, stride-1 convolution (`m` = pixels).
+    Direct {
+        m: usize,
+        packed: PackedI8,
+    },
+    Conv1d(Conv1dGeom, PackedI8),
+    Conv2d(Conv2dGeom, PackedI8),
+    Depthwise(DepthwiseShape, PackedDepthwise),
+}
+
+/// A parameterized layer's kernel: weights packed for one
+/// [`ei_tensor::simd::Level`], the input zero point they were packed for,
+/// and the requantization epilogue.
+#[derive(Debug, Clone)]
+struct LayerKernel {
+    op: KernelOp,
+    in_zp: i8,
+    epilogue: Epilogue,
+}
+
+impl LayerKernel {
+    /// Packs `layer`'s weights for `level`; `None` for a layer without
+    /// weights. A missing bias is zero.
+    fn build(layer: &QLayer, level: Level) -> Option<LayerKernel> {
+        let (Some(w), Some(cq), Some(mults)) = (&layer.weights, &layer.w_quant, &layer.multipliers)
+        else {
+            return None;
+        };
+        // activation zero points lie in the int8 range by construction
+        // (`QuantParams::from_range` clamps them)
+        let in_zp = layer.in_q.zero_point as i8;
+        let n = out_channels(&layer.spec, layer.output);
+        let bias = layer.bias.clone().unwrap_or_else(|| vec![0; n]);
+        let gemm = |k: usize| PackedI8::with_level(level, k, n, w, &bias, in_zp);
+        let d = layer.input;
+        let conv2d = |filters, kernel_h, kernel_w, stride, padding| Conv2dGeom {
+            in_h: d.h,
+            in_w: d.w,
+            in_c: d.c,
+            out_c: filters,
+            kernel_h,
+            kernel_w,
+            stride,
+            padding,
+        };
+        let (op, act) = match layer.spec {
+            LayerSpec::Dense { activation, .. } => {
+                (KernelOp::Direct { m: 1, packed: gemm(d.len())? }, activation)
+            }
+            LayerSpec::Conv1d { filters, kernel, stride, padding, activation } => {
+                let g =
+                    Conv1dGeom { in_w: d.w, in_c: d.c, out_c: filters, kernel, stride, padding };
+                (KernelOp::Conv1d(g, gemm(kernel * d.c)?), activation)
+            }
+            LayerSpec::Conv2d { filters, kernel, stride, padding, activation } => {
+                (conv2d_op(conv2d(filters, kernel, kernel, stride, padding), gemm)?, activation)
+            }
+            LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, activation } => {
+                (conv2d_op(conv2d(filters, kernel_h, kernel_w, stride, padding), gemm)?, activation)
+            }
+            LayerSpec::DepthwiseConv2d { kernel, stride, padding, activation } => {
+                let g = conv2d(d.c, kernel, kernel, stride, padding);
+                let (out_h, out_w, pad_top, pad_left) = g.output();
+                let shape = DepthwiseShape {
+                    in_h: d.h,
+                    in_w: d.w,
+                    c: d.c,
+                    kernel_h: kernel,
+                    kernel_w: kernel,
+                    stride,
+                    out_h,
+                    out_w,
+                    pad_top,
+                    pad_left,
+                };
+                let packed = PackedDepthwise::with_level(level, kernel * kernel, d.c, w, &bias)?;
+                (KernelOp::Depthwise(shape, packed), activation)
+            }
+            _ => return None,
+        };
+        Some(LayerKernel { op, in_zp, epilogue: Epilogue::new(layer, mults, cq, act) })
+    }
+
+    /// Runs the layer on `input`.
+    fn run(&self, input: &[i8]) -> Vec<i8> {
+        let zp = self.in_zp;
+        match &self.op {
+            KernelOp::Direct { m, packed } => self.gemm(packed, *m, input),
+            KernelOp::Conv1d(g, packed) => {
+                // padding taps hold the zero-point code, so `(x - zp) * w ==
+                // 0` exactly where the naive kernel's bounds check skipped
+                self.gemm(packed, g.output().0, &im2col_1d(input, *g, zp))
+            }
+            KernelOp::Conv2d(g, packed) => {
+                let (oh, ow, _, _) = g.output();
+                self.gemm(packed, oh * ow, &im2col_2d(input, *g, zp))
+            }
+            KernelOp::Depthwise(shape, packed) => {
+                let mut out = vec![0i8; shape.out_h * shape.out_w * shape.c];
+                match &self.epilogue {
+                    Epilogue::Fixed(r) => {
+                        packed.run(input, zp, *shape, |ch, acc| r.apply(ch, acc), &mut out)
+                    }
+                    float => {
+                        packed.run(input, zp, *shape, |ch, acc| float.apply(ch, acc), &mut out)
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// The fused GEMM of `m` rows of `a` against the packed weights.
+    fn gemm(&self, packed: &PackedI8, m: usize, a: &[i8]) -> Vec<i8> {
+        let mut out = vec![0i8; m * packed.n()];
+        match &self.epilogue {
+            Epilogue::Fixed(r) => packed.gemm(m, a, |j, acc| r.apply(j, acc), &mut out),
+            float => packed.gemm(m, a, |j, acc| float.apply(j, acc), &mut out),
+        }
+        out
+    }
+}
+
+/// A 2-D convolution's lowering: a 1×1, stride-1 convolution's input is
+/// already its patch matrix, anything else goes through im2col.
+fn conv2d_op(g: Conv2dGeom, gemm: impl Fn(usize) -> Option<PackedI8>) -> Option<KernelOp> {
+    let k = g.kernel_h * g.kernel_w * g.in_c;
+    Some(if g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 {
+        KernelOp::Direct { m: g.in_h * g.in_w, packed: gemm(k)? }
+    } else {
+        KernelOp::Conv2d(g, gemm(k)?)
+    })
+}
+
 /// Executes one quantized layer.
 fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
-    // activation zero points lie in the int8 range by construction
-    // (`QuantParams::from_range` clamps them)
-    let in_zp = layer.in_q.zero_point as i8;
+    if let Some(kernel) = &layer.kernel {
+        return Ok(kernel.run(input));
+    }
     match &layer.spec {
-        LayerSpec::Dense { units, activation } => {
-            let (w, b) = params(layer);
-            let mut out = vec![0i8; *units];
-            gemm_i8_fused(
-                1,
-                input.len(),
-                *units,
-                input,
-                in_zp,
-                w,
-                b,
-                finish(layer, *activation),
-                &mut out,
-            );
-            Ok(out)
-        }
-        LayerSpec::Conv1d { filters, kernel, stride, padding, activation } => {
-            let g = Conv1dGeom {
-                in_w: layer.input.w,
-                in_c: layer.input.c,
-                out_c: *filters,
-                kernel: *kernel,
-                stride: *stride,
-                padding: *padding,
-            };
-            let (ow, _) = g.output();
-            let (w, b) = params(layer);
-            // padding taps hold the zero-point code, so `(x - zp) * w == 0`
-            // exactly where the naive kernel's bounds check skipped
-            let patches = im2col_1d(input, g, in_zp);
-            let mut out = vec![0i8; ow * g.out_c];
-            gemm_i8_fused(
-                ow,
-                g.kernel * g.in_c,
-                g.out_c,
-                &patches,
-                in_zp,
-                w,
-                b,
-                finish(layer, *activation),
-                &mut out,
-            );
-            Ok(out)
-        }
-        LayerSpec::Conv2d { filters, kernel, stride, padding, activation } => {
-            let g = Conv2dGeom {
-                in_h: layer.input.h,
-                in_w: layer.input.w,
-                in_c: layer.input.c,
-                out_c: *filters,
-                kernel_h: *kernel,
-                kernel_w: *kernel,
-                stride: *stride,
-                padding: *padding,
-            };
-            Ok(conv2d_q(layer, input, in_zp, g, *activation))
-        }
-        LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, activation } => {
-            let g = Conv2dGeom {
-                in_h: layer.input.h,
-                in_w: layer.input.w,
-                in_c: layer.input.c,
-                out_c: *filters,
-                kernel_h: *kernel_h,
-                kernel_w: *kernel_w,
-                stride: *stride,
-                padding: *padding,
-            };
-            Ok(conv2d_q(layer, input, in_zp, g, *activation))
-        }
-        LayerSpec::DepthwiseConv2d { kernel, stride, padding, activation } => {
-            let g = Conv2dGeom {
-                in_h: layer.input.h,
-                in_w: layer.input.w,
-                in_c: layer.input.c,
-                out_c: layer.input.c,
-                kernel_h: *kernel,
-                kernel_w: *kernel,
-                stride: *stride,
-                padding: *padding,
-            };
-            Ok(depthwise_q(layer, input, in_zp, g, *activation))
-        }
+        LayerSpec::Dense { .. }
+        | LayerSpec::Conv1d { .. }
+        | LayerSpec::Conv2d { .. }
+        | LayerSpec::Conv2dRect { .. }
+        | LayerSpec::DepthwiseConv2d { .. } => Err(QuantError::UnsupportedLayer(format!(
+            "{} has no quantized weights",
+            layer.spec.op_name()
+        ))),
         LayerSpec::MaxPool { size } => Ok(maxpool_q(input, layer.input, *size)),
         LayerSpec::AvgPool { size } => Ok(avgpool_q(input, layer.input, *size)),
         LayerSpec::GlobalAvgPool => {
@@ -448,101 +565,6 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
             let reals = layer.in_q.dequantize_slice(input);
             let probs = ei_tensor::ops::softmax(&reals);
             Ok(layer.out_q.quantize_slice(&probs))
-        }
-    }
-}
-
-/// A parameterized layer's int8 weights and int32 biases.
-fn params(layer: &QLayer) -> (&[i8], &[i32]) {
-    let w = layer.weights.as_deref().expect("parameterized layer has weights");
-    let b = layer.bias.as_deref().expect("parameterized layer has biases");
-    (w, b)
-}
-
-/// Conv2d integer kernel: im2col followed by the fused GEMM, whose
-/// epilogue requantizes (and clamps ReLU bounds) each output row as its
-/// accumulators retire.
-fn conv2d_q(layer: &QLayer, input: &[i8], in_zp: i8, g: Conv2dGeom, act: Activation) -> Vec<i8> {
-    let (oh, ow, _, _) = g.output();
-    let (w, b) = params(layer);
-    let patches = im2col_2d(input, g, in_zp);
-    let mut out = vec![0i8; oh * ow * g.out_c];
-    gemm_i8_fused(
-        oh * ow,
-        g.kernel_h * g.kernel_w * g.in_c,
-        g.out_c,
-        &patches,
-        in_zp,
-        w,
-        b,
-        finish(layer, act),
-        &mut out,
-    );
-    out
-}
-
-/// Direct int8 depthwise kernel (no im2col: `kh·kw` taps per channel would
-/// gather more bytes than they feed). Per output pixel one `c`-wide i32
-/// accumulator takes every in-bounds tap as `c` contiguous input codes
-/// times `c` contiguous weights (stored `(kh, kw, c)`), each product an
-/// `i16` exactly as in [`gemm_i8_fused`]. Skipping an out-of-bounds tap is
-/// exact: a zero-point pad would contribute `(zp - zp) * w == 0`.
-fn depthwise_q(layer: &QLayer, input: &[i8], in_zp: i8, g: Conv2dGeom, act: Activation) -> Vec<i8> {
-    let (oh, ow, py, px) = g.output();
-    let c = g.in_c;
-    let (w, bias) = params(layer);
-    let epilogue = finish(layer, act);
-    // widened once per call (`x - zp` and `w`), so the tap loop is a plain
-    // `c`-lane i16 multiply-accumulate
-    let zp = i16::from(in_zp);
-    let xs: Vec<i16> = input.iter().map(|&v| i16::from(v) - zp).collect();
-    let ws: Vec<i16> = w.iter().map(|&v| i16::from(v)).collect();
-    let mut out = vec![0i8; oh * ow * c];
-    let mut acc = vec![0i32; c];
-    for oy in 0..oh {
-        for ox in 0..ow {
-            acc.copy_from_slice(bias);
-            for ky in 0..g.kernel_h {
-                let iy = (oy * g.stride + ky) as isize - py as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    continue;
-                }
-                for kx in 0..g.kernel_w {
-                    let ix = (ox * g.stride + kx) as isize - px as isize;
-                    if ix < 0 || ix as usize >= g.in_w {
-                        continue;
-                    }
-                    let src = ((iy as usize) * g.in_w + ix as usize) * c;
-                    let tap = (ky * g.kernel_w + kx) * c;
-                    for (a, (&x, &wv)) in
-                        acc.iter_mut().zip(xs[src..src + c].iter().zip(&ws[tap..tap + c]))
-                    {
-                        *a += i32::from(x * wv);
-                    }
-                }
-            }
-            let base = (oy * ow + ox) * c;
-            for (ch, (o, &v)) in out[base..base + c].iter_mut().zip(&acc).enumerate() {
-                *o = epilogue(ch, v);
-            }
-        }
-    }
-    out
-}
-
-/// A parameterized layer's epilogue: the [`Requantizer`], resolved once
-/// per call; sigmoid/tanh have no integer fast path and fall back to float.
-fn finish(layer: &QLayer, act: Activation) -> impl Fn(usize, i32) -> i8 + '_ {
-    let mults = layer.multipliers.as_deref().expect("parameterized layer has multipliers");
-    let requantizer = Requantizer::new(mults, layer.out_q, act);
-    let float_act = matches!(act, Activation::Sigmoid | Activation::Tanh);
-    move |ch, acc| {
-        if float_act {
-            let cq = layer.w_quant.as_ref().expect("parameterized layer");
-            let real = acc as f32 * layer.in_q.scale * cq.scales[ch % cq.len()];
-            layer.out_q.quantize(act.apply(real))
-        } else {
-            requantizer.apply(ch, acc)
         }
     }
 }

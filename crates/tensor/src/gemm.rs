@@ -10,11 +10,10 @@
 //!   naive dot-product loop's failure mode).
 //! * [`gemm_i8_fused`] — int8 × int8 → int32 GEMM whose requantization
 //!   epilogue (fixed-point multiplier + activation clamp, supplied as a
-//!   closure) runs on the accumulator **while it is still in registers**:
-//!   no int32 intermediate is ever materialized, which is the fusion TFLM
-//!   applies on Cortex-M targets. It is not tiled: each output row
-//!   accumulates rows of `B` in `i16` products (see its docs for the range
-//!   argument), which baseline SSE2 multiplies natively.
+//!   closure) runs on each output row as it retires: no `m×n` int32
+//!   intermediate is ever materialized, which is the fusion TFLM applies
+//!   on Cortex-M targets. It packs `B` and runs the host's best integer
+//!   dot-product kernel from [`crate::simd`].
 //!
 //! # Bitwise parity with the naive oracles
 //!
@@ -33,7 +32,10 @@
 //!
 //! Since float addition is deterministic, an identical operand sequence
 //! gives identical bits — at any tiling, and under any row/column
-//! partition a thread pool applies on top.
+//! partition a thread pool applies on top. The int8 kernels need none of
+//! this: integer addition is exact, so any order gives the same bits.
+
+use crate::simd::PackedI8;
 
 /// Register-tile rows (output rows accumulated simultaneously).
 pub const MR: usize = 4;
@@ -241,16 +243,15 @@ pub fn gemm_f32(
 /// weights (output channel fastest, the layout `ei-quant` stores), and
 /// `bias` is the int32 per-column bias at scale `s_in * s_w`.
 ///
-/// Each row accumulates whole rows of `b` into `n` i32 lanes, and every
-/// product is formed in `i16`: `a - a_zp` lies in `[-255, 255]` because
-/// both are `i8`, and `|(a - a_zp) * b| <= 255 * 128 = 32_640`, so the
-/// multiply is SSE2's native 16-bit one and only the sum widens to `i32`.
-/// Integer addition is exact, so the result equals
+/// This packs `b` for the host's [`crate::simd::level`] on every call and
+/// runs [`PackedI8::gemm`]; a caller that multiplies by the same weights
+/// again packs them once with [`PackedI8::new`] instead. Accumulation
+/// wraps in `i32` at every level, so the result equals
 /// [`reference::matmul_i8`] + the same epilogue unconditionally.
 ///
 /// # Panics
 ///
-/// Debug-asserts buffer sizes are consistent.
+/// Panics if a buffer is shorter than its shape says.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_i8_fused(
     m: usize,
@@ -264,29 +265,10 @@ pub fn gemm_i8_fused(
     out: &mut [i8],
 ) {
     debug_assert_eq!(out.len(), m * n);
-    debug_assert!(a.len() >= m * k);
-    debug_assert!(b.len() >= k * n);
-    debug_assert_eq!(bias.len(), n);
     if m == 0 || n == 0 {
         return;
     }
-    let zp = i16::from(a_zp);
-    // widened once per call: the i8 -> i16 step then stays out of the
-    // inner loop, which is a plain `n`-lane i16 multiply-accumulate
-    let b16: Vec<i16> = b[..k * n].iter().map(|&v| i16::from(v)).collect();
-    let mut acc = vec![0i32; n];
-    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
-        acc.copy_from_slice(bias);
-        for (&x, brow) in a[i * k..i * k + k].iter().zip(b16.chunks_exact(n)) {
-            let x = i16::from(x) - zp;
-            for (o, &bv) in acc.iter_mut().zip(brow) {
-                *o += i32::from(x * bv);
-            }
-        }
-        for (j, (o, &v)) in orow.iter_mut().zip(&acc).enumerate() {
-            *o = epilogue(j, v);
-        }
-    }
+    PackedI8::new(k, n, b, bias, a_zp).gemm(m, a, epilogue, out);
 }
 
 /// The naive loop nests the blocked kernels are verified against. These
@@ -331,7 +313,8 @@ pub mod reference {
     }
 
     /// Naive int8 GEMM accumulators: `j`-outer like the historical
-    /// `ei-quant` kernels, one i32 per output element.
+    /// `ei-quant` kernels, one i32 per output element. Each product is
+    /// exact; the sum wraps, as `vpdpbusd` does (see [`crate::simd`]).
     ///
     /// # Panics
     ///
@@ -353,7 +336,8 @@ pub mod reference {
             for j in 0..n {
                 let mut acc = bias[j];
                 for p in 0..k {
-                    acc += (a[i * k + p] as i32 - a_zp as i32) * b[p * n + j] as i32;
+                    let product = (a[i * k + p] as i32 - a_zp as i32) * b[p * n + j] as i32;
+                    acc = acc.wrapping_add(product);
                 }
                 out[i * n + j] = acc;
             }

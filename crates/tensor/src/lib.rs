@@ -32,6 +32,7 @@ pub mod gemm;
 pub mod init;
 pub mod ops;
 pub mod shape;
+pub mod simd;
 pub mod tensor;
 
 pub use arena::{Arena, ArenaHandle};

@@ -50,7 +50,7 @@ else
   echo "  (no results/*.json yet — run the bench binaries to generate them)"
 fi
 
-echo "==> results/kernels.json kernels are bitwise-equal and ≥2x on dense"
+echo "==> results/kernels.json kernels are bitwise-equal, ≥2x on dense, best int8 level ≥3x Baseline"
 if [ -f results/kernels.json ]; then
   for marker in \
     '"shape":"dense_mlp","kernel":"blocked"' \
@@ -82,6 +82,22 @@ if [ -f results/kernels.json ]; then
     }
     END { exit bad }' results/kernels.json || {
       echo "a blocked_par kernel regressed below 0.9x naive" >&2
+      exit 1
+    }
+  # one int8 row per ei_tensor::simd level the host supports, Baseline
+  # first; where a SIMD level exists the best must be ≥3x Baseline
+  for shape in dense_mlp_int8 kws_conv; do
+    if ! grep -qF -- "\"shape\":\"$shape\",\"kernel\":\"int8_baseline\"" results/kernels.json; then
+      echo "MISSING from results/kernels.json: $shape int8_baseline row" >&2
+      exit 1
+    fi
+  done
+  awk -F'"speedup_vs_baseline":' '
+    /"shape":"dense_mlp_int8","kernel":"int8_/ && !/"kernel":"int8_baseline"/ {
+      split($2, a, ","); levels++; if (a[1] + 0 > best) { best = a[1] + 0 }
+    }
+    END { exit (levels > 0 && best < 3.0) }' results/kernels.json || {
+      echo "the best int8 level is below 3x Baseline on dense_mlp_int8" >&2
       exit 1
     }
   echo "  ok results/kernels.json"

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Runs the kernel-layer bench (naive reference vs blocked/fused kernels
-# over the MLP-dense, KWS-conv and vision-depthwise shape classes) and
+# over the MLP-dense, KWS-conv and vision-depthwise shape classes, plus the
+# int8 GEMM at every ei_tensor::simd level the host supports) and
 # sanity-checks the JSONL rows it writes: every shape/kernel pair is
 # present, every row reports bitwise_equal:true, and the bench's own ≥2×
 # speedup assert ran (the bin exits non-zero if the blocked kernel ever
-# regresses below 2× naive on the large-GEMM shape).
+# regresses below 2× naive on the large-GEMM shape, or the best int8 level
+# below 3× Baseline).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +20,9 @@ for marker in \
   '"shape":"dense_mlp","kernel":"blocked"' \
   '"shape":"dense_mlp","kernel":"blocked_par"' \
   '"shape":"dense_mlp_int8","kernel":"blocked_fused"' \
+  '"shape":"dense_mlp_int8","kernel":"int8_baseline"' \
   '"shape":"kws_conv","kernel":"blocked_par"' \
+  '"shape":"kws_conv","kernel":"int8_baseline"' \
   '"shape":"vision_depthwise","kernel":"blocked_par"'; do
   if ! grep -qF -- "$marker" "$out"; then
     echo "MISSING from $out: $marker" >&2

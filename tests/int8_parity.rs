@@ -9,6 +9,8 @@
 //! loops written here — i32 products, per-channel depthwise gathers,
 //! [`reference::matmul_i8`] and [`FixedMultiplier::apply`] — compared
 //! bitwise with `trace_raw` and `QuantizedModel::forward_quantized`.
+//! Both gates run at every `simd` level this host supports, `Baseline`
+//! included, through `QuantizedModel::with_kernel_level`.
 
 use edgelab::nn::layers::conv::Conv2dGeom;
 use edgelab::nn::presets;
@@ -18,6 +20,7 @@ use edgelab::quant::qmodel::QLayer;
 use edgelab::quant::qparams::FixedMultiplier;
 use edgelab::quant::{quantize_model, QuantizedModel};
 use edgelab::tensor::gemm::reference;
+use edgelab::tensor::simd::supported_levels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,12 +55,16 @@ fn paper_models_int8_trace_bytes_are_pinned() {
     for (name, spec, want) in cases {
         let len = spec.input.len();
         let model = Sequential::build(&spec, 7).expect("preset builds");
-        let qmodel = quantize_model(&model, &random_inputs(4, len, 11)).expect("quantizes");
+        let quantized = quantize_model(&model, &random_inputs(4, len, 11)).expect("quantizes");
         let mut probes = random_inputs(3, len, 12);
         // far outside the calibrated range: saturating codes everywhere
         probes.push(probes[0].iter().map(|v| v * 8.0).collect());
-        let got = trace_hash(&qmodel, &probes);
-        assert_eq!(got, want, "{name}: int8 trace bytes moved (got {got:#018x})");
+        for level in supported_levels() {
+            let qmodel = quantized.with_kernel_level(level).expect("level is supported");
+            let name = format!("{name} at {level:?}");
+            let got = trace_hash(&qmodel, &probes);
+            assert_eq!(got, want, "{name}: int8 trace bytes moved (got {got:#018x})");
+        }
     }
 }
 
@@ -220,7 +227,13 @@ fn int8_layers_match_naive_oracle_bitwise() {
                         .collect();
                     let q = quantize_model(&model, &calib).expect("quantizes");
                     assert_eq!(q.input_qparams().zero_point, want_zp);
-                    for x in random_inputs(3, len, seed ^ 0x5eed) {
+                    let inputs = random_inputs(3, len, seed ^ 0x5eed);
+                    for (level, x) in supported_levels()
+                        .into_iter()
+                        .flat_map(|level| inputs.iter().map(move |x| (level, x)))
+                    {
+                        let q = q.with_kernel_level(level).expect("level is supported");
+                        let seed = format!("{seed} at {level:?}");
                         let x: Vec<f32> = x.iter().map(|v| v * 1.5).collect();
                         let trace = q.trace_raw(&x).expect("input fits");
                         let mut act_codes = trace[0].clone();

@@ -22,6 +22,7 @@ use edgelab::nn::par::{
 use edgelab::nn::spec::Padding;
 use edgelab::par::{ParPool, Parallelism};
 use edgelab::tensor::gemm::{gemm_f32, gemm_i8_fused, reference, KC, MR, NR};
+use edgelab::tensor::simd::{supported_levels, PackedI8};
 
 /// Deterministic f32 data mixing zeros, negative zeros and sign flips so
 /// the kernels' `x == 0.0` skip is exercised, not just dense arithmetic.
@@ -99,7 +100,9 @@ fn fused_int8_gemm_matches_two_pass_reference() {
     // zero points at both int8 edges, and a weight column of -128, reach
     // the i16 product bound |(a - a_zp) * b| = 255 * 128
     for a_zp in [-7, -128, 127] {
-        for &(m, k, n) in &[(1, 9, 5), (3, 64, 7), (MR + 2, KC + 3, NR + 5), (33, 127, 31)] {
+        for &(m, k, n) in
+            &[(1, 9, 5), (1, 130, 33), (3, 64, 7), (MR + 2, KC + 3, NR + 5), (33, 127, 31)]
+        {
             let a = data_i8(m * k, 3);
             let mut b = data_i8(k * n, 4);
             for row in b.chunks_mut(n) {
@@ -118,6 +121,33 @@ fn fused_int8_gemm_matches_two_pass_reference() {
             let mut got = vec![0i8; m * n];
             gemm_i8_fused(m, k, n, &a, a_zp, &b, &bias, epi, &mut got);
             assert_eq!(want, got, "shape ({m},{k},{n})");
+            // and each level's kernel directly, over weights packed once
+            for level in supported_levels() {
+                let packed = PackedI8::with_level(level, k, n, &b, &bias, a_zp).expect("supported");
+                let mut got = vec![0i8; m * n];
+                packed.gemm(m, &a, epi, &mut got);
+                assert_eq!(want, got, "{level:?} shape ({m},{k},{n}) zp {a_zp}");
+            }
+        }
+    }
+}
+
+#[test]
+fn int8_accumulation_wraps_instead_of_overflowing() {
+    // a bias at an i32 edge plus a non-zero product: every level wraps,
+    // as `vpdpbusd` does, instead of panicking in debug builds
+    for bias in [i32::MAX, i32::MIN] {
+        let want = bias.wrapping_add(1);
+        assert_eq!(reference::matmul_i8(1, 1, 1, &[1], 0, &[1], &[bias]), vec![want]);
+        let low_byte = |_: usize, acc: i32| acc as i8;
+        let mut out = [0i8];
+        gemm_i8_fused(1, 1, 1, &[1], 0, &[1], &[bias], low_byte, &mut out);
+        assert_eq!(out[0], want as i8);
+        for level in supported_levels() {
+            let packed = PackedI8::with_level(level, 1, 1, &[1], &[bias], 0).expect("supported");
+            // the top byte shows wrap versus saturation
+            packed.gemm(1, &[1], |_, acc| (acc >> 24) as i8, &mut out);
+            assert_eq!(out[0], (want >> 24) as i8, "{level:?} bias {bias}");
         }
     }
 }
