@@ -2,21 +2,26 @@
 //!
 //! The int8 engines spend their time in two loops: the GEMM every dense and
 //! convolution layer lowers to, and the depthwise tap loop. This module
-//! runs both with the best integer dot-product instruction the host has —
-//! the serving-host counterpart of the CMSIS-NN SIMD kernels TFLM calls on
+//! runs both with the host's integer dot-product instruction — the
+//! serving-host counterpart of the CMSIS-NN SIMD kernels TFLM calls on
 //! Cortex-M — over weights laid out once, when a layer is quantized.
 //!
 //! # Levels
 //!
 //! [`level`] detects the host once ([`Level::is_supported`] behind a
-//! `OnceLock`): `Vnni512` (512-bit `vpdpbusd`), `AvxVnni` (256-bit
-//! `vpdpbusd`), `Avx2` (`vpmaddwd`) or `Baseline` (portable Rust, `i16`
+//! `OnceLock`): `AvxVnni` (256-bit `vpdpbusd` for the GEMM, AVX2
+//! `vpmaddwd` for the depthwise taps) or `Baseline` (portable Rust, `i16`
 //! products, which the autovectorizer takes on SSE2). `Baseline` is the
-//! oracle the others are tested against; there is no knob to pick a level,
+//! oracle `AvxVnni` is tested against; there is no knob to pick a level,
 //! but [`PackedI8::with_level`] and [`PackedDepthwise::with_level`] pack for
-//! any supported one, which is how the tests cover every level directly.
-//! The model path packs once per layer, at the host's level, when the
-//! model is quantized.
+//! any supported one, which is how the tests cover both directly. The model
+//! path packs once per layer, at the host's level, when the model is
+//! quantized.
+//!
+//! There is one SIMD level on purpose. A 512-bit `vpdpbusd` kernel measured
+//! no faster than the 256-bit one on these shapes, and a host without
+//! AVX-VNNI runs `Baseline`, the kernel this module replaced. A new level
+//! earns its place when a benchmarked host selects it and runs faster.
 //!
 //! # Why every level gives the same bits
 //!
@@ -32,81 +37,57 @@
 //! * `vpmaddubsw` adds its two `u8·i8` products in *saturating* `i16`, and
 //!   `2·255·128 = 65 280` does not fit.
 //!
-//! So the `Avx2` level widens both operands to `i16` and uses `vpmaddwd`,
-//! whose pair sum is formed in `i32` (`|u·b| ≤ 255·128`, exact). All
-//! levels, and [`crate::gemm::reference::matmul_i8`], accumulate with
-//! wrapping `i32` adds: `vpdpbusd` wraps, so wrapping is the only
-//! definition on which they all agree.
+//! The depthwise kernel therefore widens both operands to `i16` and uses
+//! `vpmaddwd`, whose pair sum is formed in `i32` (`|(x − zp)·w| ≤ 255·128`,
+//! exact). Both levels, and [`crate::gemm::reference::matmul_i8`],
+//! accumulate with wrapping `i32` adds: `vpdpbusd` wraps, so wrapping is
+//! the only definition on which they all agree.
 //!
 //! This module is the only `unsafe` in the kernel layer. Each `unsafe`
-//! block states the invariant it relies on in a `// SAFETY:` line.
+//! block states the invariant it relies on in a `// SAFETY:` line; the
+//! instruction-set half of each rests on a `Simd` token, which only a
+//! support check can make.
 
 use std::sync::OnceLock;
+
+use token::Simd;
 
 /// An integer dot-product instruction set the int8 kernels can run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
     /// Portable Rust: `i16` products widened into `i32` lanes.
     Baseline,
-    /// AVX2 `vpmaddwd` over `i16`-widened operands.
-    Avx2,
-    /// AVX-VNNI: 256-bit `vpdpbusd`.
+    /// AVX-VNNI 256-bit `vpdpbusd` GEMM; AVX2 `vpmaddwd` depthwise.
     AvxVnni,
-    /// AVX-512 VNNI: 512-bit `vpdpbusd`.
-    Vnni512,
 }
 
 impl Level {
     /// Every level, slowest first.
-    pub const ALL: [Level; 4] = [Level::Baseline, Level::Avx2, Level::AvxVnni, Level::Vnni512];
+    pub const ALL: [Level; 2] = [Level::Baseline, Level::AvxVnni];
 
     /// Short stable name, as written to `results/kernels.json`.
     pub fn name(self) -> &'static str {
         match self {
             Level::Baseline => "baseline",
-            Level::Avx2 => "avx2",
             Level::AvxVnni => "avx_vnni",
-            Level::Vnni512 => "vnni512",
         }
     }
 
     /// Whether this CPU can run the level's kernels.
     pub fn is_supported(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let avx2 = is_x86_feature_detected!("avx2");
-            match self {
-                Level::Baseline => true,
-                Level::Avx2 => avx2,
-                // the depthwise kernel of the VNNI levels is the AVX2 one
-                Level::AvxVnni => avx2 && is_x86_feature_detected!("avxvnni"),
-                Level::Vnni512 => {
-                    avx2 && is_x86_feature_detected!("avx512f")
-                        && is_x86_feature_detected!("avx512bw")
-                        && is_x86_feature_detected!("avx512vnni")
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self == Level::Baseline
+        match self {
+            Level::Baseline => true,
+            Level::AvxVnni => Simd::check().is_some(),
         }
     }
 
-    /// The SIMD kernel family of this level; `None` for `Baseline`.
-    #[cfg(target_arch = "x86_64")]
-    fn dot(self) -> Option<Dot> {
+    /// The proof token for this level's SIMD kernels: `None` for
+    /// `Baseline`, and for a level this CPU cannot run.
+    fn simd(self) -> Option<Simd> {
         match self {
             Level::Baseline => None,
-            Level::Avx2 => Some(Dot::Avx2),
-            Level::AvxVnni => Some(Dot::AvxVnni),
-            Level::Vnni512 => Some(Dot::Vnni512),
+            Level::AvxVnni => Simd::check(),
         }
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn dot(self) -> Option<Dot> {
-        None
     }
 }
 
@@ -123,21 +104,35 @@ pub fn supported_levels() -> Vec<Level> {
     Level::ALL.into_iter().filter(|l| l.is_supported()).collect()
 }
 
-/// A SIMD level, as proof that its kernels may run: one is only ever made
-/// from a [`Level`] that [`Level::is_supported`] accepted.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-enum Dot {
-    Avx2,
-    AvxVnni,
-    Vnni512,
+mod token {
+    /// Proof that this CPU runs the SIMD kernels (AVX2 and AVX-VNNI). The
+    /// field is private to this module, so [`Simd::check`] is the only way
+    /// to make one.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Debug, Clone, Copy)]
+    pub struct Simd(());
+
+    #[cfg(not(target_arch = "x86_64"))]
+    #[derive(Debug, Clone, Copy)]
+    pub enum Simd {}
+
+    impl Simd {
+        /// A token if this CPU runs the SIMD kernels.
+        #[cfg(target_arch = "x86_64")]
+        pub fn check() -> Option<Simd> {
+            let ok = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("avxvnni");
+            ok.then_some(Simd(()))
+        }
+
+        #[cfg(not(target_arch = "x86_64"))]
+        pub fn check() -> Option<Simd> {
+            None
+        }
+    }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-#[derive(Debug, Clone, Copy)]
-enum Dot {}
-
-/// Output columns per SIMD panel: one 512-bit register of `i32`.
+/// Output columns (or depthwise channels) per SIMD panel: two 256-bit
+/// registers of `i32`.
 const PANEL: usize = 16;
 
 /// The weights of one int8 GEMM (`k×n`, row-major, output channel
@@ -160,7 +155,7 @@ enum PackedB {
     Rows(Vec<i16>),
     /// `[⌈k/4⌉][n_pad][4]` bytes — each column's four consecutive `k`
     /// taps side by side, zero-padded in `k` and in `n` to whole panels.
-    Quads(Dot, Vec<i8>),
+    Quads(Simd, Vec<i8>),
 }
 
 impl PackedI8 {
@@ -171,7 +166,7 @@ impl PackedI8 {
     ///
     /// Panics if `b` is shorter than `k * n` or `bias` is not `n` long.
     pub fn new(k: usize, n: usize, b: &[i8], bias: &[i32], a_zp: i8) -> PackedI8 {
-        Self::pack(level(), k, n, b, bias, a_zp)
+        Self::pack(level().simd(), k, n, b, bias, a_zp)
     }
 
     /// As [`PackedI8::new`] at `level`, or `None` if this host cannot run
@@ -188,15 +183,17 @@ impl PackedI8 {
         bias: &[i32],
         a_zp: i8,
     ) -> Option<PackedI8> {
-        level.is_supported().then(|| Self::pack(level, k, n, b, bias, a_zp))
+        level.is_supported().then(|| Self::pack(level.simd(), k, n, b, bias, a_zp))
     }
 
-    fn pack(level: Level, k: usize, n: usize, b: &[i8], bias: &[i32], a_zp: i8) -> PackedI8 {
+    /// Packs for the SIMD kernel given its token, for `Baseline` given
+    /// `None`.
+    fn pack(simd: Option<Simd>, k: usize, n: usize, b: &[i8], bias: &[i32], a_zp: i8) -> PackedI8 {
         let b = &b[..k * n];
         assert_eq!(bias.len(), n, "one bias per output column");
-        let (b, init) = match level.dot() {
+        let (b, init) = match simd {
             None => (PackedB::Rows(b.iter().map(|&v| i16::from(v)).collect()), bias.to_vec()),
-            Some(dot) => {
+            Some(simd) => {
                 let n_pad = n.next_multiple_of(PANEL);
                 let mut quads = vec![0i8; k.div_ceil(4) * n_pad * 4];
                 let mut col_sums = vec![0i32; n];
@@ -214,7 +211,7 @@ impl PackedI8 {
                     .map(|(&bias, &sum)| bias.wrapping_sub(shift.wrapping_mul(sum)))
                     .collect();
                 init.resize(n_pad, 0);
-                (PackedB::Quads(dot, quads), init)
+                (PackedB::Quads(simd, quads), init)
             }
         };
         PackedI8 { k, n, a_zp, b, init }
@@ -256,11 +253,11 @@ impl PackedI8 {
                     retire(&acc, &epilogue, orow);
                 }
             }
-            PackedB::Quads(dot, quads) => {
+            PackedB::Quads(simd, quads) => {
                 let mut xq = vec![0u32; k.div_ceil(4)];
                 for (i, orow) in out.chunks_exact_mut(n).enumerate() {
                     to_quads(&a[i * k..i * k + k], &mut xq);
-                    dot_row(*dot, &xq, quads, &self.init, &mut acc);
+                    dot_row(*simd, &xq, quads, &self.init, &mut acc);
                     retire(&acc, &epilogue, orow);
                 }
             }
@@ -295,25 +292,19 @@ fn to_quads(row: &[i8], xq: &mut [u32]) {
 
 /// `acc = init + Σ_q dot(xq[q], quads[q])` over every padded column.
 #[cfg(target_arch = "x86_64")]
-fn dot_row(dot: Dot, xq: &[u32], quads: &[i8], init: &[i32], acc: &mut [i32]) {
+fn dot_row(_: Simd, xq: &[u32], quads: &[i8], init: &[i32], acc: &mut [i32]) {
     let n_pad = init.len();
     assert!(
         n_pad.is_multiple_of(PANEL) && acc.len() == n_pad && quads.len() == xq.len() * n_pad * 4
     );
-    // SAFETY: `dot` was made from a level `is_supported` accepted (see
-    // `Dot`), and the assert above is each kernel's size contract.
-    unsafe {
-        match dot {
-            Dot::Avx2 => x86::dot_row_avx2(xq, quads, init, acc),
-            Dot::AvxVnni => x86::dot_row_avx_vnni(xq, quads, init, acc),
-            Dot::Vnni512 => x86::dot_row_vnni512(xq, quads, init, acc),
-        }
-    }
+    // SAFETY: a `Simd` token exists only once AVX2 and AVX-VNNI were
+    // detected, and the assert above is the kernel's size contract.
+    unsafe { x86::dot_row_avx_vnni(xq, quads, init, acc) }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn dot_row(dot: Dot, _: &[u32], _: &[i8], _: &[i32], _: &mut [i32]) {
-    match dot {}
+fn dot_row(simd: Simd, _: &[u32], _: &[i8], _: &[i32], _: &mut [i32]) {
+    match simd {}
 }
 
 /// Geometry of one depthwise convolution, in the terms its kernel needs.
@@ -342,10 +333,13 @@ pub struct DepthwiseShape {
 }
 
 /// The weights of one int8 depthwise convolution (`(kh, kw, c)`, channel
-/// fastest) and its bias, laid out once for one [`Level`].
+/// fastest) and its bias, laid out once for one [`Level`]. There are two
+/// kernels: `Baseline`'s portable tap loop and an AVX2 `vpmaddwd` one,
+/// which the `AvxVnni` level runs.
 #[derive(Debug, Clone)]
 pub struct PackedDepthwise {
-    level: Level,
+    /// The SIMD kernel's token; `None` at `Baseline`.
+    simd: Option<Simd>,
     taps: usize,
     c: usize,
     /// Channel stride of the padded input: `c` at `Baseline`, `c` rounded
@@ -372,15 +366,14 @@ impl PackedDepthwise {
         w: &[i8],
         bias: &[i32],
     ) -> Option<PackedDepthwise> {
-        level.is_supported().then(|| Self::pack(level, taps, c, w, bias))
+        level.is_supported().then(|| Self::pack(level.simd(), taps, c, w, bias))
     }
 
-    fn pack(level: Level, taps: usize, c: usize, w: &[i8], bias: &[i32]) -> PackedDepthwise {
+    fn pack(simd: Option<Simd>, taps: usize, c: usize, w: &[i8], bias: &[i32]) -> PackedDepthwise {
         let w = &w[..taps * c];
         assert_eq!(bias.len(), c, "one bias per channel");
-        let simd = level.dot().is_some();
-        let c_pad = if simd { c.next_multiple_of(PANEL) } else { c };
-        let packed = if simd {
+        let c_pad = if simd.is_some() { c.next_multiple_of(PANEL) } else { c };
+        let packed = if simd.is_some() {
             let blocks = c_pad / PANEL;
             let mut packed = vec![0i16; taps.div_ceil(2) * blocks * 32];
             for (t, row) in w.chunks_exact(c.max(1)).enumerate().take(taps) {
@@ -399,7 +392,7 @@ impl PackedDepthwise {
         };
         let mut bias = bias.to_vec();
         bias.resize(c_pad, 0);
-        PackedDepthwise { level, taps, c, c_pad, w: packed, bias }
+        PackedDepthwise { simd, taps, c, c_pad, w: packed, bias }
     }
 
     /// Depthwise convolution of `input` (`in_h × in_w × c` codes at zero
@@ -440,7 +433,7 @@ impl PackedDepthwise {
         let mut acc = vec![0i32; s.out_w * cp];
         for (oy, orow) in out.chunks_exact_mut(s.out_w * c).enumerate() {
             let origin = oy * s.stride * wp * cp;
-            match self.level.dot() {
+            match self.simd {
                 None => {
                     for (ox, px) in acc.chunks_exact_mut(cp).enumerate() {
                         px.copy_from_slice(&self.bias);
@@ -452,7 +445,9 @@ impl PackedDepthwise {
                         }
                     }
                 }
-                Some(dot) => dw_row(dot, &xs, origin, step, &pairs, &self.w, &self.bias, &mut acc),
+                Some(simd) => {
+                    dw_row(simd, &xs, origin, step, &pairs, &self.w, &self.bias, &mut acc)
+                }
             }
             for (px, opx) in acc.chunks_exact(cp).zip(orow.chunks_exact_mut(c)) {
                 retire(&px[..c], &epilogue, opx);
@@ -493,7 +488,7 @@ fn pad_widened(
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 fn dw_row(
-    _dot: Dot,
+    _: Simd,
     xs: &[i16],
     origin: usize,
     step: usize,
@@ -507,15 +502,15 @@ fn dw_row(
     let reach = pairs.iter().map(|&(t0, t1)| t0.max(t1)).max().unwrap_or(0) + cp;
     assert!(cp.is_multiple_of(PANEL) && acc.len() == ow * cp && w.len() == pairs.len() * cp * 2);
     assert!(ow == 0 || origin + (ow - 1) * step + reach <= xs.len(), "taps stay in the image");
-    // SAFETY: every `Dot` level includes AVX2 (`Level::is_supported`), and
-    // the asserts above are the kernel's size contract.
+    // SAFETY: a `Simd` token exists only once AVX2 was detected, and the
+    // asserts above are the kernel's size contract.
     unsafe { x86::dw_row_avx2(xs, origin, step, pairs, w, bias, acc) }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
 fn dw_row(
-    dot: Dot,
+    simd: Simd,
     _: &[i16],
     _: usize,
     _: usize,
@@ -524,7 +519,7 @@ fn dw_row(
     _: &[i32],
     _: &mut [i32],
 ) {
-    match dot {}
+    match simd {}
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -533,67 +528,12 @@ mod x86 {
     use super::PANEL;
     use std::arch::x86_64::*;
 
-    /// 512-bit `vpdpbusd`: one register per panel, four panels at a time.
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX-512F/BW/VNNI; `init.len() == acc.len()` is a
-    /// multiple of [`PANEL`] and `quads.len() == xq.len() * init.len() * 4`.
-    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    pub(super) unsafe fn dot_row_vnni512(xq: &[u32], quads: &[i8], init: &[i32], acc: &mut [i32]) {
-        let panels = init.len() / PANEL;
-        let mut p = 0;
-        while p < panels {
-            // SAFETY: the caller's contract, and `p + width <= panels`.
-            unsafe {
-                if p + 4 <= panels {
-                    vnni512::<4>(xq, quads, init, acc, p);
-                    p += 4;
-                } else {
-                    vnni512::<1>(xq, quads, init, acc, p);
-                    p += 1;
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// As [`dot_row_vnni512`], and `p0 + P <= init.len() / PANEL`.
-    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    unsafe fn vnni512<const P: usize>(
-        xq: &[u32],
-        quads: &[i8],
-        init: &[i32],
-        acc: &mut [i32],
-        p0: usize,
-    ) {
-        let n_pad = init.len();
-        let mut sums = [_mm512_setzero_si512(); P];
-        for (i, s) in sums.iter_mut().enumerate() {
-            // SAFETY: `(p0 + i + 1) · PANEL <= n_pad == init.len()`.
-            *s = unsafe { _mm512_loadu_si512(init.as_ptr().add((p0 + i) * PANEL).cast()) };
-        }
-        for (q, &x) in xq.iter().enumerate() {
-            let x = _mm512_set1_epi32(x as i32);
-            let base = (q * n_pad + p0 * PANEL) * 4;
-            for (i, s) in sums.iter_mut().enumerate() {
-                // SAFETY: `base + (i + 1)·64 <= (q + 1)·n_pad·4 <= quads.len()`.
-                let w = unsafe { _mm512_loadu_si512(quads.as_ptr().add(base + i * 64).cast()) };
-                *s = _mm512_dpbusd_epi32(*s, x, w);
-            }
-        }
-        for (i, s) in sums.iter().enumerate() {
-            // SAFETY: as for the `init` loads, since `acc.len() == n_pad`.
-            unsafe { _mm512_storeu_si512(acc.as_mut_ptr().add((p0 + i) * PANEL).cast(), *s) };
-        }
-    }
-
     /// 256-bit `vpdpbusd`: two registers per panel, four panels at a time.
     ///
     /// # Safety
     ///
-    /// The CPU supports AVX2 and AVX-VNNI; sizes as [`dot_row_vnni512`].
+    /// The CPU supports AVX2 and AVX-VNNI; `init.len() == acc.len()` is a
+    /// multiple of [`PANEL`] and `quads.len() == xq.len() * init.len() * 4`.
     #[target_feature(enable = "avx2,avxvnni")]
     pub(super) unsafe fn dot_row_avx_vnni(xq: &[u32], quads: &[i8], init: &[i32], acc: &mut [i32]) {
         let panels = init.len() / PANEL;
@@ -654,78 +594,7 @@ mod x86 {
         }
     }
 
-    /// AVX2 `vpmaddwd` over `i16`-widened quads: a register holds four
-    /// columns' two pair sums; four registers per panel, two panels at a
-    /// time.
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX2; sizes as [`dot_row_vnni512`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_row_avx2(xq: &[u32], quads: &[i8], init: &[i32], acc: &mut [i32]) {
-        let panels = init.len() / PANEL;
-        let mut p = 0;
-        while p < panels {
-            // SAFETY: the caller's contract, and `p + width <= panels`.
-            unsafe {
-                if p + 2 <= panels {
-                    avx2::<2>(xq, quads, init, acc, p);
-                    p += 2;
-                } else {
-                    avx2::<1>(xq, quads, init, acc, p);
-                    p += 1;
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// As [`dot_row_avx2`], and `p0 + P <= init.len() / PANEL`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2<const P: usize>(
-        xq: &[u32],
-        quads: &[i8],
-        init: &[i32],
-        acc: &mut [i32],
-        p0: usize,
-    ) {
-        let n_pad = init.len();
-        let mut sums = [[_mm256_setzero_si256(); 4]; P];
-        for (q, &x) in xq.iter().enumerate() {
-            // [u0, u1, u2, u3] as i16, four times: vpmaddwd against four
-            // columns' four taps gives each column's two pair sums in i32
-            let x = _mm256_cvtepu8_epi16(_mm_set1_epi32(x as i32));
-            let base = (q * n_pad + p0 * PANEL) * 4;
-            for (i, panel) in sums.iter_mut().enumerate() {
-                for (r, s) in panel.iter_mut().enumerate() {
-                    let at = base + i * 64 + r * 16;
-                    // SAFETY: `at + 16 <= (q + 1)·n_pad·4 <= quads.len()`.
-                    let w = unsafe { _mm_loadu_si128(quads.as_ptr().add(at).cast()) };
-                    let w = _mm256_cvtepi8_epi16(w);
-                    *s = _mm256_add_epi32(*s, _mm256_madd_epi16(x, w));
-                }
-            }
-        }
-        for (i, panel) in sums.iter().enumerate() {
-            for h in 0..2 {
-                // hadd gives columns [0, 1, 4, 5 | 2, 3, 6, 7]; 0xD8 orders them
-                let sum = _mm256_hadd_epi32(panel[2 * h], panel[2 * h + 1]);
-                let sum = _mm256_permute4x64_epi64::<0xD8>(sum);
-                let at = (p0 + i) * PANEL + 8 * h;
-                // SAFETY: `at + 8 <= n_pad == init.len() == acc.len()`.
-                unsafe {
-                    let start = _mm256_loadu_si256(init.as_ptr().add(at).cast());
-                    _mm256_storeu_si256(
-                        acc.as_mut_ptr().add(at).cast(),
-                        _mm256_add_epi32(start, sum),
-                    );
-                }
-            }
-        }
-    }
-
-    /// The depthwise kernel of every SIMD level: `vpmaddwd` over tap pairs
+    /// The SIMD depthwise kernel: `vpmaddwd` over tap pairs
     /// of the padded `i16` image, 16 channels per step.
     ///
     /// # Safety
