@@ -15,21 +15,23 @@
 //!
 //! The cache stripes by *tenant* (FNV-1a, the platform-wide placement
 //! function) into independent LRU shards — see
-//! [`CompiledArtifactCache::with_shards`] — so under multi-tenant
-//! contention one tenant's cold compiles never serialize another
-//! tenant's hits.
+//! [`CompiledArtifactCache::with_shards`]. A miss compiles *outside* its
+//! stripe's lock and is single-flight per key: callers asking for a key
+//! that is being built wait for that one build, while hits and misses
+//! for every other key go ahead, so cold compiles overlap instead of
+//! taking turns.
 
 use crate::error::ServeError;
 use ei_core::TrainedImpulse;
 use ei_dsp::{DspBlock, DspCost};
-use ei_faults::sync::lock;
+use ei_faults::sync::{lock, wait};
 use ei_runtime::planner::MemoryPlan;
 use ei_runtime::{EngineKind, EonProgram, InferenceEngine, Interpreter, MemoryReport};
 use ei_shard::{fnv1a, shard_index};
 use ei_trace::Tracer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// FNV-1a 64-bit hash of a model's registry JSON.
 ///
@@ -252,10 +254,28 @@ impl std::ops::Add for CacheStats {
     }
 }
 
+/// What one stripe's lock guards: its LRU list and the keys being built.
+#[derive(Default)]
+struct Stripe {
+    /// LRU order: front = least recently used, back = most recently used.
+    lru: VecDeque<Arc<CompiledArtifact>>,
+    /// Builds running outside the lock right now, at most one per key.
+    in_flight: Vec<Arc<Flight>>,
+}
+
+/// One key's build in progress.
+struct Flight {
+    key: ArtifactKey,
+    /// Set once, under the stripe lock, when the build ends: the built
+    /// entry, or `None` when the build failed or unwound.
+    landed: OnceLock<Option<Arc<CompiledArtifact>>>,
+}
+
 /// One stripe of the cache: its own LRU list, lock and counters.
 struct CacheShard {
-    /// LRU order: front = least recently used, back = most recently used.
-    entries: Mutex<VecDeque<Arc<CompiledArtifact>>>,
+    stripe: Mutex<Stripe>,
+    /// Notified each time one of the stripe's flights lands.
+    landed: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -264,7 +284,8 @@ struct CacheShard {
 impl CacheShard {
     fn new() -> CacheShard {
         CacheShard {
-            entries: Mutex::new(VecDeque::new()),
+            stripe: Mutex::new(Stripe::default()),
+            landed: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -272,13 +293,46 @@ impl CacheShard {
     }
 
     fn stats(&self) -> CacheStats {
-        let entries = lock(&self.entries);
+        let stripe = lock(&self.stripe);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: entries.len(),
+            entries: stripe.lru.len(),
         }
+    }
+}
+
+/// Ends a miss's flight when dropped — after the build returns `Ok` or
+/// `Err`, or while it unwinds. Under the stripe lock it clears the flight,
+/// inserts `built` (if any) and evicts past capacity, and records the
+/// outcome for the waiters; then it wakes them.
+struct Landing<'a> {
+    cache: &'a CompiledArtifactCache,
+    shard: &'a CacheShard,
+    flight: Arc<Flight>,
+    built: Option<Arc<CompiledArtifact>>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        let (cache, shard) = (self.cache, self.shard);
+        let mut stripe = lock(&shard.stripe);
+        stripe.in_flight.retain(|f| !Arc::ptr_eq(f, &self.flight));
+        if let Some(entry) = &self.built {
+            stripe.lru.push_back(Arc::clone(entry));
+            shard.misses.fetch_add(1, Ordering::Relaxed);
+            cache.tracer.quiet_counter("serve.cache.miss").inc();
+            while stripe.lru.len() > cache.capacity {
+                stripe.lru.pop_front();
+                shard.evictions.fetch_add(1, Ordering::Relaxed);
+                cache.tracer.quiet_counter("serve.cache.eviction").inc();
+            }
+        }
+        // set under the lock, which a waiter holds while it checks
+        let _ = self.flight.landed.set(self.built.take());
+        drop(stripe);
+        shard.landed.notify_all();
     }
 }
 
@@ -288,17 +342,19 @@ impl CacheShard {
 /// The cache stripes over `shards` independent LRU lists, each behind its
 /// own lock with its own `capacity`-entry budget; a lookup takes only the
 /// lock of the shard its *tenant* hashes to (FNV-1a, the platform-wide
-/// placement function), so one tenant's cold compiles never stall another
-/// tenant's hits on a different stripe. With one shard (the default) the
-/// cache behaves exactly as the unsharded original. A hit is byte-identical
-/// to a cold compile regardless of which stripe served it —
-/// [`CompiledArtifact::classify`] is deterministic and striping only moves
-/// *where* an entry lives, never what it computes.
+/// placement function). A miss builds outside that lock, so no build ever
+/// stalls a hit, or another key's build, even on its own stripe. With one
+/// shard (the default) the cache behaves exactly as the unsharded
+/// original. A hit is byte-identical to a cold compile regardless of which
+/// stripe served it — [`CompiledArtifact::classify`] is deterministic and
+/// striping only moves *where* an entry lives, never what it computes.
 ///
 /// Counters are mirrored into the tracer's metrics registry as the quiet
-/// series `serve.cache.{hit,miss,eviction}` (registry-only: lookup order
-/// under concurrent tenants is scheduling-dependent, so they stay out of
-/// the deterministic record stream).
+/// series `serve.cache.{hit,miss,eviction}`, plus `serve.cache.coalesced`
+/// for each time a lookup waits on another caller's build of its key
+/// (registry-only: lookup order under concurrent tenants is
+/// scheduling-dependent, so they stay out of the deterministic record
+/// stream).
 pub struct CompiledArtifactCache {
     /// Per-shard entry budget (total capacity = `capacity × shards`).
     capacity: usize,
@@ -349,9 +405,12 @@ impl CompiledArtifactCache {
     /// `build` on a miss.
     ///
     /// Returns the entry plus `true` on a hit, `false` on a cold compile.
-    /// The build runs under the stripe's lock, so concurrent misses for
-    /// one key on one stripe compile exactly once; lookups on other
-    /// stripes proceed unblocked.
+    /// The build runs outside the stripe's lock and is single-flight per
+    /// key: a caller that finds `key` already being built waits for that
+    /// build and is handed its entry as a hit, even if the LRU has evicted
+    /// it since. Hits and builds of other keys go ahead meanwhile. If the
+    /// build fails or unwinds, its waiters look again, and the first to
+    /// find neither an entry nor a build in flight builds it itself.
     ///
     /// # Errors
     ///
@@ -363,32 +422,46 @@ impl CompiledArtifactCache {
         build: impl FnOnce() -> Result<CompiledArtifact, ServeError>,
     ) -> Result<(Arc<CompiledArtifact>, bool), ServeError> {
         let shard = &self.shards[self.shard_of(tenant)];
-        let mut entries = lock(&shard.entries);
-        if let Some(pos) = entries.iter().position(|a| a.key() == key) {
-            let entry = entries.remove(pos).expect("position is in range");
-            entries.push_back(Arc::clone(&entry));
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            self.tracer.quiet_counter("serve.cache.hit").inc();
-            return Ok((entry, true));
-        }
+        let mut stripe = lock(&shard.stripe);
+        let flight = loop {
+            let resident = stripe.lru.iter().position(|a| a.key() == key);
+            if let Some(entry) = resident.and_then(|pos| stripe.lru.remove(pos)) {
+                stripe.lru.push_back(Arc::clone(&entry));
+                return Ok((self.hit(shard, entry), true));
+            }
+            let Some(flight) = stripe.in_flight.iter().find(|f| f.key == *key).cloned() else {
+                let flight = Arc::new(Flight { key: key.clone(), landed: OnceLock::new() });
+                stripe.in_flight.push(Arc::clone(&flight));
+                break flight;
+            };
+            self.tracer.quiet_counter("serve.cache.coalesced").inc();
+            while flight.landed.get().is_none() {
+                stripe = wait(&shard.landed, stripe);
+            }
+            if let Some(Some(entry)) = flight.landed.get() {
+                return Ok((self.hit(shard, Arc::clone(entry)), true));
+            }
+        };
+        drop(stripe);
+        let mut landing = Landing { cache: self, shard, flight, built: None };
         let entry = Arc::new(build()?);
-        entries.push_back(Arc::clone(&entry));
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        self.tracer.quiet_counter("serve.cache.miss").inc();
-        while entries.len() > self.capacity {
-            entries.pop_front();
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
-            self.tracer.quiet_counter("serve.cache.eviction").inc();
-        }
+        landing.built = Some(Arc::clone(&entry));
+        drop(landing);
         Ok((entry, false))
+    }
+
+    /// Counts a hit on `shard` and passes `entry` through.
+    fn hit(&self, shard: &CacheShard, entry: Arc<CompiledArtifact>) -> Arc<CompiledArtifact> {
+        shard.hits.fetch_add(1, Ordering::Relaxed);
+        self.tracer.quiet_counter("serve.cache.hit").inc();
+        entry
     }
 
     /// `true` when `key` is resident on `tenant`'s stripe (does not touch
     /// LRU order or stats).
     pub fn contains(&self, tenant: &str, key: &ArtifactKey) -> bool {
         let shard = &self.shards[self.shard_of(tenant)];
-        let entries = lock(&shard.entries);
-        entries.iter().any(|a| a.key() == key)
+        lock(&shard.stripe).lru.iter().any(|a| a.key() == key)
     }
 
     /// Merged counters across every stripe (one consistent-enough
@@ -406,6 +479,10 @@ impl CompiledArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ei_faults::VirtualClock;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn content_hash_is_stable_and_content_sensitive() {
@@ -436,6 +513,158 @@ mod tests {
             cache.shard_stats().into_iter().fold(CacheStats::default(), |a, b| a + b);
         assert_eq!(merged, per);
         assert_eq!(cache.shard_stats().len(), 8);
+    }
+
+    /// A two-sample raw-DSP model with one dense layer: the cheapest
+    /// model JSON that compiles.
+    const TINY_MODEL: &str = r#"{"format_version":1,"design":{"name":"tiny","window_samples":2,"dsp":{"Raw":{"scale":1.0,"offset":0.0}}},"labels":["a","b"],"model":{"spec":{"input":{"h":1,"w":2,"c":1},"layers":["Flatten",{"Dense":{"units":2,"activation":"None"}},"Softmax"],"name":""},"layers":[{"spec":"Flatten","input":{"h":1,"w":2,"c":1},"output":{"h":1,"w":1,"c":2},"weights":null,"bias":null,"frozen":false},{"spec":{"Dense":{"units":2,"activation":"None"}},"input":{"h":1,"w":1,"c":2},"output":{"h":1,"w":1,"c":2},"weights":{"shape":{"dims":[2,2]},"storage":{"F32":[0.5,-1.0,0.25,2.0]}},"bias":{"shape":{"dims":[2]},"storage":{"F32":[0.0,0.0]}},"frozen":false},{"spec":"Softmax","input":{"h":1,"w":1,"c":2},"output":{"h":1,"w":1,"c":2},"weights":null,"bias":null,"frozen":false}]},"calibration":[[0.5,-0.5]]}"#;
+
+    /// How long any single-flight test waits for another thread before it
+    /// fails instead of hanging.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    type Lookup = Result<(Arc<CompiledArtifact>, bool), ServeError>;
+
+    fn tiny_key(n: u64) -> ArtifactKey {
+        ArtifactKey {
+            content_hash: n,
+            board: String::new(),
+            engine: EngineKind::EonCompiled,
+            quantized: false,
+        }
+    }
+
+    fn tiny_build(key: &ArtifactKey) -> Result<CompiledArtifact, ServeError> {
+        CompiledArtifact::compile(key.clone(), TINY_MODEL)
+    }
+
+    /// A one-stripe cache whose tracer keeps a metric registry.
+    fn observed_cache() -> Arc<CompiledArtifactCache> {
+        let (tracer, _records) = Tracer::collecting(VirtualClock::shared());
+        Arc::new(CompiledArtifactCache::new(4, tracer))
+    }
+
+    fn coalesced(cache: &CompiledArtifactCache) -> u64 {
+        let registry = cache.tracer.registry().expect("tracer keeps a registry");
+        registry.counter("serve.cache.coalesced", "").unwrap_or(0)
+    }
+
+    /// Spins until `n` lookups have joined another caller's flight, or
+    /// `PATIENCE` runs out.
+    fn await_coalesced(cache: &CompiledArtifactCache, n: u64) -> Result<(), ServeError> {
+        let deadline = Instant::now() + PATIENCE;
+        while coalesced(cache) < n {
+            if Instant::now() > deadline {
+                return Err(ServeError::Model(format!("{n} waiters never joined")));
+            }
+            std::thread::yield_now();
+        }
+        Ok(())
+    }
+
+    /// Runs one lookup on its own thread; the caller collects it with
+    /// `recv_timeout`, so a lookup that never returns fails the test.
+    fn spawn_lookup(
+        cache: &Arc<CompiledArtifactCache>,
+        key: ArtifactKey,
+        build: impl FnOnce() -> Result<CompiledArtifact, ServeError> + Send + 'static,
+    ) -> mpsc::Receiver<Lookup> {
+        let (cache, (tx, rx)) = (Arc::clone(cache), mpsc::channel());
+        std::thread::spawn(move || {
+            let _ = tx.send(cache.get_or_insert_with("tenant", &key, build));
+        });
+        rx
+    }
+
+    fn collect(rx: &mpsc::Receiver<Lookup>) -> Lookup {
+        rx.recv_timeout(PATIENCE).expect("the lookup returned in time")
+    }
+
+    #[test]
+    fn single_flight_builds_two_keys_on_one_stripe_at_once() {
+        let cache = observed_cache();
+        let (a_started, a_seen) = mpsc::channel();
+        let (b_started, b_seen) = mpsc::channel();
+        // each build runs only once it has seen the other one start
+        let build = |key: ArtifactKey, started: mpsc::Sender<()>, other: mpsc::Receiver<()>| {
+            move || {
+                let _ = started.send(());
+                other
+                    .recv_timeout(PATIENCE)
+                    .map_err(|_| ServeError::Model("the other key's build never started".into()))?;
+                tiny_build(&key)
+            }
+        };
+        let a = spawn_lookup(&cache, tiny_key(1), build(tiny_key(1), a_started, b_seen));
+        let b = spawn_lookup(&cache, tiny_key(2), build(tiny_key(2), b_started, a_seen));
+        let (a, b) = (collect(&a).expect("a builds"), collect(&b).expect("b builds"));
+        assert!(!a.1 && !b.1, "both were cold compiles");
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(coalesced(&cache), 0, "different keys never wait on each other");
+    }
+
+    #[test]
+    fn single_flight_builds_one_key_once_for_many_callers() {
+        const CALLERS: u64 = 6;
+        let cache = observed_cache();
+        let builds = Arc::new(AtomicU64::new(0));
+        let lookups: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let (cache_in_build, builds) = (Arc::clone(&cache), Arc::clone(&builds));
+                spawn_lookup(&cache, tiny_key(7), move || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    // land only once every other caller is waiting on this build
+                    await_coalesced(&cache_in_build, CALLERS - 1)?;
+                    tiny_build(&tiny_key(7))
+                })
+            })
+            .collect();
+        let results: Vec<_> = lookups.iter().map(|rx| collect(rx).expect("built")).collect();
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "the key was built once");
+        assert_eq!(results.iter().filter(|(_, hit)| !hit).count(), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, CALLERS - 1, 1));
+        assert!(results.iter().all(|(a, _)| Arc::ptr_eq(a, &results[0].0)), "one shared Arc");
+    }
+
+    #[test]
+    fn single_flight_failed_build_inserts_nothing_and_wakes_its_waiters() {
+        let cache = observed_cache();
+        let refused = cache
+            .get_or_insert_with("tenant", &tiny_key(3), || Err(ServeError::Model("bad".into())));
+        assert!(refused.is_err());
+        assert!(!cache.contains("tenant", &tiny_key(3)), "a failed build inserts nothing");
+        assert_eq!(cache.stats(), CacheStats::default());
+
+        // a build that fails only once a second caller is waiting on it
+        let (building, started) = mpsc::channel();
+        let cache_in_build = Arc::clone(&cache);
+        let failing = spawn_lookup(&cache, tiny_key(3), move || {
+            let _ = building.send(());
+            await_coalesced(&cache_in_build, 1)?;
+            Err(ServeError::Model("bad".into()))
+        });
+        started.recv_timeout(PATIENCE).expect("the failing build started");
+        let waiter = spawn_lookup(&cache, tiny_key(3), || tiny_build(&tiny_key(3)));
+        assert!(collect(&failing).is_err());
+        let (_, hit) = collect(&waiter).expect("the woken waiter built the key itself");
+        assert!(!hit);
+        assert_eq!(coalesced(&cache), 1);
+        assert_eq!((cache.stats().misses, cache.stats().entries), (1, 1));
+    }
+
+    #[test]
+    fn single_flight_panicking_build_releases_its_flight() {
+        let cache = observed_cache();
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_insert_with("tenant", &tiny_key(4), || panic!("build panicked"))
+        }));
+        assert!(unwound.is_err());
+        let retry = spawn_lookup(&cache, tiny_key(4), || tiny_build(&tiny_key(4)));
+        let (_, hit) = collect(&retry).expect("a later call builds");
+        assert!(!hit);
+        assert_eq!(coalesced(&cache), 0, "nothing was left in flight to wait on");
+        assert!(cache.contains("tenant", &tiny_key(4)));
     }
 
     #[test]

@@ -92,9 +92,10 @@ pub struct ServerConfig {
     /// Artifact-cache stripes. The compiled-artifact cache stripes by
     /// FNV-1a of the tenant id — the same placement function as
     /// `admission_shards` — into independent LRU lists of
-    /// `cache_capacity` entries each, so one tenant's cold compiles
-    /// never serialize another stripe's hits. `1` (the default)
-    /// reproduces the single-LRU original exactly.
+    /// `cache_capacity` entries each. Compiles run outside the stripe
+    /// lock whatever this is set to, so striping only spreads the
+    /// lookups; it does not let cold compiles overlap. `1` (the
+    /// default) reproduces the single-LRU original exactly.
     pub cache_shards: usize,
 }
 
@@ -488,12 +489,13 @@ impl Server {
                     let Some(front) = inner.queues[shard].front() else { break };
                     let key = front.key.clone();
                     let mut batch = Vec::new();
+                    let queue = &mut inner.queues[shard];
                     let mut i = 0;
-                    while i < inner.queues[shard].len() && batch.len() < max_batch {
-                        if inner.queues[shard][i].key == key {
-                            batch.push(inner.queues[shard].remove(i).expect("index is in range"));
-                        } else {
-                            i += 1;
+                    while batch.len() < max_batch {
+                        match queue.get(i) {
+                            Some(p) if p.key != key => i += 1,
+                            Some(_) => batch.extend(queue.remove(i)),
+                            None => break,
                         }
                     }
                     inner.dispatching.extend(batch.iter().map(|p| p.ticket));

@@ -27,6 +27,16 @@ for shards in 1 16; do
   EI_THREADS=4 EI_SHARDS=$shards cargo test -q --test shard_invariance
 done
 
+echo "==> racing and single-flight tests, 5x each at EI_THREADS=1 and 4"
+# a lost wakeup in the artifact cache's single-flight compile would
+# otherwise need an unlucky scheduling day to show
+for threads in 1 4; do
+  for _ in 1 2 3 4 5; do
+    EI_THREADS=$threads cargo test -q --test serving racing
+    EI_THREADS=$threads cargo test -q -p ei-serve single_flight
+  done
+done
+
 echo "==> cargo test --doc"
 cargo test --doc
 

@@ -598,6 +598,49 @@ fn racing_resolvers_never_lose_a_ticket() {
     assert_eq!(srv.resolve(u64::MAX), None, "a ticket never issued is still None");
 }
 
+/// Callers racing on one never-seen model compile it once between them
+/// (the artifact cache is single-flight per key), and each is served
+/// exactly what a serial cold compile answers.
+#[test]
+fn racing_cold_misses_compile_once() {
+    const THREADS: usize = 4;
+    let json = model_json(16, 11);
+    let model = ModelSource::new("kws", json.clone());
+    let clip = generator().generate(1, 9);
+    let key = ArtifactKey {
+        content_hash: model.blob.content_hash(),
+        board: String::new(),
+        engine: EngineKind::EonCompiled,
+        quantized: false,
+    };
+    let serial = CompiledArtifact::compile(key, &json).unwrap().classify(&clip).unwrap();
+    let (_clock, srv) = server(roomy());
+    let start = Barrier::new(THREADS);
+    let served: Vec<Outcome> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (srv, model, clip, start) = (&srv, &model, &clip, &start);
+                scope.spawn(move || {
+                    let req = request(
+                        &format!("racer-{t}"),
+                        model,
+                        EngineKind::EonCompiled,
+                        clip.clone(),
+                    );
+                    start.wait();
+                    let ticket = srv.submit(req).expect("admitted");
+                    srv.resolve(ticket).expect("completed").outcome
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().expect("racer finished")).collect()
+    });
+    assert_eq!(srv.cache_stats().misses, 1, "one compile for every racer");
+    for outcome in served {
+        assert_eq!(outcome, Outcome::Classified(serial.clone()), "byte-identical to serial");
+    }
+}
+
 /// A clock that panics on every read once armed: the way to make a
 /// dispatch pass unwind after it has taken a batch off the queue.
 #[derive(Default)]
