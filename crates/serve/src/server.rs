@@ -92,10 +92,10 @@ pub struct ServerConfig {
     /// Artifact-cache stripes. The compiled-artifact cache stripes by
     /// FNV-1a of the tenant id — the same placement function as
     /// `admission_shards` — into independent LRU lists of
-    /// `cache_capacity` entries each. Compiles run outside the stripe
-    /// lock whatever this is set to, so striping only spreads the
-    /// lookups; it does not let cold compiles overlap. `1` (the
-    /// default) reproduces the single-LRU original exactly.
+    /// `cache_capacity` entries each. A compile never holds its
+    /// stripe's lock, so cold compiles overlap at any setting and more
+    /// stripes only spread the lookups. `1` (the default) reproduces
+    /// the single-LRU original exactly.
     pub cache_shards: usize,
 }
 
