@@ -1,7 +1,7 @@
 //! User-defined processing blocks (paper §4.9 extensibility).
 //!
 //! The platform lets users "create their own blocks … to transform raw
-//! data … [or] perform feature extraction via DSP". In the cloud product
+//! data … \[or\] perform feature extraction via DSP". In the cloud product
 //! those are Docker containers; here the same contract is a process-wide
 //! registry of factories: implement [`crate::DspBlock`], register a
 //! factory under a name, and [`crate::DspConfig::Custom`] configurations

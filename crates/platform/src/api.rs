@@ -65,12 +65,9 @@ pub struct ShardReport {
     pub occupancy: Vec<usize>,
     /// max/mean project-shard occupancy (1.0 = perfectly even).
     pub skew: f64,
-    /// Artifact-cache counters merged across stripes (`None` until a
-    /// serving layer is attached or lazily initialized).
+    /// Artifact-cache counters (`None` until a serving layer is
+    /// attached or lazily initialized).
     pub cache: Option<CacheStats>,
-    /// Per-stripe artifact-cache counters, in stripe-index order (empty
-    /// without a serving layer).
-    pub cache_shards: Vec<CacheStats>,
 }
 
 /// The serialized backup form of the platform (what
@@ -176,19 +173,14 @@ impl Api {
 
     /// One consolidated snapshot of the sharded store: shard count,
     /// per-shard occupancy and skew of the project map, and the serving
-    /// layer's artifact-cache counters (merged and per cache stripe;
-    /// empty until a serving layer is attached or lazily initialized).
+    /// layer's artifact-cache counters (`None` until a serving layer is
+    /// attached or lazily initialized).
     pub fn shard_report(&self) -> ShardReport {
-        let (cache, cache_shards) = match self.serving.get() {
-            Some(server) => (Some(server.cache_stats()), server.cache_shard_stats()),
-            None => (None, Vec::new()),
-        };
         ShardReport {
             shards: self.projects.shard_count(),
             occupancy: self.projects.occupancy(),
             skew: self.projects.occupancy_skew(),
-            cache,
-            cache_shards,
+            cache: self.serving.get().map(|server| server.cache_stats()),
         }
     }
 
@@ -604,9 +596,9 @@ impl Api {
 
     /// Estimates how the registry model `spec` names runs on `spec.board`
     /// (latency, memory, fit), served through the artifact cache like
-    /// inference. Billed to `spec.tenant` when set, otherwise to the
-    /// project (`project-<id>`) — the same tenant resolution as
-    /// [`Api::classify`], so both paths stripe to the same cache shard.
+    /// inference, so an estimate and a classification of the same model
+    /// on the same board share one compiled artifact. `spec.tenant` is
+    /// not read: an estimate is neither queued nor metered.
     ///
     /// # Errors
     ///
@@ -619,15 +611,14 @@ impl Api {
         spec: &InferenceSpec,
     ) -> Result<ei_serve::Estimate> {
         let source = self.model_source(project, acting, spec.model.as_str())?;
-        let tenant = spec.tenant.clone().unwrap_or_else(|| format!("project-{project}"));
-        self.serving().estimate(&tenant, &source, &spec.board, spec.engine, spec.quantized).map_err(
-            |e| match e {
+        self.serving().estimate(&source, &spec.board, spec.engine, spec.quantized).map_err(|e| {
+            match e {
                 ei_serve::ServeError::UnknownBoard(b) => {
                     PlatformError::BadRequest(format!("unknown board {b:?}"))
                 }
                 ei_serve::ServeError::Model(msg) => PlatformError::JobFailed(msg),
-            },
-        )
+            }
+        })
     }
 
     /// Opens a continuous-inference stream against the registry model

@@ -13,13 +13,10 @@
 //! latency — [`CompiledArtifact::classify`] is deterministic, so hit and
 //! miss paths return byte-identical classifications and memory plans.
 //!
-//! The cache stripes by *tenant* (FNV-1a, the platform-wide placement
-//! function) into independent LRU shards — see
-//! [`CompiledArtifactCache::with_shards`]. A miss compiles *outside* its
-//! stripe's lock and is single-flight per key: callers asking for a key
-//! that is being built wait for that one build, while hits and misses
-//! for every other key go ahead, so cold compiles overlap instead of
-//! taking turns.
+//! The cache is one LRU behind one lock. A miss compiles *outside* that
+//! lock and is single-flight per key: callers asking for a key that is
+//! being built wait for that one build, while hits and misses for every
+//! other key go ahead, so cold compiles overlap instead of taking turns.
 
 use crate::error::ServeError;
 use ei_core::TrainedImpulse;
@@ -27,7 +24,7 @@ use ei_dsp::{DspBlock, DspCost};
 use ei_faults::sync::{lock, wait};
 use ei_runtime::planner::MemoryPlan;
 use ei_runtime::{EngineKind, EonProgram, InferenceEngine, Interpreter, MemoryReport};
-use ei_shard::{fnv1a, shard_index};
+use ei_shard::fnv1a;
 use ei_trace::Tracer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -241,20 +238,7 @@ impl CacheStats {
     }
 }
 
-impl std::ops::Add for CacheStats {
-    type Output = CacheStats;
-
-    fn add(self, rhs: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + rhs.hits,
-            misses: self.misses + rhs.misses,
-            evictions: self.evictions + rhs.evictions,
-            entries: self.entries + rhs.entries,
-        }
-    }
-}
-
-/// What one stripe's lock guards: its LRU list and the keys being built.
+/// What the cache's lock guards: the LRU list and the keys being built.
 #[derive(Default)]
 struct Stripe {
     /// LRU order: front = least recently used, back = most recently used.
@@ -266,88 +250,49 @@ struct Stripe {
 /// One key's build in progress.
 struct Flight {
     key: ArtifactKey,
-    /// Set once, under the stripe lock, when the build ends: the built
+    /// Set once, under the cache lock, when the build ends: the built
     /// entry, or `None` when the build failed or unwound.
     landed: OnceLock<Option<Arc<CompiledArtifact>>>,
 }
 
-/// One stripe of the cache: its own LRU list, lock and counters.
-struct CacheShard {
-    stripe: Mutex<Stripe>,
-    /// Notified each time one of the stripe's flights lands.
-    landed: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl CacheShard {
-    fn new() -> CacheShard {
-        CacheShard {
-            stripe: Mutex::new(Stripe::default()),
-            landed: Condvar::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        let stripe = lock(&self.stripe);
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: stripe.lru.len(),
-        }
-    }
-}
-
 /// Ends a miss's flight when dropped — after the build returns `Ok` or
-/// `Err`, or while it unwinds. Under the stripe lock it clears the flight,
+/// `Err`, or while it unwinds. Under the cache lock it clears the flight,
 /// inserts `built` (if any) and evicts past capacity, and records the
 /// outcome for the waiters; then it wakes them.
 struct Landing<'a> {
     cache: &'a CompiledArtifactCache,
-    shard: &'a CacheShard,
     flight: Arc<Flight>,
     built: Option<Arc<CompiledArtifact>>,
 }
 
 impl Drop for Landing<'_> {
     fn drop(&mut self) {
-        let (cache, shard) = (self.cache, self.shard);
-        let mut stripe = lock(&shard.stripe);
+        let cache = self.cache;
+        let mut stripe = lock(&cache.stripe);
         stripe.in_flight.retain(|f| !Arc::ptr_eq(f, &self.flight));
         if let Some(entry) = &self.built {
             stripe.lru.push_back(Arc::clone(entry));
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            cache.misses.fetch_add(1, Ordering::Relaxed);
             cache.tracer.quiet_counter("serve.cache.miss").inc();
             while stripe.lru.len() > cache.capacity {
                 stripe.lru.pop_front();
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
+                cache.evictions.fetch_add(1, Ordering::Relaxed);
                 cache.tracer.quiet_counter("serve.cache.eviction").inc();
             }
         }
         // set under the lock, which a waiter holds while it checks
         let _ = self.flight.landed.set(self.built.take());
         drop(stripe);
-        shard.landed.notify_all();
+        cache.landed.notify_all();
     }
 }
 
-/// Tenant-striped LRU cache of [`CompiledArtifact`]s with per-shard
-/// hit/miss/eviction counters.
+/// LRU cache of [`CompiledArtifact`]s with hit/miss/eviction counters.
 ///
-/// The cache stripes over `shards` independent LRU lists, each behind its
-/// own lock with its own `capacity`-entry budget; a lookup takes only the
-/// lock of the shard its *tenant* hashes to (FNV-1a, the platform-wide
-/// placement function). A miss builds outside that lock, so no build ever
-/// stalls a hit, or another key's build, even on its own stripe. With one
-/// shard (the default) the cache behaves exactly as the unsharded
-/// original. A hit is byte-identical to a cold compile regardless of which
-/// stripe served it — [`CompiledArtifact::classify`] is deterministic and
-/// striping only moves *where* an entry lives, never what it computes.
+/// One lock guards the LRU list and the keys being built. A miss builds
+/// outside that lock, so no build ever stalls a hit or another key's
+/// build. A hit is byte-identical to a cold compile —
+/// [`CompiledArtifact::classify`] is deterministic.
 ///
 /// Counters are mirrored into the tracer's metrics registry as the quiet
 /// series `serve.cache.{hit,miss,eviction}`, plus `serve.cache.coalesced`
@@ -356,9 +301,14 @@ impl Drop for Landing<'_> {
 /// scheduling-dependent, so they stay out of the deterministic record
 /// stream).
 pub struct CompiledArtifactCache {
-    /// Per-shard entry budget (total capacity = `capacity × shards`).
+    /// Most entries kept resident (at least 1).
     capacity: usize,
-    shards: Vec<CacheShard>,
+    stripe: Mutex<Stripe>,
+    /// Notified each time a flight lands.
+    landed: Condvar,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
     tracer: Tracer,
 }
 
@@ -366,46 +316,31 @@ impl std::fmt::Debug for CompiledArtifactCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledArtifactCache")
             .field("capacity", &self.capacity)
-            .field("shards", &self.shards.len())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
 impl CompiledArtifactCache {
-    /// An unsharded cache holding at most `capacity` compiled artifacts
-    /// (clamped to at least one) — identical to
-    /// [`CompiledArtifactCache::with_shards`] at one shard.
+    /// A cache holding at most `capacity` compiled artifacts (clamped to
+    /// at least one).
     pub fn new(capacity: usize, tracer: Tracer) -> CompiledArtifactCache {
-        CompiledArtifactCache::with_shards(capacity, 1, tracer)
-    }
-
-    /// A cache striped over `shards` stripes, each holding at most
-    /// `capacity` compiled artifacts (both clamped to at least one).
-    pub fn with_shards(capacity: usize, shards: usize, tracer: Tracer) -> CompiledArtifactCache {
         CompiledArtifactCache {
             capacity: capacity.max(1),
-            shards: (0..shards.max(1)).map(|_| CacheShard::new()).collect(),
+            stripe: Mutex::new(Stripe::default()),
+            landed: Condvar::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             tracer,
         }
     }
 
-    /// Number of cache stripes (at least 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The stripe `tenant`'s artifacts live on: [`shard_index`] of the
-    /// tenant id over the stripe count.
-    pub fn shard_of(&self, tenant: &str) -> usize {
-        shard_index(&tenant, self.shards.len())
-    }
-
-    /// Looks up `key` on `tenant`'s stripe, building (and inserting) via
-    /// `build` on a miss.
+    /// Looks up `key`, building (and inserting) via `build` on a miss.
+    /// `_tenant` is not read; it stays so existing callers keep compiling.
     ///
     /// Returns the entry plus `true` on a hit, `false` on a cold compile.
-    /// The build runs outside the stripe's lock and is single-flight per
+    /// The build runs outside the cache lock and is single-flight per
     /// key: a caller that finds `key` already being built waits for that
     /// build and is handed its entry as a hit, even if the LRU has evicted
     /// it since. Hits and builds of other keys go ahead meanwhile. If the
@@ -417,17 +352,16 @@ impl CompiledArtifactCache {
     /// Propagates the builder's error; a failed build inserts nothing.
     pub fn get_or_insert_with(
         &self,
-        tenant: &str,
+        _tenant: &str,
         key: &ArtifactKey,
         build: impl FnOnce() -> Result<CompiledArtifact, ServeError>,
     ) -> Result<(Arc<CompiledArtifact>, bool), ServeError> {
-        let shard = &self.shards[self.shard_of(tenant)];
-        let mut stripe = lock(&shard.stripe);
+        let mut stripe = lock(&self.stripe);
         let flight = loop {
             let resident = stripe.lru.iter().position(|a| a.key() == key);
             if let Some(entry) = resident.and_then(|pos| stripe.lru.remove(pos)) {
                 stripe.lru.push_back(Arc::clone(&entry));
-                return Ok((self.hit(shard, entry), true));
+                return Ok((self.hit(entry), true));
             }
             let Some(flight) = stripe.in_flight.iter().find(|f| f.key == *key).cloned() else {
                 let flight = Arc::new(Flight { key: key.clone(), landed: OnceLock::new() });
@@ -436,43 +370,41 @@ impl CompiledArtifactCache {
             };
             self.tracer.quiet_counter("serve.cache.coalesced").inc();
             while flight.landed.get().is_none() {
-                stripe = wait(&shard.landed, stripe);
+                stripe = wait(&self.landed, stripe);
             }
             if let Some(Some(entry)) = flight.landed.get() {
-                return Ok((self.hit(shard, Arc::clone(entry)), true));
+                return Ok((self.hit(Arc::clone(entry)), true));
             }
         };
         drop(stripe);
-        let mut landing = Landing { cache: self, shard, flight, built: None };
+        let mut landing = Landing { cache: self, flight, built: None };
         let entry = Arc::new(build()?);
         landing.built = Some(Arc::clone(&entry));
         drop(landing);
         Ok((entry, false))
     }
 
-    /// Counts a hit on `shard` and passes `entry` through.
-    fn hit(&self, shard: &CacheShard, entry: Arc<CompiledArtifact>) -> Arc<CompiledArtifact> {
-        shard.hits.fetch_add(1, Ordering::Relaxed);
+    /// Counts a hit and passes `entry` through.
+    fn hit(&self, entry: Arc<CompiledArtifact>) -> Arc<CompiledArtifact> {
+        self.hits.fetch_add(1, Ordering::Relaxed);
         self.tracer.quiet_counter("serve.cache.hit").inc();
         entry
     }
 
-    /// `true` when `key` is resident on `tenant`'s stripe (does not touch
-    /// LRU order or stats).
-    pub fn contains(&self, tenant: &str, key: &ArtifactKey) -> bool {
-        let shard = &self.shards[self.shard_of(tenant)];
-        lock(&shard.stripe).lru.iter().any(|a| a.key() == key)
+    /// `true` when `key` is resident (does not touch LRU order or stats).
+    pub fn contains(&self, key: &ArtifactKey) -> bool {
+        lock(&self.stripe).lru.iter().any(|a| a.key() == key)
     }
 
-    /// Merged counters across every stripe (one consistent-enough
-    /// snapshot: each stripe is read atomically, stripes in index order).
+    /// The counters, with the resident-entry count read under the lock.
     pub fn stats(&self) -> CacheStats {
-        self.shards.iter().map(CacheShard::stats).fold(CacheStats::default(), |a, b| a + b)
-    }
-
-    /// Per-stripe counters, in stripe-index order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(CacheShard::stats).collect()
+        let stripe = lock(&self.stripe);
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            entries: stripe.lru.len(),
+        }
     }
 }
 
@@ -500,21 +432,6 @@ mod tests {
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 
-    #[test]
-    fn tenant_striping_is_stable_and_merges_stats() {
-        let cache = CompiledArtifactCache::with_shards(4, 8, Tracer::disabled());
-        assert_eq!(cache.shard_count(), 8);
-        // placement is the pure FNV-1a function, so it never moves
-        assert_eq!(cache.shard_of("project-1"), cache.shard_of("project-1"));
-        assert_eq!(cache.shard_of("project-1"), shard_index(&"project-1", 8));
-        // merged stats are the sum of per-stripe stats
-        let merged = cache.stats();
-        let per: CacheStats =
-            cache.shard_stats().into_iter().fold(CacheStats::default(), |a, b| a + b);
-        assert_eq!(merged, per);
-        assert_eq!(cache.shard_stats().len(), 8);
-    }
-
     /// A two-sample raw-DSP model with one dense layer: the cheapest
     /// model JSON that compiles.
     const TINY_MODEL: &str = r#"{"format_version":1,"design":{"name":"tiny","window_samples":2,"dsp":{"Raw":{"scale":1.0,"offset":0.0}}},"labels":["a","b"],"model":{"spec":{"input":{"h":1,"w":2,"c":1},"layers":["Flatten",{"Dense":{"units":2,"activation":"None"}},"Softmax"],"name":""},"layers":[{"spec":"Flatten","input":{"h":1,"w":2,"c":1},"output":{"h":1,"w":1,"c":2},"weights":null,"bias":null,"frozen":false},{"spec":{"Dense":{"units":2,"activation":"None"}},"input":{"h":1,"w":1,"c":2},"output":{"h":1,"w":1,"c":2},"weights":{"shape":{"dims":[2,2]},"storage":{"F32":[0.5,-1.0,0.25,2.0]}},"bias":{"shape":{"dims":[2]},"storage":{"F32":[0.0,0.0]}},"frozen":false},{"spec":"Softmax","input":{"h":1,"w":1,"c":2},"output":{"h":1,"w":1,"c":2},"weights":null,"bias":null,"frozen":false}]},"calibration":[[0.5,-0.5]]}"#;
@@ -538,7 +455,7 @@ mod tests {
         CompiledArtifact::compile(key.clone(), TINY_MODEL)
     }
 
-    /// A one-stripe cache whose tracer keeps a metric registry.
+    /// A cache whose tracer keeps a metric registry.
     fn observed_cache() -> Arc<CompiledArtifactCache> {
         let (tracer, _records) = Tracer::collecting(VirtualClock::shared());
         Arc::new(CompiledArtifactCache::new(4, tracer))
@@ -633,7 +550,7 @@ mod tests {
         let refused = cache
             .get_or_insert_with("tenant", &tiny_key(3), || Err(ServeError::Model("bad".into())));
         assert!(refused.is_err());
-        assert!(!cache.contains("tenant", &tiny_key(3)), "a failed build inserts nothing");
+        assert!(!cache.contains(&tiny_key(3)), "a failed build inserts nothing");
         assert_eq!(cache.stats(), CacheStats::default());
 
         // a build that fails only once a second caller is waiting on it
@@ -664,13 +581,19 @@ mod tests {
         let (_, hit) = collect(&retry).expect("a later call builds");
         assert!(!hit);
         assert_eq!(coalesced(&cache), 0, "nothing was left in flight to wait on");
-        assert!(cache.contains("tenant", &tiny_key(4)));
+        assert!(cache.contains(&tiny_key(4)));
     }
 
     #[test]
-    fn zero_shards_clamps_to_one() {
-        let cache = CompiledArtifactCache::with_shards(0, 0, Tracer::disabled());
-        assert_eq!(cache.shard_count(), 1);
-        assert_eq!(cache.shard_of("anyone"), 0);
+    fn zero_capacity_holds_one_entry() {
+        let cache = CompiledArtifactCache::new(0, Tracer::disabled());
+        let lookup =
+            |n| cache.get_or_insert_with("tenant", &tiny_key(n), || tiny_build(&tiny_key(n)));
+        assert!(!lookup(1).expect("builds").1, "the first lookup compiles");
+        assert!(lookup(1).expect("hits").1, "the second lookup hits");
+        assert!(!lookup(2).expect("builds").1);
+        assert!(!cache.contains(&tiny_key(1)), "a second key evicts the first");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions, stats.entries), (1, 2, 1, 1));
     }
 }

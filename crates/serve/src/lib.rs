@@ -8,13 +8,14 @@
 //! is the serving layer that makes the reproduction behave like one
 //! process of that service rather than a single-user CLI:
 //!
-//! * [`CompiledArtifactCache`] — an LRU keyed by
+//! * [`CompiledArtifactCache`] — one LRU keyed by
 //!   `(model content hash, board, engine, dtype)` that memoizes the
 //!   expensive half of a request (registry JSON decode, EON codegen /
-//!   TFLM interpreter setup, arena memory planning). Hits return
+//!   TFLM interpreter setup, arena memory planning), compiling each
+//!   missing key once however many callers ask. Hits return
 //!   byte-identical classifications and memory plans to a cold compile.
-//! * [`Server`] — per-tenant token-bucket quotas, a bounded request queue
-//!   with explicit backpressure ([`Rejected::Overloaded`]), deadline
+//! * [`Server`] — per-tenant token-bucket quotas, one bounded request
+//!   queue with explicit backpressure ([`Rejected::Overloaded`]), deadline
 //!   propagation into [`ei_faults`] per-attempt timeouts, and
 //!   micro-batching that dispatches same-artifact requests through one
 //!   [`ei_par::ParPool::par_map`] call.
@@ -23,7 +24,7 @@
 //!   tenant-labeled (and therefore label-capped) `serve.latency_ms`
 //!   histograms, `serve.inflight` gauges and `serve.ok` / `serve.err` /
 //!   `serve.rejected` counters, the batch-size distribution and cache
-//!   hit/miss/eviction counters.
+//!   hit/miss/eviction/coalesced counters.
 //!
 //! Every timestamp is read from an injected [`ei_faults::Clock`] and the
 //! server never moves it, so under a [`ei_faults::VirtualClock`] latency

@@ -3,22 +3,16 @@
 //! A [`Server`] is the single door through which tenant inference enters
 //! the pipeline:
 //!
-//! 1. **Admission** — [`Server::submit`] routes the request to its
-//!    tenant's admission shard (FNV-1a of the tenant id, the same
-//!    placement function `ei-shard` uses platform-wide), checks that
-//!    shard's bounded queue first (full ⇒ [`Rejected::Overloaded`], so
-//!    memory stays bounded under overload), then the tenant's token
-//!    bucket, which lives on the same shard (empty ⇒
+//! 1. **Admission** — [`Server::submit`] checks the one bounded queue
+//!    first (full ⇒ [`Rejected::Overloaded`], so memory stays bounded
+//!    under overload), then the tenant's token bucket (empty ⇒
 //!    [`Rejected::QuotaExceeded`]). Admitted requests get a ticket and an
-//!    absolute logical-clock deadline. With the default
-//!    [`ServerConfig::admission_shards`] of 1 the server behaves exactly
-//!    as the unsharded original.
-//! 2. **Micro-batching** — [`Server::drain`] walks the admission shards
-//!    in index order; within a shard it repeatedly takes the oldest
+//!    absolute logical-clock deadline.
+//! 2. **Micro-batching** — [`Server::drain`] repeatedly takes the oldest
 //!    pending request and groups up to `max_batch` queued requests that
 //!    resolve to the *same* [`ArtifactKey`] into one batch, so one
-//!    compiled artifact amortizes across tenants. All shards feed the
-//!    one shared [`ParPool`].
+//!    compiled artifact amortizes across tenants. Every batch runs on
+//!    the one shared [`ParPool`].
 //! 3. **Dispatch** — each batch runs as a single [`ei_faults::retry`]
 //!    attempt whose per-attempt timeout is the batch's deadline slack
 //!    (deadline propagation), executing every window through one
@@ -58,7 +52,7 @@ use ei_faults::{CancelToken, Clock, FailureCause, RetryPolicy};
 use ei_obs::{Obs, LATENCY_BOUNDS};
 use ei_par::ParPool;
 use ei_runtime::EngineKind;
-use ei_shard::{shard_index, TokenBucket};
+use ei_shard::TokenBucket;
 use ei_trace::{SpanGuard, Tracer};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -70,33 +64,18 @@ const BATCH_BOUNDS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Pending requests admitted before submissions bounce with
-    /// [`Rejected::Overloaded`].
+    /// [`Rejected::Overloaded`] (at least 1).
     pub queue_capacity: usize,
     /// Most same-artifact requests dispatched as one batch.
     pub max_batch: usize,
     /// Deadline for requests that pass `deadline_ms: 0`.
     pub default_deadline_ms: u64,
-    /// Compiled artifacts kept resident.
+    /// Compiled artifacts kept resident (at least 1).
     pub cache_capacity: usize,
     /// Per-tenant burst tokens.
     pub quota_capacity: u32,
     /// Per-tenant sustained request rate (tokens per second).
     pub quota_refill_per_sec: f64,
-    /// Admission shards. Tenants stripe across shards by FNV-1a of the
-    /// tenant id; each shard has its own bounded sub-queue (capacity
-    /// `queue_capacity / admission_shards`, rounded up) and owns its
-    /// tenants' token buckets, so admission for one tenant population
-    /// never contends on another's shard. `1` (the default) reproduces
-    /// the unsharded server exactly.
-    pub admission_shards: usize,
-    /// Artifact-cache stripes. The compiled-artifact cache stripes by
-    /// FNV-1a of the tenant id — the same placement function as
-    /// `admission_shards` — into independent LRU lists of
-    /// `cache_capacity` entries each. A compile never holds its
-    /// stripe's lock, so cold compiles overlap at any setting and more
-    /// stripes only spread the lookups. `1` (the default) reproduces
-    /// the single-LRU original exactly.
-    pub cache_shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -108,8 +87,6 @@ impl Default for ServerConfig {
             cache_capacity: 8,
             quota_capacity: 64,
             quota_refill_per_sec: 64.0,
-            admission_shards: 1,
-            cache_shards: 1,
         }
     }
 }
@@ -159,13 +136,13 @@ struct Pending {
 /// State behind the server's admission lock.
 #[derive(Debug)]
 struct Inner {
-    /// One bounded sub-queue per admission shard; a tenant's requests
-    /// always land on `fnv1a(tenant) % shards`.
-    queues: Vec<VecDeque<Pending>>,
-    /// Token buckets, held on the owning tenant's shard.
-    buckets: Vec<HashMap<String, TokenBucket>>,
+    /// Admitted requests in arrival order, at most
+    /// `queue_capacity.max(1)` of them.
+    queue: VecDeque<Pending>,
+    /// Token buckets by tenant.
+    buckets: HashMap<String, TokenBucket>,
     next_ticket: u64,
-    /// Tickets a dispatch pass has taken off a queue and not yet
+    /// Tickets a dispatch pass has taken off the queue and not yet
     /// completed: inserted under the lock that pops the batch, removed by
     /// `complete` (or, should the pass unwind, by its [`Dispatching`]
     /// guard). A resolver whose ticket is here waits for it instead of
@@ -173,7 +150,7 @@ struct Inner {
     dispatching: HashSet<u64>,
     completed: Vec<Completion>,
     /// Admitted-but-not-completed requests per tenant, published as the
-    /// `serve.inflight` gauge.
+    /// `serve.inflight` gauge; a tenant leaves when its count reaches 0.
     inflight: HashMap<String, u64>,
 }
 
@@ -233,12 +210,7 @@ impl Server {
         pool: Arc<ParPool>,
         tracer: Tracer,
     ) -> Server {
-        let cache = CompiledArtifactCache::with_shards(
-            config.cache_capacity,
-            config.cache_shards,
-            tracer.clone(),
-        );
-        let shards = config.admission_shards.max(1);
+        let cache = CompiledArtifactCache::new(config.cache_capacity, tracer.clone());
         Server {
             config,
             clock,
@@ -247,8 +219,8 @@ impl Server {
             cache,
             obs: None,
             inner: Mutex::new(Inner {
-                queues: (0..shards).map(|_| VecDeque::new()).collect(),
-                buckets: (0..shards).map(|_| HashMap::new()).collect(),
+                queue: VecDeque::new(),
+                buckets: HashMap::new(),
                 next_ticket: 1,
                 dispatching: HashSet::new(),
                 completed: Vec::new(),
@@ -256,30 +228,6 @@ impl Server {
             }),
             completion: Condvar::new(),
         }
-    }
-
-    /// Number of admission shards (at least 1).
-    pub fn admission_shards(&self) -> usize {
-        self.config.admission_shards.max(1)
-    }
-
-    /// The admission shard `tenant`'s requests (and token bucket) live
-    /// on: [`shard_index`] of the tenant id over the shard count — the
-    /// same placement function the platform's `ei-shard` stores use.
-    pub fn admission_shard_of(&self, tenant: &str) -> usize {
-        shard_index(&tenant, self.admission_shards())
-    }
-
-    /// Pending requests per admission shard, in shard-index order.
-    pub fn shard_depths(&self) -> Vec<usize> {
-        lock(&self.inner).queues.iter().map(VecDeque::len).collect()
-    }
-
-    /// Each shard's queue bound: the configured total capacity split
-    /// evenly (rounded up), so one shard's overload cannot consume
-    /// another shard's admission budget.
-    fn per_shard_capacity(&self) -> usize {
-        self.config.queue_capacity.div_ceil(self.admission_shards()).max(1)
     }
 
     /// Attaches a telemetry hub for SLO evaluation: every completion
@@ -313,52 +261,41 @@ impl Server {
         lock(&self.inner).inflight.get(tenant).copied().unwrap_or(0)
     }
 
-    /// Current artifact-cache counters, merged across every stripe.
+    /// Current artifact-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// Per-stripe artifact-cache counters, in stripe-index order.
-    pub fn cache_shard_stats(&self) -> Vec<CacheStats> {
-        self.cache.shard_stats()
-    }
-
-    /// Number of artifact-cache stripes (at least 1).
-    pub fn cache_shards(&self) -> usize {
-        self.cache.shard_count()
-    }
-
-    /// Requests currently queued, summed across admission shards.
+    /// Requests currently queued.
     pub fn queue_depth(&self) -> usize {
-        lock(&self.inner).queues.iter().map(VecDeque::len).sum()
+        lock(&self.inner).queue.len()
     }
 
     /// Admits one request, returning its ticket.
     ///
-    /// Admission is two cheap checks under one lock, both on the
-    /// tenant's admission shard — shard queue bound first (overload must
-    /// not drain quota), then the tenant's token bucket — and never
-    /// compiles or copies model bytes, so a rejection costs nothing and
-    /// queue memory stays bounded at `queue_capacity` across shards.
+    /// Admission is two cheap checks under one lock — the queue bound
+    /// first (overload must not drain quota), then the tenant's token
+    /// bucket — and never compiles or copies model bytes, so a rejection
+    /// costs nothing and queue memory stays bounded at `queue_capacity`
+    /// (at least 1).
     /// The ticket stays redeemable through [`Server::resolve`] whichever
     /// caller's dispatch pass ends up running the request.
     ///
     /// # Errors
     ///
-    /// [`Rejected::Overloaded`] when the tenant's shard queue is full,
+    /// [`Rejected::Overloaded`] when the queue is full,
     /// [`Rejected::QuotaExceeded`] when the tenant is out of tokens.
     pub fn submit(&self, req: InferenceRequest) -> Result<u64, Rejected> {
         let now = self.clock.now_ms();
-        let shard = self.admission_shard_of(&req.tenant);
-        let per_shard = self.per_shard_capacity();
         let mut inner = lock(&self.inner);
-        if inner.queues[shard].len() >= per_shard {
+        if inner.queue.len() >= self.config.queue_capacity.max(1) {
             self.tracer.quiet_counter("serve.rejected.overloaded").inc();
             self.tracer.quiet_counter("serve.rejected").labeled(&req.tenant).inc();
-            return Err(Rejected::Overloaded { queue_depth: inner.queues[shard].len() });
+            return Err(Rejected::Overloaded { queue_depth: inner.queue.len() });
         }
         let (capacity, refill) = (self.config.quota_capacity, self.config.quota_refill_per_sec);
-        let bucket = inner.buckets[shard]
+        let bucket = inner
+            .buckets
             .entry(req.tenant.clone())
             .or_insert_with(|| TokenBucket::new(capacity.into(), refill, now));
         if !bucket.try_take(now) {
@@ -386,8 +323,8 @@ impl Server {
             span,
         };
         let tenant = pending.req.tenant.clone();
-        inner.queues[shard].push_back(pending);
-        let depth = inner.queues.iter().map(VecDeque::len).sum::<usize>();
+        inner.queue.push_back(pending);
+        let depth = inner.queue.len();
         let inflight = {
             let count = inner.inflight.entry(tenant.clone()).or_insert(0);
             *count += 1;
@@ -431,9 +368,8 @@ impl Server {
 
     /// Estimates on-device cost for a model through the artifact cache
     /// (the platform's pre-deployment "how will this run on board X"
-    /// call), billed to `tenant` — the lookup takes only that tenant's
-    /// cache stripe. A miss compiles and caches the artifact, just like
-    /// the inference path.
+    /// call). A miss compiles and caches the artifact, just like the
+    /// inference path.
     ///
     /// # Errors
     ///
@@ -441,7 +377,6 @@ impl Server {
     /// [`ServeError::Model`] when the model fails to compile.
     pub fn estimate(
         &self,
-        tenant: &str,
         model: &ModelSource,
         board: &str,
         engine: EngineKind,
@@ -454,7 +389,7 @@ impl Server {
             engine,
             quantized,
         };
-        let (artifact, hit) = self.cache.get_or_insert_with(tenant, &key, || {
+        let (artifact, hit) = self.cache.get_or_insert_with("", &key, || {
             CompiledArtifact::compile(key.clone(), model.blob.json())
         })?;
         let dsp_cost = artifact.dsp_cost()?;
@@ -473,40 +408,34 @@ impl Server {
         })
     }
 
-    /// Dispatches queued requests batch by batch until every shard queue
-    /// is empty, visiting shards in index order so dispatch order is
-    /// deterministic at any shard count. Batches form within one shard
-    /// (a tenant's requests never straddle shards) and all of them feed
-    /// the one shared pool.
+    /// Dispatches queued requests batch by batch until the queue is
+    /// empty, each batch the oldest request plus the next same-key ones.
     fn process_queue(&self) {
-        // clamped like the shard and stripe counts: a batch of zero would
-        // take nothing and leave the front request queued forever
+        // clamped like the queue bound: a batch of zero would take
+        // nothing and leave the front request queued forever
         let max_batch = self.config.max_batch.max(1);
-        for shard in 0..self.admission_shards() {
-            loop {
-                let batch = {
-                    let mut inner = lock(&self.inner);
-                    let Some(front) = inner.queues[shard].front() else { break };
-                    let key = front.key.clone();
-                    let mut batch = Vec::new();
-                    let queue = &mut inner.queues[shard];
-                    let mut i = 0;
-                    while batch.len() < max_batch {
-                        match queue.get(i) {
-                            Some(p) if p.key != key => i += 1,
-                            Some(_) => batch.extend(queue.remove(i)),
-                            None => break,
-                        }
+        loop {
+            let batch = {
+                let mut inner = lock(&self.inner);
+                let Some(front) = inner.queue.front() else { break };
+                let key = front.key.clone();
+                let mut batch = Vec::new();
+                let queue = &mut inner.queue;
+                let mut i = 0;
+                while batch.len() < max_batch {
+                    match queue.get(i) {
+                        Some(p) if p.key != key => i += 1,
+                        Some(_) => batch.extend(queue.remove(i)),
+                        None => break,
                     }
-                    inner.dispatching.extend(batch.iter().map(|p| p.ticket));
-                    let depth = inner.queues.iter().map(VecDeque::len).sum::<usize>();
-                    self.tracer.quiet_gauge("serve.queue_depth").set(depth as f64);
-                    batch
-                };
-                let _taken =
-                    Dispatching { server: self, tickets: batch.iter().map(|p| p.ticket).collect() };
-                self.run_batch(batch);
-            }
+                }
+                inner.dispatching.extend(batch.iter().map(|p| p.ticket));
+                self.tracer.quiet_gauge("serve.queue_depth").set(inner.queue.len() as f64);
+                batch
+            };
+            let _taken =
+                Dispatching { server: self, tickets: batch.iter().map(|p| p.ticket).collect() };
+            self.run_batch(batch);
         }
     }
 
@@ -535,10 +464,7 @@ impl Server {
             ],
         );
         let key = live[0].key.clone();
-        // batches form within one admission shard and share one artifact;
-        // the lookup is billed to (and striped by) the oldest member's
-        // tenant, the same request that owns the batch span
-        let compiled = self.cache.get_or_insert_with(&live[0].req.tenant, &key, || {
+        let compiled = self.cache.get_or_insert_with("", &key, || {
             CompiledArtifact::compile(key.clone(), live[0].req.model.blob.json())
         });
         let (artifact, hit) = match compiled {
@@ -695,11 +621,44 @@ impl Server {
             let mut inner = lock(&self.inner);
             inner.dispatching.remove(&completion.ticket);
             inner.completed.push(completion);
-            let count = inner.inflight.entry(p.req.tenant.clone()).or_insert(0);
-            *count = count.saturating_sub(1);
-            *count
+            let left = inner.inflight.get_mut(tenant).map_or(0, |count| {
+                *count = count.saturating_sub(1);
+                *count
+            });
+            if left == 0 {
+                inner.inflight.remove(tenant);
+            }
+            left
         };
         self.completion.notify_all();
-        self.tracer.quiet_gauge("serve.inflight").labeled(&p.req.tenant).set(inflight as f64);
+        self.tracer.quiet_gauge("serve.inflight").labeled(tenant).set(inflight as f64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::InferenceSpec;
+    use ei_faults::VirtualClock;
+    use ei_par::Parallelism;
+
+    #[test]
+    fn inflight_map_forgets_tenants_once_drained() {
+        let config = ServerConfig { queue_capacity: 128, ..ServerConfig::default() };
+        let pool = Arc::new(ParPool::new(Parallelism::serial()));
+        let server = Server::new(config, VirtualClock::shared(), pool, Tracer::disabled());
+        // the model never compiles, so every request completes as `Failed`
+        let model = ModelSource::new("m", "{}".into());
+        let spec = InferenceSpec::new("m", EngineKind::EonCompiled);
+        for t in 0..100 {
+            let tenant = format!("tenant-{t}");
+            let req = InferenceRequest::from_spec(&spec, model.clone(), Vec::new(), &tenant);
+            server.submit(req).expect("admitted");
+        }
+        assert_eq!(server.tenant_inflight("tenant-7"), 1);
+        assert_eq!(lock(&server.inner).inflight.len(), 100);
+        assert_eq!(server.drain().len(), 100);
+        assert!(lock(&server.inner).inflight.is_empty(), "a drained tenant leaves the map");
+        assert_eq!(server.tenant_inflight("tenant-7"), 0);
     }
 }

@@ -18,7 +18,7 @@
 //! # Bitwise parity with the naive oracles
 //!
 //! The naive kernels this crate has always shipped stay available under
-//! [`reference`] and remain the ground truth. The blocked kernels are
+//! [`mod@reference`] and remain the ground truth. The blocked kernels are
 //! **bitwise-identical** to them, not merely close, because for every
 //! output element `c[i][j]`:
 //!

@@ -40,6 +40,9 @@ done
 echo "==> cargo test --doc"
 cargo test --doc
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy -- -D warnings
 

@@ -20,8 +20,6 @@ use edgelab::serve::{
     InferenceSpec, ModelSource, Outcome, Rejected, Server, ServerConfig,
 };
 use edgelab::trace::Tracer;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -190,7 +188,9 @@ fn one_entry_cache_never_serves_stale_model_after_reupload() {
 
 /// Tentpole: bounded memory under overload — submissions past the queue
 /// bound are rejected with `Overloaded` (no queue growth), while every
-/// admitted request still completes within its deadline.
+/// admitted request still completes within its deadline. The overload
+/// check runs before the token bucket, so a bounced request costs no
+/// quota, and a zero bound is clamped to one.
 #[test]
 fn overload_rejects_past_queue_bound_while_inflight_complete() {
     let json = model_json(16, 7);
@@ -223,6 +223,24 @@ fn overload_rejects_past_queue_bound_while_inflight_complete() {
         );
     }
     assert_eq!(srv.queue_depth(), 0);
+
+    // an `Overloaded` rejection takes no token: two tokens buy two
+    // admissions around it, and only the third admission is refused
+    let config = ServerConfig { queue_capacity: 1, quota_capacity: 2, ..ServerConfig::default() };
+    let (_clock, srv) = server(config);
+    let req = || request("a", &model, EngineKind::EonCompiled, clip.clone());
+    assert!(srv.submit(req()).is_ok());
+    assert_eq!(srv.submit(req()), Err(Rejected::Overloaded { queue_depth: 1 }));
+    assert_eq!(srv.drain().len(), 1);
+    assert!(srv.submit(req()).is_ok(), "the bounced request left its token");
+    assert_eq!(srv.drain().len(), 1);
+    assert_eq!(srv.submit(req()), Err(Rejected::QuotaExceeded { tenant: "a".into() }));
+
+    // a zero bound admits exactly one request
+    let config = ServerConfig { queue_capacity: 0, ..ServerConfig::default() };
+    let (_clock, srv) = server(config);
+    assert!(srv.submit(req()).is_ok());
+    assert_eq!(srv.submit(req()), Err(Rejected::Overloaded { queue_depth: 1 }));
 }
 
 /// Per-tenant token buckets: an exhausted tenant is rejected without
@@ -314,15 +332,14 @@ fn server_never_moves_the_clock_it_was_given() {
         assert_eq!(done.cache_hit, expect_hit);
         assert_eq!((done.latency_ms, done.queued_ms), (0, 0), "no time was advanced: {done:?}");
     }
-    let estimate = srv
-        .estimate("a", &model, "nano 33", EngineKind::TflmInterpreter, false)
-        .expect("estimates");
+    let estimate =
+        srv.estimate(&model, "nano 33", EngineKind::TflmInterpreter, false).expect("estimates");
     assert!(!estimate.cache_hit, "a new (board, engine) key compiles cold");
     assert_eq!(clock.now_ms(), 7, "the server must never advance its clock");
 }
 
-/// `max_batch: 0` is clamped to 1 where it is read (like the shard and
-/// stripe counts); unclamped, dispatch took nothing per round and spun
+/// `max_batch: 0` is clamped to 1 where it is read (like the queue bound
+/// and the cache capacity); unclamped, dispatch took nothing per round and spun
 /// forever. The resolve runs on its own thread so a regression fails the
 /// test instead of hanging the suite.
 #[test]
@@ -342,50 +359,6 @@ fn zero_max_batch_still_dispatches() {
         .expect("completed");
     assert!(matches!(completion.outcome, Outcome::Classified(_)), "{completion:?}");
     assert_eq!(completion.batch_size, 1);
-}
-
-/// The striped cache hands back the same compiled artifact for the same
-/// key at 1 and 16 stripes, while 12 tenants with distinct keys churn an
-/// 8-entry LRU at one stripe and fit without eviction at sixteen.
-#[test]
-fn striped_cache_serves_identical_artifacts_at_1_and_16_stripes() {
-    const TENANTS: usize = 12;
-    let json = model_json(16, 7);
-    let content = content_hash(&json);
-    // a seeded tenant order with plenty of re-visits
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let accesses: Vec<usize> = (0..240).map(|_| rng.gen_range(0..TENANTS)).collect();
-
-    let run = |stripes: usize| {
-        let cache = CompiledArtifactCache::with_shards(8, stripes, Tracer::disabled());
-        let mut fingerprints = vec![None; TENANTS];
-        for &tenant in &accesses {
-            // every tenant compiles for its own board, so keys are distinct
-            let key = ArtifactKey {
-                content_hash: content,
-                board: format!("board-{tenant}"),
-                engine: EngineKind::EonCompiled,
-                quantized: false,
-            };
-            let (artifact, _hit) = cache
-                .get_or_insert_with(&format!("cache-t{tenant}"), &key, || {
-                    CompiledArtifact::compile(key.clone(), &json)
-                })
-                .expect("compiles");
-            assert_eq!(artifact.key(), &key, "cache must return the requested artifact");
-            let fingerprint = (artifact.plan().clone(), artifact.memory());
-            let seen = fingerprints[tenant].get_or_insert_with(|| fingerprint.clone());
-            assert_eq!(seen, &fingerprint, "re-lookups must serve the same artifact");
-        }
-        assert_eq!(cache.shard_stats().len(), stripes, "one CacheStats per stripe");
-        (fingerprints, cache.stats())
-    };
-
-    let (one, one_stats) = run(1);
-    let (sixteen, sixteen_stats) = run(16);
-    assert_eq!(one, sixteen, "same key must mean same plan and memory at any stripe count");
-    assert!(one_stats.evictions > 0, "12 keys must churn one 8-entry stripe: {one_stats:?}");
-    assert_eq!(sixteen_stats.evictions, 0, "16 stripes hold all 12 keys: {sixteen_stats:?}");
 }
 
 /// Same-artifact requests coalesce into one micro-batch; results and
@@ -435,69 +408,6 @@ fn micro_batched_trace_is_deterministic_across_thread_counts() {
     assert_eq!(serial, env, "EI_THREADS must not change completions");
     assert_eq!(t_serial, t_four);
     assert_eq!(t_serial, t_env);
-}
-
-/// Sharded admission: tenants stripe deterministically across shards,
-/// per-shard bounds isolate a flooding tenant, and shard count never
-/// changes any request's outcome.
-#[test]
-fn sharded_admission_isolates_tenants_and_preserves_outcomes() {
-    let json = model_json(16, 7);
-    let model = ModelSource::new("kws", json);
-    let gen = generator();
-
-    // the same 12-request trace through 1 and 4 admission shards
-    let run = |shards: usize| {
-        let config = ServerConfig { admission_shards: shards, ..ServerConfig::default() };
-        let (_clock, srv) = server(config);
-        assert_eq!(srv.admission_shards(), shards);
-        for i in 0..12u64 {
-            let tenant = format!("tenant-{}", i % 4);
-            let clip = gen.generate((i % 2) as usize, i * 3 + 1);
-            srv.submit(request(&tenant, &model, EngineKind::EonCompiled, clip)).unwrap();
-        }
-        let depths = srv.shard_depths();
-        assert_eq!(depths.len(), shards);
-        assert_eq!(depths.iter().sum::<usize>(), 12, "every submission queued");
-        let mut completions = srv.drain();
-        assert_eq!(completions.len(), 12);
-        completions.sort_by_key(|c| c.ticket);
-        completions
-            .into_iter()
-            .map(|c| {
-                assert!(matches!(c.outcome, Outcome::Classified(_)), "{c:?}");
-                (c.tenant, format!("{:?}", c.outcome))
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(1), run(4), "shard count must not change any request's outcome");
-
-    // per-shard bounds: a flooding tenant fills only its own shard
-    let config = ServerConfig {
-        admission_shards: 4,
-        queue_capacity: 8, // 2 per shard
-        quota_capacity: 100,
-        ..ServerConfig::default()
-    };
-    let (_clock, srv) = server(config);
-    let flooder = "flood";
-    let victim_shard = srv.admission_shard_of(flooder);
-    let other = (0..32)
-        .map(|i| format!("t-{i}"))
-        .find(|t| srv.admission_shard_of(t) != victim_shard)
-        .expect("some tenant lands on another shard");
-    let clip = gen.generate(0, 3);
-    let req = |t: &str| request(t, &model, EngineKind::EonCompiled, clip.clone());
-    assert!(srv.submit(req(flooder)).is_ok());
-    assert!(srv.submit(req(flooder)).is_ok());
-    assert_eq!(
-        srv.submit(req(flooder)),
-        Err(Rejected::Overloaded { queue_depth: 2 }),
-        "the flooder's shard is full at its own bound"
-    );
-    assert!(srv.submit(req(&other)).is_ok(), "other shards keep admitting");
-    assert_eq!(srv.shard_depths().iter().sum::<usize>(), 3);
-    assert_eq!(srv.drain().len(), 3);
 }
 
 /// The platform API path: registry models classify and estimate through

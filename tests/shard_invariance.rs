@@ -7,9 +7,12 @@
 //! uploads, stream pushes over a few hundred tenants) is then replayed at
 //! 1, 4, 16 and 64 shards — serially, and again from real racing threads
 //! — and must leave the identical exported state every time: the
-//! platform-wide linearizability oracle. `scripts/check.sh` runs this
-//! suite under `EI_THREADS=1` and `4` and `EI_SHARDS=1` and `16`, so the
-//! contract holds across the pool-width axis too.
+//! platform-wide linearizability oracle. The shard count is that of the
+//! platform's stores and job lanes; the serving layer in front of them
+//! has one admission queue and one artifact cache at every count.
+//! `scripts/check.sh` runs this suite under `EI_THREADS=1` and `4` and
+//! `EI_SHARDS=1` and `16`, so the contract holds across the pool-width
+//! axis too.
 
 use edgelab::core::impulse::ImpulseDesign;
 use edgelab::data::ingest::to_wav_bytes;
@@ -23,7 +26,7 @@ use edgelab::platform::{
     Api, InferenceSpec, JobScheduler, PlatformError, ProjectId, SessionConfig, SessionId, UserId,
 };
 use edgelab::runtime::EngineKind;
-use edgelab::serve::{CompiledArtifactCache, Server, ServerConfig};
+use edgelab::serve::{Server, ServerConfig};
 use edgelab::trace::Tracer;
 use ei_shard::{shard_index, QuotaLedger, ShardKey, ShardMap};
 use rand::rngs::StdRng;
@@ -78,7 +81,7 @@ fn flow(shards: usize, model: &str) -> String {
     let pool = Arc::new(ParPool::new(Parallelism::from_env()));
     let api = Api::with_shards(shards);
     let server = Arc::new(Server::new(
-        ServerConfig { admission_shards: shards, ..ServerConfig::default() },
+        ServerConfig::default(),
         clock.clone() as Arc<dyn Clock>,
         Arc::clone(&pool),
         Tracer::disabled(),
@@ -253,9 +256,8 @@ fn schedule() -> Vec<(Op, usize)> {
         .collect()
 }
 
-/// A fully provisioned platform: sharded store, serving layer (admission
-/// and cache stripes = store shards), sharded scheduler, the tenant
-/// population with its hot set uploaded and streaming. Serial and racing
+/// A fully provisioned platform: sharded store, serving layer, sharded
+/// scheduler, the tenant population with its hot set uploaded and streaming. Serial and racing
 /// replays both drive one of these, so a divergence is the replay's.
 struct Replay {
     obs: Arc<Obs>,
@@ -279,8 +281,6 @@ impl Replay {
             queue_capacity: 4_096,
             quota_capacity: 1 << 20,
             quota_refill_per_sec: 1e6,
-            admission_shards: shards,
-            cache_shards: shards,
             ..ServerConfig::default()
         };
         let server = Server::new(config, clock as Arc<dyn Clock>, pool.clone(), Tracer::disabled());
@@ -374,9 +374,7 @@ fn serial_replay(events: &[(Op, usize)], shards: usize, model: &str) -> String {
         replay.obs.prometheus().contains("platform_shard_occupancy"),
         "shard occupancy gauges must reach the obs registry"
     );
-    let report = replay.api.shard_report();
-    assert!(report.cache.is_some(), "serving layer attached");
-    assert_eq!(report.cache_shards.len(), shards, "one CacheStats per cache stripe");
+    assert!(replay.api.shard_report().cache.is_some(), "serving layer attached");
     replay.finish(jobs)
 }
 
@@ -459,8 +457,9 @@ fn placements<K: Ord + Clone + ShardKey>(keys: &[K], shards: usize) -> Vec<usize
 }
 
 /// Every striped structure places a key with the one pure function
-/// `shard_index`: the platform's `ShardMap`s and `QuotaLedger`, the
-/// serving artifact-cache stripes and the admission shards.
+/// `shard_index`: the platform's `ShardMap`s and `QuotaLedger`. (The
+/// serving layer has one admission queue and one artifact cache, so it
+/// places nothing.)
 #[test]
 fn every_store_places_keys_with_one_pure_function() {
     let numeric: Vec<u64> = (0..200u64).chain([u64::MAX, 1 << 63, 0xdead_beef]).collect();
@@ -473,16 +472,5 @@ fn every_store_places_keys_with_one_pure_function() {
         placements(&numeric, shards);
         let by_string = placements(&owned, shards);
         assert_eq!(placements(&borrowed, shards), by_string, "&str and String place alike");
-        let cache = CompiledArtifactCache::with_shards(1, shards, Tracer::disabled());
-        let server = Server::new(
-            ServerConfig { admission_shards: shards, ..ServerConfig::default() },
-            VirtualClock::shared(),
-            Arc::new(ParPool::new(Parallelism::serial())),
-            Tracer::disabled(),
-        );
-        for (tenant, &placed) in borrowed.iter().zip(&by_string) {
-            assert_eq!(cache.shard_of(tenant), placed, "cache stripe of {tenant:?}");
-            assert_eq!(server.admission_shard_of(tenant), placed, "admission shard of {tenant:?}");
-        }
     }
 }
