@@ -10,7 +10,9 @@
 //! kernel is at least 2x the naive one on the large-GEMM shape. The int8
 //! GEMM also runs at every `ei_tensor::simd` level the host supports, on
 //! the dense and KWS-conv shapes; the best level must be at least 3x the
-//! `Baseline` one on the dense shape.
+//! `Baseline` one on the dense shape. The f32 direct convolutions run at
+//! every f32 level on the KWS-conv and vision-depthwise shapes, against
+//! the frozen `conv::reference` loops they were rewritten from.
 //!
 //! ```bash
 //! cargo run --release -p ei-bench --bin kernels
@@ -19,13 +21,13 @@
 //! Writes machine-readable rows to `results/kernels.json`.
 
 use ei_bench::{quick_mode, Measurement, ResultsWriter};
-use ei_nn::layers::conv::{conv2d_forward, depthwise_forward, Conv2dGeom};
+use ei_nn::layers::conv::{self, conv2d_forward_at, depthwise_forward_at, Conv2dGeom};
 use ei_nn::layers::im2col::im2col_2d;
 use ei_nn::par::{conv2d_forward_auto, depthwise_forward_auto, gemm_f32_auto};
 use ei_nn::spec::Padding;
 use ei_par::{ParPool, Parallelism};
 use ei_tensor::gemm::{gemm_f32, gemm_i8_fused, reference};
-use ei_tensor::simd::{supported_levels, PackedI8};
+use ei_tensor::simd::{supported_f32_levels, supported_levels, F32Level, PackedI8};
 use ei_trace::json::Json;
 use std::time::Instant;
 
@@ -66,7 +68,7 @@ struct Row<'a> {
     wall_ms: f64,
     naive_ms: f64,
     bitwise_equal: bool,
-    /// Wall time of the `Baseline` level, on the per-level int8 rows.
+    /// Wall time of the `Baseline` level, on the per-level rows.
     baseline_ms: Option<f64>,
 }
 
@@ -340,6 +342,40 @@ fn kws_conv_int8(writer: &mut ResultsWriter, reps: usize) {
     int8_levels(writer, reps, "kws_conv", (m, k, n), (&a, a_zp), (&b, &bias), &naive, naive_ms);
 }
 
+/// An f32 direct kernel at every f32 level this host supports: one
+/// `f32_<level>` row each, timed against `naive_ms` and the `Baseline`
+/// level (the first), and bitwise-checked against `naive`.
+fn f32_levels(
+    writer: &mut ResultsWriter,
+    reps: usize,
+    (shape, dims): (&str, (usize, usize, usize)),
+    (naive, naive_ms): (&[f32], f64),
+    run: impl Fn(F32Level) -> Vec<f32>,
+) {
+    let mut baseline_ms = None;
+    for level in supported_f32_levels() {
+        let equal = run(level).iter().map(|v| v.to_bits()).eq(naive.iter().map(|v| v.to_bits()));
+        let wall_ms = time_ms(reps, || {
+            std::hint::black_box(run(level));
+        });
+        let base = *baseline_ms.get_or_insert(wall_ms);
+        push_row(
+            writer,
+            &Row {
+                shape,
+                kernel: &format!("f32_{}", level.name()),
+                dims,
+                threads: 1,
+                wall_ms,
+                naive_ms,
+                bitwise_equal: equal,
+                baseline_ms: Some(base),
+            },
+        );
+        assert!(equal, "{shape} at {level:?} must be bitwise-identical to the naive reference");
+    }
+}
+
 /// KWS conv shape class: a mid-stack DS-CNN conv2d. At ~18 M MACs this
 /// sits below `PAR_MIN_IM2COL_MACS`, so the auto path must stay on the
 /// direct serial kernel — the reported speedup hovers at 1.0 instead of
@@ -364,7 +400,7 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
     fill_f32(&mut weights, 22);
     fill_f32(&mut bias, 23);
 
-    let naive = conv2d_forward(&input, &weights, &bias, g);
+    let naive = conv::reference::conv2d_forward(&input, &weights, &bias, g);
     let serial = conv2d_forward_auto(pool1, &input, &weights, &bias, g);
     let steals_before = pool4.steals();
     let par = conv2d_forward_auto(pool4, &input, &weights, &bias, g);
@@ -377,7 +413,7 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
     let par_equal = naive == par;
 
     let naive_ms = time_ms(reps, || {
-        std::hint::black_box(conv2d_forward(&input, &weights, &bias, g));
+        std::hint::black_box(conv::reference::conv2d_forward(&input, &weights, &bias, g));
     });
     let par_ms = time_ms(reps, || {
         std::hint::black_box(conv2d_forward_auto(pool4, &input, &weights, &bias, g));
@@ -410,6 +446,9 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
         },
     );
     assert!(serial_equal && par_equal, "kws_conv outputs must be bitwise-identical");
+    f32_levels(writer, reps, ("kws_conv", dims), (&naive, naive_ms), |level| {
+        conv2d_forward_at(level, &input, &weights, &bias, g)
+    });
     naive_ms / par_ms
 }
 
@@ -439,14 +478,14 @@ fn vision_depthwise(
     fill_f32(&mut weights, 32);
     fill_f32(&mut bias, 33);
 
-    let naive = depthwise_forward(&input, &weights, &bias, g);
+    let naive = conv::reference::depthwise_forward(&input, &weights, &bias, g);
     let serial = depthwise_forward_auto(pool1, &input, &weights, &bias, g);
     let par = depthwise_forward_auto(pool4, &input, &weights, &bias, g);
     let serial_equal = naive == serial;
     let par_equal = naive == par;
 
     let naive_ms = time_ms(reps, || {
-        std::hint::black_box(depthwise_forward(&input, &weights, &bias, g));
+        std::hint::black_box(conv::reference::depthwise_forward(&input, &weights, &bias, g));
     });
     let par_ms = time_ms(reps, || {
         std::hint::black_box(depthwise_forward_auto(pool4, &input, &weights, &bias, g));
@@ -479,6 +518,9 @@ fn vision_depthwise(
         },
     );
     assert!(serial_equal && par_equal, "depthwise outputs must be bitwise-identical");
+    f32_levels(writer, reps, ("vision_depthwise", dims), (&naive, naive_ms), |level| {
+        depthwise_forward_at(level, &input, &weights, &bias, g)
+    });
     naive_ms / par_ms
 }
 

@@ -5,10 +5,54 @@
 //! * `Conv2d` weights: `(kh, kw, c_in, c_out)`;
 //! * `DepthwiseConv2d` weights: `(kh, kw, c)`;
 //! * `Conv1d` weights: `(k, c_in, c_out)`.
+//!
+//! The forward kernels skip every input that is exactly `±0.0`, as the
+//! [`mod@reference`] loops do: ReLU outputs are about half zeros, and adding
+//! `0.0 * w` would not be a bitwise no-op (`-0.0 + 0.0` is `+0.0`, and
+//! `0.0 * inf` is NaN). They run at the host's [`F32Level`]; the `_at`
+//! variants take the level, for tests and benchmarks.
+
+use std::ops::Range;
+
+use ei_tensor::simd::{f32_level, F32Kernel, F32Level};
 
 use crate::spec::Padding;
 
 use super::conv_out_len;
+
+/// The most output channels whose accumulators one output pixel keeps in
+/// registers across all of its taps and input channels.
+const BLOCK: usize = 64;
+
+/// The operands of one direct-kernel call: the output rows from `first`
+/// on, as many as fit in `out`.
+struct Call<'a> {
+    input: &'a [f32],
+    weights: &'a [f32],
+    bias: &'a [f32],
+    g: Conv2dGeom,
+    first: usize,
+    out: &'a mut [f32],
+}
+
+struct Conv2dRows<'a>(Call<'a>);
+struct DepthwiseRows<'a>(Call<'a>);
+
+impl F32Kernel for Conv2dRows<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        conv2d_rows(self.0)
+    }
+}
+
+impl F32Kernel for DepthwiseRows<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        depthwise_rows(self.0)
+    }
+}
 
 /// Geometry of a 2-D convolution (kernels may be rectangular).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,57 +96,129 @@ impl Conv2dGeom {
 
 /// Standard 2-D convolution forward pass.
 pub fn conv2d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
-    let (oh, ow, _, _) = g.output();
-    let mut out = vec![0.0f32; oh * ow * g.out_c];
-    conv2d_forward_rows(input, weights, bias, g, 0, &mut out);
-    out
+    conv2d_forward_at(f32_level(), input, weights, bias, g)
 }
 
-/// Fills the output rows `[oy0, oy0 + out.len() / (ow * out_c))` of a 2-D
-/// convolution into `out`.
+/// [`conv2d_forward`] compiled for `level`: the same bits at every level.
 ///
-/// Every output element is produced by the same accumulation sequence as
-/// in [`conv2d_forward`], so any row partition reproduces it bit for bit.
-pub(crate) fn conv2d_forward_rows(
+/// # Panics
+///
+/// Panics if this CPU cannot run `level`.
+pub fn conv2d_forward_at(
+    level: F32Level,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
-    oy0: usize,
-    out: &mut [f32],
-) {
+) -> Vec<f32> {
+    let (oh, ow, _, _) = g.output();
+    let mut out = vec![0.0f32; oh * ow * g.out_c];
+    level.run(Conv2dRows(Call { input, weights, bias, g, first: 0, out: &mut out }));
+    out
+}
+
+/// Fills the output rows `[first, first + out.len() / (ow * out_c))` of a
+/// 2-D convolution.
+///
+/// Per output pixel, the non-zero inputs under the kernel are listed first
+/// with their weight rows, in ascending `(ky, kx, ci)` order and without a
+/// branch: a branch per input would be a coin flip on ReLU outputs. Then
+/// each block of 64, 32, 16 or 8 output channels starts at its bias, adds
+/// `x * w` over the list in registers, and is stored once; fewer than 8
+/// channels left over accumulate in place. Every element sees the operands
+/// of [`reference::conv2d_forward`] in its order, so any row partition
+/// reproduces it bit for bit.
+#[inline(always)]
+fn conv2d_rows(call: Call<'_>) {
+    let Call { input, weights, bias, g, first, out } = call;
+    if out.is_empty() {
+        return;
+    }
     let (_, ow, py, px) = g.output();
-    let rows = out.len() / (ow * g.out_c);
-    for (row, oy) in (oy0..oy0 + rows).enumerate() {
+    let (in_c, out_c) = (g.in_c, g.out_c);
+    let rows = out.len() / (ow * out_c);
+    // (x, offset of its weight row), for the non-zero inputs of one pixel
+    let mut nonzero = vec![(0.0f32, 0usize); g.kernel_h * g.kernel_w * in_c];
+    for (row, oy) in (first..first + rows).enumerate() {
+        let (y0, kys) = taps(oy, g.stride, py, g.kernel_h, g.in_h);
         for ox in 0..ow {
-            let base = (row * ow + ox) * g.out_c;
-            out[base..base + g.out_c].copy_from_slice(bias);
-            for ky in 0..g.kernel_h {
-                let iy = (oy * g.stride + ky) as isize - py as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    continue;
-                }
-                for kx in 0..g.kernel_w {
-                    let ix = (ox * g.stride + kx) as isize - px as isize;
-                    if ix < 0 || ix as usize >= g.in_w {
-                        continue;
-                    }
-                    let in_base = ((iy as usize) * g.in_w + ix as usize) * g.in_c;
-                    let w_base = (ky * g.kernel_w + kx) * g.in_c * g.out_c;
-                    for ci in 0..g.in_c {
-                        let x = input[in_base + ci];
-                        if x == 0.0 {
-                            continue;
-                        }
-                        let wrow = &weights[w_base + ci * g.out_c..w_base + (ci + 1) * g.out_c];
-                        let orow = &mut out[base..base + g.out_c];
-                        for co in 0..g.out_c {
-                            orow[co] += x * wrow[co];
-                        }
+            let (x0, kxs) = taps(ox, g.stride, px, g.kernel_w, g.in_w);
+            let mut count = 0;
+            for (iy, ky) in (y0..).zip(kys.clone()) {
+                for (ix, kx) in (x0..).zip(kxs.clone()) {
+                    let in_base = (iy * g.in_w + ix) * in_c;
+                    let w_base = (ky * g.kernel_w + kx) * in_c * out_c;
+                    for (ci, &x) in input[in_base..in_base + in_c].iter().enumerate() {
+                        nonzero[count] = (x, w_base + ci * out_c);
+                        count += usize::from(x != 0.0);
                     }
                 }
             }
+            let nonzero = &nonzero[..count];
+            let base = (row * ow + ox) * out_c;
+            let mut cb = 0;
+            while cb < out_c {
+                let width = [BLOCK, 32, 16, LANES].into_iter().find(|&w| w <= out_c - cb);
+                let width = width.unwrap_or(out_c - cb);
+                let acc = &mut out[base + cb..base + cb + width];
+                acc.copy_from_slice(&bias[cb..cb + width]);
+                match width {
+                    BLOCK => madd_block::<BLOCK>(acc, nonzero, weights, cb),
+                    32 => madd_block::<32>(acc, nonzero, weights, cb),
+                    16 => madd_block::<16>(acc, nonzero, weights, cb),
+                    LANES => madd_block::<LANES>(acc, nonzero, weights, cb),
+                    _ => {
+                        for &(x, at) in nonzero {
+                            axpy(acc, x, &weights[at + cb..at + cb + width]);
+                        }
+                    }
+                }
+                cb += width;
+            }
         }
+    }
+}
+
+/// `acc[i] += x * weights[at + cb + i]` for each `(x, at)` in `nonzero`,
+/// on a block of `N` channels: a fixed size keeps it in registers.
+#[inline(always)]
+fn madd_block<const N: usize>(
+    acc: &mut [f32],
+    nonzero: &[(f32, usize)],
+    weights: &[f32],
+    cb: usize,
+) {
+    let acc: &mut [f32; N] = acc.try_into().expect("a block is N long");
+    let mut a = *acc;
+    for &(x, at) in nonzero {
+        let w: &[f32; N] = weights[at + cb..at + cb + N].try_into().expect("N long");
+        axpy(&mut a, x, w);
+    }
+    *acc = a;
+}
+
+/// The kernel offsets of output position `o` whose input position lies
+/// inside `0..len`, in ascending order, and the input position of the
+/// first of them.
+#[inline(always)]
+fn taps(o: usize, stride: usize, pad: usize, kernel: usize, len: usize) -> (usize, Range<usize>) {
+    let start = o * stride;
+    let lo = pad.saturating_sub(start).min(kernel);
+    let hi = (len + pad).saturating_sub(start).clamp(lo, kernel);
+    ((start + lo).saturating_sub(pad), lo..hi)
+}
+
+/// The fewest channels a fixed-size block holds: one AVX2 register. A
+/// loop over a slice of runtime length leaves 8-, 16- and 32-channel
+/// layers scalar once its vector body (8 lanes × 4 interleaved at AVX2) is
+/// longer than the slice; a fixed length vectorizes them too.
+const LANES: usize = 8;
+
+/// `acc[i] += x * w[i]`.
+#[inline(always)]
+fn axpy(acc: &mut [f32], x: f32, w: &[f32]) {
+    for (a, &w) in acc.iter_mut().zip(w) {
+        *a += x * w;
     }
 }
 
@@ -158,15 +274,31 @@ pub fn conv2d_backward(
 
 /// Depthwise 2-D convolution forward pass (channel multiplier 1).
 pub fn depthwise_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
+    depthwise_forward_at(f32_level(), input, weights, bias, g)
+}
+
+/// [`depthwise_forward`] compiled for `level`: the same bits at every
+/// level.
+///
+/// # Panics
+///
+/// Panics if this CPU cannot run `level`.
+pub fn depthwise_forward_at(
+    level: F32Level,
+    input: &[f32],
+    weights: &[f32],
+    bias: &[f32],
+    g: Conv2dGeom,
+) -> Vec<f32> {
     debug_assert_eq!(g.in_c, g.out_c, "depthwise keeps the channel count");
     let (oh, ow, _, _) = g.output();
     let mut out = vec![0.0f32; oh * ow * g.in_c];
-    depthwise_forward_rows(input, weights, bias, g, 0, &mut out);
+    level.run(DepthwiseRows(Call { input, weights, bias, g, first: 0, out: &mut out }));
     out
 }
 
 /// Fills the output rows `[oy0, oy0 + out.len() / (ow * c))` of a
-/// depthwise convolution into `out`; see [`conv2d_forward_rows`].
+/// depthwise convolution into `out`, at the host's [`F32Level`].
 pub(crate) fn depthwise_forward_rows(
     input: &[f32],
     weights: &[f32],
@@ -175,35 +307,88 @@ pub(crate) fn depthwise_forward_rows(
     oy0: usize,
     out: &mut [f32],
 ) {
+    f32_level().run(DepthwiseRows(Call { input, weights, bias, g, first: oy0, out }));
+}
+
+/// The depthwise body. Per output pixel and chunk of [`LANES`] channels,
+/// the accumulators stay in a local array across the taps, and each tap
+/// adds `x * w` as a select: `if x != 0.0 { acc + x * w } else { acc }`.
+/// `x != 0.0` holds exactly when `x == 0.0` does not (NaN included), so
+/// this is the reference's per-element `continue` with the same operands
+/// in the same order, and no branch.
+///
+/// Two forms that look equivalent are slower. Written `x == 0.0`, the
+/// select does not vectorize at the baseline level; applied in place to
+/// `out`, it compiles at AVX2 to masked stores, which the next tap's loads
+/// cannot forward from.
+#[inline(always)]
+fn depthwise_rows(call: Call<'_>) {
+    let Call { input, weights, bias, g, first, out } = call;
+    if out.is_empty() {
+        return;
+    }
     let (_, ow, py, px) = g.output();
     let c = g.in_c;
     let rows = out.len() / (ow * c);
-    for (row, oy) in (oy0..oy0 + rows).enumerate() {
+    let lanes = c - c % LANES;
+    for (row, oy) in (first..first + rows).enumerate() {
+        let (y0, kys) = taps(oy, g.stride, py, g.kernel_h, g.in_h);
         for ox in 0..ow {
+            let (x0, kxs) = taps(ox, g.stride, px, g.kernel_w, g.in_w);
             let base = (row * ow + ox) * c;
-            out[base..base + c].copy_from_slice(bias);
-            for ky in 0..g.kernel_h {
-                let iy = (oy * g.stride + ky) as isize - py as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    continue;
-                }
-                for kx in 0..g.kernel_w {
-                    let ix = (ox * g.stride + kx) as isize - px as isize;
-                    if ix < 0 || ix as usize >= g.in_w {
-                        continue;
-                    }
-                    let in_base = ((iy as usize) * g.in_w + ix as usize) * c;
-                    let w_base = (ky * g.kernel_w + kx) * c;
-                    for ch in 0..c {
-                        let x = input[in_base + ch];
-                        if x == 0.0 {
-                            continue;
-                        }
-                        out[base + ch] += x * weights[w_base + ch];
-                    }
-                }
+            let acc = &mut out[base..base + c];
+            acc.copy_from_slice(bias);
+            let (ys, xs) = ((y0, kys.clone()), (x0, kxs));
+            for ch in (0..lanes).step_by(LANES) {
+                let mut block: [f32; LANES] = acc[ch..ch + LANES].try_into().expect("LANES");
+                depthwise_pixel(&mut block, ch, input, weights, g, ys.clone(), xs.clone());
+                acc[ch..ch + LANES].copy_from_slice(&block);
+            }
+            for ch in lanes..c {
+                depthwise_pixel(
+                    &mut acc[ch..ch + 1],
+                    ch,
+                    input,
+                    weights,
+                    g,
+                    ys.clone(),
+                    xs.clone(),
+                );
             }
         }
+    }
+}
+
+/// Channels `ch..ch + acc.len()` of one output pixel: every tap in `ys ×
+/// xs` (the input position of the first in-bounds offset, and the
+/// offsets) adds into `acc`. A closure here could be compiled apart from
+/// the level's wrapper, at the baseline level.
+#[inline(always)]
+fn depthwise_pixel(
+    acc: &mut [f32],
+    ch: usize,
+    input: &[f32],
+    weights: &[f32],
+    g: Conv2dGeom,
+    (y0, kys): (usize, Range<usize>),
+    (x0, kxs): (usize, Range<usize>),
+) {
+    let (c, n) = (g.in_c, acc.len());
+    for (iy, ky) in (y0..).zip(kys) {
+        for (ix, kx) in (x0..).zip(kxs.clone()) {
+            let at = (iy * g.in_w + ix) * c + ch;
+            let wt = (ky * g.kernel_w + kx) * c + ch;
+            madd_nonzero(acc, &input[at..at + n], &weights[wt..wt + n]);
+        }
+    }
+}
+
+/// `acc[j] += xs[j] * w[j]` where `xs[j]` is not zero, as a select.
+#[inline(always)]
+fn madd_nonzero(acc: &mut [f32], xs: &[f32], w: &[f32]) {
+    for ((a, &x), &w) in acc.iter_mut().zip(xs).zip(w) {
+        let sum = *a + x * w;
+        *a = if x != 0.0 { sum } else { *a };
     }
 }
 
@@ -289,47 +474,35 @@ impl Conv1dGeom {
 
 /// 1-D convolution forward pass.
 pub fn conv1d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv1dGeom) -> Vec<f32> {
-    let (ow, _) = g.output();
-    let mut out = vec![0.0f32; ow * g.out_c];
-    conv1d_forward_steps(input, weights, bias, g, 0, &mut out);
-    out
+    conv1d_forward_at(f32_level(), input, weights, bias, g)
 }
 
-/// Fills the output steps `[ox0, ox0 + out.len() / out_c)` of a 1-D
-/// convolution into `out`; see [`conv2d_forward_rows`].
-pub(crate) fn conv1d_forward_steps(
+/// [`conv1d_forward`] compiled for `level`: the same bits at every level.
+///
+/// A 1-D convolution is the 2-D one over a single row, with the same
+/// weight layout, so it runs [`conv2d_forward_at`]'s kernel.
+///
+/// # Panics
+///
+/// Panics if this CPU cannot run `level`.
+pub fn conv1d_forward_at(
+    level: F32Level,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
     g: Conv1dGeom,
-    ox0: usize,
-    out: &mut [f32],
-) {
-    let (_, pad) = g.output();
-    let steps = out.len() / g.out_c;
-    for (step, ox) in (ox0..ox0 + steps).enumerate() {
-        let base = step * g.out_c;
-        out[base..base + g.out_c].copy_from_slice(bias);
-        for k in 0..g.kernel {
-            let ix = (ox * g.stride + k) as isize - pad as isize;
-            if ix < 0 || ix as usize >= g.in_w {
-                continue;
-            }
-            let in_base = (ix as usize) * g.in_c;
-            let w_base = k * g.in_c * g.out_c;
-            for ci in 0..g.in_c {
-                let x = input[in_base + ci];
-                if x == 0.0 {
-                    continue;
-                }
-                let wrow = &weights[w_base + ci * g.out_c..w_base + (ci + 1) * g.out_c];
-                let orow = &mut out[base..base + g.out_c];
-                for co in 0..g.out_c {
-                    orow[co] += x * wrow[co];
-                }
-            }
-        }
-    }
+) -> Vec<f32> {
+    let g = Conv2dGeom {
+        in_h: 1,
+        in_w: g.in_w,
+        in_c: g.in_c,
+        out_c: g.out_c,
+        kernel_h: 1,
+        kernel_w: g.kernel,
+        stride: g.stride,
+        padding: g.padding,
+    };
+    conv2d_forward_at(level, input, weights, bias, g)
 }
 
 /// 1-D convolution backward pass.
@@ -372,6 +545,176 @@ pub fn conv1d_backward(
         }
     }
     (grad_in, grad_w, grad_b)
+}
+
+/// The direct kernels as they were before they were blocked and compiled
+/// per level: one branch per input element, the output row loaded and
+/// stored per input channel. These are the oracles the forward kernels
+/// are tested against; their bodies stay as they are.
+pub mod reference {
+    use super::{Conv1dGeom, Conv2dGeom};
+
+    /// Reference 2-D convolution forward pass.
+    pub fn conv2d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
+        let (oh, ow, _, _) = g.output();
+        let mut out = vec![0.0f32; oh * ow * g.out_c];
+        if !out.is_empty() {
+            conv2d_forward_rows(input, weights, bias, g, 0, &mut out);
+        }
+        out
+    }
+
+    /// Reference depthwise 2-D convolution forward pass.
+    pub fn depthwise_forward(
+        input: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        g: Conv2dGeom,
+    ) -> Vec<f32> {
+        let (oh, ow, _, _) = g.output();
+        let mut out = vec![0.0f32; oh * ow * g.in_c];
+        if !out.is_empty() {
+            depthwise_forward_rows(input, weights, bias, g, 0, &mut out);
+        }
+        out
+    }
+
+    /// Reference 1-D convolution forward pass.
+    pub fn conv1d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv1dGeom) -> Vec<f32> {
+        let (ow, _) = g.output();
+        let mut out = vec![0.0f32; ow * g.out_c];
+        if !out.is_empty() {
+            conv1d_forward_steps(input, weights, bias, g, 0, &mut out);
+        }
+        out
+    }
+
+    /// Fills the output rows `[oy0, oy0 + out.len() / (ow * out_c))` of a 2-D
+    /// convolution into `out`.
+    ///
+    /// Every output element is produced by the same accumulation sequence as
+    /// in [`conv2d_forward`], so any row partition reproduces it bit for bit.
+    fn conv2d_forward_rows(
+        input: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        g: Conv2dGeom,
+        oy0: usize,
+        out: &mut [f32],
+    ) {
+        let (_, ow, py, px) = g.output();
+        let rows = out.len() / (ow * g.out_c);
+        for (row, oy) in (oy0..oy0 + rows).enumerate() {
+            for ox in 0..ow {
+                let base = (row * ow + ox) * g.out_c;
+                out[base..base + g.out_c].copy_from_slice(bias);
+                for ky in 0..g.kernel_h {
+                    let iy = (oy * g.stride + ky) as isize - py as isize;
+                    if iy < 0 || iy as usize >= g.in_h {
+                        continue;
+                    }
+                    for kx in 0..g.kernel_w {
+                        let ix = (ox * g.stride + kx) as isize - px as isize;
+                        if ix < 0 || ix as usize >= g.in_w {
+                            continue;
+                        }
+                        let in_base = ((iy as usize) * g.in_w + ix as usize) * g.in_c;
+                        let w_base = (ky * g.kernel_w + kx) * g.in_c * g.out_c;
+                        for ci in 0..g.in_c {
+                            let x = input[in_base + ci];
+                            if x == 0.0 {
+                                continue;
+                            }
+                            let wrow = &weights[w_base + ci * g.out_c..w_base + (ci + 1) * g.out_c];
+                            let orow = &mut out[base..base + g.out_c];
+                            for co in 0..g.out_c {
+                                orow[co] += x * wrow[co];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fills the output rows `[oy0, oy0 + out.len() / (ow * c))` of a
+    /// depthwise convolution into `out`; see [`conv2d_forward_rows`].
+    fn depthwise_forward_rows(
+        input: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        g: Conv2dGeom,
+        oy0: usize,
+        out: &mut [f32],
+    ) {
+        let (_, ow, py, px) = g.output();
+        let c = g.in_c;
+        let rows = out.len() / (ow * c);
+        for (row, oy) in (oy0..oy0 + rows).enumerate() {
+            for ox in 0..ow {
+                let base = (row * ow + ox) * c;
+                out[base..base + c].copy_from_slice(bias);
+                for ky in 0..g.kernel_h {
+                    let iy = (oy * g.stride + ky) as isize - py as isize;
+                    if iy < 0 || iy as usize >= g.in_h {
+                        continue;
+                    }
+                    for kx in 0..g.kernel_w {
+                        let ix = (ox * g.stride + kx) as isize - px as isize;
+                        if ix < 0 || ix as usize >= g.in_w {
+                            continue;
+                        }
+                        let in_base = ((iy as usize) * g.in_w + ix as usize) * c;
+                        let w_base = (ky * g.kernel_w + kx) * c;
+                        for ch in 0..c {
+                            let x = input[in_base + ch];
+                            if x == 0.0 {
+                                continue;
+                            }
+                            out[base + ch] += x * weights[w_base + ch];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fills the output steps `[ox0, ox0 + out.len() / out_c)` of a 1-D
+    /// convolution into `out`; see [`conv2d_forward_rows`].
+    fn conv1d_forward_steps(
+        input: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        g: Conv1dGeom,
+        ox0: usize,
+        out: &mut [f32],
+    ) {
+        let (_, pad) = g.output();
+        let steps = out.len() / g.out_c;
+        for (step, ox) in (ox0..ox0 + steps).enumerate() {
+            let base = step * g.out_c;
+            out[base..base + g.out_c].copy_from_slice(bias);
+            for k in 0..g.kernel {
+                let ix = (ox * g.stride + k) as isize - pad as isize;
+                if ix < 0 || ix as usize >= g.in_w {
+                    continue;
+                }
+                let in_base = (ix as usize) * g.in_c;
+                let w_base = k * g.in_c * g.out_c;
+                for ci in 0..g.in_c {
+                    let x = input[in_base + ci];
+                    if x == 0.0 {
+                        continue;
+                    }
+                    let wrow = &weights[w_base + ci * g.out_c..w_base + (ci + 1) * g.out_c];
+                    let orow = &mut out[base..base + g.out_c];
+                    for co in 0..g.out_c {
+                        orow[co] += x * wrow[co];
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -603,6 +946,53 @@ mod tests {
             let num = (loss(&input, &p) - loss(&input, &m)) / (2.0 * eps);
             assert!((num - grad_w[k]).abs() < 0.05);
         }
+    }
+
+    /// A 2×2 input under a 3×3 `Valid` kernel, with `c` channels in and out.
+    fn no_room(c: usize) -> Conv2dGeom {
+        Conv2dGeom {
+            in_h: 2,
+            in_w: 2,
+            in_c: c,
+            out_c: c,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            padding: Padding::Valid,
+        }
+    }
+
+    #[test]
+    fn conv2d_with_an_empty_output_returns_it() {
+        let g = no_room(2);
+        assert!(conv2d_forward(&[1.0; 8], &[1.0; 36], &[0.0; 2], g).is_empty());
+        assert!(reference::conv2d_forward(&[1.0; 8], &[1.0; 36], &[0.0; 2], g).is_empty());
+        let g = Conv2dGeom { out_c: 0, padding: Padding::Same, ..g };
+        assert!(conv2d_forward(&[1.0; 8], &[], &[], g).is_empty());
+    }
+
+    #[test]
+    fn depthwise_with_an_empty_output_returns_it() {
+        assert!(depthwise_forward(&[1.0; 8], &[1.0; 18], &[0.0; 2], no_room(2)).is_empty());
+        let g = Conv2dGeom { padding: Padding::Same, ..no_room(0) };
+        assert!(depthwise_forward(&[], &[], &[], g).is_empty());
+        assert!(reference::depthwise_forward(&[], &[], &[], g).is_empty());
+    }
+
+    #[test]
+    fn conv1d_with_an_empty_output_returns_it() {
+        let g = Conv1dGeom {
+            in_w: 2,
+            in_c: 1,
+            out_c: 1,
+            kernel: 3,
+            stride: 1,
+            padding: Padding::Valid,
+        };
+        assert!(conv1d_forward(&[1.0; 2], &[1.0; 3], &[0.0], g).is_empty());
+        let g = Conv1dGeom { out_c: 0, padding: Padding::Same, ..g };
+        assert!(conv1d_forward(&[1.0; 2], &[], &[], g).is_empty());
+        assert!(reference::conv1d_forward(&[1.0; 2], &[], &[], g).is_empty());
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! Pool-gated forward kernels: im2col + blocked GEMM, fanned out over
 //! the worker pool.
 //!
-//! The serial kernels in [`crate::layers`] are the reference oracles:
-//! they accumulate each output element over inputs in a fixed index
-//! order. The `_auto` variants here lower dense/conv layers onto the
-//! cache-blocked GEMM in [`ei_tensor::gemm`] (convolutions via
+//! The serial kernels in [`crate::layers`] accumulate each output element
+//! over its inputs in a fixed index order, skipping zero inputs; the
+//! convolutions' oracles are [`crate::layers::conv::reference`]. The
+//! `_auto` variants here lower dense/conv layers onto the cache-blocked
+//! GEMM in [`ei_tensor::gemm`] (convolutions via
 //! [`crate::layers::im2col`]) and partition the *output* (GEMM rows,
 //! dense columns, depthwise row bands) into disjoint chunks, one
 //! [`ei_par::ParPool`] task each. The blocked kernel replays the exact
 //! per-element accumulation sequence of the naive loops (ascending input
 //! index, same `x == 0.0` skip), so every partition — and any
-//! `EI_THREADS` — is bitwise-identical to the serial reference.
+//! `EI_THREADS` — is bitwise-identical to the serial kernel.
 //!
 //! Small layers are not worth the lowering or the fan-out: anything
 //! below [`PAR_MIN_MACS`] multiply–accumulates, and any layer on a
-//! serial pool (`EI_THREADS=1`), takes the plain serial reference path.
+//! serial pool (`EI_THREADS=1`), takes the serial direct kernel.
 
 use crate::layers::conv::{
     conv1d_forward, conv2d_forward, depthwise_forward, depthwise_forward_rows, depthwise_macs,
@@ -37,8 +38,11 @@ pub const PAR_MIN_MACS: u64 = 131_072;
 /// the input) before the GEMM even starts. On TinyML-sized convolutions
 /// — e.g. a 49×10×64 keyword-spotting feature map at ~18 M MACs — that
 /// gather traffic costs more than the arithmetic saved, and the blocked
-/// path benchmarked at 0.88× the naive kernel. Direct convolution keeps
-/// those shapes serial; only camera-scale feature maps cross this bar.
+/// path benchmarked at 0.88× the naive kernel. Every convolution of the
+/// preset KWS, VWW and image models is below this bar, so f32 inference
+/// runs the direct kernels of [`crate::layers::conv`], not the GEMM: they
+/// skip zero inputs without a branch per input and run at the host's
+/// `ei_tensor::simd::F32Level`. Only camera-scale feature maps cross it.
 pub const PAR_MIN_IM2COL_MACS: u64 = 33_554_432;
 
 /// Chunk length that splits `len` units of work into one chunk per pool

@@ -43,14 +43,27 @@
 //! accumulate with wrapping `i32` adds: `vpdpbusd` wraps, so wrapping is
 //! the only definition on which they all agree.
 //!
+//! # f32 levels
+//!
+//! The f32 direct kernels have no hand-written intrinsics. [`F32Level`]
+//! compiles one kernel body twice: as the baseline x86-64 build (SSE2) and
+//! inside an `#[target_feature(enable = "avx2")]` wrapper, which the
+//! autovectorizer fills with 256-bit instructions. `fma` stays off: a fused
+//! multiply-add rounds once where `acc + x * w` rounds twice, and the bits
+//! would move. Lane width decides which output elements share a register,
+//! never the order of one element's operations, so both instantiations give
+//! the same bits. The f32 levels are independent of the int8 [`Level`]:
+//! an AVX2 host without AVX-VNNI runs int8 at `Baseline` and f32 at
+//! [`F32Level::Avx2`].
+//!
 //! This module is the only `unsafe` in the kernel layer. Each `unsafe`
 //! block states the invariant it relies on in a `// SAFETY:` line; the
-//! instruction-set half of each rests on a `Simd` token, which only a
-//! support check can make.
+//! instruction-set half of each rests on a token (`Simd`, `Avx2`), which
+//! only a support check can make.
 
 use std::sync::OnceLock;
 
-use token::Simd;
+use token::{Avx2, Simd};
 
 /// An integer dot-product instruction set the int8 kernels can run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,6 +142,114 @@ mod token {
             None
         }
     }
+
+    /// Proof that this CPU runs AVX2, for the f32 kernels. Like [`Simd`],
+    /// only [`Avx2::check`] makes one.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Debug, Clone, Copy)]
+    pub struct Avx2(());
+
+    #[cfg(not(target_arch = "x86_64"))]
+    #[derive(Debug, Clone, Copy)]
+    pub enum Avx2 {}
+
+    impl Avx2 {
+        /// A token if this CPU runs AVX2.
+        #[cfg(target_arch = "x86_64")]
+        pub fn check() -> Option<Avx2> {
+            is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        }
+
+        #[cfg(not(target_arch = "x86_64"))]
+        pub fn check() -> Option<Avx2> {
+            None
+        }
+    }
+}
+
+/// A kernel body that [`F32Level::run`] compiles once per level.
+///
+/// An implementation marks `run` `#[inline(always)]`, and so does every
+/// function its loops call, so that the whole body is inlined into each
+/// level's wrapper and compiled with that level's instruction set. The body
+/// is safe code: a level only changes how it is compiled.
+pub trait F32Kernel {
+    /// What the kernel returns.
+    type Output;
+
+    /// Runs the kernel.
+    fn run(self) -> Self::Output;
+}
+
+/// A vector width the f32 kernels can be compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum F32Level {
+    /// The baseline x86-64 build: 128-bit SSE2.
+    Baseline,
+    /// The same body under `target_feature(enable = "avx2")`, without FMA.
+    Avx2,
+}
+
+impl F32Level {
+    /// Every level, slowest first.
+    pub const ALL: [F32Level; 2] = [F32Level::Baseline, F32Level::Avx2];
+
+    /// Short stable name, as written to `results/kernels.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            F32Level::Baseline => "baseline",
+            F32Level::Avx2 => "avx2",
+        }
+    }
+
+    /// Whether this CPU can run the level.
+    pub fn is_supported(self) -> bool {
+        match self {
+            F32Level::Baseline => true,
+            F32Level::Avx2 => Avx2::check().is_some(),
+        }
+    }
+
+    /// Runs `kernel` compiled for this level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run the level; [`f32_level`] and
+    /// [`supported_f32_levels`] only name levels it can.
+    #[inline]
+    pub fn run<K: F32Kernel>(self, kernel: K) -> K::Output {
+        match self {
+            F32Level::Baseline => kernel.run(),
+            F32Level::Avx2 => {
+                run_avx2(Avx2::check().expect("this CPU does not support AVX2"), kernel)
+            }
+        }
+    }
+}
+
+/// The best f32 level this host supports, detected on first use.
+pub fn f32_level() -> F32Level {
+    static LEVEL: OnceLock<F32Level> = OnceLock::new();
+    *LEVEL.get_or_init(|| {
+        F32Level::ALL.into_iter().rev().find(|l| l.is_supported()).unwrap_or(F32Level::Baseline)
+    })
+}
+
+/// Every f32 level this host supports, `Baseline` first.
+pub fn supported_f32_levels() -> Vec<F32Level> {
+    F32Level::ALL.into_iter().filter(|l| l.is_supported()).collect()
+}
+
+#[cfg(target_arch = "x86_64")]
+fn run_avx2<K: F32Kernel>(_: Avx2, kernel: K) -> K::Output {
+    // SAFETY: an `Avx2` token exists only once AVX2 was detected, and the
+    // kernel body is safe code.
+    unsafe { x86::run_avx2(kernel) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn run_avx2<K: F32Kernel>(avx2: Avx2, _: K) -> K::Output {
+    match avx2 {}
 }
 
 /// Output columns (or depthwise channels) per SIMD panel: two 256-bit
@@ -525,8 +646,18 @@ fn dw_row(
 #[cfg(target_arch = "x86_64")]
 #[deny(unsafe_op_in_unsafe_fn)]
 mod x86 {
-    use super::PANEL;
+    use super::{F32Kernel, PANEL};
     use std::arch::x86_64::*;
+
+    /// `kernel`'s body, inlined here and compiled for AVX2 (no FMA).
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_avx2<K: F32Kernel>(kernel: K) -> K::Output {
+        kernel.run()
+    }
 
     /// 256-bit `vpdpbusd`: two registers per panel, four panels at a time.
     ///
@@ -677,6 +808,36 @@ mod tests {
             }
         }
         acc
+    }
+
+    /// `acc[i] += x[i] * w[i]` five times over, in a fixed order.
+    struct Madd<'a>(&'a [f32], &'a [f32]);
+
+    impl F32Kernel for Madd<'_> {
+        type Output = Vec<f32>;
+        #[inline(always)]
+        fn run(self) -> Vec<f32> {
+            let mut acc = vec![0.1f32; self.0.len()];
+            for _ in 0..5 {
+                for ((a, &x), &w) in acc.iter_mut().zip(self.0).zip(self.1) {
+                    *a += x * w;
+                }
+            }
+            acc
+        }
+    }
+
+    #[test]
+    fn every_f32_level_runs_the_body_with_the_same_bits() {
+        assert_eq!(supported_f32_levels()[0], F32Level::Baseline);
+        assert!(supported_f32_levels().contains(&f32_level()));
+        let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin()).collect();
+        let w: Vec<f32> = (0..37).map(|i| (i as f32 * 1.3).cos() * 3.0).collect();
+        let bits = |v: Vec<f32>| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let want = bits(Madd(&x, &w).run());
+        for level in supported_f32_levels() {
+            assert_eq!(bits(level.run(Madd(&x, &w))), want, "{level:?}");
+        }
     }
 
     fn gemm_acc(p: &PackedI8, m: usize, a: &[i8]) -> Vec<i32> {

@@ -63,13 +63,15 @@ else
   echo "  (no results/*.json yet — run the bench binaries to generate them)"
 fi
 
-echo "==> results/kernels.json kernels are bitwise-equal, ≥2x on dense, best int8 level ≥3x Baseline"
+echo "==> results/kernels.json kernels are bitwise-equal, ≥2x on dense, best int8 level ≥3x Baseline, f32 depthwise ≥2x naive"
 if [ -f results/kernels.json ]; then
   for marker in \
     '"shape":"dense_mlp","kernel":"blocked"' \
     '"shape":"dense_mlp_int8","kernel":"blocked_fused"' \
     '"shape":"kws_conv","kernel":"blocked_par"' \
-    '"shape":"vision_depthwise","kernel":"blocked_par"'; do
+    '"shape":"kws_conv","kernel":"f32_baseline"' \
+    '"shape":"vision_depthwise","kernel":"blocked_par"' \
+    '"shape":"vision_depthwise","kernel":"f32_baseline"'; do
     if ! grep -qF -- "$marker" results/kernels.json; then
       echo "MISSING from results/kernels.json: $marker" >&2
       exit 1
@@ -95,6 +97,17 @@ if [ -f results/kernels.json ]; then
     }
     END { exit bad }' results/kernels.json || {
       echo "a blocked_par kernel regressed below 0.9x naive" >&2
+      exit 1
+    }
+  # the select-form depthwise, at every f32 level, against the frozen
+  # reference loop; the bench input has no zeros, so the reference's
+  # branch predicts well and this measures vectorization alone
+  awk -F'"speedup_vs_naive":' '
+    /"shape":"vision_depthwise","kernel":"f32_/ {
+      split($2, a, ","); if (a[1] + 0 < 2.0) { bad = 1 }
+    }
+    END { exit bad }' results/kernels.json || {
+      echo "an f32 level of the depthwise kernel is below 2x naive on vision_depthwise" >&2
       exit 1
     }
   # one int8 row per ei_tensor::simd level the host supports, Baseline
