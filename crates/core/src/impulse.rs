@@ -4,6 +4,7 @@ use crate::eval::{ConfusionMatrix, EvalReport};
 use crate::{CoreError, Result};
 use ei_data::{Dataset, Split};
 use ei_dsp::{DspBlock, DspConfig};
+use ei_nn::model::Layer;
 use ei_nn::spec::{Dims, ModelSpec};
 use ei_nn::train::{TrainConfig, Trainer, TrainingReport};
 use ei_nn::Sequential;
@@ -320,8 +321,17 @@ struct SavedImpulse {
     format_version: u32,
     design: ImpulseDesign,
     labels: Vec<String>,
-    model: Sequential,
+    model: SavedModel,
     calibration: Vec<Vec<f32>>,
+}
+
+/// A [`Sequential`] as it serializes. A loaded one is reassembled by
+/// [`Sequential::from_parts`], which checks every layer's shapes against
+/// its spec.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SavedModel {
+    spec: ModelSpec,
+    layers: Vec<Layer>,
 }
 
 /// One end-to-end classification result.
@@ -455,7 +465,10 @@ impl TrainedImpulse {
             format_version: SAVED_IMPULSE_VERSION,
             design: self.design.clone(),
             labels: self.labels.clone(),
-            model: self.model.clone(),
+            model: SavedModel {
+                spec: self.model.spec().clone(),
+                layers: self.model.layers().to_vec(),
+            },
             calibration: self.feature_cache.iter().take(64).cloned().collect(),
         };
         serde_json::to_string(&saved).map_err(|e| CoreError::InvalidImpulse(e.to_string()))
@@ -469,8 +482,9 @@ impl TrainedImpulse {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidImpulse`] for malformed JSON, an
-    /// unsupported format version, or a model that does not match the
-    /// design's feature dimensions.
+    /// unsupported format version, a model whose layers do not match
+    /// their specs (shapes, weights or biases), or a model that does not
+    /// match the design's feature dimensions.
     pub fn from_json(json: &str) -> Result<TrainedImpulse> {
         let saved: SavedImpulse =
             serde_json::from_str(json).map_err(|e| CoreError::InvalidImpulse(e.to_string()))?;
@@ -481,23 +495,25 @@ impl TrainedImpulse {
             )));
         }
         let dims = saved.design.feature_dims()?;
-        if saved.model.input_dims() != dims {
+        let model = Sequential::from_parts(saved.model.spec, saved.model.layers)
+            .map_err(|e| CoreError::InvalidImpulse(format!("saved model: {e}")))?;
+        if model.input_dims() != dims {
             return Err(CoreError::InvalidImpulse(format!(
                 "saved model expects {}, design produces {dims}",
-                saved.model.input_dims()
+                model.input_dims()
             )));
         }
-        if saved.model.output_dims().len() != saved.labels.len() {
+        if model.output_dims().len() != saved.labels.len() {
             return Err(CoreError::InvalidImpulse(format!(
                 "saved model has {} outputs for {} labels",
-                saved.model.output_dims().len(),
+                model.output_dims().len(),
                 saved.labels.len()
             )));
         }
         Ok(TrainedImpulse {
             design: saved.design,
             labels: saved.labels,
-            model: saved.model,
+            model,
             report: TrainingReport::default(),
             feature_cache: saved.calibration,
         })
@@ -755,6 +771,54 @@ mod tests {
         assert_ne!(hostile, json, "the design's frame length is in the payload");
         let err = TrainedImpulse::from_json(&hostile).unwrap_err();
         assert!(err.to_string().contains("maximum"), "{err}");
+    }
+
+    /// A saved dense-MLP impulse (hidden layers 8 and 4 wide).
+    fn saved_mlp_json() -> String {
+        let dataset = small_generator().dataset(4, 1);
+        let design = small_design();
+        let spec = presets::dense_mlp(design.feature_dims().unwrap(), 2, 8);
+        design.train(&spec, &dataset, &quick_config()).unwrap().to_json().unwrap()
+    }
+
+    /// The message of the `InvalidImpulse` that loading `json` must return.
+    fn invalid_impulse(json: &str) -> String {
+        match TrainedImpulse::from_json(json) {
+            Err(CoreError::InvalidImpulse(m)) => m,
+            other => panic!("expected InvalidImpulse, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_a_layer_wider_than_its_weights() {
+        // the hidden layer widened in the model spec and in the layer alike:
+        // its stored 8-wide weights no longer fit, and a forward pass would
+        // slice past them on every request
+        let json = saved_mlp_json();
+        let (narrow, wide) = ("{\"Dense\":{\"units\":8", "{\"Dense\":{\"units\":9");
+        assert_eq!(json.matches(narrow).count(), 2);
+        let message = invalid_impulse(&json.replace(narrow, wide));
+        assert!(message.contains("resolves to 1x1x9"), "{message}");
+    }
+
+    #[test]
+    fn from_json_rejects_a_parameterized_layer_without_weights() {
+        let json = saved_mlp_json();
+        // null the first weight tensor: the first dense layer's
+        let at = json.find("\"weights\":{").unwrap() + "\"weights\":".len();
+        let mut depth = 0usize;
+        let len = json[at..]
+            .find(|c| {
+                depth = match c {
+                    '{' => depth + 1,
+                    '}' => depth - 1,
+                    _ => depth,
+                };
+                depth == 0
+            })
+            .unwrap();
+        let message = invalid_impulse(&format!("{}null{}", &json[..at], &json[at + len + 1..]));
+        assert!(message.contains("weights missing"), "{message}");
     }
 
     #[test]

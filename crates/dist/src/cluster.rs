@@ -8,7 +8,7 @@ use ei_faults::{Clock, SystemClock};
 use ei_nn::model::LayerGrads;
 use ei_nn::optimizer::Optimizer;
 use ei_nn::train::{
-    accumulate_grads, apply_batch, restore, snapshot, BatchGrads, Checkpoint, TrainConfig, Trainer,
+    apply_batch, fold_grads, restore, snapshot, BatchGrads, Checkpoint, TrainConfig, Trainer,
 };
 use ei_nn::Sequential;
 use ei_trace::{SpanGuard, Tracer};
@@ -409,13 +409,7 @@ impl DistTrainer {
             for (_, grads) in slots_grads {
                 loss_sum += grads.loss_sum;
                 step_samples += grads.count;
-                total = Some(match total {
-                    None => grads.grads,
-                    Some(mut acc) => {
-                        accumulate_grads(&mut acc, &grads.grads);
-                        acc
-                    }
-                });
+                fold_grads(&mut total, grads.grads);
             }
             if let Some(total) = total {
                 apply_batch(

@@ -4,7 +4,7 @@ use crate::config::{DistConfig, DistError};
 use crate::schedule::{epoch_plan, partition_indices};
 use ei_nn::model::LayerGrads;
 use ei_nn::optimizer::Optimizer;
-use ei_nn::train::{accumulate_grads, apply_batch, TrainConfig, Trainer};
+use ei_nn::train::{apply_batch, fold_grads, TrainConfig, Trainer};
 use ei_nn::Sequential;
 
 /// FNV-1a hash over the little-endian bit patterns of every weight and
@@ -73,13 +73,7 @@ pub fn train_serial_reference(
                 let grads = trainer.batch_gradients(model, inputs, labels, &pb.indices, pb.seed)?;
                 loss_sum += grads.loss_sum;
                 step_samples += grads.count;
-                total = Some(match total {
-                    None => grads.grads,
-                    Some(mut acc) => {
-                        accumulate_grads(&mut acc, &grads.grads);
-                        acc
-                    }
-                });
+                fold_grads(&mut total, grads.grads);
             }
             if let Some(total) = total {
                 apply_batch(

@@ -10,6 +10,9 @@
 //!
 //! * [`spec::ModelSpec`] — a serializable sequential architecture
 //!   description (the thing the EON Tuner mutates);
+//! * [`resolve`] — each layer's output shape, parameter shapes and kernel
+//!   geometry, worked out once from its spec and input and read by every
+//!   backend;
 //! * [`model::Sequential`] — the compiled model: forward pass, backprop,
 //!   parameter access, and per-layer MAC/parameter accounting that the
 //!   device cost model consumes;
@@ -44,11 +47,13 @@ pub mod model;
 pub mod optimizer;
 pub mod par;
 pub mod presets;
+pub mod resolve;
 pub mod spec;
 pub mod train;
 
 pub use error::NnError;
 pub use model::Sequential;
+pub use resolve::{Kernel, Resolved};
 pub use spec::{Activation, Dims, LayerSpec, ModelSpec};
 
 /// Crate-wide result alias.

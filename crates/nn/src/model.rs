@@ -1,9 +1,9 @@
 //! Compiled sequential models: shape inference, forward, backward.
 
-use crate::layers::conv::{
-    conv1d_backward, conv2d_backward, depthwise_backward, depthwise_macs, Conv1dGeom, Conv2dGeom,
-};
-use crate::layers::dense::{dense_backward, dense_macs};
+use std::borrow::Cow;
+
+use crate::layers::conv::{conv1d_backward, conv2d_backward, depthwise_backward};
+use crate::layers::dense::dense_backward;
 use crate::layers::pool::{
     avgpool2d_backward, avgpool2d_forward, global_avg_backward, global_avg_forward,
     maxpool2d_backward, maxpool2d_forward, pool_out,
@@ -11,6 +11,7 @@ use crate::layers::pool::{
 use crate::par::{
     conv1d_forward_auto, conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto,
 };
+use crate::resolve::{elems, Kernel, Resolved};
 #[cfg(test)]
 use crate::spec::Padding;
 use crate::spec::{Activation, Dims, LayerSpec, ModelSpec};
@@ -50,71 +51,34 @@ impl Layer {
 
     /// Multiply–accumulate count of one forward pass.
     pub fn macs(&self) -> u64 {
-        match &self.spec {
-            LayerSpec::Dense { units, .. } => dense_macs(self.input.len(), *units),
-            LayerSpec::Conv1d { filters, kernel, stride, padding, .. } => Conv1dGeom {
-                in_w: self.input.w,
-                in_c: self.input.c,
-                out_c: *filters,
-                kernel: *kernel,
-                stride: *stride,
-                padding: *padding,
-            }
-            .macs(),
-            LayerSpec::Conv2d { filters, kernel, stride, padding, .. } => Conv2dGeom {
-                in_h: self.input.h,
-                in_w: self.input.w,
-                in_c: self.input.c,
-                out_c: *filters,
-                kernel_h: *kernel,
-                kernel_w: *kernel,
-                stride: *stride,
-                padding: *padding,
-            }
-            .macs(),
-            LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, .. } => {
-                Conv2dGeom {
-                    in_h: self.input.h,
-                    in_w: self.input.w,
-                    in_c: self.input.c,
-                    out_c: *filters,
-                    kernel_h: *kernel_h,
-                    kernel_w: *kernel_w,
-                    stride: *stride,
-                    padding: *padding,
-                }
-                .macs()
-            }
-            LayerSpec::DepthwiseConv2d { kernel, stride, padding, .. } => {
-                depthwise_macs(Conv2dGeom {
-                    in_h: self.input.h,
-                    in_w: self.input.w,
-                    in_c: self.input.c,
-                    out_c: self.input.c,
-                    kernel_h: *kernel,
-                    kernel_w: *kernel,
-                    stride: *stride,
-                    padding: *padding,
-                })
-            }
-            LayerSpec::MaxPool { .. } | LayerSpec::AvgPool { .. } => self.input.len() as u64,
-            LayerSpec::GlobalAvgPool => self.input.len() as u64,
-            LayerSpec::BatchNorm => self.input.len() as u64 * 2,
-            LayerSpec::Softmax => self.input.len() as u64 * 4,
-            LayerSpec::Reshape { .. } | LayerSpec::Flatten | LayerSpec::Dropout { .. } => 0,
-        }
+        self.spec.macs(self.input)
     }
 
-    /// The activation function this layer applies, if any.
-    pub fn activation(&self) -> Activation {
-        match &self.spec {
-            LayerSpec::Dense { activation, .. }
-            | LayerSpec::Conv1d { activation, .. }
-            | LayerSpec::Conv2d { activation, .. }
-            | LayerSpec::Conv2dRect { activation, .. }
-            | LayerSpec::DepthwiseConv2d { activation, .. } => *activation,
-            _ => Activation::None,
-        }
+    /// This layer's spec resolved against its input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidLayer`] when the spec does not fit the
+    /// input (see [`LayerSpec::resolve`]).
+    pub fn resolve(&self) -> Result<Resolved> {
+        self.spec.resolve(self.input)
+    }
+
+    /// The weights and bias as `f32` values; an absent bias is empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Tensor`] when the layer has no weights or holds
+    /// non-`f32` parameters.
+    pub fn params(&self) -> Result<(&[f32], &[f32])> {
+        let weights = self.weights.as_ref().ok_or_else(|| {
+            NnError::Tensor(format!("{} layer has no weights", self.spec.op_name()))
+        })?;
+        let bias = match &self.bias {
+            Some(b) => b.as_f32()?,
+            None => &[],
+        };
+        Ok((weights.as_f32()?, bias))
     }
 }
 
@@ -156,8 +120,8 @@ pub struct Sequential {
 }
 
 impl Sequential {
-    /// Compiles a spec: infers every shape and initializes parameters
-    /// deterministically from `seed`.
+    /// Compiles a spec: resolves every layer (see [`LayerSpec::resolve`])
+    /// and initializes parameters deterministically from `seed`.
     ///
     /// # Errors
     ///
@@ -168,298 +132,34 @@ impl Sequential {
         let mut layers = Vec::with_capacity(spec.layers.len());
         let mut dims = spec.input;
         for (index, layer_spec) in spec.layers.iter().enumerate() {
-            let invalid = |reason: String| NnError::InvalidLayer { index, reason };
-            let layer_seed = seed.wrapping_add(index as u64 * 0x9e37_79b9);
-            let layer = match layer_spec {
-                LayerSpec::Dense { units, .. } => {
-                    if *units == 0 {
-                        return Err(invalid("dense units must be non-zero".into()));
-                    }
-                    let fan_in = dims.len();
-                    let weights = init_tensor(
-                        Shape::d2(fan_in, *units),
-                        Init::XavierUniform,
-                        fan_in,
-                        *units,
-                        layer_seed,
-                    );
-                    let bias = Tensor::zeros_f32(Shape::d1(*units));
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: Dims::new(1, 1, *units),
-                        weights: Some(weights),
-                        bias: Some(bias),
-                        frozen: false,
-                    }
-                }
-                LayerSpec::Conv1d { filters, kernel, stride, padding, .. } => {
-                    if dims.h != 1 {
-                        return Err(invalid(format!("conv1d requires h == 1, got input {dims}")));
-                    }
-                    if *filters == 0 || *kernel == 0 || *stride == 0 {
-                        return Err(invalid("conv1d parameters must be non-zero".into()));
-                    }
-                    let geom = Conv1dGeom {
-                        in_w: dims.w,
-                        in_c: dims.c,
-                        out_c: *filters,
-                        kernel: *kernel,
-                        stride: *stride,
-                        padding: *padding,
-                    };
-                    let (ow, _) = geom.output();
-                    if ow == 0 {
-                        return Err(invalid(format!(
-                            "kernel {kernel} larger than input width {}",
-                            dims.w
-                        )));
-                    }
-                    let fan_in = kernel * dims.c;
-                    let weights = init_tensor(
-                        Shape::d3(*kernel, dims.c, *filters),
-                        Init::HeNormal,
-                        fan_in,
-                        kernel * filters,
-                        layer_seed,
-                    );
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: Dims::new(1, ow, *filters),
-                        weights: Some(weights),
-                        bias: Some(Tensor::zeros_f32(Shape::d1(*filters))),
-                        frozen: false,
-                    }
-                }
-                LayerSpec::Conv2d { filters, kernel, stride, padding, .. } => {
-                    if *filters == 0 || *kernel == 0 || *stride == 0 {
-                        return Err(invalid("conv2d parameters must be non-zero".into()));
-                    }
-                    let geom = Conv2dGeom {
-                        in_h: dims.h,
-                        in_w: dims.w,
-                        in_c: dims.c,
-                        out_c: *filters,
-                        kernel_h: *kernel,
-                        kernel_w: *kernel,
-                        stride: *stride,
-                        padding: *padding,
-                    };
-                    let (oh, ow, _, _) = geom.output();
-                    if oh == 0 || ow == 0 {
-                        return Err(invalid(format!("kernel {kernel} larger than input {dims}")));
-                    }
-                    let fan_in = kernel * kernel * dims.c;
-                    let weights = init_tensor(
-                        Shape::d4(*kernel, *kernel, dims.c, *filters),
-                        Init::HeNormal,
-                        fan_in,
-                        kernel * kernel * filters,
-                        layer_seed,
-                    );
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: Dims::new(oh, ow, *filters),
-                        weights: Some(weights),
-                        bias: Some(Tensor::zeros_f32(Shape::d1(*filters))),
-                        frozen: false,
-                    }
-                }
-                LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, .. } => {
-                    if *filters == 0 || *kernel_h == 0 || *kernel_w == 0 || *stride == 0 {
-                        return Err(invalid("conv2d parameters must be non-zero".into()));
-                    }
-                    let geom = Conv2dGeom {
-                        in_h: dims.h,
-                        in_w: dims.w,
-                        in_c: dims.c,
-                        out_c: *filters,
-                        kernel_h: *kernel_h,
-                        kernel_w: *kernel_w,
-                        stride: *stride,
-                        padding: *padding,
-                    };
-                    let (oh, ow, _, _) = geom.output();
-                    if oh == 0 || ow == 0 {
-                        return Err(invalid(format!(
-                            "kernel {kernel_h}x{kernel_w} larger than input {dims}"
-                        )));
-                    }
-                    let fan_in = kernel_h * kernel_w * dims.c;
-                    let weights = init_tensor(
-                        Shape::d4(*kernel_h, *kernel_w, dims.c, *filters),
-                        Init::HeNormal,
-                        fan_in,
-                        kernel_h * kernel_w * filters,
-                        layer_seed,
-                    );
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: Dims::new(oh, ow, *filters),
-                        weights: Some(weights),
-                        bias: Some(Tensor::zeros_f32(Shape::d1(*filters))),
-                        frozen: false,
-                    }
-                }
-                LayerSpec::DepthwiseConv2d { kernel, stride, padding, .. } => {
-                    if *kernel == 0 || *stride == 0 {
-                        return Err(invalid("depthwise parameters must be non-zero".into()));
-                    }
-                    let geom = Conv2dGeom {
-                        in_h: dims.h,
-                        in_w: dims.w,
-                        in_c: dims.c,
-                        out_c: dims.c,
-                        kernel_h: *kernel,
-                        kernel_w: *kernel,
-                        stride: *stride,
-                        padding: *padding,
-                    };
-                    let (oh, ow, _, _) = geom.output();
-                    if oh == 0 || ow == 0 {
-                        return Err(invalid(format!("kernel {kernel} larger than input {dims}")));
-                    }
-                    let fan_in = kernel * kernel;
-                    let weights = init_tensor(
-                        Shape::d3(*kernel, *kernel, dims.c),
-                        Init::HeNormal,
-                        fan_in,
-                        fan_in,
-                        layer_seed,
-                    );
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: Dims::new(oh, ow, dims.c),
-                        weights: Some(weights),
-                        bias: Some(Tensor::zeros_f32(Shape::d1(dims.c))),
-                        frozen: false,
-                    }
-                }
-                LayerSpec::MaxPool { size } | LayerSpec::AvgPool { size } => {
-                    if *size == 0 {
-                        return Err(invalid("pool size must be non-zero".into()));
-                    }
-                    let output = if dims.h == 1 {
-                        let ow = pool_out(dims.w, *size);
-                        if ow == 0 {
-                            return Err(invalid(format!(
-                                "pool size {size} larger than width {}",
-                                dims.w
-                            )));
-                        }
-                        Dims::new(1, ow, dims.c)
-                    } else {
-                        let (oh, ow) = (pool_out(dims.h, *size), pool_out(dims.w, *size));
-                        if oh == 0 || ow == 0 {
-                            return Err(invalid(format!(
-                                "pool size {size} larger than input {dims}"
-                            )));
-                        }
-                        Dims::new(oh, ow, dims.c)
-                    };
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output,
-                        weights: None,
-                        bias: None,
-                        frozen: false,
-                    }
-                }
-                LayerSpec::GlobalAvgPool => Layer {
-                    spec: layer_spec.clone(),
-                    input: dims,
-                    output: Dims::new(1, 1, dims.c),
-                    weights: None,
-                    bias: None,
-                    frozen: false,
-                },
-                LayerSpec::Reshape { h, w, c } => {
-                    let target = Dims::new(*h, *w, *c);
-                    if target.len() != dims.len() {
-                        return Err(invalid(format!(
-                            "reshape {target} has {} elements, input {dims} has {}",
-                            target.len(),
-                            dims.len()
-                        )));
-                    }
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: target,
-                        weights: None,
-                        bias: None,
-                        frozen: false,
-                    }
-                }
-                LayerSpec::Flatten => Layer {
-                    spec: layer_spec.clone(),
-                    input: dims,
-                    output: Dims::new(1, 1, dims.len()),
-                    weights: None,
-                    bias: None,
-                    frozen: false,
-                },
-                LayerSpec::Dropout { rate } => {
-                    if !(0.0..1.0).contains(rate) {
-                        return Err(invalid(format!("dropout rate {rate} must be in [0, 1)")));
-                    }
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: dims,
-                        weights: None,
-                        bias: None,
-                        frozen: false,
-                    }
-                }
-                LayerSpec::BatchNorm => {
-                    // rows: gamma, beta, running mean, running variance
-                    let c = dims.c;
-                    let mut data = vec![0.0f32; 4 * c];
-                    for g in data.iter_mut().take(c) {
-                        *g = 1.0; // gamma
-                    }
-                    for v in data.iter_mut().skip(3 * c) {
-                        *v = 1.0; // variance
-                    }
-                    Layer {
-                        spec: layer_spec.clone(),
-                        input: dims,
-                        output: dims,
-                        weights: Some(Tensor::from_f32(Shape::d2(4, c), data)?),
-                        bias: None,
-                        frozen: true,
-                    }
-                }
-                LayerSpec::Softmax => Layer {
-                    spec: layer_spec.clone(),
-                    input: dims,
-                    output: dims,
-                    weights: None,
-                    bias: None,
-                    frozen: false,
-                },
-            };
-            dims = layer.output;
-            layers.push(layer);
+            let r = resolve_at(layer_spec, index, dims)?;
+            let (weights, bias) = init_params(&r, seed.wrapping_add(index as u64 * 0x9e37_79b9))?;
+            layers.push(Layer {
+                spec: layer_spec.clone(),
+                input: dims,
+                output: r.output,
+                weights,
+                bias,
+                frozen: matches!(r.kernel, Kernel::BatchNorm),
+            });
+            dims = r.output;
         }
         Ok(Sequential { spec: spec.clone(), layers })
     }
 
-    /// Reassembles a model from a spec and pre-built layers.
+    /// Reassembles a model from a spec and pre-built layers, checking each
+    /// layer against [`LayerSpec::resolve`].
     ///
     /// Used by graph transforms (operator fusion, quantization) that edit
-    /// the layer list while preserving trained parameters.
+    /// the layer list while preserving trained parameters, and by loaders
+    /// of serialized models.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidLayer`] when the layer chain's shapes do
-    /// not connect or do not match the spec.
+    /// not connect or do not match the spec, or when a layer's output
+    /// dimensions, weight shape or bias length differ from what its spec
+    /// resolves to.
     pub fn from_parts(spec: ModelSpec, layers: Vec<Layer>) -> Result<Sequential> {
         if spec.layers.len() != layers.len() {
             return Err(NnError::InvalidLayer {
@@ -472,20 +172,28 @@ impl Sequential {
             });
         }
         let mut dims = spec.input;
-        for (index, layer) in layers.iter().enumerate() {
+        for (index, (layer, layer_spec)) in layers.iter().zip(&spec.layers).enumerate() {
+            let invalid = |reason: String| NnError::InvalidLayer { index, reason };
             if layer.input != dims {
-                return Err(NnError::InvalidLayer {
-                    index,
-                    reason: format!("expected input {dims}, layer declares {}", layer.input),
-                });
+                return Err(invalid(format!(
+                    "expected input {dims}, layer declares {}",
+                    layer.input
+                )));
             }
-            if layer.spec != spec.layers[index] {
-                return Err(NnError::InvalidLayer {
-                    index,
-                    reason: "layer spec does not match model spec".into(),
-                });
+            if layer.spec != *layer_spec {
+                return Err(invalid("layer spec does not match model spec".into()));
             }
-            dims = layer.output;
+            let r = resolve_at(&layer.spec, index, dims)?;
+            if layer.output != r.output {
+                return Err(invalid(format!(
+                    "layer declares output {}, its spec resolves to {}",
+                    layer.output, r.output
+                )));
+            }
+            check_param("weights", layer.weights.as_ref(), r.weight_dims()).map_err(invalid)?;
+            check_param("bias", layer.bias.as_ref(), r.bias_len().map(|n| vec![n]))
+                .map_err(invalid)?;
+            dims = r.output;
         }
         Ok(Sequential { spec, layers })
     }
@@ -550,13 +258,12 @@ impl Sequential {
     ///
     /// Fails when no parameterized layer exists or the length differs.
     pub fn set_output_bias(&mut self, values: &[f32]) -> Result<()> {
-        let layer = self
+        let bias = self
             .layers
             .iter_mut()
             .rev()
-            .find(|l| l.bias.is_some())
+            .find_map(|l| l.bias.as_mut())
             .ok_or_else(|| NnError::InvalidTrainingData("model has no biased layer".into()))?;
-        let bias = layer.bias.as_mut().expect("filtered for Some above");
         if bias.len() != values.len() {
             return Err(NnError::InputLengthMismatch {
                 expected: bias.len(),
@@ -567,14 +274,20 @@ impl Sequential {
         Ok(())
     }
 
-    /// Inference forward pass (dropout disabled).
+    /// Inference forward pass (dropout disabled). Only the live activation
+    /// is kept; the output is bitwise that of [`Sequential::forward_cached`].
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InputLengthMismatch`] for wrongly sized inputs.
     pub fn forward(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let cache = self.forward_cached(input, false, None)?;
-        Ok(cache.activations.into_iter().next_back().unwrap_or_default())
+        self.check_input(input)?;
+        let pool = ParPool::global();
+        let mut x = Cow::Borrowed(input);
+        for layer in &self.layers {
+            x = Cow::Owned(forward_layer(layer, pool, &x, false, None)?.0);
+        }
+        Ok(x.into_owned())
     }
 
     /// Forward pass that records every intermediate activation.
@@ -592,156 +305,26 @@ impl Sequential {
         training: bool,
         mut rng: Option<&mut StdRng>,
     ) -> Result<ForwardCache> {
-        if input.len() != self.spec.input.len() {
-            return Err(NnError::InputLengthMismatch {
-                expected: self.spec.input.len(),
-                actual: input.len(),
-            });
-        }
+        self.check_input(input)?;
         let pool = ParPool::global();
         let mut activations = Vec::with_capacity(self.layers.len() + 1);
         let mut masks = Vec::with_capacity(self.layers.len());
         activations.push(input.to_vec());
-        for layer in &self.layers {
-            let x = activations.last().expect("seeded with input");
-            let mut mask = None;
-            let mut out = match &layer.spec {
-                LayerSpec::Dense { units, .. } => dense_forward_auto(
-                    pool,
-                    x,
-                    layer.weights.as_ref().expect("dense has weights").as_f32()?,
-                    layer.bias.as_ref().expect("dense has bias").as_f32()?,
-                    *units,
-                ),
-                LayerSpec::Conv1d { filters, kernel, stride, padding, .. } => conv1d_forward_auto(
-                    pool,
-                    x,
-                    layer.weights.as_ref().expect("conv1d has weights").as_f32()?,
-                    layer.bias.as_ref().expect("conv1d has bias").as_f32()?,
-                    Conv1dGeom {
-                        in_w: layer.input.w,
-                        in_c: layer.input.c,
-                        out_c: *filters,
-                        kernel: *kernel,
-                        stride: *stride,
-                        padding: *padding,
-                    },
-                ),
-                LayerSpec::Conv2d { filters, kernel, stride, padding, .. } => conv2d_forward_auto(
-                    pool,
-                    x,
-                    layer.weights.as_ref().expect("conv2d has weights").as_f32()?,
-                    layer.bias.as_ref().expect("conv2d has bias").as_f32()?,
-                    Conv2dGeom {
-                        in_h: layer.input.h,
-                        in_w: layer.input.w,
-                        in_c: layer.input.c,
-                        out_c: *filters,
-                        kernel_h: *kernel,
-                        kernel_w: *kernel,
-                        stride: *stride,
-                        padding: *padding,
-                    },
-                ),
-                LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, .. } => {
-                    conv2d_forward_auto(
-                        pool,
-                        x,
-                        layer.weights.as_ref().expect("conv2d has weights").as_f32()?,
-                        layer.bias.as_ref().expect("conv2d has bias").as_f32()?,
-                        Conv2dGeom {
-                            in_h: layer.input.h,
-                            in_w: layer.input.w,
-                            in_c: layer.input.c,
-                            out_c: *filters,
-                            kernel_h: *kernel_h,
-                            kernel_w: *kernel_w,
-                            stride: *stride,
-                            padding: *padding,
-                        },
-                    )
-                }
-                LayerSpec::DepthwiseConv2d { kernel, stride, padding, .. } => {
-                    depthwise_forward_auto(
-                        pool,
-                        x,
-                        layer.weights.as_ref().expect("depthwise has weights").as_f32()?,
-                        layer.bias.as_ref().expect("depthwise has bias").as_f32()?,
-                        Conv2dGeom {
-                            in_h: layer.input.h,
-                            in_w: layer.input.w,
-                            in_c: layer.input.c,
-                            out_c: layer.input.c,
-                            kernel_h: *kernel,
-                            kernel_w: *kernel,
-                            stride: *stride,
-                            padding: *padding,
-                        },
-                    )
-                }
-                LayerSpec::MaxPool { size } => {
-                    if layer.input.h == 1 {
-                        pool1d(x, layer.input.w, layer.input.c, *size, true)
-                    } else {
-                        maxpool2d_forward(x, layer.input.h, layer.input.w, layer.input.c, *size)
-                    }
-                }
-                LayerSpec::AvgPool { size } => {
-                    if layer.input.h == 1 {
-                        pool1d(x, layer.input.w, layer.input.c, *size, false)
-                    } else {
-                        avgpool2d_forward(x, layer.input.h, layer.input.w, layer.input.c, *size)
-                    }
-                }
-                LayerSpec::GlobalAvgPool => {
-                    global_avg_forward(x, layer.input.h, layer.input.w, layer.input.c)
-                }
-                LayerSpec::Reshape { .. } | LayerSpec::Flatten => x.clone(),
-                LayerSpec::Dropout { rate } => {
-                    if training {
-                        let rng = rng.as_deref_mut().ok_or_else(|| {
-                            NnError::InvalidTrainingData(
-                                "training forward pass requires an rng for dropout".into(),
-                            )
-                        })?;
-                        let keep = 1.0 - rate;
-                        let m: Vec<f32> = (0..x.len())
-                            .map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 })
-                            .collect();
-                        let out = x.iter().zip(&m).map(|(v, k)| v * k).collect();
-                        mask = Some(m);
-                        out
-                    } else {
-                        x.clone()
-                    }
-                }
-                LayerSpec::BatchNorm => {
-                    let params = layer.weights.as_ref().expect("bn has params").as_f32()?;
-                    let c = layer.input.c;
-                    let (gamma, rest) = params.split_at(c);
-                    let (beta, rest) = rest.split_at(c);
-                    let (mean, var) = rest.split_at(c);
-                    x.chunks(c)
-                        .flat_map(|pix| {
-                            pix.iter().enumerate().map(|(ch, &v)| {
-                                (v - mean[ch]) / (var[ch] + BN_EPS).sqrt() * gamma[ch] + beta[ch]
-                            })
-                        })
-                        .collect()
-                }
-                LayerSpec::Softmax => ei_tensor::ops::softmax(x),
-            };
-            // fused activation
-            let act = layer.activation();
-            if act != Activation::None {
-                for v in &mut out {
-                    *v = act.apply(*v);
-                }
-            }
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (out, mask) =
+                forward_layer(layer, pool, &activations[i], training, rng.as_deref_mut())?;
             masks.push(mask);
             activations.push(out);
         }
         Ok(ForwardCache { activations, masks })
+    }
+
+    fn check_input(&self, input: &[f32]) -> Result<()> {
+        let expected = self.spec.input.len();
+        if input.len() != expected {
+            return Err(NnError::InputLengthMismatch { expected, actual: input.len() });
+        }
+        Ok(())
     }
 
     /// Backpropagates `grad_output` (w.r.t. the model output) through the
@@ -784,136 +367,44 @@ impl Sequential {
         for (i, layer) in self.layers.iter().enumerate().take(start).rev() {
             let input = &cache.activations[i];
             let output = &cache.activations[i + 1];
+            let r = layer.resolve()?;
+            let d = r.input;
             // undo fused activation
-            let act = layer.activation();
-            if act != Activation::None {
+            if r.activation != Activation::None {
                 for (g, &y) in grad.iter_mut().zip(output) {
-                    *g *= act.derivative_from_output(y);
+                    *g *= r.activation.derivative_from_output(y);
                 }
             }
-            grad = match &layer.spec {
-                LayerSpec::Dense { units, .. } => {
-                    let (gin, gw, gb) = dense_backward(
-                        input,
-                        layer.weights.as_ref().expect("dense has weights").as_f32()?,
-                        *units,
-                        &grad,
-                    );
-                    grads[i] = LayerGrads { weights: Some(gw), bias: Some(gb) };
-                    gin
+            let mut keep = |(gin, gw, gb): (Vec<f32>, Vec<f32>, Vec<f32>)| {
+                grads[i] = LayerGrads { weights: Some(gw), bias: Some(gb) };
+                gin
+            };
+            grad = match r.kernel {
+                Kernel::Dense { units } => {
+                    keep(dense_backward(input, layer.params()?.0, units, &grad))
                 }
-                LayerSpec::Conv1d { filters, kernel, stride, padding, .. } => {
-                    let (gin, gw, gb) = conv1d_backward(
-                        input,
-                        layer.weights.as_ref().expect("conv1d has weights").as_f32()?,
-                        Conv1dGeom {
-                            in_w: layer.input.w,
-                            in_c: layer.input.c,
-                            out_c: *filters,
-                            kernel: *kernel,
-                            stride: *stride,
-                            padding: *padding,
-                        },
-                        &grad,
-                    );
-                    grads[i] = LayerGrads { weights: Some(gw), bias: Some(gb) };
-                    gin
+                Kernel::Conv1d(g) => keep(conv1d_backward(input, layer.params()?.0, g, &grad)),
+                Kernel::Conv2d(g) => keep(conv2d_backward(input, layer.params()?.0, g, &grad)),
+                Kernel::Depthwise(g) => {
+                    keep(depthwise_backward(input, layer.params()?.0, g, &grad))
                 }
-                LayerSpec::Conv2d { filters, kernel, stride, padding, .. } => {
-                    let (gin, gw, gb) = conv2d_backward(
-                        input,
-                        layer.weights.as_ref().expect("conv2d has weights").as_f32()?,
-                        Conv2dGeom {
-                            in_h: layer.input.h,
-                            in_w: layer.input.w,
-                            in_c: layer.input.c,
-                            out_c: *filters,
-                            kernel_h: *kernel,
-                            kernel_w: *kernel,
-                            stride: *stride,
-                            padding: *padding,
-                        },
-                        &grad,
-                    );
-                    grads[i] = LayerGrads { weights: Some(gw), bias: Some(gb) };
-                    gin
+                Kernel::MaxPool { size } if d.h == 1 => {
+                    pool1d_backward(input, d.w, d.c, size, &grad, true)
                 }
-                LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, .. } => {
-                    let (gin, gw, gb) = conv2d_backward(
-                        input,
-                        layer.weights.as_ref().expect("conv2d has weights").as_f32()?,
-                        Conv2dGeom {
-                            in_h: layer.input.h,
-                            in_w: layer.input.w,
-                            in_c: layer.input.c,
-                            out_c: *filters,
-                            kernel_h: *kernel_h,
-                            kernel_w: *kernel_w,
-                            stride: *stride,
-                            padding: *padding,
-                        },
-                        &grad,
-                    );
-                    grads[i] = LayerGrads { weights: Some(gw), bias: Some(gb) };
-                    gin
+                Kernel::MaxPool { size } => maxpool2d_backward(input, d.h, d.w, d.c, size, &grad),
+                Kernel::AvgPool { size } if d.h == 1 => {
+                    pool1d_backward(input, d.w, d.c, size, &grad, false)
                 }
-                LayerSpec::DepthwiseConv2d { kernel, stride, padding, .. } => {
-                    let (gin, gw, gb) = depthwise_backward(
-                        input,
-                        layer.weights.as_ref().expect("depthwise has weights").as_f32()?,
-                        Conv2dGeom {
-                            in_h: layer.input.h,
-                            in_w: layer.input.w,
-                            in_c: layer.input.c,
-                            out_c: layer.input.c,
-                            kernel_h: *kernel,
-                            kernel_w: *kernel,
-                            stride: *stride,
-                            padding: *padding,
-                        },
-                        &grad,
-                    );
-                    grads[i] = LayerGrads { weights: Some(gw), bias: Some(gb) };
-                    gin
-                }
-                LayerSpec::MaxPool { size } => {
-                    if layer.input.h == 1 {
-                        pool1d_backward(input, layer.input.w, layer.input.c, *size, &grad, true)
-                    } else {
-                        maxpool2d_backward(
-                            input,
-                            layer.input.h,
-                            layer.input.w,
-                            layer.input.c,
-                            *size,
-                            &grad,
-                        )
-                    }
-                }
-                LayerSpec::AvgPool { size } => {
-                    if layer.input.h == 1 {
-                        pool1d_backward(input, layer.input.w, layer.input.c, *size, &grad, false)
-                    } else {
-                        avgpool2d_backward(
-                            layer.input.h,
-                            layer.input.w,
-                            layer.input.c,
-                            *size,
-                            &grad,
-                        )
-                    }
-                }
-                LayerSpec::GlobalAvgPool => {
-                    global_avg_backward(layer.input.h, layer.input.w, layer.input.c, &grad)
-                }
-                LayerSpec::Reshape { .. } | LayerSpec::Flatten => grad,
-                LayerSpec::Dropout { .. } => match &cache.masks[i] {
+                Kernel::AvgPool { size } => avgpool2d_backward(d.h, d.w, d.c, size, &grad),
+                Kernel::GlobalAvgPool => global_avg_backward(d.h, d.w, d.c, &grad),
+                Kernel::Identity => grad,
+                Kernel::Dropout { .. } => match &cache.masks[i] {
                     Some(mask) => grad.iter().zip(mask).map(|(g, m)| g * m).collect(),
                     None => grad,
                 },
-                LayerSpec::BatchNorm => {
-                    let params = layer.weights.as_ref().expect("bn has params").as_f32()?;
-                    let c = layer.input.c;
+                Kernel::BatchNorm => {
+                    let params = layer.params()?.0;
+                    let c = d.c;
                     let gamma = &params[..c];
                     let var = &params[3 * c..4 * c];
                     grad.iter()
@@ -924,7 +415,7 @@ impl Sequential {
                         })
                         .collect()
                 }
-                LayerSpec::Softmax => {
+                Kernel::Softmax => {
                     // dL/dx_i = y_i * (g_i - sum_j g_j y_j)
                     let dot: f32 = grad.iter().zip(output).map(|(g, y)| g * y).sum();
                     grad.iter().zip(output).map(|(g, y)| y * (g - dot)).collect()
@@ -933,6 +424,139 @@ impl Sequential {
         }
         Ok(grads)
     }
+}
+
+/// Resolves layer `index` of a model against `input`.
+fn resolve_at(spec: &LayerSpec, index: usize, input: Dims) -> Result<Resolved> {
+    spec.resolve(input).map_err(|e| match e {
+        NnError::InvalidLayer { reason, .. } => NnError::InvalidLayer { index, reason },
+        e => e,
+    })
+}
+
+/// Fresh parameters of a resolved layer's shapes: seeded Xavier (dense)
+/// or He (convolution) weights and a zero bias; a batch norm starts as
+/// the identity.
+fn init_params(r: &Resolved, seed: u64) -> Result<(Option<Tensor>, Option<Tensor>)> {
+    let Some(dims) = r.weight_dims() else { return Ok((None, None)) };
+    let shape = Shape::new(&dims)?;
+    let (init, fan_in, fan_out) = match r.kernel {
+        Kernel::Dense { units } => (Init::XavierUniform, r.input.len(), units),
+        Kernel::Conv1d(g) => (Init::HeNormal, g.kernel * g.in_c, g.kernel * g.out_c),
+        Kernel::Conv2d(g) => {
+            let window = g.kernel_h * g.kernel_w;
+            (Init::HeNormal, window * g.in_c, window * g.out_c)
+        }
+        Kernel::Depthwise(g) => {
+            let window = g.kernel_h * g.kernel_w;
+            (Init::HeNormal, window, window)
+        }
+        _ => {
+            // batch norm rows: gamma 1, beta 0, running mean 0, variance 1
+            let data = [1.0, 0.0, 0.0, 1.0].iter().flat_map(|&v| vec![v; r.input.c]).collect();
+            return Ok((Some(Tensor::from_f32(shape, data)?), None));
+        }
+    };
+    let bias = r.bias_len().map(|n| Tensor::zeros_f32(Shape::d1(n)));
+    Ok((Some(init_tensor(shape, init, fan_in, fan_out, seed)), bias))
+}
+
+/// Checks a loaded parameter: absent when the layer has none, otherwise
+/// `f32` values of exactly the resolved `dims`.
+fn check_param(
+    what: &str,
+    tensor: Option<&Tensor>,
+    dims: Option<Vec<usize>>,
+) -> std::result::Result<(), String> {
+    match (tensor, dims) {
+        (None, None) => Ok(()),
+        (None, Some(dims)) => Err(format!("{what} missing, expected {dims:?}")),
+        (Some(_), None) => Err(format!("unexpected {what}")),
+        (Some(t), Some(dims)) => {
+            if t.shape().dims() == dims && elems(&dims) == Some(t.len()) && t.as_f32().is_ok() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} are {} {:?} values, expected {dims:?} f32",
+                    t.len(),
+                    t.shape().dims()
+                ))
+            }
+        }
+    }
+}
+
+/// Runs one layer on `x`: its output with the fused activation applied,
+/// and, in training mode, the dropout mask it sampled from `rng`.
+fn forward_layer(
+    layer: &Layer,
+    pool: &ParPool,
+    x: &[f32],
+    training: bool,
+    rng: Option<&mut StdRng>,
+) -> Result<(Vec<f32>, Option<Vec<f32>>)> {
+    let r = layer.resolve()?;
+    let d = r.input;
+    let mut mask = None;
+    let mut out = match r.kernel {
+        Kernel::Dense { units } => {
+            let (w, b) = layer.params()?;
+            dense_forward_auto(pool, x, w, b, units)
+        }
+        Kernel::Conv1d(g) => {
+            let (w, b) = layer.params()?;
+            conv1d_forward_auto(pool, x, w, b, g)
+        }
+        Kernel::Conv2d(g) => {
+            let (w, b) = layer.params()?;
+            conv2d_forward_auto(pool, x, w, b, g)
+        }
+        Kernel::Depthwise(g) => {
+            let (w, b) = layer.params()?;
+            depthwise_forward_auto(pool, x, w, b, g)
+        }
+        Kernel::MaxPool { size } if d.h == 1 => pool1d(x, d.w, d.c, size, true),
+        Kernel::MaxPool { size } => maxpool2d_forward(x, d.h, d.w, d.c, size),
+        Kernel::AvgPool { size } if d.h == 1 => pool1d(x, d.w, d.c, size, false),
+        Kernel::AvgPool { size } => avgpool2d_forward(x, d.h, d.w, d.c, size),
+        Kernel::GlobalAvgPool => global_avg_forward(x, d.h, d.w, d.c),
+        Kernel::Dropout { rate } if training => {
+            let rng = rng.ok_or_else(|| {
+                NnError::InvalidTrainingData(
+                    "training forward pass requires an rng for dropout".into(),
+                )
+            })?;
+            let keep = 1.0 - rate;
+            let m: Vec<f32> = (0..x.len())
+                .map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 })
+                .collect();
+            let out = x.iter().zip(&m).map(|(v, k)| v * k).collect();
+            mask = Some(m);
+            out
+        }
+        Kernel::Identity | Kernel::Dropout { .. } => x.to_vec(),
+        Kernel::BatchNorm => {
+            let params = layer.params()?.0;
+            let c = d.c;
+            let (gamma, rest) = params.split_at(c);
+            let (beta, rest) = rest.split_at(c);
+            let (mean, var) = rest.split_at(c);
+            x.chunks(c)
+                .flat_map(|pix| {
+                    pix.iter().enumerate().map(|(ch, &v)| {
+                        (v - mean[ch]) / (var[ch] + BN_EPS).sqrt() * gamma[ch] + beta[ch]
+                    })
+                })
+                .collect()
+        }
+        Kernel::Softmax => ei_tensor::ops::softmax(x),
+    };
+    if r.activation != Activation::None {
+        for v in &mut out {
+            *v = r.activation.apply(*v);
+        }
+    }
+    Ok((out, mask))
 }
 
 /// 1-D pooling over `(w, c)` steps with non-overlapping windows.
@@ -958,7 +582,6 @@ fn pool1d(input: &[f32], w: usize, c: usize, size: usize, is_max: bool) -> Vec<f
     }
     out
 }
-
 /// Backward of [`pool1d`].
 fn pool1d_backward(
     input: &[f32],
@@ -1144,8 +767,22 @@ mod tests {
         });
         let ms = Sequential::build(&square, 99).unwrap();
         let mr = Sequential::build(&rect, 99).unwrap();
-        let probe = vec![0.3f32; 36];
-        assert_eq!(ms.forward(&probe).unwrap(), mr.forward(&probe).unwrap());
+        let (ls, lr) = (&ms.layers()[0], &mr.layers()[0]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ls.params().unwrap().0), bits(lr.params().unwrap().0));
+        assert_eq!(ls.weights.as_ref().unwrap().shape(), lr.weights.as_ref().unwrap().shape());
+        assert_eq!(ls.macs(), lr.macs());
+        let probe: Vec<f32> = (0..36).map(|i| ((i % 7) as f32 - 3.0) * 0.2).collect();
+        let (cs, cr) = (
+            ms.forward_cached(&probe, false, None).unwrap(),
+            mr.forward_cached(&probe, false, None).unwrap(),
+        );
+        assert_eq!(bits(cs.output()), bits(cr.output()));
+        assert_eq!(bits(&ms.forward(&probe).unwrap()), bits(cs.output()));
+        let grad: Vec<f32> = (0..32).map(|i| (i as f32 - 15.5) * 0.1).collect();
+        let (gs, gr) = (ms.backward(&cs, &grad).unwrap(), mr.backward(&cr, &grad).unwrap());
+        assert_eq!(bits(gs[0].weights.as_ref().unwrap()), bits(gr[0].weights.as_ref().unwrap()));
+        assert_eq!(bits(gs[0].bias.as_ref().unwrap()), bits(gr[0].bias.as_ref().unwrap()));
     }
 
     #[test]

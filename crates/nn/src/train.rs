@@ -192,8 +192,7 @@ impl Trainer {
             let lr = lr_min * (lr_max / lr_min).powf(step as f32 / (steps - 1) as f32);
             let idx = step % inputs.len();
             let (loss, grads) = self.sample_pass(&probe, &inputs[idx], labels[idx], &mut rng)?;
-            opt.begin_step();
-            apply_grads(&mut probe, &grads, &mut opt, lr, 1.0, 0.0);
+            apply_batch(&mut probe, &grads, &mut opt, lr, 1.0, 0.0);
             if prev_loss.is_finite() {
                 let drop = prev_loss - loss;
                 if drop > best_drop {
@@ -267,13 +266,7 @@ impl Trainer {
             };
             let (loss, grads) = self.sample_pass(model, input, label, &mut rng)?;
             loss_sum += loss as f64;
-            acc = Some(match acc {
-                None => grads,
-                Some(mut a) => {
-                    accumulate(&mut a, &grads);
-                    a
-                }
-            });
+            fold_grads(&mut acc, grads);
         }
         Ok(BatchGrads { grads: acc.unwrap_or_default(), loss_sum, count: batch.len() })
     }
@@ -330,17 +323,10 @@ impl Trainer {
                 for &i in batch {
                     let (loss, grads) = self.sample_pass(model, &inputs[i], labels[i], &mut rng)?;
                     epoch_loss += loss as f64;
-                    acc = Some(match acc {
-                        None => grads,
-                        Some(mut a) => {
-                            accumulate(&mut a, &grads);
-                            a
-                        }
-                    });
+                    fold_grads(&mut acc, grads);
                 }
                 if let Some(grads) = acc {
-                    optimizer.begin_step();
-                    apply_grads(
+                    apply_batch(
                         model,
                         &grads,
                         &mut optimizer,
@@ -350,11 +336,11 @@ impl Trainer {
                     );
                 }
             }
-            report.train_loss.push((epoch_loss / train_idx.len().max(1) as f64) as f32);
+            let train_loss = (epoch_loss / train_idx.len().max(1) as f64) as f32;
+            report.train_loss.push(train_loss);
 
             // validation
             let (metric, comparison_loss, val_loss, val_acc) = if val_idx.is_empty() {
-                let train_loss = *report.train_loss.last().expect("pushed above");
                 (-train_loss, train_loss, f32::NAN, f32::NAN)
             } else {
                 let (loss, acc) = self.evaluate(model, inputs, labels, &val_idx)?;
@@ -364,7 +350,6 @@ impl Trainer {
                 report.val_loss.push(val_loss);
                 report.val_accuracy.push(val_acc);
             }
-            let train_loss = *report.train_loss.last().expect("pushed above");
             train_span.event(
                 "train.epoch",
                 vec![
@@ -472,17 +457,10 @@ impl Trainer {
                     let err = pred - targets[i];
                     epoch_loss += (err as f64).powi(2);
                     let grads = model.backward(&cache, &[2.0 * err])?;
-                    acc = Some(match acc {
-                        None => grads,
-                        Some(mut a) => {
-                            accumulate(&mut a, &grads);
-                            a
-                        }
-                    });
+                    fold_grads(&mut acc, grads);
                 }
                 if let Some(grads) = acc {
-                    optimizer.begin_step();
-                    apply_grads(
+                    apply_batch(
                         model,
                         &grads,
                         &mut optimizer,
@@ -492,15 +470,15 @@ impl Trainer {
                     );
                 }
             }
-            report.train_loss.push((epoch_loss / train_idx.len().max(1) as f64) as f32);
+            let train_loss = (epoch_loss / train_idx.len().max(1) as f64) as f32;
+            report.train_loss.push(train_loss);
             let comparison = if val_idx.is_empty() {
-                *report.train_loss.last().expect("pushed above")
+                train_loss
             } else {
                 let v = mse(model, &val_idx)?;
                 report.val_loss.push(v);
                 v
             };
-            let train_loss = *report.train_loss.last().expect("pushed above");
             train_span.event(
                 "train.epoch",
                 vec![
@@ -557,26 +535,6 @@ impl Default for Trainer {
 /// folding contributions in a fixed order is what keeps a parallel
 /// reduction bitwise-identical to the serial loop.
 pub fn accumulate_grads(acc: &mut [LayerGrads], delta: &[LayerGrads]) {
-    accumulate(acc, delta);
-}
-
-/// Performs one optimizer step: advances the optimizer's step counter and
-/// applies `grads` (averaged over `batch_len` samples) to every non-frozen
-/// layer, exactly as [`Trainer::train`]'s inner loop does.
-pub fn apply_batch(
-    model: &mut Sequential,
-    grads: &[LayerGrads],
-    optimizer: &mut Optimizer,
-    lr: f32,
-    batch_len: f32,
-    weight_decay: f32,
-) {
-    optimizer.begin_step();
-    apply_grads(model, grads, optimizer, lr, batch_len, weight_decay);
-}
-
-/// Accumulates `delta` into `acc` element-wise.
-fn accumulate(acc: &mut [LayerGrads], delta: &[LayerGrads]) {
     for (a, d) in acc.iter_mut().zip(delta) {
         if let (Some(aw), Some(dw)) = (a.weights.as_mut(), d.weights.as_ref()) {
             for (x, y) in aw.iter_mut().zip(dw) {
@@ -591,9 +549,19 @@ fn accumulate(acc: &mut [LayerGrads], delta: &[LayerGrads]) {
     }
 }
 
-/// Applies accumulated gradients (averaged over `batch_len`) to every
-/// non-frozen layer, with optional L2 weight decay on weight tensors.
-fn apply_grads(
+/// Adds `grads` to the running sum `sum`: the first contribution becomes
+/// the sum, later ones are folded in with [`accumulate_grads`].
+pub fn fold_grads(sum: &mut Option<Vec<LayerGrads>>, grads: Vec<LayerGrads>) {
+    match sum {
+        Some(acc) => accumulate_grads(acc, &grads),
+        None => *sum = Some(grads),
+    }
+}
+
+/// Performs one optimizer step: advances the optimizer's step counter and
+/// applies `grads` (averaged over `batch_len` samples, with optional L2
+/// weight decay on weight tensors) to every non-frozen layer.
+pub fn apply_batch(
     model: &mut Sequential,
     grads: &[LayerGrads],
     optimizer: &mut Optimizer,
@@ -601,6 +569,7 @@ fn apply_grads(
     batch_len: f32,
     weight_decay: f32,
 ) {
+    optimizer.begin_step();
     let inv = 1.0 / batch_len.max(1.0);
     for (i, layer) in model.layers_mut().iter_mut().enumerate() {
         if layer.frozen {

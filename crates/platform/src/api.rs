@@ -1191,6 +1191,28 @@ mod tests {
     }
 
     #[test]
+    fn a_model_edited_to_disagree_with_its_weights_fails_to_load_without_a_panic() {
+        let api = Api::new();
+        attach_virtual_serving(&api, ServerConfig::default());
+        let u = api.create_user("u");
+        let p = api.create_project("tampered", u).unwrap();
+        let (gen, json) = tiny_kws_model();
+        let wide = json.replace("{\"Dense\":{\"units\":8", "{\"Dense\":{\"units\":9");
+        assert_ne!(wide, json);
+        api.upload_model(p, u, "wide", wide).unwrap();
+        let spec = InferenceSpec::new("wide", ei_runtime::EngineKind::EonCompiled);
+        // every request fails the load, and none reaches a kernel
+        for seed in 1..=2 {
+            match api.classify(p, u, &spec, gen.generate(0, seed)) {
+                Err(PlatformError::JobFailed(m)) => {
+                    assert!(m.contains("invalid impulse") && !m.contains("panic"), "{m}")
+                }
+                other => panic!("expected a failed load, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn export_import_round_trip() {
         let api = Api::new();
         let u = api.create_user("u");

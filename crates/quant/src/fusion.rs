@@ -14,16 +14,9 @@ use ei_nn::Sequential;
 const BN_EPS: f32 = 1e-3;
 
 /// Whether a layer's weights end in an output-channel axis that `BatchNorm`
-/// scales (i.e. fusion applies).
-fn is_fusable(spec: &LayerSpec) -> bool {
-    matches!(
-        spec,
-        LayerSpec::Dense { .. }
-            | LayerSpec::Conv1d { .. }
-            | LayerSpec::Conv2d { .. }
-            | LayerSpec::Conv2dRect { .. }
-            | LayerSpec::DepthwiseConv2d { .. }
-    )
+/// scales (i.e. fusion applies): the layers with a bias per output channel.
+fn is_fusable(layer: &Layer) -> bool {
+    layer.resolve().is_ok_and(|r| r.bias_len().is_some())
 }
 
 /// Folds every `BatchNorm` whose predecessor is a convolution or dense
@@ -39,7 +32,7 @@ pub fn fold_batch_norm(model: &Sequential) -> Result<(Sequential, usize)> {
     let mut fused = 0usize;
     for layer in model.layers() {
         if layer.spec == LayerSpec::BatchNorm {
-            let prev = new_layers.last_mut().filter(|p| is_fusable(&p.spec)).ok_or_else(|| {
+            let prev = new_layers.last_mut().filter(|p| is_fusable(p)).ok_or_else(|| {
                 QuantError::UnsupportedLayer("batch_norm without a fusable predecessor".into())
             })?;
             let params = layer

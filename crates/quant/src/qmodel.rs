@@ -12,6 +12,7 @@ use crate::qparams::{ChannelQuant, FixedMultiplier, QuantParams};
 use crate::{QuantError, Result};
 use ei_nn::layers::conv::{Conv1dGeom, Conv2dGeom};
 use ei_nn::layers::im2col::{im2col_1d, im2col_2d};
+use ei_nn::resolve::Kernel;
 use ei_nn::spec::{Activation, Dims, LayerSpec};
 use ei_nn::Sequential;
 use ei_tensor::simd::{self, DepthwiseShape, Level, PackedDepthwise, PackedI8};
@@ -219,7 +220,7 @@ pub fn quantize_model(model: &Sequential, calibration: &[Vec<f32>]) -> Result<Qu
         cur_q = out_q;
         let (weights, w_quant, bias, multipliers) = match (&layer.weights, &layer.bias) {
             (Some(w), bias) => {
-                let out_c = out_channels(&layer.spec, layer.output);
+                let out_c = layer.resolve()?.bias_len().unwrap_or(layer.output.c);
                 let wf = w.as_f32()?;
                 let cq = ChannelQuant::from_weights(wf, out_c);
                 let qw = cq.quantize(wf);
@@ -261,14 +262,6 @@ pub fn quantize_model(model: &Sequential, calibration: &[Vec<f32>]) -> Result<Qu
         name: fused.spec().name.clone(),
         layers,
     })
-}
-
-/// Output-channel count used for per-channel weight quantization.
-fn out_channels(spec: &LayerSpec, output: Dims) -> usize {
-    match spec {
-        LayerSpec::Dense { units, .. } => *units,
-        _ => output.c,
-    }
 }
 
 /// A layer's requantization to the output int8 domain, resolved once when
@@ -418,56 +411,35 @@ impl LayerKernel {
         // activation zero points lie in the int8 range by construction
         // (`QuantParams::from_range` clamps them)
         let in_zp = layer.in_q.zero_point as i8;
-        let n = out_channels(&layer.spec, layer.output);
+        let r = layer.spec.resolve(layer.input).ok()?;
+        let n = r.bias_len()?;
         let bias = layer.bias.clone().unwrap_or_else(|| vec![0; n]);
         let gemm = |k: usize| PackedI8::with_level(level, k, n, w, &bias, in_zp);
-        let d = layer.input;
-        let conv2d = |filters, kernel_h, kernel_w, stride, padding| Conv2dGeom {
-            in_h: d.h,
-            in_w: d.w,
-            in_c: d.c,
-            out_c: filters,
-            kernel_h,
-            kernel_w,
-            stride,
-            padding,
-        };
-        let (op, act) = match layer.spec {
-            LayerSpec::Dense { activation, .. } => {
-                (KernelOp::Direct { m: 1, packed: gemm(d.len())? }, activation)
-            }
-            LayerSpec::Conv1d { filters, kernel, stride, padding, activation } => {
-                let g =
-                    Conv1dGeom { in_w: d.w, in_c: d.c, out_c: filters, kernel, stride, padding };
-                (KernelOp::Conv1d(g, gemm(kernel * d.c)?), activation)
-            }
-            LayerSpec::Conv2d { filters, kernel, stride, padding, activation } => {
-                (conv2d_op(conv2d(filters, kernel, kernel, stride, padding), gemm)?, activation)
-            }
-            LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, activation } => {
-                (conv2d_op(conv2d(filters, kernel_h, kernel_w, stride, padding), gemm)?, activation)
-            }
-            LayerSpec::DepthwiseConv2d { kernel, stride, padding, activation } => {
-                let g = conv2d(d.c, kernel, kernel, stride, padding);
+        let op = match r.kernel {
+            Kernel::Dense { .. } => KernelOp::Direct { m: 1, packed: gemm(layer.input.len())? },
+            Kernel::Conv1d(g) => KernelOp::Conv1d(g, gemm(g.kernel * g.in_c)?),
+            Kernel::Conv2d(g) => conv2d_op(g, gemm)?,
+            Kernel::Depthwise(g) => {
                 let (out_h, out_w, pad_top, pad_left) = g.output();
                 let shape = DepthwiseShape {
-                    in_h: d.h,
-                    in_w: d.w,
-                    c: d.c,
-                    kernel_h: kernel,
-                    kernel_w: kernel,
-                    stride,
+                    in_h: g.in_h,
+                    in_w: g.in_w,
+                    c: g.in_c,
+                    kernel_h: g.kernel_h,
+                    kernel_w: g.kernel_w,
+                    stride: g.stride,
                     out_h,
                     out_w,
                     pad_top,
                     pad_left,
                 };
-                let packed = PackedDepthwise::with_level(level, kernel * kernel, d.c, w, &bias)?;
-                (KernelOp::Depthwise(shape, packed), activation)
+                let taps = g.kernel_h * g.kernel_w;
+                let packed = PackedDepthwise::with_level(level, taps, g.in_c, w, &bias)?;
+                KernelOp::Depthwise(shape, packed)
             }
             _ => return None,
         };
-        Some(LayerKernel { op, in_zp, epilogue: Epilogue::new(layer, mults, cq, act) })
+        Some(LayerKernel { op, in_zp, epilogue: Epilogue::new(layer, mults, cq, r.activation) })
     }
 
     /// Runs the layer on `input`.
@@ -526,18 +498,16 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
     if let Some(kernel) = &layer.kernel {
         return Ok(kernel.run(input));
     }
-    match &layer.spec {
-        LayerSpec::Dense { .. }
-        | LayerSpec::Conv1d { .. }
-        | LayerSpec::Conv2d { .. }
-        | LayerSpec::Conv2dRect { .. }
-        | LayerSpec::DepthwiseConv2d { .. } => Err(QuantError::UnsupportedLayer(format!(
-            "{} has no quantized weights",
-            layer.spec.op_name()
-        ))),
-        LayerSpec::MaxPool { size } => Ok(maxpool_q(input, layer.input, *size)),
-        LayerSpec::AvgPool { size } => Ok(avgpool_q(input, layer.input, *size)),
-        LayerSpec::GlobalAvgPool => {
+    match layer.spec.resolve(layer.input)?.kernel {
+        Kernel::Dense { .. } | Kernel::Conv1d(_) | Kernel::Conv2d(_) | Kernel::Depthwise(_) => {
+            Err(QuantError::UnsupportedLayer(format!(
+                "{} has no quantized weights",
+                layer.spec.op_name()
+            )))
+        }
+        Kernel::MaxPool { size } => Ok(maxpool_q(input, layer.input, size)),
+        Kernel::AvgPool { size } => Ok(avgpool_q(input, layer.input, size)),
+        Kernel::GlobalAvgPool => {
             let n = (layer.input.h * layer.input.w) as i32;
             let c = layer.input.c;
             let mut sums = vec![0i32; c];
@@ -554,13 +524,11 @@ fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
                 })
                 .collect())
         }
-        LayerSpec::Reshape { .. } | LayerSpec::Flatten | LayerSpec::Dropout { .. } => {
-            Ok(input.to_vec())
-        }
-        LayerSpec::BatchNorm => Err(QuantError::UnsupportedLayer(
+        Kernel::Identity | Kernel::Dropout { .. } => Ok(input.to_vec()),
+        Kernel::BatchNorm => Err(QuantError::UnsupportedLayer(
             "batch_norm must be folded before quantized execution".into(),
         )),
-        LayerSpec::Softmax => {
+        Kernel::Softmax => {
             // no integer softmax: dequantize, soft-max in float, requantize
             let reals = layer.in_q.dequantize_slice(input);
             let probs = ei_tensor::ops::softmax(&reals);

@@ -2,10 +2,14 @@
 //! serialized schema, dead-kernel elimination.
 //!
 //! Arithmetic is shared with the TFLM-style interpreter: both run the
-//! model through the kernel layer — im2col + cache-blocked GEMM for float
-//! layers (`ei_nn::par`), fused requantizing int8 GEMM for quantized
-//! layers (`ei_quant`) — so engine choice changes dispatch overhead and
-//! memory shape, never the numerics.
+//! model through the kernel layer, so engine choice changes dispatch
+//! overhead and memory shape, never the numerics. Float convolutions run
+//! the direct kernels of `ei_nn::layers::conv` at the host's f32 SIMD
+//! level (every preset convolution is below `ei_nn::par`'s im2col + GEMM
+//! threshold), float dense layers a zero-skipping row kernel (the
+//! blocked GEMM only above `ei_nn::par::PAR_MIN_MACS` on a parallel
+//! pool); quantized layers run `ei_quant`'s fused requantizing int8
+//! GEMM and depthwise kernels over weights packed once per model.
 
 use crate::costs;
 use crate::engine::{op_profiles, EngineKind, InferenceEngine, MemoryReport, OpProfile};

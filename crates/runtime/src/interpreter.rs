@@ -2,10 +2,8 @@
 //! RAM/flash overheads that come with interpreting a serialized graph.
 //!
 //! Arithmetic is shared with the EON executor: both run the model through
-//! the kernel layer — im2col + cache-blocked GEMM for float layers
-//! (`ei_nn::par`), fused requantizing int8 GEMM for quantized layers
-//! (`ei_quant`) — so engine choice changes dispatch overhead and memory
-//! shape, never the numerics.
+//! the kernel layer, so engine choice changes dispatch overhead and memory
+//! shape, never the numerics. See [`crate::eon`] for which kernels run.
 
 use std::collections::BTreeSet;
 

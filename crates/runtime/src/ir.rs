@@ -1,6 +1,5 @@
 //! Deployable model artifacts and per-op resource metadata.
 
-use ei_nn::layers::conv::{Conv1dGeom, Conv2dGeom};
 use ei_nn::spec::{Dims, LayerSpec};
 use ei_nn::Sequential;
 use ei_quant::QuantizedModel;
@@ -22,62 +21,6 @@ pub struct OpInfo {
     pub output_elems: usize,
     /// `true` for ops that alias their input buffer (no new activation).
     pub in_place: bool,
-}
-
-/// MAC count of an op given its spec and input dimensions.
-pub fn op_macs(spec: &LayerSpec, input: Dims) -> u64 {
-    match spec {
-        LayerSpec::Dense { units, .. } => (input.len() * units) as u64,
-        LayerSpec::Conv1d { filters, kernel, stride, padding, .. } => Conv1dGeom {
-            in_w: input.w,
-            in_c: input.c,
-            out_c: *filters,
-            kernel: *kernel,
-            stride: *stride,
-            padding: *padding,
-        }
-        .macs(),
-        LayerSpec::Conv2d { filters, kernel, stride, padding, .. } => Conv2dGeom {
-            in_h: input.h,
-            in_w: input.w,
-            in_c: input.c,
-            out_c: *filters,
-            kernel_h: *kernel,
-            kernel_w: *kernel,
-            stride: *stride,
-            padding: *padding,
-        }
-        .macs(),
-        LayerSpec::Conv2dRect { filters, kernel_h, kernel_w, stride, padding, .. } => Conv2dGeom {
-            in_h: input.h,
-            in_w: input.w,
-            in_c: input.c,
-            out_c: *filters,
-            kernel_h: *kernel_h,
-            kernel_w: *kernel_w,
-            stride: *stride,
-            padding: *padding,
-        }
-        .macs(),
-        LayerSpec::DepthwiseConv2d { kernel, stride, padding, .. } => {
-            ei_nn::layers::conv::depthwise_macs(Conv2dGeom {
-                in_h: input.h,
-                in_w: input.w,
-                in_c: input.c,
-                out_c: input.c,
-                kernel_h: *kernel,
-                kernel_w: *kernel,
-                stride: *stride,
-                padding: *padding,
-            })
-        }
-        LayerSpec::MaxPool { .. } | LayerSpec::AvgPool { .. } | LayerSpec::GlobalAvgPool => {
-            input.len() as u64
-        }
-        LayerSpec::BatchNorm => input.len() as u64 * 2,
-        LayerSpec::Softmax => input.len() as u64 * 4,
-        LayerSpec::Reshape { .. } | LayerSpec::Flatten | LayerSpec::Dropout { .. } => 0,
-    }
 }
 
 /// Whether an op aliases its input buffer instead of producing a new one.
@@ -146,30 +89,24 @@ impl ModelArtifact {
 
     /// Per-op metadata in execution order.
     pub fn ops(&self) -> Vec<OpInfo> {
+        let op = |spec: &LayerSpec, input: Dims, output: Dims, weight_bytes| OpInfo {
+            name: spec.op_name(),
+            macs: spec.macs(input),
+            weight_bytes,
+            input_elems: input.len(),
+            output_elems: output.len(),
+            in_place: op_in_place(spec),
+        };
         match self {
             ModelArtifact::Float(m) => m
                 .layers()
                 .iter()
-                .map(|l| OpInfo {
-                    name: l.spec.op_name(),
-                    macs: op_macs(&l.spec, l.input),
-                    weight_bytes: l.param_count() * 4,
-                    input_elems: l.input.len(),
-                    output_elems: l.output.len(),
-                    in_place: op_in_place(&l.spec),
-                })
+                .map(|l| op(&l.spec, l.input, l.output, l.param_count() * 4))
                 .collect(),
             ModelArtifact::Int8(m) => m
                 .layers()
                 .iter()
-                .map(|l| OpInfo {
-                    name: l.spec.op_name(),
-                    macs: op_macs(&l.spec, l.input),
-                    weight_bytes: l.weight_bytes(),
-                    input_elems: l.input.len(),
-                    output_elems: l.output.len(),
-                    in_place: op_in_place(&l.spec),
-                })
+                .map(|l| op(&l.spec, l.input, l.output, l.weight_bytes()))
                 .collect(),
         }
     }
@@ -235,6 +172,43 @@ mod tests {
         // op macs agree with the model's own accounting
         let total: u64 = ops.iter().map(|o| o.macs).sum();
         assert_eq!(total, model.macs());
+    }
+
+    #[test]
+    fn square_and_rect_conv_are_the_same_op() {
+        let build = |conv| {
+            let spec = ModelSpec::new(Dims::new(6, 6, 2))
+                .layer(conv)
+                .layer(LayerSpec::Flatten)
+                .layer(LayerSpec::Dense { units: 3, activation: Activation::None });
+            Sequential::build(&spec, 99).unwrap()
+        };
+        let square = build(LayerSpec::Conv2d {
+            filters: 4,
+            kernel: 3,
+            stride: 1,
+            padding: Padding::Same,
+            activation: Activation::Relu,
+        });
+        let rect = build(LayerSpec::Conv2dRect {
+            filters: 4,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            padding: Padding::Same,
+            activation: Activation::Relu,
+        });
+        let (fs, fr) = (ModelArtifact::Float(square.clone()), ModelArtifact::Float(rect.clone()));
+        assert_eq!(fs.ops(), fr.ops());
+        let calib: Vec<Vec<f32>> = (0..4)
+            .map(|s| (0..72).map(|i| ((i * 7 + s) % 11) as f32 * 0.1 - 0.5).collect())
+            .collect();
+        let qs = ei_quant::quantize_model(&square, &calib).unwrap();
+        let qr = ei_quant::quantize_model(&rect, &calib).unwrap();
+        for x in &calib {
+            assert_eq!(qs.trace_raw(x).unwrap(), qr.trace_raw(x).unwrap());
+        }
+        assert_eq!(ModelArtifact::Int8(qs).ops(), ModelArtifact::Int8(qr).ops());
     }
 
     #[test]

@@ -46,6 +46,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo clippy -- -D warnings"
 cargo clippy -- -D warnings
 
+echo "==> library panic sites stay at or below the ceiling"
+# .unwrap(), .expect( and panic!( in crates/*/src, each file read up to
+# its `#[cfg(test)] mod` test module; lower the ceiling when a change
+# removes sites, and replace a new one with a typed error
+panic_ceiling=90
+panic_sites=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { skip = 0; pending = 0 }
+  skip { next }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; next }
+  pending && /^[[:space:]]*(pub(\([^)]*\))? )?mod / { skip = 1; next }
+  { pending = 0; n += gsub(/\.unwrap\(\)/, "&") + gsub(/\.expect\(/, "&") + gsub(/panic!\(/, "&") }
+  END { print n + 0 }')
+if [ "$panic_sites" -gt "$panic_ceiling" ]; then
+  echo "$panic_sites library panic sites, ceiling $panic_ceiling" >&2
+  exit 1
+fi
+echo "  ok $panic_sites (ceiling $panic_ceiling)"
+
 echo "==> results/*.json rows carry schema_version and measurement"
 if compgen -G "results/*.json" > /dev/null; then
   for f in results/*.json; do
