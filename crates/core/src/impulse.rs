@@ -601,6 +601,10 @@ impl TrainedImpulse {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/json_diff.rs"]
+mod json_diff;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use ei_data::synth::KwsGenerator;
@@ -933,5 +937,53 @@ mod tests {
             .layer(LayerSpec::Softmax);
         let trained = design.train(&spec, &dataset, &quick_config()).unwrap();
         assert_eq!(trained.labels().len(), 2);
+    }
+
+    /// The saved form of an untrained preset, with calibration rows that
+    /// hold the values the number formatter treats specially.
+    fn saved_preset(design: ImpulseDesign, spec: ModelSpec, labels: usize) -> SavedImpulse {
+        let model = Sequential::build(&spec, 5).unwrap();
+        SavedImpulse {
+            format_version: SAVED_IMPULSE_VERSION,
+            design,
+            labels: (0..labels).map(|i| format!("class \"{i}\"\n")).collect(),
+            model: SavedModel { spec, layers: model.layers().to_vec() },
+            calibration: vec![
+                vec![0.0, -0.0, 1.0, 1e-7, 0.1, f32::MAX, f32::MIN_POSITIVE, f32::from_bits(1)],
+                vec![-2.5; 3],
+            ],
+        }
+    }
+
+    #[test]
+    fn saved_impulses_of_the_three_presets_read_and_write_like_the_tree() {
+        let image = |w, h, c, norm| {
+            let config = ei_dsp::ImageConfig {
+                in_width: w,
+                in_height: h,
+                in_channels: c,
+                out_width: w,
+                out_height: h,
+                out_channels: c,
+                norm,
+            };
+            ImpulseDesign::new("image", w * h * c, DspConfig::Image(config)).unwrap()
+        };
+        let kws = small_design();
+        let vww = image(32, 32, 1, ei_dsp::blocks::PixelNorm::MinusOneToOne);
+        let ic = image(16, 16, 3, ei_dsp::blocks::PixelNorm::ZeroToOne);
+        let presets = [
+            (presets::ds_cnn(kws.feature_dims().unwrap(), 2, 8), kws, 2),
+            (presets::mobilenet_v1(vww.feature_dims().unwrap(), 2, 0.05), vww, 2),
+            (presets::cifar_cnn(ic.feature_dims().unwrap(), 10), ic, 10),
+        ];
+        for (seed, (spec, design, labels)) in (1..).zip(presets) {
+            let saved = saved_preset(design, spec, labels);
+            json_diff::check_round_trip(&saved, seed, 10);
+            // the direct document is what `to_json` emits and `from_json` loads
+            let doc = serde_json::to_string(&saved).unwrap();
+            let loaded = TrainedImpulse::from_json(&doc).unwrap();
+            assert_eq!(loaded.to_json().unwrap(), doc);
+        }
     }
 }

@@ -872,13 +872,17 @@ impl Api {
     ///
     /// Returns [`PlatformError::BadRequest`] on serialization failure.
     pub fn export_json(&self) -> Result<String> {
-        let state = State {
+        serde_json::to_string(&self.state()).map_err(|e| PlatformError::BadRequest(e.to_string()))
+    }
+
+    /// The backup form of the live state, merged from the shards.
+    fn state(&self) -> State {
+        State {
             users: self.users.snapshot(),
             orgs: self.orgs.snapshot(),
             projects: self.projects.snapshot(),
             next_id: self.next_id.load(Ordering::SeqCst),
-        };
-        serde_json::to_string(&state).map_err(|e| PlatformError::BadRequest(e.to_string()))
+        }
     }
 
     /// Restores a platform from [`Api::export_json`] output, scattering
@@ -918,6 +922,10 @@ fn rejection_to_error(rejected: Rejected) -> PlatformError {
 fn stream_to_error(e: StreamError) -> PlatformError {
     PlatformError::BadRequest(e.to_string())
 }
+
+#[cfg(test)]
+#[path = "../../../tests/support/json_diff.rs"]
+mod json_diff;
 
 #[cfg(test)]
 mod tests {
@@ -1237,6 +1245,27 @@ mod tests {
         let q = restored.create_project("after-restore", u).unwrap();
         assert!(q > p);
         assert!(Api::import_json("garbage").is_err());
+    }
+
+    #[test]
+    fn state_reads_and_writes_like_the_tree() {
+        let api = Api::with_shards(4);
+        let u = api.create_user("u \"é\"");
+        let v = api.create_user("v\n");
+        for i in 0..3 {
+            let p = api.create_project(&format!("p{i}\\"), u).unwrap();
+            let json = br#"{"values": [-0.0, 1e-7, 0.1, 3.4028235e38, 1e-45, 2.0], "interval_ms": 0.5, "sensor": "imu"}"#;
+            api.ingest(p, u, "json", json, Some("k\u{1f}")).unwrap();
+            api.ingest(p, u, "csv", b"x\n1\n2\n", None).unwrap();
+            api.snapshot(p, u, "v1").unwrap();
+            api.upload_model(p, u, "m", format!("{{\"i\": {i}, \"s\": \"\\u00e9\"}}")).unwrap();
+            if i == 1 {
+                api.add_collaborator(p, u, v).unwrap();
+                api.make_public(p, u, &["tag", "t\"2"]).unwrap();
+            }
+        }
+        let accepted = json_diff::check_round_trip(&api.state(), 9, 60);
+        assert!(accepted > 0, "some mutations must still be valid backups");
     }
 
     #[test]

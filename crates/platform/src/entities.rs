@@ -10,7 +10,7 @@ use ei_core::impulse::ImpulseDesign;
 use ei_data::Dataset;
 use ei_serve::ModelBlob;
 use serde::value::{DeError, Value};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -121,11 +121,19 @@ impl Serialize for StoredModel {
     fn to_value(&self) -> Value {
         Value::String(self.0.json().to_string())
     }
+
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        w.str(self.0.json());
+    }
 }
 
 impl Deserialize for StoredModel {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         String::from_value(value).map(StoredModel::new)
+    }
+
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        String::deserialize(r).map(StoredModel::new)
     }
 }
 

@@ -15,6 +15,11 @@ EI_THREADS=1 cargo test -q
 echo "==> cargo test -q (EI_THREADS=4, parallel pool)"
 EI_THREADS=4 cargo test -q
 
+echo "==> the serde shim's own tests (vendor/ is outside the workspace)"
+for shim in serde serde_derive serde_json; do
+  CARGO_TARGET_DIR=target/vendor cargo test -q --offline --manifest-path "vendor/$shim/Cargo.toml"
+done
+
 echo "==> distributed training suite (EI_THREADS=1 and 4 × two fault seeds)"
 for seed in 42 1337; do
   EI_THREADS=1 EI_DIST_FAULT_SEED=$seed cargo test -q --test dist_training
