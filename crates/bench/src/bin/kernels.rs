@@ -12,7 +12,10 @@
 //! the dense and KWS-conv shapes; the best level must be at least 3x the
 //! `Baseline` one on the dense shape. The f32 direct convolutions run at
 //! every f32 level on the KWS-conv and vision-depthwise shapes, against
-//! the frozen `conv::reference` loops they were rewritten from.
+//! the frozen `conv::reference` loops they were rewritten from. int8
+//! calibration of the KWS preset runs twice, through the serial per-element
+//! fold over cached activations and through the streaming `calibrate`; its
+//! rows are bitwise-equal when both give the same `QuantParams` bits.
 //!
 //! ```bash
 //! cargo run --release -p ei-bench --bin kernels
@@ -20,16 +23,23 @@
 //!
 //! Writes machine-readable rows to `results/kernels.json`.
 
-use ei_bench::{quick_mode, Measurement, ResultsWriter};
+use ei_bench::{quick_mode, Measurement, ResultsWriter, Task};
+use ei_data::synth::KwsGenerator;
 use ei_nn::layers::conv::{self, conv2d_forward_at, depthwise_forward_at, Conv2dGeom};
 use ei_nn::layers::im2col::im2col_2d;
 use ei_nn::par::{conv2d_forward_auto, depthwise_forward_auto, gemm_f32_auto};
 use ei_nn::spec::Padding;
+use ei_nn::Sequential;
 use ei_par::{ParPool, Parallelism};
+use ei_quant::calibrate::calibrate;
+use ei_quant::fusion::fold_batch_norm;
+use ei_quant::QuantParams;
 use ei_tensor::gemm::{gemm_f32, gemm_i8_fused, reference};
 use ei_tensor::simd::{supported_f32_levels, supported_levels, F32Level, PackedI8};
 use ei_trace::json::Json;
 use std::time::Instant;
+
+type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
 /// Deterministic pseudo-random f32 in roughly [-1, 1], never exactly zero
 /// (so the `x == 0.0` skip in the kernels doesn't flatter either side).
@@ -524,6 +534,81 @@ fn vision_depthwise(
     naive_ms / par_ms
 }
 
+/// The reference calibration: a serial `f32::min` / `f32::max` fold over
+/// every activation of a cached forward pass per sample. Boundaries with no
+/// finite range fall back to `(-1, 1)`, as in `calibrate`.
+fn reference_ranges(model: &Sequential, calibration: &[Vec<f32>]) -> Result<Vec<(f32, f32)>> {
+    let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); model.layers().len() + 1];
+    for sample in calibration {
+        let cache = model.forward_cached(sample, false, None)?;
+        for (r, act) in ranges.iter_mut().zip(&cache.activations) {
+            for &v in act {
+                r.0 = r.0.min(v);
+                r.1 = r.1.max(v);
+            }
+        }
+    }
+    for r in &mut ranges {
+        if !r.0.is_finite() || !r.1.is_finite() {
+            *r = (-1.0, 1.0);
+        }
+    }
+    Ok(ranges)
+}
+
+/// int8 calibration of the KWS preset (`BatchNorm` folded, as
+/// `quantize_model` calibrates it) over 16 DSP feature windows: the
+/// reference fold above against the streaming `calibrate`. The rows are
+/// bitwise-equal when every boundary's `QuantParams` has the same bits;
+/// their `m`, `k`, `n` are windows, boundaries and values per window.
+fn quant_calibrate(writer: &mut ResultsWriter, reps: usize) -> Result<()> {
+    let task = Task::KeywordSpotting;
+    let (model, _) = fold_batch_norm(&Sequential::build(&task.model_spec(), 7)?)?;
+    let block = task.design().dsp_block()?;
+    let generator = KwsGenerator::default();
+    let calibration = (0..16)
+        .map(|i| block.process(&generator.generate(i % 4, 100 + i as u64)))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+
+    let qbits = |q: QuantParams| (q.scale.to_bits(), q.zero_point);
+    let reference: Vec<_> = reference_ranges(&model, &calibration)?
+        .into_iter()
+        .map(|(lo, hi)| qbits(QuantParams::from_range(lo, hi)))
+        .collect();
+    let ranges = calibrate(&model, &calibration)?;
+    let streamed: Vec<_> = (0..ranges.len()).map(|i| qbits(ranges.qparams(i))).collect();
+    let equal = streamed == reference;
+
+    let naive_ms = time_ms(reps, || {
+        std::hint::black_box(reference_ranges(&model, &calibration).ok());
+    });
+    let wall_ms = time_ms(reps, || {
+        std::hint::black_box(calibrate(&model, &calibration).ok());
+    });
+    let values: usize = model.layers().iter().map(|l| l.output.len()).sum();
+    let dims = (calibration.len(), ranges.len(), model.input_dims().len() + values);
+    let threads = ParPool::global().threads();
+    for (kernel, wall_ms) in [("reference_fold", naive_ms), ("streaming", wall_ms)] {
+        let bitwise_equal = kernel == "reference_fold" || equal;
+        let row = Row {
+            shape: "quant_calibrate",
+            kernel,
+            dims,
+            threads,
+            wall_ms,
+            naive_ms,
+            bitwise_equal,
+            baseline_ms: None,
+        };
+        push_row(writer, &row);
+    }
+    if equal {
+        Ok(())
+    } else {
+        Err("streaming calibration's QuantParams differ from the reference fold's".into())
+    }
+}
+
 fn main() {
     let reps = if quick_mode() { 5 } else { 10 };
     let pool1 = ParPool::new(Parallelism::serial());
@@ -537,6 +622,10 @@ fn main() {
     let kws_speedup = kws_conv(&mut writer, reps, &pool1, &pool4);
     kws_conv_int8(&mut writer, reps);
     let depthwise_speedup = vision_depthwise(&mut writer, reps, &pool1, &pool4);
+    if let Err(e) = quant_calibrate(&mut writer, reps) {
+        eprintln!("quant_calibrate: {e}");
+        std::process::exit(1);
+    }
 
     println!();
     println!("dense_mlp blocked speedup over naive: {dense_speedup:.2}x");

@@ -83,7 +83,7 @@ pub fn train_serial_reference(
                     train.learning_rate,
                     step_samples as f32,
                     train.weight_decay,
-                );
+                )?;
                 sample_count += step_samples;
             }
         }

@@ -281,11 +281,29 @@ impl Sequential {
     ///
     /// Returns [`NnError::InputLengthMismatch`] for wrongly sized inputs.
     pub fn forward(&self, input: &[f32]) -> Result<Vec<f32>> {
+        self.forward_observed(input, |_, _| {})
+    }
+
+    /// [`Sequential::forward`] that shows every activation boundary to
+    /// `observe` as it is produced: `observe(0, input)`, then
+    /// `observe(i + 1, out)` with layer `i`'s output while it is the live
+    /// activation. Nothing is kept past the next layer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputLengthMismatch`] for wrongly sized inputs.
+    pub fn forward_observed(
+        &self,
+        input: &[f32],
+        mut observe: impl FnMut(usize, &[f32]),
+    ) -> Result<Vec<f32>> {
         self.check_input(input)?;
         let pool = ParPool::global();
+        observe(0, input);
         let mut x = Cow::Borrowed(input);
-        for layer in &self.layers {
+        for (i, layer) in self.layers.iter().enumerate() {
             x = Cow::Owned(forward_layer(layer, pool, &x, false, None)?.0);
+            observe(i + 1, &x);
         }
         Ok(x.into_owned())
     }
@@ -710,6 +728,35 @@ mod tests {
         assert_eq!(dims[4], Dims::new(1, 1, 2));
         let out = model.forward(&vec![0.1; 64]).unwrap();
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn forward_observed_shows_every_cached_boundary_in_order() {
+        let spec = ModelSpec::new(Dims::new(8, 8, 1))
+            .layer(LayerSpec::Conv2d {
+                filters: 4,
+                kernel: 3,
+                stride: 1,
+                padding: Padding::Same,
+                activation: Activation::Relu,
+            })
+            .layer(LayerSpec::MaxPool { size: 2 })
+            .layer(LayerSpec::Flatten)
+            .layer(LayerSpec::Dense { units: 3, activation: Activation::None })
+            .layer(LayerSpec::Softmax);
+        let model = Sequential::build(&spec, 5).unwrap();
+        let input: Vec<f32> = (0..64).map(|i| ((i % 9) as f32 - 4.0) * 0.3).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seen = Vec::new();
+        let out = model.forward_observed(&input, |i, act| seen.push((i, bits(act)))).unwrap();
+        let cache = model.forward_cached(&input, false, None).unwrap();
+        let want: Vec<_> =
+            cache.activations.iter().enumerate().map(|(i, a)| (i, bits(a))).collect();
+        assert_eq!(seen, want);
+        assert_eq!(bits(&out), bits(cache.output()));
+        let mut calls = 0;
+        assert!(model.forward_observed(&[1.0], |_, _| calls += 1).is_err());
+        assert_eq!(calls, 0, "a rejected input shows no boundary");
     }
 
     #[test]

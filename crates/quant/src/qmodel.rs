@@ -6,7 +6,7 @@
 //! [`crate::qparams::FixedMultiplier`] — the same scheme TFLite Micro
 //! executes on Cortex-M targets (paper §4.5).
 
-use crate::calibrate::calibrate;
+use crate::calibrate::{calibrate, ActivationRanges};
 use crate::fusion::fold_batch_norm;
 use crate::qparams::{ChannelQuant, FixedMultiplier, QuantParams};
 use crate::{QuantError, Result};
@@ -200,6 +200,11 @@ impl QuantizedModel {
 pub fn quantize_model(model: &Sequential, calibration: &[Vec<f32>]) -> Result<QuantizedModel> {
     let (fused, _) = fold_batch_norm(model)?;
     let ranges = calibrate(&fused, calibration)?;
+    quantize_calibrated(&fused, &ranges)
+}
+
+/// Quantizes a `BatchNorm`-free model against its calibrated `ranges`.
+fn quantize_calibrated(fused: &Sequential, ranges: &ActivationRanges) -> Result<QuantizedModel> {
     let mut layers = Vec::with_capacity(fused.layers().len());
     // pooling and shape ops operate directly on int8 codes, so (as in
     // TFLM) their output must share the input's quantization parameters;
@@ -633,6 +638,58 @@ mod tests {
             .layer(LayerSpec::Dense { units: 4, activation: Activation::None })
             .layer(LayerSpec::Softmax);
         Sequential::build(&spec, 3).unwrap()
+    }
+
+    /// Everything of a quantized model that its bytes are made of, with
+    /// every float as its bits.
+    fn quantized_bits(q: &QuantizedModel) -> Vec<String> {
+        let qp = |p: QuantParams| (p.scale.to_bits(), p.zero_point);
+        let mut out = vec![format!("{:?} {:?}", qp(q.input_qparams()), qp(q.output_qparams()))];
+        for l in q.layers() {
+            let scales = l
+                .w_quant
+                .as_ref()
+                .map(|c| c.scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>());
+            out.push(format!(
+                "{:?} {:?} {:?} {:?} {:?} {scales:?} {:?}",
+                qp(l.in_q),
+                qp(l.out_q),
+                l.weights,
+                l.bias,
+                l.multipliers,
+                l.spec
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn streaming_and_reference_calibration_quantize_preset_models_identically() {
+        use crate::calibrate::calibrate_reference;
+        use ei_nn::presets;
+        let cases = [
+            ("kws", presets::ds_cnn(Dims::new(99, 10, 1), 4, 64)),
+            ("vww", presets::mobilenet_v1(Dims::new(96, 96, 1), 2, 0.25)),
+            ("ic", presets::cifar_cnn(Dims::new(32, 32, 3), 10)),
+        ];
+        for (name, spec) in cases {
+            let model = Sequential::build(&spec, 7).unwrap();
+            let (fused, _) = fold_batch_norm(&model).unwrap();
+            let calib = random_inputs(3, spec.input.len(), 11);
+            let streamed = calibrate(&fused, &calib).unwrap();
+            let reference = calibrate_reference(&fused, &calib).unwrap();
+            assert_eq!(streamed.len(), reference.len());
+            for i in 0..streamed.len() {
+                assert_eq!(streamed.range(i), reference.range(i), "{name} boundary {i}");
+            }
+            let a = quantize_calibrated(&fused, &streamed).unwrap();
+            let b = quantize_calibrated(&fused, &reference).unwrap();
+            assert_eq!(quantized_bits(&a), quantized_bits(&b), "{name}");
+            assert_eq!(
+                quantized_bits(&quantize_model(&model, &calib).unwrap()),
+                quantized_bits(&a)
+            );
+        }
     }
 
     #[test]

@@ -101,13 +101,10 @@ impl EonProgram {
         // quantized) input, boundary i + 1 the output of op i
         let (boundaries, output): (Vec<Vec<u8>>, Vec<f32>) = match &self.artifact {
             ModelArtifact::Float(model) => {
-                let cache = model.forward_cached(input, false, None)?;
-                let out = cache.activations.last().cloned().unwrap_or_default();
-                let bytes = cache
-                    .activations
-                    .iter()
-                    .map(|a| a.iter().flat_map(|v| v.to_le_bytes()).collect())
-                    .collect();
+                let mut bytes = Vec::with_capacity(model.layers().len() + 1);
+                let out = model.forward_observed(input, |_, a| {
+                    bytes.push(a.iter().flat_map(|v| v.to_le_bytes()).collect());
+                })?;
                 (bytes, out)
             }
             ModelArtifact::Int8(model) => {

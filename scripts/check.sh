@@ -55,7 +55,7 @@ echo "==> library panic sites stay at or below the ceiling"
 # .unwrap(), .expect( and panic!( in crates/*/src, each file read up to
 # its `#[cfg(test)] mod` test module; lower the ceiling when a change
 # removes sites, and replace a new one with a typed error
-panic_ceiling=90
+panic_ceiling=88
 panic_sites=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   FNR == 1 { skip = 0; pending = 0 }
   skip { next }
@@ -94,7 +94,9 @@ if [ -f results/kernels.json ]; then
     '"shape":"kws_conv","kernel":"blocked_par"' \
     '"shape":"kws_conv","kernel":"f32_baseline"' \
     '"shape":"vision_depthwise","kernel":"blocked_par"' \
-    '"shape":"vision_depthwise","kernel":"f32_baseline"'; do
+    '"shape":"vision_depthwise","kernel":"f32_baseline"' \
+    '"shape":"quant_calibrate","kernel":"reference_fold"' \
+    '"shape":"quant_calibrate","kernel":"streaming"'; do
     if ! grep -qF -- "$marker" results/kernels.json; then
       echo "MISSING from results/kernels.json: $marker" >&2
       exit 1

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Runs the kernel-layer bench (naive reference vs blocked/fused kernels
 # over the MLP-dense, KWS-conv and vision-depthwise shape classes, plus the
-# int8 GEMM at every ei_tensor::simd level the host supports, and the f32
-# direct convolutions at every f32 level against conv::reference) and
-# sanity-checks the JSONL rows it writes: every shape/kernel pair is
-# present, every row reports bitwise_equal:true, and the bench's own ≥2×
-# speedup assert ran (the bin exits non-zero if the blocked kernel ever
-# regresses below 2× naive on the large-GEMM shape, or the best int8 level
-# below 3× Baseline).
+# int8 GEMM at every ei_tensor::simd level the host supports, the f32
+# direct convolutions at every f32 level against conv::reference, and int8
+# calibration of the KWS preset through the reference and the streaming
+# range fold) and sanity-checks the JSONL rows it writes: every
+# shape/kernel pair is present, every row reports bitwise_equal:true, and
+# the bench's own ≥2× speedup assert ran (the bin exits non-zero if the
+# blocked kernel ever regresses below 2× naive on the large-GEMM shape, or
+# the best int8 level below 3× Baseline).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +27,9 @@ for marker in \
   '"shape":"kws_conv","kernel":"int8_baseline"' \
   '"shape":"kws_conv","kernel":"f32_baseline"' \
   '"shape":"vision_depthwise","kernel":"blocked_par"' \
-  '"shape":"vision_depthwise","kernel":"f32_baseline"'; do
+  '"shape":"vision_depthwise","kernel":"f32_baseline"' \
+  '"shape":"quant_calibrate","kernel":"reference_fold"' \
+  '"shape":"quant_calibrate","kernel":"streaming"'; do
   if ! grep -qF -- "$marker" "$out"; then
     echo "MISSING from $out: $marker" >&2
     exit 1
