@@ -2,6 +2,7 @@
 //! program must be bit-identical for any artifact, and quantized models
 //! must track their float counterparts, across randomized architectures.
 
+use edgelab::nn::presets;
 use edgelab::nn::spec::{Activation, Dims, LayerSpec, ModelSpec, Padding};
 use edgelab::nn::Sequential;
 use edgelab::quant::quantize_model;
@@ -127,4 +128,48 @@ fn quantized_argmax_agreement_rate() {
         }
     }
     assert!(agree as f64 / total as f64 > 0.9, "argmax agreement {agree}/{total} below 90%");
+}
+
+/// FNV-1a over the length and bits of every activation boundary
+/// `forward_observed` shows, for every input.
+fn boundary_hash(model: &Sequential, inputs: &[Vec<f32>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |byte: u8| {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for x in inputs {
+        model
+            .forward_observed(x, |_, act| {
+                (act.len() as u64).to_le_bytes().into_iter().for_each(&mut eat);
+                act.iter().flat_map(|v| v.to_bits().to_le_bytes()).for_each(&mut eat);
+            })
+            .expect("input fits the model");
+    }
+    h
+}
+
+#[test]
+fn paper_models_f32_boundary_bits_are_pinned() {
+    // captured before the kernels wrote into caller-owned buffers: every
+    // boundary of the three task models, bit for bit, on inputs in range,
+    // far out of range and with exact and negative zeros
+    let cases = [
+        ("kws", presets::ds_cnn(Dims::new(99, 10, 1), 4, 64), 0x93e9_84f7_593e_1072),
+        ("vww", presets::mobilenet_v1(Dims::new(96, 96, 1), 2, 0.25), 0x928d_e597_b38d_6ce5),
+        ("ic", presets::cifar_cnn(Dims::new(32, 32, 3), 10), 0xe9ff_bacf_c501_43e1),
+    ];
+    let mut moved = Vec::new();
+    for (name, spec, want) in cases {
+        let len = spec.input.len();
+        let model = Sequential::build(&spec, 7).expect("preset builds");
+        let x = random_input(len, 21);
+        let far: Vec<f32> = x.iter().map(|v| v * 8.0).collect();
+        let zeros: Vec<f32> = x.iter().map(|&v| if v < -0.5 { -0.0 } else { v.max(0.0) }).collect();
+        let got = boundary_hash(&model, &[x, far, zeros]);
+        if got != want {
+            moved.push(format!("{name} got {got:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "f32 boundary bits moved: {moved:?}");
 }
