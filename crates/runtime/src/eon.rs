@@ -85,7 +85,7 @@ impl EonProgram {
 
     /// Executes through the planned arena: every activation is written to
     /// its static offset in one contiguous buffer, and each op's input is
-    /// verified intact immediately before use. A planner bug that aliased
+    /// verified intact once its output is written. A planner bug that aliased
     /// two live buffers would corrupt an input and surface here as
     /// [`RuntimeError::InvalidPlan`] — this is the runtime check that the
     /// compile-time memory plan is actually sound on real data.
@@ -125,16 +125,18 @@ impl EonProgram {
         let mut buf_idx = 0usize;
         for (i, step) in self.steps.iter().enumerate() {
             let in_offset = self.plan.buffers[buf_idx].offset;
-            let expected = &boundaries[i];
-            if &arena[in_offset..in_offset + expected.len()] != expected.as_slice() {
-                return Err(RuntimeError::InvalidPlan(format!(
-                    "input of step {i} ({}) was overwritten before use",
-                    step.op.name
-                )));
-            }
             if !step.op.in_place {
                 buf_idx += 1;
                 write(&mut arena, self.plan.buffers[buf_idx].offset, &boundaries[i + 1]);
+            }
+            // a kernel reads its input while it writes its output, so the
+            // input must still be intact once the output is in place
+            let expected = &boundaries[i];
+            if &arena[in_offset..in_offset + expected.len()] != expected.as_slice() {
+                return Err(RuntimeError::InvalidPlan(format!(
+                    "input of step {i} ({}) was overwritten while live",
+                    step.op.name
+                )));
             }
         }
         Ok(output)
@@ -270,6 +272,20 @@ mod tests {
         let direct = eon.run(&input).unwrap();
         let arena = eon.run_in_arena(&input).unwrap();
         assert_eq!(direct, arena);
+    }
+
+    #[test]
+    fn arena_execution_rejects_a_plan_that_aliases_a_live_input() {
+        let mut eon = EonProgram::compile(conv_artifact()).unwrap();
+        let input: Vec<f32> = (0..64).map(|i| ((i * 7) % 19) as f32 * 0.05 - 0.3).collect();
+        assert!(eon.run_in_arena(&input).is_ok());
+        // the conv's input (buffer 0) moved under its own output (buffer
+        // 1): the conv would overwrite what it still reads
+        eon.plan.buffers[0].offset = eon.plan.buffers[1].offset;
+        match eon.run_in_arena(&input) {
+            Err(RuntimeError::InvalidPlan(msg)) => assert!(msg.contains("conv2d"), "{msg}"),
+            other => panic!("an aliased plan ran: {other:?}"),
+        }
     }
 
     #[test]
