@@ -421,7 +421,7 @@ impl StreamSession {
             self.pending.push_back(AssembledWindow { seq, captured_ms, features });
             self.stats.windows_emitted += 1;
             while self.pending.len() > self.config.max_pending {
-                let dropped = self.pending.pop_front().expect("len > max_pending >= 0");
+                let Some(dropped) = self.pending.pop_front() else { break };
                 self.stats.drops_backpressure += 1;
                 self.drop_event(dropped.seq, "backpressure");
             }
@@ -489,7 +489,7 @@ impl StreamSession {
             };
             match submitted {
                 Ok(ticket) => {
-                    let window = self.pending.pop_front().expect("front() was Some");
+                    let Some(window) = self.pending.pop_front() else { break };
                     self.inflight.push_back(InflightWindow {
                         ticket,
                         seq: window.seq,
@@ -499,7 +499,7 @@ impl StreamSession {
                 }
                 Err(Rejected::Overloaded { .. }) => break,
                 Err(Rejected::QuotaExceeded { .. }) => {
-                    let window = self.pending.pop_front().expect("front() was Some");
+                    let Some(window) = self.pending.pop_front() else { break };
                     self.stats.drops_quota += 1;
                     self.drop_event(window.seq, "quota");
                 }

@@ -22,7 +22,10 @@
 # verdict — `unresolved` when either side's spread exceeds the bound (unless
 # every b run beats every a run), `worse` when b's median is past the bound,
 # `better` when b wins at least nine pairs in ten and the medians differ by
-# more than a's own IQR, else `same`. Lists every run that was not
+# more than a's own IQR, else `same`. Beside the verdict it prints
+# |median b / median a − 1| and the two-sided sign-test p-value of b's wins
+# (tied pairs left out), so `scripts/ab_bench.sh HEAD HEAD` reads as an A/A:
+# ratios near 0 and p-values near 1. Lists every run that was not
 # `correct: true, failed: 0` and exits 1 if there was one. It only prints:
 # it writes nothing into the repo.
 set -euo pipefail
@@ -81,12 +84,20 @@ for pair in $(seq 1 "$PAIRS"); do
 done
 
 python3 - "$SPEC" "$ROWS" "$REV_A" "$REV_B" <<'PY'
-import json, statistics, sys
+import json, math, statistics, sys
 spec = json.load(open(sys.argv[1]))
 rows = [json.loads(line) for line in open(sys.argv[2])]
 print(f"a = {sys.argv[3]}   b = {sys.argv[4]}   {max(r['pair'] for r in rows)} pair(s)")
 bad = [r for r in rows
        if not r["result"] or not r["result"]["correct"] or r["result"]["failed"] != 0]
+
+def sign_test(wins, losses):
+    """Two-sided sign-test p-value of `wins` against `losses` (ties dropped)."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n
+    return min(1.0, 2 * tail)
 
 def summary(values):
     """Median, first and third quartile (the extremes below four values)."""
@@ -98,7 +109,7 @@ def summary(values):
     return median, q1, q3
 
 print(f"{'workload':13} {'metric':12} {'a median (q1 – q3)':>30} {'b median (q1 – q3)':>30} "
-      f"{'iqr/med a':>9} {'b':>6} {'bound':>6} {'b wins':>7}  verdict")
+      f"{'iqr/med a':>9} {'b':>6} {'bound':>6} {'b wins':>7} {'|b/a-1|':>7} {'sign p':>6}  verdict")
 for workload in dict.fromkeys(r["workload"] for r in rows):
     for metric in spec["end_to_end"]:
         name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
@@ -113,6 +124,7 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
         (ma, a1, a3), (mb, b1, b3) = summary(a), summary(b)
         spread_a, spread_b = (a3 - a1) / ma, (b3 - b1) / mb
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        losses = sum((y > x) if lower else (y < x) for x, y in zip(a, b))
         gain = (ma - mb) if lower else (mb - ma)  # positive: b is better
         disjoint = max(b) < min(a) if lower else min(b) > max(a)
         if max(spread_a, spread_b) > bound and not disjoint:
@@ -125,7 +137,8 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
             verdict = "same"
         print(f"{workload:13} {name:12} {f'{ma:.4g} ({a1:.4g} – {a3:.4g})':>30} "
               f"{f'{mb:.4g} ({b1:.4g} – {b3:.4g})':>30} {spread_a:9.3f} {spread_b:6.3f} "
-              f"{bound:6.2f} {f'{wins}/{len(pairs)}':>7}  {verdict}")
+              f"{bound:6.2f} {f'{wins}/{len(pairs)}':>7} {abs(mb / ma - 1):7.3f} "
+              f"{sign_test(wins, losses):6.3f}  {verdict}")
 for r in bad:
     print(f"NOT CORRECT: pair {r['pair']} {r['workload']} side {r['side']}: "
           + (json.dumps({k: r['result'][k] for k in ('correct', 'attempted', 'failed')})
