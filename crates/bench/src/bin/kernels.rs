@@ -29,13 +29,15 @@ use ei_nn::layers::conv::{self, conv2d_forward_at, depthwise_forward_at, Conv2dG
 use ei_nn::layers::im2col::im2col_2d;
 use ei_nn::par::{conv2d_forward_auto, depthwise_forward_auto, gemm_f32_auto};
 use ei_nn::spec::Padding;
+use ei_nn::walk::Scratch;
+use ei_nn::Kernel;
 use ei_nn::Sequential;
 use ei_par::{ParPool, Parallelism};
 use ei_quant::calibrate::calibrate;
 use ei_quant::fusion::fold_batch_norm;
 use ei_quant::QuantParams;
 use ei_tensor::gemm::{gemm_f32, gemm_i8_fused, reference};
-use ei_tensor::simd::{supported_f32_levels, supported_levels, F32Level, PackedI8};
+use ei_tensor::simd::{supported_f32_levels, supported_levels, F32Level, I8Scratch, PackedI8};
 use ei_trace::json::Json;
 use std::time::Instant;
 
@@ -208,9 +210,10 @@ fn int8_levels(
     for level in supported_levels() {
         let packed = PackedI8::with_level(level, k, n, b, bias, a_zp).expect("level is supported");
         let mut out = vec![0i8; m * n];
-        packed.gemm(m, a, requantize_relu, &mut out);
+        let mut scratch = I8Scratch::new(packed.scratch_len());
+        packed.gemm(m, a, requantize_relu, &mut scratch, &mut out);
         let equal = out == naive;
-        let wall_ms = time_ms(reps, || packed.gemm(m, a, requantize_relu, &mut out));
+        let wall_ms = time_ms(reps, || packed.gemm(m, a, requantize_relu, &mut scratch, &mut out));
         let base = *baseline_ms.get_or_insert(wall_ms);
         best = best.max(base / wall_ms);
         push_row(
@@ -327,7 +330,8 @@ fn kws_conv_int8(writer: &mut ResultsWriter, reps: usize) {
     fill_i8(&mut b, 42);
     let bias: Vec<i32> = (0..n as i32).map(|j| j * 11 - 300).collect();
     let a_zp = -128i8;
-    let a = im2col_2d(&input, g, a_zp);
+    let mut a = vec![0i8; m * k];
+    im2col_2d(&input, g, a_zp, &mut a);
     let naive_once = || -> Vec<i8> {
         let acc = reference::matmul_i8(m, k, n, &a, a_zp, &b, &bias);
         acc.iter().enumerate().map(|(i, &v)| requantize_relu(i % n, v)).collect()
@@ -360,13 +364,16 @@ fn f32_levels(
     reps: usize,
     (shape, dims): (&str, (usize, usize, usize)),
     (naive, naive_ms): (&[f32], f64),
-    run: impl Fn(F32Level) -> Vec<f32>,
+    mut run: impl FnMut(F32Level, &mut [f32]),
 ) {
     let mut baseline_ms = None;
+    let mut out = vec![f32::NAN; naive.len()];
     for level in supported_f32_levels() {
-        let equal = run(level).iter().map(|v| v.to_bits()).eq(naive.iter().map(|v| v.to_bits()));
+        run(level, &mut out);
+        let equal = out.iter().map(|v| v.to_bits()).eq(naive.iter().map(|v| v.to_bits()));
         let wall_ms = time_ms(reps, || {
-            std::hint::black_box(run(level));
+            run(level, &mut out);
+            std::hint::black_box(&out);
         });
         let base = *baseline_ms.get_or_insert(wall_ms);
         push_row(
@@ -411,9 +418,15 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
     fill_f32(&mut bias, 23);
 
     let naive = conv::reference::conv2d_forward(&input, &weights, &bias, g);
-    let serial = conv2d_forward_auto(pool1, &input, &weights, &bias, g);
+    let mut scratch = Scratch::for_kernels([Kernel::Conv2d(g)]);
+    let auto = |pool: &ParPool, scratch: &mut Scratch| {
+        let mut out = vec![f32::NAN; naive.len()];
+        conv2d_forward_auto(pool, &input, &weights, &bias, g, scratch, &mut out);
+        out
+    };
+    let serial = auto(pool1, &mut scratch);
     let steals_before = pool4.steals();
-    let par = conv2d_forward_auto(pool4, &input, &weights, &bias, g);
+    let par = auto(pool4, &mut scratch);
     assert_eq!(
         pool4.steals(),
         steals_before,
@@ -426,7 +439,7 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
         std::hint::black_box(conv::reference::conv2d_forward(&input, &weights, &bias, g));
     });
     let par_ms = time_ms(reps, || {
-        std::hint::black_box(conv2d_forward_auto(pool4, &input, &weights, &bias, g));
+        std::hint::black_box(auto(pool4, &mut scratch));
     });
 
     push_row(
@@ -456,8 +469,8 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
         },
     );
     assert!(serial_equal && par_equal, "kws_conv outputs must be bitwise-identical");
-    f32_levels(writer, reps, ("kws_conv", dims), (&naive, naive_ms), |level| {
-        conv2d_forward_at(level, &input, &weights, &bias, g)
+    f32_levels(writer, reps, ("kws_conv", dims), (&naive, naive_ms), |level, out| {
+        conv2d_forward_at(level, &input, &weights, &bias, g, &mut scratch.taps, out)
     });
     naive_ms / par_ms
 }
@@ -489,8 +502,13 @@ fn vision_depthwise(
     fill_f32(&mut bias, 33);
 
     let naive = conv::reference::depthwise_forward(&input, &weights, &bias, g);
-    let serial = depthwise_forward_auto(pool1, &input, &weights, &bias, g);
-    let par = depthwise_forward_auto(pool4, &input, &weights, &bias, g);
+    let auto = |pool: &ParPool| {
+        let mut out = vec![f32::NAN; naive.len()];
+        depthwise_forward_auto(pool, &input, &weights, &bias, g, &mut out);
+        out
+    };
+    let serial = auto(pool1);
+    let par = auto(pool4);
     let serial_equal = naive == serial;
     let par_equal = naive == par;
 
@@ -498,7 +516,7 @@ fn vision_depthwise(
         std::hint::black_box(conv::reference::depthwise_forward(&input, &weights, &bias, g));
     });
     let par_ms = time_ms(reps, || {
-        std::hint::black_box(depthwise_forward_auto(pool4, &input, &weights, &bias, g));
+        std::hint::black_box(auto(pool4));
     });
 
     push_row(
@@ -528,8 +546,8 @@ fn vision_depthwise(
         },
     );
     assert!(serial_equal && par_equal, "depthwise outputs must be bitwise-identical");
-    f32_levels(writer, reps, ("vision_depthwise", dims), (&naive, naive_ms), |level| {
-        depthwise_forward_at(level, &input, &weights, &bias, g)
+    f32_levels(writer, reps, ("vision_depthwise", dims), (&naive, naive_ms), |level, out| {
+        depthwise_forward_at(level, &input, &weights, &bias, g, out)
     });
     naive_ms / par_ms
 }

@@ -9,12 +9,17 @@
 //! The forward kernels skip every input that is exactly `±0.0`, as the
 //! [`mod@reference`] loops do: ReLU outputs are about half zeros, and adding
 //! `0.0 * w` would not be a bitwise no-op (`-0.0 + 0.0` is `+0.0`, and
-//! `0.0 * inf` is NaN). They run at the host's [`F32Level`]; the `_at`
-//! variants take the level, for tests and benchmarks.
+//! `0.0 * inf` is NaN). Each writes every element of the `out` slice it is
+//! given, at the [`F32Level`] it is given; the walker passes the host's
+//! [`ei_tensor::simd::f32_level`].
 
 use std::ops::Range;
 
 use ei_tensor::simd::{f32_level, F32Kernel, F32Level};
+
+/// One input of a direct convolution's non-zero tap list: the value and
+/// the offset of its weight row. The list is scratch the caller owns.
+pub type Tap = (f32, usize);
 
 use crate::spec::Padding;
 
@@ -35,14 +40,14 @@ struct Call<'a> {
     out: &'a mut [f32],
 }
 
-struct Conv2dRows<'a>(Call<'a>);
+struct Conv2dRows<'a>(Call<'a>, &'a mut [Tap]);
 struct DepthwiseRows<'a>(Call<'a>);
 
 impl F32Kernel for Conv2dRows<'_> {
     type Output = ();
     #[inline(always)]
     fn run(self) {
-        conv2d_rows(self.0)
+        conv2d_rows(self.0, self.1)
     }
 }
 
@@ -92,29 +97,31 @@ impl Conv2dGeom {
             * self.in_c as u64
             * self.out_c as u64
     }
+
+    /// Inputs under one window: the length of the non-zero [`Tap`] list
+    /// and of an im2col patch row.
+    pub fn window(&self) -> usize {
+        self.kernel_h * self.kernel_w * self.in_c
+    }
 }
 
-/// Standard 2-D convolution forward pass.
-pub fn conv2d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
-    conv2d_forward_at(f32_level(), input, weights, bias, g)
-}
-
-/// [`conv2d_forward`] compiled for `level`: the same bits at every level.
+/// Standard 2-D convolution forward pass into `out` (`oh · ow · out_c`),
+/// compiled for `level`: the same bits at every level. `taps` is scratch of
+/// at least [`Conv2dGeom::window`] entries.
 ///
 /// # Panics
 ///
-/// Panics if this CPU cannot run `level`.
+/// Panics if this CPU cannot run `level`, or `taps` is too short.
 pub fn conv2d_forward_at(
     level: F32Level,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
-) -> Vec<f32> {
-    let (oh, ow, _, _) = g.output();
-    let mut out = vec![0.0f32; oh * ow * g.out_c];
-    level.run(Conv2dRows(Call { input, weights, bias, g, first: 0, out: &mut out }));
-    out
+    taps: &mut [Tap],
+    out: &mut [f32],
+) {
+    level.run(Conv2dRows(Call { input, weights, bias, g, first: 0, out }, taps));
 }
 
 /// Fills the output rows `[first, first + out.len() / (ow * out_c))` of a
@@ -129,7 +136,7 @@ pub fn conv2d_forward_at(
 /// of [`reference::conv2d_forward`] in its order, so any row partition
 /// reproduces it bit for bit.
 #[inline(always)]
-fn conv2d_rows(call: Call<'_>) {
+fn conv2d_rows(call: Call<'_>, nonzero: &mut [Tap]) {
     let Call { input, weights, bias, g, first, out } = call;
     if out.is_empty() {
         return;
@@ -138,7 +145,7 @@ fn conv2d_rows(call: Call<'_>) {
     let (in_c, out_c) = (g.in_c, g.out_c);
     let rows = out.len() / (ow * out_c);
     // (x, offset of its weight row), for the non-zero inputs of one pixel
-    let mut nonzero = vec![(0.0f32, 0usize); g.kernel_h * g.kernel_w * in_c];
+    let nonzero = &mut nonzero[..g.window()];
     for (row, oy) in (first..first + rows).enumerate() {
         let (y0, kys) = taps(oy, g.stride, py, g.kernel_h, g.in_h);
         for ox in 0..ow {
@@ -272,12 +279,8 @@ pub fn conv2d_backward(
     (grad_in, grad_w, grad_b)
 }
 
-/// Depthwise 2-D convolution forward pass (channel multiplier 1).
-pub fn depthwise_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
-    depthwise_forward_at(f32_level(), input, weights, bias, g)
-}
-
-/// [`depthwise_forward`] compiled for `level`: the same bits at every
+/// Depthwise 2-D convolution forward pass (channel multiplier 1) into
+/// `out` (`oh · ow · c`), compiled for `level`: the same bits at every
 /// level.
 ///
 /// # Panics
@@ -289,12 +292,10 @@ pub fn depthwise_forward_at(
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     debug_assert_eq!(g.in_c, g.out_c, "depthwise keeps the channel count");
-    let (oh, ow, _, _) = g.output();
-    let mut out = vec![0.0f32; oh * ow * g.in_c];
-    level.run(DepthwiseRows(Call { input, weights, bias, g, first: 0, out: &mut out }));
-    out
+    level.run(DepthwiseRows(Call { input, weights, bias, g, first: 0, out }));
 }
 
 /// Fills the output rows `[oy0, oy0 + out.len() / (ow * c))` of a
@@ -470,39 +471,42 @@ impl Conv1dGeom {
         let (ow, _) = self.output();
         ow as u64 * self.kernel as u64 * self.in_c as u64 * self.out_c as u64
     }
+
+    /// The same convolution as a 2-D one over a single row.
+    pub fn as_2d(&self) -> Conv2dGeom {
+        Conv2dGeom {
+            in_h: 1,
+            in_w: self.in_w,
+            in_c: self.in_c,
+            out_c: self.out_c,
+            kernel_h: 1,
+            kernel_w: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+        }
+    }
 }
 
-/// 1-D convolution forward pass.
-pub fn conv1d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv1dGeom) -> Vec<f32> {
-    conv1d_forward_at(f32_level(), input, weights, bias, g)
-}
-
-/// [`conv1d_forward`] compiled for `level`: the same bits at every level.
+/// 1-D convolution forward pass into `out` (`ow · out_c`), compiled for
+/// `level`: the same bits at every level.
 ///
 /// A 1-D convolution is the 2-D one over a single row, with the same
-/// weight layout, so it runs [`conv2d_forward_at`]'s kernel.
+/// weight layout, so it runs [`conv2d_forward_at`]'s kernel and takes its
+/// `taps` scratch.
 ///
 /// # Panics
 ///
-/// Panics if this CPU cannot run `level`.
+/// Panics if this CPU cannot run `level`, or `taps` is too short.
 pub fn conv1d_forward_at(
     level: F32Level,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
     g: Conv1dGeom,
-) -> Vec<f32> {
-    let g = Conv2dGeom {
-        in_h: 1,
-        in_w: g.in_w,
-        in_c: g.in_c,
-        out_c: g.out_c,
-        kernel_h: 1,
-        kernel_w: g.kernel,
-        stride: g.stride,
-        padding: g.padding,
-    };
-    conv2d_forward_at(level, input, weights, bias, g)
+    taps: &mut [Tap],
+    out: &mut [f32],
+) {
+    conv2d_forward_at(level, input, weights, bias, g.as_2d(), taps, out)
 }
 
 /// 1-D convolution backward pass.
@@ -720,6 +724,25 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn conv2d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
+        let (oh, ow, _, _) = g.output();
+        let mut out = vec![f32::NAN; oh * ow * g.out_c];
+        let mut taps = vec![(f32::NAN, usize::MAX); g.window()];
+        conv2d_forward_at(f32_level(), input, weights, bias, g, &mut taps, &mut out);
+        out
+    }
+
+    fn depthwise_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
+        let (oh, ow, _, _) = g.output();
+        let mut out = vec![f32::NAN; oh * ow * g.in_c];
+        depthwise_forward_at(f32_level(), input, weights, bias, g, &mut out);
+        out
+    }
+
+    fn conv1d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv1dGeom) -> Vec<f32> {
+        conv2d_forward(input, weights, bias, g.as_2d())
+    }
 
     #[test]
     fn conv2d_identity_kernel() {

@@ -1,35 +1,20 @@
 //! Fully connected layer kernels.
 
-/// Forward pass: `out[j] = sum_i in[i] * w[i * units + j] + b[j]`.
+/// Forward pass into `out` (`units` long): `out[j] = b[j] + sum_i in[i] *
+/// w[i * units + j]`, accumulated in input order and skipping zero inputs.
 ///
 /// # Panics
 ///
 /// Debug-asserts that the buffer lengths are consistent.
-pub fn dense_forward(input: &[f32], weights: &[f32], bias: &[f32], units: usize) -> Vec<f32> {
+pub fn dense_forward(input: &[f32], weights: &[f32], bias: &[f32], out: &mut [f32]) {
+    let units = out.len();
     debug_assert_eq!(weights.len(), input.len() * units);
     debug_assert_eq!(bias.len(), units);
-    let mut out = bias.to_vec();
-    dense_forward_cols(input, weights, units, 0, &mut out);
-    out
-}
-
-/// Accumulates output columns `[col0, col0 + out.len())` into `out`,
-/// which must already hold the matching bias slice.
-///
-/// For each column the accumulation walks inputs in index order, so any
-/// column partition reproduces [`dense_forward`] bit for bit.
-pub(crate) fn dense_forward_cols(
-    input: &[f32],
-    weights: &[f32],
-    units: usize,
-    col0: usize,
-    out: &mut [f32],
-) {
-    for (i, &x) in input.iter().enumerate() {
+    out.copy_from_slice(bias);
+    for (&x, row) in input.iter().zip(weights.chunks_exact(units.max(1))) {
         if x == 0.0 {
             continue;
         }
-        let row = &weights[i * units + col0..i * units + col0 + out.len()];
         for (o, &w) in out.iter_mut().zip(row) {
             *o += x * w;
         }
@@ -78,8 +63,9 @@ mod tests {
     #[test]
     fn forward_known_values() {
         // 2 inputs, 2 units; w = [[1,2],[3,4]] row-major by input
-        let out = dense_forward(&[1.0, 2.0], &[1.0, 2.0, 3.0, 4.0], &[0.5, -0.5], 2);
-        assert_eq!(out, vec![1.0 + 6.0 + 0.5, 2.0 + 8.0 - 0.5]);
+        let mut out = [f32::NAN; 2];
+        dense_forward(&[1.0, 2.0], &[1.0, 2.0, 3.0, 4.0], &[0.5, -0.5], &mut out);
+        assert_eq!(out, [1.0 + 6.0 + 0.5, 2.0 + 8.0 - 0.5]);
     }
 
     #[test]
@@ -92,8 +78,11 @@ mod tests {
         let grad_out = [1.0f32, 1.0];
         let (grad_in, grad_w, grad_b) = dense_backward(&input, &weights, units, &grad_out);
         let eps = 1e-3f32;
-        let loss =
-            |inp: &[f32], w: &[f32]| -> f32 { dense_forward(inp, w, &bias, units).iter().sum() };
+        let loss = |inp: &[f32], w: &[f32]| -> f32 {
+            let mut out = [0.0; 2];
+            dense_forward(inp, w, &bias, &mut out);
+            out.iter().sum()
+        };
         for i in 0..input.len() {
             let mut plus = input;
             plus[i] += eps;

@@ -20,23 +20,27 @@
 //!   accumulator).
 //!
 //! The cost is memory: a patch matrix is `out_pixels × window` elements,
-//! a `kernel_h * kernel_w`-fold blowup of the input at stride 1. These
-//! buffers are transient scratch, allocated per forward call and dropped
-//! before the next layer runs, so they never enter the arena plan that
-//! sizes device RAM (see DESIGN.md "Kernel layer").
+//! a `kernel_h * kernel_w`-fold blowup of the input at stride 1. The
+//! matrix is kernel scratch the caller owns, sized once per model, so it
+//! never enters the arena plan that sizes device RAM (see DESIGN.md
+//! "Kernel layer").
 
-use super::conv::{Conv1dGeom, Conv2dGeom};
+#[cfg(doc)]
+use super::conv::Conv1dGeom;
+use super::conv::Conv2dGeom;
 
-/// Rows of `(kernel_h * kernel_w * in_c)` input taps, one per output
-/// pixel of a 2-D convolution, in `(ky, kx, ci)` column order.
+/// Writes the rows of `(kernel_h * kernel_w * in_c)` input taps, one per
+/// output pixel of a 2-D convolution, in `(ky, kx, ci)` column order, into
+/// `patches` (`oh · ow · window` long). A 1-D convolution lowers through
+/// its [`Conv1dGeom::as_2d`] form.
 ///
 /// Out-of-bounds taps (padding) hold `pad`. Each kernel row's in-bounds
 /// taps are contiguous in both the input and the patch row, so they move
 /// as one `(kx_hi - kx_lo) * in_c` slice.
-pub fn im2col_2d<T: Copy>(input: &[T], g: Conv2dGeom, pad: T) -> Vec<T> {
+pub fn im2col_2d<T: Copy>(input: &[T], g: Conv2dGeom, pad: T, patches: &mut [T]) {
     let (oh, ow, py, px) = g.output();
-    let window = g.kernel_h * g.kernel_w * g.in_c;
-    let mut patches = vec![pad; oh * ow * window];
+    let window = g.window();
+    patches.fill(pad);
     for oy in 0..oh {
         for ox in 0..ow {
             let row0 = (oy * ow + ox) * window;
@@ -56,28 +60,6 @@ pub fn im2col_2d<T: Copy>(input: &[T], g: Conv2dGeom, pad: T) -> Vec<T> {
             }
         }
     }
-    patches
-}
-
-/// Rows of `(kernel * in_c)` input taps, one per output step of a 1-D
-/// convolution, in `(k, ci)` column order.
-///
-/// Out-of-bounds taps (padding) hold `pad`.
-pub fn im2col_1d<T: Copy>(input: &[T], g: Conv1dGeom, pad: T) -> Vec<T> {
-    let (ow, pad_begin) = g.output();
-    let window = g.kernel * g.in_c;
-    let mut patches = vec![pad; ow * window];
-    for ox in 0..ow {
-        let (k_lo, k_hi, x0) = in_bounds(ox * g.stride, pad_begin, g.kernel, g.in_w);
-        if k_lo == k_hi {
-            continue;
-        }
-        let src = x0 * g.in_c;
-        let dst = ox * window + k_lo * g.in_c;
-        let len = (k_hi - k_lo) * g.in_c;
-        patches[dst..dst + len].copy_from_slice(&input[src..src + len]);
-    }
-    patches
 }
 
 /// The taps `[lo, hi)` of a `kernel`-wide window starting at padded
@@ -92,7 +74,15 @@ fn in_bounds(start: usize, pad: usize, kernel: usize, len: usize) -> (usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::conv::Conv1dGeom;
     use crate::spec::Padding;
+
+    fn patches<T: Copy>(input: &[T], g: Conv2dGeom, pad: T) -> Vec<T> {
+        let (oh, ow, _, _) = g.output();
+        let mut out = vec![input[0]; oh * ow * g.window()];
+        im2col_2d(input, g, pad, &mut out);
+        out
+    }
 
     #[test]
     fn valid_padding_rows_are_plain_windows() {
@@ -108,7 +98,7 @@ mod tests {
             padding: Padding::Valid,
         };
         let input: Vec<f32> = (0..9).map(|x| x as f32).collect();
-        let patches = im2col_2d(&input, g, 0.0f32);
+        let patches = patches(&input, g, 0.0f32);
         assert_eq!(patches.len(), 4 * 4);
         assert_eq!(&patches[0..4], &[0.0, 1.0, 3.0, 4.0]);
         assert_eq!(&patches[12..16], &[4.0, 5.0, 7.0, 8.0]);
@@ -127,7 +117,7 @@ mod tests {
             padding: Padding::Same,
         };
         let input = [1.0f32, 2.0, 3.0, 4.0];
-        let patches = im2col_2d(&input, g, -9.0f32);
+        let patches = patches(&input, g, -9.0f32);
         // top-left output pixel: row/col -1 are padding
         assert_eq!(&patches[0..3], &[-9.0, -9.0, -9.0]);
         assert_eq!(patches[4], 1.0); // center tap = input[0]
@@ -180,12 +170,11 @@ mod tests {
                             padding,
                         };
                         let input: Vec<i32> = (1..=(in_h * in_w * in_c) as i32).collect();
-                        assert_eq!(im2col_2d(&input, g, -1), per_tap_2d(&input, g, -1), "{g:?}");
+                        assert_eq!(patches(&input, g, -1), per_tap_2d(&input, g, -1), "{g:?}");
                         let g1 =
                             Conv1dGeom { in_w, in_c, out_c: 1, kernel: kernel_w, stride, padding };
                         let as_2d = Conv2dGeom { in_h: 1, kernel_h: 1, ..g };
-                        let row = &input[..in_w * in_c];
-                        assert_eq!(im2col_1d(row, g1, -1), per_tap_2d(row, as_2d, -1), "{g1:?}");
+                        assert_eq!(g1.as_2d(), as_2d);
                     }
                 }
             }
@@ -196,7 +185,7 @@ mod tests {
     fn int8_padding_uses_zero_point() {
         let g =
             Conv1dGeom { in_w: 3, in_c: 1, out_c: 1, kernel: 3, stride: 1, padding: Padding::Same };
-        let patches = im2col_1d(&[10i8, 20, 30], g, -128i8);
+        let patches = patches(&[10i8, 20, 30], g.as_2d(), -128i8);
         assert_eq!(patches, vec![-128, 10, 20, 10, 20, 30, 20, 30, -128]);
     }
 }

@@ -9,10 +9,18 @@ pub fn pool_out(input: usize, size: usize) -> usize {
     input / size
 }
 
-/// 2-D max pooling over `(h, w, c)` activations.
-pub fn maxpool2d_forward(input: &[f32], h: usize, w: usize, c: usize, size: usize) -> Vec<f32> {
+/// 2-D max pooling over `(h, w, c)` activations into `out` (`oh · ow ·
+/// c`).
+pub fn maxpool2d_forward(
+    input: &[f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    size: usize,
+    out: &mut [f32],
+) {
     let (oh, ow) = (pool_out(h, size), pool_out(w, size));
-    let mut out = vec![f32::NEG_INFINITY; oh * ow * c];
+    out.fill(f32::NEG_INFINITY);
     for oy in 0..oh {
         for ox in 0..ow {
             let base = (oy * ow + ox) * c;
@@ -29,7 +37,6 @@ pub fn maxpool2d_forward(input: &[f32], h: usize, w: usize, c: usize, size: usiz
             }
         }
     }
-    out
 }
 
 /// Backward pass of 2-D max pooling: gradient routes to the (first) argmax
@@ -66,11 +73,18 @@ pub fn maxpool2d_backward(
     grad_in
 }
 
-/// 2-D average pooling.
-pub fn avgpool2d_forward(input: &[f32], h: usize, w: usize, c: usize, size: usize) -> Vec<f32> {
+/// 2-D average pooling into `out` (`oh · ow · c`).
+pub fn avgpool2d_forward(
+    input: &[f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    size: usize,
+    out: &mut [f32],
+) {
     let (oh, ow) = (pool_out(h, size), pool_out(w, size));
     let norm = 1.0 / (size * size) as f32;
-    let mut out = vec![0.0f32; oh * ow * c];
+    out.fill(0.0);
     for oy in 0..oh {
         for ox in 0..ow {
             let base = (oy * ow + ox) * c;
@@ -84,7 +98,6 @@ pub fn avgpool2d_forward(input: &[f32], h: usize, w: usize, c: usize, size: usiz
             }
         }
     }
-    out
 }
 
 /// Backward pass of 2-D average pooling: gradient spreads uniformly.
@@ -108,16 +121,15 @@ pub fn avgpool2d_backward(h: usize, w: usize, c: usize, size: usize, grad_out: &
     grad_in
 }
 
-/// Global average pooling: `(h, w, c)` → `(1, 1, c)`.
-pub fn global_avg_forward(input: &[f32], h: usize, w: usize, c: usize) -> Vec<f32> {
+/// Global average pooling: `(h, w, c)` → `(1, 1, c)`, into `out`.
+pub fn global_avg_forward(input: &[f32], h: usize, w: usize, c: usize, out: &mut [f32]) {
     let norm = 1.0 / (h * w) as f32;
-    let mut out = vec![0.0f32; c];
+    out.fill(0.0);
     for pix in input.chunks(c) {
         for (o, &v) in out.iter_mut().zip(pix) {
             *o += v * norm;
         }
     }
-    out
 }
 
 /// Backward pass of global average pooling.
@@ -136,6 +148,15 @@ pub fn global_avg_backward(h: usize, w: usize, c: usize, grad_out: &[f32]) -> Ve
 mod tests {
     use super::*;
 
+    type Forward = fn(&[f32], usize, usize, usize, usize, &mut [f32]);
+
+    /// `forward` over an `(h, w, c)` input into a fresh output.
+    fn pooled(forward: Forward, input: &[f32], (h, w, c): (usize, usize, usize)) -> Vec<f32> {
+        let mut out = vec![f32::NAN; pool_out(h, 2) * pool_out(w, 2) * c];
+        forward(input, h, w, c, 2, &mut out);
+        out
+    }
+
     #[test]
     fn maxpool_picks_maxima() {
         // 4x4x1, 2x2 pooling
@@ -146,14 +167,14 @@ mod tests {
             0.0, 0.0, 1.0, 1.0,
             9.0, 0.0, 1.0, 2.0,
         ];
-        let out = maxpool2d_forward(&input, 4, 4, 1, 2);
+        let out = pooled(maxpool2d_forward, &input, (4, 4, 1));
         assert_eq!(out, vec![5.0, 8.0, 9.0, 2.0]);
     }
 
     #[test]
     fn maxpool_truncates_partial_windows() {
         let input = vec![1.0; 5 * 5];
-        let out = maxpool2d_forward(&input, 5, 5, 1, 2);
+        let out = pooled(maxpool2d_forward, &input, (5, 5, 1));
         assert_eq!(out.len(), 4);
     }
 
@@ -171,7 +192,7 @@ mod tests {
     #[test]
     fn avgpool_averages() {
         let input = vec![1.0, 2.0, 3.0, 4.0];
-        let out = avgpool2d_forward(&input, 2, 2, 1, 2);
+        let out = pooled(avgpool2d_forward, &input, (2, 2, 1));
         assert_eq!(out, vec![2.5]);
         let grad = avgpool2d_backward(2, 2, 1, 2, &[4.0]);
         assert_eq!(grad, vec![1.0; 4]);
@@ -181,17 +202,18 @@ mod tests {
     fn pooling_respects_channels() {
         // 2x2x2: channel 0 = [1,2,3,4], channel 1 = [10,20,30,40]
         let input = vec![1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0];
-        let mx = maxpool2d_forward(&input, 2, 2, 2, 2);
+        let mx = pooled(maxpool2d_forward, &input, (2, 2, 2));
         assert_eq!(mx, vec![4.0, 40.0]);
-        let avg = avgpool2d_forward(&input, 2, 2, 2, 2);
+        let avg = pooled(avgpool2d_forward, &input, (2, 2, 2));
         assert_eq!(avg, vec![2.5, 25.0]);
     }
 
     #[test]
     fn global_avg_and_backward() {
         let input = vec![1.0, 10.0, 3.0, 30.0];
-        let out = global_avg_forward(&input, 2, 1, 2);
-        assert_eq!(out, vec![2.0, 20.0]);
+        let mut out = [f32::NAN; 2];
+        global_avg_forward(&input, 2, 1, 2, &mut out);
+        assert_eq!(out, [2.0, 20.0]);
         let grad = global_avg_backward(2, 1, 2, &[4.0, 8.0]);
         assert_eq!(grad, vec![2.0, 4.0, 2.0, 4.0]);
     }

@@ -16,6 +16,8 @@
 //! * [`model::Sequential`] — the compiled model: forward pass, backprop,
 //!   parameter access, and per-layer MAC/parameter accounting that the
 //!   device cost model consumes;
+//! * [`walk`] — the one walk every forward pass takes, with each kernel
+//!   writing into a slice it is given;
 //! * [`train::Trainer`] — minibatch SGD/Adam training with validation
 //!   split, early best-checkpoint restore, layer freezing (transfer
 //!   learning) and a learning-rate finder;
@@ -50,6 +52,7 @@ pub mod presets;
 pub mod resolve;
 pub mod spec;
 pub mod train;
+pub mod walk;
 
 pub use error::NnError;
 pub use model::Sequential;

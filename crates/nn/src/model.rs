@@ -1,30 +1,22 @@
 //! Compiled sequential models: shape inference, forward, backward.
 
-use std::borrow::Cow;
-
 use crate::layers::conv::{conv1d_backward, conv2d_backward, depthwise_backward};
 use crate::layers::dense::dense_backward;
-use crate::layers::pool::{
-    avgpool2d_backward, avgpool2d_forward, global_avg_backward, global_avg_forward,
-    maxpool2d_backward, maxpool2d_forward, pool_out,
-};
-use crate::par::{
-    conv1d_forward_auto, conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto,
-};
+use crate::layers::pool::{avgpool2d_backward, global_avg_backward, maxpool2d_backward, pool_out};
 use crate::resolve::{elems, Kernel, Resolved};
 #[cfg(test)]
 use crate::spec::Padding;
 use crate::spec::{Activation, Dims, LayerSpec, ModelSpec};
+use crate::walk::{dropout, run_layer, Buffers, Scratch, Slots};
 use crate::{NnError, Result};
 use ei_par::ParPool;
 use ei_tensor::init::{init_tensor, Init};
 use ei_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Epsilon used by batch normalization.
-const BN_EPS: f32 = 1e-3;
+pub(crate) const BN_EPS: f32 = 1e-3;
 
 /// A compiled layer: spec, resolved shapes and (optional) parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -295,20 +287,15 @@ impl Sequential {
     pub fn forward_observed(
         &self,
         input: &[f32],
-        mut observe: impl FnMut(usize, &[f32]),
+        observe: impl FnMut(usize, &[f32]),
     ) -> Result<Vec<f32>> {
-        self.check_input(input)?;
-        let pool = ParPool::global();
-        observe(0, input);
-        let mut x = Cow::Borrowed(input);
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = Cow::Owned(forward_layer(layer, pool, &x, false, None)?.0);
-            observe(i + 1, &x);
-        }
-        Ok(x.into_owned())
+        let mut bufs = Buffers::new(&self.layers);
+        self.walk(input, &mut bufs.acts, &mut bufs.scratch, false, None, observe)?;
+        Ok(bufs.acts.live(input).to_vec())
     }
 
-    /// Forward pass that records every intermediate activation.
+    /// Forward pass that records every intermediate activation: each layer
+    /// writes straight into its slot of the cache.
     ///
     /// With `training == true`, dropout layers sample masks from `rng`
     /// (required in that case).
@@ -321,20 +308,57 @@ impl Sequential {
         &self,
         input: &[f32],
         training: bool,
-        mut rng: Option<&mut StdRng>,
+        rng: Option<&mut StdRng>,
     ) -> Result<ForwardCache> {
         self.check_input(input)?;
+        let mut cache = ForwardCache {
+            activations: std::iter::once(input.to_vec())
+                .chain(self.layers.iter().map(|l| vec![0.0; l.output.len()]))
+                .collect(),
+            masks: vec![None; self.layers.len()],
+        };
+        let mut scratch = Scratch::for_kernels(
+            self.layers.iter().filter_map(|l| l.resolve().ok()).map(|r| r.kernel),
+        );
+        self.walk(input, &mut cache, &mut scratch, training, rng, |_, _| {})?;
+        Ok(cache)
+    }
+
+    /// The one walk over the layers: each layer's kernel runs from boundary
+    /// `i` of `slots` into boundary `i + 1`, shown to `observe`; a reshape,
+    /// flatten or inference-time dropout passes its input on.
+    pub(crate) fn walk(
+        &self,
+        input: &[f32],
+        slots: &mut impl Slots,
+        scratch: &mut Scratch,
+        training: bool,
+        mut rng: Option<&mut StdRng>,
+        mut observe: impl FnMut(usize, &[f32]),
+    ) -> Result<()> {
+        self.check_input(input)?;
         let pool = ParPool::global();
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        let mut masks = Vec::with_capacity(self.layers.len());
-        activations.push(input.to_vec());
+        observe(0, input);
         for (i, layer) in self.layers.iter().enumerate() {
-            let (out, mask) =
-                forward_layer(layer, pool, &activations[i], training, rng.as_deref_mut())?;
-            masks.push(mask);
-            activations.push(out);
+            let r = layer.resolve()?;
+            let len = r.output.len();
+            match r.kernel {
+                Kernel::Dropout { rate } if training => {
+                    let rng = rng.as_deref_mut().ok_or_else(|| {
+                        NnError::InvalidTrainingData(
+                            "training forward pass requires an rng for dropout".into(),
+                        )
+                    })?;
+                    let mask = slots.step(input, i, len, |x, out| dropout(rate, rng, x, out));
+                    slots.keep_mask(i, mask);
+                }
+                Kernel::Identity | Kernel::Dropout { .. } => slots.pass(i),
+                _ => slots
+                    .step(input, i, len, |x, out| run_layer(layer, &r, pool, x, out, scratch))?,
+            }
+            observe(i + 1, slots.get(input, i + 1));
         }
-        Ok(ForwardCache { activations, masks })
+        Ok(())
     }
 
     fn check_input(&self, input: &[f32]) -> Result<()> {
@@ -504,103 +528,7 @@ fn check_param(
     }
 }
 
-/// Runs one layer on `x`: its output with the fused activation applied,
-/// and, in training mode, the dropout mask it sampled from `rng`.
-fn forward_layer(
-    layer: &Layer,
-    pool: &ParPool,
-    x: &[f32],
-    training: bool,
-    rng: Option<&mut StdRng>,
-) -> Result<(Vec<f32>, Option<Vec<f32>>)> {
-    let r = layer.resolve()?;
-    let d = r.input;
-    let mut mask = None;
-    let mut out = match r.kernel {
-        Kernel::Dense { units } => {
-            let (w, b) = layer.params()?;
-            dense_forward_auto(pool, x, w, b, units)
-        }
-        Kernel::Conv1d(g) => {
-            let (w, b) = layer.params()?;
-            conv1d_forward_auto(pool, x, w, b, g)
-        }
-        Kernel::Conv2d(g) => {
-            let (w, b) = layer.params()?;
-            conv2d_forward_auto(pool, x, w, b, g)
-        }
-        Kernel::Depthwise(g) => {
-            let (w, b) = layer.params()?;
-            depthwise_forward_auto(pool, x, w, b, g)
-        }
-        Kernel::MaxPool { size } if d.h == 1 => pool1d(x, d.w, d.c, size, true),
-        Kernel::MaxPool { size } => maxpool2d_forward(x, d.h, d.w, d.c, size),
-        Kernel::AvgPool { size } if d.h == 1 => pool1d(x, d.w, d.c, size, false),
-        Kernel::AvgPool { size } => avgpool2d_forward(x, d.h, d.w, d.c, size),
-        Kernel::GlobalAvgPool => global_avg_forward(x, d.h, d.w, d.c),
-        Kernel::Dropout { rate } if training => {
-            let rng = rng.ok_or_else(|| {
-                NnError::InvalidTrainingData(
-                    "training forward pass requires an rng for dropout".into(),
-                )
-            })?;
-            let keep = 1.0 - rate;
-            let m: Vec<f32> = (0..x.len())
-                .map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 })
-                .collect();
-            let out = x.iter().zip(&m).map(|(v, k)| v * k).collect();
-            mask = Some(m);
-            out
-        }
-        Kernel::Identity | Kernel::Dropout { .. } => x.to_vec(),
-        Kernel::BatchNorm => {
-            let params = layer.params()?.0;
-            let c = d.c;
-            let (gamma, rest) = params.split_at(c);
-            let (beta, rest) = rest.split_at(c);
-            let (mean, var) = rest.split_at(c);
-            x.chunks(c)
-                .flat_map(|pix| {
-                    pix.iter().enumerate().map(|(ch, &v)| {
-                        (v - mean[ch]) / (var[ch] + BN_EPS).sqrt() * gamma[ch] + beta[ch]
-                    })
-                })
-                .collect()
-        }
-        Kernel::Softmax => ei_tensor::ops::softmax(x),
-    };
-    if r.activation != Activation::None {
-        for v in &mut out {
-            *v = r.activation.apply(*v);
-        }
-    }
-    Ok((out, mask))
-}
-
-/// 1-D pooling over `(w, c)` steps with non-overlapping windows.
-fn pool1d(input: &[f32], w: usize, c: usize, size: usize, is_max: bool) -> Vec<f32> {
-    let ow = pool_out(w, size);
-    let mut out = vec![if is_max { f32::NEG_INFINITY } else { 0.0 }; ow * c];
-    let norm = 1.0 / size as f32;
-    for ox in 0..ow {
-        for k in 0..size {
-            let in_base = (ox * size + k) * c;
-            for ch in 0..c {
-                let v = input[in_base + ch];
-                let slot = &mut out[ox * c + ch];
-                if is_max {
-                    if v > *slot {
-                        *slot = v;
-                    }
-                } else {
-                    *slot += v * norm;
-                }
-            }
-        }
-    }
-    out
-}
-/// Backward of [`pool1d`].
+/// Backward of 1-D pooling over `(w, c)` steps.
 fn pool1d_backward(
     input: &[f32],
     w: usize,

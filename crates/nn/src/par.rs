@@ -6,25 +6,29 @@
 //! convolutions' oracles are [`crate::layers::conv::reference`]. The
 //! `_auto` variants here lower dense/conv layers onto the cache-blocked
 //! GEMM in [`ei_tensor::gemm`] (convolutions via
-//! [`crate::layers::im2col`]) and partition the *output* (GEMM rows,
-//! dense columns, depthwise row bands) into disjoint chunks, one
-//! [`ei_par::ParPool`] task each. The blocked kernel replays the exact
-//! per-element accumulation sequence of the naive loops (ascending input
-//! index, same `x == 0.0` skip), so every partition — and any
-//! `EI_THREADS` — is bitwise-identical to the serial kernel.
+//! [`crate::layers::im2col`], into the caller's [`Scratch`]) and partition
+//! the *output* (GEMM rows, dense columns, depthwise row bands) into
+//! disjoint chunks, one [`ei_par::ParPool`] task each. The blocked kernel
+//! replays the exact per-element accumulation sequence of the naive loops
+//! (ascending input index, same `x == 0.0` skip), so every partition — and
+//! any `EI_THREADS` — is bitwise-identical to the serial kernel. Every
+//! variant writes all of the `out` slice it is given.
 //!
 //! Small layers are not worth the lowering or the fan-out: anything
 //! below [`PAR_MIN_MACS`] multiply–accumulates, and any layer on a
-//! serial pool (`EI_THREADS=1`), takes the serial direct kernel.
+//! serial pool (`EI_THREADS=1`), takes the serial direct kernel. A 1-D
+//! convolution runs as the 2-D one over a single row
+//! ([`Conv1dGeom::as_2d`](crate::layers::conv::Conv1dGeom::as_2d)).
 
 use crate::layers::conv::{
-    conv1d_forward, conv2d_forward, depthwise_forward, depthwise_forward_rows, depthwise_macs,
-    Conv1dGeom, Conv2dGeom,
+    conv2d_forward_at, depthwise_forward_at, depthwise_forward_rows, depthwise_macs, Conv2dGeom,
 };
 use crate::layers::dense::{dense_forward, dense_macs};
-use crate::layers::im2col::{im2col_1d, im2col_2d};
+use crate::layers::im2col::im2col_2d;
+use crate::walk::Scratch;
 use ei_par::ParPool;
 use ei_tensor::gemm::{gemm_f32, gemm_f32_acc};
+use ei_tensor::simd::f32_level;
 
 /// Layers below this many multiply–accumulates run serially: the cost of
 /// queueing and waking workers would outweigh the arithmetic.
@@ -97,46 +101,52 @@ pub fn gemm_f32_auto(
     });
 }
 
-/// [`dense_forward`] lowered to a 1×`units` GEMM, column-partitioned
-/// over `pool`.
+/// Whether a convolution lowers onto im2col + GEMM on a parallel pool:
+/// only at [`PAR_MIN_IM2COL_MACS`] and above.
+pub fn lowers(g: Conv2dGeom) -> bool {
+    g.macs() >= PAR_MIN_IM2COL_MACS
+}
+
+/// [`dense_forward`] into `out` (`units` long), lowered to a 1×`units`
+/// GEMM and column-partitioned over `pool`.
 pub fn dense_forward_auto(
     pool: &ParPool,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
-    units: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
+    let units = out.len();
     if pool.threads() == 1 || dense_macs(input.len(), units) < PAR_MIN_MACS {
-        return dense_forward(input, weights, bias, units);
+        return dense_forward(input, weights, bias, out);
     }
-    let mut out = vec![0.0f32; units];
-    gemm_f32_auto(pool, 1, input.len(), units, input, weights, Some(bias), &mut out);
-    out
+    gemm_f32_auto(pool, 1, input.len(), units, input, weights, Some(bias), out);
 }
 
-/// [`conv2d_forward`] lowered via im2col to an
-/// `(oh·ow) × (kh·kw·in_c) × out_c` GEMM, row-partitioned over `pool`.
+/// [`conv2d_forward_at`] at the host's level into `out`, or, when it
+/// [`lowers`], im2col into `scratch.patches` and an `(oh·ow) ×
+/// (kh·kw·in_c) × out_c` GEMM row-partitioned over `pool`.
 pub fn conv2d_forward_auto(
     pool: &ParPool,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
-) -> Vec<f32> {
-    if pool.threads() == 1 || g.macs() < PAR_MIN_IM2COL_MACS {
-        return conv2d_forward(input, weights, bias, g);
+    scratch: &mut Scratch,
+    out: &mut [f32],
+) {
+    if pool.threads() == 1 || !lowers(g) {
+        return conv2d_forward_at(f32_level(), input, weights, bias, g, &mut scratch.taps, out);
     }
     let (oh, ow, _, _) = g.output();
-    let m = oh * ow;
-    let window = g.kernel_h * g.kernel_w * g.in_c;
-    let patches = im2col_2d(input, g, 0.0f32);
-    let mut out = vec![0.0f32; m * g.out_c];
-    gemm_f32_auto(pool, m, window, g.out_c, &patches, weights, Some(bias), &mut out);
-    out
+    let patches = &mut scratch.patches[..oh * ow * g.window()];
+    im2col_2d(input, g, 0.0f32, patches);
+    gemm_f32_auto(pool, oh * ow, g.window(), g.out_c, patches, weights, Some(bias), out);
 }
 
-/// [`depthwise_forward`] partitioned into bands of output rows, one pool
-/// task per band, each running the serial row kernel directly.
+/// [`depthwise_forward_at`] at the host's level into `out`, partitioned
+/// into bands of output rows, one pool task per band, each running the
+/// serial row kernel directly.
 ///
 /// Depthwise windows are tiny (`kh·kw` taps per channel), so an im2col
 /// lowering would gather more bytes than the arithmetic it feeds; the
@@ -148,46 +158,26 @@ pub fn depthwise_forward_auto(
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     if pool.threads() == 1 || depthwise_macs(g) < PAR_MIN_MACS {
-        return depthwise_forward(input, weights, bias, g);
+        return depthwise_forward_at(f32_level(), input, weights, bias, g, out);
     }
     let (oh, ow, _, _) = g.output();
-    let c = g.in_c;
     let band = chunk_len(oh, pool);
-    let mut out = vec![0.0f32; oh * ow * c];
     pool.scope(|scope| {
-        for (i, slice) in out.chunks_mut(band * ow * c).enumerate() {
+        for (i, slice) in out.chunks_mut(band * ow * g.in_c).enumerate() {
             scope.spawn(move || depthwise_forward_rows(input, weights, bias, g, i * band, slice));
         }
     });
-    out
-}
-
-/// [`conv1d_forward`] lowered via im2col to an
-/// `ow × (kernel·in_c) × out_c` GEMM, row-partitioned over `pool`.
-pub fn conv1d_forward_auto(
-    pool: &ParPool,
-    input: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    g: Conv1dGeom,
-) -> Vec<f32> {
-    if pool.threads() == 1 || g.macs() < PAR_MIN_IM2COL_MACS {
-        return conv1d_forward(input, weights, bias, g);
-    }
-    let (ow, _) = g.output();
-    let window = g.kernel * g.in_c;
-    let patches = im2col_1d(input, g, 0.0f32);
-    let mut out = vec![0.0f32; ow * g.out_c];
-    gemm_f32_auto(pool, ow, window, g.out_c, &patches, weights, Some(bias), &mut out);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::conv::Conv1dGeom;
     use crate::spec::Padding;
+    use crate::walk::Scratch;
     use ei_par::Parallelism;
 
     /// Deterministic ramp with zeros sprinkled in to exercise the
@@ -202,17 +192,48 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A convolution's output on `pool` (`None`: the serial kernel).
+    fn conv2d(pool: Option<&ParPool>, g: Conv2dGeom) -> Vec<f32> {
+        let (oh, ow, _, _) = g.output();
+        let input = data(g.in_h * g.in_w * g.in_c);
+        let weights = data(g.window() * g.out_c);
+        let bias = data(g.out_c);
+        let mut out = vec![f32::NAN; oh * ow * g.out_c];
+        let mut scratch = Scratch::for_kernels([crate::Kernel::Conv2d(g)]);
+        match pool {
+            Some(pool) => {
+                conv2d_forward_auto(pool, &input, &weights, &bias, g, &mut scratch, &mut out)
+            }
+            None => conv2d_forward_at(
+                f32_level(),
+                &input,
+                &weights,
+                &bias,
+                g,
+                &mut scratch.taps,
+                &mut out,
+            ),
+        }
+        out
+    }
+
+    /// A dense layer's output on `pool` (`None`: the serial kernel).
+    fn dense(pool: Option<&ParPool>, inputs: usize, units: usize) -> Vec<f32> {
+        let (input, weights, bias) = (data(inputs), data(inputs * units), data(units));
+        let mut out = vec![f32::NAN; units];
+        match pool {
+            Some(pool) => dense_forward_auto(pool, &input, &weights, &bias, &mut out),
+            None => dense_forward(&input, &weights, &bias, &mut out),
+        }
+        out
+    }
+
     #[test]
     fn dense_auto_is_bitwise_identical() {
         let (inputs, units) = (512, 300);
-        let input = data(inputs);
-        let weights = data(inputs * units);
-        let bias = data(units);
         assert!(dense_macs(inputs, units) >= PAR_MIN_MACS);
-        let serial = dense_forward(&input, &weights, &bias, units);
         let pool = ParPool::new(Parallelism::new(4));
-        let parallel = dense_forward_auto(&pool, &input, &weights, &bias, units);
-        assert_eq!(bits(&serial), bits(&parallel));
+        assert_eq!(bits(&dense(None, inputs, units)), bits(&dense(Some(&pool), inputs, units)));
     }
 
     #[test]
@@ -227,14 +248,9 @@ mod tests {
             stride: 1,
             padding: Padding::Same,
         };
-        assert!(g.macs() >= PAR_MIN_IM2COL_MACS);
-        let input = data(g.in_h * g.in_w * g.in_c);
-        let weights = data(g.kernel_h * g.kernel_w * g.in_c * g.out_c);
-        let bias = data(g.out_c);
-        let serial = conv2d_forward(&input, &weights, &bias, g);
+        assert!(lowers(g));
         let pool = ParPool::new(Parallelism::new(4));
-        let parallel = conv2d_forward_auto(&pool, &input, &weights, &bias, g);
-        assert_eq!(bits(&serial), bits(&parallel));
+        assert_eq!(bits(&conv2d(None, g)), bits(&conv2d(Some(&pool), g)));
     }
 
     #[test]
@@ -253,9 +269,11 @@ mod tests {
         let input = data(g.in_h * g.in_w * g.in_c);
         let weights = data(g.kernel_h * g.kernel_w * g.in_c);
         let bias = data(g.in_c);
-        let serial = depthwise_forward(&input, &weights, &bias, g);
+        let mut serial = vec![f32::NAN; input.len()];
+        depthwise_forward_at(f32_level(), &input, &weights, &bias, g, &mut serial);
         let pool = ParPool::new(Parallelism::new(4));
-        let parallel = depthwise_forward_auto(&pool, &input, &weights, &bias, g);
+        let mut parallel = vec![f32::NAN; input.len()];
+        depthwise_forward_auto(&pool, &input, &weights, &bias, g, &mut parallel);
         assert_eq!(bits(&serial), bits(&parallel));
     }
 
@@ -269,14 +287,9 @@ mod tests {
             stride: 1,
             padding: Padding::Same,
         };
-        assert!(g.macs() >= PAR_MIN_IM2COL_MACS);
-        let input = data(g.in_w * g.in_c);
-        let weights = data(g.kernel * g.in_c * g.out_c);
-        let bias = data(g.out_c);
-        let serial = conv1d_forward(&input, &weights, &bias, g);
+        assert!(lowers(g.as_2d()));
         let pool = ParPool::new(Parallelism::new(4));
-        let parallel = conv1d_forward_auto(&pool, &input, &weights, &bias, g);
-        assert_eq!(bits(&serial), bits(&parallel));
+        assert_eq!(bits(&conv2d(None, g.as_2d())), bits(&conv2d(Some(&pool), g.as_2d())));
     }
 
     #[test]
@@ -309,26 +322,18 @@ mod tests {
             stride: 1,
             padding: Padding::Same,
         };
-        assert!(g.macs() >= PAR_MIN_MACS && g.macs() < PAR_MIN_IM2COL_MACS);
-        let input = data(g.in_h * g.in_w * g.in_c);
-        let weights = data(g.kernel_h * g.kernel_w * g.in_c * g.out_c);
-        let bias = data(g.out_c);
+        assert!(g.macs() >= PAR_MIN_MACS && !lowers(g));
         let pool = ParPool::new(Parallelism::new(4));
         let steals_before = pool.steals();
-        let out = conv2d_forward_auto(&pool, &input, &weights, &bias, g);
-        assert_eq!(bits(&out), bits(&conv2d_forward(&input, &weights, &bias, g)));
+        assert_eq!(bits(&conv2d(Some(&pool), g)), bits(&conv2d(None, g)));
         assert_eq!(pool.steals(), steals_before, "no tasks should have been queued");
     }
 
     #[test]
     fn small_layers_take_the_serial_path() {
         let pool = ParPool::new(Parallelism::new(4));
-        let input = data(8);
-        let weights = data(8 * 4);
-        let bias = data(4);
         let steals_before = pool.steals();
-        let out = dense_forward_auto(&pool, &input, &weights, &bias, 4);
-        assert_eq!(out, dense_forward(&input, &weights, &bias, 4));
+        assert_eq!(bits(&dense(Some(&pool), 8, 4)), bits(&dense(None, 8, 4)));
         assert_eq!(pool.steals(), steals_before, "no tasks should have been queued");
     }
 }

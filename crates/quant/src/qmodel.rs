@@ -10,12 +10,15 @@ use crate::calibrate::{calibrate, ActivationRanges};
 use crate::fusion::fold_batch_norm;
 use crate::qparams::{ChannelQuant, FixedMultiplier, QuantParams};
 use crate::{QuantError, Result};
-use ei_nn::layers::conv::{Conv1dGeom, Conv2dGeom};
-use ei_nn::layers::im2col::{im2col_1d, im2col_2d};
+use ei_nn::layers::conv::Conv2dGeom;
+use ei_nn::layers::im2col::im2col_2d;
 use ei_nn::resolve::Kernel;
 use ei_nn::spec::{Activation, Dims, LayerSpec};
+use ei_nn::walk::PingPong;
 use ei_nn::Sequential;
-use ei_tensor::simd::{self, DepthwiseShape, Level, PackedDepthwise, PackedI8};
+use ei_tensor::simd::{
+    self, DepthwiseShape, I8Scratch, Level, PackedDepthwise, PackedI8, ScratchLen,
+};
 
 /// One quantized layer.
 #[derive(Debug, Clone)]
@@ -127,45 +130,45 @@ impl QuantizedModel {
     ///
     /// Returns [`QuantError::InputLengthMismatch`] for wrongly sized input.
     pub fn forward(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let q_in = self.input_q.quantize_slice(input);
-        let q_out = self.forward_quantized(&q_in)?;
-        Ok(self.output_q.dequantize_slice(&q_out))
+        self.forward_observed(input, |_, _| {})
     }
 
-    /// Runs the integer path, returning every intermediate activation as
-    /// raw int8 codes — one vector per layer boundary, starting with the
-    /// quantized input. This is the byte-level view an arena-backed
-    /// executor stores.
+    /// [`QuantizedModel::forward`] that shows every layer boundary's raw
+    /// int8 codes to `observe` as the walk produces them: `observe(0, ..)`
+    /// with the quantized input, then `observe(i + 1, ..)` with layer `i`'s
+    /// output while it is the live activation. This is the byte-level view
+    /// an arena-backed executor stores.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InputLengthMismatch`] for wrongly sized input.
+    pub fn forward_observed(
+        &self,
+        input: &[f32],
+        observe: impl FnMut(usize, &[i8]),
+    ) -> Result<Vec<f32>> {
+        self.check_input(input.len())?;
+        let mut bufs = Buffers::new(self);
+        let q = self.input_q;
+        bufs.acts.step(&[], input.len(), |_, codes| {
+            for (c, &x) in codes.iter_mut().zip(input) {
+                *c = q.quantize(x);
+            }
+        });
+        self.walk(&[], &mut bufs, observe)?;
+        Ok(self.output_q.dequantize_slice(bufs.acts.live(&[])))
+    }
+
+    /// Every layer boundary's raw int8 codes, starting with the quantized
+    /// input: [`QuantizedModel::forward_observed`], kept.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::InputLengthMismatch`] for wrongly sized input.
     pub fn trace_raw(&self, input: &[f32]) -> Result<Vec<Vec<i8>>> {
-        let mut act = self.input_q.quantize_slice(input);
-        let mut out = vec![act.clone()];
-        for layer in &self.layers {
-            act = run_qlayer(layer, &act)?;
-            out.push(act.clone());
-        }
-        Ok(out)
-    }
-
-    /// Runs the integer path, returning every intermediate activation as
-    /// dequantized reals — one vector per layer boundary, starting with the
-    /// (requantized) input. Useful for debugging where quantization error
-    /// accumulates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InputLengthMismatch`] for wrongly sized input.
-    pub fn trace(&self, input: &[f32]) -> Result<Vec<Vec<f32>>> {
-        let mut act = self.input_q.quantize_slice(input);
-        let mut out = vec![self.input_q.dequantize_slice(&act)];
-        for layer in &self.layers {
-            act = run_qlayer(layer, &act)?;
-            out.push(layer.out_q.dequantize_slice(&act));
-        }
-        Ok(out)
+        let mut trace = Vec::with_capacity(self.layers.len() + 1);
+        self.forward_observed(input, |_, codes| trace.push(codes.to_vec()))?;
+        Ok(trace)
     }
 
     /// Runs the pure-integer inference path.
@@ -174,17 +177,71 @@ impl QuantizedModel {
     ///
     /// Returns [`QuantError::InputLengthMismatch`] for wrongly sized input.
     pub fn forward_quantized(&self, input: &[i8]) -> Result<Vec<i8>> {
-        if input.len() != self.input_dims.len() {
-            return Err(QuantError::InputLengthMismatch {
-                expected: self.input_dims.len(),
-                actual: input.len(),
-            });
+        self.check_input(input.len())?;
+        let mut bufs = Buffers::new(self);
+        self.walk(input, &mut bufs, |_, _| {})?;
+        Ok(bufs.acts.live(input).to_vec())
+    }
+
+    fn check_input(&self, len: usize) -> Result<()> {
+        let expected = self.input_dims.len();
+        if len != expected {
+            return Err(QuantError::InputLengthMismatch { expected, actual: len });
         }
-        let mut act = input.to_vec();
-        for layer in &self.layers {
-            act = run_qlayer(layer, &act)?;
+        Ok(())
+    }
+
+    /// The one int8 walk: from the live codes (`input` until a step has
+    /// written), each layer's kernel writes the other ping-pong half, and
+    /// every boundary is shown to `observe`. A reshape, flatten or dropout
+    /// passes the live codes on.
+    fn walk(
+        &self,
+        input: &[i8],
+        bufs: &mut Buffers,
+        mut observe: impl FnMut(usize, &[i8]),
+    ) -> Result<()> {
+        observe(0, bufs.acts.live(input));
+        for (i, layer) in self.layers.iter().enumerate() {
+            if !matches!(
+                layer.spec,
+                LayerSpec::Reshape { .. } | LayerSpec::Flatten | LayerSpec::Dropout { .. }
+            ) {
+                let Buffers { acts, patches, scratch } = &mut *bufs;
+                acts.step(input, layer.output.len(), |x, out| {
+                    run_qlayer(layer, x, patches, scratch, out)
+                })?;
+            }
+            observe(i + 1, bufs.acts.live(input));
         }
-        Ok(act)
+        Ok(())
+    }
+}
+
+/// What one int8 walk needs, sized once from the model: two ping-pong
+/// activations, the im2col patch matrix and the kernels' scratch.
+#[derive(Debug)]
+struct Buffers {
+    acts: PingPong<i8>,
+    patches: Vec<i8>,
+    scratch: I8Scratch,
+}
+
+impl Buffers {
+    fn new(model: &QuantizedModel) -> Buffers {
+        let layers = &model.layers;
+        let max = layers.iter().map(|l| l.output.len()).fold(model.input_dims.len(), usize::max);
+        let (mut patches, mut scratch) = (0, ScratchLen::default());
+        for kernel in layers.iter().filter_map(|l| l.kernel.as_ref()) {
+            let (p, s) = kernel.scratch_len();
+            patches = patches.max(p);
+            scratch = scratch.max(s);
+        }
+        Buffers {
+            acts: PingPong::new(max),
+            patches: vec![0; patches],
+            scratch: I8Scratch::new(scratch),
+        }
     }
 }
 
@@ -390,9 +447,10 @@ enum KernelOp {
         m: usize,
         packed: PackedI8,
     },
-    Conv1d(Conv1dGeom, PackedI8),
+    /// A convolution (a 1-D one as its single-row 2-D form) lowered
+    /// through im2col.
     Conv2d(Conv2dGeom, PackedI8),
-    Depthwise(DepthwiseShape, PackedDepthwise),
+    Depthwise(PackedDepthwise),
 }
 
 /// A parameterized layer's kernel: weights packed for one
@@ -422,7 +480,7 @@ impl LayerKernel {
         let gemm = |k: usize| PackedI8::with_level(level, k, n, w, &bias, in_zp);
         let op = match r.kernel {
             Kernel::Dense { .. } => KernelOp::Direct { m: 1, packed: gemm(layer.input.len())? },
-            Kernel::Conv1d(g) => KernelOp::Conv1d(g, gemm(g.kernel * g.in_c)?),
+            Kernel::Conv1d(g) => conv2d_op(g.as_2d(), gemm)?,
             Kernel::Conv2d(g) => conv2d_op(g, gemm)?,
             Kernel::Depthwise(g) => {
                 let (out_h, out_w, pad_top, pad_left) = g.output();
@@ -438,52 +496,54 @@ impl LayerKernel {
                     pad_top,
                     pad_left,
                 };
-                let taps = g.kernel_h * g.kernel_w;
-                let packed = PackedDepthwise::with_level(level, taps, g.in_c, w, &bias)?;
-                KernelOp::Depthwise(shape, packed)
+                KernelOp::Depthwise(PackedDepthwise::with_level(level, shape, w, &bias)?)
             }
             _ => return None,
         };
         Some(LayerKernel { op, in_zp, epilogue: Epilogue::new(layer, mults, cq, r.activation) })
     }
 
-    /// Runs the layer on `input`.
-    fn run(&self, input: &[i8]) -> Vec<i8> {
-        let zp = self.in_zp;
+    /// The im2col patch codes and kernel scratch [`LayerKernel::run`]
+    /// works in.
+    fn scratch_len(&self) -> (usize, ScratchLen) {
         match &self.op {
-            KernelOp::Direct { m, packed } => self.gemm(packed, *m, input),
-            KernelOp::Conv1d(g, packed) => {
-                // padding taps hold the zero-point code, so `(x - zp) * w ==
-                // 0` exactly where the naive kernel's bounds check skipped
-                self.gemm(packed, g.output().0, &im2col_1d(input, *g, zp))
-            }
+            KernelOp::Direct { packed, .. } => (0, packed.scratch_len()),
             KernelOp::Conv2d(g, packed) => {
                 let (oh, ow, _, _) = g.output();
-                self.gemm(packed, oh * ow, &im2col_2d(input, *g, zp))
+                (oh * ow * g.window(), packed.scratch_len())
             }
-            KernelOp::Depthwise(shape, packed) => {
-                let mut out = vec![0i8; shape.out_h * shape.out_w * shape.c];
-                match &self.epilogue {
-                    Epilogue::Fixed(r) => {
-                        packed.run(input, zp, *shape, |ch, acc| r.apply(ch, acc), &mut out)
-                    }
-                    float => {
-                        packed.run(input, zp, *shape, |ch, acc| float.apply(ch, acc), &mut out)
-                    }
+            KernelOp::Depthwise(packed) => (0, packed.scratch_len()),
+        }
+    }
+
+    /// Runs the layer from `input` into all of `out`.
+    fn run(&self, input: &[i8], patches: &mut [i8], scratch: &mut I8Scratch, out: &mut [i8]) {
+        let zp = self.in_zp;
+        match &self.op {
+            KernelOp::Direct { m, packed } => self.gemm(packed, *m, input, scratch, out),
+            KernelOp::Conv2d(g, packed) => {
+                // padding taps hold the zero-point code, so `(x - zp) * w ==
+                // 0` exactly where the naive kernel's bounds check skipped
+                let (oh, ow, _, _) = g.output();
+                let patches = &mut patches[..oh * ow * g.window()];
+                im2col_2d(input, *g, zp, patches);
+                self.gemm(packed, oh * ow, patches, scratch, out)
+            }
+            KernelOp::Depthwise(packed) => match &self.epilogue {
+                Epilogue::Fixed(r) => {
+                    packed.run(input, zp, |ch, acc| r.apply(ch, acc), scratch, out)
                 }
-                out
-            }
+                float => packed.run(input, zp, |ch, acc| float.apply(ch, acc), scratch, out),
+            },
         }
     }
 
     /// The fused GEMM of `m` rows of `a` against the packed weights.
-    fn gemm(&self, packed: &PackedI8, m: usize, a: &[i8]) -> Vec<i8> {
-        let mut out = vec![0i8; m * packed.n()];
+    fn gemm(&self, packed: &PackedI8, m: usize, a: &[i8], scratch: &mut I8Scratch, out: &mut [i8]) {
         match &self.epilogue {
-            Epilogue::Fixed(r) => packed.gemm(m, a, |j, acc| r.apply(j, acc), &mut out),
-            float => packed.gemm(m, a, |j, acc| float.apply(j, acc), &mut out),
+            Epilogue::Fixed(r) => packed.gemm(m, a, |j, acc| r.apply(j, acc), scratch, out),
+            float => packed.gemm(m, a, |j, acc| float.apply(j, acc), scratch, out),
         }
-        out
     }
 }
 
@@ -498,124 +558,93 @@ fn conv2d_op(g: Conv2dGeom, gemm: impl Fn(usize) -> Option<PackedI8>) -> Option<
     })
 }
 
-/// Executes one quantized layer.
-fn run_qlayer(layer: &QLayer, input: &[i8]) -> Result<Vec<i8>> {
+/// Executes one quantized layer from `input` into all of `out`.
+fn run_qlayer(
+    layer: &QLayer,
+    input: &[i8],
+    patches: &mut [i8],
+    scratch: &mut I8Scratch,
+    out: &mut [i8],
+) -> Result<()> {
     if let Some(kernel) = &layer.kernel {
-        return Ok(kernel.run(input));
+        kernel.run(input, patches, scratch, out);
+        return Ok(());
     }
-    match layer.spec.resolve(layer.input)?.kernel {
+    let d = layer.input;
+    match layer.spec.resolve(d)?.kernel {
         Kernel::Dense { .. } | Kernel::Conv1d(_) | Kernel::Conv2d(_) | Kernel::Depthwise(_) => {
-            Err(QuantError::UnsupportedLayer(format!(
+            return Err(QuantError::UnsupportedLayer(format!(
                 "{} has no quantized weights",
                 layer.spec.op_name()
             )))
         }
-        Kernel::MaxPool { size } => Ok(maxpool_q(input, layer.input, size)),
-        Kernel::AvgPool { size } => Ok(avgpool_q(input, layer.input, size)),
-        Kernel::GlobalAvgPool => {
-            let n = (layer.input.h * layer.input.w) as i32;
-            let c = layer.input.c;
-            let mut sums = vec![0i32; c];
-            for pix in input.chunks(c) {
-                for (s, &v) in sums.iter_mut().zip(pix) {
-                    *s += v as i32;
-                }
-            }
-            Ok(sums
-                .iter()
-                .map(|&s| {
-                    let rounded = if s >= 0 { (s + n / 2) / n } else { (s - n / 2) / n };
-                    rounded.clamp(-128, 127) as i8
-                })
-                .collect())
+        Kernel::MaxPool { size } => {
+            let window = pool_window(d, size);
+            pool_q(input, d, window, out, i8::MIN.into(), |m, v| m.max(v.into()), |m| m as i8)
         }
-        Kernel::Identity | Kernel::Dropout { .. } => Ok(input.to_vec()),
-        Kernel::BatchNorm => Err(QuantError::UnsupportedLayer(
-            "batch_norm must be folded before quantized execution".into(),
-        )),
+        Kernel::AvgPool { size } => avgpool_q(input, d, pool_window(d, size), out),
+        Kernel::GlobalAvgPool => avgpool_q(input, d, (d.h, d.w), out),
+        Kernel::Identity | Kernel::Dropout { .. } => out.copy_from_slice(input),
+        Kernel::BatchNorm => {
+            return Err(QuantError::UnsupportedLayer(
+                "batch_norm must be folded before quantized execution".into(),
+            ))
+        }
         Kernel::Softmax => {
-            // no integer softmax: dequantize, soft-max in float, requantize
-            let reals = layer.in_q.dequantize_slice(input);
-            let probs = ei_tensor::ops::softmax(&reals);
-            Ok(layer.out_q.quantize_slice(&probs))
-        }
-    }
-}
-
-/// int8 max pooling (shares geometry rules with the float path).
-fn maxpool_q(input: &[i8], dims: Dims, size: usize) -> Vec<i8> {
-    let (h, w, c) = if dims.h == 1 { (dims.w, 1, dims.c) } else { (dims.h, dims.w, dims.c) };
-    if dims.h == 1 {
-        // 1-D: pool over steps
-        let ow = h / size;
-        let mut out = vec![i8::MIN; ow * c];
-        for ox in 0..ow {
-            for k in 0..size {
-                let base = (ox * size + k) * c;
-                for ch in 0..c {
-                    out[ox * c + ch] = out[ox * c + ch].max(input[base + ch]);
-                }
-            }
-        }
-        return out;
-    }
-    let (oh, ow) = (h / size, w / size);
-    let mut out = vec![i8::MIN; oh * ow * c];
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let obase = (oy * ow + ox) * c;
-            for ky in 0..size {
-                for kx in 0..size {
-                    let ibase = ((oy * size + ky) * w + ox * size + kx) * c;
-                    for ch in 0..c {
-                        out[obase + ch] = out[obase + ch].max(input[ibase + ch]);
-                    }
-                }
+            // no integer softmax: the float one over the dequantized codes,
+            // requantized; each exponential is taken again rather than kept
+            let real = |q: i8| layer.in_q.dequantize(q);
+            let max = input.iter().map(|&q| real(q)).fold(f32::NEG_INFINITY, f32::max);
+            let sum: f32 = input.iter().map(|&q| (real(q) - max).exp()).sum();
+            for (o, &q) in out.iter_mut().zip(input) {
+                *o = layer.out_q.quantize((real(q) - max).exp() / sum);
             }
         }
     }
-    out
+    Ok(())
 }
 
-/// int8 average pooling with rounded integer division.
-fn avgpool_q(input: &[i8], dims: Dims, size: usize) -> Vec<i8> {
-    let div = |s: i32, n: i32| -> i8 {
+/// The `(rows, columns)` window of a `size` pool: over steps for 1-D
+/// input (`h == 1`), over both axes otherwise (shared with the float path).
+fn pool_window(d: Dims, size: usize) -> (usize, usize) {
+    (if d.h == 1 { 1 } else { size }, size)
+}
+
+/// int8 average pooling over `window` into `out`, with rounded integer
+/// division.
+fn avgpool_q(input: &[i8], d: Dims, (kh, kw): (usize, usize), out: &mut [i8]) {
+    let n = (kh * kw) as i32;
+    let (v0, add) = (0, |s: i32, v: i8| s + i32::from(v));
+    pool_q(input, d, (kh, kw), out, v0, add, |s| {
         let r = if s >= 0 { (s + n / 2) / n } else { (s - n / 2) / n };
         r.clamp(-128, 127) as i8
-    };
-    if dims.h == 1 {
-        let ow = dims.w / size;
-        let c = dims.c;
-        let mut out = vec![0i8; ow * c];
-        for ox in 0..ow {
-            for ch in 0..c {
-                let mut s = 0i32;
-                for k in 0..size {
-                    s += input[(ox * size + k) * c + ch] as i32;
-                }
-                out[ox * c + ch] = div(s, size as i32);
+    });
+}
+
+/// Non-overlapping `kh × kw` pooling of `input` into `out`: each output
+/// code folds its window's codes into `init` with `fold`, in row-major
+/// order, and `finish`es the result.
+fn pool_q(
+    input: &[i8],
+    d: Dims,
+    (kh, kw): (usize, usize),
+    out: &mut [i8],
+    init: i32,
+    fold: impl Fn(i32, i8) -> i32,
+    finish: impl Fn(i32) -> i8,
+) {
+    let (c, ow) = (d.c, d.w / kw);
+    for (at, o) in out.iter_mut().enumerate() {
+        let (ch, oy, ox) = (at % c, at / c / ow, at / c % ow);
+        let mut acc = init;
+        for ky in 0..kh {
+            let row = ((oy * kh + ky) * d.w + ox * kw) * c + ch;
+            for kx in 0..kw {
+                acc = fold(acc, input[row + kx * c]);
             }
         }
-        return out;
+        *o = finish(acc);
     }
-    let (oh, ow) = (dims.h / size, dims.w / size);
-    let c = dims.c;
-    let n = (size * size) as i32;
-    let mut out = vec![0i8; oh * ow * c];
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for ch in 0..c {
-                let mut s = 0i32;
-                for ky in 0..size {
-                    for kx in 0..size {
-                        s += input[((oy * size + ky) * dims.w + ox * size + kx) * c + ch] as i32;
-                    }
-                }
-                out[(oy * ow + ox) * c + ch] = div(s, n);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -2,8 +2,12 @@
 //! serialized schema, dead-kernel elimination.
 //!
 //! Arithmetic is shared with the TFLM-style interpreter: both run the
-//! model through the kernel layer, so engine choice changes dispatch
-//! overhead and memory shape, never the numerics. Float convolutions run
+//! model's one walk ([`ModelArtifact::run_reference`]), in which every
+//! kernel writes into one of two ping-pong buffers the walk allocates once
+//! per call, so engine choice changes dispatch overhead and memory shape,
+//! never the numerics. The planned arena offsets are not read by `run`
+//! yet; [`EonProgram::run_in_arena`] replays the same walk through them to
+//! check the plan. Float convolutions run
 //! the direct kernels of `ei_nn::layers::conv` at the host's f32 SIMD
 //! level (every preset convolution is below `ei_nn::par`'s im2col + GEMM
 //! threshold), float dense layers a zero-skipping row kernel (the
@@ -83,64 +87,89 @@ impl EonProgram {
         self.artifact.op_kinds()
     }
 
-    /// Executes through the planned arena: every activation is written to
-    /// its static offset in one contiguous buffer, and each op's input is
-    /// verified intact once its output is written. A planner bug that aliased
-    /// two live buffers would corrupt an input and surface here as
+    /// Executes through the planned arena: the walk shows each activation
+    /// boundary as it is produced, and it is written to its static offset
+    /// in one contiguous buffer; once a step's output is in place, its
+    /// input is verified intact, since a kernel reads its input while it
+    /// writes its output. A planner bug that aliased two live buffers
+    /// would corrupt an input and surface here as
     /// [`RuntimeError::InvalidPlan`] — this is the runtime check that the
-    /// compile-time memory plan is actually sound on real data.
+    /// compile-time memory plan is actually sound on real data. Both
+    /// dtypes share it; only how a boundary becomes bytes differs.
     ///
     /// Returns the same output as [`EonProgram::run`].
     ///
     /// # Errors
     ///
     /// Fails for wrongly sized input, or with
-    /// [`RuntimeError::InvalidPlan`] if a live buffer was overwritten.
+    /// [`RuntimeError::InvalidPlan`] if a live buffer was overwritten or a
+    /// buffer overruns the arena.
     pub fn run_in_arena(&self, input: &[f32]) -> Result<Vec<f32>> {
-        // per-boundary payload bytes: boundary 0 is the (possibly
-        // quantized) input, boundary i + 1 the output of op i
-        let (boundaries, output): (Vec<Vec<u8>>, Vec<f32>) = match &self.artifact {
-            ModelArtifact::Float(model) => {
-                let mut bytes = Vec::with_capacity(model.layers().len() + 1);
-                let out = model.forward_observed(input, |_, a| {
-                    bytes.push(a.iter().flat_map(|v| v.to_le_bytes()).collect());
-                })?;
-                (bytes, out)
-            }
-            ModelArtifact::Int8(model) => {
-                let trace = model.trace_raw(input)?;
-                let out = model
-                    .output_qparams()
-                    .dequantize_slice(trace.last().map(Vec::as_slice).unwrap_or(&[]));
-                let bytes = trace.iter().map(|a| a.iter().map(|&v| v as u8).collect()).collect();
-                (bytes, out)
-            }
-        };
         let mut arena = vec![0u8; self.plan.arena_bytes];
-        let write = |arena: &mut [u8], offset: usize, payload: &[u8]| {
-            arena[offset..offset + payload.len()].copy_from_slice(payload);
+        let (mut buf, mut prev, mut cur) = (0, Vec::new(), Vec::new());
+        let mut checked = Ok(());
+        let mut place = |i: usize, bytes: &mut dyn Iterator<Item = u8>| {
+            if checked.is_ok() {
+                cur.clear();
+                cur.extend(bytes);
+                checked = self.place(&mut arena, i, &mut buf, &prev, &cur);
+                std::mem::swap(&mut prev, &mut cur);
+            }
         };
-        // buffer 0 holds the input
-        write(&mut arena, self.plan.buffers[0].offset, &boundaries[0]);
-        let mut buf_idx = 0usize;
-        for (i, step) in self.steps.iter().enumerate() {
-            let in_offset = self.plan.buffers[buf_idx].offset;
-            if !step.op.in_place {
-                buf_idx += 1;
-                write(&mut arena, self.plan.buffers[buf_idx].offset, &boundaries[i + 1]);
+        let output = match &self.artifact {
+            ModelArtifact::Float(m) => m.forward_observed(input, |i, act| {
+                place(i, &mut act.iter().flat_map(|v| v.to_le_bytes()))
+            })?,
+            ModelArtifact::Int8(m) => {
+                m.forward_observed(input, |i, codes| place(i, &mut codes.iter().map(|&v| v as u8)))?
             }
-            // a kernel reads its input while it writes its output, so the
-            // input must still be intact once the output is in place
-            let expected = &boundaries[i];
-            if &arena[in_offset..in_offset + expected.len()] != expected.as_slice() {
-                return Err(RuntimeError::InvalidPlan(format!(
-                    "input of step {i} ({}) was overwritten while live",
-                    step.op.name
-                )));
-            }
-        }
-        Ok(output)
+        };
+        checked.map(|()| output)
     }
+
+    /// Writes boundary `i` (`bytes`) to its planned buffer in `arena`: the
+    /// input's for `i == 0`, else step `i - 1`'s output (an in-place step
+    /// writes nothing), after which that step's input — `prev`, in buffer
+    /// `*buf` — must still be intact. `*buf` follows the planned buffers.
+    fn place(
+        &self,
+        arena: &mut [u8],
+        i: usize,
+        buf: &mut usize,
+        prev: &[u8],
+        bytes: &[u8],
+    ) -> Result<()> {
+        let buffers = &self.plan.buffers;
+        let Some(step) = i.checked_sub(1).map(|s| &self.steps[s]) else {
+            return put(arena, buffers[0].offset, bytes);
+        };
+        let in_offset = buffers[*buf].offset;
+        if !step.op.in_place {
+            *buf += 1;
+            put(arena, buffers[*buf].offset, bytes)?;
+        }
+        if arena.get(in_offset..in_offset + prev.len()) != Some(prev) {
+            return Err(RuntimeError::InvalidPlan(format!(
+                "input of step {} ({}) was overwritten while live",
+                i - 1,
+                step.op.name
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Copies `bytes` into `arena` at `offset`.
+fn put(arena: &mut [u8], offset: usize, bytes: &[u8]) -> Result<()> {
+    let len = arena.len();
+    let dst = arena.get_mut(offset..offset + bytes.len()).ok_or_else(|| {
+        RuntimeError::InvalidPlan(format!(
+            "a {}-byte buffer at offset {offset} overruns the {len}-byte arena",
+            bytes.len()
+        ))
+    })?;
+    dst.copy_from_slice(bytes);
+    Ok(())
 }
 
 impl InferenceEngine for EonProgram {

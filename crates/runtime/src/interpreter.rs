@@ -1,9 +1,13 @@
 //! TFLite-Micro-style interpreter: op registry, dynamic dispatch, and the
 //! RAM/flash overheads that come with interpreting a serialized graph.
 //!
-//! Arithmetic is shared with the EON executor: both run the model through
-//! the kernel layer, so engine choice changes dispatch overhead and memory
-//! shape, never the numerics. See [`crate::eon`] for which kernels run.
+//! Arithmetic is shared with the EON executor: both run the model's one
+//! walk ([`ModelArtifact::run_reference`]), in which every kernel writes
+//! into a buffer the walk owns, so engine choice changes dispatch overhead
+//! and memory shape, never the numerics. See [`crate::eon`] for which
+//! kernels run. Which op, if any, the registry lacks is settled when the
+//! interpreter is built; [`InferenceEngine::run`] reports it as
+//! [`RuntimeError::MissingKernel`] on every call.
 
 use std::collections::BTreeSet;
 
@@ -23,6 +27,8 @@ pub struct Interpreter {
     artifact: ModelArtifact,
     registry: BTreeSet<&'static str>,
     plan: MemoryPlan,
+    /// The first op in graph order that the registry lacks.
+    missing: Option<&'static str>,
 }
 
 /// Every op name the full resolver registers.
@@ -50,8 +56,7 @@ impl Interpreter {
     /// Propagates memory-planning failures.
     pub fn new(artifact: ModelArtifact) -> Result<Interpreter> {
         let registry = artifact.op_kinds().into_iter().collect();
-        let plan = plan_model(&artifact)?;
-        Ok(Interpreter { artifact, registry, plan })
+        Self::build(artifact, registry)
     }
 
     /// Creates an interpreter with every kernel registered (the
@@ -61,8 +66,7 @@ impl Interpreter {
     ///
     /// Propagates memory-planning failures.
     pub fn with_all_ops(artifact: ModelArtifact) -> Result<Interpreter> {
-        let plan = plan_model(&artifact)?;
-        Ok(Interpreter { artifact, registry: ALL_OPS.iter().copied().collect(), plan })
+        Self::build(artifact, ALL_OPS.iter().copied().collect())
     }
 
     /// Creates an interpreter with an explicit registry (for testing the
@@ -72,8 +76,13 @@ impl Interpreter {
     ///
     /// Propagates memory-planning failures.
     pub fn with_ops(artifact: ModelArtifact, ops: &[&'static str]) -> Result<Interpreter> {
+        Self::build(artifact, ops.iter().copied().collect())
+    }
+
+    fn build(artifact: ModelArtifact, registry: BTreeSet<&'static str>) -> Result<Interpreter> {
         let plan = plan_model(&artifact)?;
-        Ok(Interpreter { artifact, registry: ops.iter().copied().collect(), plan })
+        let missing = artifact.ops().into_iter().map(|op| op.name).find(|n| !registry.contains(n));
+        Ok(Interpreter { artifact, registry, plan, missing })
     }
 
     /// The planned activation arena.
@@ -93,11 +102,8 @@ impl InferenceEngine for Interpreter {
     }
 
     fn run(&self, input: &[f32]) -> Result<Vec<f32>> {
-        // dynamic dispatch: every node looks its kernel up in the registry
-        for op in self.artifact.ops() {
-            if !self.registry.contains(op.name) {
-                return Err(RuntimeError::MissingKernel(op.name.to_string()));
-            }
+        if let Some(op) = self.missing {
+            return Err(RuntimeError::MissingKernel(op.to_string()));
         }
         self.artifact.run_reference(input)
     }

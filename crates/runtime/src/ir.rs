@@ -119,8 +119,8 @@ impl ModelArtifact {
         kinds
     }
 
-    /// Executes the artifact directly (reference path, no engine
-    /// bookkeeping).
+    /// Executes the artifact through its dtype's one walk (no engine
+    /// bookkeeping): both engines' `run`.
     ///
     /// # Errors
     ///

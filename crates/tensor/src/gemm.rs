@@ -35,7 +35,7 @@
 //! partition a thread pool applies on top. The int8 kernels need none of
 //! this: integer addition is exact, so any order gives the same bits.
 
-use crate::simd::PackedI8;
+use crate::simd::{I8Scratch, PackedI8};
 
 /// Register-tile rows (output rows accumulated simultaneously).
 pub const MR: usize = 4;
@@ -268,7 +268,9 @@ pub fn gemm_i8_fused(
     if m == 0 || n == 0 {
         return;
     }
-    PackedI8::new(k, n, b, bias, a_zp).gemm(m, a, epilogue, out);
+    let packed = PackedI8::new(k, n, b, bias, a_zp);
+    let mut scratch = I8Scratch::new(packed.scratch_len());
+    packed.gemm(m, a, epilogue, &mut scratch, out);
 }
 
 /// The naive loop nests the blocked kernels are verified against. These

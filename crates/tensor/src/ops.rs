@@ -82,15 +82,16 @@ pub fn argmax(values: &[f32]) -> usize {
     best
 }
 
-/// Numerically-stable softmax over a slice.
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
+/// Numerically-stable softmax of `logits` into `out`, which is as long.
+pub fn softmax(logits: &[f32], out: &mut [f32]) {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
+    for (o, &x) in out.iter_mut().zip(logits) {
+        *o = (x - max).exp();
+    }
+    let sum: f32 = out.iter().sum();
+    for o in out.iter_mut() {
+        *o /= sum;
+    }
 }
 
 /// Mean of a slice (0 for an empty slice).
@@ -175,18 +176,24 @@ mod tests {
         assert_eq!(argmax(&[]), 0);
     }
 
+    fn softmax_of(logits: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; logits.len()];
+        softmax(logits, &mut out);
+        out
+    }
+
     #[test]
     fn softmax_sums_to_one() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
+        let p = softmax_of(&[1.0, 2.0, 3.0]);
         let sum: f32 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert!(p[2] > p[1] && p[1] > p[0]);
-        assert!(softmax(&[]).is_empty());
+        assert!(softmax_of(&[]).is_empty());
     }
 
     #[test]
     fn softmax_stable_for_large_logits() {
-        let p = softmax(&[1000.0, 1001.0]);
+        let p = softmax_of(&[1000.0, 1001.0]);
         assert!(p.iter().all(|x| x.is_finite()));
         assert!((p[0] + p[1] - 1.0).abs() < 1e-6);
     }
@@ -204,7 +211,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_softmax_is_distribution(logits in proptest::collection::vec(-20.0f32..20.0, 1..16)) {
-            let p = softmax(&logits);
+            let p = softmax_of(&logits);
             let sum: f32 = p.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4);
             prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));

@@ -256,6 +256,48 @@ fn run_avx2<K: F32Kernel>(avx2: Avx2, _: K) -> K::Output {
 /// registers of `i32`.
 const PANEL: usize = 16;
 
+/// How much of each [`I8Scratch`] buffer a kernel works in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScratchLen {
+    /// `i32` accumulators: one padded output row.
+    pub acc: usize,
+    /// `u32` quads of one activation row (the SIMD GEMM's left operand).
+    pub xq: usize,
+    /// `i16` codes of the depthwise kernel's padded, widened input image.
+    pub wide: usize,
+}
+
+impl ScratchLen {
+    /// Enough for both `self` and `other`.
+    pub fn max(self, other: ScratchLen) -> ScratchLen {
+        ScratchLen {
+            acc: self.acc.max(other.acc),
+            xq: self.xq.max(other.xq),
+            wide: self.wide.max(other.wide),
+        }
+    }
+}
+
+/// The int8 kernels' working memory, owned by the caller and sized once
+/// for every kernel it will run. A kernel overwrites what it reads of it,
+/// so what a buffer held before does not matter.
+#[derive(Debug, Clone, Default)]
+pub struct I8Scratch {
+    /// See [`ScratchLen::acc`].
+    pub acc: Vec<i32>,
+    /// See [`ScratchLen::xq`].
+    pub xq: Vec<u32>,
+    /// See [`ScratchLen::wide`].
+    pub wide: Vec<i16>,
+}
+
+impl I8Scratch {
+    /// Scratch of `len`.
+    pub fn new(len: ScratchLen) -> I8Scratch {
+        I8Scratch { acc: vec![0; len.acc], xq: vec![0; len.xq], wide: vec![0; len.wide] }
+    }
+}
+
 /// The weights of one int8 GEMM (`k×n`, row-major, output channel
 /// fastest), laid out once for one [`Level`] together with the per-column
 /// start value of its accumulators.
@@ -343,21 +385,35 @@ impl PackedI8 {
         self.n
     }
 
+    /// The scratch [`PackedI8::gemm`] works in.
+    pub fn scratch_len(&self) -> ScratchLen {
+        let xq = if matches!(self.b, PackedB::Quads(..)) { self.k.div_ceil(4) } else { 0 };
+        ScratchLen { acc: self.init.len(), xq, wide: 0 }
+    }
+
     /// Fused int8 GEMM against the packed weights: `acc[i][j] = bias[j] +
     /// Σ_p (a[i·k + p] − a_zp)·b[p][j]`, wrapping, then `out[i·n + j] =
     /// epilogue(j, acc[i][j])` as each row retires.
     ///
     /// # Panics
     ///
-    /// Panics if `a` is shorter than `m * k` or `out` is not `m * n` long.
-    pub fn gemm(&self, m: usize, a: &[i8], epilogue: impl Fn(usize, i32) -> i8, out: &mut [i8]) {
+    /// Panics if `a` is shorter than `m * k`, `out` is not `m * n` long, or
+    /// `scratch` is smaller than [`PackedI8::scratch_len`].
+    pub fn gemm(
+        &self,
+        m: usize,
+        a: &[i8],
+        epilogue: impl Fn(usize, i32) -> i8,
+        scratch: &mut I8Scratch,
+        out: &mut [i8],
+    ) {
         let (k, n) = (self.k, self.n);
         assert!(a.len() >= m * k, "a holds m rows of k codes");
         assert_eq!(out.len(), m * n, "out holds m rows of n codes");
         if m == 0 || n == 0 {
             return;
         }
-        let mut acc = self.init.clone();
+        let acc = &mut scratch.acc[..self.init.len()];
         match &self.b {
             PackedB::Rows(b16) => {
                 let zp = i16::from(self.a_zp);
@@ -371,15 +427,15 @@ impl PackedI8 {
                             *o = o.wrapping_add(i32::from(x * bv));
                         }
                     }
-                    retire(&acc, &epilogue, orow);
+                    retire(acc, &epilogue, orow);
                 }
             }
             PackedB::Quads(simd, quads) => {
-                let mut xq = vec![0u32; k.div_ceil(4)];
+                let xq = &mut scratch.xq[..k.div_ceil(4)];
                 for (i, orow) in out.chunks_exact_mut(n).enumerate() {
-                    to_quads(&a[i * k..i * k + k], &mut xq);
-                    dot_row(*simd, &xq, quads, &self.init, &mut acc);
-                    retire(&acc, &epilogue, orow);
+                    to_quads(&a[i * k..i * k + k], xq);
+                    dot_row(*simd, xq, quads, &self.init, acc);
+                    retire(acc, &epilogue, orow);
                 }
             }
         }
@@ -454,14 +510,23 @@ pub struct DepthwiseShape {
 }
 
 /// The weights of one int8 depthwise convolution (`(kh, kw, c)`, channel
-/// fastest) and its bias, laid out once for one [`Level`]. There are two
-/// kernels: `Baseline`'s portable tap loop and an AVX2 `vpmaddwd` one,
-/// which the `AvxVnni` level runs.
+/// fastest) and its bias, laid out once for one [`Level`] and one
+/// [`DepthwiseShape`], with the tap offsets into the padded input image
+/// that shape implies. There are two kernels: `Baseline`'s portable tap
+/// loop and an AVX2 `vpmaddwd` one, which the `AvxVnni` level runs.
 #[derive(Debug, Clone)]
 pub struct PackedDepthwise {
     /// The SIMD kernel's token; `None` at `Baseline`.
     simd: Option<Simd>,
-    taps: usize,
+    shape: DepthwiseShape,
+    /// Rows and columns of the padded image every tap lands inside.
+    hp: usize,
+    wp: usize,
+    /// Each tap's offset from an output pixel's origin in the padded image.
+    offsets: Vec<usize>,
+    /// `offsets` two at a time, for the SIMD kernel; an odd last tap is
+    /// paired with itself against zero weights.
+    pairs: Vec<(usize, usize)>,
     c: usize,
     /// Channel stride of the padded input: `c` at `Baseline`, `c` rounded
     /// up to whole panels at the SIMD levels.
@@ -474,23 +539,25 @@ pub struct PackedDepthwise {
 }
 
 impl PackedDepthwise {
-    /// Packs `w` (`taps × c`) and `bias` (`c`) for `level`, or `None` if
-    /// this host cannot run it.
+    /// Packs `w` (`kernel_h · kernel_w × c`) and `bias` (`c`) of a
+    /// depthwise convolution of `shape` for `level`, or `None` if this host
+    /// cannot run it.
     ///
     /// # Panics
     ///
-    /// Panics if `w` is shorter than `taps * c` or `bias` is not `c` long.
+    /// Panics if `w` is shorter than `kernel_h * kernel_w * c` or `bias` is
+    /// not `c` long.
     pub fn with_level(
         level: Level,
-        taps: usize,
-        c: usize,
+        shape: DepthwiseShape,
         w: &[i8],
         bias: &[i32],
     ) -> Option<PackedDepthwise> {
-        level.is_supported().then(|| Self::pack(level.simd(), taps, c, w, bias))
+        level.is_supported().then(|| Self::pack(level.simd(), shape, w, bias))
     }
 
-    fn pack(simd: Option<Simd>, taps: usize, c: usize, w: &[i8], bias: &[i32]) -> PackedDepthwise {
+    fn pack(simd: Option<Simd>, s: DepthwiseShape, w: &[i8], bias: &[i32]) -> PackedDepthwise {
+        let (taps, c) = (s.kernel_h * s.kernel_w, s.c);
         let w = &w[..taps * c];
         assert_eq!(bias.len(), c, "one bias per channel");
         let c_pad = if simd.is_some() { c.next_multiple_of(PANEL) } else { c };
@@ -513,52 +580,59 @@ impl PackedDepthwise {
         };
         let mut bias = bias.to_vec();
         bias.resize(c_pad, 0);
-        PackedDepthwise { simd, taps, c, c_pad, w: packed, bias }
+        // every tap of every output pixel lands inside this padded image
+        let (hp, wp) = if s.out_h == 0 || s.out_w == 0 {
+            (0, 0)
+        } else {
+            ((s.out_h - 1) * s.stride + s.kernel_h, (s.out_w - 1) * s.stride + s.kernel_w)
+        };
+        let offsets: Vec<usize> =
+            (0..taps).map(|t| ((t / s.kernel_w) * wp + t % s.kernel_w) * c_pad).collect();
+        let pairs = offsets.chunks(2).map(|p| (p[0], p.get(1).copied().unwrap_or(p[0]))).collect();
+        PackedDepthwise { simd, shape: s, hp, wp, offsets, pairs, c, c_pad, w: packed, bias }
+    }
+
+    /// The scratch [`PackedDepthwise::run`] works in.
+    pub fn scratch_len(&self) -> ScratchLen {
+        let acc = self.shape.out_w * self.c_pad;
+        ScratchLen { acc, xq: 0, wide: self.hp * self.wp * self.c_pad }
     }
 
     /// Depthwise convolution of `input` (`in_h × in_w × c` codes at zero
-    /// point `in_zp`): per output pixel and channel, `bias + Σ_taps (x −
-    /// in_zp)·w`, wrapping, then `epilogue(ch, acc)`. Out-of-bounds taps
-    /// contribute zero, as a zero-point pad would.
+    /// point `in_zp`, in the packed shape): per output pixel and channel,
+    /// `bias + Σ_taps (x − in_zp)·w`, wrapping, then `epilogue(ch, acc)`.
+    /// Out-of-bounds taps contribute zero, as a zero-point pad would.
     ///
     /// # Panics
     ///
-    /// Panics if `shape` does not match the packed taps and channels, or
-    /// the buffers do not match `shape`.
+    /// Panics if the buffers do not match the packed shape, or `scratch` is
+    /// smaller than [`PackedDepthwise::scratch_len`].
     pub fn run(
         &self,
         input: &[i8],
         in_zp: i8,
-        s: DepthwiseShape,
         epilogue: impl Fn(usize, i32) -> i8,
+        scratch: &mut I8Scratch,
         out: &mut [i8],
     ) {
-        let (c, cp) = (self.c, self.c_pad);
-        assert!(s.kernel_h * s.kernel_w == self.taps && s.c == c, "shape matches the weights");
+        let (s, c, cp, wp) = (self.shape, self.c, self.c_pad, self.wp);
         assert_eq!(input.len(), s.in_h * s.in_w * c, "input is in_h × in_w × c");
         assert_eq!(out.len(), s.out_h * s.out_w * c, "out is out_h × out_w × c");
         if out.is_empty() {
             return;
         }
-        // every tap of every output pixel lands inside this padded image
-        let hp = (s.out_h - 1) * s.stride + s.kernel_h;
-        let wp = (s.out_w - 1) * s.stride + s.kernel_w;
-        let xs = pad_widened(input, in_zp, s, hp, wp, cp);
-        let offsets: Vec<usize> =
-            (0..self.taps).map(|t| ((t / s.kernel_w) * wp + t % s.kernel_w) * cp).collect();
+        let xs = &mut scratch.wide[..self.hp * wp * cp];
+        pad_widened(input, in_zp, s, wp, cp, xs);
+        let xs = &*xs;
         let step = s.stride * cp;
-        // the SIMD kernel takes taps two at a time; an odd last tap is
-        // paired with itself against zero weights
-        let pairs: Vec<(usize, usize)> =
-            offsets.chunks(2).map(|p| (p[0], p.get(1).copied().unwrap_or(p[0]))).collect();
-        let mut acc = vec![0i32; s.out_w * cp];
+        let acc = &mut scratch.acc[..s.out_w * cp];
         for (oy, orow) in out.chunks_exact_mut(s.out_w * c).enumerate() {
             let origin = oy * s.stride * wp * cp;
             match self.simd {
                 None => {
                     for (ox, px) in acc.chunks_exact_mut(cp).enumerate() {
                         px.copy_from_slice(&self.bias);
-                        for (&off, wt) in offsets.iter().zip(self.w.chunks_exact(c)) {
+                        for (&off, wt) in self.offsets.iter().zip(self.w.chunks_exact(c)) {
                             let at = origin + ox * step + off;
                             for (a, (&x, &wv)) in px.iter_mut().zip(xs[at..at + c].iter().zip(wt)) {
                                 *a = a.wrapping_add(i32::from(x * wv));
@@ -566,9 +640,7 @@ impl PackedDepthwise {
                         }
                     }
                 }
-                Some(simd) => {
-                    dw_row(simd, &xs, origin, step, &pairs, &self.w, &self.bias, &mut acc)
-                }
+                Some(simd) => dw_row(simd, xs, origin, step, &self.pairs, &self.w, &self.bias, acc),
             }
             for (px, opx) in acc.chunks_exact(cp).zip(orow.chunks_exact_mut(c)) {
                 retire(&px[..c], &epilogue, opx);
@@ -577,18 +649,13 @@ impl PackedDepthwise {
     }
 }
 
-/// `input` as `x − zp` in `i16`, placed at `(pad_top, pad_left)` of a
-/// zero-filled `hp × wp × cp` image (rows or columns past it are cut).
-fn pad_widened(
-    input: &[i8],
-    zp: i8,
-    s: DepthwiseShape,
-    hp: usize,
-    wp: usize,
-    cp: usize,
-) -> Vec<i16> {
+/// Writes `input` as `x − zp` in `i16` at `(pad_top, pad_left)` of the
+/// `hp × wp × cp` image `xs`, and zero everywhere else (rows or columns
+/// past the image are cut).
+fn pad_widened(input: &[i8], zp: i8, s: DepthwiseShape, wp: usize, cp: usize, xs: &mut [i16]) {
     let zp = i16::from(zp);
-    let mut xs = vec![0i16; hp * wp * cp];
+    let hp = xs.len() / (wp * cp);
+    xs.fill(0);
     let cols = s.in_w.min(wp.saturating_sub(s.pad_left));
     for (iy, row) in input.chunks_exact((s.in_w * s.c).max(1)).enumerate() {
         let y = iy + s.pad_top;
@@ -602,7 +669,6 @@ fn pad_widened(
             }
         }
     }
-    xs
 }
 
 /// One output row of the SIMD depthwise kernel into `acc` (`ow × cp`).
@@ -798,7 +864,10 @@ mod tests {
 
     /// Runs `kernel` four times with epilogues that each keep one byte of
     /// the accumulator, and reassembles all 32 bits.
-    fn accumulators(len: usize, kernel: impl Fn(&dyn Fn(usize, i32) -> i8, &mut [i8])) -> Vec<i32> {
+    fn accumulators(
+        len: usize,
+        mut kernel: impl FnMut(&dyn Fn(usize, i32) -> i8, &mut [i8]),
+    ) -> Vec<i32> {
         let mut acc = vec![0i32; len];
         for byte in (0..4).rev() {
             let mut out = vec![0i8; len];
@@ -841,7 +910,8 @@ mod tests {
     }
 
     fn gemm_acc(p: &PackedI8, m: usize, a: &[i8]) -> Vec<i32> {
-        accumulators(m * p.n(), |epi, out| p.gemm(m, a, epi, out))
+        let mut scratch = I8Scratch::new(p.scratch_len());
+        accumulators(m * p.n(), |epi, out| p.gemm(m, a, epi, &mut scratch, out))
     }
 
     #[test]
@@ -948,8 +1018,11 @@ mod tests {
             for zp in [-128i8, 5, 127] {
                 let want = depthwise_oracle(&input, zp, s, &w, &bias);
                 for level in supported_levels() {
-                    let p = PackedDepthwise::with_level(level, kh * kw, c, &w, &bias).unwrap();
-                    let got = accumulators(want.len(), |epi, out| p.run(&input, zp, s, epi, out));
+                    let p = PackedDepthwise::with_level(level, s, &w, &bias).unwrap();
+                    let mut scratch = I8Scratch::new(p.scratch_len());
+                    let got = accumulators(want.len(), |epi, out| {
+                        p.run(&input, zp, epi, &mut scratch, out)
+                    });
                     assert_eq!(got, want, "{level:?} zp {zp} {s:?}");
                 }
             }

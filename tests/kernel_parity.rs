@@ -21,13 +21,64 @@ use edgelab::nn::layers::conv::{
 };
 use edgelab::nn::layers::dense::dense_forward;
 use edgelab::nn::par::{
-    conv1d_forward_auto, conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto,
-    gemm_f32_auto,
+    conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto, gemm_f32_auto,
 };
 use edgelab::nn::spec::Padding;
+use edgelab::nn::walk::Scratch;
+use edgelab::nn::Kernel;
 use edgelab::par::{ParPool, Parallelism};
 use edgelab::tensor::gemm::{gemm_f32, gemm_i8_fused, reference, KC, MR, NR};
-use edgelab::tensor::simd::{supported_f32_levels, supported_levels, PackedI8};
+use edgelab::tensor::simd::{
+    supported_f32_levels, supported_levels, F32Level, I8Scratch, PackedI8,
+};
+
+// The kernels write into a slice they are given; these give each a fresh
+// NaN-filled one, so an element a kernel failed to write shows as NaN.
+
+fn out2d(g: Conv2dGeom, c: usize) -> Vec<f32> {
+    let (oh, ow, _, _) = g.output();
+    vec![f32::NAN; oh * ow * c]
+}
+
+fn conv2d_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -> Vec<f32> {
+    let (mut out, mut scratch) = (out2d(g, g.out_c), Scratch::for_kernels([Kernel::Conv2d(g)]));
+    conv2d_forward_at(level, x, w, b, g, &mut scratch.taps, &mut out);
+    out
+}
+
+fn conv1d_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv1dGeom) -> Vec<f32> {
+    let mut out = out2d(g.as_2d(), g.out_c);
+    let mut scratch = Scratch::for_kernels([Kernel::Conv1d(g)]);
+    conv1d_forward_at(level, x, w, b, g, &mut scratch.taps, &mut out);
+    out
+}
+
+fn depthwise_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -> Vec<f32> {
+    let mut out = out2d(g, g.in_c);
+    depthwise_forward_at(level, x, w, b, g, &mut out);
+    out
+}
+
+fn conv2d_auto(pool: &ParPool, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -> Vec<f32> {
+    let (mut out, mut scratch) = (out2d(g, g.out_c), Scratch::for_kernels([Kernel::Conv2d(g)]));
+    conv2d_forward_auto(pool, x, w, b, g, &mut scratch, &mut out);
+    out
+}
+
+fn depthwise_auto(pool: &ParPool, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -> Vec<f32> {
+    let mut out = out2d(g, g.in_c);
+    depthwise_forward_auto(pool, x, w, b, g, &mut out);
+    out
+}
+
+fn dense(pool: Option<&ParPool>, x: &[f32], w: &[f32], b: &[f32], units: usize) -> Vec<f32> {
+    let mut out = vec![f32::NAN; units];
+    match pool {
+        Some(pool) => dense_forward_auto(pool, x, w, b, &mut out),
+        None => dense_forward(x, w, b, &mut out),
+    }
+    out
+}
 
 /// Deterministic f32 data mixing zeros, negative zeros and sign flips so
 /// the kernels' `x == 0.0` skip is exercised, not just dense arithmetic.
@@ -130,7 +181,7 @@ fn fused_int8_gemm_matches_two_pass_reference() {
             for level in supported_levels() {
                 let packed = PackedI8::with_level(level, k, n, &b, &bias, a_zp).expect("supported");
                 let mut got = vec![0i8; m * n];
-                packed.gemm(m, &a, epi, &mut got);
+                packed.gemm(m, &a, epi, &mut I8Scratch::new(packed.scratch_len()), &mut got);
                 assert_eq!(want, got, "{level:?} shape ({m},{k},{n}) zp {a_zp}");
             }
         }
@@ -151,7 +202,8 @@ fn int8_accumulation_wraps_instead_of_overflowing() {
         for level in supported_levels() {
             let packed = PackedI8::with_level(level, 1, 1, &[1], &[bias], 0).expect("supported");
             // the top byte shows wrap versus saturation
-            packed.gemm(1, &[1], |_, acc| (acc >> 24) as i8, &mut out);
+            let mut scratch = I8Scratch::new(packed.scratch_len());
+            packed.gemm(1, &[1], |_, acc| (acc >> 24) as i8, &mut scratch, &mut out);
             assert_eq!(out[0], (want >> 24) as i8, "{level:?} bias {bias}");
         }
     }
@@ -176,11 +228,11 @@ fn conv2d_lowering_is_bitwise_identical_across_pool_widths() {
         let bias = data(g.out_c, 23);
         let want = conv_reference::conv2d_forward(&input, &weights, &bias, g);
         for level in supported_f32_levels() {
-            let got = conv2d_forward_at(level, &input, &weights, &bias, g);
+            let got = conv2d_at(level, &input, &weights, &bias, g);
             assert_eq!(bits(&want), bits(&got), "{padding:?} at {level:?}");
         }
         for pool in pools() {
-            let got = conv2d_forward_auto(&pool, &input, &weights, &bias, g);
+            let got = conv2d_auto(&pool, &input, &weights, &bias, g);
             assert_eq!(bits(&want), bits(&got), "{padding:?} at {} threads", pool.threads());
         }
     }
@@ -204,11 +256,11 @@ fn depthwise_bands_are_bitwise_identical_across_pool_widths() {
         let bias = data(g.in_c, 33);
         let want = conv_reference::depthwise_forward(&input, &weights, &bias, g);
         for level in supported_f32_levels() {
-            let got = depthwise_forward_at(level, &input, &weights, &bias, g);
+            let got = depthwise_at(level, &input, &weights, &bias, g);
             assert_eq!(bits(&want), bits(&got), "{padding:?} at {level:?}");
         }
         for pool in pools() {
-            let got = depthwise_forward_auto(&pool, &input, &weights, &bias, g);
+            let got = depthwise_auto(&pool, &input, &weights, &bias, g);
             assert_eq!(bits(&want), bits(&got), "{padding:?} at {} threads", pool.threads());
         }
     }
@@ -223,7 +275,7 @@ fn conv1d_and_dense_lowerings_are_bitwise_identical() {
     let bias = data(g.out_c, 43);
     let want = conv_reference::conv1d_forward(&input, &weights, &bias, g);
     for level in supported_f32_levels() {
-        let got = conv1d_forward_at(level, &input, &weights, &bias, g);
+        let got = conv1d_at(level, &input, &weights, &bias, g);
         assert_eq!(bits(&want), bits(&got), "conv1d at {level:?}");
     }
 
@@ -231,12 +283,12 @@ fn conv1d_and_dense_lowerings_are_bitwise_identical() {
     let d_in = data(inputs, 44);
     let d_w = data(inputs * units, 45);
     let d_b = data(units, 46);
-    let d_want = dense_forward(&d_in, &d_w, &d_b, units);
+    let d_want = dense(None, &d_in, &d_w, &d_b, units);
 
     for pool in pools() {
-        let got = conv1d_forward_auto(&pool, &input, &weights, &bias, g);
+        let got = conv2d_auto(&pool, &input, &weights, &bias, g.as_2d());
         assert_eq!(bits(&want), bits(&got), "conv1d at {} threads", pool.threads());
-        let d_got = dense_forward_auto(&pool, &d_in, &d_w, &d_b, units);
+        let d_got = dense(Some(&pool), &d_in, &d_w, &d_b, units);
         assert_eq!(bits(&d_want), bits(&d_got), "dense at {} threads", pool.threads());
     }
 }
@@ -292,9 +344,9 @@ fn each_conv_matches(
     ];
     for level in supported_f32_levels() {
         let got = [
-            conv2d_forward_at(level, input, weights, bias, g),
-            depthwise_forward_at(level, input, dw_weights, dw_bias, dw),
-            conv1d_forward_at(level, input, c1_weights, bias, c1),
+            conv2d_at(level, input, weights, bias, g),
+            depthwise_at(level, input, dw_weights, dw_bias, dw),
+            conv1d_at(level, input, c1_weights, bias, c1),
         ];
         for (kernel, (want, got)) in
             ["conv2d", "depthwise", "conv1d"].iter().zip(want.iter().zip(&got))
