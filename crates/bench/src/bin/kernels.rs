@@ -114,6 +114,28 @@ fn push_row(writer: &mut ResultsWriter, row: &Row<'_>) {
     );
 }
 
+/// Rows of one shape timed against `naive_ms`, none per level: `(kernel,
+/// threads, wall_ms, bitwise_equal)` each.
+fn push_rows(
+    writer: &mut ResultsWriter,
+    (shape, dims, naive_ms): (&str, (usize, usize, usize), f64),
+    rows: &[(&str, usize, f64, bool)],
+) {
+    for &(kernel, threads, wall_ms, bitwise_equal) in rows {
+        let row = Row {
+            shape,
+            kernel,
+            dims,
+            threads,
+            wall_ms,
+            naive_ms,
+            bitwise_equal,
+            baseline_ms: None,
+        };
+        push_row(writer, &row);
+    }
+}
+
 /// MLP dense shape class: one big float GEMM (batch x in x out).
 /// Returns (serial blocked speedup, min speedup) for the final asserts.
 fn dense_mlp(writer: &mut ResultsWriter, reps: usize, pool4: &ParPool) -> (f64, f64) {
@@ -140,46 +162,12 @@ fn dense_mlp(writer: &mut ResultsWriter, reps: usize, pool4: &ParPool) -> (f64, 
     let blocked_ms = time_ms(reps, || gemm_f32(m, k, n, &a, &b, Some(&bias), &mut blocked));
     let par_ms = time_ms(reps, || gemm_f32_auto(pool4, m, k, n, &a, &b, Some(&bias), &mut par));
 
-    let dims = (m, k, n);
-    push_row(
-        writer,
-        &Row {
-            shape: "dense_mlp",
-            kernel: "naive",
-            dims,
-            threads: 1,
-            wall_ms: naive_ms,
-            naive_ms,
-            bitwise_equal: true,
-            baseline_ms: None,
-        },
-    );
-    push_row(
-        writer,
-        &Row {
-            shape: "dense_mlp",
-            kernel: "blocked",
-            dims,
-            threads: 1,
-            wall_ms: blocked_ms,
-            naive_ms,
-            bitwise_equal: blocked_equal,
-            baseline_ms: None,
-        },
-    );
-    push_row(
-        writer,
-        &Row {
-            shape: "dense_mlp",
-            kernel: "blocked_par",
-            dims,
-            threads: pool4.threads(),
-            wall_ms: par_ms,
-            naive_ms,
-            bitwise_equal: par_equal,
-            baseline_ms: None,
-        },
-    );
+    let rows = [
+        ("naive", 1, naive_ms, true),
+        ("blocked", 1, blocked_ms, blocked_equal),
+        ("blocked_par", pool4.threads(), par_ms, par_equal),
+    ];
+    push_rows(writer, ("dense_mlp", (m, k, n), naive_ms), &rows);
     assert!(blocked_equal && par_equal, "dense_mlp outputs must be bitwise-identical");
     ((naive_ms / blocked_ms), (naive_ms / blocked_ms).min(naive_ms / par_ms))
 }
@@ -269,32 +257,8 @@ fn dense_mlp_int8(writer: &mut ResultsWriter, reps: usize) -> (f64, f64) {
     let fused_ms = time_ms(reps, || gemm_i8_fused(m, k, n, &a, a_zp, &b, &bias, epi, &mut fused));
 
     let dims = (m, k, n);
-    push_row(
-        writer,
-        &Row {
-            shape: "dense_mlp_int8",
-            kernel: "naive",
-            dims,
-            threads: 1,
-            wall_ms: naive_ms,
-            naive_ms,
-            bitwise_equal: true,
-            baseline_ms: None,
-        },
-    );
-    push_row(
-        writer,
-        &Row {
-            shape: "dense_mlp_int8",
-            kernel: "blocked_fused",
-            dims,
-            threads: 1,
-            wall_ms: fused_ms,
-            naive_ms,
-            bitwise_equal: equal,
-            baseline_ms: None,
-        },
-    );
+    let rows = [("naive", 1, naive_ms, true), ("blocked_fused", 1, fused_ms, equal)];
+    push_rows(writer, ("dense_mlp_int8", dims, naive_ms), &rows);
     assert!(equal, "int8 fused output must be bitwise-identical to requantize-after");
     let best = int8_levels(
         writer,
@@ -340,19 +304,7 @@ fn kws_conv_int8(writer: &mut ResultsWriter, reps: usize) {
     let naive_ms = time_ms(reps, || {
         std::hint::black_box(naive_once());
     });
-    push_row(
-        writer,
-        &Row {
-            shape: "kws_conv",
-            kernel: "naive_int8",
-            dims: (m, k, n),
-            threads: 1,
-            wall_ms: naive_ms,
-            naive_ms,
-            bitwise_equal: true,
-            baseline_ms: None,
-        },
-    );
+    push_rows(writer, ("kws_conv", (m, k, n), naive_ms), &[("naive_int8", 1, naive_ms, true)]);
     int8_levels(writer, reps, "kws_conv", (m, k, n), (&a, a_zp), (&b, &bias), &naive, naive_ms);
 }
 
@@ -393,6 +345,44 @@ fn f32_levels(
     }
 }
 
+/// One f32 convolution shape class: the frozen reference loop (`naive`),
+/// the pool-dispatched kernel on `pool4` (`blocked_par`, which
+/// `serial_on_pool4` says must queue no task) and on a serial pool, and the
+/// direct kernel at every f32 level, each bitwise-checked against the
+/// reference. Returns the `blocked_par` speedup.
+#[allow(clippy::too_many_arguments)]
+fn conv_shape(
+    writer: &mut ResultsWriter,
+    reps: usize,
+    (shape, dims): (&str, (usize, usize, usize)),
+    (pool1, pool4, serial_on_pool4): (&ParPool, &ParPool, bool),
+    naive: impl Fn() -> Vec<f32>,
+    mut auto: impl FnMut(&ParPool, &mut [f32]),
+    at: impl FnMut(F32Level, &mut [f32]),
+) -> f64 {
+    let want = naive();
+    let mut out = vec![f32::NAN; want.len()];
+    auto(pool1, &mut out);
+    let serial_equal = want == out;
+    let steals_before = pool4.steals();
+    auto(pool4, &mut out);
+    let par_equal = want == out;
+    if serial_on_pool4 {
+        let msg = "is below PAR_MIN_IM2COL_MACS and must dispatch serially";
+        assert_eq!(pool4.steals(), steals_before, "{shape} {msg}");
+    }
+    let naive_ms = time_ms(reps, || {
+        std::hint::black_box(naive());
+    });
+    let par_ms = time_ms(reps, || auto(pool4, std::hint::black_box(&mut out)));
+    let rows =
+        [("naive", 1, naive_ms, serial_equal), ("blocked_par", pool4.threads(), par_ms, par_equal)];
+    push_rows(writer, (shape, dims, naive_ms), &rows);
+    assert!(serial_equal && par_equal, "{shape} outputs must be bitwise-identical");
+    f32_levels(writer, reps, (shape, dims), (&want, naive_ms), at);
+    naive_ms / par_ms
+}
+
 /// KWS conv shape class: a mid-stack DS-CNN conv2d. At ~18 M MACs this
 /// sits below `PAR_MIN_IM2COL_MACS`, so the auto path must stay on the
 /// direct serial kernel — the reported speedup hovers at 1.0 instead of
@@ -409,70 +399,25 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
         padding: Padding::Same,
     };
     let (oh, ow, _, _) = g.output();
-    let dims = (oh * ow, g.kernel_h * g.kernel_w * g.in_c, g.out_c);
+    let dims = (oh * ow, g.window(), g.out_c);
     let mut input = vec![0.0f32; g.in_h * g.in_w * g.in_c];
-    let mut weights = vec![0.0f32; g.kernel_h * g.kernel_w * g.in_c * g.out_c];
+    let mut weights = vec![0.0f32; g.window() * g.out_c];
     let mut bias = vec![0.0f32; g.out_c];
     fill_f32(&mut input, 21);
     fill_f32(&mut weights, 22);
     fill_f32(&mut bias, 23);
-
-    let naive = conv::reference::conv2d_forward(&input, &weights, &bias, g);
+    let (x, w, b) = (&input[..], &weights[..], &bias[..]);
     let mut scratch = Scratch::for_kernels([Kernel::Conv2d(g)]);
-    let auto = |pool: &ParPool, scratch: &mut Scratch| {
-        let mut out = vec![f32::NAN; naive.len()];
-        conv2d_forward_auto(pool, &input, &weights, &bias, g, scratch, &mut out);
-        out
-    };
-    let serial = auto(pool1, &mut scratch);
-    let steals_before = pool4.steals();
-    let par = auto(pool4, &mut scratch);
-    assert_eq!(
-        pool4.steals(),
-        steals_before,
-        "kws_conv is below PAR_MIN_IM2COL_MACS and must dispatch serially"
-    );
-    let serial_equal = naive == serial;
-    let par_equal = naive == par;
-
-    let naive_ms = time_ms(reps, || {
-        std::hint::black_box(conv::reference::conv2d_forward(&input, &weights, &bias, g));
-    });
-    let par_ms = time_ms(reps, || {
-        std::hint::black_box(auto(pool4, &mut scratch));
-    });
-
-    push_row(
+    let mut taps = scratch.taps.clone();
+    conv_shape(
         writer,
-        &Row {
-            shape: "kws_conv",
-            kernel: "naive",
-            dims,
-            threads: 1,
-            wall_ms: naive_ms,
-            naive_ms,
-            bitwise_equal: serial_equal,
-            baseline_ms: None,
-        },
-    );
-    push_row(
-        writer,
-        &Row {
-            shape: "kws_conv",
-            kernel: "blocked_par",
-            dims,
-            threads: pool4.threads(),
-            wall_ms: par_ms,
-            naive_ms,
-            bitwise_equal: par_equal,
-            baseline_ms: None,
-        },
-    );
-    assert!(serial_equal && par_equal, "kws_conv outputs must be bitwise-identical");
-    f32_levels(writer, reps, ("kws_conv", dims), (&naive, naive_ms), |level, out| {
-        conv2d_forward_at(level, &input, &weights, &bias, g, &mut scratch.taps, out)
-    });
-    naive_ms / par_ms
+        reps,
+        ("kws_conv", dims),
+        (pool1, pool4, true),
+        || conv::reference::conv2d_forward(x, w, b, g),
+        |pool, out| conv2d_forward_auto(pool, x, w, b, g, &mut scratch, out),
+        |level, out| conv2d_forward_at(level, x, w, b, g, &mut taps, out),
+    )
 }
 
 /// Vision depthwise shape class: 96x96x24, 3x3 per-channel filters.
@@ -500,56 +445,16 @@ fn vision_depthwise(
     fill_f32(&mut input, 31);
     fill_f32(&mut weights, 32);
     fill_f32(&mut bias, 33);
-
-    let naive = conv::reference::depthwise_forward(&input, &weights, &bias, g);
-    let auto = |pool: &ParPool| {
-        let mut out = vec![f32::NAN; naive.len()];
-        depthwise_forward_auto(pool, &input, &weights, &bias, g, &mut out);
-        out
-    };
-    let serial = auto(pool1);
-    let par = auto(pool4);
-    let serial_equal = naive == serial;
-    let par_equal = naive == par;
-
-    let naive_ms = time_ms(reps, || {
-        std::hint::black_box(conv::reference::depthwise_forward(&input, &weights, &bias, g));
-    });
-    let par_ms = time_ms(reps, || {
-        std::hint::black_box(auto(pool4));
-    });
-
-    push_row(
+    let (x, w, b) = (&input[..], &weights[..], &bias[..]);
+    conv_shape(
         writer,
-        &Row {
-            shape: "vision_depthwise",
-            kernel: "naive",
-            dims,
-            threads: 1,
-            wall_ms: naive_ms,
-            naive_ms,
-            bitwise_equal: serial_equal,
-            baseline_ms: None,
-        },
-    );
-    push_row(
-        writer,
-        &Row {
-            shape: "vision_depthwise",
-            kernel: "blocked_par",
-            dims,
-            threads: pool4.threads(),
-            wall_ms: par_ms,
-            naive_ms,
-            bitwise_equal: par_equal,
-            baseline_ms: None,
-        },
-    );
-    assert!(serial_equal && par_equal, "depthwise outputs must be bitwise-identical");
-    f32_levels(writer, reps, ("vision_depthwise", dims), (&naive, naive_ms), |level, out| {
-        depthwise_forward_at(level, &input, &weights, &bias, g, out)
-    });
-    naive_ms / par_ms
+        reps,
+        ("vision_depthwise", dims),
+        (pool1, pool4, false),
+        || conv::reference::depthwise_forward(x, w, b, g),
+        |pool, out| depthwise_forward_auto(pool, x, w, b, g, out),
+        |level, out| depthwise_forward_at(level, x, w, b, g, out),
+    )
 }
 
 /// The reference calibration: a serial `f32::min` / `f32::max` fold over
@@ -606,20 +511,9 @@ fn quant_calibrate(writer: &mut ResultsWriter, reps: usize) -> Result<()> {
     let values: usize = model.layers().iter().map(|l| l.output.len()).sum();
     let dims = (calibration.len(), ranges.len(), model.input_dims().len() + values);
     let threads = ParPool::global().threads();
-    for (kernel, wall_ms) in [("reference_fold", naive_ms), ("streaming", wall_ms)] {
-        let bitwise_equal = kernel == "reference_fold" || equal;
-        let row = Row {
-            shape: "quant_calibrate",
-            kernel,
-            dims,
-            threads,
-            wall_ms,
-            naive_ms,
-            bitwise_equal,
-            baseline_ms: None,
-        };
-        push_row(writer, &row);
-    }
+    let rows =
+        [("reference_fold", threads, naive_ms, true), ("streaming", threads, wall_ms, equal)];
+    push_rows(writer, ("quant_calibrate", dims, naive_ms), &rows);
     if equal {
         Ok(())
     } else {

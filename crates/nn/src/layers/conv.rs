@@ -472,7 +472,8 @@ impl Conv1dGeom {
         ow as u64 * self.kernel as u64 * self.in_c as u64 * self.out_c as u64
     }
 
-    /// The same convolution as a 2-D one over a single row.
+    /// The same convolution as a 2-D one over a single row, with the same
+    /// weight layout: the form every forward kernel runs it in.
     pub fn as_2d(&self) -> Conv2dGeom {
         Conv2dGeom {
             in_h: 1,
@@ -485,28 +486,6 @@ impl Conv1dGeom {
             padding: self.padding,
         }
     }
-}
-
-/// 1-D convolution forward pass into `out` (`ow · out_c`), compiled for
-/// `level`: the same bits at every level.
-///
-/// A 1-D convolution is the 2-D one over a single row, with the same
-/// weight layout, so it runs [`conv2d_forward_at`]'s kernel and takes its
-/// `taps` scratch.
-///
-/// # Panics
-///
-/// Panics if this CPU cannot run `level`, or `taps` is too short.
-pub fn conv1d_forward_at(
-    level: F32Level,
-    input: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    g: Conv1dGeom,
-    taps: &mut [Tap],
-    out: &mut [f32],
-) {
-    conv2d_forward_at(level, input, weights, bias, g.as_2d(), taps, out)
 }
 
 /// 1-D convolution backward pass.

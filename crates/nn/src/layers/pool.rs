@@ -2,40 +2,59 @@
 //!
 //! Pooling windows are `size`×`size` with stride `size` (non-overlapping),
 //! truncating partial windows — the convention the platform's preset
-//! architectures use.
+//! architectures use. A 1-D input (`h == 1`) pools over steps, a `1 ×
+//! size` window, and global average pooling is one `h × w` window: every
+//! forward pool, float or int8, is [`pool`] over a [`pool_window`].
+
+use crate::spec::Dims;
 
 /// Output spatial size of non-overlapping pooling.
 pub fn pool_out(input: usize, size: usize) -> usize {
     input / size
 }
 
-/// 2-D max pooling over `(h, w, c)` activations into `out` (`oh · ow ·
-/// c`).
-pub fn maxpool2d_forward(
-    input: &[f32],
-    h: usize,
-    w: usize,
-    c: usize,
-    size: usize,
-    out: &mut [f32],
-) {
-    let (oh, ow) = (pool_out(h, size), pool_out(w, size));
-    out.fill(f32::NEG_INFINITY);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let base = (oy * ow + ox) * c;
-            for ky in 0..size {
-                for kx in 0..size {
-                    let in_base = ((oy * size + ky) * w + ox * size + kx) * c;
-                    for ch in 0..c {
-                        let v = input[in_base + ch];
-                        if v > out[base + ch] {
-                            out[base + ch] = v;
-                        }
-                    }
-                }
+/// The `(rows, columns)` window of a `size` pool over `d`.
+pub fn pool_window(d: Dims, size: usize) -> (usize, usize) {
+    (if d.h == 1 { 1 } else { size }, size)
+}
+
+/// Non-overlapping `kh × kw` pooling of a `(h, w, c)` activation into
+/// `out`: each output element folds its window's inputs, in row-major
+/// order, into `init` with `fold` and is the `finish`ed result.
+pub fn pool<T: Copy, A>(
+    input: &[T],
+    (w, c): (usize, usize),
+    (kh, kw): (usize, usize),
+    out: &mut [T],
+    init: A,
+    fold: impl Fn(A, T) -> A,
+    finish: impl Fn(A) -> T,
+) where
+    A: Copy,
+{
+    let ow = w / kw;
+    for (at, o) in out.iter_mut().enumerate() {
+        let (ch, oy, ox) = (at % c, at / c / ow, at / c % ow);
+        let mut acc = init;
+        for ky in 0..kh {
+            let row = ((oy * kh + ky) * w + ox * kw) * c + ch;
+            for kx in 0..kw {
+                acc = fold(acc, input[row + kx * c]);
             }
         }
+        *o = finish(acc);
+    }
+}
+
+/// f32 max (`is_max`) or average pooling of `input` (`d`) over `window`
+/// into `out`.
+pub fn pool_f32(input: &[f32], d: Dims, window: (usize, usize), is_max: bool, out: &mut [f32]) {
+    let norm = 1.0 / (window.0 * window.1) as f32;
+    let wc = (d.w, d.c);
+    if is_max {
+        pool(input, wc, window, out, f32::NEG_INFINITY, |m, v| if v > m { v } else { m }, |m| m);
+    } else {
+        pool(input, wc, window, out, 0.0, |s, v| s + v * norm, |s| s);
     }
 }
 
@@ -73,33 +92,6 @@ pub fn maxpool2d_backward(
     grad_in
 }
 
-/// 2-D average pooling into `out` (`oh · ow · c`).
-pub fn avgpool2d_forward(
-    input: &[f32],
-    h: usize,
-    w: usize,
-    c: usize,
-    size: usize,
-    out: &mut [f32],
-) {
-    let (oh, ow) = (pool_out(h, size), pool_out(w, size));
-    let norm = 1.0 / (size * size) as f32;
-    out.fill(0.0);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let base = (oy * ow + ox) * c;
-            for ky in 0..size {
-                for kx in 0..size {
-                    let in_base = ((oy * size + ky) * w + ox * size + kx) * c;
-                    for ch in 0..c {
-                        out[base + ch] += input[in_base + ch] * norm;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Backward pass of 2-D average pooling: gradient spreads uniformly.
 pub fn avgpool2d_backward(h: usize, w: usize, c: usize, size: usize, grad_out: &[f32]) -> Vec<f32> {
     let (oh, ow) = (pool_out(h, size), pool_out(w, size));
@@ -121,17 +113,6 @@ pub fn avgpool2d_backward(h: usize, w: usize, c: usize, size: usize, grad_out: &
     grad_in
 }
 
-/// Global average pooling: `(h, w, c)` → `(1, 1, c)`, into `out`.
-pub fn global_avg_forward(input: &[f32], h: usize, w: usize, c: usize, out: &mut [f32]) {
-    let norm = 1.0 / (h * w) as f32;
-    out.fill(0.0);
-    for pix in input.chunks(c) {
-        for (o, &v) in out.iter_mut().zip(pix) {
-            *o += v * norm;
-        }
-    }
-}
-
 /// Backward pass of global average pooling.
 pub fn global_avg_backward(h: usize, w: usize, c: usize, grad_out: &[f32]) -> Vec<f32> {
     let norm = 1.0 / (h * w) as f32;
@@ -148,12 +129,11 @@ pub fn global_avg_backward(h: usize, w: usize, c: usize, grad_out: &[f32]) -> Ve
 mod tests {
     use super::*;
 
-    type Forward = fn(&[f32], usize, usize, usize, usize, &mut [f32]);
-
-    /// `forward` over an `(h, w, c)` input into a fresh output.
-    fn pooled(forward: Forward, input: &[f32], (h, w, c): (usize, usize, usize)) -> Vec<f32> {
+    /// `size`-2 pooling of an `(h, w, c)` input into a fresh output.
+    fn pooled(is_max: bool, input: &[f32], (h, w, c): (usize, usize, usize)) -> Vec<f32> {
+        let d = Dims::new(h, w, c);
         let mut out = vec![f32::NAN; pool_out(h, 2) * pool_out(w, 2) * c];
-        forward(input, h, w, c, 2, &mut out);
+        pool_f32(input, d, pool_window(d, 2), is_max, &mut out);
         out
     }
 
@@ -167,14 +147,14 @@ mod tests {
             0.0, 0.0, 1.0, 1.0,
             9.0, 0.0, 1.0, 2.0,
         ];
-        let out = pooled(maxpool2d_forward, &input, (4, 4, 1));
+        let out = pooled(true, &input, (4, 4, 1));
         assert_eq!(out, vec![5.0, 8.0, 9.0, 2.0]);
     }
 
     #[test]
     fn maxpool_truncates_partial_windows() {
         let input = vec![1.0; 5 * 5];
-        let out = pooled(maxpool2d_forward, &input, (5, 5, 1));
+        let out = pooled(true, &input, (5, 5, 1));
         assert_eq!(out.len(), 4);
     }
 
@@ -192,7 +172,7 @@ mod tests {
     #[test]
     fn avgpool_averages() {
         let input = vec![1.0, 2.0, 3.0, 4.0];
-        let out = pooled(avgpool2d_forward, &input, (2, 2, 1));
+        let out = pooled(false, &input, (2, 2, 1));
         assert_eq!(out, vec![2.5]);
         let grad = avgpool2d_backward(2, 2, 1, 2, &[4.0]);
         assert_eq!(grad, vec![1.0; 4]);
@@ -202,9 +182,9 @@ mod tests {
     fn pooling_respects_channels() {
         // 2x2x2: channel 0 = [1,2,3,4], channel 1 = [10,20,30,40]
         let input = vec![1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0];
-        let mx = pooled(maxpool2d_forward, &input, (2, 2, 2));
+        let mx = pooled(true, &input, (2, 2, 2));
         assert_eq!(mx, vec![4.0, 40.0]);
-        let avg = pooled(avgpool2d_forward, &input, (2, 2, 2));
+        let avg = pooled(false, &input, (2, 2, 2));
         assert_eq!(avg, vec![2.5, 25.0]);
     }
 
@@ -212,7 +192,7 @@ mod tests {
     fn global_avg_and_backward() {
         let input = vec![1.0, 10.0, 3.0, 30.0];
         let mut out = [f32::NAN; 2];
-        global_avg_forward(&input, 2, 1, 2, &mut out);
+        pool_f32(&input, Dims::new(2, 1, 2), (2, 1), false, &mut out);
         assert_eq!(out, [2.0, 20.0]);
         let grad = global_avg_backward(2, 1, 2, &[4.0, 8.0]);
         assert_eq!(grad, vec![2.0, 4.0, 2.0, 4.0]);

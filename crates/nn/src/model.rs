@@ -7,7 +7,7 @@ use crate::resolve::{elems, Kernel, Resolved};
 #[cfg(test)]
 use crate::spec::Padding;
 use crate::spec::{Activation, Dims, LayerSpec, ModelSpec};
-use crate::walk::{dropout, run_layer, Buffers, Scratch, Slots};
+use crate::walk::{dropout, run_layer, PingPong, Scratch, Slots};
 use crate::{NnError, Result};
 use ei_par::ParPool;
 use ei_tensor::init::{init_tensor, Init};
@@ -289,9 +289,9 @@ impl Sequential {
         input: &[f32],
         observe: impl FnMut(usize, &[f32]),
     ) -> Result<Vec<f32>> {
-        let mut bufs = Buffers::new(&self.layers);
-        self.walk(input, &mut bufs.acts, &mut bufs.scratch, false, None, observe)?;
-        Ok(bufs.acts.live(input).to_vec())
+        let mut acts = PingPong::new(self.peak_activation_elems());
+        self.walk(input, &mut acts, &mut Scratch::for_layers(&self.layers), false, None, observe)?;
+        Ok(acts.live(input).to_vec())
     }
 
     /// Forward pass that records every intermediate activation: each layer
@@ -317,9 +317,7 @@ impl Sequential {
                 .collect(),
             masks: vec![None; self.layers.len()],
         };
-        let mut scratch = Scratch::for_kernels(
-            self.layers.iter().filter_map(|l| l.resolve().ok()).map(|r| r.kernel),
-        );
+        let mut scratch = Scratch::for_layers(&self.layers);
         self.walk(input, &mut cache, &mut scratch, training, rng, |_, _| {})?;
         Ok(cache)
     }
@@ -349,12 +347,15 @@ impl Sequential {
                             "training forward pass requires an rng for dropout".into(),
                         )
                     })?;
-                    let mask = slots.step(input, i, len, |x, out| dropout(rate, rng, x, out));
+                    let (x, out) = slots.io(input, i, len);
+                    let mask = dropout(rate, rng, x, out);
                     slots.keep_mask(i, mask);
                 }
                 Kernel::Identity | Kernel::Dropout { .. } => slots.pass(i),
-                _ => slots
-                    .step(input, i, len, |x, out| run_layer(layer, &r, pool, x, out, scratch))?,
+                _ => {
+                    let (x, out) = slots.io(input, i, len);
+                    run_layer(layer, &r, pool, x, out, scratch)?;
+                }
             }
             observe(i + 1, slots.get(input, i + 1));
         }

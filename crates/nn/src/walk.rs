@@ -1,24 +1,16 @@
-//! The one inference walk: every layer's kernel writes into a slice it is
-//! given.
-//!
-//! A forward kernel has one call shape: it reads the live activation,
-//! writes all of an `out` slice of [`Resolved::output`]'s length, and works
-//! in [`Scratch`] the caller sized once for the whole model. The walker
-//! ([`Sequential::forward_observed`], [`Sequential::forward_cached`]) owns
-//! where the activations live — [`PingPong`] halves that keep only the live
-//! one, or a [`ForwardCache`] that keeps every boundary — so one loop over
-//! the layers serves inference, calibration and training. A reshape,
+//! The one walk every forward pass takes. Each kernel reads the live
+//! activation, writes all of an `out` slice of the resolved output length,
+//! and works in [`Scratch`] sized once per model; the walk keeps the
+//! activations in [`PingPong`] halves (inference) or a
+//! [`ForwardCache`] (training). A reshape,
 //! flatten or inference-time dropout passes the live slice on untouched.
-//!
-//! [`Sequential::forward_observed`]: crate::Sequential::forward_observed
-//! [`Sequential::forward_cached`]: crate::Sequential::forward_cached
 
 use ei_par::ParPool;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::layers::conv::Tap;
-use crate::layers::pool::{avgpool2d_forward, global_avg_forward, maxpool2d_forward};
+use crate::layers::pool::{pool_f32, pool_window};
 use crate::model::{ForwardCache, Layer, BN_EPS};
 use crate::par::{conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto, lowers};
 use crate::resolve::{Kernel, Resolved};
@@ -50,22 +42,21 @@ impl<T: Copy + Default> PingPong<T> {
         }
     }
 
-    /// Runs `f` from the live activation into the first `len` elements of
-    /// the other half, which become the live activation.
+    /// The live activation and the first `len` elements of the other
+    /// half, which the caller writes and which are live from then on.
     ///
     /// # Panics
     ///
     /// Panics if `len` is longer than a half.
-    pub fn step<R>(&mut self, input: &[T], len: usize, f: impl FnOnce(&[T], &mut [T]) -> R) -> R {
+    pub fn next<'a>(&'a mut self, input: &'a [T], len: usize) -> (&'a [T], &'a mut [T]) {
         let (a, b) = self.buf.split_at_mut(self.half);
         let (src, dst, next): (&[T], &mut [T], usize) = match self.live {
             None => (input, a, 0),
             Some((0, n)) => (&a[..n], b, 1),
             Some((_, n)) => (&b[..n], a, 0),
         };
-        let r = f(src, &mut dst[..len]);
         self.live = Some((next, len));
-        r
+        (src, &mut dst[..len])
     }
 
     /// Overwrites both halves with `junk`. A walk writes every element it
@@ -80,8 +71,7 @@ impl<T: Copy + Default> PingPong<T> {
 pub struct Scratch {
     /// A direct convolution's non-zero tap list.
     pub taps: Vec<Tap>,
-    /// An im2col-lowered convolution's patch matrix (see
-    /// [`crate::par::lowers`]).
+    /// The patch matrix of a convolution that [`lowers`].
     pub patches: Vec<f32>,
 }
 
@@ -95,43 +85,23 @@ impl Scratch {
                 Kernel::Conv1d(g) => g.as_2d(),
                 _ => continue,
             };
+            let (oh, ow, _, _) = g.output();
             taps = taps.max(g.window());
-            if lowers(g) {
-                let (oh, ow, _, _) = g.output();
-                patches = patches.max(oh * ow * g.window());
-            }
+            patches = patches.max(if lowers(g) { oh * ow * g.window() } else { 0 });
         }
         Scratch { taps: vec![(0.0, 0); taps], patches: vec![0.0; patches] }
     }
-}
 
-/// What one inference walk needs: two ping-pong activations and the
-/// kernels' scratch, sized once from the model.
-#[derive(Debug, Clone)]
-pub(crate) struct Buffers {
-    pub(crate) acts: PingPong<f32>,
-    pub(crate) scratch: Scratch,
-}
-
-impl Buffers {
-    pub(crate) fn new(layers: &[Layer]) -> Buffers {
-        let max = layers.iter().map(|l| l.output.len()).max().unwrap_or(0);
-        let kernels = layers.iter().filter_map(|l| l.resolve().ok()).map(|r| r.kernel);
-        Buffers { acts: PingPong::new(max), scratch: Scratch::for_kernels(kernels) }
+    pub(crate) fn for_layers(layers: &[Layer]) -> Scratch {
+        Scratch::for_kernels(layers.iter().filter_map(|l| l.resolve().ok()).map(|r| r.kernel))
     }
 }
 
 /// Where a walk keeps the activation boundaries: boundary 0 is the input,
 /// boundary `i + 1` layer `i`'s output.
 pub(crate) trait Slots {
-    /// Runs `f` from boundary `i` into boundary `i + 1`, `len` elements.
-    fn step<R>(
-        &mut self,
-        input: &[f32],
-        i: usize,
-        len: usize,
-        f: impl FnOnce(&[f32], &mut [f32]) -> R,
-    ) -> R;
+    /// Boundary `i` and the `len` elements boundary `i + 1` is written to.
+    fn io<'a>(&'a mut self, input: &'a [f32], i: usize, len: usize) -> (&'a [f32], &'a mut [f32]);
     /// Makes boundary `i + 1` the same values as boundary `i`.
     fn pass(&mut self, i: usize);
     /// Boundary `i`, the live one in a ping-pong walk.
@@ -141,14 +111,8 @@ pub(crate) trait Slots {
 }
 
 impl Slots for PingPong<f32> {
-    fn step<R>(
-        &mut self,
-        input: &[f32],
-        _: usize,
-        len: usize,
-        f: impl FnOnce(&[f32], &mut [f32]) -> R,
-    ) -> R {
-        PingPong::step(self, input, len, f)
+    fn io<'a>(&'a mut self, input: &'a [f32], _: usize, len: usize) -> (&'a [f32], &'a mut [f32]) {
+        self.next(input, len)
     }
     fn pass(&mut self, _: usize) {}
     fn get<'a>(&'a self, input: &'a [f32], _: usize) -> &'a [f32] {
@@ -157,19 +121,13 @@ impl Slots for PingPong<f32> {
 }
 
 impl Slots for ForwardCache {
-    fn step<R>(
-        &mut self,
-        _: &[f32],
-        i: usize,
-        len: usize,
-        f: impl FnOnce(&[f32], &mut [f32]) -> R,
-    ) -> R {
+    fn io<'a>(&'a mut self, _: &'a [f32], i: usize, len: usize) -> (&'a [f32], &'a mut [f32]) {
         let (done, rest) = self.activations.split_at_mut(i + 1);
-        f(&done[i], &mut rest[0][..len])
+        (&done[i], &mut rest[0][..len])
     }
     fn pass(&mut self, i: usize) {
-        let (done, rest) = self.activations.split_at_mut(i + 1);
-        rest[0].copy_from_slice(&done[i]);
+        let (x, out) = self.io(&[], i, self.activations[i].len());
+        out.copy_from_slice(x);
     }
     fn get<'a>(&'a self, _: &'a [f32], i: usize) -> &'a [f32] {
         &self.activations[i]
@@ -207,11 +165,9 @@ pub(crate) fn run_layer(
             let (w, b) = layer.params()?;
             depthwise_forward_auto(pool, x, w, b, g, out)
         }
-        Kernel::MaxPool { size } if d.h == 1 => pool1d(x, d.c, size, true, out),
-        Kernel::MaxPool { size } => maxpool2d_forward(x, d.h, d.w, d.c, size, out),
-        Kernel::AvgPool { size } if d.h == 1 => pool1d(x, d.c, size, false, out),
-        Kernel::AvgPool { size } => avgpool2d_forward(x, d.h, d.w, d.c, size, out),
-        Kernel::GlobalAvgPool => global_avg_forward(x, d.h, d.w, d.c, out),
+        Kernel::MaxPool { size } => pool_f32(x, d, pool_window(d, size), true, out),
+        Kernel::AvgPool { size } => pool_f32(x, d, pool_window(d, size), false, out),
+        Kernel::GlobalAvgPool => pool_f32(x, d, (d.h, d.w), false, out),
         Kernel::Identity | Kernel::Dropout { .. } => out.copy_from_slice(x),
         Kernel::BatchNorm => {
             let params = layer.params()?.0;
@@ -247,25 +203,53 @@ pub(crate) fn dropout(rate: f32, rng: &mut StdRng, x: &[f32], out: &mut [f32]) -
     mask
 }
 
-/// 1-D pooling over `(w, c)` steps with non-overlapping windows, into
-/// `out` (`w / size` steps).
-fn pool1d(input: &[f32], c: usize, size: usize, is_max: bool, out: &mut [f32]) {
-    out.fill(if is_max { f32::NEG_INFINITY } else { 0.0 });
-    let norm = 1.0 / size as f32;
-    for ox in 0..out.len() / c.max(1) {
-        for k in 0..size {
-            let in_base = (ox * size + k) * c;
-            for ch in 0..c {
-                let v = input[in_base + ch];
-                let slot = &mut out[ox * c + ch];
-                if is_max {
-                    if v > *slot {
-                        *slot = v;
-                    }
-                } else {
-                    *slot += v * norm;
-                }
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets;
+    use crate::spec::Dims;
+    use crate::Sequential;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn poisoned_buffers_leave_every_preset_output_unchanged() {
+        // every kernel writes all of its `out`, so whatever the buffers
+        // held before a walk — NaN, junk tap offsets, another walk's
+        // activations — no boundary of any preset moves by a bit
+        let specs = [
+            presets::ds_cnn(Dims::new(99, 10, 1), 4, 64),
+            presets::mobilenet_v1(Dims::new(96, 96, 1), 2, 0.25),
+            presets::mobilenet_v2_like(Dims::new(32, 32, 3), 3, 0.35),
+            presets::conv1d_stack(Dims::new(49, 13, 1), 4, 3, 8),
+            presets::cifar_cnn(Dims::new(32, 32, 3), 10),
+            presets::dense_mlp(Dims::new(1, 33, 1), 3, 20),
+        ];
+        for spec in specs {
+            let model = Sequential::build(&spec, 7).unwrap();
+            let n = spec.input.len();
+            let x: Vec<f32> = (0..n).map(|i| (i * 37 % 101) as f32 / 50.0 - 1.0).collect();
+            let mut want = Vec::new();
+            model.forward_observed(&x, |_, act| want.push(bits(act))).unwrap();
+            let mut acts = PingPong::new(model.peak_activation_elems());
+            let mut scratch = Scratch::for_layers(model.layers());
+            acts.fill(f32::NAN);
+            scratch.taps.fill((f32::NAN, usize::MAX));
+            scratch.patches.fill(f32::NAN);
+            let mut got = Vec::new();
+            model.walk(&x, &mut acts, &mut scratch, false, None, |_, a| got.push(bits(a))).unwrap();
+            assert_eq!(got, want, "{} after NaN", spec.name);
+            // a second walk over the first one's leftovers, from a fresh
+            // ping-pong state
+            let mut acts2 = PingPong::new(model.peak_activation_elems());
+            acts2.buf.copy_from_slice(&acts.buf);
+            got.clear();
+            model
+                .walk(&x, &mut acts2, &mut scratch, false, None, |_, a| got.push(bits(a)))
+                .unwrap();
+            assert_eq!(got, want, "{} after a walk", spec.name);
         }
     }
 }

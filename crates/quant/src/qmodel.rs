@@ -12,6 +12,7 @@ use crate::qparams::{ChannelQuant, FixedMultiplier, QuantParams};
 use crate::{QuantError, Result};
 use ei_nn::layers::conv::Conv2dGeom;
 use ei_nn::layers::im2col::im2col_2d;
+use ei_nn::layers::pool::{pool, pool_window};
 use ei_nn::resolve::Kernel;
 use ei_nn::spec::{Activation, Dims, LayerSpec};
 use ei_nn::walk::PingPong;
@@ -149,12 +150,9 @@ impl QuantizedModel {
     ) -> Result<Vec<f32>> {
         self.check_input(input.len())?;
         let mut bufs = Buffers::new(self);
-        let q = self.input_q;
-        bufs.acts.step(&[], input.len(), |_, codes| {
-            for (c, &x) in codes.iter_mut().zip(input) {
-                *c = q.quantize(x);
-            }
-        });
+        for (c, &x) in bufs.acts.next(&[], input.len()).1.iter_mut().zip(input) {
+            *c = self.input_q.quantize(x);
+        }
         self.walk(&[], &mut bufs, observe)?;
         Ok(self.output_q.dequantize_slice(bufs.acts.live(&[])))
     }
@@ -207,10 +205,8 @@ impl QuantizedModel {
                 layer.spec,
                 LayerSpec::Reshape { .. } | LayerSpec::Flatten | LayerSpec::Dropout { .. }
             ) {
-                let Buffers { acts, patches, scratch } = &mut *bufs;
-                acts.step(input, layer.output.len(), |x, out| {
-                    run_qlayer(layer, x, patches, scratch, out)
-                })?;
+                let (x, out) = bufs.acts.next(input, layer.output.len());
+                run_qlayer(layer, x, &mut bufs.scratch, out)?;
             }
             observe(i + 1, bufs.acts.live(input));
         }
@@ -219,29 +215,19 @@ impl QuantizedModel {
 }
 
 /// What one int8 walk needs, sized once from the model: two ping-pong
-/// activations, the im2col patch matrix and the kernels' scratch.
+/// activations and the kernels' scratch.
 #[derive(Debug)]
 struct Buffers {
     acts: PingPong<i8>,
-    patches: Vec<i8>,
     scratch: I8Scratch,
 }
 
 impl Buffers {
     fn new(model: &QuantizedModel) -> Buffers {
-        let layers = &model.layers;
-        let max = layers.iter().map(|l| l.output.len()).fold(model.input_dims.len(), usize::max);
-        let (mut patches, mut scratch) = (0, ScratchLen::default());
-        for kernel in layers.iter().filter_map(|l| l.kernel.as_ref()) {
-            let (p, s) = kernel.scratch_len();
-            patches = patches.max(p);
-            scratch = scratch.max(s);
-        }
-        Buffers {
-            acts: PingPong::new(max),
-            patches: vec![0; patches],
-            scratch: I8Scratch::new(scratch),
-        }
+        let kernels = model.layers.iter().filter_map(|l| l.kernel.as_ref());
+        let len =
+            kernels.map(LayerKernel::scratch_len).fold(ScratchLen::default(), ScratchLen::max);
+        Buffers { acts: PingPong::new(model.peak_activation_elems()), scratch: I8Scratch::new(len) }
     }
 }
 
@@ -503,46 +489,49 @@ impl LayerKernel {
         Some(LayerKernel { op, in_zp, epilogue: Epilogue::new(layer, mults, cq, r.activation) })
     }
 
-    /// The im2col patch codes and kernel scratch [`LayerKernel::run`]
-    /// works in.
-    fn scratch_len(&self) -> (usize, ScratchLen) {
+    /// The scratch [`LayerKernel::run`] works in.
+    fn scratch_len(&self) -> ScratchLen {
         match &self.op {
-            KernelOp::Direct { packed, .. } => (0, packed.scratch_len()),
+            KernelOp::Direct { packed, .. } => packed.scratch_len(),
             KernelOp::Conv2d(g, packed) => {
                 let (oh, ow, _, _) = g.output();
-                (oh * ow * g.window(), packed.scratch_len())
+                ScratchLen { patches: oh * ow * g.window(), ..packed.scratch_len() }
             }
-            KernelOp::Depthwise(packed) => (0, packed.scratch_len()),
+            KernelOp::Depthwise(packed) => packed.scratch_len(),
         }
     }
 
     /// Runs the layer from `input` into all of `out`.
-    fn run(&self, input: &[i8], patches: &mut [i8], scratch: &mut I8Scratch, out: &mut [i8]) {
-        let zp = self.in_zp;
+    fn run(&self, input: &[i8], scratch: &mut I8Scratch, out: &mut [i8]) {
+        match &self.epilogue {
+            Epilogue::Fixed(r) => self.run_with(|ch, acc| r.apply(ch, acc), input, scratch, out),
+            float => self.run_with(|ch, acc| float.apply(ch, acc), input, scratch, out),
+        }
+    }
+
+    /// [`LayerKernel::run`] with the epilogue resolved to one closure.
+    fn run_with(
+        &self,
+        epilogue: impl Fn(usize, i32) -> i8,
+        input: &[i8],
+        scratch: &mut I8Scratch,
+        out: &mut [i8],
+    ) {
         match &self.op {
-            KernelOp::Direct { m, packed } => self.gemm(packed, *m, input, scratch, out),
+            KernelOp::Direct { m, packed } => packed.gemm(*m, input, epilogue, scratch, out),
             KernelOp::Conv2d(g, packed) => {
                 // padding taps hold the zero-point code, so `(x - zp) * w ==
                 // 0` exactly where the naive kernel's bounds check skipped
                 let (oh, ow, _, _) = g.output();
-                let patches = &mut patches[..oh * ow * g.window()];
-                im2col_2d(input, *g, zp, patches);
-                self.gemm(packed, oh * ow, patches, scratch, out)
+                // the patches are the GEMM's input, so they leave the
+                // scratch while it runs
+                let mut patches = std::mem::take(&mut scratch.patches);
+                let a = &mut patches[..oh * ow * g.window()];
+                im2col_2d(input, *g, self.in_zp, a);
+                packed.gemm(oh * ow, a, epilogue, scratch, out);
+                scratch.patches = patches;
             }
-            KernelOp::Depthwise(packed) => match &self.epilogue {
-                Epilogue::Fixed(r) => {
-                    packed.run(input, zp, |ch, acc| r.apply(ch, acc), scratch, out)
-                }
-                float => packed.run(input, zp, |ch, acc| float.apply(ch, acc), scratch, out),
-            },
-        }
-    }
-
-    /// The fused GEMM of `m` rows of `a` against the packed weights.
-    fn gemm(&self, packed: &PackedI8, m: usize, a: &[i8], scratch: &mut I8Scratch, out: &mut [i8]) {
-        match &self.epilogue {
-            Epilogue::Fixed(r) => packed.gemm(m, a, |j, acc| r.apply(j, acc), scratch, out),
-            float => packed.gemm(m, a, |j, acc| float.apply(j, acc), scratch, out),
+            KernelOp::Depthwise(packed) => packed.run(input, self.in_zp, epilogue, scratch, out),
         }
     }
 }
@@ -559,15 +548,9 @@ fn conv2d_op(g: Conv2dGeom, gemm: impl Fn(usize) -> Option<PackedI8>) -> Option<
 }
 
 /// Executes one quantized layer from `input` into all of `out`.
-fn run_qlayer(
-    layer: &QLayer,
-    input: &[i8],
-    patches: &mut [i8],
-    scratch: &mut I8Scratch,
-    out: &mut [i8],
-) -> Result<()> {
+fn run_qlayer(layer: &QLayer, input: &[i8], scratch: &mut I8Scratch, out: &mut [i8]) -> Result<()> {
     if let Some(kernel) = &layer.kernel {
-        kernel.run(input, patches, scratch, out);
+        kernel.run(input, scratch, out);
         return Ok(());
     }
     let d = layer.input;
@@ -580,7 +563,7 @@ fn run_qlayer(
         }
         Kernel::MaxPool { size } => {
             let window = pool_window(d, size);
-            pool_q(input, d, window, out, i8::MIN.into(), |m, v| m.max(v.into()), |m| m as i8)
+            pool(input, (d.w, d.c), window, out, i8::MIN, |m, v| m.max(v), |m| m)
         }
         Kernel::AvgPool { size } => avgpool_q(input, d, pool_window(d, size), out),
         Kernel::GlobalAvgPool => avgpool_q(input, d, (d.h, d.w), out),
@@ -604,47 +587,22 @@ fn run_qlayer(
     Ok(())
 }
 
-/// The `(rows, columns)` window of a `size` pool: over steps for 1-D
-/// input (`h == 1`), over both axes otherwise (shared with the float path).
-fn pool_window(d: Dims, size: usize) -> (usize, usize) {
-    (if d.h == 1 { 1 } else { size }, size)
-}
-
 /// int8 average pooling over `window` into `out`, with rounded integer
 /// division.
 fn avgpool_q(input: &[i8], d: Dims, (kh, kw): (usize, usize), out: &mut [i8]) {
     let n = (kh * kw) as i32;
-    let (v0, add) = (0, |s: i32, v: i8| s + i32::from(v));
-    pool_q(input, d, (kh, kw), out, v0, add, |s| {
-        let r = if s >= 0 { (s + n / 2) / n } else { (s - n / 2) / n };
-        r.clamp(-128, 127) as i8
-    });
-}
-
-/// Non-overlapping `kh × kw` pooling of `input` into `out`: each output
-/// code folds its window's codes into `init` with `fold`, in row-major
-/// order, and `finish`es the result.
-fn pool_q(
-    input: &[i8],
-    d: Dims,
-    (kh, kw): (usize, usize),
-    out: &mut [i8],
-    init: i32,
-    fold: impl Fn(i32, i8) -> i32,
-    finish: impl Fn(i32) -> i8,
-) {
-    let (c, ow) = (d.c, d.w / kw);
-    for (at, o) in out.iter_mut().enumerate() {
-        let (ch, oy, ox) = (at % c, at / c / ow, at / c % ow);
-        let mut acc = init;
-        for ky in 0..kh {
-            let row = ((oy * kh + ky) * d.w + ox * kw) * c + ch;
-            for kx in 0..kw {
-                acc = fold(acc, input[row + kx * c]);
-            }
-        }
-        *o = finish(acc);
-    }
+    pool(
+        input,
+        (d.w, d.c),
+        (kh, kw),
+        out,
+        0,
+        |s, v| s + i32::from(v),
+        |s| {
+            let r = if s >= 0 { (s + n / 2) / n } else { (s - n / 2) / n };
+            r.clamp(-128, 127) as i8
+        },
+    );
 }
 
 #[cfg(test)]
@@ -718,6 +676,45 @@ mod tests {
                 quantized_bits(&quantize_model(&model, &calib).unwrap()),
                 quantized_bits(&a)
             );
+        }
+    }
+
+    #[test]
+    fn poisoned_buffers_leave_every_preset_output_unchanged() {
+        // every int8 kernel writes all of its `out` and overwrites the
+        // scratch it reads, so junk in the buffers before a walk moves no
+        // boundary code, at any level
+        use ei_nn::presets;
+        use ei_tensor::simd::supported_levels;
+        let specs = [
+            presets::ds_cnn(Dims::new(99, 10, 1), 4, 64),
+            presets::mobilenet_v1(Dims::new(96, 96, 1), 2, 0.25),
+            presets::mobilenet_v2_like(Dims::new(32, 32, 3), 3, 0.35),
+            presets::conv1d_stack(Dims::new(49, 13, 1), 4, 3, 8),
+            presets::cifar_cnn(Dims::new(32, 32, 3), 10),
+            presets::dense_mlp(Dims::new(1, 33, 1), 3, 20),
+        ];
+        for spec in specs {
+            let model = Sequential::build(&spec, 7).unwrap();
+            let calib = random_inputs(2, spec.input.len(), 3);
+            let quantized = quantize_model(&model, &calib).unwrap();
+            let codes =
+                quantized.input_qparams().quantize_slice(&random_inputs(1, calib[0].len(), 4)[0]);
+            for level in supported_levels() {
+                let q = quantized.with_kernel_level(level).unwrap();
+                let mut want = Vec::new();
+                q.walk(&codes, &mut Buffers::new(&q), |_, c| want.push(c.to_vec())).unwrap();
+                let mut bufs = Buffers::new(&q);
+                bufs.acts.fill(0x5a);
+                let s = &mut bufs.scratch;
+                s.acc.fill(i32::MIN + 7);
+                s.xq.fill(0xdead_beef);
+                s.wide.fill(-12_345);
+                s.patches.fill(-77);
+                let mut got = Vec::new();
+                q.walk(&codes, &mut bufs, |_, c| got.push(c.to_vec())).unwrap();
+                assert_eq!(got, want, "{} at {level:?}", spec.name);
+            }
         }
     }
 

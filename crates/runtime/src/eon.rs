@@ -54,10 +54,15 @@ impl EonProgram {
     /// Propagates memory-planning failures.
     pub fn compile(artifact: ModelArtifact) -> Result<EonProgram> {
         let plan = plan_model(&artifact)?;
+        Ok(Self::on_plan(artifact, plan))
+    }
+
+    /// Assigns each op its input and output offsets in `plan`, walking the
+    /// buffers the way `activation_requests` does: the buffer index
+    /// advances only on non-in-place ops.
+    fn on_plan(artifact: ModelArtifact, plan: MemoryPlan) -> EonProgram {
         let ops = artifact.ops();
         let mut steps = Vec::with_capacity(ops.len());
-        // walk buffers the same way activation_requests does: buffer index
-        // advances only on non-in-place ops
         let mut buf_idx = 0usize;
         for op in ops {
             let input_offset = plan.buffers[buf_idx].offset;
@@ -69,7 +74,7 @@ impl EonProgram {
             };
             steps.push(EonStep { op, input_offset, output_offset });
         }
-        Ok(EonProgram { artifact, steps, plan })
+        EonProgram { artifact, steps, plan }
     }
 
     /// The compiled step sequence.
@@ -106,53 +111,40 @@ impl EonProgram {
     /// buffer overruns the arena.
     pub fn run_in_arena(&self, input: &[f32]) -> Result<Vec<f32>> {
         let mut arena = vec![0u8; self.plan.arena_bytes];
-        let (mut buf, mut prev, mut cur) = (0, Vec::new(), Vec::new());
-        let mut checked = Ok(());
-        let mut place = |i: usize, bytes: &mut dyn Iterator<Item = u8>| {
+        let (mut prev, mut checked) = (Vec::new(), Ok(()));
+        let mut place = |i: usize, bytes: Vec<u8>| {
             if checked.is_ok() {
-                cur.clear();
-                cur.extend(bytes);
-                checked = self.place(&mut arena, i, &mut buf, &prev, &cur);
-                std::mem::swap(&mut prev, &mut cur);
+                checked = self.place(&mut arena, i, &prev, &bytes);
+                prev = bytes;
             }
         };
         let output = match &self.artifact {
             ModelArtifact::Float(m) => m.forward_observed(input, |i, act| {
-                place(i, &mut act.iter().flat_map(|v| v.to_le_bytes()))
+                place(i, act.iter().flat_map(|v| v.to_le_bytes()).collect())
             })?,
-            ModelArtifact::Int8(m) => {
-                m.forward_observed(input, |i, codes| place(i, &mut codes.iter().map(|&v| v as u8)))?
-            }
+            ModelArtifact::Int8(m) => m.forward_observed(input, |i, codes| {
+                place(i, codes.iter().map(|&v| v as u8).collect())
+            })?,
         };
         checked.map(|()| output)
     }
 
-    /// Writes boundary `i` (`bytes`) to its planned buffer in `arena`: the
-    /// input's for `i == 0`, else step `i - 1`'s output (an in-place step
-    /// writes nothing), after which that step's input — `prev`, in buffer
-    /// `*buf` — must still be intact. `*buf` follows the planned buffers.
-    fn place(
-        &self,
-        arena: &mut [u8],
-        i: usize,
-        buf: &mut usize,
-        prev: &[u8],
-        bytes: &[u8],
-    ) -> Result<()> {
-        let buffers = &self.plan.buffers;
+    /// Writes boundary `i` to the arena: the input at buffer 0's offset, or
+    /// step `i - 1`'s output at its output offset (an in-place step writes
+    /// nothing), after which that step's input, `prev`, must be intact.
+    fn place(&self, arena: &mut [u8], i: usize, prev: &[u8], bytes: &[u8]) -> Result<()> {
         let Some(step) = i.checked_sub(1).map(|s| &self.steps[s]) else {
-            return put(arena, buffers[0].offset, bytes);
+            return put(arena, self.plan.buffers[0].offset, bytes);
         };
-        let in_offset = buffers[*buf].offset;
         if !step.op.in_place {
-            *buf += 1;
-            put(arena, buffers[*buf].offset, bytes)?;
+            put(arena, step.output_offset, bytes)?;
         }
-        if arena.get(in_offset..in_offset + prev.len()) != Some(prev) {
+        let at = step.input_offset;
+        if arena.get(at..at + prev.len()) != Some(prev) {
+            let name = step.op.name;
             return Err(RuntimeError::InvalidPlan(format!(
-                "input of step {} ({}) was overwritten while live",
-                i - 1,
-                step.op.name
+                "input of step {} ({name}) was overwritten while live",
+                i - 1
             )));
         }
         Ok(())
@@ -163,10 +155,7 @@ impl EonProgram {
 fn put(arena: &mut [u8], offset: usize, bytes: &[u8]) -> Result<()> {
     let len = arena.len();
     let dst = arena.get_mut(offset..offset + bytes.len()).ok_or_else(|| {
-        RuntimeError::InvalidPlan(format!(
-            "a {}-byte buffer at offset {offset} overruns the {len}-byte arena",
-            bytes.len()
-        ))
+        RuntimeError::InvalidPlan(format!("a buffer at {offset} overruns the {len}-byte arena"))
     })?;
     dst.copy_from_slice(bytes);
     Ok(())
@@ -305,12 +294,14 @@ mod tests {
 
     #[test]
     fn arena_execution_rejects_a_plan_that_aliases_a_live_input() {
-        let mut eon = EonProgram::compile(conv_artifact()).unwrap();
+        let eon = EonProgram::compile(conv_artifact()).unwrap();
         let input: Vec<f32> = (0..64).map(|i| ((i * 7) % 19) as f32 * 0.05 - 0.3).collect();
         assert!(eon.run_in_arena(&input).is_ok());
         // the conv's input (buffer 0) moved under its own output (buffer
         // 1): the conv would overwrite what it still reads
-        eon.plan.buffers[0].offset = eon.plan.buffers[1].offset;
+        let mut plan = eon.plan().clone();
+        plan.buffers[0].offset = plan.buffers[1].offset;
+        let eon = EonProgram::on_plan(conv_artifact(), plan);
         match eon.run_in_arena(&input) {
             Err(RuntimeError::InvalidPlan(msg)) => assert!(msg.contains("conv2d"), "{msg}"),
             other => panic!("an aliased plan ran: {other:?}"),

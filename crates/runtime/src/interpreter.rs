@@ -89,11 +89,6 @@ impl Interpreter {
     pub fn plan(&self) -> &MemoryPlan {
         &self.plan
     }
-
-    /// Registered op names.
-    pub fn registered_ops(&self) -> impl Iterator<Item = &&'static str> {
-        self.registry.iter()
-    }
 }
 
 impl InferenceEngine for Interpreter {

@@ -256,45 +256,43 @@ fn run_avx2<K: F32Kernel>(avx2: Avx2, _: K) -> K::Output {
 /// registers of `i32`.
 const PANEL: usize = 16;
 
-/// How much of each [`I8Scratch`] buffer a kernel works in.
+/// How many elements of each [`I8Scratch`] buffer a kernel works in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchLen {
-    /// `i32` accumulators: one padded output row.
+    /// `i32` accumulators of one padded output row.
     pub acc: usize,
-    /// `u32` quads of one activation row (the SIMD GEMM's left operand).
+    /// `u32` quads of one activation row, the SIMD GEMM's left operand.
     pub xq: usize,
-    /// `i16` codes of the depthwise kernel's padded, widened input image.
+    /// The depthwise kernel's padded input image, widened to `i16`.
     pub wide: usize,
+    /// An im2col patch matrix, for a caller that lowers a convolution.
+    pub patches: usize,
 }
 
 impl ScratchLen {
     /// Enough for both `self` and `other`.
-    pub fn max(self, other: ScratchLen) -> ScratchLen {
-        ScratchLen {
-            acc: self.acc.max(other.acc),
-            xq: self.xq.max(other.xq),
-            wide: self.wide.max(other.wide),
-        }
+    pub fn max(self, o: ScratchLen) -> ScratchLen {
+        let (acc, xq) = (self.acc.max(o.acc), self.xq.max(o.xq));
+        ScratchLen { acc, xq, wide: self.wide.max(o.wide), patches: self.patches.max(o.patches) }
     }
 }
 
-/// The int8 kernels' working memory, owned by the caller and sized once
-/// for every kernel it will run. A kernel overwrites what it reads of it,
-/// so what a buffer held before does not matter.
+/// The int8 kernels' working memory, owned by the caller and sized once;
+/// a kernel overwrites whatever it reads of it. Fields as in [`ScratchLen`].
 #[derive(Debug, Clone, Default)]
+#[allow(missing_docs)]
 pub struct I8Scratch {
-    /// See [`ScratchLen::acc`].
     pub acc: Vec<i32>,
-    /// See [`ScratchLen::xq`].
     pub xq: Vec<u32>,
-    /// See [`ScratchLen::wide`].
     pub wide: Vec<i16>,
+    pub patches: Vec<i8>,
 }
 
 impl I8Scratch {
     /// Scratch of `len`.
     pub fn new(len: ScratchLen) -> I8Scratch {
-        I8Scratch { acc: vec![0; len.acc], xq: vec![0; len.xq], wide: vec![0; len.wide] }
+        let (acc, xq) = (vec![0; len.acc], vec![0; len.xq]);
+        I8Scratch { acc, xq, wide: vec![0; len.wide], patches: vec![0; len.patches] }
     }
 }
 
@@ -388,7 +386,7 @@ impl PackedI8 {
     /// The scratch [`PackedI8::gemm`] works in.
     pub fn scratch_len(&self) -> ScratchLen {
         let xq = if matches!(self.b, PackedB::Quads(..)) { self.k.div_ceil(4) } else { 0 };
-        ScratchLen { acc: self.init.len(), xq, wide: 0 }
+        ScratchLen { acc: self.init.len(), xq, ..ScratchLen::default() }
     }
 
     /// Fused int8 GEMM against the packed weights: `acc[i][j] = bias[j] +
@@ -595,7 +593,7 @@ impl PackedDepthwise {
     /// The scratch [`PackedDepthwise::run`] works in.
     pub fn scratch_len(&self) -> ScratchLen {
         let acc = self.shape.out_w * self.c_pad;
-        ScratchLen { acc, xq: 0, wide: self.hp * self.wp * self.c_pad }
+        ScratchLen { acc, wide: self.hp * self.wp * self.c_pad, ..ScratchLen::default() }
     }
 
     /// Depthwise convolution of `input` (`in_h × in_w × c` codes at zero

@@ -16,9 +16,7 @@
 //! supports.
 
 use edgelab::nn::layers::conv::reference as conv_reference;
-use edgelab::nn::layers::conv::{
-    conv1d_forward_at, conv2d_forward_at, depthwise_forward_at, Conv1dGeom, Conv2dGeom,
-};
+use edgelab::nn::layers::conv::{conv2d_forward_at, depthwise_forward_at, Conv1dGeom, Conv2dGeom};
 use edgelab::nn::layers::dense::dense_forward;
 use edgelab::nn::par::{
     conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto, gemm_f32_auto,
@@ -49,7 +47,7 @@ fn conv2d_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) ->
 fn conv1d_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv1dGeom) -> Vec<f32> {
     let mut out = out2d(g.as_2d(), g.out_c);
     let mut scratch = Scratch::for_kernels([Kernel::Conv1d(g)]);
-    conv1d_forward_at(level, x, w, b, g, &mut scratch.taps, &mut out);
+    conv2d_forward_at(level, x, w, b, g.as_2d(), &mut scratch.taps, &mut out);
     out
 }
 
