@@ -72,67 +72,39 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-struct Row<'a> {
-    shape: &'a str,
-    kernel: &'a str,
-    dims: (usize, usize, usize),
-    threads: usize,
-    wall_ms: f64,
-    naive_ms: f64,
-    bitwise_equal: bool,
-    /// Wall time of the `Baseline` level, on the per-level rows.
-    baseline_ms: Option<f64>,
-}
+/// One shape's row: the shape, its `(m, k, n)` and the naive reference's
+/// wall time, then the kernel's name, threads, wall time and bitwise
+/// verdict, and for a per-level row the `Baseline` level's wall time.
+type Shape<'a> = (&'a str, (usize, usize, usize), f64);
+type Run<'a> = (&'a str, usize, f64, bool);
 
-fn push_row(writer: &mut ResultsWriter, row: &Row<'_>) {
-    let (m, k, n) = row.dims;
+fn push_row(writer: &mut ResultsWriter, shape: Shape<'_>, run: Run<'_>, baseline_ms: Option<f64>) {
+    let ((shape, (m, k, n), naive_ms), (kernel, threads, wall_ms, equal)) = (shape, run);
     let mut json = writer
         .stamp()
-        .field("shape", Json::Str(row.shape.to_string()))
-        .field("kernel", Json::Str(row.kernel.to_string()))
+        .field("shape", Json::Str(shape.to_string()))
+        .field("kernel", Json::Str(kernel.to_string()))
         .field("m", Json::Uint(m as u64))
         .field("k", Json::Uint(k as u64))
         .field("n", Json::Uint(n as u64))
-        .field("threads", Json::Uint(row.threads as u64))
-        .field("wall_ms", Json::Float(row.wall_ms))
-        .field("speedup_vs_naive", Json::Float(row.naive_ms / row.wall_ms));
-    if let Some(baseline_ms) = row.baseline_ms {
-        json = json.field("speedup_vs_baseline", Json::Float(baseline_ms / row.wall_ms));
+        .field("threads", Json::Uint(threads as u64))
+        .field("wall_ms", Json::Float(wall_ms))
+        .field("speedup_vs_naive", Json::Float(naive_ms / wall_ms));
+    if let Some(baseline_ms) = baseline_ms {
+        json = json.field("speedup_vs_baseline", Json::Float(baseline_ms / wall_ms));
     }
-    writer.push(json.field("bitwise_equal", Json::Bool(row.bitwise_equal)));
+    writer.push(json.field("bitwise_equal", Json::Bool(equal)));
+    let verdict = if equal { "bitwise-equal" } else { "MISMATCH" };
+    let speedup = naive_ms / wall_ms;
     println!(
-        "{:<18} {:<14} {:>4}x{:<4}x{:<4} threads={} {:>9.3} ms  {:>5.2}x  {}",
-        row.shape,
-        row.kernel,
-        m,
-        k,
-        n,
-        row.threads,
-        row.wall_ms,
-        row.naive_ms / row.wall_ms,
-        if row.bitwise_equal { "bitwise-equal" } else { "MISMATCH" }
+        "{shape:<18} {kernel:<14} {m:>4}x{k:<4}x{n:<4} threads={threads} {wall_ms:>9.3} ms  {speedup:>5.2}x  {verdict}"
     );
 }
 
-/// Rows of one shape timed against `naive_ms`, none per level: `(kernel,
-/// threads, wall_ms, bitwise_equal)` each.
-fn push_rows(
-    writer: &mut ResultsWriter,
-    (shape, dims, naive_ms): (&str, (usize, usize, usize), f64),
-    rows: &[(&str, usize, f64, bool)],
-) {
-    for &(kernel, threads, wall_ms, bitwise_equal) in rows {
-        let row = Row {
-            shape,
-            kernel,
-            dims,
-            threads,
-            wall_ms,
-            naive_ms,
-            bitwise_equal,
-            baseline_ms: None,
-        };
-        push_row(writer, &row);
+/// [`push_row`] for each of `runs`, none of them per level.
+fn push_rows(writer: &mut ResultsWriter, shape: Shape<'_>, runs: &[Run<'_>]) {
+    for &run in runs {
+        push_row(writer, shape, run, None);
     }
 }
 
@@ -204,19 +176,8 @@ fn int8_levels(
         let wall_ms = time_ms(reps, || packed.gemm(m, a, requantize_relu, &mut scratch, &mut out));
         let base = *baseline_ms.get_or_insert(wall_ms);
         best = best.max(base / wall_ms);
-        push_row(
-            writer,
-            &Row {
-                shape,
-                kernel: &format!("int8_{}", level.name()),
-                dims: (m, k, n),
-                threads: 1,
-                wall_ms,
-                naive_ms,
-                bitwise_equal: equal,
-                baseline_ms: Some(base),
-            },
-        );
+        let kernel = format!("int8_{}", level.name());
+        push_row(writer, (shape, (m, k, n), naive_ms), (&kernel, 1, wall_ms, equal), Some(base));
         assert!(equal, "{shape} at {level:?} must be bitwise-identical to the naive reference");
     }
     best
@@ -328,19 +289,8 @@ fn f32_levels(
             std::hint::black_box(&out);
         });
         let base = *baseline_ms.get_or_insert(wall_ms);
-        push_row(
-            writer,
-            &Row {
-                shape,
-                kernel: &format!("f32_{}", level.name()),
-                dims,
-                threads: 1,
-                wall_ms,
-                naive_ms,
-                bitwise_equal: equal,
-                baseline_ms: Some(base),
-            },
-        );
+        let kernel = format!("f32_{}", level.name());
+        push_row(writer, (shape, dims, naive_ms), (&kernel, 1, wall_ms, equal), Some(base));
         assert!(equal, "{shape} at {level:?} must be bitwise-identical to the naive reference");
     }
 }

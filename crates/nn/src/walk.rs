@@ -102,8 +102,9 @@ impl Scratch {
 pub(crate) trait Slots {
     /// Boundary `i` and the `len` elements boundary `i + 1` is written to.
     fn io<'a>(&'a mut self, input: &'a [f32], i: usize, len: usize) -> (&'a [f32], &'a mut [f32]);
-    /// Makes boundary `i + 1` the same values as boundary `i`.
-    fn pass(&mut self, i: usize);
+    /// Makes boundary `i + 1` the same values as boundary `i` (in a
+    /// ping-pong walk the live slice just stays live).
+    fn pass(&mut self, _i: usize) {}
     /// Boundary `i`, the live one in a ping-pong walk.
     fn get<'a>(&'a self, input: &'a [f32], i: usize) -> &'a [f32];
     /// Keeps the dropout mask layer `i` sampled.
@@ -114,7 +115,6 @@ impl Slots for PingPong<f32> {
     fn io<'a>(&'a mut self, input: &'a [f32], _: usize, len: usize) -> (&'a [f32], &'a mut [f32]) {
         self.next(input, len)
     }
-    fn pass(&mut self, _: usize) {}
     fn get<'a>(&'a self, input: &'a [f32], _: usize) -> &'a [f32] {
         self.live(input)
     }

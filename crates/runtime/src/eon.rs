@@ -2,12 +2,10 @@
 //! serialized schema, dead-kernel elimination.
 //!
 //! Arithmetic is shared with the TFLM-style interpreter: both run the
-//! model's one walk ([`ModelArtifact::run_reference`]), in which every
-//! kernel writes into one of two ping-pong buffers the walk allocates once
-//! per call, so engine choice changes dispatch overhead and memory shape,
-//! never the numerics. The planned arena offsets are not read by `run`
-//! yet; [`EonProgram::run_in_arena`] replays the same walk through them to
-//! check the plan. Float convolutions run
+//! model's one walk ([`ModelArtifact::run_reference`]), so engine choice
+//! changes dispatch overhead and memory shape, never the numerics. `run`
+//! does not read the planned offsets yet; [`EonProgram::run_in_arena`]
+//! checks the plan against the same walk. Float convolutions run
 //! the direct kernels of `ei_nn::layers::conv` at the host's f32 SIMD
 //! level (every preset convolution is below `ei_nn::par`'s im2col + GEMM
 //! threshold), float dense layers a zero-skipping row kernel (the
@@ -92,15 +90,13 @@ impl EonProgram {
         self.artifact.op_kinds()
     }
 
-    /// Executes through the planned arena: the walk shows each activation
-    /// boundary as it is produced, and it is written to its static offset
-    /// in one contiguous buffer; once a step's output is in place, its
-    /// input is verified intact, since a kernel reads its input while it
-    /// writes its output. A planner bug that aliased two live buffers
-    /// would corrupt an input and surface here as
-    /// [`RuntimeError::InvalidPlan`] — this is the runtime check that the
-    /// compile-time memory plan is actually sound on real data. Both
-    /// dtypes share it; only how a boundary becomes bytes differs.
+    /// Executes through the planned arena: each boundary the walk shows
+    /// (either dtype) is written to its static offset in one contiguous
+    /// buffer, and once a step's output is in place its input must still
+    /// be intact, since a kernel reads its input while it writes. A planner
+    /// bug that aliased two live buffers surfaces here as
+    /// [`RuntimeError::InvalidPlan`]: the runtime check that the
+    /// compile-time memory plan is sound on real data.
     ///
     /// Returns the same output as [`EonProgram::run`].
     ///

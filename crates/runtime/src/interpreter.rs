@@ -2,12 +2,10 @@
 //! RAM/flash overheads that come with interpreting a serialized graph.
 //!
 //! Arithmetic is shared with the EON executor: both run the model's one
-//! walk ([`ModelArtifact::run_reference`]), in which every kernel writes
-//! into a buffer the walk owns, so engine choice changes dispatch overhead
-//! and memory shape, never the numerics. See [`crate::eon`] for which
-//! kernels run. Which op, if any, the registry lacks is settled when the
-//! interpreter is built; [`InferenceEngine::run`] reports it as
-//! [`RuntimeError::MissingKernel`] on every call.
+//! walk, so engine choice changes dispatch overhead and memory shape, never
+//! the numerics. See [`crate::eon`] for which kernels run. An op the
+//! registry lacks is found when the interpreter is built, and every `run`
+//! reports it as [`RuntimeError::MissingKernel`].
 
 use std::collections::BTreeSet;
 
