@@ -1,9 +1,9 @@
 //! The one walk every forward pass takes. Each kernel reads the live
 //! activation, writes all of an `out` slice of the resolved output length,
 //! and works in [`Scratch`] sized once per model; the walk keeps the
-//! activations in [`PingPong`] halves (inference) or a
-//! [`ForwardCache`] (training). A reshape,
-//! flatten or inference-time dropout passes the live slice on untouched.
+//! activations in [`PingPong`] halves (inference) or a [`ForwardCache`]
+//! (training). A reshape, flatten or inference-time dropout passes the
+//! live slice on untouched.
 
 use ei_par::ParPool;
 use rand::rngs::StdRng;

@@ -302,6 +302,14 @@ mod tests {
             Err(RuntimeError::InvalidPlan(msg)) => assert!(msg.contains("conv2d"), "{msg}"),
             other => panic!("an aliased plan ran: {other:?}"),
         }
+        // a buffer that starts past the arena is a plan error, not a panic
+        let mut plan = EonProgram::compile(conv_artifact()).unwrap().plan().clone();
+        plan.buffers[1].offset = plan.arena_bytes;
+        let eon = EonProgram::on_plan(conv_artifact(), plan);
+        match eon.run_in_arena(&input) {
+            Err(RuntimeError::InvalidPlan(msg)) => assert!(msg.contains("overruns"), "{msg}"),
+            other => panic!("an overrunning plan ran: {other:?}"),
+        }
     }
 
     #[test]
