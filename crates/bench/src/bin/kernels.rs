@@ -15,7 +15,11 @@
 //! the frozen `conv::reference` loops they were rewritten from. int8
 //! calibration of the KWS preset runs twice, through the serial per-element
 //! fold over cached activations and through the streaming `calibrate`; its
-//! rows are bitwise-equal when both give the same `QuantParams` bits.
+//! rows are bitwise-equal when both give the same `QuantParams` bits. The
+//! KWS MFCC front-end runs frame by frame (`per_frame`, the one-frame
+//! routine) and at every f32 level through `process_at`, each checked
+//! against the concatenated `frame_column` outputs; the best level must be
+//! at least 2x `per_frame`.
 //!
 //! ```bash
 //! cargo run --release -p ei-bench --bin kernels
@@ -25,6 +29,9 @@
 
 use ei_bench::{quick_mode, Measurement, ResultsWriter, Task};
 use ei_data::synth::KwsGenerator;
+use ei_dsp::blocks::MfccBlock;
+use ei_dsp::window::{windowed_frames, WindowKind};
+use ei_dsp::DspConfig;
 use ei_nn::layers::conv::{self, conv2d_forward_at, depthwise_forward_at, Conv2dGeom};
 use ei_nn::layers::im2col::im2col_2d;
 use ei_nn::par::{conv2d_forward_auto, depthwise_forward_auto, gemm_f32_auto};
@@ -269,17 +276,19 @@ fn kws_conv_int8(writer: &mut ResultsWriter, reps: usize) {
     int8_levels(writer, reps, "kws_conv", (m, k, n), (&a, a_zp), (&b, &bias), &naive, naive_ms);
 }
 
-/// An f32 direct kernel at every f32 level this host supports: one
+/// An f32 kernel at every f32 level this host supports: one
 /// `f32_<level>` row each, timed against `naive_ms` and the `Baseline`
-/// level (the first), and bitwise-checked against `naive`.
+/// level (the first), and bitwise-checked against `naive`. Returns the
+/// best level's speedup over `naive_ms`.
 fn f32_levels(
     writer: &mut ResultsWriter,
     reps: usize,
     (shape, dims): (&str, (usize, usize, usize)),
     (naive, naive_ms): (&[f32], f64),
     mut run: impl FnMut(F32Level, &mut [f32]),
-) {
+) -> f64 {
     let mut baseline_ms = None;
+    let mut best = 0.0f64;
     let mut out = vec![f32::NAN; naive.len()];
     for level in supported_f32_levels() {
         run(level, &mut out);
@@ -289,10 +298,12 @@ fn f32_levels(
             std::hint::black_box(&out);
         });
         let base = *baseline_ms.get_or_insert(wall_ms);
+        best = best.max(naive_ms / wall_ms);
         let kernel = format!("f32_{}", level.name());
         push_row(writer, (shape, dims, naive_ms), (&kernel, 1, wall_ms, equal), Some(base));
         assert!(equal, "{shape} at {level:?} must be bitwise-identical to the naive reference");
     }
+    best
 }
 
 /// One f32 convolution shape class: the frozen reference loop (`naive`),
@@ -471,6 +482,46 @@ fn quant_calibrate(writer: &mut ResultsWriter, reps: usize) -> Result<()> {
     }
 }
 
+/// The KWS MFCC front-end on one keyword clip: `process_at` at
+/// `F32Level::Baseline`, which runs the one-frame routine frame by frame,
+/// as `per_frame`, then one `f32_<level>` row per level. The oracle is
+/// `frame_column` over each windowed frame, concatenated. `m`, `k`, `n`
+/// are frames, FFT length and coefficients per frame. Returns the best
+/// level's speedup over `per_frame`.
+fn dsp_mfcc(writer: &mut ResultsWriter, reps: usize) -> Result<f64> {
+    let task = Task::KeywordSpotting;
+    let DspConfig::Mfcc(config) = task.dsp() else {
+        return Err("the KWS task's DSP block is not MFCC".into());
+    };
+    let block = MfccBlock::new(config)?;
+    let clip = KwsGenerator::default().generate(1, 7);
+    let framing = block.framing();
+    let mut oracle = Vec::new();
+    for frame in windowed_frames(&clip, framing, WindowKind::Hann)? {
+        oracle.extend(block.frame_column(&frame)?);
+    }
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let per_frame = block.process_at(F32Level::Baseline, &clip)?;
+    let per_frame_equal = bits(&per_frame) == bits(&oracle);
+    let per_frame_ms = time_ms(reps, || {
+        std::hint::black_box(block.process_at(F32Level::Baseline, &clip).ok());
+    });
+    let dims = (framing.frame_count(clip.len()), 512, block.features_per_frame());
+    let shape = ("dsp_mfcc", dims, per_frame_ms);
+    push_row(writer, shape, ("per_frame", 1, per_frame_ms, per_frame_equal), None);
+    if !per_frame_equal {
+        return Err("per-frame MFCC differs from its frame_column oracle".into());
+    }
+    let best =
+        f32_levels(writer, reps, ("dsp_mfcc", dims), (&oracle, per_frame_ms), |level, out| {
+            match block.process_at(level, &clip) {
+                Ok(features) => out.copy_from_slice(&features),
+                Err(_) => out.fill(f32::NAN), // fails the bitwise check
+            }
+        });
+    Ok(best)
+}
+
 fn main() {
     let reps = if quick_mode() { 5 } else { 10 };
     let pool1 = ParPool::new(Parallelism::serial());
@@ -488,6 +539,11 @@ fn main() {
         eprintln!("quant_calibrate: {e}");
         std::process::exit(1);
     }
+    // a clip takes well under a millisecond: 20x the reps for a stable best
+    let mfcc_speedup = dsp_mfcc(&mut writer, 20 * reps).unwrap_or_else(|e| {
+        eprintln!("dsp_mfcc: {e}");
+        std::process::exit(1);
+    });
 
     println!();
     println!("dense_mlp blocked speedup over naive: {dense_speedup:.2}x");
@@ -502,6 +558,14 @@ fn main() {
             best_level >= 3.0,
             "the best int8 level must be at least 3x Baseline on dense_mlp_int8 \
              (measured {best_level:.2}x)"
+        );
+    }
+    println!("dsp_mfcc best level over per_frame: {mfcc_speedup:.2}x");
+    if supported_f32_levels().len() > 1 {
+        assert!(
+            mfcc_speedup >= 2.0,
+            "the best f32 level of the KWS MFCC must be at least 2x per_frame \
+             (measured {mfcc_speedup:.2}x)"
         );
     }
     // no shape may regress below the naive reference: shapes the auto

@@ -1,10 +1,27 @@
 //! Concrete processing blocks: MFE, MFCC, spectral analysis, image, raw.
+//!
+//! The framed audio blocks (MFE, MFCC, Spectrogram) share one per-frame
+//! routine, `FramePlan::column_into`: a power FFT of the windowed frame,
+//! then, as the block needs them, the Mel sums, the clamped log and the
+//! DCT. `frame_column`, the streaming extractor and `process` at
+//! [`F32Level::Baseline`] run it frame by frame, and it is the oracle of
+//! the wide path.
+//!
+//! At a wider level (`F32Level::Avx2`), `process` runs the `FrameLanes`
+//! kernel instead: eight frames at once, one per lane. Each lane runs
+//! exactly the operations the per-frame routine runs on its own frame, in
+//! the same order, so the features have the same bits; `ln` stays std's
+//! scalar call, once per value. A clip whose frame count is not a multiple
+//! of eight ends in a block whose spare lanes read a silent frame, and
+//! nothing of those lanes is written. DESIGN.md ("The audio front-end in
+//! lanes") has the layout and the measurements behind it.
 
 use crate::block::{DspBlock, DspConfig, DspCost};
-use crate::fft::{fft_flops, FftPlan, FftScratch};
+use crate::fft::{fft_flops, FftPlan, FftScratch, LANES};
 use crate::mel::{Dct2, MelFilterbank};
 use crate::window::{apply_window, Framing, WindowKind};
 use crate::{DspError, Result};
+use ei_tensor::simd::{f32_level, F32Kernel, F32Level};
 use serde::{Deserialize, Serialize};
 
 /// Floor applied before `ln` so silent frames stay finite.
@@ -14,17 +31,47 @@ const LOG_FLOOR: f32 = 1e-10;
 /// the floor, a NaN reads as the floor, and an infinite (saturated) energy
 /// reads loud at `ln f32::MAX` ≈ 88.72 instead of non-finite.
 #[allow(clippy::manual_clamp)] // `clamp` would pass a NaN through
+#[inline(always)]
 fn log_clamped(e: f32) -> f32 {
     e.max(LOG_FLOOR).min(f32::MAX).ln()
+}
+
+/// What a framed audio block computes from each frame's power spectrum.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stages<'a> {
+    /// Spectrogram: the clamped log of every power bin.
+    LogPower,
+    /// MFE: the clamped log of every Mel filter's energy.
+    LogMel(&'a MelFilterbank),
+    /// MFCC: the DCT of MFE's log energies.
+    Cepstra(&'a MelFilterbank, &'a Dct2),
+}
+
+impl Stages<'_> {
+    /// Mel filters the stages sum power through (none for a spectrogram).
+    fn filters(self) -> usize {
+        match self {
+            Stages::LogPower => 0,
+            Stages::LogMel(mel) | Stages::Cepstra(mel, _) => mel.len(),
+        }
+    }
 }
 
 /// What a framed audio block plans once in `new`: its frame layout, the
 /// Hann table every frame is multiplied by, and the FFT plan.
 #[derive(Debug, Clone)]
-struct FramePlan {
+pub(crate) struct FramePlan {
     framing: Framing,
     window: Vec<f32>,
     fft: FftPlan,
+}
+
+/// Working buffers of the per-frame routine: the FFT's and the filter
+/// energies.
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnScratch {
+    fft: FftScratch,
+    energies: Vec<f32>,
 }
 
 impl FramePlan {
@@ -41,36 +88,148 @@ impl FramePlan {
         Ok(FramePlan { framing, window: WindowKind::Hann.coefficients(framing.frame_len), fft })
     }
 
-    fn check_frame(&self, windowed: &[f32]) -> Result<()> {
+    /// The Hann taper each frame is multiplied by before the FFT.
+    pub(crate) fn window(&self) -> &[f32] {
+        &self.window
+    }
+
+    /// Features one frame yields under `stages`.
+    fn width(&self, stages: Stages<'_>) -> usize {
+        match stages {
+            Stages::LogPower => self.fft.len() / 2 + 1,
+            Stages::LogMel(mel) => mel.len(),
+            Stages::Cepstra(_, dct) => dct.n_out(),
+        }
+    }
+
+    /// Fresh working buffers for [`FramePlan::column_into`].
+    pub(crate) fn scratch(&self, stages: Stages<'_>) -> ColumnScratch {
+        ColumnScratch { fft: self.fft.scratch(), energies: vec![0.0; stages.filters()] }
+    }
+
+    /// The per-frame routine: appends the feature column of one
+    /// already-windowed frame to `out`.
+    pub(crate) fn column_into(
+        &self,
+        stages: Stages<'_>,
+        windowed: &[f32],
+        scratch: &mut ColumnScratch,
+        out: &mut Vec<f32>,
+    ) {
+        let power = self.fft.power(windowed, &mut scratch.fft);
+        match stages {
+            Stages::LogPower => out.extend(power.iter().map(|&p| log_clamped(p))),
+            Stages::LogMel(mel) => {
+                mel.apply_into(power, &mut scratch.energies);
+                out.extend(scratch.energies.iter().map(|&e| log_clamped(e)));
+            }
+            Stages::Cepstra(mel, dct) => {
+                mel.apply_into(power, &mut scratch.energies);
+                for e in &mut scratch.energies {
+                    *e = log_clamped(*e);
+                }
+                dct.apply_into(&scratch.energies, out);
+            }
+        }
+    }
+
+    /// One feature column from an already-windowed frame, in fresh buffers.
+    fn frame_column(&self, stages: Stages<'_>, windowed: &[f32]) -> Result<Vec<f32>> {
         if windowed.len() != self.framing.frame_len {
             return Err(DspError::InputLengthMismatch {
                 expected: self.framing.frame_len,
                 actual: windowed.len(),
             });
         }
-        Ok(())
+        let mut column = Vec::with_capacity(self.width(stages));
+        self.column_into(stages, windowed, &mut self.scratch(stages), &mut column);
+        Ok(column)
     }
 
-    /// Windows every frame of `input`, in order, into one reused buffer
-    /// and hands it to `column`.
-    fn each_frame(&self, input: &[f32], mut column: impl FnMut(&[f32])) -> Result<()> {
-        let frame_len = self.framing.frame_len;
-        if self.framing.frame_count(input.len()) == 0 {
+    /// Every frame's column of `input`, in order: frame by frame through
+    /// [`FramePlan::column_into`] at [`F32Level::Baseline`], through the
+    /// lane kernel at any wider level.
+    fn process_at(&self, level: F32Level, stages: Stages<'_>, input: &[f32]) -> Result<Vec<f32>> {
+        let Framing { frame_len, .. } = self.framing;
+        let frames = self.framing.frame_count(input.len());
+        if frames == 0 {
             return Err(DspError::InputTooShort { required: frame_len, actual: input.len() });
         }
-        let mut windowed = vec![0.0; frame_len];
-        for start in self.framing.offsets(input.len()) {
-            apply_window(&input[start..start + frame_len], &self.window, &mut windowed);
-            column(&windowed);
+        let mut out = Vec::with_capacity(frames * self.width(stages));
+        match level {
+            F32Level::Baseline => {
+                let mut scratch = self.scratch(stages);
+                let mut windowed = vec![0.0; frame_len];
+                for start in self.framing.offsets(input.len()) {
+                    apply_window(&input[start..start + frame_len], &self.window, &mut windowed);
+                    self.column_into(stages, &windowed, &mut scratch, &mut out);
+                }
+            }
+            wide => wide.run(FrameLanes { plan: self, stages, input, out: &mut out }),
         }
-        Ok(())
+        Ok(out)
     }
 }
 
-/// Working buffers of an MFE column: the FFT's and the filter energies.
-struct MfeScratch {
-    fft: FftScratch,
-    energies: Vec<f32>,
+/// [`FramePlan::process_at`]'s body at a wide level: [`LANES`] frames per
+/// pass, frame `first + l` in lane `l`, in one set of lane buffers per
+/// call. A last pass with fewer live frames fills its spare lanes with a
+/// silent frame and appends only the live lanes' columns.
+struct FrameLanes<'a> {
+    plan: &'a FramePlan,
+    stages: Stages<'a>,
+    input: &'a [f32],
+    out: &'a mut Vec<f32>,
+}
+
+impl F32Kernel for FrameLanes<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let FrameLanes { plan, stages, input, out } = self;
+        let Framing { frame_len, stride } = plan.framing;
+        let mut fft = plan.fft.lane_scratch();
+        let coefficients = if let Stages::Cepstra(_, dct) = stages { dct.n_out() } else { 0 };
+        let mut energies = vec![[0.0; LANES]; stages.filters()];
+        let mut cepstra = vec![[0.0; LANES]; coefficients];
+        let silence = vec![0.0; frame_len];
+        let frames = plan.framing.frame_count(input.len());
+        for first in (0..frames).step_by(LANES) {
+            let live = (frames - first).min(LANES);
+            let lanes: [&[f32]; LANES] = std::array::from_fn(|l| {
+                if l < live {
+                    let start = (first + l) * stride;
+                    &input[start..start + frame_len]
+                } else {
+                    &silence
+                }
+            });
+            let power = plan.fft.power_lanes(&lanes, &plan.window, &mut fft);
+            let logs = match stages {
+                Stages::LogPower => power,
+                Stages::LogMel(mel) | Stages::Cepstra(mel, _) => {
+                    mel.apply_lanes(power, &mut energies);
+                    &mut energies[..]
+                }
+            };
+            for v in logs.iter_mut() {
+                for v in &mut v[..live] {
+                    *v = log_clamped(*v);
+                }
+            }
+            let columns = match stages {
+                Stages::Cepstra(_, dct) => {
+                    dct.apply_lanes(logs, &mut cepstra);
+                    &cepstra[..]
+                }
+                _ => logs,
+            };
+            for l in 0..live {
+                out.extend(columns.iter().map(|c| c[l]));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -154,49 +313,49 @@ impl MfeBlock {
         self.plan.framing
     }
 
-    /// The Hann taper each frame is multiplied by before the FFT.
-    pub(crate) fn window(&self) -> &[f32] {
-        &self.plan.window
-    }
-
     /// Features produced per frame (one Mel filter each).
     pub fn features_per_frame(&self) -> usize {
         self.config.n_filters
     }
 
+    /// The frame plan and stages of the per-frame routine.
+    pub(crate) fn column_parts(&self) -> (&FramePlan, Stages<'_>) {
+        (&self.plan, Stages::LogMel(&self.filterbank))
+    }
+
     /// One feature column from an already-windowed frame.
     ///
     /// This runs the block's single per-frame routine (power FFT → Mel
-    /// filterbank → log), the one batch [`DspBlock::process`] loops over
-    /// and the incremental [`crate::streaming::StreamingExtractor`] reaches
-    /// through here, which is what makes streaming features bitwise-equal
-    /// to batch recomputation: both paths run the very same instructions
-    /// on the very same windowed samples.
+    /// filterbank → log), the one [`DspBlock::process`] loops over at
+    /// [`F32Level::Baseline`] and the incremental
+    /// [`crate::streaming::StreamingExtractor`] runs on each frame, which
+    /// is what makes streaming features bitwise-equal to batch
+    /// recomputation: both paths run the very same instructions on the
+    /// very same windowed samples. The wide `process` levels are tested
+    /// bitwise against it.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
     /// exactly one frame long.
     pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        self.plan.check_frame(windowed)?;
-        let mut scratch = self.scratch();
-        self.log_energies(windowed, &mut scratch);
-        Ok(scratch.energies)
+        let (plan, stages) = self.column_parts();
+        plan.frame_column(stages, windowed)
     }
 
-    fn scratch(&self) -> MfeScratch {
-        MfeScratch { fft: self.plan.fft.scratch(), energies: vec![0.0; self.config.n_filters] }
-    }
-
-    /// The per-frame pipeline behind [`MfeBlock::frame_column`] and
-    /// `process`: power FFT → Mel filterbank → clamped log, left in
-    /// `scratch.energies`.
-    fn log_energies(&self, windowed: &[f32], scratch: &mut MfeScratch) {
-        let power = self.plan.fft.power(windowed, &mut scratch.fft);
-        self.filterbank.apply_into(power, &mut scratch.energies);
-        for e in &mut scratch.energies {
-            *e = log_clamped(*e);
-        }
+    /// [`DspBlock::process`] at `level` (which `process` takes from
+    /// [`f32_level`]): every level gives the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InputTooShort`] when not even one frame fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `level`.
+    pub fn process_at(&self, level: F32Level, input: &[f32]) -> Result<Vec<f32>> {
+        let (plan, stages) = self.column_parts();
+        plan.process_at(level, stages, input)
     }
 }
 
@@ -222,13 +381,7 @@ impl DspBlock for MfeBlock {
     }
 
     fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let mut out = Vec::with_capacity(self.frames(input.len()) * self.config.n_filters);
-        let mut scratch = self.scratch();
-        self.plan.each_frame(input, |windowed| {
-            self.log_energies(windowed, &mut scratch);
-            out.extend_from_slice(&scratch.energies);
-        })?;
-        Ok(out)
+        self.process_at(f32_level(), input)
     }
 
     fn cost(&self, input_len: usize) -> Result<DspCost> {
@@ -323,30 +476,35 @@ impl SpectrogramBlock {
         self.plan.framing
     }
 
-    /// The Hann taper each frame is multiplied by before the FFT.
-    pub(crate) fn window(&self) -> &[f32] {
-        &self.plan.window
+    /// The frame plan and stages of the per-frame routine.
+    pub(crate) fn column_parts(&self) -> (&FramePlan, Stages<'_>) {
+        (&self.plan, Stages::LogPower)
     }
 
     /// One feature column (log-power bins) from an already-windowed frame;
-    /// the shared per-frame pipeline batch and streaming extraction both
-    /// run (see [`MfeBlock::frame_column`]).
+    /// the shared per-frame routine (see [`MfeBlock::frame_column`]).
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
     /// exactly one frame long.
     pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        self.plan.check_frame(windowed)?;
-        let mut column = Vec::with_capacity(self.bins());
-        self.log_power(windowed, &mut self.plan.fft.scratch(), &mut column);
-        Ok(column)
+        let (plan, stages) = self.column_parts();
+        plan.frame_column(stages, windowed)
     }
 
-    /// The per-frame pipeline behind [`SpectrogramBlock::frame_column`] and
-    /// `process`: power FFT → clamped log, appended to `out`.
-    fn log_power(&self, windowed: &[f32], scratch: &mut FftScratch, out: &mut Vec<f32>) {
-        out.extend(self.plan.fft.power(windowed, scratch).iter().map(|&p| log_clamped(p)));
+    /// [`DspBlock::process`] at `level`; see [`MfeBlock::process_at`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InputTooShort`] when not even one frame fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `level`.
+    pub fn process_at(&self, level: F32Level, input: &[f32]) -> Result<Vec<f32>> {
+        let (plan, stages) = self.column_parts();
+        plan.process_at(level, stages, input)
     }
 }
 
@@ -372,10 +530,7 @@ impl DspBlock for SpectrogramBlock {
     }
 
     fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let mut out = Vec::with_capacity(self.frames(input.len()) * self.bins());
-        let mut scratch = self.plan.fft.scratch();
-        self.plan.each_frame(input, |windowed| self.log_power(windowed, &mut scratch, &mut out))?;
-        Ok(out)
+        self.process_at(f32_level(), input)
     }
 
     fn cost(&self, input_len: usize) -> Result<DspCost> {
@@ -473,28 +628,41 @@ impl MfccBlock {
         self.mfe.framing()
     }
 
-    /// The Hann taper each frame is multiplied by before the FFT.
-    pub(crate) fn window(&self) -> &[f32] {
-        self.mfe.window()
-    }
-
     /// Cepstral coefficients produced per frame.
     pub fn features_per_frame(&self) -> usize {
         self.config.n_coefficients
     }
 
-    /// One cepstral column from an already-windowed frame: the inner
-    /// [`MfeBlock::frame_column`] followed by the per-frame DCT-II — the
-    /// identical pipeline batch [`DspBlock::process`] applies frame by
-    /// frame.
+    /// The frame plan and stages of the per-frame routine.
+    pub(crate) fn column_parts(&self) -> (&FramePlan, Stages<'_>) {
+        (&self.mfe.plan, Stages::Cepstra(&self.mfe.filterbank, &self.dct))
+    }
+
+    /// One cepstral column from an already-windowed frame: the MFE log
+    /// energies of [`MfeBlock::frame_column`] followed by the per-frame
+    /// DCT-II, through the shared per-frame routine.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
     /// exactly one frame long.
     pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        let log_energies = self.mfe.frame_column(windowed)?;
-        Ok(self.dct.apply(&log_energies))
+        let (plan, stages) = self.column_parts();
+        plan.frame_column(stages, windowed)
+    }
+
+    /// [`DspBlock::process`] at `level`; see [`MfeBlock::process_at`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InputTooShort`] when not even one frame fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `level`.
+    pub fn process_at(&self, level: F32Level, input: &[f32]) -> Result<Vec<f32>> {
+        let (plan, stages) = self.column_parts();
+        plan.process_at(level, stages, input)
     }
 }
 
@@ -514,13 +682,7 @@ impl DspBlock for MfccBlock {
     }
 
     fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let mut out = Vec::with_capacity(self.mfe.frames(input.len()) * self.config.n_coefficients);
-        let mut scratch = self.mfe.scratch();
-        self.mfe.plan.each_frame(input, |windowed| {
-            self.mfe.log_energies(windowed, &mut scratch);
-            self.dct.apply_into(&scratch.energies, &mut out);
-        })?;
-        Ok(out)
+        self.process_at(f32_level(), input)
     }
 
     fn cost(&self, input_len: usize) -> Result<DspCost> {
@@ -901,6 +1063,7 @@ impl DspBlock for RawBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ei_tensor::simd::supported_f32_levels;
     use proptest::prelude::*;
 
     fn tone(freq: f32, seconds: f32, rate: u32) -> Vec<f32> {
@@ -1175,73 +1338,82 @@ mod tests {
         assert_eq!(block.output_shape(7).unwrap(), (1, 7, 1));
     }
 
-    /// A one-second 16 kHz keyword-shaped clip: a detuned three-harmonic
-    /// voice with an onset, a decaying envelope and tremolo, plus uniform
-    /// noise, all drawn from `seed` (a 64-bit LCG, top 24 bits per draw).
-    fn keyword_clip(class: usize, seed: u64) -> Vec<f32> {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ class as u64;
-        let mut unit = move || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 40) as f32 / (1u64 << 24) as f32
-        };
-        let f0 = (220.0 + 180.0 * class as f32) * (0.97 + 0.06 * unit());
-        let onset = 0.05 + 0.15 * unit();
-        let amp = 0.5 + 0.4 * unit();
-        (0..16_000)
+    /// `frame_column`'s routine over every windowed frame of `input`,
+    /// concatenated: the oracle of every `process` level.
+    fn per_frame_oracle(plan: &FramePlan, stages: Stages<'_>, input: &[f32]) -> Vec<u32> {
+        crate::window::windowed_frames(input, plan.framing, WindowKind::Hann)
+            .unwrap()
+            .iter()
+            .flat_map(|frame| plan.frame_column(stages, frame).unwrap())
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    /// A signal of exactly `frames` frames plus a few spare samples, with
+    /// `special` written at every `every`-th sample; `every == 0` is
+    /// silence. Noise from a 64-bit LCG elsewhere.
+    fn edge_signal(framing: Framing, frames: usize, special: f32, every: usize) -> Vec<f32> {
+        let len = framing.frame_len + (frames - 1) * framing.stride + framing.stride / 3;
+        let mut state = (frames as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (0..len)
             .map(|i| {
-                let t = i as f32 / 16_000.0;
-                let envelope = if t < onset {
-                    0.0
-                } else {
-                    (1.0 - (t - onset)) * (1.0 + 0.5 * (2.0 * std::f32::consts::PI * 5.0 * t).sin())
-                };
-                let w = 2.0 * std::f32::consts::PI * f0 * t;
-                let tone = w.sin() + 0.5 * (2.0 * w).sin() + 0.3 * (3.0 * w).sin();
-                (amp * envelope * tone * 0.4 + 0.02 * (2.0 * unit() - 1.0)).clamp(-1.0, 1.0)
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                match every {
+                    0 => 0.0,
+                    _ if i % every == every / 2 => special,
+                    _ => ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.8,
+                }
             })
             .collect()
     }
 
-    /// FNV-1a over the length and bits of each block's output on every
-    /// clip.
-    fn features_hash(block: &dyn DspBlock, clips: &[Vec<f32>]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for clip in clips {
-            let features = block.process(clip).unwrap();
-            let len = (features.len() as u64).to_le_bytes();
-            for byte in
-                len.into_iter().chain(features.iter().flat_map(|v| v.to_bits().to_le_bytes()))
-            {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-
     #[test]
-    fn audio_feature_bits_are_pinned() {
-        // captured before the front-end is vectorised; a change that moves
-        // one feature bit of the audio blocks fails here
-        let clips: Vec<Vec<f32>> = (0..4).map(|i| keyword_clip(i % 3, 40 + i as u64)).collect();
-        let mfcc = MfccBlock::new(MfccConfig::default()).unwrap();
+    fn every_level_is_bitwise_equal_to_the_per_frame_routine() {
+        let kws = MfccConfig { n_coefficients: 10, n_filters: 40, ..MfccConfig::default() };
+        let mfcc = MfccBlock::new(kws).unwrap();
         let mfe = MfeBlock::new(MfeConfig::default()).unwrap();
         let spectrogram = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
-        let cases: [(&str, &dyn DspBlock, u64); 3] = [
-            ("mfcc", &mfcc, 0x4625_4906_7c52_14b4),
-            ("mfe", &mfe, 0xe8d4_3fc9_c0f6_9734),
-            ("spectrogram", &spectrogram, 0x00ac_5e73_1a3b_d573),
+        // an FFT twice the frame: half of every lane's load is padding
+        let padded =
+            SpectrogramBlock::new(SpectrogramConfig { fft_len: 1024, ..Default::default() })
+                .unwrap();
+        let blocks = [
+            ("mfcc", mfcc.column_parts()),
+            ("mfe", mfe.column_parts()),
+            ("spectrogram", spectrogram.column_parts()),
+            ("1024-point spectrogram", padded.column_parts()),
         ];
-        let moved: Vec<String> = cases
-            .into_iter()
-            .filter_map(|(name, block, want)| {
-                let got = features_hash(block, &clips);
-                (got != want).then(|| format!("{name} got {got:#018x}"))
-            })
-            .collect();
-        assert!(moved.is_empty(), "feature bits moved: {moved:?}");
+        let specials = [
+            ("silence", 0.0, 0),
+            ("noise with +0.0", 0.0, 5),
+            ("noise with -0.0", -0.0, 3),
+            ("one NaN", f32::NAN, 1_000),
+            ("+inf", f32::INFINITY, 700),
+            ("-inf", f32::NEG_INFINITY, 900),
+            ("f32::MAX", f32::MAX, 450),
+        ];
+        for (name, (plan, stages)) in blocks {
+            for frames in 1..=17 {
+                for (what, special, every) in specials {
+                    let input = edge_signal(plan.framing, frames, special, every);
+                    let want = per_frame_oracle(plan, stages, &input);
+                    assert_eq!(want.len(), frames * plan.width(stages));
+                    for level in supported_f32_levels() {
+                        let got = plan.process_at(level, stages, &input).unwrap();
+                        let got: Vec<u32> = got.into_iter().map(f32::to_bits).collect();
+                        assert!(got == want, "{name}, {frames} frames of {what} at {level:?}");
+                    }
+                    // the lane body compiled without a target feature, so a
+                    // host without AVX2 still runs it
+                    let mut lanes = Vec::new();
+                    FrameLanes { plan, stages, input: &input, out: &mut lanes }.run();
+                    let lanes: Vec<u32> = lanes.into_iter().map(f32::to_bits).collect();
+                    assert!(lanes == want, "{name}, {frames} frames of {what}, baseline lanes");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -11,7 +11,7 @@
 use crate::block::DspBlock;
 use crate::{DspError, Result};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Named parameters passed to a custom block factory.
 pub type CustomParams = Vec<(String, f32)>;
@@ -19,9 +19,15 @@ pub type CustomParams = Vec<(String, f32)>;
 /// A factory building a block instance from its parameters.
 pub type BlockFactory = Arc<dyn Fn(&CustomParams) -> Result<Box<dyn DspBlock>> + Send + Sync>;
 
-fn registry() -> &'static Mutex<HashMap<String, BlockFactory>> {
+/// The process-wide registry, locked. A panic under the lock cannot leave
+/// the map half-written (it is only inserted into, read or cloned there),
+/// so a poisoned lock is recovered rather than propagated.
+fn registry() -> MutexGuard<'static, HashMap<String, BlockFactory>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, BlockFactory>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+    REGISTRY
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Registers (or replaces) a custom block factory under `name`.
@@ -29,7 +35,7 @@ fn registry() -> &'static Mutex<HashMap<String, BlockFactory>> {
 /// Registration is process-wide, mirroring how the platform resolves
 /// custom blocks by name at build time.
 pub fn register_custom_block(name: &str, factory: BlockFactory) {
-    registry().lock().expect("custom block registry poisoned").insert(name.to_string(), factory);
+    registry().insert(name.to_string(), factory);
 }
 
 /// Builds a registered custom block.
@@ -39,17 +45,15 @@ pub fn register_custom_block(name: &str, factory: BlockFactory) {
 /// Returns [`DspError::InvalidConfig`] when no factory is registered under
 /// `name`, or whatever error the factory reports for bad parameters.
 pub fn build_custom_block(name: &str, params: &CustomParams) -> Result<Box<dyn DspBlock>> {
-    let factory =
-        registry().lock().expect("custom block registry poisoned").get(name).cloned().ok_or_else(
-            || DspError::InvalidConfig(format!("no custom block registered under {name:?}")),
-        )?;
+    let factory = registry().get(name).cloned().ok_or_else(|| {
+        DspError::InvalidConfig(format!("no custom block registered under {name:?}"))
+    })?;
     factory(params)
 }
 
 /// Lists registered custom block names (sorted).
 pub fn custom_block_names() -> Vec<String> {
-    let mut names: Vec<String> =
-        registry().lock().expect("custom block registry poisoned").keys().cloned().collect();
+    let mut names: Vec<String> = registry().keys().cloned().collect();
     names.sort();
     names
 }
@@ -138,5 +142,19 @@ mod tests {
         register_energy();
         let bad_params = DspConfig::Custom { name: "energy".into(), params: vec![] };
         assert!(bad_params.build().is_err());
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_serves() {
+        register_energy();
+        let poisoner = std::thread::spawn(|| {
+            let _held = registry();
+            panic!("a panic while the registry is locked");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(custom_block_names().contains(&"energy".to_string()));
+        let config =
+            DspConfig::Custom { name: "energy".into(), params: vec![("chunk".into(), 2.0)] };
+        assert_eq!(config.build().unwrap().process(&[3.0, 3.0]).unwrap(), vec![9.0]);
     }
 }

@@ -7,8 +7,18 @@
 //! with `wlen = e^{-2πi/len}` rounded from f64), evaluated in the same
 //! order, so a planned transform is bit-identical to the inline one; with
 //! the twiddles tabulated the butterflies of a stage no longer depend on
-//! each other and vectorise. Data and twiddles live in separate real and
-//! imaginary arrays.
+//! each other and vectorise. One frame's data and the twiddles live in
+//! separate real and imaginary arrays.
+//!
+//! `FftPlan::power` transforms one frame. `FftPlan::power_lanes`
+//! transforms eight frames at once for the framed blocks' batch
+//! `process`: lane `l` holds frame `l`, and each bin keeps its real lanes
+//! beside its imaginary lanes (`[[f32; 8]; 2]`), so a butterfly reads and
+//! writes whole registers of both bins it pairs while the twiddle is
+//! broadcast. Every lane runs the operations `power` runs on its frame,
+//! in the same order, so the spectra have the same bits. Keeping the real
+//! and imaginary lanes in two separate arrays instead made the butterflies
+//! slower than one frame at a time.
 //!
 //! Sized for TinyML frame lengths: a plan refuses lengths above
 //! [`MAX_FFT_LEN`] before allocating anything, so a hostile configuration
@@ -89,6 +99,21 @@ pub(crate) struct FftScratch {
     power: Vec<f32>,
 }
 
+/// Frames [`FftPlan::power_lanes`] transforms at once: one 256-bit register
+/// of `f32`, one frame per lane.
+pub(crate) const LANES: usize = 8;
+
+/// One value of each of [`LANES`] frames, lane `l` holding frame `l`'s.
+pub(crate) type Lanes = [f32; LANES];
+
+/// Working buffers of [`FftPlan::power_lanes`]: per bin, the real and the
+/// imaginary lanes side by side (a butterfly reads both of one bin at
+/// once), and the power spectrum's lanes.
+pub(crate) struct LaneScratch {
+    bins: Vec<[Lanes; 2]>,
+    power: Vec<Lanes>,
+}
+
 impl FftPlan {
     /// Plans an `n`-point transform (`n = 1` is a no-op).
     ///
@@ -141,6 +166,11 @@ impl FftPlan {
         self.butterflies(re, im);
     }
 
+    /// The planned transform length.
+    pub(crate) fn len(&self) -> usize {
+        self.rev.len()
+    }
+
     /// Fresh working buffers for [`FftPlan::power`].
     pub(crate) fn scratch(&self) -> FftScratch {
         let n = self.rev.len();
@@ -161,6 +191,61 @@ impl FftPlan {
         let scale = 1.0 / self.rev.len() as f32;
         for ((p, &r), &i) in power.iter_mut().zip(re.iter()).zip(im.iter()) {
             *p = (r * r + i * i) * scale;
+        }
+        power
+    }
+
+    /// Fresh working buffers for [`FftPlan::power_lanes`].
+    pub(crate) fn lane_scratch(&self) -> LaneScratch {
+        let n = self.rev.len();
+        LaneScratch { bins: vec![[[0.0; LANES]; 2]; n], power: vec![[0.0; LANES]; n / 2 + 1] }
+    }
+
+    /// [`FftPlan::power`] of [`LANES`] frames at once, frame `l` in lane `l`:
+    /// `frames[l]` is frame `l`'s raw samples, multiplied by `window` (one
+    /// coefficient per sample, no longer than the plan) as they are loaded.
+    ///
+    /// Each lane runs exactly the operations [`FftPlan::power`] runs on
+    /// `frames[l] · window`, in the same order: the product is the one
+    /// `apply_window` writes, the bit-reversed load is the same permutation
+    /// (written as a scatter, `rev` being its own inverse), and every
+    /// butterfly and power term is the same expression with the twiddle
+    /// broadcast across lanes. So lane `l`'s spectrum has `power`'s bits.
+    #[inline(always)]
+    pub(crate) fn power_lanes<'s>(
+        &self,
+        frames: &[&[f32]; LANES],
+        window: &[f32],
+        scratch: &'s mut LaneScratch,
+    ) -> &'s mut [Lanes] {
+        debug_assert!(window.len() <= self.rev.len());
+        let LaneScratch { bins, power } = scratch;
+        bins.fill([[0.0; LANES]; 2]);
+        let frames = frames.map(|f| &f[..window.len()]);
+        for (i, (&w, &dst)) in window.iter().zip(&self.rev).enumerate() {
+            let re = &mut bins[dst as usize][0];
+            for (r, frame) in re.iter_mut().zip(&frames) {
+                *r = frame[i] * w;
+            }
+        }
+        let n = self.rev.len();
+        let mut half = 1;
+        while half < n {
+            let wr = &self.tw_re[half - 1..2 * half - 1];
+            let wi = &self.tw_im[half - 1..2 * half - 1];
+            for block in bins.chunks_exact_mut(2 * half) {
+                let (a, b) = block.split_at_mut(half);
+                for (((a, b), &wr), &wi) in a.iter_mut().zip(b).zip(wr).zip(wi) {
+                    butterfly_lanes(a, b, wr, wi);
+                }
+            }
+            half <<= 1;
+        }
+        let scale = 1.0 / n as f32;
+        for (p, [re, im]) in power.iter_mut().zip(bins.iter()) {
+            for ((p, &r), &i) in p.iter_mut().zip(re).zip(im) {
+                *p = (r * r + i * i) * scale;
+            }
         }
         power
     }
@@ -208,6 +293,22 @@ fn butterfly(
         ai[k] = ui + vi;
         br[k] = ur - vr;
         bi[k] = ui - vi;
+    }
+}
+
+/// [`butterfly`] on one pair of bins of [`LANES`] frames, lane by lane, with
+/// the stage's twiddle `wr + i·wi` shared by every lane.
+#[inline(always)]
+fn butterfly_lanes(a: &mut [Lanes; 2], b: &mut [Lanes; 2], wr: f32, wi: f32) {
+    for l in 0..LANES {
+        let (xr, xi) = (b[0][l], b[1][l]);
+        let vr = xr * wr - xi * wi;
+        let vi = xr * wi + xi * wr;
+        let (ur, ui) = (a[0][l], a[1][l]);
+        a[0][l] = ur + vr;
+        a[1][l] = ui + vi;
+        b[0][l] = ur - vr;
+        b[1][l] = ui - vi;
     }
 }
 

@@ -1,5 +1,6 @@
 //! Mel scale, triangular filterbanks and the DCT-II used by MFCC.
 
+use crate::fft::{Lanes, LANES};
 use crate::{DspError, Result};
 
 /// Converts frequency in hertz to mels (HTK convention).
@@ -135,6 +136,23 @@ impl MelFilterbank {
         }
     }
 
+    /// [`MelFilterbank::apply_into`] for [`LANES`] power spectra at once,
+    /// one per lane: each lane's energy is the same `+0.0`-started fold in
+    /// bin order, so it has `apply_into`'s bits.
+    #[inline(always)]
+    pub(crate) fn apply_lanes(&self, power: &[Lanes], energies: &mut [Lanes]) {
+        debug_assert_eq!(power.len(), self.n_bins);
+        for ((first, weights), e) in self.filters.iter().zip(energies) {
+            let mut acc = [0.0; LANES];
+            for (&w, p) in weights.iter().zip(&power[*first..]) {
+                for (acc, &p) in acc.iter_mut().zip(p) {
+                    *acc += w * p;
+                }
+            }
+            *e = acc;
+        }
+    }
+
     /// Approximate multiply–accumulate count of one [`MelFilterbank::apply`].
     pub fn macs(&self) -> u64 {
         // triangular filters touch ~2 * n_bins / n_filters bins each
@@ -176,7 +194,7 @@ impl Dct2 {
 
     /// The first `n_out` coefficients of `input` (`n` values).
     pub(crate) fn apply(&self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.table.len() / self.n.max(1));
+        let mut out = Vec::with_capacity(self.n_out());
         self.apply_into(input, &mut out);
         out
     }
@@ -191,6 +209,38 @@ impl Dct2 {
             let sum: f32 = input.iter().zip(row).map(|(&x, &c)| x * c).sum();
             sum * if k == 0 { self.norm0 } else { self.norm }
         }));
+    }
+
+    /// Coefficients per input.
+    pub(crate) fn n_out(&self) -> usize {
+        self.table.len() / self.n.max(1)
+    }
+
+    /// [`Dct2::apply_into`] for [`LANES`] inputs at once, one per lane,
+    /// writing coefficient `k` of every lane to `out[k]`.
+    ///
+    /// Each lane folds its products in input order from the value `f32`'s
+    /// `Sum` starts from (`-0.0` on current std; `+0.0` would turn an
+    /// all-`-0.0` sum positive), so a lane has `apply_into`'s bits.
+    #[inline(always)]
+    pub(crate) fn apply_lanes(&self, input: &[Lanes], out: &mut [Lanes]) {
+        debug_assert_eq!(input.len(), self.n);
+        if self.n == 0 {
+            return;
+        }
+        let start: f32 = std::iter::empty::<f32>().sum();
+        for (k, (row, o)) in self.table.chunks_exact(self.n).zip(out).enumerate() {
+            let mut acc = [start; LANES];
+            for (x, &c) in input.iter().zip(row) {
+                for (acc, &x) in acc.iter_mut().zip(x) {
+                    *acc += x * c;
+                }
+            }
+            let norm = if k == 0 { self.norm0 } else { self.norm };
+            for (o, acc) in o.iter_mut().zip(acc) {
+                *o = acc * norm;
+            }
+        }
     }
 }
 

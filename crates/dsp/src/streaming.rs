@@ -14,16 +14,18 @@
 //!
 //! The per-frame column math is not reimplemented here: the extractor
 //! multiplies each frame by the block's own Hann table through the same
-//! `apply_window` loop batch `process` runs, then calls the block's
-//! `frame_column` — which runs the very column routine batch `process`
-//! loops over. Because every audio block's frames depend only on that
-//! frame's samples, a column computed incrementally is bit-identical to
-//! the one batch recomputation would produce, provided window starts land
-//! on frame-stride boundaries. `ei-stream` asserts this with a
-//! batch-recompute oracle on every emitted window.
+//! `apply_window` loop batch `process` runs, then runs the block's
+//! per-frame routine — the one `frame_column` runs, and the oracle every
+//! `process` level is tested against bitwise. Because every audio block's
+//! frames depend only on that frame's samples, a column computed
+//! incrementally is bit-identical to the one batch recomputation would
+//! produce, provided window starts land on frame-stride boundaries.
+//! `ei-stream` asserts this with a batch-recompute oracle on every emitted
+//! window. The routine's working buffers live in the extractor, so a push
+//! allocates only the columns it returns and the list holding them.
 
 use crate::block::DspConfig;
-use crate::blocks::{MfccBlock, MfeBlock, SpectrogramBlock};
+use crate::blocks::{ColumnScratch, FramePlan, MfccBlock, MfeBlock, SpectrogramBlock, Stages};
 use crate::window::{apply_window, Framing};
 use crate::{DspError, Result};
 
@@ -36,19 +38,11 @@ enum ColumnBlock {
 }
 
 impl ColumnBlock {
-    fn column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
+    fn parts(&self) -> (&FramePlan, Stages<'_>) {
         match self {
-            ColumnBlock::Mfe(b) => b.frame_column(windowed),
-            ColumnBlock::Mfcc(b) => b.frame_column(windowed),
-            ColumnBlock::Spectrogram(b) => b.frame_column(windowed),
-        }
-    }
-
-    fn window(&self) -> &[f32] {
-        match self {
-            ColumnBlock::Mfe(b) => b.window(),
-            ColumnBlock::Mfcc(b) => b.window(),
-            ColumnBlock::Spectrogram(b) => b.window(),
+            ColumnBlock::Mfe(b) => b.column_parts(),
+            ColumnBlock::Mfcc(b) => b.column_parts(),
+            ColumnBlock::Spectrogram(b) => b.column_parts(),
         }
     }
 }
@@ -88,6 +82,8 @@ pub struct StreamingExtractor {
     buffer: Vec<f32>,
     /// The frame being windowed, reused for every frame.
     windowed: Vec<f32>,
+    /// The per-frame routine's working buffers, reused for every frame.
+    scratch: ColumnScratch,
     /// Absolute sample index of `buffer[0]`.
     buf_base: u64,
     /// Absolute sample index where the next frame starts.
@@ -129,7 +125,10 @@ impl StreamingExtractor {
                 )))
             }
         };
+        let (plan, stages) = block.parts();
+        let scratch = plan.scratch(stages);
         Ok(StreamingExtractor {
+            scratch,
             block,
             framing,
             features_per_frame,
@@ -170,13 +169,18 @@ impl StreamingExtractor {
     ///
     /// # Errors
     ///
-    /// Propagates block-level failures; the extractor's own bookkeeping
-    /// never fails.
+    /// Never fails today: every frame the loop cuts is complete, so the
+    /// per-frame routine has nothing to refuse. The `Result` leaves room
+    /// for a block that can.
     pub fn push(&mut self, samples: &[f32]) -> Result<Vec<Vec<f32>>> {
         self.samples_in += samples.len() as u64;
         self.buffer.extend_from_slice(samples);
         let frame_len = self.framing.frame_len;
-        let mut columns = Vec::new();
+        let (plan, stages) = self.block.parts();
+        let ready = (self.buf_base + self.buffer.len() as u64)
+            .checked_sub(self.next_frame_start)
+            .map_or(0, |span| self.framing.frame_count(span as usize));
+        let mut columns = Vec::with_capacity(ready);
         // Frames are cut at offsets into the buffer (the next frame starts
         // at most one stride past `buf_base`); everything before the next
         // frame start, gap samples included, is drained once per push, not
@@ -187,8 +191,10 @@ impl StreamingExtractor {
             else {
                 break;
             };
-            apply_window(frame, self.block.window(), &mut self.windowed);
-            columns.push(self.block.column(&self.windowed)?);
+            apply_window(frame, plan.window(), &mut self.windowed);
+            let mut column = Vec::with_capacity(self.features_per_frame);
+            plan.column_into(stages, &self.windowed, &mut self.scratch, &mut column);
+            columns.push(column);
             self.frames_out += 1;
             self.next_frame_start += self.framing.stride as u64;
         }

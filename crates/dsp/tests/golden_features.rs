@@ -1,10 +1,14 @@
 //! Feature bits are pinned: every audio and spectral block's `process`
-//! output, hashed over seeded signals, must equal constants captured with
-//! the per-call front-end (dense Mel rows, per-frame `cos` DCT, inline
-//! twiddle recurrence) that the planned tables replaced. Any change to
-//! windowing, FFT, filterbank, log or DCT arithmetic moves a hash.
+//! output, hashed over seeded signals and keyword-shaped clips, must equal
+//! constants captured with the per-call front-end (dense Mel rows,
+//! per-frame `cos` DCT, inline twiddle recurrence) that the planned tables
+//! replaced, and the audio blocks must give them at every f32 level their
+//! `process_at` runs. Any change to windowing, FFT, filterbank, log or DCT
+//! arithmetic moves a hash.
 
+use ei_dsp::blocks::{MfccBlock, MfeBlock, SpectrogramBlock};
 use ei_dsp::{DspConfig, MfccConfig, MfeConfig, SpectralConfig, SpectrogramConfig};
+use ei_tensor::simd::{supported_f32_levels, F32Level};
 
 /// FNV-1a over each output's length and the little-endian bits of every
 /// feature.
@@ -42,11 +46,63 @@ fn signal(seed: u64, len: usize) -> Vec<f32> {
         .collect()
 }
 
-fn process_hash(config: &DspConfig, len: usize) -> u64 {
+/// A one-second 16 kHz keyword-shaped clip: a detuned three-harmonic
+/// voice with an onset, a decaying envelope and tremolo, plus uniform
+/// noise, all drawn from `seed` (a 64-bit LCG, top 24 bits per draw).
+fn keyword_clip(class: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ class as u64;
+    let mut unit = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 40) as f32 / (1u64 << 24) as f32
+    };
+    let f0 = (220.0 + 180.0 * class as f32) * (0.97 + 0.06 * unit());
+    let onset = 0.05 + 0.15 * unit();
+    let amp = 0.5 + 0.4 * unit();
+    (0..16_000)
+        .map(|i| {
+            let t = i as f32 / 16_000.0;
+            let envelope = if t < onset {
+                0.0
+            } else {
+                (1.0 - (t - onset)) * (1.0 + 0.5 * (2.0 * std::f32::consts::PI * 5.0 * t).sin())
+            };
+            let w = 2.0 * std::f32::consts::PI * f0 * t;
+            let tone = w.sin() + 0.5 * (2.0 * w).sin() + 0.3 * (3.0 * w).sin();
+            (amp * envelope * tone * 0.4 + 0.02 * (2.0 * unit() - 1.0)).clamp(-1.0, 1.0)
+        })
+        .collect()
+}
+
+/// [`hash_outputs`] of the `process` output of `config`'s block on each
+/// input.
+fn process_hash(config: &DspConfig, inputs: &[Vec<f32>]) -> u64 {
     let block = config.build().expect("config builds");
     let outputs: Vec<Vec<f32>> =
-        (0..8).map(|seed| block.process(&signal(seed, len)).expect("signal fits")).collect();
+        inputs.iter().map(|input| block.process(input).expect("signal fits")).collect();
     hash_outputs(&outputs)
+}
+
+/// One block's `process_at(level, input)`.
+type ProcessAt = Box<dyn Fn(F32Level, &[f32]) -> Vec<f32>>;
+
+/// `process_at` of the framed audio block `config` describes.
+fn audio_block(config: &DspConfig) -> ProcessAt {
+    match config.clone() {
+        DspConfig::Mfcc(c) => {
+            let block = MfccBlock::new(c).expect("config builds");
+            Box::new(move |level, x| block.process_at(level, x).expect("signal fits"))
+        }
+        DspConfig::Mfe(c) => {
+            let block = MfeBlock::new(c).expect("config builds");
+            Box::new(move |level, x| block.process_at(level, x).expect("signal fits"))
+        }
+        DspConfig::Spectrogram(c) => {
+            let block = SpectrogramBlock::new(c).expect("config builds");
+            Box::new(move |level, x| block.process_at(level, x).expect("signal fits"))
+        }
+        other => panic!("{} is not a framed audio block", other.name()),
+    }
 }
 
 #[test]
@@ -58,20 +114,23 @@ fn audio_feature_bits_are_pinned() {
         n_filters: 40,
         sample_rate_hz: 16_000,
     };
+    let seeded = |len| (0..8).map(|seed| signal(seed, len)).collect::<Vec<_>>();
+    let (at_16k, at_4k) = (seeded(16_000), seeded(4_000));
+    let clips: Vec<Vec<f32>> = (0..4).map(|i| keyword_clip(i % 3, 40 + i as u64)).collect();
     let cases = [
-        ("kws mfcc", DspConfig::Mfcc(kws), 16_000, 0x60c1_611a_2912_5148),
-        ("default mfcc", DspConfig::Mfcc(MfccConfig::default()), 16_000, 0xe958_aca2_2c79_25f9),
-        ("default mfe", DspConfig::Mfe(MfeConfig::default()), 16_000, 0x409f_3b75_f0cb_70b6),
+        ("kws mfcc", DspConfig::Mfcc(kws), &at_16k, 0x60c1_611a_2912_5148),
+        ("default mfcc", DspConfig::Mfcc(MfccConfig::default()), &at_16k, 0xe958_aca2_2c79_25f9),
+        ("default mfe", DspConfig::Mfe(MfeConfig::default()), &at_16k, 0x409f_3b75_f0cb_70b6),
         (
             "default spectrogram",
             DspConfig::Spectrogram(SpectrogramConfig::default()),
-            16_000,
+            &at_16k,
             0xd06f_09b7_6523_91e0,
         ),
         (
             "zero-padded spectrogram",
             DspConfig::Spectrogram(SpectrogramConfig { fft_len: 1024, ..Default::default() }),
-            16_000,
+            &at_16k,
             0xbeaa_69dd_1334_2af6,
         ),
         (
@@ -84,7 +143,7 @@ fn audio_feature_bits_are_pinned() {
                 low_hz: 80.0,
                 high_hz: 1_800.0,
             }),
-            4_000,
+            &at_4k,
             0xff71_e94a_98ee_e149,
         ),
         (
@@ -96,15 +155,32 @@ fn audio_feature_bits_are_pinned() {
                 n_filters: 16,
                 sample_rate_hz: 4_000,
             }),
-            4_000,
+            &at_4k,
             0xcdde_32f0_842b_d52e,
+        ),
+        // keyword-shaped clips, pinned before the front-end ran in lanes
+        ("clips, mfcc", DspConfig::Mfcc(MfccConfig::default()), &clips, 0x4625_4906_7c52_14b4),
+        ("clips, mfe", DspConfig::Mfe(MfeConfig::default()), &clips, 0xe8d4_3fc9_c0f6_9734),
+        (
+            "clips, spectrogram",
+            DspConfig::Spectrogram(SpectrogramConfig::default()),
+            &clips,
+            0x00ac_5e73_1a3b_d573,
         ),
     ];
     let mut failures = Vec::new();
-    for (name, config, len, want) in cases {
-        let got = process_hash(&config, len);
+    for (name, config, inputs, want) in cases {
+        let got = process_hash(&config, inputs);
         if got != want {
             failures.push(format!("{name}: got {got:#018x}"));
+        }
+        let process_at = audio_block(&config);
+        for level in supported_f32_levels() {
+            let outputs: Vec<Vec<f32>> = inputs.iter().map(|x| process_at(level, x)).collect();
+            let got = hash_outputs(&outputs);
+            if got != want {
+                failures.push(format!("{name} at {level:?}: got {got:#018x}"));
+            }
         }
     }
     assert!(failures.is_empty(), "feature bits moved:\n{}", failures.join("\n"));
@@ -126,7 +202,8 @@ fn spectral_feature_bits_are_pinned() {
     ];
     let mut failures = Vec::new();
     for (name, config, len, want) in cases {
-        let got = process_hash(&DspConfig::Spectral(config), len);
+        let inputs: Vec<Vec<f32>> = (0..8).map(|seed| signal(seed, len)).collect();
+        let got = process_hash(&DspConfig::Spectral(config), &inputs);
         if got != want {
             failures.push(format!("{name}: got {got:#018x}"));
         }
