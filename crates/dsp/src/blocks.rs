@@ -1416,6 +1416,85 @@ mod tests {
         }
     }
 
+    /// A one-second 16 kHz keyword-shaped clip: a detuned three-harmonic
+    /// voice with an onset, a decaying envelope and tremolo, plus uniform
+    /// noise, all drawn from `seed` (a 64-bit LCG, top 24 bits per draw).
+    fn keyword_clip(class: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ class as u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let f0 = (220.0 + 180.0 * class as f32) * (0.97 + 0.06 * unit());
+        let onset = 0.05 + 0.15 * unit();
+        let amp = 0.5 + 0.4 * unit();
+        (0..16_000)
+            .map(|i| {
+                let t = i as f32 / 16_000.0;
+                let envelope = if t < onset {
+                    0.0
+                } else {
+                    (1.0 - (t - onset)) * (1.0 + 0.5 * (2.0 * std::f32::consts::PI * 5.0 * t).sin())
+                };
+                let w = 2.0 * std::f32::consts::PI * f0 * t;
+                let tone = w.sin() + 0.5 * (2.0 * w).sin() + 0.3 * (3.0 * w).sin();
+                (amp * envelope * tone * 0.4 + 0.02 * (2.0 * unit() - 1.0)).clamp(-1.0, 1.0)
+            })
+            .collect()
+    }
+
+    /// A framed audio block's plan and stages, as `column_parts` gives them.
+    type ColumnParts<'a> = (&'a FramePlan, Stages<'a>);
+
+    /// FNV-1a over the length and bits of each output.
+    fn features_hash(outputs: impl IntoIterator<Item = Vec<f32>>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for features in outputs {
+            let len = (features.len() as u64).to_le_bytes();
+            for byte in
+                len.into_iter().chain(features.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+            {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn audio_feature_bits_are_pinned() {
+        // captured before the front-end ran eight frames in lanes; a change
+        // that moves one feature bit of the audio blocks, by `process` or
+        // at any f32 level of `process_at`, fails here
+        let clips: Vec<Vec<f32>> = (0..4).map(|i| keyword_clip(i % 3, 40 + i as u64)).collect();
+        let mfcc = MfccBlock::new(MfccConfig::default()).unwrap();
+        let mfe = MfeBlock::new(MfeConfig::default()).unwrap();
+        let spectrogram = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
+        let cases: [(&str, &dyn DspBlock, ColumnParts<'_>, u64); 3] = [
+            ("mfcc", &mfcc, mfcc.column_parts(), 0x4625_4906_7c52_14b4),
+            ("mfe", &mfe, mfe.column_parts(), 0xe8d4_3fc9_c0f6_9734),
+            ("spectrogram", &spectrogram, spectrogram.column_parts(), 0x00ac_5e73_1a3b_d573),
+        ];
+        let mut moved = Vec::new();
+        for (name, block, (plan, stages), want) in cases {
+            let got = features_hash(clips.iter().map(|clip| block.process(clip).unwrap()));
+            if got != want {
+                moved.push(format!("{name} got {got:#018x}"));
+            }
+            for level in supported_f32_levels() {
+                let got = features_hash(
+                    clips.iter().map(|clip| plan.process_at(level, stages, clip).unwrap()),
+                );
+                if got != want {
+                    moved.push(format!("{name} at {level:?} got {got:#018x}"));
+                }
+            }
+        }
+        assert!(moved.is_empty(), "feature bits moved: {moved:?}");
+    }
+
     proptest! {
         #[test]
         fn prop_mfe_features_finite(samples in proptest::collection::vec(-1.0f32..1.0, 640..2000)) {
