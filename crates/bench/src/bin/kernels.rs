@@ -29,7 +29,7 @@
 
 use ei_bench::{quick_mode, Measurement, ResultsWriter, Task};
 use ei_data::synth::KwsGenerator;
-use ei_dsp::blocks::MfccBlock;
+use ei_dsp::blocks::FramedBlock;
 use ei_dsp::window::{windowed_frames, WindowKind};
 use ei_dsp::DspConfig;
 use ei_nn::layers::conv::{self, conv2d_forward_at, depthwise_forward_at, Conv2dGeom};
@@ -489,11 +489,11 @@ fn quant_calibrate(writer: &mut ResultsWriter, reps: usize) -> Result<()> {
 /// are frames, FFT length and coefficients per frame. Returns the best
 /// level's speedup over `per_frame`.
 fn dsp_mfcc(writer: &mut ResultsWriter, reps: usize) -> Result<f64> {
-    let task = Task::KeywordSpotting;
-    let DspConfig::Mfcc(config) = task.dsp() else {
+    let config = Task::KeywordSpotting.dsp();
+    if !matches!(config, DspConfig::Mfcc(_)) {
         return Err("the KWS task's DSP block is not MFCC".into());
-    };
-    let block = MfccBlock::new(config)?;
+    }
+    let block = FramedBlock::new(&config)?;
     let clip = KwsGenerator::default().generate(1, 7);
     let framing = block.framing();
     let mut oracle = Vec::new();

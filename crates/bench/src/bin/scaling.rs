@@ -16,7 +16,7 @@ use ei_bench::{ms, quick_mode, Measurement, ResultsWriter};
 use ei_data::synth::KwsGenerator;
 use ei_data::Dataset;
 use ei_device::{Board, Profiler};
-use ei_dsp::blocks::MfeBlock;
+use ei_dsp::blocks::FramedBlock;
 use ei_dsp::parallel::process_windows;
 use ei_dsp::{DspConfig, MfccConfig, MfeConfig};
 use ei_nn::train::TrainConfig;
@@ -139,14 +139,14 @@ fn tuner_cpu(writer: &mut ResultsWriter, host_threads: usize) {
 /// Dataset-wide MFE extraction over the pool.
 fn dsp_cpu(writer: &mut ResultsWriter, host_threads: usize) {
     let windows_n = if quick_mode() { 16 } else { 96 };
-    let block = MfeBlock::new(MfeConfig {
+    let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig {
         frame_s: 0.032,
         stride_s: 0.016,
         n_filters: 12,
         sample_rate_hz: 4_000,
         low_hz: 0.0,
         high_hz: 0.0,
-    })
+    }))
     .expect("valid config");
     let windows: Vec<Vec<f32>> = (0..windows_n)
         .map(|w| (0..1_000).map(|i| ((w * 31 + i) as f32 * 0.01).sin()).collect())

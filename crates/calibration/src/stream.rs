@@ -114,7 +114,8 @@ impl TraceConfig {
 ///
 /// `stream` is the raw signal; `truth_sample_positions` the sample indices
 /// where true events start; `window`/`stride` the classification geometry;
-/// `classify` returns the target-class probability for one raw window.
+/// `classify` returns the target-class probability for one raw window. A
+/// `stride` of 0 reads as 1.
 ///
 /// This is the "user-supplied raw data along with the trained model" input
 /// mode of the calibration tool.
@@ -128,6 +129,7 @@ pub fn trace_from_classifier<F>(
 where
     F: FnMut(&[f32]) -> f32,
 {
+    let stride = stride.max(1);
     let mut probs = Vec::new();
     let mut start = 0usize;
     while start + window <= stream.len() {
@@ -136,8 +138,8 @@ where
     }
     let truth = truth_sample_positions
         .iter()
-        .filter(|&&p| p / stride.max(1) < probs.len())
-        .map(|&p| p / stride.max(1))
+        .filter(|&&p| p / stride < probs.len())
+        .map(|&p| p / stride)
         .collect();
     ProbabilityTrace { probs, truth }
 }
@@ -199,5 +201,16 @@ mod tests {
         assert_eq!(trace.truth, vec![8]);
         assert!(trace.probs[8] > 0.5);
         assert!(trace.probs[0] < 0.5);
+    }
+
+    #[test]
+    fn zero_stride_gives_the_stride_one_trace() {
+        let stream: Vec<f32> = (0..40).map(|i| (i as f32 * 0.3).sin()).collect();
+        let mean = |w: &[f32]| w.iter().sum::<f32>() / w.len() as f32;
+        let zero = trace_from_classifier(&stream, &[5, 31, 39], 8, 0, mean);
+        let one = trace_from_classifier(&stream, &[5, 31, 39], 8, 1, mean);
+        assert_eq!(zero, one);
+        assert_eq!(zero.len(), 33);
+        assert_eq!(zero.truth, vec![5, 31]);
     }
 }

@@ -270,7 +270,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ei_dsp::{blocks::MfccBlock, DspBlock, MfccConfig};
+    use ei_dsp::{blocks::FramedBlock, DspBlock, DspConfig, MfccConfig};
     use ei_nn::presets;
     use ei_nn::spec::Dims;
     use ei_nn::Sequential;
@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn dsp_latency_ranks_by_arch() {
-        let block = MfccBlock::new(MfccConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default())).unwrap();
         let cost = block.cost(16_000).unwrap();
         let nano = Profiler::new(Board::nano33_ble_sense()).dsp_ms(cost);
         let esp = Profiler::new(Board::esp_eye()).dsp_ms(cost);
@@ -331,7 +331,7 @@ mod tests {
         let (_, int8_a) = kws_artifacts();
         let eon = EonProgram::compile(int8_a).unwrap();
         let profiler = Profiler::new(Board::nano33_ble_sense());
-        let block = MfccBlock::new(MfccConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default())).unwrap();
         let report = profiler.profile(Some(block.cost(16_000).unwrap()), &eon);
         assert!(
             report.dsp_ms > 0.2 * report.total_ms,

@@ -1,8 +1,8 @@
 //! The processing-block abstraction shared by all DSP front-ends.
 
 use crate::blocks::{
-    ImageBlock, ImageConfig, MfccBlock, MfccConfig, MfeBlock, MfeConfig, RawBlock, RawConfig,
-    SpectralBlock, SpectralConfig, SpectrogramBlock, SpectrogramConfig,
+    FramedBlock, ImageBlock, ImageConfig, MfccConfig, MfeConfig, RawBlock, RawConfig,
+    SpectralBlock, SpectralConfig, SpectrogramConfig,
 };
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -102,9 +102,9 @@ impl DspConfig {
     /// Fails when any parameter is out of range.
     pub fn build(&self) -> Result<Box<dyn DspBlock>> {
         Ok(match self {
-            DspConfig::Mfe(c) => Box::new(MfeBlock::new(c.clone())?),
-            DspConfig::Mfcc(c) => Box::new(MfccBlock::new(c.clone())?),
-            DspConfig::Spectrogram(c) => Box::new(SpectrogramBlock::new(c.clone())?),
+            DspConfig::Mfe(_) | DspConfig::Mfcc(_) | DspConfig::Spectrogram(_) => {
+                Box::new(FramedBlock::new(self)?)
+            }
             DspConfig::Spectral(c) => Box::new(SpectralBlock::new(c.clone())?),
             DspConfig::Image(c) => Box::new(ImageBlock::new(c.clone())?),
             DspConfig::Raw(c) => Box::new(RawBlock::new(c.clone())),
@@ -171,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_frames_and_ffts_are_errors_not_allocations() {
+    fn hostile_configs_are_errors_not_allocations() {
         let hostile = [
             // 1.6e10-sample frames: a 2^34-point FFT and 2^33 bins per filter
             DspConfig::Mfcc(MfccConfig { frame_s: 1e6, ..MfccConfig::default() }),
@@ -187,6 +187,9 @@ mod tests {
                 ..SpectrogramConfig::default()
             }),
             DspConfig::Spectral(SpectralConfig { fft_len: 1 << 40, ..SpectralConfig::default() }),
+            // NaN filter edges: every comparison with NaN is false
+            DspConfig::Mfe(MfeConfig { low_hz: f32::NAN, ..MfeConfig::default() }),
+            DspConfig::Mfe(MfeConfig { high_hz: f32::NAN, ..MfeConfig::default() }),
         ];
         for cfg in hostile {
             assert!(cfg.build().is_err(), "{cfg:?} must be refused");

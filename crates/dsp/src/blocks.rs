@@ -1,11 +1,12 @@
-//! Concrete processing blocks: MFE, MFCC, spectral analysis, image, raw.
+//! Concrete processing blocks: framed audio, spectral analysis, image, raw.
 //!
-//! The framed audio blocks (MFE, MFCC, Spectrogram) share one per-frame
-//! routine, `FramePlan::column_into`: a power FFT of the windowed frame,
-//! then, as the block needs them, the Mel sums, the clamped log and the
-//! DCT. `frame_column`, the streaming extractor and `process` at
-//! [`F32Level::Baseline`] run it frame by frame, and it is the oracle of
-//! the wide path.
+//! The framed audio configs (MFE, MFCC, Spectrogram) build one block type,
+//! [`FramedBlock`]: framing → Hann window → power FFT, then the config's
+//! stages — the Mel sums, the clamped log and the DCT, as it needs them.
+//! Its per-frame routine, `FramePlan::column_into`, is what
+//! [`FramedBlock::frame_column`], the streaming extractor and `process` at
+//! [`F32Level::Baseline`] run frame by frame, and it is the oracle of the
+//! wide path.
 //!
 //! At a wider level (`F32Level::Avx2`), `process` runs the `FrameLanes`
 //! kernel instead: eight frames at once, one per lane. Each lane runs
@@ -37,19 +38,19 @@ fn log_clamped(e: f32) -> f32 {
 }
 
 /// What a framed audio block computes from each frame's power spectrum.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Stages<'a> {
+#[derive(Debug, Clone)]
+pub(crate) enum Stages {
     /// Spectrogram: the clamped log of every power bin.
     LogPower,
     /// MFE: the clamped log of every Mel filter's energy.
-    LogMel(&'a MelFilterbank),
+    LogMel(MelFilterbank),
     /// MFCC: the DCT of MFE's log energies.
-    Cepstra(&'a MelFilterbank, &'a Dct2),
+    Cepstra(MelFilterbank, Dct2),
 }
 
-impl Stages<'_> {
+impl Stages {
     /// Mel filters the stages sum power through (none for a spectrogram).
-    fn filters(self) -> usize {
+    fn filters(&self) -> usize {
         match self {
             Stages::LogPower => 0,
             Stages::LogMel(mel) | Stages::Cepstra(mel, _) => mel.len(),
@@ -75,9 +76,19 @@ pub(crate) struct ColumnScratch {
 }
 
 impl FramePlan {
-    /// Plans the FFT first, so an oversized frame or FFT is refused before
-    /// the window table is allocated.
-    fn new(framing: Framing, fft_len: usize) -> Result<FramePlan> {
+    /// Frames of `frame_s` every `stride_s` seconds at `sample_rate_hz`
+    /// through an `fft_len`-point FFT (`None`: the frame's next power of
+    /// two). Plans the FFT first, so an oversized frame or FFT is refused
+    /// before the window table is allocated.
+    fn new(
+        frame_s: f32,
+        stride_s: f32,
+        sample_rate_hz: u32,
+        fft_len: Option<usize>,
+    ) -> Result<FramePlan> {
+        let framing = Framing::from_seconds(frame_s, stride_s, sample_rate_hz)?;
+        let fft_len = fft_len
+            .unwrap_or_else(|| framing.frame_len.checked_next_power_of_two().unwrap_or(usize::MAX));
         let fft = FftPlan::new(fft_len)?;
         if fft_len < framing.frame_len {
             return Err(DspError::InvalidConfig(format!(
@@ -88,13 +99,21 @@ impl FramePlan {
         Ok(FramePlan { framing, window: WindowKind::Hann.coefficients(framing.frame_len), fft })
     }
 
-    /// The Hann taper each frame is multiplied by before the FFT.
-    pub(crate) fn window(&self) -> &[f32] {
-        &self.window
+    /// A bank of `n_filters` Mel filters over this plan's power bins,
+    /// spanning `low_hz` to `high_hz` (0 or below: Nyquist).
+    fn filterbank(
+        &self,
+        n_filters: usize,
+        sample_rate_hz: u32,
+        low_hz: f32,
+        high_hz: f32,
+    ) -> Result<MelFilterbank> {
+        let high = if high_hz <= 0.0 { sample_rate_hz as f32 / 2.0 } else { high_hz };
+        MelFilterbank::new(n_filters, self.fft.len(), sample_rate_hz, low_hz, high)
     }
 
     /// Features one frame yields under `stages`.
-    fn width(&self, stages: Stages<'_>) -> usize {
+    fn width(&self, stages: &Stages) -> usize {
         match stages {
             Stages::LogPower => self.fft.len() / 2 + 1,
             Stages::LogMel(mel) => mel.len(),
@@ -103,15 +122,15 @@ impl FramePlan {
     }
 
     /// Fresh working buffers for [`FramePlan::column_into`].
-    pub(crate) fn scratch(&self, stages: Stages<'_>) -> ColumnScratch {
+    fn scratch(&self, stages: &Stages) -> ColumnScratch {
         ColumnScratch { fft: self.fft.scratch(), energies: vec![0.0; stages.filters()] }
     }
 
     /// The per-frame routine: appends the feature column of one
     /// already-windowed frame to `out`.
-    pub(crate) fn column_into(
+    fn column_into(
         &self,
-        stages: Stages<'_>,
+        stages: &Stages,
         windowed: &[f32],
         scratch: &mut ColumnScratch,
         out: &mut Vec<f32>,
@@ -133,29 +152,26 @@ impl FramePlan {
         }
     }
 
-    /// One feature column from an already-windowed frame, in fresh buffers.
-    fn frame_column(&self, stages: Stages<'_>, windowed: &[f32]) -> Result<Vec<f32>> {
-        if windowed.len() != self.framing.frame_len {
-            return Err(DspError::InputLengthMismatch {
-                expected: self.framing.frame_len,
-                actual: windowed.len(),
-            });
+    /// Frames cut from `input_len` samples.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InputTooShort`] when not even one frame fits.
+    fn frames(&self, input_len: usize) -> Result<usize> {
+        match self.framing.frame_count(input_len) {
+            0 => {
+                Err(DspError::InputTooShort { required: self.framing.frame_len, actual: input_len })
+            }
+            frames => Ok(frames),
         }
-        let mut column = Vec::with_capacity(self.width(stages));
-        self.column_into(stages, windowed, &mut self.scratch(stages), &mut column);
-        Ok(column)
     }
 
     /// Every frame's column of `input`, in order: frame by frame through
     /// [`FramePlan::column_into`] at [`F32Level::Baseline`], through the
     /// lane kernel at any wider level.
-    fn process_at(&self, level: F32Level, stages: Stages<'_>, input: &[f32]) -> Result<Vec<f32>> {
-        let Framing { frame_len, .. } = self.framing;
-        let frames = self.framing.frame_count(input.len());
-        if frames == 0 {
-            return Err(DspError::InputTooShort { required: frame_len, actual: input.len() });
-        }
-        let mut out = Vec::with_capacity(frames * self.width(stages));
+    fn process_at(&self, level: F32Level, stages: &Stages, input: &[f32]) -> Result<Vec<f32>> {
+        let frame_len = self.framing.frame_len;
+        let mut out = Vec::with_capacity(self.frames(input.len())? * self.width(stages));
         match level {
             F32Level::Baseline => {
                 let mut scratch = self.scratch(stages);
@@ -177,7 +193,7 @@ impl FramePlan {
 /// silent frame and appends only the live lanes' columns.
 struct FrameLanes<'a> {
     plan: &'a FramePlan,
-    stages: Stages<'a>,
+    stages: &'a Stages,
     input: &'a [f32],
     out: &'a mut Vec<f32>,
 }
@@ -233,7 +249,7 @@ impl F32Kernel for FrameLanes<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// MFE
+// Framed audio: MFE, MFCC, Spectrogram
 // ---------------------------------------------------------------------------
 
 /// Configuration of the Mel-filterbank energy block.
@@ -268,154 +284,6 @@ impl Default for MfeConfig {
     }
 }
 
-/// Mel-filterbank energy extraction: framing → Hann window → power FFT →
-/// triangular Mel filters → log.
-#[derive(Debug, Clone)]
-pub struct MfeBlock {
-    config: MfeConfig,
-    plan: FramePlan,
-    fft_len: usize,
-    filterbank: MelFilterbank,
-}
-
-impl MfeBlock {
-    /// Builds the block, validating every parameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidConfig`] for zero-length frames, frames
-    /// longer than [`crate::fft::MAX_FFT_LEN`], inverted frequency ranges,
-    /// or filter counts that exceed the spectrum size.
-    pub fn new(config: MfeConfig) -> Result<MfeBlock> {
-        let framing =
-            Framing::from_seconds(config.frame_s, config.stride_s, config.sample_rate_hz)?;
-        let fft_len = framing.frame_len.checked_next_power_of_two().unwrap_or(usize::MAX);
-        let plan = FramePlan::new(framing, fft_len)?;
-        let high =
-            if config.high_hz <= 0.0 { config.sample_rate_hz as f32 / 2.0 } else { config.high_hz };
-        let filterbank = MelFilterbank::new(
-            config.n_filters,
-            fft_len,
-            config.sample_rate_hz,
-            config.low_hz,
-            high,
-        )?;
-        Ok(MfeBlock { config, plan, fft_len, filterbank })
-    }
-
-    /// Number of frames extracted from `input_len` samples.
-    pub fn frames(&self, input_len: usize) -> usize {
-        self.plan.framing.frame_count(input_len)
-    }
-
-    /// The frame layout this block cuts its input into.
-    pub fn framing(&self) -> Framing {
-        self.plan.framing
-    }
-
-    /// Features produced per frame (one Mel filter each).
-    pub fn features_per_frame(&self) -> usize {
-        self.config.n_filters
-    }
-
-    /// The frame plan and stages of the per-frame routine.
-    pub(crate) fn column_parts(&self) -> (&FramePlan, Stages<'_>) {
-        (&self.plan, Stages::LogMel(&self.filterbank))
-    }
-
-    /// One feature column from an already-windowed frame.
-    ///
-    /// This runs the block's single per-frame routine (power FFT → Mel
-    /// filterbank → log), the one [`DspBlock::process`] loops over at
-    /// [`F32Level::Baseline`] and the incremental
-    /// [`crate::streaming::StreamingExtractor`] runs on each frame, which
-    /// is what makes streaming features bitwise-equal to batch
-    /// recomputation: both paths run the very same instructions on the
-    /// very same windowed samples. The wide `process` levels are tested
-    /// bitwise against it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
-    /// exactly one frame long.
-    pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        let (plan, stages) = self.column_parts();
-        plan.frame_column(stages, windowed)
-    }
-
-    /// [`DspBlock::process`] at `level` (which `process` takes from
-    /// [`f32_level`]): every level gives the same bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InputTooShort`] when not even one frame fits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this CPU cannot run `level`.
-    pub fn process_at(&self, level: F32Level, input: &[f32]) -> Result<Vec<f32>> {
-        let (plan, stages) = self.column_parts();
-        plan.process_at(level, stages, input)
-    }
-}
-
-impl DspBlock for MfeBlock {
-    fn name(&self) -> &str {
-        "MFE"
-    }
-
-    fn output_len(&self, input_len: usize) -> Result<usize> {
-        let frames = self.frames(input_len);
-        if frames == 0 {
-            return Err(DspError::InputTooShort {
-                required: self.plan.framing.frame_len,
-                actual: input_len,
-            });
-        }
-        Ok(frames * self.config.n_filters)
-    }
-
-    fn output_shape(&self, input_len: usize) -> Result<(usize, usize, usize)> {
-        self.output_len(input_len)?;
-        Ok((self.frames(input_len), self.config.n_filters, 1))
-    }
-
-    fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        self.process_at(f32_level(), input)
-    }
-
-    fn cost(&self, input_len: usize) -> Result<DspCost> {
-        let frames = self.frames(input_len) as u64;
-        if frames == 0 {
-            return Err(DspError::InputTooShort {
-                required: self.plan.framing.frame_len,
-                actual: input_len,
-            });
-        }
-        let per_frame = self.plan.framing.frame_len as u64 // windowing
-            + fft_flops(self.fft_len)                      // fft
-            + (self.fft_len as u64 / 2 + 1) * 3            // power spectrum
-            + self.filterbank.macs() * 2                   // filterbank
-            + self.config.n_filters as u64 * 8; // log
-        let scratch = self.fft_len * 8          // complex fft buffer
-            + (self.fft_len / 2 + 1) * 4        // power spectrum
-            + self.plan.framing.frame_len * 4; // windowed frame
-        Ok(DspCost {
-            flops: frames * per_frame,
-            scratch_bytes: scratch,
-            output_features: frames as usize * self.config.n_filters,
-        })
-    }
-
-    fn config(&self) -> DspConfig {
-        DspConfig::Mfe(self.config.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Spectrogram
-// ---------------------------------------------------------------------------
-
 /// Configuration of the linear-frequency spectrogram block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpectrogramConfig {
@@ -435,130 +303,6 @@ impl Default for SpectrogramConfig {
         SpectrogramConfig { frame_s: 0.02, stride_s: 0.01, fft_len: 512, sample_rate_hz: 16_000 }
     }
 }
-
-/// Linear-frequency log-power spectrogram: framing → Hann window → power
-/// FFT → log. The platform offers this alongside MFE for non-voice audio
-/// where the Mel warp would discard useful high-frequency detail.
-#[derive(Debug, Clone)]
-pub struct SpectrogramBlock {
-    config: SpectrogramConfig,
-    plan: FramePlan,
-}
-
-impl SpectrogramBlock {
-    /// Builds the block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidConfig`] for invalid framing, an FFT
-    /// shorter than the frame or longer than [`crate::fft::MAX_FFT_LEN`],
-    /// and [`DspError::FftLengthNotPowerOfTwo`] for a non-power-of-two FFT
-    /// length.
-    pub fn new(config: SpectrogramConfig) -> Result<SpectrogramBlock> {
-        let framing =
-            Framing::from_seconds(config.frame_s, config.stride_s, config.sample_rate_hz)?;
-        let plan = FramePlan::new(framing, config.fft_len)?;
-        Ok(SpectrogramBlock { config, plan })
-    }
-
-    /// Frequency bins per frame.
-    pub fn bins(&self) -> usize {
-        self.config.fft_len / 2 + 1
-    }
-
-    /// Number of frames extracted from `input_len` samples.
-    pub fn frames(&self, input_len: usize) -> usize {
-        self.plan.framing.frame_count(input_len)
-    }
-
-    /// The frame layout this block cuts its input into.
-    pub fn framing(&self) -> Framing {
-        self.plan.framing
-    }
-
-    /// The frame plan and stages of the per-frame routine.
-    pub(crate) fn column_parts(&self) -> (&FramePlan, Stages<'_>) {
-        (&self.plan, Stages::LogPower)
-    }
-
-    /// One feature column (log-power bins) from an already-windowed frame;
-    /// the shared per-frame routine (see [`MfeBlock::frame_column`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
-    /// exactly one frame long.
-    pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        let (plan, stages) = self.column_parts();
-        plan.frame_column(stages, windowed)
-    }
-
-    /// [`DspBlock::process`] at `level`; see [`MfeBlock::process_at`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InputTooShort`] when not even one frame fits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this CPU cannot run `level`.
-    pub fn process_at(&self, level: F32Level, input: &[f32]) -> Result<Vec<f32>> {
-        let (plan, stages) = self.column_parts();
-        plan.process_at(level, stages, input)
-    }
-}
-
-impl DspBlock for SpectrogramBlock {
-    fn name(&self) -> &str {
-        "Spectrogram"
-    }
-
-    fn output_len(&self, input_len: usize) -> Result<usize> {
-        let frames = self.frames(input_len);
-        if frames == 0 {
-            return Err(DspError::InputTooShort {
-                required: self.plan.framing.frame_len,
-                actual: input_len,
-            });
-        }
-        Ok(frames * self.bins())
-    }
-
-    fn output_shape(&self, input_len: usize) -> Result<(usize, usize, usize)> {
-        self.output_len(input_len)?;
-        Ok((self.frames(input_len), self.bins(), 1))
-    }
-
-    fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
-        self.process_at(f32_level(), input)
-    }
-
-    fn cost(&self, input_len: usize) -> Result<DspCost> {
-        let frames = self.frames(input_len) as u64;
-        if frames == 0 {
-            return Err(DspError::InputTooShort {
-                required: self.plan.framing.frame_len,
-                actual: input_len,
-            });
-        }
-        let per_frame = self.plan.framing.frame_len as u64
-            + fft_flops(self.config.fft_len)
-            + self.bins() as u64 * 11; // power + log
-        Ok(DspCost {
-            flops: frames * per_frame,
-            scratch_bytes: self.config.fft_len * 8 + self.plan.framing.frame_len * 4,
-            output_features: frames as usize * self.bins(),
-        })
-    }
-
-    fn config(&self) -> DspConfig {
-        DspConfig::Spectrogram(self.config.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MFCC
-// ---------------------------------------------------------------------------
 
 /// Configuration of the MFCC block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -588,70 +332,123 @@ impl Default for MfccConfig {
     }
 }
 
-/// Mel-frequency cepstral coefficients: an [`MfeBlock`] followed by a
-/// DCT-II decorrelation per frame.
+/// The framed audio blocks: framing → Hann window → power FFT, then
+///
+/// * MFE — triangular Mel filters → log;
+/// * MFCC — MFE over 20 Hz–Nyquist, then a DCT-II per frame;
+/// * Spectrogram — log of every power bin, for non-voice audio where the
+///   Mel warp would discard useful high-frequency detail.
 #[derive(Debug, Clone)]
-pub struct MfccBlock {
-    config: MfccConfig,
-    mfe: MfeBlock,
-    dct: Dct2,
+pub struct FramedBlock {
+    config: DspConfig,
+    plan: FramePlan,
+    stages: Stages,
 }
 
-impl MfccBlock {
-    /// Builds the block.
+impl FramedBlock {
+    /// Builds the block an MFE, MFCC or Spectrogram config describes,
+    /// validating every parameter.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidConfig`] for invalid framing or when more
-    /// coefficients are requested than Mel filters exist.
-    pub fn new(config: MfccConfig) -> Result<MfccBlock> {
-        if config.n_coefficients == 0 || config.n_coefficients > config.n_filters {
-            return Err(DspError::InvalidConfig(format!(
-                "n_coefficients {} must be in 1..={}",
-                config.n_coefficients, config.n_filters
-            )));
-        }
-        let mfe = MfeBlock::new(MfeConfig {
-            frame_s: config.frame_s,
-            stride_s: config.stride_s,
-            n_filters: config.n_filters,
-            sample_rate_hz: config.sample_rate_hz,
-            low_hz: 20.0,
-            high_hz: 0.0,
-        })?;
-        let dct = Dct2::new(config.n_filters, config.n_coefficients);
-        Ok(MfccBlock { config, mfe, dct })
+    /// Returns [`DspError::InvalidConfig`] for any other config (it has no
+    /// frames), zero-length frames, frames or FFTs longer than
+    /// [`crate::fft::MAX_FFT_LEN`], an FFT shorter than the frame, an
+    /// inverted or NaN frequency range, more filters than the spectrum
+    /// has bins, or more cepstral coefficients than Mel filters, and
+    /// [`DspError::FftLengthNotPowerOfTwo`] for a Spectrogram FFT length
+    /// that is not a power of two.
+    pub fn new(config: &DspConfig) -> Result<FramedBlock> {
+        let (plan, stages) = match config {
+            DspConfig::Mfe(c) => {
+                let plan = FramePlan::new(c.frame_s, c.stride_s, c.sample_rate_hz, None)?;
+                let mel = plan.filterbank(c.n_filters, c.sample_rate_hz, c.low_hz, c.high_hz)?;
+                (plan, Stages::LogMel(mel))
+            }
+            DspConfig::Mfcc(c) => {
+                if c.n_coefficients == 0 || c.n_coefficients > c.n_filters {
+                    return Err(DspError::InvalidConfig(format!(
+                        "n_coefficients {} must be in 1..={}",
+                        c.n_coefficients, c.n_filters
+                    )));
+                }
+                let plan = FramePlan::new(c.frame_s, c.stride_s, c.sample_rate_hz, None)?;
+                let mel = plan.filterbank(c.n_filters, c.sample_rate_hz, 20.0, 0.0)?;
+                (plan, Stages::Cepstra(mel, Dct2::new(c.n_filters, c.n_coefficients)))
+            }
+            DspConfig::Spectrogram(c) => {
+                let plan =
+                    FramePlan::new(c.frame_s, c.stride_s, c.sample_rate_hz, Some(c.fft_len))?;
+                (plan, Stages::LogPower)
+            }
+            other => {
+                return Err(DspError::InvalidConfig(format!(
+                    "{} is not a framed audio block",
+                    other.name()
+                )))
+            }
+        };
+        Ok(FramedBlock { config: config.clone(), plan, stages })
     }
 
     /// The frame layout this block cuts its input into.
     pub fn framing(&self) -> Framing {
-        self.mfe.framing()
+        self.plan.framing
     }
 
-    /// Cepstral coefficients produced per frame.
+    /// Features each frame yields: Mel filters (MFE), cepstral
+    /// coefficients (MFCC) or power bins (Spectrogram).
     pub fn features_per_frame(&self) -> usize {
-        self.config.n_coefficients
+        self.plan.width(&self.stages)
     }
 
-    /// The frame plan and stages of the per-frame routine.
-    pub(crate) fn column_parts(&self) -> (&FramePlan, Stages<'_>) {
-        (&self.mfe.plan, Stages::Cepstra(&self.mfe.filterbank, &self.dct))
-    }
-
-    /// One cepstral column from an already-windowed frame: the MFE log
-    /// energies of [`MfeBlock::frame_column`] followed by the per-frame
-    /// DCT-II, through the shared per-frame routine.
+    /// One feature column from an already-windowed frame, in fresh buffers.
+    ///
+    /// This runs the block's single per-frame routine, the one
+    /// [`DspBlock::process`] loops over at [`F32Level::Baseline`] and the
+    /// incremental [`crate::streaming::StreamingExtractor`] runs on each
+    /// frame, which is what makes streaming features bitwise-equal to
+    /// batch recomputation: both paths run the very same instructions on
+    /// the very same windowed samples. The wide `process` levels are
+    /// tested bitwise against it.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InputLengthMismatch`] unless `windowed` is
     /// exactly one frame long.
     pub fn frame_column(&self, windowed: &[f32]) -> Result<Vec<f32>> {
-        let (plan, stages) = self.column_parts();
-        plan.frame_column(stages, windowed)
+        if windowed.len() != self.plan.framing.frame_len {
+            return Err(DspError::InputLengthMismatch {
+                expected: self.plan.framing.frame_len,
+                actual: windowed.len(),
+            });
+        }
+        let mut column = Vec::with_capacity(self.features_per_frame());
+        self.plan.column_into(&self.stages, windowed, &mut self.scratch(), &mut column);
+        Ok(column)
     }
 
-    /// [`DspBlock::process`] at `level`; see [`MfeBlock::process_at`].
+    /// Fresh working buffers for [`FramedBlock::push_column`].
+    pub(crate) fn scratch(&self) -> ColumnScratch {
+        self.plan.scratch(&self.stages)
+    }
+
+    /// Multiplies one raw frame by the Hann table into `windowed`, as
+    /// `process` at [`F32Level::Baseline`] does, and appends its column to
+    /// `out` through the per-frame routine.
+    pub(crate) fn push_column(
+        &self,
+        frame: &[f32],
+        windowed: &mut [f32],
+        scratch: &mut ColumnScratch,
+        out: &mut Vec<f32>,
+    ) {
+        apply_window(frame, &self.plan.window, windowed);
+        self.plan.column_into(&self.stages, windowed, scratch, out);
+    }
+
+    /// [`DspBlock::process`] at `level` (which `process` takes from
+    /// [`f32_level`]): every level gives the same bits.
     ///
     /// # Errors
     ///
@@ -661,24 +458,21 @@ impl MfccBlock {
     ///
     /// Panics if this CPU cannot run `level`.
     pub fn process_at(&self, level: F32Level, input: &[f32]) -> Result<Vec<f32>> {
-        let (plan, stages) = self.column_parts();
-        plan.process_at(level, stages, input)
+        self.plan.process_at(level, &self.stages, input)
     }
 }
 
-impl DspBlock for MfccBlock {
+impl DspBlock for FramedBlock {
     fn name(&self) -> &str {
-        "MFCC"
+        self.config.name()
     }
 
     fn output_len(&self, input_len: usize) -> Result<usize> {
-        self.mfe.output_len(input_len)?;
-        Ok(self.mfe.frames(input_len) * self.config.n_coefficients)
+        Ok(self.plan.frames(input_len)? * self.features_per_frame())
     }
 
     fn output_shape(&self, input_len: usize) -> Result<(usize, usize, usize)> {
-        self.output_len(input_len)?;
-        Ok((self.mfe.frames(input_len), self.config.n_coefficients, 1))
+        Ok((self.plan.frames(input_len)?, self.features_per_frame(), 1))
     }
 
     fn process(&self, input: &[f32]) -> Result<Vec<f32>> {
@@ -686,19 +480,32 @@ impl DspBlock for MfccBlock {
     }
 
     fn cost(&self, input_len: usize) -> Result<DspCost> {
-        let base = self.mfe.cost(input_len)?;
-        let frames = self.mfe.frames(input_len) as u64;
-        let dct_flops =
-            frames * (self.config.n_coefficients as u64 * self.config.n_filters as u64 * 2);
+        let frames = self.plan.frames(input_len)?;
+        let frame_len = self.plan.framing.frame_len;
+        let fft_len = self.plan.fft.len();
+        let bins = fft_len / 2 + 1;
+        // power spectrum, filterbank and log; the power spectrum's buffer
+        let mfe = |mel: &MelFilterbank| {
+            (bins as u64 * 3 + mel.macs() * 2 + mel.len() as u64 * 8, bins * 4)
+        };
+        let (stage_flops, stage_bytes) = match &self.stages {
+            Stages::LogPower => (bins as u64 * 11, 0), // power + log
+            Stages::LogMel(mel) => mfe(mel),
+            Stages::Cepstra(mel, dct) => {
+                // MFE's cost plus the DCT and its input buffer
+                let (flops, bytes) = mfe(mel);
+                (flops + dct.n_out() as u64 * mel.len() as u64 * 2, bytes + mel.len() * 4)
+            }
+        };
         Ok(DspCost {
-            flops: base.flops + dct_flops,
-            scratch_bytes: base.scratch_bytes + self.config.n_filters * 4,
-            output_features: frames as usize * self.config.n_coefficients,
+            flops: frames as u64 * (frame_len as u64 + fft_flops(fft_len) + stage_flops),
+            scratch_bytes: fft_len * 8 + frame_len * 4 + stage_bytes,
+            output_features: frames * self.features_per_frame(),
         })
     }
 
     fn config(&self) -> DspConfig {
-        DspConfig::Mfcc(self.config.clone())
+        self.config.clone()
     }
 }
 
@@ -1075,7 +882,7 @@ mod tests {
 
     #[test]
     fn mfe_output_dimensions() {
-        let block = MfeBlock::new(MfeConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
         // 16 000 samples, 320-frame, 160-stride -> 99 frames x 40 filters
         assert_eq!(block.output_len(16_000).unwrap(), 99 * 40);
         assert_eq!(block.output_shape(16_000).unwrap(), (99, 40, 1));
@@ -1085,7 +892,7 @@ mod tests {
 
     #[test]
     fn mfe_silence_hits_log_floor() {
-        let block = MfeBlock::new(MfeConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
         let features = block.process(&vec![0.0; 16_000]).unwrap();
         assert!(features.iter().all(|&f| (f - LOG_FLOOR.ln()).abs() < 1e-3));
     }
@@ -1095,18 +902,19 @@ mod tests {
         // ±1e20 at Nyquist: the top power bins square past f32::MAX to inf
         let loud: Vec<f32> = (0..16_000).map(|i| if i % 2 == 0 { 1e20 } else { -1e20 }).collect();
         let top = f32::MAX.ln();
-        let mfe = MfeBlock::new(MfeConfig::default()).unwrap();
+        let mfe = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
         let features = mfe.process(&loud).unwrap();
         assert!(features.iter().all(|f| f.is_finite()));
         assert!(features.iter().all(|&f| f > 0.0), "no filter reads as silence");
         for frame in features.chunks(40) {
             assert_eq!(frame[39], top, "the filter over Nyquist saturates at ln f32::MAX");
         }
-        let spectrogram = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
+        let spectrogram =
+            FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig::default())).unwrap();
         let bins = spectrogram.process(&loud).unwrap();
         assert!(bins.iter().all(|b| b.is_finite()));
         assert!(bins.chunks(257).all(|frame| frame[256] == top));
-        let mfcc = MfccBlock::new(MfccConfig::default()).unwrap();
+        let mfcc = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default())).unwrap();
         assert!(mfcc.process(&loud).unwrap().iter().all(|c| c.is_finite()));
         // finite energies are untouched by the clamp
         assert_eq!(log_clamped(2.5), 2.5f32.ln());
@@ -1117,7 +925,7 @@ mod tests {
 
     #[test]
     fn mfe_tone_energy_concentrated() {
-        let block = MfeBlock::new(MfeConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
         let audio = tone(1000.0, 1.0, 16_000);
         let features = block.process(&audio).unwrap();
         // per-frame argmax filter should be consistent across frames
@@ -1131,14 +939,14 @@ mod tests {
 
     #[test]
     fn mfe_too_short_input() {
-        let block = MfeBlock::new(MfeConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
         assert!(block.process(&[0.0; 100]).is_err());
         assert!(block.cost(100).is_err());
     }
 
     #[test]
     fn mfe_cost_scales_with_length() {
-        let block = MfeBlock::new(MfeConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
         let c1 = block.cost(16_000).unwrap();
         let c2 = block.cost(32_000).unwrap();
         assert!(c2.flops > c1.flops * 3 / 2);
@@ -1149,7 +957,8 @@ mod tests {
 
     #[test]
     fn spectrogram_output_dimensions() {
-        let block = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
+        let block =
+            FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig::default())).unwrap();
         // 99 frames x 257 bins
         assert_eq!(block.output_shape(16_000).unwrap(), (99, 257, 1));
         let features = block.process(&vec![0.0; 16_000]).unwrap();
@@ -1159,7 +968,8 @@ mod tests {
 
     #[test]
     fn spectrogram_tone_peaks_at_right_bin() {
-        let block = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
+        let block =
+            FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig::default())).unwrap();
         let audio = tone(1000.0, 1.0, 16_000);
         let features = block.process(&audio).unwrap();
         // 1 kHz at 16 kHz / 512-point fft -> bin 32
@@ -1170,14 +980,21 @@ mod tests {
 
     #[test]
     fn spectrogram_validation() {
-        assert!(SpectrogramBlock::new(SpectrogramConfig { fft_len: 100, ..Default::default() })
-            .is_err());
+        assert!(FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig {
+            fft_len: 100,
+            ..Default::default()
+        }))
+        .is_err());
         assert!(
-            SpectrogramBlock::new(SpectrogramConfig { fft_len: 128, ..Default::default() })
-                .is_err(),
+            FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig {
+                fft_len: 128,
+                ..Default::default()
+            }))
+            .is_err(),
             "fft shorter than frame"
         );
-        let block = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
+        let block =
+            FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig::default())).unwrap();
         assert!(block.process(&[0.0; 10]).is_err());
         assert!(block.cost(10).is_err());
         assert!(block.cost(16_000).unwrap().flops > 0);
@@ -1187,7 +1004,7 @@ mod tests {
 
     #[test]
     fn mfcc_output_dimensions() {
-        let block = MfccBlock::new(MfccConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default())).unwrap();
         assert_eq!(block.output_shape(16_000).unwrap(), (99, 13, 1));
         let features = block.process(&tone(440.0, 1.0, 16_000)).unwrap();
         assert_eq!(features.len(), 99 * 13);
@@ -1197,19 +1014,21 @@ mod tests {
     #[test]
     fn mfcc_rejects_more_coeffs_than_filters() {
         let cfg = MfccConfig { n_coefficients: 64, n_filters: 32, ..MfccConfig::default() };
-        assert!(MfccBlock::new(cfg).is_err());
+        assert!(FramedBlock::new(&DspConfig::Mfcc(cfg)).is_err());
     }
 
     #[test]
     fn mfcc_costs_more_than_mfe_with_same_filters() {
-        let mfcc = MfccBlock::new(MfccConfig::default()).unwrap();
-        let mfe = MfeBlock::new(MfeConfig { n_filters: 32, ..MfeConfig::default() }).unwrap();
+        let mfcc = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default())).unwrap();
+        let mfe =
+            FramedBlock::new(&DspConfig::Mfe(MfeConfig { n_filters: 32, ..MfeConfig::default() }))
+                .unwrap();
         assert!(mfcc.cost(16_000).unwrap().flops > mfe.cost(16_000).unwrap().flops);
     }
 
     #[test]
     fn mfcc_distinguishes_tones() {
-        let block = MfccBlock::new(MfccConfig::default()).unwrap();
+        let block = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default())).unwrap();
         let low = block.process(&tone(300.0, 1.0, 16_000)).unwrap();
         let high = block.process(&tone(3000.0, 1.0, 16_000)).unwrap();
         let dist: f32 = low.iter().zip(&high).map(|(a, b)| (a - b).powi(2)).sum();
@@ -1340,11 +1159,11 @@ mod tests {
 
     /// `frame_column`'s routine over every windowed frame of `input`,
     /// concatenated: the oracle of every `process` level.
-    fn per_frame_oracle(plan: &FramePlan, stages: Stages<'_>, input: &[f32]) -> Vec<u32> {
-        crate::window::windowed_frames(input, plan.framing, WindowKind::Hann)
+    fn per_frame_oracle(block: &FramedBlock, input: &[f32]) -> Vec<u32> {
+        crate::window::windowed_frames(input, block.framing(), WindowKind::Hann)
             .unwrap()
             .iter()
-            .flat_map(|frame| plan.frame_column(stages, frame).unwrap())
+            .flat_map(|frame| block.frame_column(frame).unwrap())
             .map(f32::to_bits)
             .collect()
     }
@@ -1372,18 +1191,21 @@ mod tests {
     #[test]
     fn every_level_is_bitwise_equal_to_the_per_frame_routine() {
         let kws = MfccConfig { n_coefficients: 10, n_filters: 40, ..MfccConfig::default() };
-        let mfcc = MfccBlock::new(kws).unwrap();
-        let mfe = MfeBlock::new(MfeConfig::default()).unwrap();
-        let spectrogram = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
+        let mfcc = FramedBlock::new(&DspConfig::Mfcc(kws)).unwrap();
+        let mfe = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
+        let spectrogram =
+            FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig::default())).unwrap();
         // an FFT twice the frame: half of every lane's load is padding
-        let padded =
-            SpectrogramBlock::new(SpectrogramConfig { fft_len: 1024, ..Default::default() })
-                .unwrap();
+        let padded = FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig {
+            fft_len: 1024,
+            ..Default::default()
+        }))
+        .unwrap();
         let blocks = [
-            ("mfcc", mfcc.column_parts()),
-            ("mfe", mfe.column_parts()),
-            ("spectrogram", spectrogram.column_parts()),
-            ("1024-point spectrogram", padded.column_parts()),
+            ("mfcc", mfcc),
+            ("mfe", mfe),
+            ("spectrogram", spectrogram),
+            ("1024-point spectrogram", padded),
         ];
         let specials = [
             ("silence", 0.0, 0),
@@ -1394,14 +1216,15 @@ mod tests {
             ("-inf", f32::NEG_INFINITY, 900),
             ("f32::MAX", f32::MAX, 450),
         ];
-        for (name, (plan, stages)) in blocks {
+        for (name, block) in blocks {
+            let FramedBlock { plan, stages, .. } = &block;
             for frames in 1..=17 {
                 for (what, special, every) in specials {
-                    let input = edge_signal(plan.framing, frames, special, every);
-                    let want = per_frame_oracle(plan, stages, &input);
-                    assert_eq!(want.len(), frames * plan.width(stages));
+                    let input = edge_signal(block.framing(), frames, special, every);
+                    let want = per_frame_oracle(&block, &input);
+                    assert_eq!(want.len(), frames * block.features_per_frame());
                     for level in supported_f32_levels() {
-                        let got = plan.process_at(level, stages, &input).unwrap();
+                        let got = block.process_at(level, &input).unwrap();
                         let got: Vec<u32> = got.into_iter().map(f32::to_bits).collect();
                         assert!(got == want, "{name}, {frames} frames of {what} at {level:?}");
                     }
@@ -1445,9 +1268,6 @@ mod tests {
             .collect()
     }
 
-    /// A framed audio block's plan and stages, as `column_parts` gives them.
-    type ColumnParts<'a> = (&'a FramePlan, Stages<'a>);
-
     /// FNV-1a over the length and bits of each output.
     fn features_hash(outputs: impl IntoIterator<Item = Vec<f32>>) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1469,24 +1289,24 @@ mod tests {
         // that moves one feature bit of the audio blocks, by `process` or
         // at any f32 level of `process_at`, fails here
         let clips: Vec<Vec<f32>> = (0..4).map(|i| keyword_clip(i % 3, 40 + i as u64)).collect();
-        let mfcc = MfccBlock::new(MfccConfig::default()).unwrap();
-        let mfe = MfeBlock::new(MfeConfig::default()).unwrap();
-        let spectrogram = SpectrogramBlock::new(SpectrogramConfig::default()).unwrap();
-        let cases: [(&str, &dyn DspBlock, ColumnParts<'_>, u64); 3] = [
-            ("mfcc", &mfcc, mfcc.column_parts(), 0x4625_4906_7c52_14b4),
-            ("mfe", &mfe, mfe.column_parts(), 0xe8d4_3fc9_c0f6_9734),
-            ("spectrogram", &spectrogram, spectrogram.column_parts(), 0x00ac_5e73_1a3b_d573),
+        let mfcc = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default())).unwrap();
+        let mfe = FramedBlock::new(&DspConfig::Mfe(MfeConfig::default())).unwrap();
+        let spectrogram =
+            FramedBlock::new(&DspConfig::Spectrogram(SpectrogramConfig::default())).unwrap();
+        let cases = [
+            ("mfcc", mfcc, 0x4625_4906_7c52_14b4),
+            ("mfe", mfe, 0xe8d4_3fc9_c0f6_9734),
+            ("spectrogram", spectrogram, 0x00ac_5e73_1a3b_d573),
         ];
         let mut moved = Vec::new();
-        for (name, block, (plan, stages), want) in cases {
+        for (name, block, want) in cases {
             let got = features_hash(clips.iter().map(|clip| block.process(clip).unwrap()));
             if got != want {
                 moved.push(format!("{name} got {got:#018x}"));
             }
             for level in supported_f32_levels() {
-                let got = features_hash(
-                    clips.iter().map(|clip| plan.process_at(level, stages, clip).unwrap()),
-                );
+                let got =
+                    features_hash(clips.iter().map(|clip| block.process_at(level, clip).unwrap()));
                 if got != want {
                     moved.push(format!("{name} at {level:?} got {got:#018x}"));
                 }
@@ -1498,9 +1318,9 @@ mod tests {
     proptest! {
         #[test]
         fn prop_mfe_features_finite(samples in proptest::collection::vec(-1.0f32..1.0, 640..2000)) {
-            let block = MfeBlock::new(MfeConfig {
+            let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig {
                 n_filters: 20, ..MfeConfig::default()
-            }).unwrap();
+            })).unwrap();
             let features = block.process(&samples).unwrap();
             prop_assert_eq!(features.len(), block.output_len(samples.len()).unwrap());
             prop_assert!(features.iter().all(|f| f.is_finite()));

@@ -8,8 +8,9 @@
 //! shrinks the downstream model. This crate implements the platform's
 //! "processing blocks":
 //!
-//! * [`blocks::MfeBlock`] — Mel-filterbank energies (audio),
-//! * [`blocks::MfccBlock`] — Mel-frequency cepstral coefficients (audio),
+//! * [`blocks::FramedBlock`] — the framed audio blocks: Mel-filterbank
+//!   energies (MFE), Mel-frequency cepstral coefficients (MFCC) and the
+//!   log-power spectrogram,
 //! * [`blocks::SpectralBlock`] — spectral analysis (accelerometer/vibration),
 //! * [`blocks::ImageBlock`] — image resize/normalize,
 //! * [`blocks::RawBlock`] — pass-through with optional scaling,
@@ -21,10 +22,10 @@
 //! # Example
 //!
 //! ```
-//! use ei_dsp::{DspBlock, blocks::MfccBlock, MfccConfig};
+//! use ei_dsp::{blocks::FramedBlock, DspBlock, DspConfig, MfccConfig};
 //!
 //! # fn main() -> Result<(), ei_dsp::DspError> {
-//! let block = MfccBlock::new(MfccConfig::default())?;
+//! let block = FramedBlock::new(&DspConfig::Mfcc(MfccConfig::default()))?;
 //! let audio = vec![0.0f32; 16_000]; // one second at 16 kHz
 //! let features = block.process(&audio)?;
 //! assert_eq!(features.len(), block.output_len(audio.len())?);

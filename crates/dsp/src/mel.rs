@@ -35,8 +35,8 @@ impl MelFilterbank {
     /// # Errors
     ///
     /// Returns [`DspError::InvalidConfig`] when the frequency range is
-    /// inverted, exceeds Nyquist, or there are too many filters for the
-    /// number of bins.
+    /// inverted, NaN or exceeds Nyquist, or there are too many filters for
+    /// the number of bins.
     pub fn new(
         n_filters: usize,
         fft_len: usize,
@@ -48,7 +48,8 @@ impl MelFilterbank {
         if n_filters == 0 {
             return Err(DspError::InvalidConfig("need at least one mel filter".into()));
         }
-        if low_hz < 0.0 || high_hz <= low_hz || high_hz > nyquist + 1.0 {
+        // written so that a NaN edge fails it
+        if !(low_hz >= 0.0 && high_hz > low_hz && high_hz <= nyquist + 1.0) {
             return Err(DspError::InvalidConfig(format!(
                 "mel range [{low_hz}, {high_hz}] invalid for nyquist {nyquist}"
             )));

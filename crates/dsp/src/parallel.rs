@@ -43,18 +43,19 @@ pub fn process_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::{MfeBlock, MfeConfig};
+    use crate::block::DspConfig;
+    use crate::blocks::{FramedBlock, MfeConfig};
     use ei_par::Parallelism;
 
-    fn mfe() -> MfeBlock {
-        MfeBlock::new(MfeConfig {
+    fn mfe() -> FramedBlock {
+        FramedBlock::new(&DspConfig::Mfe(MfeConfig {
             frame_s: 0.032,
             stride_s: 0.016,
             n_filters: 12,
             sample_rate_hz: 4_000,
             low_hz: 0.0,
             high_hz: 0.0,
-        })
+        }))
         .expect("valid config")
     }
 

@@ -1,22 +1,22 @@
 //! Incremental feature extraction for streaming audio.
 //!
-//! Batch blocks ([`MfeBlock`], [`MfccBlock`], [`SpectrogramBlock`]) take a
-//! whole window of samples and recompute every frame inside it. A live
-//! stream classifies *overlapping* windows — a 1 s window every 250 ms
-//! shares ~75% of its frames with the previous window — so recomputing
-//! each window from scratch wastes most of the FFT work. The
-//! [`StreamingExtractor`] instead consumes arbitrarily-chunked samples and
-//! emits one feature **column** per complete frame, exactly once; a
-//! windower (see `ei-stream`) then assembles overlapping windows by
-//! concatenating the shared columns.
+//! A batch [`FramedBlock`] (MFE, MFCC or Spectrogram) takes a whole window
+//! of samples and recomputes every frame inside it. A live stream
+//! classifies *overlapping* windows — a 1 s window every 250 ms shares
+//! ~75% of its frames with the previous window — so recomputing each
+//! window from scratch wastes most of the FFT work. The
+//! [`StreamingExtractor`] instead holds one `FramedBlock`, consumes
+//! arbitrarily-chunked samples and emits one feature **column** per
+//! complete frame, exactly once; a windower (see `ei-stream`) then
+//! assembles overlapping windows by concatenating the shared columns.
 //!
 //! # Bitwise equivalence to batch
 //!
 //! The per-frame column math is not reimplemented here: the extractor
-//! multiplies each frame by the block's own Hann table through the same
+//! multiplies each frame by its block's own Hann table through the same
 //! `apply_window` loop batch `process` runs, then runs the block's
 //! per-frame routine — the one `frame_column` runs, and the oracle every
-//! `process` level is tested against bitwise. Because every audio block's
+//! `process` level is tested against bitwise. Because every framed block's
 //! frames depend only on that frame's samples, a column computed
 //! incrementally is bit-identical to the one batch recomputation would
 //! produce, provided window starts land on frame-stride boundaries.
@@ -25,27 +25,9 @@
 //! allocates only the columns it returns and the list holding them.
 
 use crate::block::DspConfig;
-use crate::blocks::{ColumnScratch, FramePlan, MfccBlock, MfeBlock, SpectrogramBlock, Stages};
-use crate::window::{apply_window, Framing};
-use crate::{DspError, Result};
-
-/// The audio blocks that support incremental column extraction.
-#[derive(Debug, Clone)]
-enum ColumnBlock {
-    Mfe(MfeBlock),
-    Mfcc(MfccBlock),
-    Spectrogram(SpectrogramBlock),
-}
-
-impl ColumnBlock {
-    fn parts(&self) -> (&FramePlan, Stages<'_>) {
-        match self {
-            ColumnBlock::Mfe(b) => b.column_parts(),
-            ColumnBlock::Mfcc(b) => b.column_parts(),
-            ColumnBlock::Spectrogram(b) => b.column_parts(),
-        }
-    }
-}
+use crate::blocks::{ColumnScratch, FramedBlock};
+use crate::window::Framing;
+use crate::Result;
 
 /// Incremental per-frame feature extraction over a sample stream.
 ///
@@ -75,9 +57,7 @@ impl ColumnBlock {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingExtractor {
-    block: ColumnBlock,
-    framing: Framing,
-    features_per_frame: usize,
+    block: FramedBlock,
     /// Samples at absolute positions `buf_base..buf_base + buffer.len()`.
     buffer: Vec<f32>,
     /// The frame being windowed, reused for every frame.
@@ -97,43 +77,18 @@ impl StreamingExtractor {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidConfig`] for blocks without a frame
-    /// structure (spectral, image, raw, custom) — those have no
-    /// overlapping-window state to share — and propagates the block's own
-    /// construction errors.
+    /// Returns [`FramedBlock::new`]'s errors, among them
+    /// [`crate::DspError::InvalidConfig`] for a block without frames
+    /// (spectral, image, raw, custom): it has no overlapping-window state
+    /// to share.
     pub fn new(config: &DspConfig) -> Result<StreamingExtractor> {
-        let (block, framing, features_per_frame) = match config {
-            DspConfig::Mfe(c) => {
-                let b = MfeBlock::new(c.clone())?;
-                let (f, n) = (b.framing(), b.features_per_frame());
-                (ColumnBlock::Mfe(b), f, n)
-            }
-            DspConfig::Mfcc(c) => {
-                let b = MfccBlock::new(c.clone())?;
-                let (f, n) = (b.framing(), b.features_per_frame());
-                (ColumnBlock::Mfcc(b), f, n)
-            }
-            DspConfig::Spectrogram(c) => {
-                let b = SpectrogramBlock::new(c.clone())?;
-                let (f, n) = (b.framing(), b.bins());
-                (ColumnBlock::Spectrogram(b), f, n)
-            }
-            other => {
-                return Err(DspError::InvalidConfig(format!(
-                    "streaming extraction requires a framed audio block, not {}",
-                    other.name()
-                )))
-            }
-        };
-        let (plan, stages) = block.parts();
-        let scratch = plan.scratch(stages);
+        let block = FramedBlock::new(config)?;
+        let frame_len = block.framing().frame_len;
         Ok(StreamingExtractor {
-            scratch,
+            scratch: block.scratch(),
             block,
-            framing,
-            features_per_frame,
-            buffer: Vec::with_capacity(framing.frame_len),
-            windowed: vec![0.0; framing.frame_len],
+            buffer: Vec::with_capacity(frame_len),
+            windowed: vec![0.0; frame_len],
             buf_base: 0,
             next_frame_start: 0,
             samples_in: 0,
@@ -145,12 +100,12 @@ impl StreamingExtractor {
     /// of `framing().stride` for incremental columns to line up with batch
     /// recomputation.
     pub fn framing(&self) -> Framing {
-        self.framing
+        self.block.framing()
     }
 
     /// Features in each emitted column.
     pub fn features_per_frame(&self) -> usize {
-        self.features_per_frame
+        self.block.features_per_frame()
     }
 
     /// Total samples consumed so far.
@@ -175,11 +130,11 @@ impl StreamingExtractor {
     pub fn push(&mut self, samples: &[f32]) -> Result<Vec<Vec<f32>>> {
         self.samples_in += samples.len() as u64;
         self.buffer.extend_from_slice(samples);
-        let frame_len = self.framing.frame_len;
-        let (plan, stages) = self.block.parts();
+        let framing = self.block.framing();
+        let width = self.block.features_per_frame();
         let ready = (self.buf_base + self.buffer.len() as u64)
             .checked_sub(self.next_frame_start)
-            .map_or(0, |span| self.framing.frame_count(span as usize));
+            .map_or(0, |span| framing.frame_count(span as usize));
         let mut columns = Vec::with_capacity(ready);
         // Frames are cut at offsets into the buffer (the next frame starts
         // at most one stride past `buf_base`); everything before the next
@@ -187,16 +142,16 @@ impl StreamingExtractor {
         // once per frame.
         loop {
             let start = (self.next_frame_start - self.buf_base) as usize;
-            let Some(frame) = self.buffer.get(start..).and_then(|rest| rest.get(..frame_len))
+            let Some(frame) =
+                self.buffer.get(start..).and_then(|rest| rest.get(..framing.frame_len))
             else {
                 break;
             };
-            apply_window(frame, plan.window(), &mut self.windowed);
-            let mut column = Vec::with_capacity(self.features_per_frame);
-            plan.column_into(stages, &self.windowed, &mut self.scratch, &mut column);
+            let mut column = Vec::with_capacity(width);
+            self.block.push_column(frame, &mut self.windowed, &mut self.scratch, &mut column);
             columns.push(column);
             self.frames_out += 1;
-            self.next_frame_start += self.framing.stride as u64;
+            self.next_frame_start += framing.stride as u64;
         }
         let consumed = ((self.next_frame_start - self.buf_base) as usize).min(self.buffer.len());
         self.buffer.drain(..consumed);
@@ -209,6 +164,7 @@ impl StreamingExtractor {
 mod tests {
     use super::*;
     use crate::blocks::{MfccConfig, MfeConfig, RawConfig, SpectrogramConfig};
+    use crate::DspError;
 
     fn signal(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.37).sin() + 0.2 * (i as f32 * 0.11).cos()).collect()

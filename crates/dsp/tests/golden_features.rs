@@ -6,9 +6,12 @@
 //! change to windowing, FFT, filterbank, log or DCT arithmetic moves a
 //! hash. The keyword-shaped clip golden is a unit test in `blocks.rs`.
 
-use ei_dsp::blocks::{MfccBlock, MfeBlock, SpectrogramBlock};
-use ei_dsp::{DspConfig, MfccConfig, MfeConfig, SpectralConfig, SpectrogramConfig};
-use ei_tensor::simd::{supported_f32_levels, F32Level};
+use ei_dsp::blocks::FramedBlock;
+use ei_dsp::{
+    DspBlock, DspConfig, DspCost, DspError, MfccConfig, MfeConfig, SpectralConfig,
+    SpectrogramConfig,
+};
+use ei_tensor::simd::supported_f32_levels;
 
 /// FNV-1a over each output's length and the little-endian bits of every
 /// feature.
@@ -53,28 +56,6 @@ fn process_hash(config: &DspConfig, inputs: &[Vec<f32>]) -> u64 {
     let outputs: Vec<Vec<f32>> =
         inputs.iter().map(|input| block.process(input).expect("signal fits")).collect();
     hash_outputs(&outputs)
-}
-
-/// One block's `process_at(level, input)`.
-type ProcessAt = Box<dyn Fn(F32Level, &[f32]) -> Vec<f32>>;
-
-/// `process_at` of the framed audio block `config` describes.
-fn audio_block(config: &DspConfig) -> ProcessAt {
-    match config.clone() {
-        DspConfig::Mfcc(c) => {
-            let block = MfccBlock::new(c).expect("config builds");
-            Box::new(move |level, x| block.process_at(level, x).expect("signal fits"))
-        }
-        DspConfig::Mfe(c) => {
-            let block = MfeBlock::new(c).expect("config builds");
-            Box::new(move |level, x| block.process_at(level, x).expect("signal fits"))
-        }
-        DspConfig::Spectrogram(c) => {
-            let block = SpectrogramBlock::new(c).expect("config builds");
-            Box::new(move |level, x| block.process_at(level, x).expect("signal fits"))
-        }
-        other => panic!("{} is not a framed audio block", other.name()),
-    }
 }
 
 #[test]
@@ -136,9 +117,10 @@ fn audio_feature_bits_are_pinned() {
         if got != want {
             failures.push(format!("{name}: got {got:#018x}"));
         }
-        let process_at = audio_block(&config);
+        let block = FramedBlock::new(&config).expect("config builds");
         for level in supported_f32_levels() {
-            let outputs: Vec<Vec<f32>> = inputs.iter().map(|x| process_at(level, x)).collect();
+            let outputs: Vec<Vec<f32>> =
+                inputs.iter().map(|x| block.process_at(level, x).expect("signal fits")).collect();
             let got = hash_outputs(&outputs);
             if got != want {
                 failures.push(format!("{name} at {level:?}: got {got:#018x}"));
@@ -171,4 +153,118 @@ fn spectral_feature_bits_are_pinned() {
         }
     }
     assert!(failures.is_empty(), "feature bits moved:\n{}", failures.join("\n"));
+}
+
+/// What a block reports for `len` samples: output length, output shape
+/// and cost.
+type Footprint = (usize, (usize, usize, usize), DspCost);
+
+/// [`Footprint`] of `block` at `len`, or the error all three calls agree on.
+fn footprint(block: &dyn DspBlock, len: usize) -> Result<Footprint, DspError> {
+    let output_len = block.output_len(len);
+    let shape = block.output_shape(len);
+    let cost = block.cost(len);
+    match (output_len, shape, cost) {
+        (Ok(n), Ok(s), Ok(c)) => Ok((n, s, c)),
+        (Err(a), Err(b), Err(c)) if a == b && b == c => Err(a),
+        other => panic!("output_len, output_shape and cost disagree: {other:?}"),
+    }
+}
+
+#[test]
+fn framed_block_costs_are_pinned() {
+    // captured while MFE, MFCC and Spectrogram were three block types;
+    // `ei-device` turns these numbers into on-board latency and RAM
+    let cost =
+        |flops, scratch_bytes, output_features| DspCost { flops, scratch_bytes, output_features };
+    let kws = MfccConfig { n_coefficients: 10, n_filters: 40, ..MfccConfig::default() };
+    // the modeled filterbank MACs do not depend on its band
+    let banded = MfeConfig { low_hz: 300.0, high_hz: 6_000.0, ..MfeConfig::default() };
+    let gap = MfccConfig {
+        frame_s: 0.016,
+        stride_s: 0.025,
+        n_coefficients: 8,
+        n_filters: 16,
+        sample_rate_hz: 4_000,
+    };
+    let cases: [(DspConfig, &str, usize, [Footprint; 2]); 7] = [
+        (
+            DspConfig::Mfcc(kws),
+            "MFCC",
+            320,
+            [
+                (990, (99, 10, 1), cost(2_602_809, 6_564, 990)),
+                (760, (76, 10, 1), cost(1_998_116, 6_564, 760)),
+            ],
+        ),
+        (
+            DspConfig::Mfcc(MfccConfig::default()),
+            "MFCC",
+            320,
+            [
+                (1_287, (99, 13, 1), cost(2_604_393, 6_532, 1_287)),
+                (988, (76, 13, 1), cost(1_999_332, 6_532, 988)),
+            ],
+        ),
+        (
+            DspConfig::Mfe(MfeConfig::default()),
+            "MFE",
+            320,
+            [
+                (3_960, (99, 40, 1), cost(2_523_609, 6_404, 3_960)),
+                (3_040, (76, 40, 1), cost(1_937_316, 6_404, 3_040)),
+            ],
+        ),
+        (
+            DspConfig::Mfe(banded),
+            "MFE",
+            320,
+            [
+                (3_960, (99, 40, 1), cost(2_523_609, 6_404, 3_960)),
+                (3_040, (76, 40, 1), cost(1_937_316, 6_404, 3_040)),
+            ],
+        ),
+        (
+            DspConfig::Spectrogram(SpectrogramConfig::default()),
+            "Spectrogram",
+            320,
+            [
+                (25_443, (99, 257, 1), cost(2_592_513, 5_376, 25_443)),
+                (19_532, (76, 257, 1), cost(1_990_212, 5_376, 19_532)),
+            ],
+        ),
+        (
+            DspConfig::Spectrogram(SpectrogramConfig { fft_len: 1024, ..Default::default() }),
+            "Spectrogram",
+            320,
+            [
+                (50_787, (99, 513, 1), cost(5_659_137, 9_472, 50_787)),
+                (38_988, (76, 513, 1), cost(4_344_388, 9_472, 38_988)),
+            ],
+        ),
+        (
+            DspConfig::Mfcc(gap),
+            "MFCC",
+            64,
+            [
+                (1_280, (160, 8, 1), cost(420_320, 964, 1_280)),
+                (984, (123, 8, 1), cost(323_121, 964, 984)),
+            ],
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (config, name, frame_len, want) in cases {
+        let block = config.build().expect("config builds");
+        assert_eq!(block.name(), name);
+        for (len, want) in [16_000, 12_345].into_iter().zip(want) {
+            let got = footprint(block.as_ref(), len);
+            if got != Ok(want) {
+                failures.push(format!("{} at {len}: got {got:?}", config.summary()));
+            }
+        }
+        assert!(footprint(block.as_ref(), frame_len).is_ok(), "{name}: one frame fits");
+        let short = DspError::InputTooShort { required: frame_len, actual: frame_len - 1 };
+        assert_eq!(footprint(block.as_ref(), frame_len - 1), Err(short), "{name}");
+    }
+    assert!(failures.is_empty(), "block footprints moved:\n{}", failures.join("\n"));
 }

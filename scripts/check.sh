@@ -86,6 +86,13 @@ else
   echo "  (no results/*.json yet — run the bench binaries to generate them)"
 fi
 
+echo "==> results/table2.json and battery.json regenerate byte-identical"
+# both are modeled from untrained artifacts in seconds; a change to a DSP
+# cost, a board model or the estimates built on them shows as a diff here
+cargo run -q --release -p ei-bench --bin table2 >/dev/null
+cargo run -q --release -p ei-bench --bin battery >/dev/null
+git diff --exit-code results/table2.json results/battery.json
+
 echo "==> results/kernels.json kernels are bitwise-equal, ≥2x on dense, best int8 level ≥3x Baseline, f32 depthwise ≥2x naive, best dsp_mfcc level ≥2x per_frame"
 if [ -f results/kernels.json ]; then
   for marker in \

@@ -13,7 +13,7 @@
 use edgelab::data::synth::KwsGenerator;
 use edgelab::data::Dataset;
 use edgelab::device::{Board, Profiler};
-use edgelab::dsp::blocks::MfeBlock;
+use edgelab::dsp::blocks::FramedBlock;
 use edgelab::dsp::{DspBlock, DspConfig, MfccConfig, MfeConfig};
 use edgelab::faults::RetryPolicy;
 use edgelab::nn::train::TrainConfig;
@@ -185,14 +185,14 @@ fn par_chunks_reduce_edge_cases_are_bitwise_equal_to_serial() {
 /// error precedence) matches the serial loop at any thread count.
 #[test]
 fn parallel_dsp_extraction_matches_serial() {
-    let block = MfeBlock::new(MfeConfig {
+    let block = FramedBlock::new(&DspConfig::Mfe(MfeConfig {
         frame_s: 0.032,
         stride_s: 0.016,
         n_filters: 12,
         sample_rate_hz: 4_000,
         low_hz: 0.0,
         high_hz: 0.0,
-    })
+    }))
     .unwrap();
     let windows: Vec<Vec<f32>> =
         (0..16).map(|w| (0..1_000).map(|i| ((w * 17 + i) as f32 * 0.01).sin()).collect()).collect();
