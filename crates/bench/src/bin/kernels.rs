@@ -16,7 +16,9 @@
 //! calibration of the KWS preset runs twice, through the serial per-element
 //! fold over cached activations and through the streaming `calibrate`; its
 //! rows are bitwise-equal when both give the same `QuantParams` bits. The
-//! KWS MFCC front-end runs frame by frame (`per_frame`, the one-frame
+//! KWS pointwise layer's requantization epilogue runs one element at a time
+//! through `Requantizer::apply` and a row at a time at every level; the best
+//! level must be at least 2x `apply`. The KWS MFCC front-end runs frame by frame (`per_frame`, the one-frame
 //! routine) and at every f32 level through `process_at`, each checked
 //! against the concatenated `frame_column` outputs; the best level must be
 //! at least 2x `per_frame`.
@@ -35,6 +37,7 @@ use ei_dsp::DspConfig;
 use ei_nn::layers::conv::{self, conv2d_forward_at, depthwise_forward_at, Conv2dGeom};
 use ei_nn::layers::im2col::im2col_2d;
 use ei_nn::par::{conv2d_forward_auto, depthwise_forward_auto, gemm_f32_auto};
+use ei_nn::spec::LayerSpec;
 use ei_nn::spec::Padding;
 use ei_nn::walk::Scratch;
 use ei_nn::Kernel;
@@ -42,9 +45,12 @@ use ei_nn::Sequential;
 use ei_par::{ParPool, Parallelism};
 use ei_quant::calibrate::calibrate;
 use ei_quant::fusion::fold_batch_norm;
+use ei_quant::qmodel::{quantize_model, QLayer};
 use ei_quant::QuantParams;
 use ei_tensor::gemm::{gemm_f32, gemm_i8_fused, reference};
-use ei_tensor::simd::{supported_f32_levels, supported_levels, F32Level, I8Scratch, PackedI8};
+use ei_tensor::simd::{
+    supported_f32_levels, supported_levels, F32Level, I8Scratch, Level, PackedI8, RowEpilogue,
+};
 use ei_trace::json::Json;
 use std::time::Instant;
 
@@ -274,6 +280,78 @@ fn kws_conv_int8(writer: &mut ResultsWriter, reps: usize) {
     });
     push_rows(writer, ("kws_conv", (m, k, n), naive_ms), &[("naive_int8", 1, naive_ms, true)]);
     int8_levels(writer, reps, "kws_conv", (m, k, n), (&a, a_zp), (&b, &bias), &naive, naive_ms);
+}
+
+/// The int8 requantization epilogue on its own, over the KWS preset's
+/// first pointwise layer (a 1×1 convolution, 64 → 64 channels at 250
+/// pixels): its accumulators, formed by `reference::matmul_i8` from the
+/// layer's input codes on one feature window, go through
+/// `Requantizer::apply` one element at a time (`apply`, the oracle) and a
+/// row at a time through the layer's `Requantizer` at every level
+/// (`int8_<level>`). `m`, `k`, `n` are the GEMM's. Returns the best level's
+/// speedup over `apply`.
+fn int8_requantize(writer: &mut ResultsWriter, reps: usize) -> Result<f64> {
+    let task = Task::KeywordSpotting;
+    let model = Sequential::build(&task.model_spec(), 7)?;
+    let block = task.design().dsp_block()?;
+    let generator = KwsGenerator::default();
+    let calibration = (0..4)
+        .map(|i| block.process(&generator.generate(i, 100 + i as u64)))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let quantized = quantize_model(&model, &calibration)?;
+    let trace = quantized.trace_raw(&calibration[0])?;
+    let pointwise = |l: &&QLayer| matches!(l.spec, LayerSpec::Conv2d { kernel: 1, .. });
+    let (i, layer) = quantized
+        .layers()
+        .iter()
+        .enumerate()
+        .find(|(_, l)| pointwise(l))
+        .ok_or("the KWS preset has no pointwise layer")?;
+    let (m, k, n) = (layer.input.h * layer.input.w, layer.input.c, layer.output.c);
+    let (weights, bias) = layer.weights.as_ref().zip(layer.bias.as_ref()).ok_or("no weights")?;
+    let in_zp = layer.in_q.zero_point as i8;
+    let acc = reference::matmul_i8(m, k, n, &trace[i], in_zp, weights, bias);
+    let oracle = layer.requantizer(Level::Baseline).ok_or("no integer requantizer")?;
+    let mut out = vec![0i8; m * n];
+    let apply = |out: &mut [i8]| {
+        for (row, orow) in acc.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            for (j, (o, &v)) in orow.iter_mut().zip(row).enumerate() {
+                *o = oracle.apply(j, v);
+            }
+        }
+    };
+    apply(&mut out);
+    let naive = out.clone();
+    let naive_ms = time_ms(reps, || {
+        apply(&mut out);
+        std::hint::black_box(&out);
+    });
+    let shape = ("int8_requantize", (m, k, n), naive_ms);
+    push_row(writer, shape, ("apply", 1, naive_ms, true), None);
+    let (mut baseline_ms, mut best) = (None, 0.0f64);
+    for level in supported_levels() {
+        let rq = layer.requantizer(level).ok_or("level is supported")?;
+        let retire = |out: &mut [i8]| {
+            for (row, orow) in acc.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+                (&rq).retire(row, orow);
+            }
+        };
+        out.fill(0x5a);
+        retire(&mut out);
+        let equal = out == naive;
+        let wall_ms = time_ms(reps, || {
+            retire(&mut out);
+            std::hint::black_box(&out);
+        });
+        let base = *baseline_ms.get_or_insert(wall_ms);
+        best = best.max(naive_ms / wall_ms);
+        let kernel = format!("int8_{}", level.name());
+        push_row(writer, shape, (&kernel, 1, wall_ms, equal), Some(base));
+        if !equal {
+            return Err(format!("int8_requantize at {level:?} differs from apply").into());
+        }
+    }
+    Ok(best)
 }
 
 /// An f32 kernel at every f32 level this host supports: one
@@ -539,6 +617,11 @@ fn main() {
         eprintln!("quant_calibrate: {e}");
         std::process::exit(1);
     }
+    // one layer's epilogue takes tens of microseconds: 100x the reps
+    let requantize_speedup = int8_requantize(&mut writer, 100 * reps).unwrap_or_else(|e| {
+        eprintln!("int8_requantize: {e}");
+        std::process::exit(1);
+    });
     // a clip takes well under a millisecond: 20x the reps for a stable best
     let mfcc_speedup = dsp_mfcc(&mut writer, 20 * reps).unwrap_or_else(|e| {
         eprintln!("dsp_mfcc: {e}");
@@ -558,6 +641,14 @@ fn main() {
             best_level >= 3.0,
             "the best int8 level must be at least 3x Baseline on dense_mlp_int8 \
              (measured {best_level:.2}x)"
+        );
+    }
+    println!("int8_requantize best level over apply: {requantize_speedup:.2}x");
+    if supported_levels().len() > 1 {
+        assert!(
+            requantize_speedup >= 2.0,
+            "the best int8 level must retire rows at least 2x faster than apply \
+             (measured {requantize_speedup:.2}x)"
         );
     }
     println!("dsp_mfcc best level over per_frame: {mfcc_speedup:.2}x");

@@ -18,9 +18,19 @@ pub fn pool_window(d: Dims, size: usize) -> (usize, usize) {
     (if d.h == 1 { 1 } else { size }, size)
 }
 
+/// Channels whose windows [`pool`] folds side by side: one block of
+/// accumulators, walked once per window position.
+const CHANNEL_BLOCK: usize = 64;
+
 /// Non-overlapping `kh × kw` pooling of a `(h, w, c)` activation into
 /// `out`: each output element folds its window's inputs, in row-major
 /// order, into `init` with `fold` and is the `finish`ed result.
+///
+/// The windows of up to [`CHANNEL_BLOCK`] channels are folded together: at
+/// each window position one contiguous run of inputs goes into a block of
+/// accumulators, one per channel. That changes which elements are folded
+/// side by side, never the order of one element's folds, so the bits are
+/// those of a per-element loop.
 pub fn pool<T: Copy, A>(
     input: &[T],
     (w, c): (usize, usize),
@@ -33,16 +43,25 @@ pub fn pool<T: Copy, A>(
     A: Copy,
 {
     let ow = w / kw;
-    for (at, o) in out.iter_mut().enumerate() {
-        let (ch, oy, ox) = (at % c, at / c / ow, at / c % ow);
-        let mut acc = init;
-        for ky in 0..kh {
-            let row = ((oy * kh + ky) * w + ox * kw) * c + ch;
-            for kx in 0..kw {
-                acc = fold(acc, input[row + kx * c]);
+    for (px, opx) in out.chunks_exact_mut(c.max(1)).enumerate() {
+        let (oy, ox) = (px / ow, px % ow);
+        for (block, oblock) in opx.chunks_mut(CHANNEL_BLOCK).enumerate() {
+            let c0 = block * CHANNEL_BLOCK;
+            let mut acc = [init; CHANNEL_BLOCK];
+            let acc = &mut acc[..oblock.len()];
+            for ky in 0..kh {
+                let row = ((oy * kh + ky) * w + ox * kw) * c + c0;
+                for kx in 0..kw {
+                    let x = &input[row + kx * c..][..acc.len()];
+                    for (a, &v) in acc.iter_mut().zip(x) {
+                        *a = fold(*a, v);
+                    }
+                }
+            }
+            for (o, &a) in oblock.iter_mut().zip(&*acc) {
+                *o = finish(a);
             }
         }
-        *o = finish(acc);
     }
 }
 
@@ -135,6 +154,87 @@ mod tests {
         let mut out = vec![f32::NAN; pool_out(h, 2) * pool_out(w, 2) * c];
         pool_f32(input, d, pool_window(d, 2), is_max, &mut out);
         out
+    }
+
+    /// The per-element loop [`pool`] replaced, kept as its oracle: each
+    /// output element folds its own window, row-major.
+    fn pool_per_element<T: Copy, A: Copy>(
+        input: &[T],
+        d: Dims,
+        (kh, kw): (usize, usize),
+        init: A,
+        fold: impl Fn(A, T) -> A,
+        finish: impl Fn(A) -> T,
+    ) -> Vec<T> {
+        let (w, c, ow) = (d.w, d.c, d.w / kw);
+        (0..(d.h / kh) * ow * c)
+            .map(|at| {
+                let (ch, oy, ox) = (at % c, at / c / ow, at / c % ow);
+                let mut acc = init;
+                for ky in 0..kh {
+                    let row = ((oy * kh + ky) * w + ox * kw) * c + ch;
+                    for kx in 0..kw {
+                        acc = fold(acc, input[row + kx * c]);
+                    }
+                }
+                finish(acc)
+            })
+            .collect()
+    }
+
+    /// Inputs of `(h, w, c)` with truncated partial windows, a 1-D input
+    /// and a global window, each with its window.
+    fn shapes(c: usize) -> [(Dims, (usize, usize)); 4] {
+        let one_d = Dims::new(1, 9, c);
+        [
+            (Dims::new(5, 7, c), (2, 2)),
+            (one_d, pool_window(one_d, 2)),
+            (Dims::new(3, 5, c), (3, 5)),
+            (Dims::new(7, 6, c), (3, 3)),
+        ]
+    }
+
+    const CHANNELS: [usize; 7] = [1, 3, 8, 63, 64, 65, 130];
+
+    #[test]
+    fn channel_blocks_keep_each_elements_fold_order() {
+        // an order-sensitive fold: any reordering of one window changes it
+        let fold = |a: u64, v: u64| a.wrapping_mul(0x100_0000_01b3) ^ v;
+        for c in CHANNELS {
+            for (d, window) in shapes(c) {
+                let input: Vec<u64> = (0..d.len() as u64).map(|i| i * 0x9e37_79b9 + 7).collect();
+                let want = pool_per_element(&input, d, window, 0xcbf2, fold, |a| a);
+                let mut got = vec![0u64; want.len()];
+                pool(&input, (d.w, d.c), window, &mut got, 0xcbf2, fold, |a| a);
+                assert_eq!(got, want, "{d:?} {window:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn f32_pools_match_the_per_element_bits_on_nan_and_signed_zeros() {
+        let specials = [f32::NAN, 0.0, -0.0, -1.5, 3.25e-3, f32::NEG_INFINITY, 7.0, -0.0, 1e30];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for c in CHANNELS {
+            for (d, window) in shapes(c) {
+                let input: Vec<f32> = (0..d.len()).map(|i| specials[(i * 7 + i / 5) % 9]).collect();
+                let norm = 1.0 / (window.0 * window.1) as f32;
+                let max = pool_per_element(
+                    &input,
+                    d,
+                    window,
+                    f32::NEG_INFINITY,
+                    |m, v| if v > m { v } else { m },
+                    |m| m,
+                );
+                let avg = pool_per_element(&input, d, window, 0.0, |s, v| s + v * norm, |s| s);
+                for (is_max, want) in [(true, max), (false, avg)] {
+                    let mut got = vec![f32::NAN; want.len()];
+                    pool_f32(&input, d, window, is_max, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "max {is_max} {d:?} {window:?}");
+                }
+            }
+        }
     }
 
     #[test]

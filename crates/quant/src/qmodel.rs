@@ -18,7 +18,8 @@ use ei_nn::spec::{Activation, Dims, LayerSpec};
 use ei_nn::walk::PingPong;
 use ei_nn::Sequential;
 use ei_tensor::simd::{
-    self, DepthwiseShape, I8Scratch, Level, PackedDepthwise, PackedI8, ScratchLen,
+    self, DepthwiseShape, I8Scratch, Level, PackedDepthwise, PackedI8, Requantizer, RowEpilogue,
+    ScratchLen,
 };
 
 /// One quantized layer.
@@ -51,6 +52,17 @@ impl QLayer {
     /// Bytes of flash this layer's parameters occupy when deployed.
     pub fn weight_bytes(&self) -> usize {
         self.weights.as_ref().map_or(0, Vec::len) + self.bias.as_ref().map_or(0, |b| b.len() * 4)
+    }
+
+    /// The requantization this layer's kernel applies, built for `level`:
+    /// `None` for a layer without multipliers, one whose activation has no
+    /// integer epilogue (sigmoid, tanh), or a level this host cannot run.
+    pub fn requantizer(&self, level: Level) -> Option<Requantizer> {
+        let act = self.spec.resolve(self.input).ok()?.activation;
+        if matches!(act, Activation::Sigmoid | Activation::Tanh) {
+            return None;
+        }
+        requantizer(level, self.multipliers.as_ref()?, self.out_q, act)
     }
 }
 
@@ -312,70 +324,19 @@ fn quantize_calibrated(fused: &Sequential, ranges: &ActivationRanges) -> Result<
     })
 }
 
-/// A layer's requantization to the output int8 domain, resolved once when
-/// the model is quantized: per channel, the [`FixedMultiplier`] as the shift and
-/// rounding terms it implies, plus the activation's clamp bounds.
-///
-/// [`Requantizer::apply`] is [`FixedMultiplier::apply`] followed by the
-/// output zero point and the ReLU-family clamp, bit for bit — except that
-/// the zero-point add saturates: `apply` clamps a huge product to the
-/// `i32` range, and adding the zero point to that used to overflow.
-#[derive(Debug, Clone)]
-struct Requantizer {
-    channels: Vec<ChannelScale>,
-    zero_point: i64,
-    /// The clamp bounds minus the zero point: clamping `v` to them and
-    /// then adding the zero point is clamping `v + zp`, with no overflow.
-    lo: i64,
-    hi: i64,
-}
-
-/// One channel's fixed-point multiplier, pre-decoded.
-#[derive(Debug, Clone, Copy)]
-struct ChannelScale {
-    /// The mantissa times `2^left`, wrapping: multiplying by it is
-    /// `apply`'s (wrapping) `prod << left`, since wrapping multiplication
-    /// is associative.
-    mantissa: i64,
-    right: u32,
-    /// Added before the right shift to a non-negative product (and
-    /// `round_neg` to a negative one): round half away from zero.
-    round: i64,
-    round_neg: i64,
-}
-
-impl Requantizer {
-    fn new(mults: &[FixedMultiplier], out_q: QuantParams, act: Activation) -> Requantizer {
-        let channels = mults
-            .iter()
-            .map(|m| {
-                // `apply` shifts left by `shift - 31` when that is positive
-                // (no rounding), else right by `31 - shift` with rounding
-                let total = 31 - m.shift;
-                let left = (-total).max(0) as u32;
-                let right = total.max(0) as u32;
-                let round = if right > 0 { 1i64 << (right - 1) } else { 0 };
-                ChannelScale {
-                    mantissa: i64::from(m.mantissa).wrapping_mul(1i64 << left),
-                    right,
-                    round,
-                    round_neg: if right > 0 { round - 1 } else { 0 },
-                }
-            })
-            .collect();
-        let (lo, hi) = activation_bounds(act, out_q);
-        let zp = out_q.zero_point;
-        Requantizer { channels, zero_point: zp.into(), lo: (lo - zp).into(), hi: (hi - zp).into() }
-    }
-
-    /// Requantizes channel `ch`'s accumulator.
-    #[inline]
-    fn apply(&self, ch: usize, acc: i32) -> i8 {
-        let c = self.channels[ch];
-        let prod = i64::from(acc).wrapping_mul(c.mantissa);
-        let round = if prod < 0 { c.round_neg } else { c.round };
-        (((prod + round) >> c.right).clamp(self.lo, self.hi) + self.zero_point) as i8
-    }
+/// `mults` with output `out_q` and `act`'s clamp as a [`Requantizer`] for
+/// `level`, or `None` if this host cannot run `level`.
+fn requantizer(
+    level: Level,
+    mults: &[FixedMultiplier],
+    out_q: QuantParams,
+    act: Activation,
+) -> Option<Requantizer> {
+    let (lo, hi) = activation_bounds(act, out_q);
+    // zero points and clamp bounds lie in the int8 range by construction
+    // (`QuantParams::from_range` clamps them, `activation_bounds` too)
+    let mults = mults.iter().map(|m| (m.mantissa, m.shift));
+    Requantizer::with_level(level, mults, out_q.zero_point as i8, (lo as i8, hi as i8))
 }
 
 /// int8 clamping bounds implementing ReLU-family activations.
@@ -399,8 +360,8 @@ enum Epilogue {
 }
 
 impl Epilogue {
-    fn new(layer: &QLayer, mults: &[FixedMultiplier], cq: &ChannelQuant, act: Activation) -> Self {
-        if matches!(act, Activation::Sigmoid | Activation::Tanh) {
+    fn new(layer: &QLayer, level: Level, cq: &ChannelQuant, act: Activation) -> Option<Self> {
+        Some(if matches!(act, Activation::Sigmoid | Activation::Tanh) {
             Epilogue::Float {
                 act,
                 in_scale: layer.in_q.scale,
@@ -408,19 +369,8 @@ impl Epilogue {
                 out_q: layer.out_q,
             }
         } else {
-            Epilogue::Fixed(Requantizer::new(mults, layer.out_q, act))
-        }
-    }
-
-    /// Requantizes channel `ch`'s accumulator. The kernels match on the
-    /// variant once per call and take [`Requantizer::apply`] directly.
-    fn apply(&self, ch: usize, acc: i32) -> i8 {
-        match self {
-            Epilogue::Fixed(r) => r.apply(ch, acc),
-            Epilogue::Float { act, in_scale, scales, out_q } => {
-                out_q.quantize(act.apply(acc as f32 * in_scale * scales[ch]))
-            }
-        }
+            Epilogue::Fixed(layer.requantizer(level)?)
+        })
     }
 }
 
@@ -453,7 +403,7 @@ impl LayerKernel {
     /// Packs `layer`'s weights for `level`; `None` for a layer without
     /// weights. A missing bias is zero.
     fn build(layer: &QLayer, level: Level) -> Option<LayerKernel> {
-        let (Some(w), Some(cq), Some(mults)) = (&layer.weights, &layer.w_quant, &layer.multipliers)
+        let (Some(w), Some(cq), Some(_)) = (&layer.weights, &layer.w_quant, &layer.multipliers)
         else {
             return None;
         };
@@ -486,7 +436,8 @@ impl LayerKernel {
             }
             _ => return None,
         };
-        Some(LayerKernel { op, in_zp, epilogue: Epilogue::new(layer, mults, cq, r.activation) })
+        let epilogue = Epilogue::new(layer, level, cq, r.activation)?;
+        Some(LayerKernel { op, in_zp, epilogue })
     }
 
     /// The scratch [`LayerKernel::run`] works in.
@@ -504,15 +455,20 @@ impl LayerKernel {
     /// Runs the layer from `input` into all of `out`.
     fn run(&self, input: &[i8], scratch: &mut I8Scratch, out: &mut [i8]) {
         match &self.epilogue {
-            Epilogue::Fixed(r) => self.run_with(|ch, acc| r.apply(ch, acc), input, scratch, out),
-            float => self.run_with(|ch, acc| float.apply(ch, acc), input, scratch, out),
+            Epilogue::Fixed(r) => self.run_with(r, input, scratch, out),
+            Epilogue::Float { act, in_scale, scales, out_q } => {
+                let float = |ch: usize, acc: i32| {
+                    out_q.quantize(act.apply(acc as f32 * in_scale * scales[ch]))
+                };
+                self.run_with(float, input, scratch, out)
+            }
         }
     }
 
-    /// [`LayerKernel::run`] with the epilogue resolved to one closure.
+    /// [`LayerKernel::run`] with the epilogue resolved once.
     fn run_with(
         &self,
-        epilogue: impl Fn(usize, i32) -> i8,
+        epilogue: impl RowEpilogue,
         input: &[i8],
         scratch: &mut I8Scratch,
         out: &mut [i8],
@@ -861,7 +817,9 @@ mod tests {
     fn requantizer_is_fixed_multiplier_then_zero_point_then_clamp() {
         // exact ties (reals 0.5 and 0.25 on odd accumulators), an unshifted
         // (2e9) and a left-shifting, wrapping (1e12) multiplier, a zero
-        // multiplier and the i32 edges, at both zero-point edges
+        // multiplier and the i32 edges, at both zero-point edges; at every
+        // level, element by element and a whole row of channels at a time
+        use ei_tensor::simd::supported_levels;
         let reals = [0.25f32, 0.5, 0.37, 1.0, 1.7, 3.0e-5, 2.0e9, 1.0e12, 0.0];
         let mults: Vec<FixedMultiplier> =
             reals.iter().map(|&r| FixedMultiplier::from_real(r)).collect();
@@ -872,16 +830,18 @@ mod tests {
             QuantParams::from_range(-1e-6, 0.0),
         ] {
             for act in [Activation::Relu, Activation::Relu6, Activation::None] {
-                let rq = Requantizer::new(&mults, out_q, act);
                 let (lo, hi) = activation_bounds(act, out_q);
-                for (ch, m) in mults.iter().enumerate() {
+                for level in supported_levels() {
+                    let rq = requantizer(level, &mults, out_q, act).unwrap();
                     for acc in accs {
-                        let want = m.apply(acc).saturating_add(out_q.zero_point).clamp(lo, hi);
-                        assert_eq!(
-                            i32::from(rq.apply(ch, acc)),
-                            want,
-                            "{m:?} {acc} {out_q:?} {act:?}"
-                        );
+                        let mut row = vec![0i8; mults.len()];
+                        (&rq).retire(&vec![acc; mults.len()], &mut row);
+                        for (ch, m) in mults.iter().enumerate() {
+                            let want = m.apply(acc).saturating_add(out_q.zero_point).clamp(lo, hi);
+                            let at = format!("{m:?} {acc} {out_q:?} {act:?} {level:?}");
+                            assert_eq!(i32::from(rq.apply(ch, acc)), want, "{at}");
+                            assert_eq!(i32::from(row[ch]), want, "row {at}");
+                        }
                     }
                 }
             }
@@ -894,13 +854,85 @@ mod tests {
         // -128 and a multiplier in the thousands, so a strongly negative
         // accumulator clamps to i32::MIN before the zero point is added
         let big = [FixedMultiplier::from_real(30_000.0)];
+        let rq = |out_q, act| requantizer(Level::Baseline, &big, out_q, act).unwrap();
         let dead = QuantParams::from_range(0.0, 0.0);
         assert_eq!(dead.zero_point, -128);
-        assert_eq!(Requantizer::new(&big, dead, Activation::Relu).apply(0, -1_000_000), -128);
+        assert_eq!(rq(dead, Activation::Relu).apply(0, -1_000_000), -128);
         // and the mirror image: zero point 127, i32::MAX
         let top = QuantParams::from_range(-1e-6, 0.0);
         assert_eq!(top.zero_point, 127);
-        assert_eq!(Requantizer::new(&big, top, Activation::None).apply(0, 1_000_000), 127);
+        assert_eq!(rq(top, Activation::None).apply(0, 1_000_000), 127);
+    }
+
+    #[test]
+    fn int8_average_pools_round_half_away_from_zero() {
+        // small codes put many window sums, negative ones too, exactly on a
+        // half (2x2 and 1x2 windows) or next to one (the odd 3x5 window);
+        // full-range codes reach the int8 edges
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for c in [1, 3, 8, 63, 64, 65, 130] {
+            for (d, (kh, kw)) in [
+                (Dims::new(4, 6, c), (2, 2)),
+                (Dims::new(1, 9, c), (1, 2)),
+                (Dims::new(3, 5, c), (3, 5)),
+                (Dims::new(5, 7, c), (2, 2)),
+            ] {
+                for spread in [4u64, 256] {
+                    let input: Vec<i8> = (0..d.len())
+                        .map(|_| {
+                            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                            (((state >> 33) % spread) as i32 - (spread / 2) as i32) as i8
+                        })
+                        .collect();
+                    let (oh, ow) = (d.h / kh, d.w / kw);
+                    let mut got = vec![0x5ai8; oh * ow * c];
+                    avgpool_q(&input, d, (kh, kw), &mut got);
+                    for (at, &g) in got.iter().enumerate() {
+                        let (ch, oy, ox) = (at % c, at / c / ow, at / c % ow);
+                        let mut sum = 0i32;
+                        for y in oy * kh..(oy + 1) * kh {
+                            for x in ox * kw..(ox + 1) * kw {
+                                sum += i32::from(input[(y * d.w + x) * c + ch]);
+                            }
+                        }
+                        let want = (f64::from(sum) / (kh * kw) as f64).round() as i8;
+                        assert_eq!(g, want, "sum {sum} over {kh}x{kw} {d:?} at {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pruned_channel_quantizes_to_the_zero_multiplier() {
+        // unit 0's weights are all zero and unit 1's bias widens the output
+        // range, so unit 0's multiplier is far below 2^-32: it must encode
+        // as zero rather than overflow the requantizer's shifts
+        use ei_tensor::simd::supported_levels;
+        let spec = ModelSpec::new(Dims::new(1, 8, 1))
+            .layer(LayerSpec::Flatten)
+            .layer(LayerSpec::Dense { units: 4, activation: Activation::None });
+        let mut model = Sequential::build(&spec, 5).unwrap();
+        let dense = &mut model.layers_mut()[1];
+        let w = dense.weights.as_mut().unwrap().as_f32_mut().unwrap();
+        for row in w.chunks_mut(4) {
+            row[0] = 0.0;
+        }
+        dense.bias.as_mut().unwrap().as_f32_mut().unwrap()[1] = 1000.0;
+        let calib = random_inputs(8, 8, 2);
+        let quantized = quantize_model(&model, &calib).unwrap();
+        let dense = &quantized.layers()[1];
+        assert_eq!(dense.multipliers.as_ref().unwrap()[0], FixedMultiplier::from_real(0.0));
+        let out_scale = dense.out_q.scale;
+        for x in &calib {
+            let want = model.forward(x).unwrap();
+            for level in supported_levels() {
+                let got = quantized.with_kernel_level(level).unwrap().forward(x).unwrap();
+                for (a, b) in want.iter().zip(&got) {
+                    assert!((a - b).abs() <= out_scale, "{a} vs {b} at {level:?}");
+                }
+            }
+        }
     }
 
     proptest! {

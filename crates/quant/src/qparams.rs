@@ -122,9 +122,12 @@ pub struct FixedMultiplier {
 }
 
 impl FixedMultiplier {
-    /// Encodes a real multiplier (must be finite and non-negative).
+    /// Encodes a real multiplier (must be finite and non-negative). One
+    /// below `2^-32` is the zero multiplier, exactly: every `i32`
+    /// accumulator's product is then below `2^31 · 2^-32 = 0.5` in
+    /// magnitude and rounds to 0 (and its shift would pass 63 bits).
     pub fn from_real(real: f32) -> FixedMultiplier {
-        if real <= 0.0 || !real.is_finite() {
+        if !real.is_finite() || real < 2f32.powi(-32) {
             return FixedMultiplier { mantissa: 0, shift: 0 };
         }
         let mut shift = 0i32;
@@ -235,6 +238,20 @@ mod tests {
     fn fixed_multiplier_zero_and_negative() {
         assert_eq!(FixedMultiplier::from_real(0.0).apply(1000), 0);
         assert_eq!(FixedMultiplier::from_real(-1.0).apply(1000), 0);
+    }
+
+    #[test]
+    fn fixed_multiplier_below_two_to_the_minus_32_is_zero() {
+        // a pruned channel's multiplier: the smallest one kept still rounds
+        // half away from zero at the i32 edges, anything smaller is zero
+        let zero = FixedMultiplier { mantissa: 0, shift: 0 };
+        for real in [7.7e-15f32, 1.0e-10, 2f32.powi(-33), 2f32.powi(-32) * 0.999] {
+            assert_eq!(FixedMultiplier::from_real(real), zero, "{real:e}");
+        }
+        let smallest = FixedMultiplier::from_real(2f32.powi(-32));
+        assert_eq!(smallest, FixedMultiplier { mantissa: 1 << 30, shift: -31 });
+        assert_eq!(smallest.apply(i32::MIN), -1);
+        assert_eq!(smallest.apply(i32::MAX), 0);
     }
 
     proptest! {

@@ -390,8 +390,8 @@ impl PackedI8 {
     }
 
     /// Fused int8 GEMM against the packed weights: `acc[i][j] = bias[j] +
-    /// Σ_p (a[i·k + p] − a_zp)·b[p][j]`, wrapping, then `out[i·n + j] =
-    /// epilogue(j, acc[i][j])` as each row retires.
+    /// Σ_p (a[i·k + p] − a_zp)·b[p][j]`, wrapping, then the epilogue
+    /// retires each row `acc[i]` into `out[i·n..(i + 1)·n]`.
     ///
     /// # Panics
     ///
@@ -401,7 +401,7 @@ impl PackedI8 {
         &self,
         m: usize,
         a: &[i8],
-        epilogue: impl Fn(usize, i32) -> i8,
+        epilogue: impl RowEpilogue,
         scratch: &mut I8Scratch,
         out: &mut [i8],
     ) {
@@ -412,6 +412,7 @@ impl PackedI8 {
             return;
         }
         let acc = &mut scratch.acc[..self.init.len()];
+        let retire = |acc: &[i32], orow: &mut [i8]| epilogue.retire(&acc[..n], orow);
         match &self.b {
             PackedB::Rows(b16) => {
                 let zp = i16::from(self.a_zp);
@@ -425,7 +426,7 @@ impl PackedI8 {
                             *o = o.wrapping_add(i32::from(x * bv));
                         }
                     }
-                    retire(acc, &epilogue, orow);
+                    retire(acc, orow);
                 }
             }
             PackedB::Quads(simd, quads) => {
@@ -433,19 +434,247 @@ impl PackedI8 {
                 for (i, orow) in out.chunks_exact_mut(n).enumerate() {
                     to_quads(&a[i * k..i * k + k], xq);
                     dot_row(*simd, xq, quads, &self.init, acc);
-                    retire(acc, &epilogue, orow);
+                    retire(acc, orow);
                 }
             }
         }
     }
 }
 
-/// Applies `epilogue` to one row's accumulators.
-#[inline]
-fn retire(acc: &[i32], epilogue: &impl Fn(usize, i32) -> i8, out: &mut [i8]) {
-    for (j, (o, &v)) in out.iter_mut().zip(acc).enumerate() {
-        *o = epilogue(j, v);
+/// What an int8 kernel does with one row of finished accumulators: the
+/// requantization epilogue, a whole row per call.
+///
+/// Every `Fn(channel, acc) -> code` is one, applied element by element;
+/// a `&`[`Requantizer`] retires eight channels per pass at a SIMD level.
+pub trait RowEpilogue {
+    /// Writes the code of `acc[j]`, channel `j`'s accumulator, to `out[j]`
+    /// for every `j`. `acc` and `out` have the same length.
+    fn retire(&self, acc: &[i32], out: &mut [i8]);
+}
+
+impl<F: Fn(usize, i32) -> i8> RowEpilogue for F {
+    #[inline]
+    fn retire(&self, acc: &[i32], out: &mut [i8]) {
+        for (j, (o, &v)) in out.iter_mut().zip(acc).enumerate() {
+            *o = self(j, v);
+        }
     }
+}
+
+/// A layer's requantization to the output int8 domain, resolved once when
+/// the model is quantized: per channel, a fixed-point multiplier
+/// `mantissa · 2^(shift − 31)` as the shift and rounding terms it implies,
+/// plus the output zero point and the activation's clamp bounds.
+///
+/// [`Requantizer::apply`] is `ei_quant`'s `FixedMultiplier::apply` (the
+/// `i64` product, rounded half away from zero) followed by the zero point
+/// and the clamp, bit for bit — except that the zero-point add saturates:
+/// `FixedMultiplier::apply` clamps a huge product to the `i32` range, and
+/// adding the zero point to that would overflow. It is the oracle the row
+/// kernel is tested against; see [`Requantizer::retire`] for why the lanes
+/// give the same bits.
+#[derive(Debug, Clone)]
+pub struct Requantizer {
+    /// The row kernel's token; `None` at `Baseline`.
+    simd: Option<Simd>,
+    channels: Vec<ChannelScale>,
+    /// The channels eight at a time in the row kernel's layout, for every
+    /// whole block of eight; empty at `Baseline`.
+    blocks: Vec<LaneBlock>,
+    /// Channels inside `blocks` that the lanes cannot take exactly: their
+    /// lanes hold zeros, and `retire` rewrites them with `apply`.
+    fixups: Vec<usize>,
+    zero_point: i32,
+    /// The clamp bounds minus the zero point: clamping `v` to them and
+    /// then adding the zero point is clamping `v + zp`, with no overflow.
+    lo: i32,
+    hi: i32,
+}
+
+/// One channel's fixed-point multiplier, pre-decoded.
+#[derive(Debug, Clone, Copy)]
+struct ChannelScale {
+    /// The mantissa times `2^left`, wrapping: multiplying by it is
+    /// `FixedMultiplier::apply`'s (wrapping) `prod << left`, since wrapping
+    /// multiplication is associative.
+    mantissa: i64,
+    right: u32,
+    /// Added before the right shift to a non-negative product (and
+    /// `round_neg` to a negative one): round half away from zero.
+    round: i64,
+    round_neg: i64,
+}
+
+/// Eight channels' multipliers as the row kernel loads them. `vpmuldq`
+/// multiplies the low `i32` of each 64-bit lane, so a block's channels are
+/// split into the even ones (lanes of the first register) and the odd ones.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneBlock {
+    /// Mantissas of channels 0, 2, 4, 6, then 1, 3, 5, 7.
+    mantissa: [i64; 8],
+    /// `2^(right − 1)`, in the order of `mantissa`.
+    round: [i64; 8],
+    /// `right − 32`, in channel order.
+    shift: [i32; 8],
+}
+
+impl Requantizer {
+    /// Channels per pass of the row kernel: one 256-bit register of `i32`.
+    const LANES: usize = 8;
+
+    /// The requantization with one multiplier per channel, each as
+    /// `(mantissa, shift)` for `mantissa · 2^(shift − 31)` (the fields of
+    /// `ei_quant`'s `FixedMultiplier`), then output zero point
+    /// `zero_point` and the clamp to `bounds`, for `level`; `None` if this
+    /// host cannot run `level`.
+    pub fn with_level(
+        level: Level,
+        multipliers: impl IntoIterator<Item = (i32, i32)>,
+        zero_point: i8,
+        bounds: (i8, i8),
+    ) -> Option<Requantizer> {
+        if !level.is_supported() {
+            return None;
+        }
+        let channels: Vec<ChannelScale> = multipliers
+            .into_iter()
+            .map(|(mantissa, shift)| {
+                if mantissa == 0 {
+                    // every product is 0, whatever the shift
+                    return ChannelScale { mantissa: 0, right: 0, round: 0, round_neg: 0 };
+                }
+                // `apply` shifts left by `shift - 31` when that is positive
+                // (no rounding), else right by `31 - shift` with rounding
+                let total = 31 - shift;
+                let left = (-total).max(0) as u32;
+                let right = total.max(0) as u32;
+                let round = if right > 0 { 1i64 << (right - 1) } else { 0 };
+                ChannelScale {
+                    mantissa: i64::from(mantissa).wrapping_mul(1i64 << left),
+                    right,
+                    round,
+                    round_neg: if right > 0 { round - 1 } else { 0 },
+                }
+            })
+            .collect();
+        let simd = level.simd();
+        let (mut blocks, mut fixups) = (Vec::new(), Vec::new());
+        if simd.is_some() {
+            for (b, chunk) in channels.chunks_exact(Self::LANES).enumerate() {
+                let mut block = LaneBlock::default();
+                for (i, c) in chunk.iter().enumerate() {
+                    // even channels fill lanes 0..4, odd ones 4..8
+                    let at = i / 2 + 4 * (i % 2);
+                    if c.mantissa == 0 {
+                        // zeros in every lane give 0, as `apply` does
+                    } else if (32..=63).contains(&c.right) {
+                        // `right >= 32` means no left shift: the mantissa
+                        // is the `i32` `vpmuldq` reads
+                        block.mantissa[at] = c.mantissa;
+                        block.round[at] = c.round;
+                        block.shift[i] = c.right as i32 - 32;
+                    } else {
+                        fixups.push(b * Self::LANES + i);
+                    }
+                }
+                blocks.push(block);
+            }
+        }
+        let (lo, hi) = (i32::from(bounds.0), i32::from(bounds.1));
+        let zp = i32::from(zero_point);
+        Some(Requantizer {
+            simd,
+            channels,
+            blocks,
+            fixups,
+            zero_point: zp,
+            lo: lo - zp,
+            hi: hi - zp,
+        })
+    }
+
+    /// Channels.
+    pub fn len(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// `true` for a requantization of no channels.
+    pub fn is_empty(&self) -> bool {
+        self.channels.is_empty()
+    }
+
+    /// Requantizes channel `ch`'s accumulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ch` is not a channel.
+    #[inline]
+    pub fn apply(&self, ch: usize, acc: i32) -> i8 {
+        self.requantize(self.channels[ch], acc)
+    }
+
+    /// [`Requantizer::apply`] given the channel's scale.
+    #[inline]
+    fn requantize(&self, c: ChannelScale, acc: i32) -> i8 {
+        let prod = i64::from(acc).wrapping_mul(c.mantissa);
+        let round = if prod < 0 { c.round_neg } else { c.round };
+        let v = ((prod + round) >> c.right).clamp(self.lo.into(), self.hi.into());
+        (v + i64::from(self.zero_point)) as i8
+    }
+}
+
+impl RowEpilogue for &Requantizer {
+    /// Requantizes one row, `acc[j]` being channel `j`'s accumulator.
+    ///
+    /// At `Baseline` this is [`Requantizer::apply`] element by element. At
+    /// a SIMD level each whole block of eight channels takes one pass, and
+    /// gives `apply`'s bits: `vpmuldq` forms the exact `i64` product of the
+    /// accumulator and the mantissa (`|acc·m| < 2^62`); adding `round`,
+    /// less one where the product is negative, is `apply`'s rounding add
+    /// (`< 2^63`, no overflow); an arithmetic shift right by `right ≥ 32`
+    /// is the high `i32` (`>> 32`) shifted by `right − 32` with `vpsravd`,
+    /// and that `i32` is the whole result, so the clamp, zero point and
+    /// byte pack in `i32` lanes lose nothing. A channel with a left shift
+    /// (a dead-ReLU layer's huge multiplier) or `right < 32` does not fit
+    /// that path: its lanes compute 0 and `apply` rewrites it afterwards,
+    /// as it does the channels past the last whole block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` and `out` differ in length or `acc` is longer than
+    /// the channels.
+    fn retire(&self, acc: &[i32], out: &mut [i8]) {
+        assert_eq!(acc.len(), out.len(), "one code per accumulator");
+        assert!(acc.len() <= self.channels.len(), "one accumulator per channel");
+        let whole = (acc.len() / Requantizer::LANES).min(self.blocks.len());
+        let done = whole * Requantizer::LANES;
+        if let Some(simd) = self.simd {
+            let bounds = [self.zero_point, self.lo, self.hi];
+            requantize_row(simd, &self.blocks[..whole], bounds, acc, out);
+            for &ch in self.fixups.iter().take_while(|&&ch| ch < done) {
+                out[ch] = self.apply(ch, acc[ch]);
+            }
+        }
+        let rest = out[done..].iter_mut().zip(&acc[done..]).zip(&self.channels[done..]);
+        for ((o, &v), &c) in rest {
+            *o = self.requantize(c, v);
+        }
+    }
+}
+
+/// The row kernel over `blocks.len()` whole blocks of eight channels.
+#[cfg(target_arch = "x86_64")]
+fn requantize_row(_: Simd, blocks: &[LaneBlock], bounds: [i32; 3], acc: &[i32], out: &mut [i8]) {
+    let len = blocks.len() * Requantizer::LANES;
+    assert!(acc.len() >= len && out.len() >= len, "a whole block per pass");
+    // SAFETY: a `Simd` token exists only once AVX2 was detected, and the
+    // assert above is the kernel's size contract.
+    unsafe { x86::requantize_avx2(blocks, bounds, acc, out) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn requantize_row(simd: Simd, _: &[LaneBlock], _: [i32; 3], _: &[i32], _: &mut [i8]) {
+    match simd {}
 }
 
 /// One activation row as little-endian `u8` quads, `u = x ^ 0x80`; a short
@@ -598,8 +827,9 @@ impl PackedDepthwise {
 
     /// Depthwise convolution of `input` (`in_h × in_w × c` codes at zero
     /// point `in_zp`, in the packed shape): per output pixel and channel,
-    /// `bias + Σ_taps (x − in_zp)·w`, wrapping, then `epilogue(ch, acc)`.
-    /// Out-of-bounds taps contribute zero, as a zero-point pad would.
+    /// `bias + Σ_taps (x − in_zp)·w`, wrapping; the epilogue retires each
+    /// output pixel's `c` accumulators. Out-of-bounds taps contribute zero,
+    /// as a zero-point pad would.
     ///
     /// # Panics
     ///
@@ -609,7 +839,7 @@ impl PackedDepthwise {
         &self,
         input: &[i8],
         in_zp: i8,
-        epilogue: impl Fn(usize, i32) -> i8,
+        epilogue: impl RowEpilogue,
         scratch: &mut I8Scratch,
         out: &mut [i8],
     ) {
@@ -641,7 +871,7 @@ impl PackedDepthwise {
                 Some(simd) => dw_row(simd, xs, origin, step, &self.pairs, &self.w, &self.bias, acc),
             }
             for (px, opx) in acc.chunks_exact(cp).zip(orow.chunks_exact_mut(c)) {
-                retire(&px[..c], &epilogue, opx);
+                epilogue.retire(&px[..c], opx);
             }
         }
     }
@@ -710,8 +940,67 @@ fn dw_row(
 #[cfg(target_arch = "x86_64")]
 #[deny(unsafe_op_in_unsafe_fn)]
 mod x86 {
-    use super::{F32Kernel, PANEL};
+    use super::{F32Kernel, LaneBlock, PANEL};
     use std::arch::x86_64::*;
+
+    /// The row kernel: eight channels per pass, `vpmuldq` products of the
+    /// even and the odd channels, rounded and shifted in 64-bit lanes, then
+    /// clamped and packed in `i32` lanes (see `Requantizer::retire`).
+    /// `[zp, lo, hi]` are the zero point and the clamp bounds minus it.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2; `acc` and `out` are at least `8 ·
+    /// blocks.len()` long.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn requantize_avx2(
+        blocks: &[LaneBlock],
+        [zp, lo, hi]: [i32; 3],
+        acc: &[i32],
+        out: &mut [i8],
+    ) {
+        let zero = _mm256_setzero_si256();
+        let (zp, lo, hi) = (_mm256_set1_epi32(zp), _mm256_set1_epi32(lo), _mm256_set1_epi32(hi));
+        // byte 0 of each `i32` into the low four bytes of its 128-bit lane,
+        // then those two dwords side by side
+        #[rustfmt::skip]
+        let pick = _mm256_setr_epi8(
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        );
+        let gather = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+        for (i, b) in blocks.iter().enumerate() {
+            // SAFETY: `8·i + 8 <= 8·blocks.len() <= acc.len()`, and each
+            // load from `b` stays inside its array.
+            let (a, m_even, m_odd, r_even, r_odd, shift) = unsafe {
+                (
+                    _mm256_loadu_si256(acc.as_ptr().add(8 * i).cast()),
+                    _mm256_loadu_si256(b.mantissa.as_ptr().cast()),
+                    _mm256_loadu_si256(b.mantissa.as_ptr().add(4).cast()),
+                    _mm256_loadu_si256(b.round.as_ptr().cast()),
+                    _mm256_loadu_si256(b.round.as_ptr().add(4).cast()),
+                    _mm256_loadu_si256(b.shift.as_ptr().cast()),
+                )
+            };
+            // exact `i64` products: channels 0, 2, 4, 6 from the low dwords,
+            // 1, 3, 5, 7 from the high ones moved down
+            let even = _mm256_mul_epi32(a, m_even);
+            let odd = _mm256_mul_epi32(_mm256_srli_epi64::<32>(a), m_odd);
+            // round half away from zero: `+ round`, `− 1` if negative
+            let even =
+                _mm256_add_epi64(_mm256_add_epi64(even, r_even), _mm256_cmpgt_epi64(zero, even));
+            let odd = _mm256_add_epi64(_mm256_add_epi64(odd, r_odd), _mm256_cmpgt_epi64(zero, odd));
+            // the high dwords (`>> 32`) in channel order, then `>> right − 32`
+            let high = _mm256_blend_epi32::<0b1010_1010>(_mm256_srli_epi64::<32>(even), odd);
+            let v = _mm256_srav_epi32(high, shift);
+            let v = _mm256_add_epi32(_mm256_min_epi32(_mm256_max_epi32(v, lo), hi), zp);
+            let bytes = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(v, pick), gather);
+            // SAFETY: `8·i + 8 <= out.len()`, as for `acc`.
+            unsafe {
+                _mm_storel_epi64(out.as_mut_ptr().add(8 * i).cast(), _mm256_castsi256_si128(bytes))
+            };
+        }
+    }
 
     /// `kernel`'s body, inlined here and compiled for AVX2 (no FMA).
     ///
@@ -946,6 +1235,66 @@ mod tests {
             for level in supported_levels() {
                 let p = PackedI8::with_level(level, k, n, &b, &bias, -128).unwrap();
                 assert_eq!(gemm_acc(&p, m, &a), want, "{level:?} bias {}", bias[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn requantize_rows_match_apply_at_every_level() {
+        // (mantissa, shift) with `right = 31 − shift`: the lanes' edges, a
+        // zero mantissa, and the two kinds `apply` rewrites after the lanes
+        let kinds = [
+            (1 << 30, -1),       // right 32
+            (1 << 30, -5),       // right 36
+            (1 << 30, -10),      // right 41
+            (i32::MAX, -32),     // right 63
+            (0, 0),              // a zero mantissa
+            (1_518_500_250, -7), // right 38, an even non-power-of-two
+            (1 << 30, 0),        // right 31
+            (1_500_000_000, 40), // a dead-ReLU multiplier's left shift
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 32) as i32
+        };
+        for n in (1..=33).chain([64]) {
+            let mults: Vec<(i32, i32)> = (0..n).map(|ch| kinds[(ch * 3 + n) % 8]).collect();
+            let mut rows: Vec<Vec<i32>> =
+                [i32::MIN, i32::MAX, 0, 1, -1].iter().map(|&v| vec![v; n]).collect();
+            // products exactly on a rounding half: `±k · 2^(right − 31)`
+            // times the mantissa `2^30` is `±k/2 · 2^right`, for odd `k`
+            for k in [1, -1, 3, -3] {
+                let half = |&(m, shift): &(i32, i32)| match (m, 31 - shift) {
+                    (0x4000_0000, right @ 32..=41) => k << (right - 31),
+                    _ => k,
+                };
+                rows.push(mults.iter().map(half).collect());
+            }
+            for _ in 0..4 {
+                rows.push((0..n).map(|_| next()).collect());
+                rows.push((0..n).map(|_| next() >> 11).collect());
+            }
+            for zp in [-128i8, 127] {
+                let relu6 = (zp as i32 + 40).min(127) as i8;
+                for bounds in [(zp, 127), (zp, relu6), (-128, 127)] {
+                    let oracle =
+                        Requantizer::with_level(Level::Baseline, mults.clone(), zp, bounds)
+                            .unwrap();
+                    for level in supported_levels() {
+                        let rq = Requantizer::with_level(level, mults.clone(), zp, bounds).unwrap();
+                        for acc in &rows {
+                            let want: Vec<i8> = acc
+                                .iter()
+                                .enumerate()
+                                .map(|(ch, &v)| oracle.apply(ch, v))
+                                .collect();
+                            let mut got = vec![0x55i8; n];
+                            (&rq).retire(acc, &mut got);
+                            assert_eq!(got, want, "{level:?} n {n} zp {zp} {bounds:?} {acc:?}");
+                        }
+                    }
+                }
             }
         }
     }

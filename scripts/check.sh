@@ -93,7 +93,7 @@ cargo run -q --release -p ei-bench --bin table2 >/dev/null
 cargo run -q --release -p ei-bench --bin battery >/dev/null
 git diff --exit-code results/table2.json results/battery.json
 
-echo "==> results/kernels.json kernels are bitwise-equal, ≥2x on dense, best int8 level ≥3x Baseline, f32 depthwise ≥2x naive, best dsp_mfcc level ≥2x per_frame"
+echo "==> results/kernels.json kernels are bitwise-equal, ≥2x on dense, best int8 level ≥3x Baseline, f32 depthwise ≥2x naive, best int8_requantize level ≥2x apply, best dsp_mfcc level ≥2x per_frame"
 if [ -f results/kernels.json ]; then
   for marker in \
     '"shape":"dense_mlp","kernel":"blocked"' \
@@ -104,6 +104,7 @@ if [ -f results/kernels.json ]; then
     '"shape":"vision_depthwise","kernel":"f32_baseline"' \
     '"shape":"quant_calibrate","kernel":"reference_fold"' \
     '"shape":"quant_calibrate","kernel":"streaming"' \
+    '"shape":"int8_requantize","kernel":"apply"' \
     '"shape":"dsp_mfcc","kernel":"per_frame"' \
     '"shape":"dsp_mfcc","kernel":"f32_baseline"'; do
     if ! grep -qF -- "$marker" results/kernels.json; then
@@ -144,6 +145,16 @@ if [ -f results/kernels.json ]; then
       echo "an f32 level of the depthwise kernel is below 2x naive on vision_depthwise" >&2
       exit 1
     }
+  # the requantization epilogue a row at a time: where a SIMD int8 level
+  # exists, the best must be ≥2x the per-element Requantizer::apply
+  awk -F'"speedup_vs_naive":' '
+    /"shape":"int8_requantize","kernel":"int8_/ && !/"kernel":"int8_baseline"/ {
+      split($2, a, ","); levels++; if (a[1] + 0 > best) { best = a[1] + 0 }
+    }
+    END { exit (levels > 0 && best < 2.0) }' results/kernels.json || {
+      echo "the best int8 level of int8_requantize is below 2x apply" >&2
+      exit 1
+    }
   # the KWS MFCC front-end in lanes: where a wide f32 level exists, the
   # best level must be ≥2x the per-frame routine (per_frame)
   awk -F'"speedup_vs_naive":' '
@@ -156,7 +167,7 @@ if [ -f results/kernels.json ]; then
     }
   # one int8 row per ei_tensor::simd level the host supports, Baseline
   # first; where a SIMD level exists the best must be ≥3x Baseline
-  for shape in dense_mlp_int8 kws_conv; do
+  for shape in dense_mlp_int8 kws_conv int8_requantize; do
     if ! grep -qF -- "\"shape\":\"$shape\",\"kernel\":\"int8_baseline\"" results/kernels.json; then
       echo "MISSING from results/kernels.json: $shape int8_baseline row" >&2
       exit 1

@@ -4,13 +4,14 @@
 # int8 GEMM at every ei_tensor::simd level the host supports, the f32
 # direct convolutions at every f32 level against conv::reference, and int8
 # calibration of the KWS preset through the reference and the streaming
-# range fold, and the KWS MFCC front-end frame by frame and at every f32
-# level) and sanity-checks the JSONL rows it writes: every shape/kernel
+# range fold, the KWS pointwise layer's requantization per element and a
+# row at a time at every int8 level, and the KWS MFCC front-end frame by
+# frame and at every f32 level) and sanity-checks the JSONL rows it writes: every shape/kernel
 # pair is present, every row reports bitwise_equal:true, and the bench's
 # own speedup asserts ran (the bin exits non-zero if the blocked kernel
 # ever regresses below 2× naive on the large-GEMM shape, the best int8
-# level below 3× Baseline, or the best f32 level of dsp_mfcc below 2×
-# per_frame).
+# level below 3× Baseline or 2× the per-element requantization, or the best
+# f32 level of dsp_mfcc below 2× per_frame).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +33,8 @@ for marker in \
   '"shape":"vision_depthwise","kernel":"f32_baseline"' \
   '"shape":"quant_calibrate","kernel":"reference_fold"' \
   '"shape":"quant_calibrate","kernel":"streaming"' \
+  '"shape":"int8_requantize","kernel":"apply"' \
+  '"shape":"int8_requantize","kernel":"int8_baseline"' \
   '"shape":"dsp_mfcc","kernel":"per_frame"' \
   '"shape":"dsp_mfcc","kernel":"f32_baseline"'; do
   if ! grep -qF -- "$marker" "$out"; then
