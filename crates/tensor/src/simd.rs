@@ -1,10 +1,14 @@
 //! Runtime-dispatched int8 kernels over weights packed once.
 //!
-//! The int8 engines spend their time in two loops: the GEMM every dense and
-//! convolution layer lowers to, and the depthwise tap loop. This module
-//! runs both with the host's integer dot-product instruction — the
-//! serving-host counterpart of the CMSIS-NN SIMD kernels TFLM calls on
-//! Cortex-M — over weights laid out once, when a layer is quantized.
+//! The int8 engines spend their time in three loops: the GEMM every dense
+//! and convolution layer lowers to, the depthwise tap loop, and the
+//! epilogue that requantizes each finished row of `i32` accumulators to
+//! int8 codes. This module runs the first two with the host's integer
+//! dot-product instruction — the serving-host counterpart of the CMSIS-NN
+//! SIMD kernels TFLM calls on Cortex-M — over weights laid out once, when a
+//! layer is quantized, and the third eight channels per pass
+//! ([`Requantizer`], a [`RowEpilogue`]). Once the dot products ran in
+//! lanes, the scalar epilogue cost as much per layer as a 1 M-MAC GEMM.
 //!
 //! # Levels
 //!
@@ -42,6 +46,15 @@
 //! exact). Both levels, and [`crate::gemm::reference::matmul_i8`],
 //! accumulate with wrapping `i32` adds: `vpdpbusd` wraps, so wrapping is
 //! the only definition on which they all agree.
+//!
+//! The epilogue keeps its bits because no lane ever rounds: the product of
+//! an `i32` accumulator and a mantissa below `2^31` is exact in 64 bits
+//! (`vpmuldq`), the rounding term keeps it below `2^63`, and a right shift
+//! of `right ≥ 32` leaves an `i32` that is the whole result, so the clamp,
+//! the zero point and the byte pack are exact in `i32` lanes. Channels
+//! outside that path — a left shift, `right < 32` — and the channels past
+//! the last whole block of eight go through [`Requantizer::apply`], the
+//! `Baseline` level's per-element oracle.
 //!
 //! # f32 levels
 //!
@@ -565,9 +578,7 @@ impl Requantizer {
                 for (i, c) in chunk.iter().enumerate() {
                     // even channels fill lanes 0..4, odd ones 4..8
                     let at = i / 2 + 4 * (i % 2);
-                    if c.mantissa == 0 {
-                        // zeros in every lane give 0, as `apply` does
-                    } else if (32..=63).contains(&c.right) {
+                    if (32..=63).contains(&c.right) {
                         // `right >= 32` means no left shift: the mantissa
                         // is the `i32` `vpmuldq` reads
                         block.mantissa[at] = c.mantissa;
@@ -591,16 +602,6 @@ impl Requantizer {
             lo: lo - zp,
             hi: hi - zp,
         })
-    }
-
-    /// Channels.
-    pub fn len(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// `true` for a requantization of no channels.
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
     }
 
     /// Requantizes channel `ch`'s accumulator.
