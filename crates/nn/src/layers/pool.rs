@@ -26,11 +26,11 @@ const CHANNEL_BLOCK: usize = 64;
 /// `out`: each output element folds its window's inputs, in row-major
 /// order, into `init` with `fold` and is the `finish`ed result.
 ///
-/// The windows of up to [`CHANNEL_BLOCK`] channels are folded together: at
-/// each window position one contiguous run of inputs goes into a block of
-/// accumulators, one per channel. That changes which elements are folded
-/// side by side, never the order of one element's folds, so the bits are
-/// those of a per-element loop.
+/// The windows of up to 64 channels (`CHANNEL_BLOCK`) are folded
+/// together: at each window position one contiguous run of inputs goes
+/// into a block of accumulators, one per channel. That changes which
+/// elements are folded side by side, never the order of one element's
+/// folds, so the bits are those of a per-element loop.
 pub fn pool<T: Copy, A>(
     input: &[T],
     (w, c): (usize, usize),

@@ -484,7 +484,7 @@ impl<F: Fn(usize, i32) -> i8> RowEpilogue for F {
 /// and the clamp, bit for bit — except that the zero-point add saturates:
 /// `FixedMultiplier::apply` clamps a huge product to the `i32` range, and
 /// adding the zero point to that would overflow. It is the oracle the row
-/// kernel is tested against; see [`Requantizer::retire`] for why the lanes
+/// kernel is tested against; its [`RowEpilogue`] impl says why the lanes
 /// give the same bits.
 #[derive(Debug, Clone)]
 pub struct Requantizer {
