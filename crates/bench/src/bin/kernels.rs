@@ -45,7 +45,7 @@ use ei_nn::Sequential;
 use ei_par::{ParPool, Parallelism};
 use ei_quant::calibrate::calibrate;
 use ei_quant::fusion::fold_batch_norm;
-use ei_quant::qmodel::{quantize_model, QLayer};
+use ei_quant::qmodel::quantize_model;
 use ei_quant::QuantParams;
 use ei_tensor::gemm::{gemm_f32, gemm_i8_fused, reference};
 use ei_tensor::simd::{
@@ -300,12 +300,11 @@ fn int8_requantize(writer: &mut ResultsWriter, reps: usize) -> Result<f64> {
         .collect::<std::result::Result<Vec<_>, _>>()?;
     let quantized = quantize_model(&model, &calibration)?;
     let trace = quantized.trace_raw(&calibration[0])?;
-    let pointwise = |l: &&QLayer| matches!(l.spec, LayerSpec::Conv2d { kernel: 1, .. });
     let (i, layer) = quantized
         .layers()
         .iter()
         .enumerate()
-        .find(|(_, l)| pointwise(l))
+        .find(|(_, l)| matches!(l.spec, LayerSpec::Conv2d { kernel: 1, .. }))
         .ok_or("the KWS preset has no pointwise layer")?;
     let (m, k, n) = (layer.input.h * layer.input.w, layer.input.c, layer.output.c);
     let (weights, bias) = layer.weights.as_ref().zip(layer.bias.as_ref()).ok_or("no weights")?;
