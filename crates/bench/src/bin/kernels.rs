@@ -11,8 +11,10 @@
 //! GEMM also runs at every `ei_tensor::simd` level the host supports, on
 //! the dense and KWS-conv shapes; the best level must be at least 3x the
 //! `Baseline` one on the dense shape. The f32 direct convolutions run at
-//! every f32 level on the KWS-conv and vision-depthwise shapes, against
-//! the frozen `conv::reference` loops they were rewritten from. int8
+//! every f32 level on the KWS-conv and vision-depthwise shapes, and on two
+//! layers of the seed-7 presets on their real inputs (the KWS depthwise
+//! layer and the VWW stem), against the frozen `conv::reference` loops
+//! they were rewritten from. int8
 //! calibration of the KWS preset runs twice, through the serial per-element
 //! fold over cached activations and through the streaming `calibrate`; its
 //! rows are bitwise-equal when both give the same `QuantParams` bits. The
@@ -30,7 +32,7 @@
 //! Writes machine-readable rows to `results/kernels.json`.
 
 use ei_bench::{quick_mode, Measurement, ResultsWriter, Task};
-use ei_data::synth::KwsGenerator;
+use ei_data::synth::{KwsGenerator, VwwGenerator};
 use ei_dsp::blocks::FramedBlock;
 use ei_dsp::window::{windowed_frames, WindowKind};
 use ei_dsp::DspConfig;
@@ -446,7 +448,6 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
     fill_f32(&mut bias, 23);
     let (x, w, b) = (&input[..], &weights[..], &bias[..]);
     let mut scratch = Scratch::for_kernels([Kernel::Conv2d(g)]);
-    let mut taps = scratch.taps.clone();
     conv_shape(
         writer,
         reps,
@@ -454,7 +455,7 @@ fn kws_conv(writer: &mut ResultsWriter, reps: usize, pool1: &ParPool, pool4: &Pa
         (pool1, pool4, true),
         || conv::reference::conv2d_forward(x, w, b, g),
         |pool, out| conv2d_forward_auto(pool, x, w, b, g, &mut scratch, out),
-        |level, out| conv2d_forward_at(level, x, w, b, g, &mut taps, out),
+        |level, out| conv2d_forward_at(level, x, w, b, g, out),
     )
 }
 
@@ -484,15 +485,104 @@ fn vision_depthwise(
     fill_f32(&mut weights, 32);
     fill_f32(&mut bias, 33);
     let (x, w, b) = (&input[..], &weights[..], &bias[..]);
+    let mut scratch = Scratch::for_kernels([Kernel::Depthwise(g)]);
+    let mut padded = scratch.patches.clone();
     conv_shape(
         writer,
         reps,
         ("vision_depthwise", dims),
         (pool1, pool4, false),
         || conv::reference::depthwise_forward(x, w, b, g),
-        |pool, out| depthwise_forward_auto(pool, x, w, b, g, out),
-        |level, out| depthwise_forward_at(level, x, w, b, g, out),
+        |pool, out| depthwise_forward_auto(pool, x, w, b, g, &mut scratch, out),
+        |level, out| depthwise_forward_at(level, x, w, b, g, &mut padded, out),
     )
+}
+
+/// A layer of `task`'s seed-7 f32 preset, the first whose kernel `pick`
+/// maps to a geometry, on its real input: the activation that reaches it
+/// from one DSP feature window. Returns the geometry, that input, and the
+/// layer's weights and biases.
+type PresetLayer = (Conv2dGeom, Vec<f32>, Vec<f32>, Vec<f32>);
+
+fn preset_layer(task: Task, pick: impl Fn(Kernel) -> Option<Conv2dGeom>) -> Result<PresetLayer> {
+    let model = Sequential::build(&task.model_spec(), 7)?;
+    let raw = match task {
+        Task::VisualWakeWords => VwwGenerator::default().generate(true, 7),
+        _ => KwsGenerator::default().generate(1, 7),
+    };
+    let features = task.design().dsp_block()?.process(&raw)?;
+    let (i, g) = model
+        .layers()
+        .iter()
+        .enumerate()
+        .find_map(|(i, l)| Some((i, pick(l.resolve().ok()?.kernel)?)))
+        .ok_or("the preset has no such layer")?;
+    let mut input = Vec::new();
+    model.forward_observed(&features, |at, act| {
+        if at == i {
+            input = act.to_vec();
+        }
+    })?;
+    let (weights, bias) = model.layers()[i].params()?;
+    Ok((g, input, weights.to_vec(), bias.to_vec()))
+}
+
+/// The KWS preset's first depthwise layer (50×5×64, 3×3) on its real
+/// input, which is about half ReLU zeros.
+fn kws_depthwise(
+    writer: &mut ResultsWriter,
+    reps: usize,
+    pool1: &ParPool,
+    pool4: &ParPool,
+) -> Result<f64> {
+    let depthwise = |k| match k {
+        Kernel::Depthwise(g) => Some(g),
+        _ => None,
+    };
+    let (g, input, weights, bias) = preset_layer(Task::KeywordSpotting, depthwise)?;
+    let (oh, ow, _, _) = g.output();
+    let dims = (oh * ow, g.kernel_h * g.kernel_w, g.in_c);
+    let (x, w, b) = (&input[..], &weights[..], &bias[..]);
+    let mut scratch = Scratch::for_kernels([Kernel::Depthwise(g)]);
+    let mut padded = scratch.patches.clone();
+    Ok(conv_shape(
+        writer,
+        reps,
+        ("kws_depthwise", dims),
+        (pool1, pool4, false),
+        || conv::reference::depthwise_forward(x, w, b, g),
+        |pool, out| depthwise_forward_auto(pool, x, w, b, g, &mut scratch, out),
+        |level, out| depthwise_forward_at(level, x, w, b, g, &mut padded, out),
+    ))
+}
+
+/// The VWW preset's stem (96×96×1 → 8, 3×3, stride 2) on its real input,
+/// one preprocessed image: one input channel, so the direct kernel adds
+/// every tap.
+fn vww_stem(
+    writer: &mut ResultsWriter,
+    reps: usize,
+    pool1: &ParPool,
+    pool4: &ParPool,
+) -> Result<f64> {
+    let conv = |k| match k {
+        Kernel::Conv2d(g) => Some(g),
+        _ => None,
+    };
+    let (g, input, weights, bias) = preset_layer(Task::VisualWakeWords, conv)?;
+    let (oh, ow, _, _) = g.output();
+    let dims = (oh * ow, g.window(), g.out_c);
+    let (x, w, b) = (&input[..], &weights[..], &bias[..]);
+    let mut scratch = Scratch::for_kernels([Kernel::Conv2d(g)]);
+    Ok(conv_shape(
+        writer,
+        reps,
+        ("vww_stem", dims),
+        (pool1, pool4, true),
+        || conv::reference::conv2d_forward(x, w, b, g),
+        |pool, out| conv2d_forward_auto(pool, x, w, b, g, &mut scratch, out),
+        |level, out| conv2d_forward_at(level, x, w, b, g, out),
+    ))
 }
 
 /// The reference calibration: a serial `f32::min` / `f32::max` fold over
@@ -612,6 +702,13 @@ fn main() {
     let kws_speedup = kws_conv(&mut writer, reps, &pool1, &pool4);
     kws_conv_int8(&mut writer, reps);
     let depthwise_speedup = vision_depthwise(&mut writer, reps, &pool1, &pool4);
+    // a preset layer takes tens of microseconds: 10x the reps
+    let preset_speedups = kws_depthwise(&mut writer, 10 * reps, &pool1, &pool4)
+        .and_then(|kws| Ok(kws.min(vww_stem(&mut writer, 10 * reps, &pool1, &pool4)?)))
+        .unwrap_or_else(|e| {
+            eprintln!("preset layers: {e}");
+            std::process::exit(1);
+        });
     if let Err(e) = quant_calibrate(&mut writer, reps) {
         eprintln!("quant_calibrate: {e}");
         std::process::exit(1);
@@ -662,7 +759,8 @@ fn main() {
     // gate keeps serial measure ~1.0, and the 0.92 floor absorbs timer
     // noise while still catching the 0.88x im2col regression this gate
     // was added for
-    let min_speedup = dense_min.min(int8_speedup).min(kws_speedup).min(depthwise_speedup);
+    let min_speedup =
+        dense_min.min(int8_speedup).min(kws_speedup).min(depthwise_speedup).min(preset_speedups);
     println!("minimum non-naive speedup: {min_speedup:.2}x");
     assert!(
         min_speedup >= 0.92,

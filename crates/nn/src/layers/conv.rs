@@ -6,20 +6,37 @@
 //! * `DepthwiseConv2d` weights: `(kh, kw, c)`;
 //! * `Conv1d` weights: `(k, c_in, c_out)`.
 //!
-//! The forward kernels skip every input that is exactly `±0.0`, as the
-//! [`mod@reference`] loops do: ReLU outputs are about half zeros, and adding
-//! `0.0 * w` would not be a bitwise no-op (`-0.0 + 0.0` is `+0.0`, and
-//! `0.0 * inf` is NaN). Each writes every element of the `out` slice it is
-//! given, at the [`F32Level`] it is given; the walker passes the host's
+//! The [`mod@reference`] loops skip every input that is exactly `±0.0`:
+//! ReLU outputs are about half zeros, and adding `0.0 * w` is not a bitwise
+//! no-op in general (`-0.0 + 0.0` is `+0.0`, and `0.0 * inf` is NaN). The
+//! forward kernels give the same bits, and drop the skip where it cannot
+//! change one. That holds for a layer whose weights are all finite and
+//! whose biases are neither `-0.0` nor NaN: each accumulator starts at its
+//! bias, a sum in round-to-nearest is `-0.0` only when both of its operands
+//! are, so no accumulator ever becomes `-0.0`, and adding a product `x * w =
+//! ±0.0` of a zero input to one that is not `-0.0` leaves it unchanged (NaN
+//! and infinities included). Summing every tap then gives the reference's
+//! operands in its order, plus additions that change no bit. The kernels
+//! check this on every call (`9 · c + c` floats for a 3×3 depthwise layer)
+//! and cache nothing, so a training step that changes the weights is
+//! checked again.
+//!
+//! * A depthwise layer that passes runs plain multiply–adds over a
+//!   zero-padded copy of its input, in tiles of output pixels × 8-channel
+//!   registers; one that fails runs the reference loop.
+//! * A 2-D convolution with at most [`FEW_INPUT_CHANNELS`] input channels
+//!   that passes adds every tap in tiles of output pixels. Every other one
+//!   lists each pixel's non-zero inputs and adds only those, which at more
+//!   input channels is faster than adding every input, and exact whatever
+//!   the weights.
+//!
+//! Each kernel writes every element of the `out` slice it is given, at the
+//! [`F32Level`] it is given; the walker passes the host's
 //! [`ei_tensor::simd::f32_level`].
 
 use std::ops::Range;
 
-use ei_tensor::simd::{f32_level, F32Kernel, F32Level};
-
-/// One input of a direct convolution's non-zero tap list: the value and
-/// the offset of its weight row. The list is scratch the caller owns.
-pub type Tap = (f32, usize);
+use ei_tensor::simd::{F32Kernel, F32Level};
 
 use crate::spec::Padding;
 
@@ -28,6 +45,27 @@ use super::conv_out_len;
 /// The most output channels whose accumulators one output pixel keeps in
 /// registers across all of its taps and input channels.
 const BLOCK: usize = 64;
+
+/// The most input channels a 2-D convolution has for it to add every tap
+/// when its zero inputs are inert. Taken from a per-layer probe of the
+/// KWS and VWW presets on their real inputs: adding every tap ran the
+/// VWW stem (1 channel), its 8→16 and 16→32 pointwise layers and the KWS
+/// stem (1 channel, a 10×4 window) 1.3–4.2× faster than the non-zero
+/// list; at 32 input channels and more adding every tap ran 0.32–1.09×
+/// the list's speed, below 1× on all but one of the 15 layers.
+pub const FEW_INPUT_CHANNELS: usize = 16;
+
+/// Output pixels per tile of the bodies that add every tap: one weight
+/// load feeds this many independent accumulator registers.
+const TILE: usize = 4;
+
+/// The most non-zero inputs a direct convolution lists before it adds
+/// them: a wider window is listed and added in parts, in order.
+const LIST: usize = 256;
+
+/// A direct convolution's non-zero list entry: an input and the offset of
+/// its weight row.
+type Tap = (f32, usize);
 
 /// The operands of one direct-kernel call: the output rows from `first`
 /// on, as many as fit in `out`.
@@ -40,23 +78,42 @@ struct Call<'a> {
     out: &'a mut [f32],
 }
 
-struct Conv2dRows<'a>(Call<'a>, &'a mut [Tap]);
-struct DepthwiseRows<'a>(Call<'a>);
+struct Conv2dRows<'a>(Call<'a>);
+struct Conv2dTiles<'a>(Call<'a>);
+struct DepthwiseTiles<'a>(Call<'a>);
 
 impl F32Kernel for Conv2dRows<'_> {
     type Output = ();
     #[inline(always)]
     fn run(self) {
-        conv2d_rows(self.0, self.1)
+        conv2d_rows(self.0)
     }
 }
 
-impl F32Kernel for DepthwiseRows<'_> {
+impl F32Kernel for Conv2dTiles<'_> {
     type Output = ();
     #[inline(always)]
     fn run(self) {
-        depthwise_rows(self.0)
+        conv2d_tiles(self.0)
     }
+}
+
+impl F32Kernel for DepthwiseTiles<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        depthwise_tiles(self.0)
+    }
+}
+
+/// Whether adding `x * w` for a zero input `x` leaves every accumulator of
+/// a layer with these parameters unchanged: every weight finite and no
+/// bias `-0.0` or NaN (see the module docs).
+fn zeros_are_inert(weights: &[f32], bias: &[f32]) -> bool {
+    let finite = weights.iter().fold(true, |ok, w| ok & w.is_finite());
+    let neg_zero = (-0.0f32).to_bits();
+    let plain = bias.iter().fold(true, |ok, b| ok & !b.is_nan() & (b.to_bits() != neg_zero));
+    finite & plain
 }
 
 /// Geometry of a 2-D convolution (kernels may be rectangular).
@@ -98,103 +155,140 @@ impl Conv2dGeom {
             * self.out_c as u64
     }
 
-    /// Inputs under one window: the length of the non-zero [`Tap`] list
-    /// and of an im2col patch row.
+    /// Inputs under one window: the length of an im2col patch row.
     pub fn window(&self) -> usize {
         self.kernel_h * self.kernel_w * self.in_c
+    }
+
+    /// Rows and columns `(hp, wp)` of the zero-padded input that holds
+    /// every output pixel's whole window: the input at `(pad_y, pad_x)`,
+    /// cut where no window reaches. `(0, 0)` for an empty output.
+    pub fn padded(&self) -> (usize, usize) {
+        match self.output() {
+            (0, _, _, _) | (_, 0, _, _) => (0, 0),
+            (oh, ow, _, _) => {
+                ((oh - 1) * self.stride + self.kernel_h, (ow - 1) * self.stride + self.kernel_w)
+            }
+        }
+    }
+
+    /// Elements of the zero-padded input ([`Conv2dGeom::padded`]) a
+    /// depthwise layer runs over: the scratch [`depthwise_forward_at`]
+    /// needs.
+    pub fn padded_len(&self) -> usize {
+        let (hp, wp) = self.padded();
+        hp * wp * self.in_c
     }
 }
 
 /// Standard 2-D convolution forward pass into `out` (`oh · ow · out_c`),
-/// compiled for `level`: the same bits at every level. `taps` is scratch of
-/// at least [`Conv2dGeom::window`] entries.
+/// compiled for `level`: the same bits at every level.
 ///
 /// # Panics
 ///
-/// Panics if this CPU cannot run `level`, or `taps` is too short.
+/// Panics if this CPU cannot run `level`.
 pub fn conv2d_forward_at(
     level: F32Level,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
-    taps: &mut [Tap],
     out: &mut [f32],
 ) {
-    level.run(Conv2dRows(Call { input, weights, bias, g, first: 0, out }, taps));
+    let call = Call { input, weights, bias, g, first: 0, out };
+    if g.in_c <= FEW_INPUT_CHANNELS && zeros_are_inert(weights, bias) {
+        level.run(Conv2dTiles(call));
+    } else {
+        level.run(Conv2dRows(call));
+    }
 }
 
 /// Fills the output rows `[first, first + out.len() / (ow * out_c))` of a
-/// 2-D convolution.
+/// 2-D convolution, adding only the non-zero inputs.
 ///
 /// Per output pixel, the non-zero inputs under the kernel are listed first
 /// with their weight rows, in ascending `(ky, kx, ci)` order and without a
 /// branch: a branch per input would be a coin flip on ReLU outputs. Then
-/// each block of 64, 32, 16 or 8 output channels starts at its bias, adds
-/// `x * w` over the list in registers, and is stored once; fewer than 8
-/// channels left over accumulate in place. Every element sees the operands
-/// of [`reference::conv2d_forward`] in its order, so any row partition
-/// reproduces it bit for bit.
+/// each block of 64, 32, 16 or 8 output channels adds `x * w` over the
+/// list in registers, starting from the bias, and is stored once; fewer
+/// than 8 channels left over accumulate in place. A window of more than
+/// [`LIST`] inputs is listed and added in parts. Every element sees the
+/// operands of [`reference::conv2d_forward`] in its order, so any row
+/// partition reproduces it bit for bit.
 #[inline(always)]
-fn conv2d_rows(call: Call<'_>, nonzero: &mut [Tap]) {
+fn conv2d_rows(call: Call<'_>) {
+    if call.g.window() <= LIST {
+        conv2d_lists::<false>(call);
+    } else {
+        conv2d_lists::<true>(call);
+    }
+}
+
+/// [`conv2d_rows`], adding the listed inputs whenever `LIST` are listed if
+/// `PARTS`, else only once the whole window is.
+#[inline(always)]
+fn conv2d_lists<const PARTS: bool>(call: Call<'_>) {
     let Call { input, weights, bias, g, first, out } = call;
     if out.is_empty() {
         return;
     }
     let (_, ow, py, px) = g.output();
     let (in_c, out_c) = (g.in_c, g.out_c);
-    let rows = out.len() / (ow * out_c);
-    // (x, offset of its weight row), for the non-zero inputs of one pixel
-    let nonzero = &mut nonzero[..g.window()];
-    for (row, oy) in (first..first + rows).enumerate() {
+    let mut list: [Tap; LIST] = [(0.0, 0); LIST];
+    for (orow, oy) in out.chunks_exact_mut(ow * out_c).zip(first..) {
         let (y0, kys) = taps(oy, g.stride, py, g.kernel_h, g.in_h);
-        for ox in 0..ow {
+        for (ox, acc) in orow.chunks_exact_mut(out_c).enumerate() {
             let (x0, kxs) = taps(ox, g.stride, px, g.kernel_w, g.in_w);
+            acc.copy_from_slice(bias);
             let mut count = 0;
             for (iy, ky) in (y0..).zip(kys.clone()) {
                 for (ix, kx) in (x0..).zip(kxs.clone()) {
                     let in_base = (iy * g.in_w + ix) * in_c;
                     let w_base = (ky * g.kernel_w + kx) * in_c * out_c;
                     for (ci, &x) in input[in_base..in_base + in_c].iter().enumerate() {
-                        nonzero[count] = (x, w_base + ci * out_c);
+                        if PARTS && count == LIST {
+                            madd_list(acc, &list, weights);
+                            count = 0;
+                        }
+                        list[count] = (x, w_base + ci * out_c);
                         count += usize::from(x != 0.0);
                     }
                 }
             }
-            let nonzero = &nonzero[..count];
-            let base = (row * ow + ox) * out_c;
-            let mut cb = 0;
-            while cb < out_c {
-                let width = [BLOCK, 32, 16, LANES].into_iter().find(|&w| w <= out_c - cb);
-                let width = width.unwrap_or(out_c - cb);
-                let acc = &mut out[base + cb..base + cb + width];
-                acc.copy_from_slice(&bias[cb..cb + width]);
-                match width {
-                    BLOCK => madd_block::<BLOCK>(acc, nonzero, weights, cb),
-                    32 => madd_block::<32>(acc, nonzero, weights, cb),
-                    16 => madd_block::<16>(acc, nonzero, weights, cb),
-                    LANES => madd_block::<LANES>(acc, nonzero, weights, cb),
-                    _ => {
-                        for &(x, at) in nonzero {
-                            axpy(acc, x, &weights[at + cb..at + cb + width]);
-                        }
-                    }
+            madd_list(acc, &list[..count], weights);
+        }
+    }
+}
+
+/// `acc[i] += x * weights[at + i]` for each `(x, at)` in `nonzero`, in
+/// blocks of output channels.
+#[inline(always)]
+fn madd_list(acc: &mut [f32], nonzero: &[Tap], weights: &[f32]) {
+    let out_c = acc.len();
+    let mut cb = 0;
+    while cb < out_c {
+        let width = [BLOCK, 32, 16, LANES].into_iter().find(|&w| w <= out_c - cb);
+        let width = width.unwrap_or(out_c - cb);
+        let acc = &mut acc[cb..cb + width];
+        match width {
+            BLOCK => madd_block::<BLOCK>(acc, nonzero, weights, cb),
+            32 => madd_block::<32>(acc, nonzero, weights, cb),
+            16 => madd_block::<16>(acc, nonzero, weights, cb),
+            LANES => madd_block::<LANES>(acc, nonzero, weights, cb),
+            _ => {
+                for &(x, at) in nonzero {
+                    axpy(acc, x, &weights[at + cb..at + cb + width]);
                 }
-                cb += width;
             }
         }
+        cb += width;
     }
 }
 
 /// `acc[i] += x * weights[at + cb + i]` for each `(x, at)` in `nonzero`,
 /// on a block of `N` channels: a fixed size keeps it in registers.
 #[inline(always)]
-fn madd_block<const N: usize>(
-    acc: &mut [f32],
-    nonzero: &[(f32, usize)],
-    weights: &[f32],
-    cb: usize,
-) {
+fn madd_block<const N: usize>(acc: &mut [f32], nonzero: &[Tap], weights: &[f32], cb: usize) {
     let acc: &mut [f32; N] = acc.try_into().expect("a block is N long");
     let mut a = *acc;
     for &(x, at) in nonzero {
@@ -202,6 +296,129 @@ fn madd_block<const N: usize>(
         axpy(&mut a, x, w);
     }
     *acc = a;
+}
+
+/// Fills the output rows `[first, first + out.len() / (ow * out_c))` of a
+/// 2-D convolution whose zero inputs are inert, adding every in-bounds
+/// tap, in blocks of [`LANES`] output channels (one channel at a time when
+/// the channel count is not a multiple of [`LANES`]): tiles of [`TILE`]
+/// output pixels whose windows lie inside the input's columns × one block,
+/// then the pixels left over one at a time × [`TILE`] blocks, while that
+/// many are left. A tap outside the input adds nothing
+/// in the reference and is skipped here, so every element sees the
+/// reference's non-zero operands in its order, plus additions of `±0.0`
+/// that change no bit.
+#[inline(always)]
+fn conv2d_tiles(call: Call<'_>) {
+    if call.g.out_c.is_multiple_of(LANES) {
+        conv2d_blocks::<LANES>(call);
+    } else {
+        conv2d_blocks::<1>(call);
+    }
+}
+
+/// [`conv2d_tiles`] in blocks of `N` output channels, `N` dividing the
+/// channel count.
+#[inline(always)]
+fn conv2d_blocks<const N: usize>(call: Call<'_>) {
+    let Call { input, weights, bias, g, first, out } = call;
+    let (_, ow, py, px) = g.output();
+    let blocks = g.out_c / N;
+    if out.is_empty() || blocks == 0 {
+        return;
+    }
+    let (w, _) = weights.as_chunks::<N>();
+    let (b, _) = bias.as_chunks::<N>();
+    let (out, _) = out.as_chunks_mut::<N>();
+    let conv = ConvBlocks { input, w, b, blocks, g };
+    let inner = inner(ow, g.stride, px, g.kernel_w, g.in_w);
+    for (orow, oy) in out.chunks_exact_mut(ow * blocks).zip(first..) {
+        let ys = taps(oy, g.stride, py, g.kernel_h, g.in_h);
+        let mut ox = 0;
+        while ox < ow {
+            let xs = taps(ox, g.stride, px, g.kernel_w, g.in_w);
+            let pixels = if inner.contains(&ox) && ox + TILE <= inner.end { TILE } else { 1 };
+            let mut cb = 0;
+            while cb < blocks {
+                if pixels == TILE {
+                    conv2d_tile::<TILE, 1, N>(&conv, ox, cb, ys.clone(), xs.clone(), orow);
+                    cb += 1;
+                } else if cb + TILE <= blocks {
+                    conv2d_tile::<1, TILE, N>(&conv, ox, cb, ys.clone(), xs.clone(), orow);
+                    cb += TILE;
+                } else {
+                    conv2d_tile::<1, 1, N>(&conv, ox, cb, ys.clone(), xs.clone(), orow);
+                    cb += 1;
+                }
+            }
+            ox += pixels;
+        }
+    }
+}
+
+/// A 2-D convolution's operands with the weights, biases and output read
+/// as blocks of `N` output channels, `blocks` per pixel.
+struct ConvBlocks<'a, const N: usize> {
+    input: &'a [f32],
+    w: &'a [[f32; N]],
+    b: &'a [[f32; N]],
+    blocks: usize,
+    g: Conv2dGeom,
+}
+
+/// Channel blocks `cb..cb + Q` of `P` output pixels from `ox` on, all with
+/// the window rows `ys` and columns `xs` (the input position of the first
+/// pixel's first in-bounds offset, and the offsets): the accumulators stay
+/// in registers across the whole window and are stored once.
+#[inline(always)]
+fn conv2d_tile<const P: usize, const Q: usize, const N: usize>(
+    conv: &ConvBlocks<'_, N>,
+    ox: usize,
+    cb: usize,
+    (y0, kys): (usize, Range<usize>),
+    (x0, kxs): (usize, Range<usize>),
+    orow: &mut [[f32; N]],
+) {
+    let ConvBlocks { input, w, b, blocks, g } = *conv;
+    let in_c = g.in_c;
+    let step = g.stride * in_c;
+    let mut acc = [[[0.0f32; N]; Q]; P];
+    for a in &mut acc {
+        a.copy_from_slice(&b[cb..cb + Q]);
+    }
+    // a window row's in-bounds inputs are contiguous, `(kx, ci)` in
+    // ascending order, and so are their weight rows
+    let len = kxs.len() * in_c;
+    for (iy, ky) in (y0..).zip(kys) {
+        let at = (iy * g.in_w + x0) * in_c;
+        let xs: [&[f32]; P] = std::array::from_fn(|p| &input[at + p * step..][..len]);
+        let first = (ky * g.kernel_w + kxs.start) * in_c * blocks + cb;
+        for t in 0..len {
+            let wt = &w[first + t * blocks..][..Q];
+            for (a, xs) in acc.iter_mut().zip(&xs) {
+                let x = xs[t];
+                for (a, wt) in a.iter_mut().zip(wt) {
+                    for (a, wt) in a.iter_mut().zip(wt) {
+                        *a += x * wt;
+                    }
+                }
+            }
+        }
+    }
+    for (p, a) in acc.into_iter().enumerate() {
+        let o = (ox + p) * blocks + cb;
+        orow[o..o + Q].copy_from_slice(&a);
+    }
+}
+
+/// The output positions whose whole window lies inside `0..len`.
+fn inner(out: usize, stride: usize, pad: usize, kernel: usize, len: usize) -> Range<usize> {
+    let start = pad.div_ceil(stride);
+    let end = match (len + pad).checked_sub(kernel) {
+        Some(last) => (last / stride + 1).min(out),
+        None => 0,
+    };
+    start..end.max(start)
 }
 
 /// The kernel offsets of output position `o` whose input position lies
@@ -281,115 +498,191 @@ pub fn conv2d_backward(
 
 /// Depthwise 2-D convolution forward pass (channel multiplier 1) into
 /// `out` (`oh · ow · c`), compiled for `level`: the same bits at every
-/// level.
+/// level. `padded` is scratch of at least [`Conv2dGeom::padded_len`]
+/// elements; nothing is read from it that this call did not write.
 ///
 /// # Panics
 ///
-/// Panics if this CPU cannot run `level`.
+/// Panics if this CPU cannot run `level`, or `padded` is too short.
 pub fn depthwise_forward_at(
     level: F32Level,
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
+    padded: &mut [f32],
     out: &mut [f32],
 ) {
     debug_assert_eq!(g.in_c, g.out_c, "depthwise keeps the channel count");
-    level.run(DepthwiseRows(Call { input, weights, bias, g, first: 0, out }));
+    DepthwisePass::new(input, weights, bias, g, padded).rows(level, 0, out);
 }
 
-/// Fills the output rows `[oy0, oy0 + out.len() / (ow * c))` of a
-/// depthwise convolution into `out`, at the host's [`F32Level`].
-pub(crate) fn depthwise_forward_rows(
-    input: &[f32],
-    weights: &[f32],
-    bias: &[f32],
+/// A depthwise layer set up to run in bands of output rows: its input
+/// zero-padded to [`Conv2dGeom::padded`] when its zero inputs are inert,
+/// for the tiled body; else as given, for the reference loop.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DepthwisePass<'a> {
+    input: &'a [f32],
+    padded: bool,
+    weights: &'a [f32],
+    bias: &'a [f32],
     g: Conv2dGeom,
-    oy0: usize,
-    out: &mut [f32],
-) {
-    f32_level().run(DepthwiseRows(Call { input, weights, bias, g, first: oy0, out }));
 }
 
-/// The depthwise body. Per output pixel and chunk of [`LANES`] channels,
-/// the accumulators stay in a local array across the taps, and each tap
-/// adds `x * w` as a select: `if x != 0.0 { acc + x * w } else { acc }`.
-/// `x != 0.0` holds exactly when `x == 0.0` does not (NaN included), so
-/// this is the reference's per-element `continue` with the same operands
-/// in the same order, and no branch.
-///
-/// Two forms that look equivalent are slower. Written `x == 0.0`, the
-/// select does not vectorize at the baseline level; applied in place to
-/// `out`, it compiles at AVX2 to masked stores, which the next tap's loads
-/// cannot forward from.
+impl<'a> DepthwisePass<'a> {
+    /// Checks the layer's parameters and, if its zero inputs are inert,
+    /// writes the padded input into `scratch`.
+    pub(crate) fn new(
+        input: &'a [f32],
+        weights: &'a [f32],
+        bias: &'a [f32],
+        g: Conv2dGeom,
+        scratch: &'a mut [f32],
+    ) -> DepthwisePass<'a> {
+        let xs = &mut scratch[..g.padded_len()];
+        if !zeros_are_inert(weights, bias) {
+            return DepthwisePass { input, padded: false, weights, bias, g };
+        }
+        pad(input, g, xs);
+        DepthwisePass { input: xs, padded: true, weights, bias, g }
+    }
+
+    /// Fills the output rows `[first, first + out.len() / (ow * c))` into
+    /// `out`, at `level`.
+    pub(crate) fn rows(self, level: F32Level, first: usize, out: &mut [f32]) {
+        let DepthwisePass { input, padded, weights, bias, g } = self;
+        if padded {
+            level.run(DepthwiseTiles(Call { input, weights, bias, g, first, out }));
+        } else {
+            reference::depthwise_forward_rows(input, weights, bias, g, first, out);
+        }
+    }
+}
+
+/// Writes `input` at `(pad_y, pad_x)` of the image [`Conv2dGeom::padded`]
+/// describes, `xs`, and `0.0` everywhere else: every element of `xs` is
+/// written, so no zero is left over from an earlier call.
+fn pad(input: &[f32], g: Conv2dGeom, xs: &mut [f32]) {
+    let (_, _, py, px) = g.output();
+    let (_, wp) = g.padded();
+    let c = g.in_c;
+    // the input columns some window reaches
+    let cols = g.in_w.min(wp.saturating_sub(px));
+    for (y, row) in xs.chunks_exact_mut((wp * c).max(1)).enumerate() {
+        match y.checked_sub(py).filter(|&iy| iy < g.in_h) {
+            Some(iy) => {
+                let (left, rest) = row.split_at_mut(px * c);
+                let (mid, right) = rest.split_at_mut(cols * c);
+                left.fill(0.0);
+                mid.copy_from_slice(&input[iy * g.in_w * c..][..cols * c]);
+                right.fill(0.0);
+            }
+            None => row.fill(0.0),
+        }
+    }
+}
+
+/// The depthwise body over a zero-padded input, in blocks of [`LANES`]
+/// channels (one channel at a time when the channel count is not a
+/// multiple of [`LANES`]): per output row, tiles of [`TILE`] output pixels
+/// × one block, then the pixels left over one at a time × [`TILE`] blocks,
+/// while that many are left. A tile keeps its accumulators in registers
+/// across every tap, `(ky, kx)` in ascending order, and is stored once.
 #[inline(always)]
-fn depthwise_rows(call: Call<'_>) {
+fn depthwise_tiles(call: Call<'_>) {
+    if call.g.in_c.is_multiple_of(LANES) {
+        depthwise_blocks::<LANES>(call);
+    } else {
+        depthwise_blocks::<1>(call);
+    }
+}
+
+/// [`depthwise_tiles`] in blocks of `N` channels, `N` dividing the channel
+/// count: the input, weights, biases and output are read as arrays of `N`,
+/// so one bounds check covers a whole block.
+#[inline(always)]
+fn depthwise_blocks<const N: usize>(call: Call<'_>) {
     let Call { input, weights, bias, g, first, out } = call;
-    if out.is_empty() {
+    let (_, ow, _, _) = g.output();
+    let (_, wp) = g.padded();
+    let blocks = g.in_c / N;
+    if out.is_empty() || blocks == 0 {
         return;
     }
-    let (_, ow, py, px) = g.output();
-    let c = g.in_c;
-    let rows = out.len() / (ow * c);
-    let lanes = c - c % LANES;
-    for (row, oy) in (first..first + rows).enumerate() {
-        let (y0, kys) = taps(oy, g.stride, py, g.kernel_h, g.in_h);
-        for ox in 0..ow {
-            let (x0, kxs) = taps(ox, g.stride, px, g.kernel_w, g.in_w);
-            let base = (row * ow + ox) * c;
-            let acc = &mut out[base..base + c];
-            acc.copy_from_slice(bias);
-            let (ys, xs) = ((y0, kys.clone()), (x0, kxs));
-            for ch in (0..lanes).step_by(LANES) {
-                let mut block: [f32; LANES] = acc[ch..ch + LANES].try_into().expect("LANES");
-                depthwise_pixel(&mut block, ch, input, weights, g, ys.clone(), xs.clone());
-                acc[ch..ch + LANES].copy_from_slice(&block);
+    let (xs, _) = input.as_chunks::<N>();
+    let (w, _) = weights.as_chunks::<N>();
+    let (b, _) = bias.as_chunks::<N>();
+    let (out, _) = out.as_chunks_mut::<N>();
+    let dw = DepthwiseBlocks { xs, w, b, wp, blocks, g };
+    for (orow, oy) in out.chunks_exact_mut(ow * blocks).zip(first..) {
+        // the padded input of the row's first window
+        let origin = oy * g.stride * wp * blocks;
+        let mut ox = 0;
+        while ox + TILE <= ow {
+            for cb in 0..blocks {
+                depthwise_tile::<TILE, 1, N>(&dw, origin, ox, cb, orow);
             }
-            for ch in lanes..c {
-                depthwise_pixel(
-                    &mut acc[ch..ch + 1],
-                    ch,
-                    input,
-                    weights,
-                    g,
-                    ys.clone(),
-                    xs.clone(),
-                );
+            ox += TILE;
+        }
+        for ox in ox..ow {
+            let mut cb = 0;
+            while cb + TILE <= blocks {
+                depthwise_tile::<1, TILE, N>(&dw, origin, ox, cb, orow);
+                cb += TILE;
+            }
+            for cb in cb..blocks {
+                depthwise_tile::<1, 1, N>(&dw, origin, ox, cb, orow);
             }
         }
     }
 }
 
-/// Channels `ch..ch + acc.len()` of one output pixel: every tap in `ys ×
-/// xs` (the input position of the first in-bounds offset, and the
-/// offsets) adds into `acc`. A closure here could be compiled apart from
-/// the level's wrapper, at the baseline level.
-#[inline(always)]
-fn depthwise_pixel(
-    acc: &mut [f32],
-    ch: usize,
-    input: &[f32],
-    weights: &[f32],
+/// A depthwise layer's operands as blocks of `N` channels: `blocks` per
+/// pixel, `wp` pixels per padded input row.
+struct DepthwiseBlocks<'a, const N: usize> {
+    xs: &'a [[f32; N]],
+    w: &'a [[f32; N]],
+    b: &'a [[f32; N]],
+    wp: usize,
+    blocks: usize,
     g: Conv2dGeom,
-    (y0, kys): (usize, Range<usize>),
-    (x0, kxs): (usize, Range<usize>),
-) {
-    let (c, n) = (g.in_c, acc.len());
-    for (iy, ky) in (y0..).zip(kys) {
-        for (ix, kx) in (x0..).zip(kxs.clone()) {
-            let at = (iy * g.in_w + ix) * c + ch;
-            let wt = (ky * g.kernel_w + kx) * c + ch;
-            madd_nonzero(acc, &input[at..at + n], &weights[wt..wt + n]);
-        }
-    }
 }
 
-/// `acc[j] += xs[j] * w[j]` where `xs[j]` is not zero, as a select.
+/// Channel blocks `cb..cb + Q` of `P` output pixels from `ox` on, into the
+/// output row `orow`; `origin` is the block of the row's first window in
+/// the padded input. Either `P` or `Q` is 1: a tile is a row of pixels or
+/// of channel blocks, whose accumulators are independent registers.
 #[inline(always)]
-fn madd_nonzero(acc: &mut [f32], xs: &[f32], w: &[f32]) {
-    for ((a, &x), &w) in acc.iter_mut().zip(xs).zip(w) {
-        let sum = *a + x * w;
-        *a = if x != 0.0 { sum } else { *a };
+fn depthwise_tile<const P: usize, const Q: usize, const N: usize>(
+    dw: &DepthwiseBlocks<'_, N>,
+    origin: usize,
+    ox: usize,
+    cb: usize,
+    orow: &mut [[f32; N]],
+) {
+    let DepthwiseBlocks { xs, w, b, wp, blocks, g } = *dw;
+    let step = g.stride * blocks;
+    let mut acc = [[[0.0f32; N]; Q]; P];
+    for a in &mut acc {
+        a.copy_from_slice(&b[cb..cb + Q]);
+    }
+    for ky in 0..g.kernel_h {
+        for kx in 0..g.kernel_w {
+            let tap = (ky * g.kernel_w + kx) * blocks + cb;
+            let at = origin + (ky * wp + ox * g.stride + kx) * blocks + cb;
+            for (p, a) in acc.iter_mut().enumerate() {
+                for (q, a) in a.iter_mut().enumerate() {
+                    let (x, wt) = (xs[at + p * step + q], w[tap + q]);
+                    for ((a, x), wt) in a.iter_mut().zip(x).zip(wt) {
+                        *a += x * wt;
+                    }
+                }
+            }
+        }
+    }
+    for (p, a) in acc.into_iter().enumerate() {
+        let o = (ox + p) * blocks + cb;
+        orow[o..o + Q].copy_from_slice(&a);
     }
 }
 
@@ -622,7 +915,7 @@ pub mod reference {
 
     /// Fills the output rows `[oy0, oy0 + out.len() / (ow * c))` of a
     /// depthwise convolution into `out`; see [`conv2d_forward_rows`].
-    fn depthwise_forward_rows(
+    pub(super) fn depthwise_forward_rows(
         input: &[f32],
         weights: &[f32],
         bias: &[f32],
@@ -703,19 +996,20 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ei_tensor::simd::f32_level;
 
     fn conv2d_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
         let (oh, ow, _, _) = g.output();
         let mut out = vec![f32::NAN; oh * ow * g.out_c];
-        let mut taps = vec![(f32::NAN, usize::MAX); g.window()];
-        conv2d_forward_at(f32_level(), input, weights, bias, g, &mut taps, &mut out);
+        conv2d_forward_at(f32_level(), input, weights, bias, g, &mut out);
         out
     }
 
     fn depthwise_forward(input: &[f32], weights: &[f32], bias: &[f32], g: Conv2dGeom) -> Vec<f32> {
         let (oh, ow, _, _) = g.output();
         let mut out = vec![f32::NAN; oh * ow * g.in_c];
-        depthwise_forward_at(f32_level(), input, weights, bias, g, &mut out);
+        let mut padded = vec![f32::NAN; g.padded_len()];
+        depthwise_forward_at(f32_level(), input, weights, bias, g, &mut padded, &mut out);
         out
     }
 

@@ -10,9 +10,10 @@
 //! the *output* (GEMM rows, dense columns, depthwise row bands) into
 //! disjoint chunks, one [`ei_par::ParPool`] task each. The blocked kernel
 //! replays the exact per-element accumulation sequence of the naive loops
-//! (ascending input index, same `x == 0.0` skip), so every partition — and
-//! any `EI_THREADS` — is bitwise-identical to the serial kernel. Every
-//! variant writes all of the `out` slice it is given.
+//! (ascending input index, same `x == 0.0` skip), and the direct kernels
+//! give the reference's bits per element (see [`crate::layers::conv`]), so
+//! every partition — and any `EI_THREADS` — is bitwise-identical to the
+//! serial kernel. Every variant writes all of the `out` slice it is given.
 //!
 //! Small layers are not worth the lowering or the fan-out: anything
 //! below [`PAR_MIN_MACS`] multiply–accumulates, and any layer on a
@@ -21,7 +22,7 @@
 //! ([`Conv1dGeom::as_2d`](crate::layers::conv::Conv1dGeom::as_2d)).
 
 use crate::layers::conv::{
-    conv2d_forward_at, depthwise_forward_at, depthwise_forward_rows, depthwise_macs, Conv2dGeom,
+    conv2d_forward_at, depthwise_forward_at, depthwise_macs, Conv2dGeom, DepthwisePass,
 };
 use crate::layers::dense::{dense_forward, dense_macs};
 use crate::layers::im2col::im2col_2d;
@@ -45,8 +46,9 @@ pub const PAR_MIN_MACS: u64 = 131_072;
 /// path benchmarked at 0.88× the naive kernel. Every convolution of the
 /// preset KWS, VWW and image models is below this bar, so f32 inference
 /// runs the direct kernels of [`crate::layers::conv`], not the GEMM: they
-/// skip zero inputs without a branch per input and run at the host's
-/// `ei_tensor::simd::F32Level`. Only camera-scale feature maps cross it.
+/// skip zero inputs without a branch per input, or add them where that
+/// cannot change a bit, and run at the host's `ei_tensor::simd::F32Level`.
+/// Only camera-scale feature maps cross it.
 pub const PAR_MIN_IM2COL_MACS: u64 = 33_554_432;
 
 /// Chunk length that splits `len` units of work into one chunk per pool
@@ -136,7 +138,7 @@ pub fn conv2d_forward_auto(
     out: &mut [f32],
 ) {
     if pool.threads() == 1 || !lowers(g) {
-        return conv2d_forward_at(f32_level(), input, weights, bias, g, &mut scratch.taps, out);
+        return conv2d_forward_at(f32_level(), input, weights, bias, g, out);
     }
     let (oh, ow, _, _) = g.output();
     let patches = &mut scratch.patches[..oh * ow * g.window()];
@@ -146,7 +148,8 @@ pub fn conv2d_forward_auto(
 
 /// [`depthwise_forward_at`] at the host's level into `out`, partitioned
 /// into bands of output rows, one pool task per band, each running the
-/// serial row kernel directly.
+/// serial row kernel directly. The layer's input is padded once, into
+/// `scratch.patches`, and every band reads that copy.
 ///
 /// Depthwise windows are tiny (`kh·kw` taps per channel), so an im2col
 /// lowering would gather more bytes than the arithmetic it feeds; the
@@ -158,16 +161,19 @@ pub fn depthwise_forward_auto(
     weights: &[f32],
     bias: &[f32],
     g: Conv2dGeom,
+    scratch: &mut Scratch,
     out: &mut [f32],
 ) {
+    let padded = &mut scratch.patches;
     if pool.threads() == 1 || depthwise_macs(g) < PAR_MIN_MACS {
-        return depthwise_forward_at(f32_level(), input, weights, bias, g, out);
+        return depthwise_forward_at(f32_level(), input, weights, bias, g, padded, out);
     }
     let (oh, ow, _, _) = g.output();
     let band = chunk_len(oh, pool);
+    let layer = DepthwisePass::new(input, weights, bias, g, padded);
     pool.scope(|scope| {
         for (i, slice) in out.chunks_mut(band * ow * g.in_c).enumerate() {
-            scope.spawn(move || depthwise_forward_rows(input, weights, bias, g, i * band, slice));
+            scope.spawn(move || layer.rows(f32_level(), i * band, slice));
         }
     });
 }
@@ -204,15 +210,7 @@ mod tests {
             Some(pool) => {
                 conv2d_forward_auto(pool, &input, &weights, &bias, g, &mut scratch, &mut out)
             }
-            None => conv2d_forward_at(
-                f32_level(),
-                &input,
-                &weights,
-                &bias,
-                g,
-                &mut scratch.taps,
-                &mut out,
-            ),
+            None => conv2d_forward_at(f32_level(), &input, &weights, &bias, g, &mut out),
         }
         out
     }
@@ -269,11 +267,20 @@ mod tests {
         let input = data(g.in_h * g.in_w * g.in_c);
         let weights = data(g.kernel_h * g.kernel_w * g.in_c);
         let bias = data(g.in_c);
+        let mut scratch = Scratch::for_kernels([crate::Kernel::Depthwise(g)]);
         let mut serial = vec![f32::NAN; input.len()];
-        depthwise_forward_at(f32_level(), &input, &weights, &bias, g, &mut serial);
+        depthwise_forward_at(
+            f32_level(),
+            &input,
+            &weights,
+            &bias,
+            g,
+            &mut scratch.patches,
+            &mut serial,
+        );
         let pool = ParPool::new(Parallelism::new(4));
         let mut parallel = vec![f32::NAN; input.len()];
-        depthwise_forward_auto(&pool, &input, &weights, &bias, g, &mut parallel);
+        depthwise_forward_auto(&pool, &input, &weights, &bias, g, &mut scratch, &mut parallel);
         assert_eq!(bits(&serial), bits(&parallel));
     }
 

@@ -58,6 +58,18 @@ pub enum Kernel {
     Identity,
 }
 
+/// The most elements any activation or parameter tensor of a layer may
+/// hold, and the im2col patch matrix of a convolution. A spec can come
+/// from outside the program (`submit_training` takes a caller's), and a
+/// layer that asked for more would make [`Sequential::build`], or the
+/// scratch of its first forward pass, abort the process on a failed
+/// allocation instead of returning an error. The largest preset tensor,
+/// VWW's 96×96×8 stem output, holds 73 728; this bound is 2^26 (256 MiB
+/// of `f32`).
+///
+/// [`Sequential::build`]: crate::Sequential::build
+pub const MAX_TENSOR_ELEMS: usize = 1 << 26;
+
 /// A layer resolved against its input by [`LayerSpec::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resolved {
@@ -76,12 +88,19 @@ impl Resolved {
     /// one. A batch norm's rows are gamma, beta, running mean and running
     /// variance.
     pub fn weight_dims(&self) -> Option<Vec<usize>> {
+        self.weight_shape().map(|(dims, rank)| dims[..rank].to_vec())
+    }
+
+    /// [`Resolved::weight_dims`] without allocating (every forward pass
+    /// resolves every layer): the dimensions, padded to four, and how many
+    /// there are.
+    fn weight_shape(&self) -> Option<([usize; 4], usize)> {
         Some(match self.kernel {
-            Kernel::Dense { units } => vec![self.input.len(), units],
-            Kernel::Conv1d(g) => vec![g.kernel, g.in_c, g.out_c],
-            Kernel::Conv2d(g) => vec![g.kernel_h, g.kernel_w, g.in_c, g.out_c],
-            Kernel::Depthwise(g) => vec![g.kernel_h, g.kernel_w, g.in_c],
-            Kernel::BatchNorm => vec![4, self.input.c],
+            Kernel::Dense { units } => ([self.input.len(), units, 0, 0], 2),
+            Kernel::Conv1d(g) => ([g.kernel, g.in_c, g.out_c, 0], 3),
+            Kernel::Conv2d(g) => ([g.kernel_h, g.kernel_w, g.in_c, g.out_c], 4),
+            Kernel::Depthwise(g) => ([g.kernel_h, g.kernel_w, g.in_c, 0], 3),
+            Kernel::BatchNorm => ([4, self.input.c, 0, 0], 2),
             _ => return None,
         })
     }
@@ -108,8 +127,9 @@ impl LayerSpec {
     /// layer's position) when the layer is incompatible with its input:
     /// a zero-sized parameter, a kernel or pool window larger than the
     /// activation, a 1-D convolution on 2-D data, a reshape that changes
-    /// the element count, a dropout rate outside `[0, 1)`, or an empty or
-    /// overflowing activation.
+    /// the element count, a dropout rate outside `[0, 1)`, an empty
+    /// activation, or an activation, parameter tensor or convolution patch
+    /// matrix of more than [`MAX_TENSOR_ELEMS`] elements.
     pub fn resolve(&self, input: Dims) -> Result<Resolved> {
         resolve(self, input).map_err(|reason| NnError::InvalidLayer { index: 0, reason })
     }
@@ -137,8 +157,14 @@ pub(crate) fn elems(dims: &[usize]) -> Option<usize> {
     dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)).filter(|&n| n > 0)
 }
 
+/// Whether a tensor of `dims` holds between 1 and [`MAX_TENSOR_ELEMS`]
+/// elements.
+fn fits(dims: &[usize]) -> bool {
+    elems(dims).is_some_and(|n| n <= MAX_TENSOR_ELEMS)
+}
+
 fn resolve(spec: &LayerSpec, d: Dims) -> std::result::Result<Resolved, String> {
-    if elems(&[d.h, d.w, d.c]).is_none() {
+    if !fits(&[d.h, d.w, d.c]) {
         return Err(format!("input {d} is empty or too large"));
     }
     let (kernel, output, activation) = match *spec {
@@ -197,10 +223,27 @@ fn resolve(spec: &LayerSpec, d: Dims) -> std::result::Result<Resolved, String> {
         LayerSpec::BatchNorm => (Kernel::BatchNorm, d, Activation::None),
         LayerSpec::Softmax => (Kernel::Softmax, d, Activation::None),
     };
-    if elems(&[output.h, output.w, output.c]).is_none() {
+    if !fits(&[output.h, output.w, output.c]) {
         return Err(format!("output {output} is empty or too large"));
     }
-    Ok(Resolved { input: d, output, kernel, activation })
+    let r = Resolved { input: d, output, kernel, activation };
+    if let Some((dims, rank)) = r.weight_shape() {
+        if !fits(&dims[..rank]) {
+            return Err(format!("weights {:?} are too large", &dims[..rank]));
+        }
+    }
+    // the im2col patch matrix a convolution may be lowered onto
+    let conv = match kernel {
+        Kernel::Conv2d(g) => Some(g),
+        Kernel::Conv1d(g) => Some(g.as_2d()),
+        _ => None,
+    };
+    if let Some(g) = conv {
+        if !fits(&[output.h, output.w, g.window()]) {
+            return Err(format!("the {output} output's patch matrix is too large"));
+        }
+    }
+    Ok(r)
 }
 
 /// The geometry of a 2-D window over `d` with `out_c` output channels.
@@ -308,5 +351,36 @@ mod tests {
         };
         assert!(wide.resolve(Dims::new(4, 4, 1)).is_err());
         assert_eq!(flatten.macs(Dims::new(0, 3, 1)), 0);
+    }
+
+    #[test]
+    fn refuses_tensors_past_the_element_bound() {
+        let dense = |units| LayerSpec::Dense { units, activation: Activation::None };
+        let flat = Dims::new(1, 1, 64);
+        // an output, a weight matrix and an input one element too large
+        assert!(dense(1 << 20).resolve(flat).is_ok());
+        assert!(dense(MAX_TENSOR_ELEMS + 1).resolve(Dims::new(1, 1, 1)).is_err());
+        assert!(dense(MAX_TENSOR_ELEMS / 64 + 1).resolve(flat).is_err());
+        assert!(dense(MAX_TENSOR_ELEMS / 64).resolve(flat).is_ok());
+        let wide = Dims::new(1, 1, MAX_TENSOR_ELEMS + 1);
+        assert!(LayerSpec::Flatten.resolve(wide).is_err());
+        // a 3×3 conv whose input and output fit, but whose 9-wide patch
+        // rows would not: its first forward pass would ask for 2.4 GB
+        let conv = |kernel| LayerSpec::Conv2d {
+            filters: 1,
+            kernel,
+            stride: 1,
+            padding: Padding::Same,
+            activation: Activation::None,
+        };
+        let image = Dims::new(8192, 8192, 1);
+        assert!(conv(1).resolve(image).is_ok());
+        assert!(conv(3).resolve(image).is_err());
+        // a rejected layer reports its index, as any invalid layer does
+        let spec = crate::ModelSpec::new(Dims::new(99, 10, 1))
+            .layer(LayerSpec::Flatten)
+            .layer(dense(1 << 40));
+        let err = crate::Sequential::build(&spec, 7).map(|_| ()).unwrap_err();
+        assert!(matches!(err, NnError::InvalidLayer { index: 1, .. }), "{err}");
     }
 }

@@ -9,7 +9,7 @@ use ei_par::ParPool;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::layers::conv::Tap;
+use crate::layers::conv::Conv2dGeom;
 use crate::layers::pool::{pool_f32, pool_window};
 use crate::model::{ForwardCache, Layer, BN_EPS};
 use crate::par::{conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto, lowers};
@@ -66,30 +66,36 @@ impl<T: Copy + Default> PingPong<T> {
     }
 }
 
-/// The f32 kernels' working memory, sized once per model.
+/// The f32 kernels' working memory, sized once per model: one buffer,
+/// so a run allocates it once.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// A direct convolution's non-zero tap list.
-    pub taps: Vec<Tap>,
-    /// The patch matrix of a convolution that [`lowers`].
+    /// The patch matrix of a convolution that [`lowers`], or a depthwise
+    /// layer's zero-padded input.
     pub patches: Vec<f32>,
 }
 
 impl Scratch {
     /// Enough scratch for every kernel in `kernels`.
     pub fn for_kernels(kernels: impl IntoIterator<Item = Kernel>) -> Scratch {
-        let (mut taps, mut patches) = (0, 0);
-        for kernel in kernels {
-            let g = match kernel {
-                Kernel::Conv2d(g) => g,
-                Kernel::Conv1d(g) => g.as_2d(),
-                _ => continue,
-            };
+        let patch_matrix = |g: Conv2dGeom| {
             let (oh, ow, _, _) = g.output();
-            taps = taps.max(g.window());
-            patches = patches.max(if lowers(g) { oh * ow * g.window() } else { 0 });
+            if lowers(g) {
+                oh * ow * g.window()
+            } else {
+                0
+            }
+        };
+        let mut patches = 0;
+        for kernel in kernels {
+            patches = patches.max(match kernel {
+                Kernel::Conv2d(g) => patch_matrix(g),
+                Kernel::Conv1d(g) => patch_matrix(g.as_2d()),
+                Kernel::Depthwise(g) => g.padded_len(),
+                _ => 0,
+            });
         }
-        Scratch { taps: vec![(0.0, 0); taps], patches: vec![0.0; patches] }
+        Scratch { patches: vec![0.0; patches] }
     }
 
     pub(crate) fn for_layers(layers: &[Layer]) -> Scratch {
@@ -163,7 +169,7 @@ pub(crate) fn run_layer(
         }
         Kernel::Depthwise(g) => {
             let (w, b) = layer.params()?;
-            depthwise_forward_auto(pool, x, w, b, g, out)
+            depthwise_forward_auto(pool, x, w, b, g, scratch, out)
         }
         Kernel::MaxPool { size } => pool_f32(x, d, pool_window(d, size), true, out),
         Kernel::AvgPool { size } => pool_f32(x, d, pool_window(d, size), false, out),
@@ -216,9 +222,10 @@ mod tests {
 
     #[test]
     fn poisoned_buffers_leave_every_preset_output_unchanged() {
-        // every kernel writes all of its `out`, so whatever the buffers
-        // held before a walk — NaN, junk tap offsets, another walk's
-        // activations — no boundary of any preset moves by a bit
+        // every kernel writes all of its `out`, and every element of the
+        // scratch it reads, so whatever the buffers held before a walk —
+        // NaN, junk, another walk's activations and padded images — no
+        // boundary of any preset moves by a bit
         let specs = [
             presets::ds_cnn(Dims::new(99, 10, 1), 4, 64),
             presets::mobilenet_v1(Dims::new(96, 96, 1), 2, 0.25),
@@ -236,11 +243,21 @@ mod tests {
             let mut acts = PingPong::new(model.peak_activation_elems());
             let mut scratch = Scratch::for_layers(model.layers());
             acts.fill(f32::NAN);
-            scratch.taps.fill((f32::NAN, usize::MAX));
             scratch.patches.fill(f32::NAN);
             let mut got = Vec::new();
             model.walk(&x, &mut acts, &mut scratch, false, None, |_, a| got.push(bits(a))).unwrap();
             assert_eq!(got, want, "{} after NaN", spec.name);
+            // a depthwise layer that left any of its padded image's border
+            // to an earlier call would add this junk
+            for (i, v) in scratch.patches.iter_mut().enumerate() {
+                *v = [1.5, -0.0, f32::INFINITY, -3.25e7, f32::NAN][i % 5];
+            }
+            let mut fresh = PingPong::new(model.peak_activation_elems());
+            got.clear();
+            model
+                .walk(&x, &mut fresh, &mut scratch, false, None, |_, a| got.push(bits(a)))
+                .unwrap();
+            assert_eq!(got, want, "{} after junk", spec.name);
             // a second walk over the first one's leftovers, from a fresh
             // ping-pong state
             let mut acts2 = PingPong::new(model.peak_activation_elems());

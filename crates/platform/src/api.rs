@@ -1050,13 +1050,12 @@ mod tests {
         assert_eq!((v1, v2), (1, 2));
     }
 
-    #[test]
-    fn submit_training_trains_and_registers() {
+    /// A project with a small two-class audio dataset, ingested over the
+    /// API, and an MFCC impulse design for it that is not set yet.
+    fn audio_project(api: &Api) -> (ProjectId, UserId, ei_core::impulse::ImpulseDesign) {
         use ei_data::ingest::to_wav_bytes;
-        let api = Api::new();
         let u = api.create_user("trainer");
         let p = api.create_project("auto-train", u).unwrap();
-        // small two-class audio dataset over the ingestion API
         let gen = ei_data::synth::KwsGenerator {
             classes: vec!["a".into(), "b".into()],
             sample_rate_hz: 4_000,
@@ -1081,6 +1080,13 @@ mod tests {
             }),
         )
         .unwrap();
+        (p, u, design)
+    }
+
+    #[test]
+    fn submit_training_trains_and_registers() {
+        let api = Api::new();
+        let (p, u, design) = audio_project(&api);
         // no impulse yet -> rejected
         let scheduler = JobScheduler::new(1);
         let spec = ei_nn::presets::dense_mlp(design.feature_dims().unwrap(), 2, 16);
@@ -1104,6 +1110,29 @@ mod tests {
         let json = api.download_model(p, u, "m1").unwrap();
         let reloaded = ei_core::impulse::TrainedImpulse::from_json(&json).unwrap();
         assert_eq!(reloaded.labels(), ["a", "b"]);
+    }
+
+    #[test]
+    fn submit_training_fails_a_spec_too_large_to_build() {
+        // a dense layer of 2^40 units would ask the allocator for 4 TiB
+        // of weights and abort the process; its job fails instead
+        let api = Api::new();
+        let (p, u, design) = audio_project(&api);
+        let input = design.feature_dims().unwrap();
+        api.set_impulse(p, u, design).unwrap();
+        let scheduler = JobScheduler::new(1);
+        let hostile = ei_nn::ModelSpec::new(input)
+            .layer(ei_nn::LayerSpec::Flatten)
+            .layer(ei_nn::LayerSpec::Dense { units: 1 << 40, activation: ei_nn::Activation::None });
+        let job =
+            api.submit_training(&scheduler, p, u, "huge", hostile, TrainConfig::default()).unwrap();
+        assert!(scheduler.wait(job).is_err(), "a layer past MAX_TENSOR_ELEMS must fail its job");
+        assert!(api.download_model(p, u, "huge").is_err(), "nothing was registered");
+        // the process, its scheduler and the project are still in service
+        let spec = ei_nn::presets::dense_mlp(input, 2, 16);
+        let config = TrainConfig { epochs: 1, ..TrainConfig::default() };
+        let job = api.submit_training(&scheduler, p, u, "small", spec, config).unwrap();
+        assert!(scheduler.wait(job).is_ok());
     }
 
     #[test]

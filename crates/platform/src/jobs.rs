@@ -826,10 +826,13 @@ fn run_job(mut job: QueuedJob, shared: &Shared, clock: &Arc<dyn Clock>, token: &
         retry::execute(&job.policy, clock.as_ref(), id, token, observer, |ctx| (job.work)(ctx));
     match result.outcome {
         RetryOutcome::Success { output, .. } => {
-            set_status(JobStatus::Finished(output));
+            // the event and the count before the status flip, which wakes
+            // waiters: a waiter that reads the trace once `wait` returns
+            // finds them
             let attempts = result.attempts.len() as u64 + 1;
             span.event("job.finished", vec![("job", id.into()), ("attempts", attempts.into())]);
             shared.tracer.counter("jobs.finished").inc();
+            set_status(JobStatus::Finished(output));
         }
         RetryOutcome::Exhausted { error } => {
             // park the closure and record the letter *before* the status
@@ -850,9 +853,9 @@ fn run_job(mut job: QueuedJob, shared: &Shared, clock: &Arc<dyn Clock>, token: &
             set_status(JobStatus::Failed(error));
         }
         RetryOutcome::Cancelled => {
-            set_status(JobStatus::Cancelled);
             span.event("job.cancelled", vec![("job", id.into())]);
             shared.tracer.counter("jobs.cancelled").inc();
+            set_status(JobStatus::Cancelled);
         }
     }
 }

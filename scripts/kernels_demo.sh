@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the kernel-layer bench (naive reference vs blocked/fused kernels
-# over the MLP-dense, KWS-conv and vision-depthwise shape classes, plus the
+# over the MLP-dense, KWS-conv and vision-depthwise shape classes and two
+# preset layers on their real inputs (KWS depthwise, VWW stem), plus the
 # int8 GEMM at every ei_tensor::simd level the host supports, the f32
 # direct convolutions at every f32 level against conv::reference, and int8
 # calibration of the KWS preset through the reference and the streaming
@@ -31,6 +32,10 @@ for marker in \
   '"shape":"kws_conv","kernel":"f32_baseline"' \
   '"shape":"vision_depthwise","kernel":"blocked_par"' \
   '"shape":"vision_depthwise","kernel":"f32_baseline"' \
+  '"shape":"kws_depthwise","kernel":"naive"' \
+  '"shape":"kws_depthwise","kernel":"f32_baseline"' \
+  '"shape":"vww_stem","kernel":"naive"' \
+  '"shape":"vww_stem","kernel":"f32_baseline"' \
   '"shape":"quant_calibrate","kernel":"reference_fold"' \
   '"shape":"quant_calibrate","kernel":"streaming"' \
   '"shape":"int8_requantize","kernel":"apply"' \

@@ -16,10 +16,12 @@
 //! supports.
 
 use edgelab::nn::layers::conv::reference as conv_reference;
-use edgelab::nn::layers::conv::{conv2d_forward_at, depthwise_forward_at, Conv1dGeom, Conv2dGeom};
+use edgelab::nn::layers::conv::{
+    conv2d_forward_at, depthwise_forward_at, depthwise_macs, Conv1dGeom, Conv2dGeom,
+};
 use edgelab::nn::layers::dense::dense_forward;
 use edgelab::nn::par::{
-    conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto, gemm_f32_auto,
+    conv2d_forward_auto, dense_forward_auto, depthwise_forward_auto, gemm_f32_auto, PAR_MIN_MACS,
 };
 use edgelab::nn::spec::Padding;
 use edgelab::nn::walk::Scratch;
@@ -39,21 +41,22 @@ fn out2d(g: Conv2dGeom, c: usize) -> Vec<f32> {
 }
 
 fn conv2d_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -> Vec<f32> {
-    let (mut out, mut scratch) = (out2d(g, g.out_c), Scratch::for_kernels([Kernel::Conv2d(g)]));
-    conv2d_forward_at(level, x, w, b, g, &mut scratch.taps, &mut out);
+    let mut out = out2d(g, g.out_c);
+    conv2d_forward_at(level, x, w, b, g, &mut out);
     out
 }
 
 fn conv1d_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv1dGeom) -> Vec<f32> {
     let mut out = out2d(g.as_2d(), g.out_c);
-    let mut scratch = Scratch::for_kernels([Kernel::Conv1d(g)]);
-    conv2d_forward_at(level, x, w, b, g.as_2d(), &mut scratch.taps, &mut out);
+    conv2d_forward_at(level, x, w, b, g.as_2d(), &mut out);
     out
 }
 
+// The padded-input scratch starts as NaN, so a depthwise kernel that read
+// an element of it that it did not write shows as NaN too.
 fn depthwise_at(level: F32Level, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -> Vec<f32> {
-    let mut out = out2d(g, g.in_c);
-    depthwise_forward_at(level, x, w, b, g, &mut out);
+    let (mut out, mut padded) = (out2d(g, g.in_c), vec![f32::NAN; g.padded_len()]);
+    depthwise_forward_at(level, x, w, b, g, &mut padded, &mut out);
     out
 }
 
@@ -64,8 +67,10 @@ fn conv2d_auto(pool: &ParPool, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -
 }
 
 fn depthwise_auto(pool: &ParPool, x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom) -> Vec<f32> {
+    let mut scratch = Scratch::for_kernels([Kernel::Depthwise(g)]);
+    scratch.patches.fill(f32::NAN);
     let mut out = out2d(g, g.in_c);
-    depthwise_forward_auto(pool, x, w, b, g, &mut out);
+    depthwise_forward_auto(pool, x, w, b, g, &mut scratch, &mut out);
     out
 }
 
@@ -409,4 +414,188 @@ fn f32_convolutions_keep_the_zero_skip_on_special_values() {
     assert!(conv2d.iter().filter(|v| v.is_nan()).count() == 9 * g.out_c, "conv2d");
     assert!(depthwise.iter().filter(|v| v.is_nan()).count() == 9, "depthwise");
     assert!(conv1d.iter().filter(|v| v.is_nan()).count() == 3 * g.out_c, "conv1d");
+}
+
+// Where a layer's zero inputs are inert (every weight finite, no bias
+// `-0.0` or NaN) the f32 kernels add every tap instead of skipping zeros;
+// a layer that fails that check must still give the reference's bits. The
+// cases below sit on each side of the check, each through every path: at
+// every f32 level directly and through the `_auto` dispatch at every pool
+// width.
+
+/// A 2-D convolution (or, with `depthwise`, a depthwise one) at every
+/// level and pool width, each against `conv::reference`. Returns the
+/// reference output.
+fn every_path_matches(x: &[f32], w: &[f32], b: &[f32], g: Conv2dGeom, depthwise: bool) -> Vec<f32> {
+    let (name, want) = if depthwise {
+        ("depthwise", conv_reference::depthwise_forward(x, w, b, g))
+    } else {
+        ("conv2d", conv_reference::conv2d_forward(x, w, b, g))
+    };
+    for level in supported_f32_levels() {
+        let got =
+            if depthwise { depthwise_at(level, x, w, b, g) } else { conv2d_at(level, x, w, b, g) };
+        assert_eq!(bits(&want), bits(&got), "{name} {g:?} at {level:?}");
+    }
+    for pool in pools() {
+        let got = if depthwise {
+            depthwise_auto(&pool, x, w, b, g)
+        } else {
+            conv2d_auto(&pool, x, w, b, g)
+        };
+        assert_eq!(bits(&want), bits(&got), "{name} {g:?} at {} threads", pool.threads());
+    }
+    want
+}
+
+/// A 3×3 `Same` geometry with `c` channels in and `out_c` out, large
+/// enough that the depthwise layer runs in bands on a parallel pool.
+fn special_geom(c: usize, out_c: usize) -> Conv2dGeom {
+    let g = Conv2dGeom {
+        in_h: 40,
+        in_w: 37,
+        in_c: c,
+        out_c,
+        kernel_h: 3,
+        kernel_w: 3,
+        stride: 1,
+        padding: Padding::Same,
+    };
+    assert!(c < 16 || depthwise_macs(Conv2dGeom { out_c: c, ..g }) >= PAR_MIN_MACS);
+    g
+}
+
+/// `data` with every `-0.0` made `+0.0`: parameters that pass the check
+/// as long as the weights are finite.
+fn plain(n: usize, seed: u64) -> Vec<f32> {
+    data(n, seed).into_iter().map(|v| if v == 0.0 { 0.0 } else { v }).collect()
+}
+
+/// Input whose channel 0 is `±0.0` at every pixel.
+fn zero_channel_input(g: Conv2dGeom, seed: u64) -> Vec<f32> {
+    let mut x = data(g.in_h * g.in_w * g.in_c, seed);
+    for (i, px) in x.chunks_mut(g.in_c).enumerate() {
+        px[0] = if i % 3 == 0 { -0.0 } else { 0.0 };
+    }
+    x
+}
+
+#[test]
+fn a_non_finite_weight_under_a_zero_input_is_skipped() {
+    // channel 0 is zero everywhere and meets an `inf` or NaN weight at one
+    // tap: adding its product would write NaN where the reference skips it
+    for special in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        // depthwise, 16 channels: two 8-lane blocks
+        let g = special_geom(16, 16);
+        let x = zero_channel_input(g, 71);
+        let mut w = plain(9 * g.in_c, 72);
+        w[4 * g.in_c] = special;
+        let out = every_path_matches(&x, &w, &plain(g.in_c, 73), g, true);
+        assert!(out.iter().all(|v| !v.is_nan()), "depthwise {special}");
+        // convolutions with few input channels: 3×3×1 → 8 (the VWW
+        // stem's shape) and a 1×1 16 → 8 pointwise layer
+        for (in_c, k) in [(1, 3), (16, 1)] {
+            let g = Conv2dGeom { kernel_h: k, kernel_w: k, ..special_geom(in_c, 8) };
+            let x = zero_channel_input(g, 74);
+            let mut w = plain(g.window() * g.out_c, 75);
+            w[3] = special; // (ky, kx, ci) = (0, 0, 0), output channel 3
+            let out = every_path_matches(&x, &w, &plain(g.out_c, 76), g, false);
+            assert!(out.iter().all(|v| !v.is_nan()), "conv2d {in_c}x{k} {special}");
+        }
+    }
+}
+
+#[test]
+fn a_negative_zero_bias_over_an_all_zero_window_stays_negative_zero() {
+    // every input is ±0.0: the reference adds nothing, so each output is
+    // its bias, and `-0.0 + (+0.0)` would make a `-0.0` one `+0.0`
+    let bias = |n: usize| -> Vec<f32> {
+        (0..n).map(|i| if i % 2 == 0 { -0.0 } else { 0.5 * i as f32 }).collect()
+    };
+    let g = special_geom(24, 24);
+    let zeros: Vec<f32> =
+        (0..g.in_h * g.in_w * g.in_c).map(|i| if i % 5 == 0 { -0.0 } else { 0.0 }).collect();
+    let out = every_path_matches(&zeros, &plain(9 * g.in_c, 81), &bias(g.in_c), g, true);
+    for px in out.chunks(g.in_c) {
+        assert_eq!(bits(px), bits(&bias(g.in_c)), "depthwise");
+    }
+    for (in_c, k) in [(1, 3), (8, 1)] {
+        let g = Conv2dGeom { kernel_h: k, kernel_w: k, ..special_geom(in_c, 16) };
+        let zeros = vec![0.0; g.in_h * g.in_w * in_c];
+        let out = every_path_matches(&zeros, &plain(g.window() * 16, 82), &bias(16), g, false);
+        for px in out.chunks(16) {
+            assert_eq!(bits(px), bits(&bias(16)), "conv2d {in_c}x{k}");
+        }
+    }
+}
+
+#[test]
+fn a_nan_bias_keeps_its_bits_where_no_input_is_added() {
+    // a quiet NaN bias survives `+ 0.0` unchanged, a signalling one comes
+    // out quieted: only where the reference adds nothing is the sNaN kept
+    let quiet = f32::from_bits(0x7fc0_0123);
+    let signalling = f32::from_bits(0x7f80_0123);
+    assert!(signalling.is_nan());
+    for nan in [quiet, signalling] {
+        let g = special_geom(17, 17);
+        let mut bias = plain(g.in_c, 91);
+        bias[0] = nan;
+        bias[9] = nan;
+        let x = zero_channel_input(g, 92);
+        let out = every_path_matches(&x, &plain(9 * g.in_c, 93), &bias, g, true);
+        // channel 0 only ever sees zeros: it is its bias, bit for bit
+        for px in out.chunks(g.in_c) {
+            assert_eq!(px[0].to_bits(), nan.to_bits(), "depthwise {:#x}", nan.to_bits());
+        }
+        for (in_c, k) in [(1, 3), (16, 1)] {
+            let g = Conv2dGeom { kernel_h: k, kernel_w: k, ..special_geom(in_c, 8) };
+            let mut bias = plain(8, 94);
+            bias[2] = nan;
+            let zeros = vec![0.0; g.in_h * g.in_w * in_c];
+            let out = every_path_matches(&zeros, &plain(g.window() * 8, 95), &bias, g, false);
+            assert!(out.chunks(8).all(|px| px[2].to_bits() == nan.to_bits()), "conv2d {in_c}x{k}");
+        }
+    }
+}
+
+#[test]
+fn f32_convolutions_match_the_reference_on_random_geometries() {
+    // channel counts around every block width, rectangular kernels,
+    // strides 1–3, both paddings, and outputs narrower than a tile; each
+    // layer once with parameters that pass the check and once with `data`'s
+    // `-0.0` biases, which fail it
+    let mut state = 0x5eed_u64;
+    let mut next = |n: usize| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % n
+    };
+    let channels = (1..=17).chain([24, 63, 64, 65]);
+    for (case, c) in channels.enumerate() {
+        for _ in 0..3 {
+            let (kernel_h, kernel_w, stride) = (1 + next(4), 1 + next(4), 1 + next(3));
+            for padding in [Padding::Same, Padding::Valid] {
+                let g = Conv2dGeom {
+                    in_h: kernel_h + next(14),
+                    in_w: kernel_w + next(6),
+                    in_c: c,
+                    out_c: c,
+                    kernel_h,
+                    kernel_w,
+                    stride,
+                    padding,
+                };
+                let seed = 1000 + case as u64;
+                let x = data(g.in_h * g.in_w * c, seed);
+                let dw = kernel_h * kernel_w * c;
+                let out_c = 1 + next(20);
+                let conv = Conv2dGeom { out_c, ..g };
+                for params in [plain, data] {
+                    every_path_matches(&x, &params(dw, seed + 1), &params(c, seed + 2), g, true);
+                    let (w, b) = (params(conv.window() * out_c, seed + 3), params(out_c, seed + 4));
+                    every_path_matches(&x, &w, &b, conv, false);
+                }
+            }
+        }
+    }
 }
