@@ -23,9 +23,11 @@
 //!
 //! * A depthwise layer that passes runs plain multiply–adds over a
 //!   zero-padded copy of its input, in tiles of output pixels × 8-channel
-//!   registers; one that fails runs the reference loop.
+//!   registers, and the channels past the last whole 8 one at a time; one
+//!   that fails runs the reference loop.
 //! * A 2-D convolution with at most [`FEW_INPUT_CHANNELS`] input channels
-//!   that passes adds every tap in tiles of output pixels. Every other one
+//!   that passes adds every tap in tiles of output pixels, its output
+//!   channels split the same way. Every other one
 //!   lists each pixel's non-zero inputs and adds only those, which at more
 //!   input channels is faster than adding every input, and exact whatever
 //!   the weights.
@@ -173,11 +175,11 @@ impl Conv2dGeom {
     }
 
     /// Elements of the zero-padded input ([`Conv2dGeom::padded`]) a
-    /// depthwise layer runs over: the scratch [`depthwise_forward_at`]
-    /// needs.
+    /// depthwise layer runs over, each pixel's channels padded to a
+    /// multiple of 8: the scratch [`depthwise_forward_at`] needs.
     pub fn padded_len(&self) -> usize {
         let (hp, wp) = self.padded();
-        hp * wp * self.in_c
+        hp * wp * self.in_c.next_multiple_of(LANES)
     }
 }
 
@@ -211,23 +213,15 @@ pub fn conv2d_forward_at(
 /// branch: a branch per input would be a coin flip on ReLU outputs. Then
 /// each block of 64, 32, 16 or 8 output channels adds `x * w` over the
 /// list in registers, starting from the bias, and is stored once; fewer
-/// than 8 channels left over accumulate in place. A window of more than
-/// [`LIST`] inputs is listed and added in parts. Every element sees the
+/// than 8 channels left over accumulate in place. The list is added and
+/// emptied before a tap's inputs, taken [`LIST`] at a time, would overflow
+/// it, so a window of more than [`LIST`] inputs is listed and added in
+/// parts; one check per tap costs less than one per input. Every element
+/// sees the
 /// operands of [`reference::conv2d_forward`] in its order, so any row
 /// partition reproduces it bit for bit.
 #[inline(always)]
 fn conv2d_rows(call: Call<'_>) {
-    if call.g.window() <= LIST {
-        conv2d_lists::<false>(call);
-    } else {
-        conv2d_lists::<true>(call);
-    }
-}
-
-/// [`conv2d_rows`], adding the listed inputs whenever `LIST` are listed if
-/// `PARTS`, else only once the whole window is.
-#[inline(always)]
-fn conv2d_lists<const PARTS: bool>(call: Call<'_>) {
     let Call { input, weights, bias, g, first, out } = call;
     if out.is_empty() {
         return;
@@ -245,13 +239,16 @@ fn conv2d_lists<const PARTS: bool>(call: Call<'_>) {
                 for (ix, kx) in (x0..).zip(kxs.clone()) {
                     let in_base = (iy * g.in_w + ix) * in_c;
                     let w_base = (ky * g.kernel_w + kx) * in_c * out_c;
-                    for (ci, &x) in input[in_base..in_base + in_c].iter().enumerate() {
-                        if PARTS && count == LIST {
-                            madd_list(acc, &list, weights);
+                    let xs = &input[in_base..in_base + in_c];
+                    for (part, xs) in (0..).step_by(LIST).zip(xs.chunks(LIST)) {
+                        if count + xs.len() > LIST {
+                            madd_list(acc, &list[..count], weights);
                             count = 0;
                         }
-                        list[count] = (x, w_base + ci * out_c);
-                        count += usize::from(x != 0.0);
+                        for (ci, &x) in (part..).zip(xs) {
+                            list[count] = (x, w_base + ci * out_c);
+                            count += usize::from(x != 0.0);
+                        }
                     }
                 }
             }
@@ -300,39 +297,39 @@ fn madd_block<const N: usize>(acc: &mut [f32], nonzero: &[Tap], weights: &[f32],
 
 /// Fills the output rows `[first, first + out.len() / (ow * out_c))` of a
 /// 2-D convolution whose zero inputs are inert, adding every in-bounds
-/// tap, in blocks of [`LANES`] output channels (one channel at a time when
-/// the channel count is not a multiple of [`LANES`]): tiles of [`TILE`]
-/// output pixels whose windows lie inside the input's columns × one block,
-/// then the pixels left over one at a time × [`TILE`] blocks, while that
-/// many are left. A tap outside the input adds nothing
-/// in the reference and is skipped here, so every element sees the
-/// reference's non-zero operands in its order, plus additions of `±0.0`
-/// that change no bit.
+/// tap: the output channels in blocks of [`LANES`], then those left over
+/// one at a time. Each pass runs tiles of [`TILE`] output pixels whose
+/// windows lie inside the input's columns × one block, then the pixels
+/// left over one at a time × [`TILE`] blocks, while that many are left. A
+/// tap outside the input adds nothing in the reference and is skipped
+/// here, so every element sees the reference's non-zero operands in its
+/// order, plus additions of `±0.0` that change no bit.
 #[inline(always)]
 fn conv2d_tiles(call: Call<'_>) {
-    if call.g.out_c.is_multiple_of(LANES) {
-        conv2d_blocks::<LANES>(call);
-    } else {
-        conv2d_blocks::<1>(call);
-    }
+    let Call { input, weights, bias, g, first, out } = call;
+    let conv = ConvOperands { input, weights, bias, g };
+    let full = g.out_c - g.out_c % LANES;
+    conv2d_blocks::<LANES>(&conv, 0..full, first, out);
+    conv2d_blocks::<1>(&conv, full..g.out_c, first, out);
 }
 
-/// [`conv2d_tiles`] in blocks of `N` output channels, `N` dividing the
-/// channel count.
+/// [`conv2d_tiles`] for the output channels `channels`, in blocks of `N`,
+/// `N` dividing their count.
 #[inline(always)]
-fn conv2d_blocks<const N: usize>(call: Call<'_>) {
-    let Call { input, weights, bias, g, first, out } = call;
+fn conv2d_blocks<const N: usize>(
+    conv: &ConvOperands<'_>,
+    channels: Range<usize>,
+    first: usize,
+    out: &mut [f32],
+) {
+    let g = conv.g;
     let (_, ow, py, px) = g.output();
-    let blocks = g.out_c / N;
+    let blocks = channels.len() / N;
     if out.is_empty() || blocks == 0 {
         return;
     }
-    let (w, _) = weights.as_chunks::<N>();
-    let (b, _) = bias.as_chunks::<N>();
-    let (out, _) = out.as_chunks_mut::<N>();
-    let conv = ConvBlocks { input, w, b, blocks, g };
     let inner = inner(ow, g.stride, px, g.kernel_w, g.in_w);
-    for (orow, oy) in out.chunks_exact_mut(ow * blocks).zip(first..) {
+    for (orow, oy) in out.chunks_exact_mut(ow * g.out_c).zip(first..) {
         let ys = taps(oy, g.stride, py, g.kernel_h, g.in_h);
         let mut ox = 0;
         while ox < ow {
@@ -340,14 +337,15 @@ fn conv2d_blocks<const N: usize>(call: Call<'_>) {
             let pixels = if inner.contains(&ox) && ox + TILE <= inner.end { TILE } else { 1 };
             let mut cb = 0;
             while cb < blocks {
+                let ch = channels.start + cb * N;
                 if pixels == TILE {
-                    conv2d_tile::<TILE, 1, N>(&conv, ox, cb, ys.clone(), xs.clone(), orow);
+                    conv2d_tile::<TILE, 1, N>(conv, ox, ch, ys.clone(), xs.clone(), orow);
                     cb += 1;
                 } else if cb + TILE <= blocks {
-                    conv2d_tile::<1, TILE, N>(&conv, ox, cb, ys.clone(), xs.clone(), orow);
+                    conv2d_tile::<1, TILE, N>(conv, ox, ch, ys.clone(), xs.clone(), orow);
                     cb += TILE;
                 } else {
-                    conv2d_tile::<1, 1, N>(&conv, ox, cb, ys.clone(), xs.clone(), orow);
+                    conv2d_tile::<1, 1, N>(conv, ox, ch, ys.clone(), xs.clone(), orow);
                     cb += 1;
                 }
             }
@@ -356,35 +354,35 @@ fn conv2d_blocks<const N: usize>(call: Call<'_>) {
     }
 }
 
-/// A 2-D convolution's operands with the weights, biases and output read
-/// as blocks of `N` output channels, `blocks` per pixel.
-struct ConvBlocks<'a, const N: usize> {
+/// The operands of a 2-D convolution's tiles.
+struct ConvOperands<'a> {
     input: &'a [f32],
-    w: &'a [[f32; N]],
-    b: &'a [[f32; N]],
-    blocks: usize,
+    weights: &'a [f32],
+    bias: &'a [f32],
     g: Conv2dGeom,
 }
 
-/// Channel blocks `cb..cb + Q` of `P` output pixels from `ox` on, all with
-/// the window rows `ys` and columns `xs` (the input position of the first
-/// pixel's first in-bounds offset, and the offsets): the accumulators stay
-/// in registers across the whole window and are stored once.
+/// `Q` blocks of `N` output channels from `ch` on, of `P` output pixels
+/// from `ox` on, all with the window rows `ys` and columns `xs` (the input
+/// position of the first pixel's first in-bounds offset, and the offsets):
+/// the accumulators stay in registers across the whole window and are
+/// stored once.
 #[inline(always)]
 fn conv2d_tile<const P: usize, const Q: usize, const N: usize>(
-    conv: &ConvBlocks<'_, N>,
+    conv: &ConvOperands<'_>,
     ox: usize,
-    cb: usize,
+    ch: usize,
     (y0, kys): (usize, Range<usize>),
     (x0, kxs): (usize, Range<usize>),
-    orow: &mut [[f32; N]],
+    orow: &mut [f32],
 ) {
-    let ConvBlocks { input, w, b, blocks, g } = *conv;
-    let in_c = g.in_c;
+    let ConvOperands { input, weights, bias, g } = *conv;
+    let (in_c, out_c) = (g.in_c, g.out_c);
     let step = g.stride * in_c;
+    let (b, _) = bias[ch..][..Q * N].as_chunks::<N>();
     let mut acc = [[[0.0f32; N]; Q]; P];
     for a in &mut acc {
-        a.copy_from_slice(&b[cb..cb + Q]);
+        a.copy_from_slice(b);
     }
     // a window row's in-bounds inputs are contiguous, `(kx, ci)` in
     // ascending order, and so are their weight rows
@@ -392,9 +390,9 @@ fn conv2d_tile<const P: usize, const Q: usize, const N: usize>(
     for (iy, ky) in (y0..).zip(kys) {
         let at = (iy * g.in_w + x0) * in_c;
         let xs: [&[f32]; P] = std::array::from_fn(|p| &input[at + p * step..][..len]);
-        let first = (ky * g.kernel_w + kxs.start) * in_c * blocks + cb;
+        let row = (ky * g.kernel_w + kxs.start) * in_c * out_c + ch;
         for t in 0..len {
-            let wt = &w[first + t * blocks..][..Q];
+            let (wt, _) = weights[row + t * out_c..][..Q * N].as_chunks::<N>();
             for (a, xs) in acc.iter_mut().zip(&xs) {
                 let x = xs[t];
                 for (a, wt) in a.iter_mut().zip(wt) {
@@ -406,8 +404,9 @@ fn conv2d_tile<const P: usize, const Q: usize, const N: usize>(
         }
     }
     for (p, a) in acc.into_iter().enumerate() {
-        let o = (ox + p) * blocks + cb;
-        orow[o..o + Q].copy_from_slice(&a);
+        let o = (ox + p) * out_c + ch;
+        let (dst, _) = orow[o..][..Q * N].as_chunks_mut::<N>();
+        dst.copy_from_slice(&a);
     }
 }
 
@@ -560,21 +559,32 @@ impl<'a> DepthwisePass<'a> {
 }
 
 /// Writes `input` at `(pad_y, pad_x)` of the image [`Conv2dGeom::padded`]
-/// describes, `xs`, and `0.0` everywhere else: every element of `xs` is
-/// written, so no zero is left over from an earlier call.
+/// describes, `xs`, each pixel's `c` channels followed by zeros up to the
+/// next multiple of [`LANES`], and `0.0` everywhere else: every element of
+/// `xs` is written, so no zero is left over from an earlier call.
 fn pad(input: &[f32], g: Conv2dGeom, xs: &mut [f32]) {
     let (_, _, py, px) = g.output();
     let (_, wp) = g.padded();
     let c = g.in_c;
+    let cp = c.next_multiple_of(LANES);
     // the input columns some window reaches
     let cols = g.in_w.min(wp.saturating_sub(px));
-    for (y, row) in xs.chunks_exact_mut((wp * c).max(1)).enumerate() {
+    for (y, row) in xs.chunks_exact_mut((wp * cp).max(1)).enumerate() {
         match y.checked_sub(py).filter(|&iy| iy < g.in_h) {
             Some(iy) => {
-                let (left, rest) = row.split_at_mut(px * c);
-                let (mid, right) = rest.split_at_mut(cols * c);
+                let (left, rest) = row.split_at_mut(px * cp);
+                let (mid, right) = rest.split_at_mut(cols * cp);
                 left.fill(0.0);
-                mid.copy_from_slice(&input[iy * g.in_w * c..][..cols * c]);
+                let src = &input[iy * g.in_w * c..][..cols * c];
+                if cp == c {
+                    mid.copy_from_slice(src);
+                } else {
+                    for (dst, src) in mid.chunks_exact_mut(cp).zip(src.chunks_exact(c)) {
+                        let (dst, lanes) = dst.split_at_mut(c);
+                        dst.copy_from_slice(src);
+                        lanes.fill(0.0);
+                    }
+                }
                 right.fill(0.0);
             }
             None => row.fill(0.0),
@@ -582,97 +592,114 @@ fn pad(input: &[f32], g: Conv2dGeom, xs: &mut [f32]) {
     }
 }
 
-/// The depthwise body over a zero-padded input, in blocks of [`LANES`]
-/// channels (one channel at a time when the channel count is not a
-/// multiple of [`LANES`]): per output row, tiles of [`TILE`] output pixels
-/// × one block, then the pixels left over one at a time × [`TILE`] blocks,
-/// while that many are left. A tile keeps its accumulators in registers
-/// across every tap, `(ky, kx)` in ascending order, and is stored once.
+/// The depthwise body over a zero-padded input: the channels in blocks of
+/// [`LANES`], then those left over one at a time. Each pass runs, per
+/// output row, tiles of [`TILE`] output pixels × one block, then the
+/// pixels left over one at a time × [`TILE`] blocks, while that many are
+/// left. A tile keeps its accumulators in registers across every tap,
+/// `(ky, kx)` in ascending order, and is stored once.
 #[inline(always)]
 fn depthwise_tiles(call: Call<'_>) {
-    if call.g.in_c.is_multiple_of(LANES) {
-        depthwise_blocks::<LANES>(call);
-    } else {
-        depthwise_blocks::<1>(call);
-    }
+    let Call { input, weights, bias, g, first, out } = call;
+    let (_, wp) = g.padded();
+    let dw = DepthwiseOperands { input, weights, bias, wp, g };
+    let full = g.in_c - g.in_c % LANES;
+    depthwise_blocks::<LANES>(&dw, 0..full, first, out);
+    depthwise_blocks::<1>(&dw, full..g.in_c, first, out);
 }
 
-/// [`depthwise_tiles`] in blocks of `N` channels, `N` dividing the channel
-/// count: the input, weights, biases and output are read as arrays of `N`,
-/// so one bounds check covers a whole block.
+/// [`depthwise_tiles`] for the channels `channels`, in blocks of `N`, `N`
+/// dividing their count. The padded input is read as arrays of `N`, which
+/// its pixels' stride (a multiple of [`LANES`]) keeps aligned, so one
+/// bounds check covers a block.
 #[inline(always)]
-fn depthwise_blocks<const N: usize>(call: Call<'_>) {
-    let Call { input, weights, bias, g, first, out } = call;
+fn depthwise_blocks<const N: usize>(
+    dw: &DepthwiseOperands<'_>,
+    channels: Range<usize>,
+    first: usize,
+    out: &mut [f32],
+) {
+    let g = dw.g;
     let (_, ow, _, _) = g.output();
-    let (_, wp) = g.padded();
-    let blocks = g.in_c / N;
+    let blocks = channels.len() / N;
     if out.is_empty() || blocks == 0 {
         return;
     }
-    let (xs, _) = input.as_chunks::<N>();
-    let (w, _) = weights.as_chunks::<N>();
-    let (b, _) = bias.as_chunks::<N>();
-    let (out, _) = out.as_chunks_mut::<N>();
-    let dw = DepthwiseBlocks { xs, w, b, wp, blocks, g };
-    for (orow, oy) in out.chunks_exact_mut(ow * blocks).zip(first..) {
+    let (xs, _) = dw.input.as_chunks::<N>();
+    // arrays of `N` per padded pixel
+    let pixel = g.in_c.next_multiple_of(LANES) / N;
+    for (orow, oy) in out.chunks_exact_mut(ow * g.in_c).zip(first..) {
         // the padded input of the row's first window
-        let origin = oy * g.stride * wp * blocks;
+        let origin = oy * g.stride * dw.wp * pixel + channels.start / N;
+        let tile =
+            |ox, cb| PadTile { xs, pixel, origin: origin + cb, ox, ch: channels.start + cb * N };
         let mut ox = 0;
         while ox + TILE <= ow {
             for cb in 0..blocks {
-                depthwise_tile::<TILE, 1, N>(&dw, origin, ox, cb, orow);
+                depthwise_tile::<TILE, 1, N>(dw, tile(ox, cb), orow);
             }
             ox += TILE;
         }
         for ox in ox..ow {
             let mut cb = 0;
             while cb + TILE <= blocks {
-                depthwise_tile::<1, TILE, N>(&dw, origin, ox, cb, orow);
+                depthwise_tile::<1, TILE, N>(dw, tile(ox, cb), orow);
                 cb += TILE;
             }
             for cb in cb..blocks {
-                depthwise_tile::<1, 1, N>(&dw, origin, ox, cb, orow);
+                depthwise_tile::<1, 1, N>(dw, tile(ox, cb), orow);
             }
         }
     }
 }
 
-/// A depthwise layer's operands as blocks of `N` channels: `blocks` per
-/// pixel, `wp` pixels per padded input row.
-struct DepthwiseBlocks<'a, const N: usize> {
-    xs: &'a [[f32; N]],
-    w: &'a [[f32; N]],
-    b: &'a [[f32; N]],
+/// A depthwise layer's operands: its zero-padded input, `wp` pixels per
+/// row.
+struct DepthwiseOperands<'a> {
+    input: &'a [f32],
+    weights: &'a [f32],
+    bias: &'a [f32],
     wp: usize,
-    blocks: usize,
     g: Conv2dGeom,
 }
 
-/// Channel blocks `cb..cb + Q` of `P` output pixels from `ox` on, into the
-/// output row `orow`; `origin` is the block of the row's first window in
-/// the padded input. Either `P` or `Q` is 1: a tile is a row of pixels or
-/// of channel blocks, whose accumulators are independent registers.
-#[inline(always)]
-fn depthwise_tile<const P: usize, const Q: usize, const N: usize>(
-    dw: &DepthwiseBlocks<'_, N>,
+/// Where a depthwise tile reads and writes: the padded input `xs` as
+/// arrays of `N`, `pixel` per padded pixel; `origin`, the array of the
+/// tile's first channel under the row's first window; the tile's first
+/// output pixel `ox` and first channel `ch`.
+struct PadTile<'a, const N: usize> {
+    xs: &'a [[f32; N]],
+    pixel: usize,
     origin: usize,
     ox: usize,
-    cb: usize,
-    orow: &mut [[f32; N]],
+    ch: usize,
+}
+
+/// `Q` blocks of `N` channels of `P` output pixels, placed by `at`, into
+/// the output row `orow`. Either `P` or `Q` is 1: a tile is a row of pixels
+/// or of channel blocks, whose accumulators are independent registers.
+#[inline(always)]
+fn depthwise_tile<const P: usize, const Q: usize, const N: usize>(
+    dw: &DepthwiseOperands<'_>,
+    at: PadTile<'_, N>,
+    orow: &mut [f32],
 ) {
-    let DepthwiseBlocks { xs, w, b, wp, blocks, g } = *dw;
-    let step = g.stride * blocks;
+    let DepthwiseOperands { weights, bias, wp, g, .. } = *dw;
+    let PadTile { xs, pixel, origin, ox, ch } = at;
+    let c = g.in_c;
+    let step = g.stride * pixel;
+    let (b, _) = bias[ch..][..Q * N].as_chunks::<N>();
     let mut acc = [[[0.0f32; N]; Q]; P];
     for a in &mut acc {
-        a.copy_from_slice(&b[cb..cb + Q]);
+        a.copy_from_slice(b);
     }
     for ky in 0..g.kernel_h {
         for kx in 0..g.kernel_w {
-            let tap = (ky * g.kernel_w + kx) * blocks + cb;
-            let at = origin + (ky * wp + ox * g.stride + kx) * blocks + cb;
+            let (wt, _) = weights[(ky * g.kernel_w + kx) * c + ch..][..Q * N].as_chunks::<N>();
+            let at = origin + (ky * wp + ox * g.stride + kx) * pixel;
             for (p, a) in acc.iter_mut().enumerate() {
-                for (q, a) in a.iter_mut().enumerate() {
-                    let (x, wt) = (xs[at + p * step + q], w[tap + q]);
+                for (q, (a, wt)) in a.iter_mut().zip(wt).enumerate() {
+                    let x = xs[at + p * step + q];
                     for ((a, x), wt) in a.iter_mut().zip(x).zip(wt) {
                         *a += x * wt;
                     }
@@ -681,8 +708,9 @@ fn depthwise_tile<const P: usize, const Q: usize, const N: usize>(
         }
     }
     for (p, a) in acc.into_iter().enumerate() {
-        let o = (ox + p) * blocks + cb;
-        orow[o..o + Q].copy_from_slice(&a);
+        let o = (ox + p) * c + ch;
+        let (dst, _) = orow[o..][..Q * N].as_chunks_mut::<N>();
+        dst.copy_from_slice(&a);
     }
 }
 

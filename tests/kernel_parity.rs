@@ -559,6 +559,32 @@ fn a_nan_bias_keeps_its_bits_where_no_input_is_added() {
 }
 
 #[test]
+fn a_window_wider_than_the_non_zero_list_matches_the_reference() {
+    // the direct conv2d lists at most 256 non-zero inputs before it adds
+    // them: 255–257 input channels fill that list within one pixel's
+    // inputs or across taps, and 600 need three parts for one pixel alone
+    for in_c in [255, 256, 257, 600] {
+        for k in [1, 2] {
+            let g = Conv2dGeom {
+                in_h: 5,
+                in_w: 4,
+                in_c,
+                out_c: 9,
+                kernel_h: k,
+                kernel_w: k,
+                stride: 1,
+                padding: Padding::Same,
+            };
+            let x = data(g.in_h * g.in_w * in_c, 1100 + in_c as u64);
+            for params in [plain, data] {
+                let (w, b) = (params(g.window() * g.out_c, 1101), params(g.out_c, 1102));
+                every_path_matches(&x, &w, &b, g, false);
+            }
+        }
+    }
+}
+
+#[test]
 fn f32_convolutions_match_the_reference_on_random_geometries() {
     // channel counts around every block width, rectangular kernels,
     // strides 1–3, both paddings, and outputs narrower than a tile; each
