@@ -576,6 +576,8 @@ fn pad(input: &[f32], g: Conv2dGeom, xs: &mut [f32]) {
                 let (mid, right) = rest.split_at_mut(cols * cp);
                 left.fill(0.0);
                 let src = &input[iy * g.in_w * c..][..cols * c];
+                // one copy per row where no pixel has lanes to pad,
+                // rather than one short copy per pixel
                 if cp == c {
                     mid.copy_from_slice(src);
                 } else {
