@@ -186,12 +186,13 @@ pub fn calibrate(traces: &[ProbabilityTrace], config: &GaConfig) -> Vec<ScoredCo
             front.push(s.clone());
         }
     }
+    // both rates are finite and never -0.0 (their divisions are guarded),
+    // so the total order is the numeric one
     front.sort_by(|a, b| {
         a.metrics
             .far_per_1k
-            .partial_cmp(&b.metrics.far_per_1k)
-            .expect("finite far")
-            .then(a.metrics.frr.partial_cmp(&b.metrics.frr).expect("finite frr"))
+            .total_cmp(&b.metrics.far_per_1k)
+            .then(a.metrics.frr.total_cmp(&b.metrics.frr))
     });
     front
 }

@@ -15,16 +15,19 @@
 //! * [`stream`] — synthetic probability-trace generation with known ground
 //!   truth, plus a builder that runs a real classifier over a composed
 //!   stream;
-//! * [`ga`] — the genetic algorithm and the FAR/FRR Pareto suggestions;
-//! * [`continuous`] — the deployment side: a streaming classifier that
-//!   applies the calibrated chain to live sample feeds.
+//! * [`ga`] — the genetic algorithm and the FAR/FRR Pareto suggestions.
+//!
+//! Deployment runs the same [`EventDetector`]: a live stream (an
+//! `ei_stream::StreamSession`) classifies each window, and each verdict's
+//! target-class probability goes into [`EventDetector::push`], which fires
+//! on exactly the windows [`EventDetector::detect`] would pick from the
+//! recorded trace. An event on window `seq` starts at sample
+//! `seq * hop_samples`.
 
-pub mod continuous;
 pub mod ga;
 pub mod postprocess;
 pub mod stream;
 
-pub use continuous::{ContinuousClassifier, DetectedEvent};
 pub use ga::{calibrate, GaConfig, ScoredConfig};
 pub use postprocess::{DetectionMetrics, EventDetector, PostProcessConfig};
 pub use stream::{ProbabilityTrace, TraceConfig};

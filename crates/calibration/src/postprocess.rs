@@ -1,5 +1,7 @@
 //! The streaming post-processing chain and its FAR/FRR metrics.
 
+use std::collections::VecDeque;
+
 /// Post-processing applied to the per-window probability of the target
 /// class before declaring an event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,16 +32,33 @@ impl PostProcessConfig {
     }
 }
 
-/// Runs a [`PostProcessConfig`] over a probability stream.
+/// Runs a [`PostProcessConfig`] over a probability stream, one window at
+/// a time.
+///
+/// The same detector serves calibration and deployment: [`detect`] scores
+/// a whole recorded trace for the genetic algorithm, and [`push`] takes a
+/// live stream's probabilities as they arrive (for example each
+/// `ei_stream::WindowVerdict`'s target-class probability). `detect` is a
+/// fold of `push` over a fresh detector, so both fire on the same windows
+/// with the same smoothed probabilities, bit for bit.
+///
+/// [`detect`]: EventDetector::detect
+/// [`push`]: EventDetector::push
 #[derive(Debug, Clone)]
 pub struct EventDetector {
     config: PostProcessConfig,
+    /// The last `mean_filter` probabilities, oldest first; suppressed
+    /// windows are recorded too.
+    recent: VecDeque<f32>,
+    /// Windows still suppressed after the last event.
+    suppressed: usize,
 }
 
 impl EventDetector {
     /// Creates a detector (config is clamped to valid ranges).
     pub fn new(config: PostProcessConfig) -> EventDetector {
-        EventDetector { config: config.clamped() }
+        let config = config.clamped();
+        EventDetector { config, recent: VecDeque::with_capacity(config.mean_filter), suppressed: 0 }
     }
 
     /// The active configuration.
@@ -47,24 +66,33 @@ impl EventDetector {
         self.config
     }
 
-    /// Returns the window indices at which events fire.
-    pub fn detect(&self, probs: &[f32]) -> Vec<usize> {
-        let mut events = Vec::new();
-        let k = self.config.mean_filter;
-        let mut suppressed_until = 0usize;
-        for i in 0..probs.len() {
-            if i < suppressed_until {
-                continue;
-            }
-            let start = (i + 1).saturating_sub(k);
-            let window = &probs[start..=i];
-            let mean = window.iter().sum::<f32>() / window.len() as f32;
-            if mean >= self.config.threshold {
-                events.push(i);
-                suppressed_until = i + 1 + self.config.suppression;
-            }
+    /// Takes the next window's probability; returns the smoothed
+    /// probability when an event fires on this window.
+    pub fn push(&mut self, prob: f32) -> Option<f32> {
+        if self.recent.len() == self.config.mean_filter {
+            self.recent.pop_front();
         }
-        events
+        self.recent.push_back(prob);
+        if self.suppressed > 0 {
+            self.suppressed -= 1;
+            return None;
+        }
+        // summed oldest first, as over a slice of the trace, so the mean
+        // has the same bits whichever way the windows arrived
+        let mean = self.recent.iter().sum::<f32>() / self.recent.len() as f32;
+        if mean >= self.config.threshold {
+            self.suppressed = self.config.suppression;
+            Some(mean)
+        } else {
+            None
+        }
+    }
+
+    /// Returns the window indices at which events fire, from a fresh
+    /// detector with this configuration.
+    pub fn detect(&self, probs: &[f32]) -> Vec<usize> {
+        let mut live = EventDetector::new(self.config);
+        probs.iter().enumerate().filter_map(|(i, &p)| live.push(p).map(|_| i)).collect()
     }
 }
 
@@ -124,6 +152,58 @@ pub fn score_detections(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Detection as a slice computation over the whole trace: the mean of
+    /// up to `mean_filter` probabilities ending at each window, skipping
+    /// `suppression` windows after each event. Returns each event's window
+    /// and the bits of its smoothed probability.
+    fn slice_detect(config: PostProcessConfig, probs: &[f32]) -> Vec<(usize, u32)> {
+        let mut events = Vec::new();
+        let mut suppressed_until = 0usize;
+        for i in 0..probs.len() {
+            if i < suppressed_until {
+                continue;
+            }
+            let window = &probs[(i + 1).saturating_sub(config.mean_filter)..=i];
+            let mean = window.iter().sum::<f32>() / window.len() as f32;
+            if mean >= config.threshold {
+                events.push((i, mean.to_bits()));
+                suppressed_until = i + 1 + config.suppression;
+            }
+        }
+        events
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn push_fires_where_detect_does_on_every_prefix(
+            mean_filter in 0usize..=40,
+            threshold in -0.5f32..1.5,
+            suppression in 0usize..=80,
+            // a draw tagged 0 is the threshold itself
+            draws in proptest::collection::vec((0u8..4, 0.0f32..1.0), 0..120),
+        ) {
+            let config = PostProcessConfig { mean_filter, threshold, suppression };
+            let at = config.clamped().threshold;
+            let probs: Vec<f32> =
+                draws.iter().map(|&(tag, p)| if tag == 0 { at } else { p }).collect();
+            let batch = EventDetector::new(config);
+            let mut live = EventDetector::new(config);
+            let mut fired = Vec::new();
+            for (i, &p) in probs.iter().enumerate() {
+                if let Some(mean) = live.push(p) {
+                    fired.push((i, mean.to_bits()));
+                }
+                let prefix = &probs[..=i];
+                let expected = slice_detect(config.clamped(), prefix);
+                prop_assert_eq!(&fired, &expected, "live events on prefix {}", i + 1);
+                let indices: Vec<usize> = expected.iter().map(|&(w, _)| w).collect();
+                prop_assert_eq!(batch.detect(prefix), indices, "detect on prefix {}", i + 1);
+            }
+        }
+    }
 
     #[test]
     fn threshold_controls_firing() {

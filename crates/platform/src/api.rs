@@ -1453,6 +1453,13 @@ mod tests {
             api.stream_open(p, alice, "kws", SessionConfig::new("", 100)),
             Err(PlatformError::BadRequest(_))
         ));
+        // so is a pending buffer that can hold no window
+        let mut no_pending = SessionConfig::new("", 256);
+        no_pending.max_pending = 0;
+        assert!(matches!(
+            api.stream_open(p, alice, "kws", no_pending),
+            Err(PlatformError::BadRequest(_))
+        ));
         assert!(api.stream_open(p, alice, "missing", SessionConfig::new("", 256)).is_err());
 
         let mut cfg = SessionConfig::new("", 256);

@@ -41,8 +41,8 @@ pub struct SessionConfig {
     /// positive multiple of the DSP frame stride so incrementally-computed
     /// columns line up exactly with batch recomputation.
     pub hop_samples: usize,
-    /// Assembled windows held while the admission queue pushes back;
-    /// overflow drops the oldest window first.
+    /// Assembled windows held while the admission queue pushes back
+    /// (at least 1); overflow drops the oldest window first.
     pub max_pending: usize,
     /// Majority-vote smoothing horizon (last K window votes).
     pub smoothing_k: usize,
@@ -218,8 +218,9 @@ impl StreamSession {
     /// [`StreamError::Dsp`] for designs without a framed audio front-end,
     /// and [`StreamError::InvalidConfig`] when `hop_samples` is zero, not
     /// a multiple of the DSP frame stride (incremental columns could not
-    /// line up with batch windows), or the design's window exceeds what
-    /// one frame stride can ever cover.
+    /// line up with batch windows), when `max_pending` is zero (every
+    /// window would be shed before it could be submitted), or when the
+    /// design's window is shorter than one frame.
     pub fn open(
         server: Arc<Server>,
         model: ModelSource,
@@ -237,6 +238,11 @@ impl StreamSession {
                 "hop_samples {} must be a positive multiple of the DSP frame stride {}",
                 config.hop_samples, framing.stride
             )));
+        }
+        if config.max_pending == 0 {
+            return Err(StreamError::InvalidConfig(
+                "max_pending must be at least 1: every window waits there before submission".into(),
+            ));
         }
         let frames_per_window = framing.frame_count(window_samples);
         if frames_per_window == 0 {
@@ -723,6 +729,16 @@ mod tests {
                 .unwrap_err();
         assert!(matches!(err, StreamError::InvalidConfig(_)), "{err:?}");
         let err = StreamSession::open(server, model, SessionConfig::new("t", 0)).unwrap_err();
+        assert!(matches!(err, StreamError::InvalidConfig(_)), "{err:?}");
+    }
+
+    #[test]
+    fn zero_max_pending_is_rejected() {
+        let server = server(ServerConfig::default());
+        let mut config = SessionConfig::new("t", 256);
+        config.max_pending = 0;
+        let err =
+            StreamSession::open(server, ModelSource::new("kws", model_json()), config).unwrap_err();
         assert!(matches!(err, StreamError::InvalidConfig(_)), "{err:?}");
     }
 

@@ -50,7 +50,7 @@ impl MajorityVote {
             self.votes.pop_front();
         }
         self.votes.push_back(label_index);
-        self.current().expect("push guarantees at least one vote")
+        self.current().unwrap_or(label_index)
     }
 
     /// The current smoothed label, or `None` before any vote.
