@@ -55,7 +55,7 @@ echo "==> library panic sites stay at or below the ceiling"
 # .unwrap(), .expect( and panic!( in crates/*/src, each file read up to
 # its `#[cfg(test)] mod` test module; lower the ceiling when a change
 # removes sites, and replace a new one with a typed error
-panic_ceiling=81
+panic_ceiling=78
 panic_sites=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   FNR == 1 { skip = 0; pending = 0 }
   skip { next }
@@ -254,6 +254,12 @@ cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/C
 
 echo "==> benchmark/ builds against this tree and every workload is correct"
 benchmark/repeat.sh 1 1
-bash -n scripts/ab_bench.sh
+
+echo "==> every scripts/*.sh parses"
+# the demo scripts are only run by hand, so a syntax error would otherwise
+# wait for the next person to try one
+for script in scripts/*.sh; do
+  bash -n "$script"
+done
 
 echo "==> all checks passed"

@@ -25,6 +25,9 @@ use rand::{Rng, SeedableRng};
 use serde_json::json;
 use std::sync::{Arc, OnceLock};
 
+/// Samples the spotter classifies at once.
+const WINDOW: usize = 2_000;
+
 /// Samples between classification windows: a multiple of the spotter's
 /// 128-sample MFCC frame stride (16 ms at 8 kHz).
 const HOP: usize = 512;
@@ -61,7 +64,7 @@ fn spotter() -> &'static TrainedImpulse {
     SPOTTER.get_or_init(|| {
         let design = ImpulseDesign::new(
             "deploy-kws",
-            2_000,
+            WINDOW,
             DspConfig::Mfcc(MfccConfig {
                 frame_s: 0.032,
                 stride_s: 0.016,
@@ -172,34 +175,24 @@ fn saved_model_behaves_identically_through_eim() {
 
 #[test]
 fn streaming_deployment_detects_and_stays_quiet() {
-    let stream = stream_with_keywords(7, 900, &[5_000, 13_000], 20_000);
-    let (events, _) = detect_live(&stream, 640);
-    assert_eq!(events.len(), 2, "events: {events:?}");
-    assert!(events[0].sample_offset.abs_diff(5_000) <= 2_500);
-    assert!(events[1].sample_offset.abs_diff(13_000) <= 2_500);
-}
-
-#[test]
-fn live_events_land_near_the_embedded_keywords() {
-    let positions = [4_000usize, 14_000];
-    let stream = stream_with_keywords(1, 300, &positions, 24_000);
-    // uneven chunks, like a real audio driver
-    let (events, _) = detect_live(&stream, 733);
-    assert_eq!(events.len(), 2, "events: {events:?}");
-    for (event, &pos) in events.iter().zip(&positions) {
-        let distance = event.sample_offset.abs_diff(pos);
-        assert!(distance <= 2_500, "event at {} vs keyword at {pos}", event.sample_offset);
-        assert!(event.probability >= POST_PROCESS.threshold);
+    // (noise seed, first clip seed, keyword positions, stream length, push
+    // size); no push size is a multiple of the hop, as with an audio driver
+    let cases: [(u64, u64, &[usize], usize, usize); 3] = [
+        (7, 900, &[5_000, 13_000], 20_000, 640),
+        (1, 300, &[4_000, 14_000], 24_000, 733),
+        (9, 0, &[], 16_000, 1_000),
+    ];
+    for (noise_seed, clip_seed, positions, len, chunk) in cases {
+        let stream = stream_with_keywords(noise_seed, clip_seed, positions, len);
+        let (events, stats) = detect_live(&stream, chunk);
+        assert_eq!(stats.windows_classified as usize, (len - WINDOW) / HOP + 1, "{stats:?}");
+        assert_eq!(events.len(), positions.len(), "events: {events:?}");
+        for (event, &pos) in events.iter().zip(positions) {
+            let distance = event.sample_offset.abs_diff(pos);
+            assert!(distance <= 2_500, "event at {} vs keyword at {pos}", event.sample_offset);
+            assert!(event.probability >= POST_PROCESS.threshold);
+        }
     }
-}
-
-#[test]
-fn a_quiet_live_stream_fires_nothing() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let quiet: Vec<f32> = (0..16_000).map(|_| rng.gen_range(-0.03f32..0.03)).collect();
-    let (events, stats) = detect_live(&quiet, 1_000);
-    assert!(events.is_empty(), "spurious events: {events:?}");
-    assert!(stats.windows_classified > 20, "{stats:?}");
 }
 
 #[test]
