@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// Samples in each composed stream.
 const STREAM_LEN: usize = 80_000;
 
-/// 80 000 samples of background noise with six keywords at known
+/// `STREAM_LEN` samples of background noise with six keywords at known
 /// positions (one every 12 000 samples from 6 000); returns the stream and
 /// the keyword start positions.
 fn compose_stream(generator: &KwsGenerator, seed: u64) -> (Vec<f32>, Vec<usize>) {
