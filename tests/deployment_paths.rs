@@ -173,26 +173,41 @@ fn saved_model_behaves_identically_through_eim() {
     );
 }
 
+/// Streams noise with a "go" clip at each of `positions` in `chunk`-sample
+/// pushes and checks that every window was classified and that exactly one
+/// event fires near each keyword. No test's push size is a multiple of the
+/// hop, as with an audio driver.
+fn assert_events_near_keywords(
+    noise_seed: u64,
+    clip_seed: u64,
+    positions: &[usize],
+    len: usize,
+    chunk: usize,
+) {
+    let stream = stream_with_keywords(noise_seed, clip_seed, positions, len);
+    let (events, stats) = detect_live(&stream, chunk);
+    assert_eq!(stats.windows_classified as usize, (len - WINDOW) / HOP + 1, "{stats:?}");
+    assert_eq!(events.len(), positions.len(), "events: {events:?}");
+    for (event, &pos) in events.iter().zip(positions) {
+        let distance = event.sample_offset.abs_diff(pos);
+        assert!(distance <= 2_500, "event at {} vs keyword at {pos}", event.sample_offset);
+        assert!(event.probability >= POST_PROCESS.threshold);
+    }
+}
+
 #[test]
 fn streaming_deployment_detects_and_stays_quiet() {
-    // (noise seed, first clip seed, keyword positions, stream length, push
-    // size); no push size is a multiple of the hop, as with an audio driver
-    let cases: [(u64, u64, &[usize], usize, usize); 3] = [
-        (7, 900, &[5_000, 13_000], 20_000, 640),
-        (1, 300, &[4_000, 14_000], 24_000, 733),
-        (9, 0, &[], 16_000, 1_000),
-    ];
-    for (noise_seed, clip_seed, positions, len, chunk) in cases {
-        let stream = stream_with_keywords(noise_seed, clip_seed, positions, len);
-        let (events, stats) = detect_live(&stream, chunk);
-        assert_eq!(stats.windows_classified as usize, (len - WINDOW) / HOP + 1, "{stats:?}");
-        assert_eq!(events.len(), positions.len(), "events: {events:?}");
-        for (event, &pos) in events.iter().zip(positions) {
-            let distance = event.sample_offset.abs_diff(pos);
-            assert!(distance <= 2_500, "event at {} vs keyword at {pos}", event.sample_offset);
-            assert!(event.probability >= POST_PROCESS.threshold);
-        }
-    }
+    assert_events_near_keywords(7, 900, &[5_000, 13_000], 20_000, 640);
+}
+
+#[test]
+fn live_events_land_near_the_embedded_keywords() {
+    assert_events_near_keywords(1, 300, &[4_000, 14_000], 24_000, 733);
+}
+
+#[test]
+fn a_quiet_live_stream_fires_nothing() {
+    assert_events_near_keywords(9, 0, &[], 16_000, 1_000);
 }
 
 #[test]
