@@ -17,10 +17,12 @@ use edgelab::dsp::{
 use edgelab::faults::{Clock, VirtualClock};
 use edgelab::nn::presets;
 use edgelab::nn::spec::{Dims, ModelSpec};
+use edgelab::nn::train::TrainingReport;
+use edgelab::nn::Sequential;
 use edgelab::par::{ParPool, Parallelism};
 use edgelab::platform::Api;
 use edgelab::runtime::EngineKind;
-use edgelab::serve::{InferenceSpec, Server, ServerConfig};
+use edgelab::serve::{content_hash, InferenceSpec, Server, ServerConfig};
 use edgelab::trace::Tracer;
 use json_diff::{check_round_trip, readers_agree, writers_agree};
 use proptest::prelude::*;
@@ -100,6 +102,60 @@ fn golden_escape_bytes() {
         assert_eq!(writers_agree(&s.to_string()), golden, "{s:?}");
         assert_eq!(parse_both::<String>(golden), s);
     }
+}
+
+/// The saved-model bytes of the paper's three task models with seed-7
+/// initial weights, as their content hash: every weight and bias of every
+/// layer and the `"storage":{"F32":[…]}` layout around them.
+#[test]
+fn golden_untrained_preset_impulse_bytes() {
+    let image = |side: usize, channels: usize, norm: PixelNorm| {
+        DspConfig::Image(ImageConfig {
+            in_width: side,
+            in_height: side,
+            in_channels: channels,
+            out_width: side,
+            out_height: side,
+            out_channels: channels,
+            norm,
+        })
+    };
+    let kws = DspConfig::Mfcc(MfccConfig {
+        frame_s: 0.02,
+        stride_s: 0.01,
+        n_coefficients: 10,
+        n_filters: 40,
+        sample_rate_hz: 16_000,
+    });
+    let cases = [
+        ("kws", 16_000, kws, 4, 0x2413_6834_e3e9_be9b),
+        ("vww", 96 * 96, image(96, 1, PixelNorm::MinusOneToOne), 2, 0x4a43_5485_d145_9614),
+        ("ic", 32 * 32 * 3, image(32, 3, PixelNorm::ZeroToOne), 10, 0x679f_6e29_fc93_d7fe),
+    ];
+    let mut moved = Vec::new();
+    for (name, window, dsp, classes, want) in cases {
+        let design = ImpulseDesign::new(name, window, dsp).unwrap();
+        let dims = design.feature_dims().unwrap();
+        let spec = match name {
+            "kws" => presets::ds_cnn(dims, classes, 64),
+            "vww" => presets::mobilenet_v1(dims, classes, 0.25),
+            _ => presets::cifar_cnn(dims, classes),
+        };
+        let model = Sequential::build(&spec, 7).unwrap();
+        let labels = (0..classes).map(|c| format!("class{c}")).collect();
+        let impulse = TrainedImpulse::from_parts(
+            design,
+            labels,
+            model,
+            TrainingReport::default(),
+            Vec::new(),
+        );
+        let got = content_hash(&impulse.to_json().unwrap());
+        if got != want {
+            moved.push(format!("{name} got {got:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "saved model bytes moved: {moved:?}");
 }
 
 fn direct<T: serde::Deserialize>(doc: &str) -> Result<T, serde_json::Error> {
