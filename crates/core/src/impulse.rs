@@ -162,22 +162,6 @@ impl ImpulseDesign {
         dataset: &Dataset,
         config: &TrainConfig,
     ) -> Result<RegressionImpulse> {
-        self.train_regression_traced(model_spec, dataset, config, ei_trace::Tracer::disabled())
-    }
-
-    /// Like [`ImpulseDesign::train_regression`], but the internal
-    /// [`Trainer`] reports per-epoch metrics through `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ImpulseDesign::train_regression`].
-    pub fn train_regression_traced(
-        &self,
-        model_spec: &ModelSpec,
-        dataset: &Dataset,
-        config: &TrainConfig,
-        tracer: ei_trace::Tracer,
-    ) -> Result<RegressionImpulse> {
         let dims = self.feature_dims()?;
         if model_spec.input != dims {
             return Err(CoreError::InvalidImpulse(format!(
@@ -192,7 +176,7 @@ impl ImpulseDesign {
             features.push(block.process(sample)?);
         }
         let mut model = Sequential::build(model_spec, config.seed)?;
-        let trainer = Trainer::new(config.clone()).with_tracer(tracer);
+        let trainer = Trainer::new(config.clone());
         let report = trainer.train_regression(&mut model, &features, &targets)?;
         Ok(RegressionImpulse { design: self.clone(), model, report })
     }
@@ -761,6 +745,23 @@ mod tests {
         let json =
             trained.to_json().unwrap().replace("\"format_version\":1", "\"format_version\":99");
         assert!(TrainedImpulse::from_json(&json).is_err());
+        // the first weight tensor stored as integers under an i8 or i32
+        // tag: a tensor holds f32 values only
+        let json = trained.to_json().unwrap();
+        let tensor = "\"storage\":{\"F32\":[";
+        let at = json.find(tensor).unwrap();
+        let close = at + json[at..].find(']').unwrap();
+        let ints = vec!["1"; json[at + tensor.len()..close].split(',').count()].join(",");
+        for tag in ["I8", "I32"] {
+            let hostile =
+                format!("{}\"storage\":{{\"{tag}\":[{ints}{}", &json[..at], &json[close..]);
+            let err = TrainedImpulse::from_json(&hostile);
+            assert!(
+                matches!(err, Err(CoreError::InvalidImpulse(_))),
+                "{tag}: {:?}",
+                err.map(|_| ())
+            );
+        }
     }
 
     #[test]

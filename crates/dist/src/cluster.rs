@@ -419,8 +419,7 @@ impl DistTrainer {
                     self.train.learning_rate,
                     step_samples as f32,
                     self.train.weight_decay,
-                )
-                .map_err(|e| Abort::Fatal(e.into()))?;
+                );
                 self.tracer.counter("dist.reductions").inc();
                 sample_count += step_samples;
                 // later steps must ship the post-update weights

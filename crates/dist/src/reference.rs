@@ -22,10 +22,8 @@ pub fn weight_checksum(model: &Sequential) -> u64 {
     };
     for layer in model.layers() {
         for tensor in [layer.weights.as_ref(), layer.bias.as_ref()].into_iter().flatten() {
-            if let Ok(values) = tensor.as_f32() {
-                for v in values {
-                    eat(&v.to_bits().to_le_bytes());
-                }
+            for v in tensor.as_f32() {
+                eat(&v.to_bits().to_le_bytes());
             }
         }
     }
@@ -83,7 +81,7 @@ pub fn train_serial_reference(
                     train.learning_rate,
                     step_samples as f32,
                     train.weight_decay,
-                )?;
+                );
                 sample_count += step_samples;
             }
         }

@@ -60,17 +60,13 @@ impl Layer {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Tensor`] when the layer has no weights or holds
-    /// non-`f32` parameters.
+    /// Returns [`NnError::Tensor`] when the layer has no weights.
     pub fn params(&self) -> Result<(&[f32], &[f32])> {
         let weights = self.weights.as_ref().ok_or_else(|| {
             NnError::Tensor(format!("{} layer has no weights", self.spec.op_name()))
         })?;
-        let bias = match &self.bias {
-            Some(b) => b.as_f32()?,
-            None => &[],
-        };
-        Ok((weights.as_f32()?, bias))
+        let bias = self.bias.as_ref().map_or(&[][..], Tensor::as_f32);
+        Ok((weights.as_f32(), bias))
     }
 }
 
@@ -262,7 +258,7 @@ impl Sequential {
                 actual: values.len(),
             });
         }
-        bias.as_f32_mut()?.copy_from_slice(values);
+        bias.as_f32_mut().copy_from_slice(values);
         Ok(())
     }
 
@@ -505,7 +501,7 @@ fn init_params(r: &Resolved, seed: u64) -> Result<(Option<Tensor>, Option<Tensor
 }
 
 /// Checks a loaded parameter: absent when the layer has none, otherwise
-/// `f32` values of exactly the resolved `dims`.
+/// values of exactly the resolved `dims`.
 fn check_param(
     what: &str,
     tensor: Option<&Tensor>,
@@ -516,7 +512,7 @@ fn check_param(
         (None, Some(dims)) => Err(format!("{what} missing, expected {dims:?}")),
         (Some(_), None) => Err(format!("unexpected {what}")),
         (Some(t), Some(dims)) => {
-            if t.shape().dims() == dims && elems(&dims) == Some(t.len()) && t.as_f32().is_ok() {
+            if t.shape().dims() == dims && elems(&dims) == Some(t.len()) {
                 Ok(())
             } else {
                 Err(format!(
@@ -712,12 +708,12 @@ mod tests {
         let grads = model.backward(&cache, &[1.0, 1.0]).unwrap();
         let eps = 1e-3f32;
         for k in (0..30).step_by(3) {
-            let orig = model.layers()[0].weights.as_ref().unwrap().as_f32().unwrap()[k];
-            model.layers_mut()[0].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] = orig + eps;
+            let orig = model.layers()[0].weights.as_ref().unwrap().as_f32()[k];
+            model.layers_mut()[0].weights.as_mut().unwrap().as_f32_mut()[k] = orig + eps;
             let plus: f32 = model.forward(&input).unwrap().iter().sum();
-            model.layers_mut()[0].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] = orig - eps;
+            model.layers_mut()[0].weights.as_mut().unwrap().as_f32_mut()[k] = orig - eps;
             let minus: f32 = model.forward(&input).unwrap().iter().sum();
-            model.layers_mut()[0].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] = orig;
+            model.layers_mut()[0].weights.as_mut().unwrap().as_f32_mut()[k] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             let analytic = grads[0].weights.as_ref().unwrap()[k];
             assert!(
@@ -784,14 +780,12 @@ mod tests {
         for li in [1usize, 3] {
             let n = model.layers()[li].weights.as_ref().unwrap().len();
             for k in (0..n).step_by(2) {
-                let orig = model.layers()[li].weights.as_ref().unwrap().as_f32().unwrap()[k];
-                model.layers_mut()[li].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] =
-                    orig + eps;
+                let orig = model.layers()[li].weights.as_ref().unwrap().as_f32()[k];
+                model.layers_mut()[li].weights.as_mut().unwrap().as_f32_mut()[k] = orig + eps;
                 let plus: f32 = model.forward(&input).unwrap().iter().sum();
-                model.layers_mut()[li].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] =
-                    orig - eps;
+                model.layers_mut()[li].weights.as_mut().unwrap().as_f32_mut()[k] = orig - eps;
                 let minus: f32 = model.forward(&input).unwrap().iter().sum();
-                model.layers_mut()[li].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] = orig;
+                model.layers_mut()[li].weights.as_mut().unwrap().as_f32_mut()[k] = orig;
                 let numeric = (plus - minus) / (2.0 * eps);
                 let analytic = grads[li].weights.as_ref().unwrap()[k];
                 assert!(
@@ -816,12 +810,12 @@ mod tests {
         let eps = 1e-3f32;
         let w_len = model.layers()[1].weights.as_ref().unwrap().len();
         for k in 0..w_len {
-            let orig = model.layers()[1].weights.as_ref().unwrap().as_f32().unwrap()[k];
-            model.layers_mut()[1].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] = orig + eps;
+            let orig = model.layers()[1].weights.as_ref().unwrap().as_f32()[k];
+            model.layers_mut()[1].weights.as_mut().unwrap().as_f32_mut()[k] = orig + eps;
             let plus = model.forward(&input).unwrap()[0];
-            model.layers_mut()[1].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] = orig - eps;
+            model.layers_mut()[1].weights.as_mut().unwrap().as_f32_mut()[k] = orig - eps;
             let minus = model.forward(&input).unwrap()[0];
-            model.layers_mut()[1].weights.as_mut().unwrap().as_f32_mut().unwrap()[k] = orig;
+            model.layers_mut()[1].weights.as_mut().unwrap().as_f32_mut()[k] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             let analytic = grads[1].weights.as_ref().unwrap()[k];
             assert!((numeric - analytic).abs() < 1e-3);
@@ -865,7 +859,7 @@ mod tests {
         assert!(model.layers()[1].frozen);
         assert!(!model.layers()[2].frozen);
         model.set_output_bias(&[0.1, 0.2, 0.3]).unwrap();
-        let bias = model.layers()[2].bias.as_ref().unwrap().as_f32().unwrap().to_vec();
+        let bias = model.layers()[2].bias.as_ref().unwrap().as_f32().to_vec();
         assert_eq!(bias, vec![0.1, 0.2, 0.3]);
         assert!(model.set_output_bias(&[1.0]).is_err());
     }

@@ -192,7 +192,7 @@ impl Trainer {
             let lr = lr_min * (lr_max / lr_min).powf(step as f32 / (steps - 1) as f32);
             let idx = step % inputs.len();
             let (loss, grads) = self.sample_pass(&probe, &inputs[idx], labels[idx], &mut rng)?;
-            apply_batch(&mut probe, &grads, &mut opt, lr, 1.0, 0.0)?;
+            apply_batch(&mut probe, &grads, &mut opt, lr, 1.0, 0.0);
             if prev_loss.is_finite() {
                 let drop = prev_loss - loss;
                 if drop > best_drop {
@@ -333,7 +333,7 @@ impl Trainer {
                         self.config.learning_rate,
                         batch.len() as f32,
                         self.config.weight_decay,
-                    )?;
+                    );
                 }
             }
             let train_loss = (epoch_loss / train_idx.len().max(1) as f64) as f32;
@@ -467,7 +467,7 @@ impl Trainer {
                         self.config.learning_rate,
                         batch.len() as f32,
                         self.config.weight_decay,
-                    )?;
+                    );
                 }
             }
             let train_loss = (epoch_loss / train_idx.len().max(1) as f64) as f32;
@@ -561,11 +561,6 @@ pub fn fold_grads(sum: &mut Option<Vec<LayerGrads>>, grads: Vec<LayerGrads>) {
 /// Performs one optimizer step: advances the optimizer's step counter and
 /// applies `grads` (averaged over `batch_len` samples, with optional L2
 /// weight decay on weight tensors) to every non-frozen layer.
-///
-/// # Errors
-///
-/// Returns [`NnError::Tensor`] when a layer's weights or bias are not
-/// `f32`.
 pub fn apply_batch(
     model: &mut Sequential,
     grads: &[LayerGrads],
@@ -573,7 +568,7 @@ pub fn apply_batch(
     lr: f32,
     batch_len: f32,
     weight_decay: f32,
-) -> Result<()> {
+) {
     optimizer.begin_step();
     let inv = 1.0 / batch_len.max(1.0);
     for (i, layer) in model.layers_mut().iter_mut().enumerate() {
@@ -581,17 +576,16 @@ pub fn apply_batch(
             continue;
         }
         if let (Some(w), Some(gw)) = (layer.weights.as_mut(), grads[i].weights.as_ref()) {
-            let params = w.as_f32_mut()?;
+            let params = w.as_f32_mut();
             let scaled: Vec<f32> =
                 gw.iter().zip(params.iter()).map(|(g, p)| g * inv + weight_decay * p).collect();
             optimizer.step((i, 0), params, &scaled, lr);
         }
         if let (Some(b), Some(gb)) = (layer.bias.as_mut(), grads[i].bias.as_ref()) {
             let scaled: Vec<f32> = gb.iter().map(|g| g * inv).collect();
-            optimizer.step((i, 1), b.as_f32_mut()?, &scaled, lr);
+            optimizer.step((i, 1), b.as_f32_mut(), &scaled, lr);
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -681,7 +675,7 @@ mod tests {
         // 3:1 class imbalance
         let labels = vec![0, 0, 0, 1];
         trainer.init_class_bias(&mut model, &labels, 2).unwrap();
-        let bias = model.layers()[2].bias.as_ref().unwrap().as_f32().unwrap().to_vec();
+        let bias = model.layers()[2].bias.as_ref().unwrap().as_f32().to_vec();
         assert!((bias[0] - 0.75f32.ln()).abs() < 1e-5);
         assert!((bias[1] - 0.25f32.ln()).abs() < 1e-5);
         assert!(trainer.init_class_bias(&mut model, &[], 2).is_err());
@@ -784,7 +778,7 @@ mod tests {
                 .layers()
                 .iter()
                 .filter_map(|l| l.weights.as_ref())
-                .flat_map(|w| w.as_f32().unwrap().iter().map(|x| x * x))
+                .flat_map(|w| w.as_f32().iter().map(|x| x * x))
                 .sum::<f32>()
         };
         let plain = train(0.0);
@@ -905,7 +899,7 @@ mod tests {
         assert_eq!(b.count, 8);
         assert!(b.loss_sum.is_finite());
         let mut opt = Optimizer::new(cfg.optimizer);
-        apply_batch(&mut manual, &b.grads, &mut opt, cfg.learning_rate, 8.0, 0.0).unwrap();
+        apply_batch(&mut manual, &b.grads, &mut opt, cfg.learning_rate, 8.0, 0.0);
 
         // partition sums computed in any order, folded in fixed partition
         // order, give bitwise-identical gradients — the invariant the
@@ -922,25 +916,13 @@ mod tests {
         let mut total2 = lo2.grads;
         accumulate_grads(&mut total2, &hi2.grads);
         let mut opt2 = Optimizer::new(cfg.optimizer);
-        apply_batch(&mut split_model, &total, &mut opt2, cfg.learning_rate, 8.0, 0.0).unwrap();
+        apply_batch(&mut split_model, &total, &mut opt2, cfg.learning_rate, 8.0, 0.0);
         let mut opt3 = Optimizer::new(cfg.optimizer);
-        apply_batch(&mut rev_model, &total2, &mut opt3, cfg.learning_rate, 8.0, 0.0).unwrap();
+        apply_batch(&mut rev_model, &total2, &mut opt3, cfg.learning_rate, 8.0, 0.0);
         assert_eq!(snapshot(&split_model), snapshot(&rev_model));
 
         // out-of-range batch index is rejected
         assert!(trainer.batch_gradients(&manual, &inputs, &labels, &[999], 0).is_err());
-
-        // parameters that are not f32 are an error, not a panic
-        for bias in [false, true] {
-            let mut model = Sequential::build(&classifier_spec(), 11).unwrap();
-            let layer = &mut model.layers_mut()[1];
-            let param = if bias { &mut layer.bias } else { &mut layer.weights };
-            let shape = param.as_ref().unwrap().shape().clone();
-            *param = Some(Tensor::zeros_i8(shape));
-            let mut opt = Optimizer::new(cfg.optimizer);
-            let err = apply_batch(&mut model, &b.grads, &mut opt, cfg.learning_rate, 8.0, 0.0);
-            assert!(matches!(err, Err(NnError::Tensor(_))), "bias {bias}: {err:?}");
-        }
     }
 
     #[test]

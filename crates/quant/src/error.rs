@@ -41,12 +41,6 @@ impl From<ei_nn::NnError> for QuantError {
     }
 }
 
-impl From<ei_tensor::TensorError> for QuantError {
-    fn from(e: ei_tensor::TensorError) -> Self {
-        QuantError::Model(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

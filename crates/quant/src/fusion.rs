@@ -39,7 +39,7 @@ pub fn fold_batch_norm(model: &Sequential) -> Result<(Sequential, usize)> {
                 .weights
                 .as_ref()
                 .ok_or_else(|| QuantError::UnsupportedLayer("batch_norm missing params".into()))?
-                .as_f32()?;
+                .as_f32();
             let c = layer.input.c;
             let (gamma, rest) = params.split_at(c);
             let (beta, rest) = rest.split_at(c);
@@ -47,13 +47,13 @@ pub fn fold_batch_norm(model: &Sequential) -> Result<(Sequential, usize)> {
             let k: Vec<f32> = gamma.iter().zip(var).map(|(g, v)| g / (v + BN_EPS).sqrt()).collect();
             // output channel is the fastest axis of every fusable weight layout
             if let Some(w) = prev.weights.as_mut() {
-                let data = w.as_f32_mut()?;
+                let data = w.as_f32_mut();
                 for (i, value) in data.iter_mut().enumerate() {
                     *value *= k[i % c];
                 }
             }
             if let Some(b) = prev.bias.as_mut() {
-                let data = b.as_f32_mut()?;
+                let data = b.as_f32_mut();
                 for (co, value) in data.iter_mut().enumerate() {
                     *value = (*value - mean[co]) * k[co] + beta[co];
                 }
@@ -111,7 +111,7 @@ mod tests {
         // give the BN layer non-identity parameters
         {
             let bn = &mut model.layers_mut()[1];
-            let params = bn.weights.as_mut().unwrap().as_f32_mut().unwrap();
+            let params = bn.weights.as_mut().unwrap().as_f32_mut();
             let c = 3;
             for ch in 0..c {
                 params[ch] = 1.5 + ch as f32 * 0.3; // gamma

@@ -281,11 +281,12 @@ fn quantize_calibrated(fused: &Sequential, ranges: &ActivationRanges) -> Result<
         let (weights, w_quant, bias, multipliers) = match (&layer.weights, &layer.bias) {
             (Some(w), bias) => {
                 let out_c = layer.resolve()?.bias_len().unwrap_or(layer.output.c);
-                let wf = w.as_f32()?;
+                let wf = w.as_f32();
                 let cq = ChannelQuant::from_weights(wf, out_c);
                 let qw = cq.quantize(wf);
-                let qb = bias.as_ref().map(|b| b.as_f32()).transpose()?.map(|b| {
-                    b.iter()
+                let qb = bias.as_ref().map(|b| {
+                    b.as_f32()
+                        .iter()
                         .enumerate()
                         .map(|(ch, &v)| (v / (in_q.scale * cq.scales[ch % out_c])).round() as i32)
                         .collect::<Vec<i32>>()
@@ -914,11 +915,11 @@ mod tests {
             .layer(LayerSpec::Dense { units: 4, activation: Activation::None });
         let mut model = Sequential::build(&spec, 5).unwrap();
         let dense = &mut model.layers_mut()[1];
-        let w = dense.weights.as_mut().unwrap().as_f32_mut().unwrap();
+        let w = dense.weights.as_mut().unwrap().as_f32_mut();
         for row in w.chunks_mut(4) {
             row[0] = 0.0;
         }
-        dense.bias.as_mut().unwrap().as_f32_mut().unwrap()[1] = 1000.0;
+        dense.bias.as_mut().unwrap().as_f32_mut()[1] = 1000.0;
         let calib = random_inputs(8, 8, 2);
         let quantized = quantize_model(&model, &calib).unwrap();
         let dense = &quantized.layers()[1];

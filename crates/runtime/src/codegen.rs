@@ -111,15 +111,11 @@ fn emit_weight_arrays(out: &mut String, artifact: &ModelArtifact) {
     match artifact {
         ModelArtifact::Float(model) => {
             for (i, layer) in model.layers().iter().enumerate() {
-                // invariant: a ModelArtifact::Float only ever holds f32
-                // tensors (enforced at construction), so as_f32 cannot fail
                 if let Some(w) = &layer.weights {
-                    let data = w.as_f32().expect("float model weights are f32");
-                    emit_f32_array(out, &format!("layer{i}_weights"), data);
+                    emit_f32_array(out, &format!("layer{i}_weights"), w.as_f32());
                 }
                 if let Some(b) = &layer.bias {
-                    let data = b.as_f32().expect("float model bias is f32");
-                    emit_f32_array(out, &format!("layer{i}_bias"), data);
+                    emit_f32_array(out, &format!("layer{i}_bias"), b.as_f32());
                 }
             }
         }

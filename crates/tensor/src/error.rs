@@ -30,13 +30,6 @@ pub enum TensorError {
         /// Length of the axis (or of the whole tensor for flat access).
         len: usize,
     },
-    /// The tensor held a different element type than the accessor assumed.
-    DTypeMismatch {
-        /// Type the accessor wanted.
-        expected: &'static str,
-        /// Type the tensor holds.
-        actual: &'static str,
-    },
     /// An arena allocation did not fit in the remaining pool.
     ArenaExhausted {
         /// Bytes requested (after alignment).
@@ -59,9 +52,6 @@ impl fmt::Display for TensorError {
             }
             TensorError::IndexOutOfBounds { index, len } => {
                 write!(f, "index {index} out of bounds for length {len}")
-            }
-            TensorError::DTypeMismatch { expected, actual } => {
-                write!(f, "dtype mismatch: expected {expected}, tensor holds {actual}")
             }
             TensorError::ArenaExhausted { requested, remaining } => {
                 write!(f, "arena exhausted: requested {requested} bytes, {remaining} remaining")
@@ -97,7 +87,6 @@ mod tests {
             TensorError::ShapeMismatch { expected: vec![1], actual: vec![2] },
             TensorError::LengthMismatch { expected: 4, actual: 5 },
             TensorError::IndexOutOfBounds { index: 9, len: 3 },
-            TensorError::DTypeMismatch { expected: "f32", actual: "i8" },
             TensorError::ArenaExhausted { requested: 128, remaining: 64 },
             TensorError::InvalidShape("empty".into()),
         ];

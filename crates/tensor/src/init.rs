@@ -76,9 +76,9 @@ mod tests {
     #[test]
     fn zeros_and_constant() {
         let z = init_tensor(Shape::d1(4), Init::Zeros, 4, 4, 0);
-        assert!(z.as_f32().unwrap().iter().all(|&x| x == 0.0));
+        assert!(z.as_f32().iter().all(|&x| x == 0.0));
         let c = init_tensor(Shape::d1(4), Init::Constant(0.5), 4, 4, 0);
-        assert!(c.as_f32().unwrap().iter().all(|&x| x == 0.5));
+        assert!(c.as_f32().iter().all(|&x| x == 0.5));
     }
 
     #[test]
@@ -96,7 +96,7 @@ mod tests {
         let fan_out = 16;
         let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
         let t = init_tensor(Shape::d2(fan_in, fan_out), Init::XavierUniform, fan_in, fan_out, 1);
-        for &x in t.as_f32().unwrap() {
+        for &x in t.as_f32() {
             assert!(x.abs() <= limit + 1e-6);
         }
     }
@@ -105,7 +105,7 @@ mod tests {
     fn he_normal_has_plausible_spread() {
         let fan_in = 64;
         let t = init_tensor(Shape::d2(64, 64), Init::HeNormal, fan_in, 64, 3);
-        let data = t.as_f32().unwrap();
+        let data = t.as_f32();
         let mean: f32 = data.iter().sum::<f32>() / data.len() as f32;
         let var: f32 = data.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / data.len() as f32;
         let expected_var = 2.0 / fan_in as f32;
@@ -119,6 +119,6 @@ mod tests {
     #[test]
     fn uniform_bound_respected() {
         let t = init_tensor(Shape::d1(256), Init::Uniform(0.1), 1, 1, 9);
-        assert!(t.as_f32().unwrap().iter().all(|x| x.abs() <= 0.1 + 1e-7));
+        assert!(t.as_f32().iter().all(|x| x.abs() <= 0.1 + 1e-7));
     }
 }

@@ -5,11 +5,11 @@
 //! TinyML targets have kilobytes of SRAM and flat memory hierarchies
 //! (paper §2.1), so this crate is built around two ideas:
 //!
-//! * [`Tensor`] — a dense, row-major (channels-last) tensor with a small,
-//!   fixed set of element types ([`DType`]) that mirror what embedded
-//!   inference engines actually ship: `f32` for reference/float models,
-//!   `i8` for quantized weights/activations, and `i32` for accumulators
-//!   and biases.
+//! * [`Tensor`] — a dense, row-major (channels-last) `f32` tensor: the
+//!   float model's weights, biases and activations, in training and in a
+//!   saved model. Quantized int8 weights and i32 biases are built once, at
+//!   deployment, as `ei-quant`'s own layers and run by the int8 kernels in
+//!   [`gemm`] and [`simd`].
 //! * [`Arena`] — a bump allocator over one contiguous byte pool, the same
 //!   discipline TFLite-Micro uses for its "tensor arena". The memory
 //!   planner in `ei-runtime` assigns offsets into an arena; this crate
@@ -38,7 +38,7 @@ pub mod tensor;
 pub use arena::{Arena, ArenaHandle};
 pub use error::TensorError;
 pub use shape::Shape;
-pub use tensor::{DType, Tensor};
+pub use tensor::Tensor;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -11,7 +11,7 @@ use crate::{Result, Shape, Tensor, TensorError};
 ///
 /// # Errors
 ///
-/// Fails when either input is not 2-D `f32` or the inner dimensions differ.
+/// Fails when either input is not 2-D or the inner dimensions differ.
 ///
 /// # Example
 ///
@@ -21,7 +21,7 @@ use crate::{Result, Shape, Tensor, TensorError};
 /// # fn main() -> Result<(), ei_tensor::TensorError> {
 /// let a = Tensor::from_f32(Shape::d2(1, 2), vec![1.0, 2.0])?;
 /// let b = Tensor::from_f32(Shape::d2(2, 1), vec![3.0, 4.0])?;
-/// assert_eq!(matmul(&a, &b)?.as_f32()?, &[11.0]);
+/// assert_eq!(matmul(&a, &b)?.as_f32(), &[11.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -34,18 +34,16 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if k != k2 {
         return Err(TensorError::ShapeMismatch { expected: vec![m, k], actual: vec![k2, n] });
     }
-    let av = a.as_f32()?;
-    let bv = b.as_f32()?;
     let mut out = vec![0.0f32; m * n];
-    crate::gemm::gemm_f32(m, k, n, av, bv, None, &mut out);
+    crate::gemm::gemm_f32(m, k, n, a.as_f32(), b.as_f32(), None, &mut out);
     Tensor::from_f32(Shape::d2(m, n), out)
 }
 
-/// Element-wise `a + b` for equally-shaped `f32` tensors.
+/// Element-wise `a + b` for equally-shaped tensors.
 ///
 /// # Errors
 ///
-/// Fails on shape or dtype mismatch.
+/// Fails on shape mismatch.
 pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if a.shape() != b.shape() {
         return Err(TensorError::ShapeMismatch {
@@ -53,18 +51,15 @@ pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             actual: b.shape().dims().to_vec(),
         });
     }
-    let out: Vec<f32> = a.as_f32()?.iter().zip(b.as_f32()?).map(|(x, y)| x + y).collect();
+    let out: Vec<f32> = a.as_f32().iter().zip(b.as_f32()).map(|(x, y)| x + y).collect();
     Tensor::from_f32(a.shape().clone(), out)
 }
 
-/// Element-wise `a * s` for an `f32` tensor and a scalar.
-///
-/// # Errors
-///
-/// Fails if `a` is not `f32`.
-pub fn scale(a: &Tensor, s: f32) -> Result<Tensor> {
-    let out: Vec<f32> = a.as_f32()?.iter().map(|x| x * s).collect();
-    Tensor::from_f32(a.shape().clone(), out)
+/// Element-wise `a * s` for a tensor and a scalar.
+pub fn scale(a: &Tensor, s: f32) -> Tensor {
+    let mut out = a.clone();
+    out.as_f32_mut().iter_mut().for_each(|x| *x *= s);
+    out
 }
 
 /// Index of the maximum element of a slice (first occurrence on ties).
@@ -148,7 +143,7 @@ mod tests {
         let a = Tensor::from_f32(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]).unwrap();
         let b = Tensor::from_f32(Shape::d2(3, 2), vec![7., 8., 9., 10., 11., 12.]).unwrap();
         let c = matmul(&a, &b).unwrap();
-        assert_eq!(c.as_f32().unwrap(), &[58., 64., 139., 154.]);
+        assert_eq!(c.as_f32(), &[58., 64., 139., 154.]);
     }
 
     #[test]
@@ -164,8 +159,8 @@ mod tests {
     fn add_and_scale() {
         let a = Tensor::vector_f32(vec![1.0, 2.0]);
         let b = Tensor::vector_f32(vec![3.0, 5.0]);
-        assert_eq!(add(&a, &b).unwrap().as_f32().unwrap(), &[4.0, 7.0]);
-        assert_eq!(scale(&a, 2.0).unwrap().as_f32().unwrap(), &[2.0, 4.0]);
+        assert_eq!(add(&a, &b).unwrap().as_f32(), &[4.0, 7.0]);
+        assert_eq!(scale(&a, 2.0).as_f32(), &[2.0, 4.0]);
         let c = Tensor::zeros_f32(Shape::d1(3));
         assert!(add(&a, &c).is_err());
     }
@@ -231,9 +226,9 @@ mod tests {
                 Shape::d2(k, n),
                 (0..k * n).map(|i| 1.0 - (i as f32) * 0.5).collect(),
             ).unwrap();
-            let lhs = matmul(&scale(&a, s).unwrap(), &b).unwrap();
-            let rhs = scale(&matmul(&a, &b).unwrap(), s).unwrap();
-            for (x, y) in lhs.as_f32().unwrap().iter().zip(rhs.as_f32().unwrap()) {
+            let lhs = matmul(&scale(&a, s), &b).unwrap();
+            let rhs = scale(&matmul(&a, &b).unwrap(), s);
+            for (x, y) in lhs.as_f32().iter().zip(rhs.as_f32()) {
                 prop_assert!((x - y).abs() < 1e-3);
             }
         }

@@ -1,72 +1,14 @@
-//! Dense tensors over the small fixed set of TinyML element types.
+//! Dense `f32` tensors: what models train and save. Int8 parameters live
+//! in `ei-quant`'s quantized layers, built once at deployment.
 
 use crate::{Result, Shape, TensorError};
 use serde::{Deserialize, Serialize};
 
-/// Element type of a [`Tensor`].
-///
-/// The set is deliberately small: it matches what quantized embedded
-/// inference actually uses (paper §4.5 — fully int8 weight and activation
-/// quantization with 32-bit bias/accumulators).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DType {
-    /// 32-bit IEEE float — reference and "float32" deployments.
-    F32,
-    /// 8-bit signed integer — quantized weights and activations.
-    I8,
-    /// 32-bit signed integer — biases and accumulators.
-    I32,
-}
-
-impl DType {
-    /// Size of one element in bytes.
-    pub fn size_bytes(self) -> usize {
-        match self {
-            DType::F32 | DType::I32 => 4,
-            DType::I8 => 1,
-        }
-    }
-
-    /// Human-readable name (`"f32"`, `"i8"`, `"i32"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            DType::F32 => "f32",
-            DType::I8 => "i8",
-            DType::I32 => "i32",
-        }
-    }
-}
-
-impl std::fmt::Display for DType {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Backing storage for a [`Tensor`].
+/// Backing storage for a [`Tensor`]: one variant, so a saved tensor
+/// keeps its `"storage":{"F32":[…]}` layout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Storage {
     F32(Vec<f32>),
-    I8(Vec<i8>),
-    I32(Vec<i32>),
-}
-
-impl Storage {
-    fn dtype(&self) -> DType {
-        match self {
-            Storage::F32(_) => DType::F32,
-            Storage::I8(_) => DType::I8,
-            Storage::I32(_) => DType::I32,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Storage::F32(v) => v.len(),
-            Storage::I8(v) => v.len(),
-            Storage::I32(v) => v.len(),
-        }
-    }
 }
 
 /// A dense, row-major tensor.
@@ -89,28 +31,10 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    /// Creates an all-zero `f32` tensor.
+    /// Creates an all-zero tensor.
     pub fn zeros_f32(shape: Shape) -> Tensor {
         let n = shape.len();
         Tensor { shape, storage: Storage::F32(vec![0.0; n]) }
-    }
-
-    /// Creates an all-zero `i8` tensor.
-    pub fn zeros_i8(shape: Shape) -> Tensor {
-        let n = shape.len();
-        Tensor { shape, storage: Storage::I8(vec![0; n]) }
-    }
-
-    /// Creates an all-zero `i32` tensor.
-    pub fn zeros_i32(shape: Shape) -> Tensor {
-        let n = shape.len();
-        Tensor { shape, storage: Storage::I32(vec![0; n]) }
-    }
-
-    /// Creates an `f32` tensor filled with `value`.
-    pub fn full_f32(shape: Shape, value: f32) -> Tensor {
-        let n = shape.len();
-        Tensor { shape, storage: Storage::F32(vec![value; n]) }
     }
 
     /// Wraps an `f32` buffer.
@@ -125,31 +49,7 @@ impl Tensor {
         Ok(Tensor { shape, storage: Storage::F32(data) })
     }
 
-    /// Wraps an `i8` buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if `data.len() != shape.len()`.
-    pub fn from_i8(shape: Shape, data: Vec<i8>) -> Result<Tensor> {
-        if data.len() != shape.len() {
-            return Err(TensorError::LengthMismatch { expected: shape.len(), actual: data.len() });
-        }
-        Ok(Tensor { shape, storage: Storage::I8(data) })
-    }
-
-    /// Wraps an `i32` buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if `data.len() != shape.len()`.
-    pub fn from_i32(shape: Shape, data: Vec<i32>) -> Result<Tensor> {
-        if data.len() != shape.len() {
-            return Err(TensorError::LengthMismatch { expected: shape.len(), actual: data.len() });
-        }
-        Ok(Tensor { shape, storage: Storage::I32(data) })
-    }
-
-    /// Convenience constructor for a 1-D `f32` tensor.
+    /// Convenience constructor for a 1-D tensor.
     pub fn vector_f32(data: Vec<f32>) -> Tensor {
         let shape = Shape::d1(data.len().max(1));
         if data.is_empty() {
@@ -163,128 +63,51 @@ impl Tensor {
         &self.shape
     }
 
-    /// Element type.
-    pub fn dtype(&self) -> DType {
-        self.storage.dtype()
-    }
-
     /// Total element count.
     pub fn len(&self) -> usize {
-        self.storage.len()
+        self.as_f32().len()
     }
 
     /// `true` if the tensor has no elements (never true for valid shapes).
     pub fn is_empty(&self) -> bool {
-        self.storage.len() == 0
+        self.len() == 0
     }
 
     /// Size of the tensor's payload in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.len() * self.dtype().size_bytes()
+        self.len() * std::mem::size_of::<f32>()
     }
 
-    /// Borrows the `f32` payload.
+    /// Borrows the payload.
+    pub fn as_f32(&self) -> &[f32] {
+        let Storage::F32(v) = &self.storage;
+        v
+    }
+
+    /// Mutably borrows the payload.
+    pub fn as_f32_mut(&mut self) -> &mut [f32] {
+        let Storage::F32(v) = &mut self.storage;
+        v
+    }
+
+    /// Reads one element by multi-axis index.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::DTypeMismatch`] for non-`f32` tensors.
-    pub fn as_f32(&self) -> Result<&[f32]> {
-        match &self.storage {
-            Storage::F32(v) => Ok(v),
-            other => {
-                Err(TensorError::DTypeMismatch { expected: "f32", actual: other.dtype().name() })
-            }
-        }
-    }
-
-    /// Mutably borrows the `f32` payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] for non-`f32` tensors.
-    pub fn as_f32_mut(&mut self) -> Result<&mut [f32]> {
-        match &mut self.storage {
-            Storage::F32(v) => Ok(v),
-            other => {
-                Err(TensorError::DTypeMismatch { expected: "f32", actual: other.dtype().name() })
-            }
-        }
-    }
-
-    /// Borrows the `i8` payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] for non-`i8` tensors.
-    pub fn as_i8(&self) -> Result<&[i8]> {
-        match &self.storage {
-            Storage::I8(v) => Ok(v),
-            other => {
-                Err(TensorError::DTypeMismatch { expected: "i8", actual: other.dtype().name() })
-            }
-        }
-    }
-
-    /// Mutably borrows the `i8` payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] for non-`i8` tensors.
-    pub fn as_i8_mut(&mut self) -> Result<&mut [i8]> {
-        match &mut self.storage {
-            Storage::I8(v) => Ok(v),
-            other => {
-                Err(TensorError::DTypeMismatch { expected: "i8", actual: other.dtype().name() })
-            }
-        }
-    }
-
-    /// Borrows the `i32` payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] for non-`i32` tensors.
-    pub fn as_i32(&self) -> Result<&[i32]> {
-        match &self.storage {
-            Storage::I32(v) => Ok(v),
-            other => {
-                Err(TensorError::DTypeMismatch { expected: "i32", actual: other.dtype().name() })
-            }
-        }
-    }
-
-    /// Mutably borrows the `i32` payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] for non-`i32` tensors.
-    pub fn as_i32_mut(&mut self) -> Result<&mut [i32]> {
-        match &mut self.storage {
-            Storage::I32(v) => Ok(v),
-            other => {
-                Err(TensorError::DTypeMismatch { expected: "i32", actual: other.dtype().name() })
-            }
-        }
-    }
-
-    /// Reads one `f32` element by multi-axis index.
-    ///
-    /// # Errors
-    ///
-    /// Fails on dtype mismatch or out-of-bounds index.
+    /// Fails on an out-of-bounds index.
     pub fn get_f32(&self, index: &[usize]) -> Result<f32> {
         let off = self.shape.offset(index)?;
-        Ok(self.as_f32()?[off])
+        Ok(self.as_f32()[off])
     }
 
-    /// Writes one `f32` element by multi-axis index.
+    /// Writes one element by multi-axis index.
     ///
     /// # Errors
     ///
-    /// Fails on dtype mismatch or out-of-bounds index.
+    /// Fails on an out-of-bounds index.
     pub fn set_f32(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = self.shape.offset(index)?;
-        self.as_f32_mut()?[off] = value;
+        self.as_f32_mut()[off] = value;
         Ok(())
     }
 
@@ -299,30 +122,6 @@ impl Tensor {
         }
         Ok(Tensor { shape, storage: self.storage.clone() })
     }
-
-    /// Extracts the underlying `f32` buffer, consuming the tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] for non-`f32` tensors.
-    pub fn into_f32(self) -> Result<Vec<f32>> {
-        match self.storage {
-            Storage::F32(v) => Ok(v),
-            other => {
-                Err(TensorError::DTypeMismatch { expected: "f32", actual: other.dtype().name() })
-            }
-        }
-    }
-
-    /// Converts any tensor to `f32` values (dequantization is *not* applied;
-    /// integer payloads are cast element-wise).
-    pub fn to_f32_lossy(&self) -> Vec<f32> {
-        match &self.storage {
-            Storage::F32(v) => v.clone(),
-            Storage::I8(v) => v.iter().map(|&x| x as f32).collect(),
-            Storage::I32(v) => v.iter().map(|&x| x as f32).collect(),
-        }
-    }
 }
 
 impl Default for Tensor {
@@ -336,18 +135,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dtype_sizes() {
-        assert_eq!(DType::F32.size_bytes(), 4);
-        assert_eq!(DType::I8.size_bytes(), 1);
-        assert_eq!(DType::I32.size_bytes(), 4);
-        assert_eq!(DType::I8.to_string(), "i8");
-    }
-
-    #[test]
     fn construction_validates_length() {
         assert!(Tensor::from_f32(Shape::d2(2, 2), vec![0.0; 3]).is_err());
-        assert!(Tensor::from_i8(Shape::d1(4), vec![0; 4]).is_ok());
-        assert!(Tensor::from_i32(Shape::d1(4), vec![0; 5]).is_err());
     }
 
     #[test]
@@ -360,31 +149,16 @@ mod tests {
     }
 
     #[test]
-    fn dtype_mismatch_reported() {
-        let t = Tensor::zeros_i8(Shape::d1(3));
-        let err = t.as_f32().unwrap_err();
-        assert_eq!(err, TensorError::DTypeMismatch { expected: "f32", actual: "i8" });
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_f32(Shape::d2(2, 3), (0..6).map(|x| x as f32).collect()).unwrap();
         let r = t.reshaped(Shape::d3(3, 2, 1)).unwrap();
-        assert_eq!(r.as_f32().unwrap(), t.as_f32().unwrap());
+        assert_eq!(r.as_f32(), t.as_f32());
         assert!(t.reshaped(Shape::d1(5)).is_err());
     }
 
     #[test]
     fn size_bytes_accounts_for_dtype() {
         assert_eq!(Tensor::zeros_f32(Shape::d1(10)).size_bytes(), 40);
-        assert_eq!(Tensor::zeros_i8(Shape::d1(10)).size_bytes(), 10);
-        assert_eq!(Tensor::zeros_i32(Shape::d1(10)).size_bytes(), 40);
-    }
-
-    #[test]
-    fn lossy_cast() {
-        let t = Tensor::from_i8(Shape::d1(3), vec![-1, 0, 7]).unwrap();
-        assert_eq!(t.to_f32_lossy(), vec![-1.0, 0.0, 7.0]);
     }
 
     #[test]
