@@ -3,18 +3,18 @@
 //! Tensor substrate for the `edgelab` TinyML stack.
 //!
 //! TinyML targets have kilobytes of SRAM and flat memory hierarchies
-//! (paper §2.1), so this crate is built around two ideas:
+//! (paper §2.1). This crate holds:
 //!
-//! * [`Tensor`] — a dense, row-major (channels-last) `f32` tensor: the
-//!   float model's weights, biases and activations, in training and in a
-//!   saved model. Quantized int8 weights and i32 biases are built once, at
-//!   deployment, as `ei-quant`'s own layers and run by the int8 kernels in
-//!   [`gemm`] and [`simd`].
-//! * [`Arena`] — a bump allocator over one contiguous byte pool, the same
-//!   discipline TFLite-Micro uses for its "tensor arena". The memory
-//!   planner in `ei-runtime` assigns offsets into an arena; this crate
-//!   provides the pool itself plus high-water-mark accounting so RAM
-//!   estimates (paper §4.4) are byte-accurate.
+//! * [`Tensor`] — a dense, row-major (channels-last) `f32` tensor: a float
+//!   model's weights and biases, in training and in a saved model. Models
+//!   train in `f32` and are quantized once, at deployment (paper §4.5); the
+//!   int8 weights and i32 biases that produces are `ei-quant`'s own layers.
+//! * [`gemm`] and [`simd`] — the f32 and int8 kernels the float and
+//!   quantized models run on.
+//! * [`Arena`] — a bump allocator over one contiguous byte pool, the
+//!   discipline TFLite-Micro uses for its "tensor arena", with
+//!   high-water-mark accounting. `ei-runtime`'s memory planner lays out
+//!   its own offsets and shares only [`arena::align_up`].
 //!
 //! # Example
 //!
