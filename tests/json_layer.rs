@@ -10,14 +10,15 @@ use edgelab::core::impulse::{ImpulseDesign, TrainedImpulse};
 use edgelab::data::ingest::AcquisitionPayload;
 use edgelab::data::{Dataset, Sample, SensorKind};
 use edgelab::device::Board;
+use edgelab::dist::weight_checksum;
 use edgelab::dsp::blocks::PixelNorm;
 use edgelab::dsp::{
     DspConfig, ImageConfig, MfccConfig, MfeConfig, RawConfig, SpectralConfig, SpectrogramConfig,
 };
 use edgelab::faults::{Clock, VirtualClock};
 use edgelab::nn::presets;
-use edgelab::nn::spec::{Dims, ModelSpec};
-use edgelab::nn::train::TrainingReport;
+use edgelab::nn::spec::{Activation, Dims, LayerSpec, ModelSpec};
+use edgelab::nn::train::{TrainConfig, Trainer, TrainingReport};
 use edgelab::nn::Sequential;
 use edgelab::par::{ParPool, Parallelism};
 use edgelab::platform::Api;
@@ -156,6 +157,81 @@ fn golden_untrained_preset_impulse_bytes() {
         }
     }
     assert!(moved.is_empty(), "saved model bytes moved: {moved:?}");
+}
+
+/// Seeded two-class blobs around `(1, 1)` and `(-1, -1)` in 2-D.
+fn seeded_blobs(seed: u64, n_per_class: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut inputs = Vec::new();
+    let mut labels = Vec::new();
+    for _ in 0..n_per_class {
+        for (label, centre) in [(0, 1.0f32), (1, -1.0)] {
+            inputs.push(vec![centre + rng.gen_range(-0.6..0.6), centre + rng.gen_range(-0.6..0.6)]);
+            labels.push(label);
+        }
+    }
+    (inputs, labels)
+}
+
+/// The weights and per-epoch losses of a seed-7 classifier (with dropout)
+/// and a seed-7 regressor, each trained for 8 epochs with a validation
+/// split and best-checkpoint restore: the weight checksum, the restored
+/// epoch and the bits of every `train_loss` / `val_loss` entry. Both
+/// restore an earlier epoch: the classifier's validation accuracy and loss
+/// tie from epoch 2 on, the regressor's validation MSE is lowest at 5.
+#[test]
+fn golden_trained_weights_and_losses() {
+    let config = TrainConfig {
+        epochs: 8,
+        batch_size: 4,
+        learning_rate: 0.2,
+        validation_split: 0.25,
+        restore_best: true,
+        seed: 7,
+        ..TrainConfig::default()
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (inputs, labels) = seeded_blobs(3, 16);
+
+    let classifier = ModelSpec::new(Dims::new(1, 2, 1))
+        .layer(LayerSpec::Flatten)
+        .layer(LayerSpec::Dense { units: 8, activation: Activation::Relu })
+        .layer(LayerSpec::Dropout { rate: 0.25 })
+        .layer(LayerSpec::Dense { units: 2, activation: Activation::None })
+        .layer(LayerSpec::Softmax);
+    let mut model = Sequential::build(&classifier, 7).unwrap();
+    let report = Trainer::new(config.clone()).train(&mut model, &inputs, &labels).unwrap();
+    let got = (weight_checksum(&model), report.best_epoch);
+    assert_eq!(got, (0xa769_cff0_4e96_a732, 2), "classifier weights");
+    let train_loss = [
+        1053046357, 1018837519, 1040796083, 1034721558, 841657004, 841657004, 857036120, 1012152173,
+    ];
+    assert_eq!(bits(&report.train_loss), train_loss, "classifier train_loss");
+    assert_eq!(
+        bits(&report.val_loss),
+        [972535141, 899416090, 0, 0, 0, 0, 0, 0],
+        "classifier val_loss"
+    );
+
+    let targets: Vec<f32> = inputs.iter().map(|x| 2.0 * x[0] - x[1] + 0.5).collect();
+    let regressor = ModelSpec::new(Dims::new(1, 2, 1))
+        .layer(LayerSpec::Flatten)
+        .layer(LayerSpec::Dense { units: 8, activation: Activation::Relu })
+        .layer(LayerSpec::Dense { units: 1, activation: Activation::None });
+    let mut model = Sequential::build(&regressor, 7).unwrap();
+    let report = Trainer::new(config).train_regression(&mut model, &inputs, &targets).unwrap();
+    let got = (weight_checksum(&model), report.best_epoch);
+    assert_eq!(got, (0x20e6_fa67_13b8_2688, 5), "regressor weights");
+    let train_loss = [
+        1059144637, 1061996579, 1050798760, 1046650161, 1041648203, 1040087859, 1029173638,
+        1026541724,
+    ];
+    assert_eq!(bits(&report.train_loss), train_loss, "regressor train_loss");
+    let val_loss = [
+        1066364254, 1058993182, 1053001668, 1041129144, 1044207124, 1033031708, 1037204092,
+        1033473625,
+    ];
+    assert_eq!(bits(&report.val_loss), val_loss, "regressor val_loss");
 }
 
 fn direct<T: serde::Deserialize>(doc: &str) -> Result<T, serde_json::Error> {
