@@ -15,9 +15,8 @@ use ei_nn::spec::{Activation, Dims, LayerSpec, ModelSpec, Padding};
 use ei_nn::Sequential;
 use ei_quant::fusion::fold_batch_norm;
 use ei_quant::qparams::FixedMultiplier;
-use ei_runtime::planner::{activation_requests, plan_memory};
+use ei_runtime::planner::{activation_requests, plan_memory, PLAN_ALIGN};
 use ei_runtime::{EonProgram, InferenceEngine, Interpreter};
-use ei_tensor::arena::align_up;
 
 fn main() {
     ablation_overhead();
@@ -106,7 +105,8 @@ fn ablation_planner() {
         for artifact in [float_a, int8_a] {
             let requests = activation_requests(&artifact);
             let plan = plan_memory(&requests).expect("plans");
-            let naive: usize = requests.iter().map(|r| align_up(r.size.max(1), 16)).sum();
+            let naive: usize =
+                requests.iter().map(|r| r.size.max(1).next_multiple_of(PLAN_ALIGN)).sum();
             println!(
                 "  {:<28} {:>5}: planned {:>8} kB vs naive {:>8} kB  (-{:.0}%)",
                 task.name(),

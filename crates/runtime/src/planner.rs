@@ -9,9 +9,9 @@
 
 use crate::ir::ModelArtifact;
 use crate::{Result, RuntimeError};
-use ei_tensor::arena::align_up;
 
-/// Planner alignment (matches the tensor arena alignment).
+/// Planner alignment in bytes: TFLite Micro's default buffer alignment,
+/// which keeps SIMD loads aligned.
 pub const PLAN_ALIGN: usize = 16;
 
 /// One activation buffer with its lifetime in execution steps.
@@ -72,13 +72,13 @@ pub fn plan_memory(requests: &[BufferReq]) -> Result<MemoryPlan> {
     let mut done: Vec<usize> = Vec::new();
     for &i in &order {
         let req = requests[i];
-        let size = align_up(req.size.max(1), PLAN_ALIGN);
+        let size = req.size.max(1).next_multiple_of(PLAN_ALIGN);
         // candidate gaps: 0 and the end of every lifetime-overlapping buffer
         let mut candidates = vec![0usize];
         for &j in &done {
             let other = placed[j];
             if lifetimes_overlap(req, other.req) {
-                candidates.push(other.offset + align_up(other.req.size.max(1), PLAN_ALIGN));
+                candidates.push(other.offset + other.req.size.max(1).next_multiple_of(PLAN_ALIGN));
             }
         }
         candidates.sort_unstable();
@@ -92,7 +92,7 @@ pub fn plan_memory(requests: &[BufferReq]) -> Result<MemoryPlan> {
                             cand,
                             size,
                             other.offset,
-                            align_up(other.req.size.max(1), PLAN_ALIGN),
+                            other.req.size.max(1).next_multiple_of(PLAN_ALIGN),
                         )
                 })
             })
@@ -106,7 +106,7 @@ pub fn plan_memory(requests: &[BufferReq]) -> Result<MemoryPlan> {
     }
     let arena_bytes = placed
         .iter()
-        .map(|p| p.offset + align_up(p.req.size.max(1), PLAN_ALIGN))
+        .map(|p| p.offset + p.req.size.max(1).next_multiple_of(PLAN_ALIGN))
         .max()
         .unwrap_or(0);
     Ok(MemoryPlan { buffers: placed, arena_bytes })
@@ -174,7 +174,7 @@ mod tests {
         ];
         let plan = plan_memory(&reqs).unwrap();
         assert_eq!(plan.buffers[0].offset, plan.buffers[1].offset);
-        assert_eq!(plan.arena_bytes, align_up(100, PLAN_ALIGN));
+        assert_eq!(plan.arena_bytes, 100usize.next_multiple_of(PLAN_ALIGN));
     }
 
     #[test]
@@ -188,11 +188,14 @@ mod tests {
         let b = plan.buffers[1];
         assert!(!ranges_overlap(
             a.offset,
-            align_up(a.req.size, PLAN_ALIGN),
+            a.req.size.next_multiple_of(PLAN_ALIGN),
             b.offset,
-            align_up(b.req.size, PLAN_ALIGN)
+            b.req.size.next_multiple_of(PLAN_ALIGN)
         ));
-        assert_eq!(plan.arena_bytes, align_up(100, PLAN_ALIGN) + align_up(50, PLAN_ALIGN));
+        assert_eq!(
+            plan.arena_bytes,
+            100usize.next_multiple_of(PLAN_ALIGN) + 50usize.next_multiple_of(PLAN_ALIGN)
+        );
     }
 
     #[test]
@@ -208,7 +211,7 @@ mod tests {
         let plan = plan_memory(&reqs).unwrap();
         let expected = sizes
             .windows(2)
-            .map(|w| align_up(w[0], PLAN_ALIGN) + align_up(w[1], PLAN_ALIGN))
+            .map(|w| w[0].next_multiple_of(PLAN_ALIGN) + w[1].next_multiple_of(PLAN_ALIGN))
             .max()
             .unwrap();
         assert_eq!(plan.arena_bytes, expected);
@@ -241,9 +244,9 @@ mod tests {
                         prop_assert!(
                             !ranges_overlap(
                                 a.offset,
-                                align_up(a.req.size.max(1), PLAN_ALIGN),
+                                a.req.size.max(1).next_multiple_of(PLAN_ALIGN),
                                 b.offset,
-                                align_up(b.req.size.max(1), PLAN_ALIGN)
+                                b.req.size.max(1).next_multiple_of(PLAN_ALIGN)
                             ),
                             "buffers {i} and {j} overlap in time and memory"
                         );
@@ -251,10 +254,10 @@ mod tests {
                 }
             }
             // arena never smaller than the largest single buffer
-            let biggest = reqs.iter().map(|r| align_up(r.size.max(1), PLAN_ALIGN)).max().unwrap();
+            let biggest = reqs.iter().map(|r| r.size.max(1).next_multiple_of(PLAN_ALIGN)).max().unwrap();
             prop_assert!(plan.arena_bytes >= biggest);
             // arena never larger than the no-sharing total
-            let total: usize = reqs.iter().map(|r| align_up(r.size.max(1), PLAN_ALIGN)).sum();
+            let total: usize = reqs.iter().map(|r| r.size.max(1).next_multiple_of(PLAN_ALIGN)).sum();
             prop_assert!(plan.arena_bytes <= total);
         }
     }

@@ -11,18 +11,11 @@ use rand::{Rng, SeedableRng};
 /// Initialization scheme for a weight tensor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Init {
-    /// All zeros — used for biases.
-    Zeros,
-    /// Constant fill — used for classifier bias initialization from class
-    /// priors (paper §4.3 "classifier bias initialisation").
-    Constant(f32),
     /// Glorot/Xavier uniform: `U(-l, l)` with `l = sqrt(6 / (fan_in + fan_out))`.
     XavierUniform,
     /// He/Kaiming normal: `N(0, sqrt(2 / fan_in))` — the right choice in
     /// front of ReLU activations.
     HeNormal,
-    /// Uniform in `[-bound, bound]`.
-    Uniform(f32),
 }
 
 /// Creates an `f32` tensor initialized per `init`.
@@ -36,14 +29,15 @@ pub enum Init {
 /// ```
 /// use ei_tensor::{Shape, init::{Init, init_tensor}};
 ///
-/// let w = init_tensor(Shape::d2(16, 8), Init::XavierUniform, 16, 8, 42);
+/// # fn main() -> Result<(), ei_tensor::TensorError> {
+/// let w = init_tensor(Shape::new(&[16, 8])?, Init::XavierUniform, 16, 8, 42);
 /// assert_eq!(w.len(), 128);
+/// # Ok(())
+/// # }
 /// ```
 pub fn init_tensor(shape: Shape, init: Init, fan_in: usize, fan_out: usize, seed: u64) -> Tensor {
     let n = shape.len();
     let data: Vec<f32> = match init {
-        Init::Zeros => vec![0.0; n],
-        Init::Constant(c) => vec![c; n],
         Init::XavierUniform => {
             let limit = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
             let mut rng = StdRng::seed_from_u64(seed);
@@ -53,10 +47,6 @@ pub fn init_tensor(shape: Shape, init: Init, fan_in: usize, fan_out: usize, seed
             let std = (2.0 / fan_in.max(1) as f32).sqrt();
             let mut rng = StdRng::seed_from_u64(seed);
             (0..n).map(|_| sample_gaussian(&mut rng) * std).collect()
-        }
-        Init::Uniform(bound) => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..n).map(|_| rng.gen_range(-bound..=bound)).collect()
         }
     };
     Tensor::from_f32(shape, data).expect("init buffer length matches shape by construction")
@@ -74,19 +64,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_constant() {
-        let z = init_tensor(Shape::d1(4), Init::Zeros, 4, 4, 0);
-        assert!(z.as_f32().iter().all(|&x| x == 0.0));
-        let c = init_tensor(Shape::d1(4), Init::Constant(0.5), 4, 4, 0);
-        assert!(c.as_f32().iter().all(|&x| x == 0.5));
-    }
-
-    #[test]
     fn deterministic_given_seed() {
-        let a = init_tensor(Shape::d2(8, 8), Init::XavierUniform, 8, 8, 7);
-        let b = init_tensor(Shape::d2(8, 8), Init::XavierUniform, 8, 8, 7);
+        let a = init_tensor(Shape::new(&[8, 8]).unwrap(), Init::XavierUniform, 8, 8, 7);
+        let b = init_tensor(Shape::new(&[8, 8]).unwrap(), Init::XavierUniform, 8, 8, 7);
         assert_eq!(a, b);
-        let c = init_tensor(Shape::d2(8, 8), Init::XavierUniform, 8, 8, 8);
+        let c = init_tensor(Shape::new(&[8, 8]).unwrap(), Init::XavierUniform, 8, 8, 8);
         assert_ne!(a, c);
     }
 
@@ -95,7 +77,13 @@ mod tests {
         let fan_in = 32;
         let fan_out = 16;
         let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
-        let t = init_tensor(Shape::d2(fan_in, fan_out), Init::XavierUniform, fan_in, fan_out, 1);
+        let t = init_tensor(
+            Shape::new(&[fan_in, fan_out]).unwrap(),
+            Init::XavierUniform,
+            fan_in,
+            fan_out,
+            1,
+        );
         for &x in t.as_f32() {
             assert!(x.abs() <= limit + 1e-6);
         }
@@ -104,7 +92,7 @@ mod tests {
     #[test]
     fn he_normal_has_plausible_spread() {
         let fan_in = 64;
-        let t = init_tensor(Shape::d2(64, 64), Init::HeNormal, fan_in, 64, 3);
+        let t = init_tensor(Shape::new(&[64, 64]).unwrap(), Init::HeNormal, fan_in, 64, 3);
         let data = t.as_f32();
         let mean: f32 = data.iter().sum::<f32>() / data.len() as f32;
         let var: f32 = data.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / data.len() as f32;
@@ -114,11 +102,5 @@ mod tests {
             (var / expected_var) > 0.5 && (var / expected_var) < 2.0,
             "var {var} vs {expected_var}"
         );
-    }
-
-    #[test]
-    fn uniform_bound_respected() {
-        let t = init_tensor(Shape::d1(256), Init::Uniform(0.1), 1, 1, 9);
-        assert!(t.as_f32().iter().all(|x| x.abs() <= 0.1 + 1e-7));
     }
 }

@@ -11,22 +11,25 @@
 //!   int8 weights and i32 biases that produces are `ei-quant`'s own layers.
 //! * [`gemm`] and [`simd`] — the f32 and int8 kernels the float and
 //!   quantized models run on.
-//! * [`Arena`] — a bump allocator over one contiguous byte pool, the
-//!   discipline TFLite-Micro uses for its "tensor arena", with
-//!   high-water-mark accounting. `ei-runtime`'s memory planner lays out
-//!   its own offsets and shares only [`arena::align_up`].
+//! * [`init`] — the seeded weight initializers, and [`ops`] — the argmax,
+//!   softmax and distance helpers the layers above share.
+//!
+//! The tensor arena a deployed model runs in is laid out by `ei-runtime`'s
+//! memory planner, not here.
 //!
 //! # Example
 //!
 //! ```
 //! use ei_tensor::{Shape, Tensor};
 //!
-//! let t = Tensor::zeros_f32(Shape::d2(2, 3));
+//! # fn main() -> Result<(), ei_tensor::TensorError> {
+//! let t = Tensor::zeros_f32(Shape::new(&[2, 3])?);
 //! assert_eq!(t.len(), 6);
 //! assert_eq!(t.shape().dims(), &[2, 3]);
+//! # Ok(())
+//! # }
 //! ```
 
-pub mod arena;
 pub mod error;
 pub mod gemm;
 pub mod init;
@@ -35,7 +38,6 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-pub use arena::{Arena, ArenaHandle};
 pub use error::TensorError;
 pub use shape::Shape;
 pub use tensor::Tensor;

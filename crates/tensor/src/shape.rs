@@ -13,9 +13,12 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use ei_tensor::Shape;
 ///
-/// let s = Shape::d3(49, 40, 1); // 49 MFCC frames x 40 coefficients x 1 channel
+/// # fn main() -> Result<(), ei_tensor::TensorError> {
+/// let s = Shape::new(&[49, 40, 1])?; // 49 MFCC frames x 40 coefficients x 1 channel
 /// assert_eq!(s.len(), 49 * 40);
-/// assert_eq!(s.rank(), 3);
+/// assert_eq!(s.dims().len(), 3);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
@@ -54,41 +57,9 @@ impl Shape {
         Shape::new(&[n]).expect("d1 dimensions must be non-zero")
     }
 
-    /// 2-D shape (`rows`, `cols`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is zero.
-    pub fn d2(rows: usize, cols: usize) -> Self {
-        Shape::new(&[rows, cols]).expect("d2 dimensions must be non-zero")
-    }
-
-    /// 3-D shape (`h`, `w`, `c`) — channels last.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any axis is zero.
-    pub fn d3(h: usize, w: usize, c: usize) -> Self {
-        Shape::new(&[h, w, c]).expect("d3 dimensions must be non-zero")
-    }
-
-    /// 4-D shape (`n`, `h`, `w`, `c`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any axis is zero.
-    pub fn d4(n: usize, h: usize, w: usize, c: usize) -> Self {
-        Shape::new(&[n, h, w, c]).expect("d4 dimensions must be non-zero")
-    }
-
     /// The dimensions of this shape.
     pub fn dims(&self) -> &[usize] {
         &self.dims
-    }
-
-    /// Number of axes.
-    pub fn rank(&self) -> usize {
-        self.dims.len()
     }
 
     /// Total element count (product of all axes).
@@ -96,106 +67,11 @@ impl Shape {
     pub fn len(&self) -> usize {
         self.dims.iter().product()
     }
-
-    /// Length of axis `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.dims
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::IndexOutOfBounds { index: axis, len: self.dims.len() })
-    }
-
-    /// Row-major strides (elements, not bytes).
-    ///
-    /// ```
-    /// use ei_tensor::Shape;
-    /// assert_eq!(Shape::d3(2, 3, 4).strides(), vec![12, 4, 1]);
-    /// ```
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
-    /// Flat offset of a multi-axis index.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `index` has the wrong rank or any coordinate is
-    /// out of bounds.
-    pub fn offset(&self, index: &[usize]) -> Result<usize> {
-        if index.len() != self.dims.len() {
-            return Err(TensorError::ShapeMismatch {
-                expected: self.dims.clone(),
-                actual: index.to_vec(),
-            });
-        }
-        let strides = self.strides();
-        let mut off = 0usize;
-        for (axis, (&i, &d)) in index.iter().zip(self.dims.iter()).enumerate() {
-            if i >= d {
-                return Err(TensorError::IndexOutOfBounds { index: i, len: d });
-            }
-            off += i * strides[axis];
-        }
-        Ok(off)
-    }
-
-    /// Returns a copy of this shape with a leading batch axis of `n` prepended.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidShape`] if the result would exceed rank 4.
-    pub fn with_batch(&self, n: usize) -> Result<Shape> {
-        let mut dims = Vec::with_capacity(self.dims.len() + 1);
-        dims.push(n);
-        dims.extend_from_slice(&self.dims);
-        Shape::new(&dims)
-    }
-
-    /// Returns this shape flattened to 1-D.
-    pub fn flattened(&self) -> Shape {
-        Shape::d1(self.len())
-    }
-}
-
-impl std::fmt::Display for Shape {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "(")?;
-        for (i, d) in self.dims.iter().enumerate() {
-            if i > 0 {
-                write!(f, "x")?;
-            }
-            write!(f, "{d}")?;
-        }
-        write!(f, ")")
-    }
-}
-
-impl From<usize> for Shape {
-    fn from(n: usize) -> Self {
-        Shape::d1(n)
-    }
-}
-
-impl TryFrom<&[usize]> for Shape {
-    type Error = TensorError;
-
-    fn try_from(dims: &[usize]) -> Result<Self> {
-        Shape::new(dims)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn rejects_empty_and_zero() {
@@ -206,67 +82,9 @@ mod tests {
 
     #[test]
     fn len_and_rank() {
-        let s = Shape::d4(2, 3, 4, 5);
+        let s = Shape::new(&[2, 3, 4, 5]).unwrap();
         assert_eq!(s.len(), 120);
-        assert_eq!(s.rank(), 4);
-        assert_eq!(s.dim(2).unwrap(), 4);
-        assert!(s.dim(4).is_err());
-    }
-
-    #[test]
-    fn strides_row_major() {
-        assert_eq!(Shape::d1(7).strides(), vec![1]);
-        assert_eq!(Shape::d2(3, 5).strides(), vec![5, 1]);
-        assert_eq!(Shape::d4(2, 3, 4, 5).strides(), vec![60, 20, 5, 1]);
-    }
-
-    #[test]
-    fn offset_round_trip() {
-        let s = Shape::d3(2, 3, 4);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..2 {
-            for j in 0..3 {
-                for k in 0..4 {
-                    let off = s.offset(&[i, j, k]).unwrap();
-                    assert!(off < s.len());
-                    assert!(seen.insert(off), "offsets must be unique");
-                }
-            }
-        }
-        assert_eq!(seen.len(), s.len());
-    }
-
-    #[test]
-    fn offset_rejects_bad_indices() {
-        let s = Shape::d2(2, 2);
-        assert!(s.offset(&[0]).is_err());
-        assert!(s.offset(&[2, 0]).is_err());
-    }
-
-    #[test]
-    fn with_batch_and_flatten() {
-        let s = Shape::d2(3, 4);
-        assert_eq!(s.with_batch(8).unwrap().dims(), &[8, 3, 4]);
-        assert_eq!(s.flattened().dims(), &[12]);
-        let four = Shape::d4(1, 1, 1, 1);
-        assert!(four.with_batch(2).is_err());
-    }
-
-    #[test]
-    fn display_format() {
-        assert_eq!(Shape::d3(49, 40, 1).to_string(), "(49x40x1)");
-    }
-
-    proptest! {
-        #[test]
-        fn prop_offsets_bijective(dims in proptest::collection::vec(1usize..6, 1..=4)) {
-            let s = Shape::new(&dims).unwrap();
-            let strides = s.strides();
-            // last axis stride is always 1 in row-major layout
-            prop_assert_eq!(*strides.last().unwrap(), 1usize);
-            // maximum index maps to len-1
-            let max_index: Vec<usize> = dims.iter().map(|d| d - 1).collect();
-            prop_assert_eq!(s.offset(&max_index).unwrap(), s.len() - 1);
-        }
+        assert_eq!(s.dims(), &[2, 3, 4, 5]);
+        assert_eq!(Shape::d1(7).dims(), &[7]);
     }
 }
