@@ -188,10 +188,13 @@ impl Trainer {
         let mut best_lr = self.config.learning_rate;
         let mut best_drop = 0.0f32;
         let mut prev_loss = f32::NAN;
+        let task = Task::Classify(labels);
         for step in 0..steps {
             let lr = lr_min * (lr_max / lr_min).powf(step as f32 / (steps - 1) as f32);
             let idx = step % inputs.len();
-            let (loss, grads) = self.sample_pass(&probe, &inputs[idx], labels[idx], &mut rng)?;
+            let (loss, grads) =
+                task.sample_pass(self.config.loss, &probe, &inputs[idx], idx, &mut rng)?;
+            let loss = loss as f32; // exact: widened from f32
             apply_batch(&mut probe, &grads, &mut opt, lr, 1.0, 0.0);
             if prev_loss.is_finite() {
                 let drop = prev_loss - loss;
@@ -206,30 +209,6 @@ impl Trainer {
             prev_loss = loss;
         }
         Ok((best_lr / 10.0).clamp(1e-5, 0.1))
-    }
-
-    /// One forward/backward pass for a single sample. Returns the loss and
-    /// per-layer gradients (fusing softmax + cross-entropy when possible).
-    fn sample_pass(
-        &self,
-        model: &Sequential,
-        input: &[f32],
-        label: usize,
-        rng: &mut StdRng,
-    ) -> Result<(f32, Vec<LayerGrads>)> {
-        let cache = model.forward_cached(input, true, Some(rng))?;
-        let prediction = cache.output().to_vec();
-        let loss = self.config.loss.value(&prediction, label)?;
-        let has_softmax =
-            matches!(model.layers().last().map(|l| &l.spec), Some(LayerSpec::Softmax));
-        let grads = if has_softmax && self.config.loss == Loss::CrossEntropy {
-            let grad = self.config.loss.gradient(&prediction, label)?;
-            model.backward_from(&cache, &grad, model.layers().len() - 1)?
-        } else {
-            let grad = self.config.loss.gradient(&prediction, label)?;
-            model.backward(&cache, &grad)?
-        };
-        Ok((loss, grads))
     }
 
     /// Computes summed per-layer gradients for the samples selected by
@@ -254,18 +233,16 @@ impl Trainer {
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let mut acc: Option<Vec<LayerGrads>> = None;
         let mut loss_sum = 0.0f64;
+        let task = Task::Classify(labels);
         for &i in batch {
-            let (input, label) = match (inputs.get(i), labels.get(i)) {
-                (Some(x), Some(&y)) => (x, y),
-                _ => {
-                    return Err(NnError::InvalidTrainingData(format!(
-                        "batch index {i} out of range for {} samples",
-                        inputs.len()
-                    )))
-                }
+            let (Some(input), Some(_)) = (inputs.get(i), labels.get(i)) else {
+                let n = inputs.len();
+                return Err(NnError::InvalidTrainingData(format!(
+                    "batch index {i} out of range for {n} samples"
+                )));
             };
-            let (loss, grads) = self.sample_pass(model, input, label, &mut rng)?;
-            loss_sum += loss as f64;
+            let (loss, grads) = task.sample_pass(self.config.loss, model, input, i, &mut rng)?;
+            loss_sum += loss;
             fold_grads(&mut acc, grads);
         }
         Ok(BatchGrads { grads: acc.unwrap_or_default(), loss_sum, count: batch.len() })
@@ -290,106 +267,15 @@ impl Trainer {
                 labels.len()
             )));
         }
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut order: Vec<usize> = (0..inputs.len()).collect();
-        order.shuffle(&mut rng);
-        let n_val = ((inputs.len() as f32) * self.config.validation_split).round() as usize;
-        let n_val = n_val.min(inputs.len().saturating_sub(1));
-        let (val_idx, train_idx) = order.split_at(n_val);
-        let val_idx = val_idx.to_vec();
-        let mut train_idx = train_idx.to_vec();
-
-        let mut optimizer = Optimizer::new(self.config.optimizer);
-        let mut report = TrainingReport::default();
-        let mut best_metric = f32::NEG_INFINITY;
-        // tie-break on loss: with small validation sets accuracy saturates
-        // early, and without this the best checkpoint would freeze at the
-        // first saturated epoch even while the loss keeps improving
-        let mut best_loss = f32::INFINITY;
-        let mut best_ckpt: Option<Checkpoint> = None;
-
-        let train_span = self.tracer.span_with(
-            "train",
-            vec![
-                ("epochs", (self.config.epochs as u64).into()),
-                ("samples", (inputs.len() as u64).into()),
-            ],
-        );
-        for epoch in 0..self.config.epochs {
-            train_idx.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in train_idx.chunks(self.config.batch_size.max(1)) {
-                let mut acc: Option<Vec<LayerGrads>> = None;
-                for &i in batch {
-                    let (loss, grads) = self.sample_pass(model, &inputs[i], labels[i], &mut rng)?;
-                    epoch_loss += loss as f64;
-                    fold_grads(&mut acc, grads);
-                }
-                if let Some(grads) = acc {
-                    apply_batch(
-                        model,
-                        &grads,
-                        &mut optimizer,
-                        self.config.learning_rate,
-                        batch.len() as f32,
-                        self.config.weight_decay,
-                    );
-                }
-            }
-            let train_loss = (epoch_loss / train_idx.len().max(1) as f64) as f32;
-            report.train_loss.push(train_loss);
-
-            // validation
-            let (metric, comparison_loss, val_loss, val_acc) = if val_idx.is_empty() {
-                (-train_loss, train_loss, f32::NAN, f32::NAN)
-            } else {
-                let (loss, acc) = self.evaluate(model, inputs, labels, &val_idx)?;
-                (acc, loss, loss, acc)
-            };
-            if !val_loss.is_nan() {
-                report.val_loss.push(val_loss);
-                report.val_accuracy.push(val_acc);
-            }
-            train_span.event(
-                "train.epoch",
-                vec![
-                    ("epoch", (epoch as u64).into()),
-                    ("train_loss", train_loss.into()),
-                    ("val_loss", val_loss.into()),
-                    ("val_accuracy", val_acc.into()),
-                    ("lr", self.config.learning_rate.into()),
-                ],
-            );
-            self.tracer.gauge("train.loss").set(f64::from(train_loss));
-            if !val_loss.is_nan() {
-                self.tracer.gauge("train.val_loss").set(f64::from(val_loss));
-                self.tracer.gauge("train.val_accuracy").set(f64::from(val_acc));
-            }
-            let improved =
-                metric > best_metric || (metric == best_metric && comparison_loss < best_loss);
-            if improved {
-                best_metric = metric;
-                best_loss = comparison_loss;
-                report.best_epoch = report.train_loss.len() - 1;
-                report.best_val_accuracy = if val_idx.is_empty() { f32::NAN } else { metric };
-                if self.config.restore_best {
-                    best_ckpt = Some(snapshot(model));
-                }
-            }
-        }
-        if let Some(ckpt) = best_ckpt {
-            restore(model, &ckpt);
-        }
-        Ok(report)
+        self.fit(model, inputs, Task::Classify(labels))
     }
 
     /// Trains `model` on scalar regression targets (the platform's
     /// regression learn block). The model must have exactly one output and
     /// no trailing softmax; loss is mean squared error.
     ///
-    /// Reuses the classifier loop's machinery: shuffling, minibatches,
-    /// validation split and best-checkpoint restore (tracked on validation
-    /// MSE).
+    /// Runs the epoch loop of [`Trainer::train`], with the best checkpoint
+    /// tracked on validation MSE.
     ///
     /// # Errors
     ///
@@ -418,29 +304,36 @@ impl Trainer {
                 "regression model must not end in softmax".into(),
             ));
         }
+        self.fit(model, inputs, Task::Regress(targets))
+    }
+
+    /// The epoch loop of both tasks: validation split, shuffle, minibatch
+    /// fold, optimizer step, epoch event and best-checkpoint restore.
+    fn fit(
+        &self,
+        model: &mut Sequential,
+        inputs: &[Vec<f32>],
+        task: Task<'_>,
+    ) -> Result<TrainingReport> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut order: Vec<usize> = (0..inputs.len()).collect();
         order.shuffle(&mut rng);
         let n_val = ((inputs.len() as f32) * self.config.validation_split).round() as usize;
         let n_val = n_val.min(inputs.len().saturating_sub(1));
         let (val_idx, train_idx) = order.split_at(n_val);
-        let val_idx = val_idx.to_vec();
         let mut train_idx = train_idx.to_vec();
 
         let mut optimizer = Optimizer::new(self.config.optimizer);
         let mut report = TrainingReport::default();
-        let mut best_loss = f32::INFINITY;
+        // best by validation accuracy (-MSE for a regressor, -train loss
+        // without a validation set), ties broken by loss: small validation
+        // sets saturate accuracy early, yet the loss keeps improving
+        let (mut best_metric, mut best_loss) = (f32::NEG_INFINITY, f32::INFINITY);
         let mut best_ckpt: Option<Checkpoint> = None;
-        let mse = |model: &Sequential, idx: &[usize]| -> Result<f32> {
-            let mut total = 0.0f64;
-            for &i in idx {
-                let out = model.forward(&inputs[i])?;
-                total += ((out[0] - targets[i]) as f64).powi(2);
-            }
-            Ok((total / idx.len().max(1) as f64) as f32)
-        };
+
+        let classifies = matches!(task, Task::Classify(_));
         let train_span = self.tracer.span_with(
-            "train.regression",
+            if classifies { "train" } else { "train.regression" },
             vec![
                 ("epochs", (self.config.epochs as u64).into()),
                 ("samples", (inputs.len() as u64).into()),
@@ -452,11 +345,9 @@ impl Trainer {
             for batch in train_idx.chunks(self.config.batch_size.max(1)) {
                 let mut acc: Option<Vec<LayerGrads>> = None;
                 for &i in batch {
-                    let cache = model.forward_cached(&inputs[i], true, Some(&mut rng))?;
-                    let pred = cache.output()[0];
-                    let err = pred - targets[i];
-                    epoch_loss += (err as f64).powi(2);
-                    let grads = model.backward(&cache, &[2.0 * err])?;
+                    let (loss, grads) =
+                        task.sample_pass(self.config.loss, model, &inputs[i], i, &mut rng)?;
+                    epoch_loss += loss;
                     fold_grads(&mut acc, grads);
                 }
                 if let Some(grads) = acc {
@@ -472,26 +363,40 @@ impl Trainer {
             }
             let train_loss = (epoch_loss / train_idx.len().max(1) as f64) as f32;
             report.train_loss.push(train_loss);
-            let comparison = if val_idx.is_empty() {
-                train_loss
-            } else {
-                let v = mse(model, &val_idx)?;
-                report.val_loss.push(v);
-                v
+
+            let val = match val_idx {
+                [] => None,
+                idx => Some(task.validate(self.config.loss, model, inputs, idx)?),
             };
-            train_span.event(
-                "train.epoch",
-                vec![
-                    ("epoch", (epoch as u64).into()),
-                    ("train_loss", train_loss.into()),
-                    ("val_loss", if val_idx.is_empty() { f32::NAN } else { comparison }.into()),
-                    ("lr", self.config.learning_rate.into()),
-                ],
-            );
+            let val_loss = val.map_or(f32::NAN, |(loss, _)| loss);
+            // a classifier's accuracy, NaN without a validation set
+            let val_accuracy = classifies.then(|| val.and_then(|(_, acc)| acc).unwrap_or(f32::NAN));
+            let mut fields = vec![
+                ("epoch", (epoch as u64).into()),
+                ("train_loss", train_loss.into()),
+                ("val_loss", val_loss.into()),
+            ];
+            fields.extend(val_accuracy.map(|acc| ("val_accuracy", acc.into())));
+            fields.push(("lr", self.config.learning_rate.into()));
+            train_span.event("train.epoch", fields);
             self.tracer.gauge("train.loss").set(f64::from(train_loss));
-            if comparison < best_loss {
-                best_loss = comparison;
-                report.best_epoch = report.train_loss.len() - 1;
+            match val_accuracy {
+                Some(acc) if !val_loss.is_nan() => {
+                    report.val_loss.push(val_loss);
+                    report.val_accuracy.push(acc);
+                    self.tracer.gauge("train.val_loss").set(f64::from(val_loss));
+                    self.tracer.gauge("train.val_accuracy").set(f64::from(acc));
+                }
+                None if val.is_some() => report.val_loss.push(val_loss),
+                _ => {}
+            }
+
+            let (metric, loss) =
+                val.map_or((-train_loss, train_loss), |(loss, acc)| (acc.unwrap_or(-loss), loss));
+            if metric > best_metric || (metric == best_metric && loss < best_loss) {
+                (best_metric, best_loss) = (metric, loss);
+                report.best_epoch = epoch;
+                report.best_val_accuracy = val_accuracy.unwrap_or(report.best_val_accuracy);
                 if self.config.restore_best {
                     best_ckpt = Some(snapshot(model));
                 }
@@ -502,26 +407,72 @@ impl Trainer {
         }
         Ok(report)
     }
+}
 
-    /// Mean loss and accuracy over `indices`.
-    fn evaluate(
+/// What a model is trained to predict: class labels or scalar targets,
+/// indexed like the inputs.
+enum Task<'a> {
+    Classify(&'a [usize]),
+    Regress(&'a [f32]),
+}
+
+impl Task<'_> {
+    /// One training forward/backward pass over `input`, sample `i`: its
+    /// loss, widened to `f64`, and its gradients (the fused softmax and
+    /// cross-entropy gradient where it applies, `2·err` for MSE).
+    fn sample_pass(
         &self,
+        loss: Loss,
+        model: &Sequential,
+        input: &[f32],
+        i: usize,
+        rng: &mut StdRng,
+    ) -> Result<(f64, Vec<LayerGrads>)> {
+        let cache = model.forward_cached(input, true, Some(rng))?;
+        match self {
+            Task::Classify(labels) => {
+                let value = loss.value(cache.output(), labels[i])?;
+                let grad = loss.gradient(cache.output(), labels[i])?;
+                let fused = loss == Loss::CrossEntropy
+                    && matches!(model.layers().last().map(|l| &l.spec), Some(LayerSpec::Softmax));
+                let grads = if fused {
+                    model.backward_from(&cache, &grad, model.layers().len() - 1)?
+                } else {
+                    model.backward(&cache, &grad)?
+                };
+                Ok((value as f64, grads))
+            }
+            Task::Regress(targets) => {
+                let err = cache.output()[0] - targets[i];
+                Ok(((err as f64).powi(2), model.backward(&cache, &[2.0 * err])?))
+            }
+        }
+    }
+
+    /// Mean loss over `indices` (MSE for a regressor), and a classifier's
+    /// accuracy.
+    fn validate(
+        &self,
+        loss: Loss,
         model: &Sequential,
         inputs: &[Vec<f32>],
-        labels: &[usize],
         indices: &[usize],
-    ) -> Result<(f32, f32)> {
-        let mut loss = 0.0f64;
+    ) -> Result<(f32, Option<f32>)> {
+        let mut total = 0.0f64;
         let mut correct = 0usize;
         for &i in indices {
             let out = model.forward(&inputs[i])?;
-            loss += self.config.loss.value(&out, labels[i])? as f64;
-            if argmax(&out) == labels[i] {
-                correct += 1;
+            match self {
+                Task::Classify(labels) => {
+                    total += loss.value(&out, labels[i])? as f64;
+                    correct += usize::from(argmax(&out) == labels[i]);
+                }
+                Task::Regress(targets) => total += ((out[0] - targets[i]) as f64).powi(2),
             }
         }
         let n = indices.len().max(1) as f64;
-        Ok(((loss / n) as f32, (correct as f64 / n) as f32))
+        let accuracy = matches!(self, Task::Classify(_)).then_some((correct as f64 / n) as f32);
+        Ok(((total / n) as f32, accuracy))
     }
 }
 
@@ -536,14 +487,9 @@ impl Default for Trainer {
 /// reduction bitwise-identical to the serial loop.
 pub fn accumulate_grads(acc: &mut [LayerGrads], delta: &[LayerGrads]) {
     for (a, d) in acc.iter_mut().zip(delta) {
-        if let (Some(aw), Some(dw)) = (a.weights.as_mut(), d.weights.as_ref()) {
-            for (x, y) in aw.iter_mut().zip(dw) {
-                *x += y;
-            }
-        }
-        if let (Some(ab), Some(db)) = (a.bias.as_mut(), d.bias.as_ref()) {
-            for (x, y) in ab.iter_mut().zip(db) {
-                *x += y;
+        for (sum, add) in [(&mut a.weights, &d.weights), (&mut a.bias, &d.bias)] {
+            if let (Some(sum), Some(add)) = (sum, add) {
+                sum.iter_mut().zip(add).for_each(|(x, y)| *x += y);
             }
         }
     }
