@@ -762,6 +762,21 @@ mod tests {
                 err.map(|_| ())
             );
         }
+        // the first weight tensor's dims, which deserialize without the
+        // checks of `Shape::new`: no axes, a zero axis, five axes, and two
+        // axes whose product overflows `usize`
+        let dims = "\"weights\":{\"shape\":{\"dims\":[";
+        let at = json.find(dims).unwrap() + dims.len();
+        let close = at + json[at..].find(']').unwrap();
+        for hostile_dims in ["", "0,3", "1,1,1,1,1", "1099511627776,1099511627776"] {
+            let hostile = format!("{}{hostile_dims}{}", &json[..at], &json[close..]);
+            let err = TrainedImpulse::from_json(&hostile);
+            assert!(
+                matches!(err, Err(CoreError::InvalidImpulse(_))),
+                "[{hostile_dims}]: {:?}",
+                err.map(|_| ())
+            );
+        }
     }
 
     #[test]
