@@ -11,7 +11,7 @@
 //!
 //! | Module | Crate | What it is |
 //! |---|---|---|
-//! | [`tensor`] | `ei-tensor` | tensors + TFLM-style arena allocation |
+//! | [`tensor`] | `ei-tensor` | f32 tensors + the f32/int8 GEMM and SIMD kernels |
 //! | [`dsp`] | `ei-dsp` | MFE/MFCC/spectral/image processing blocks |
 //! | [`nn`] | `ei-nn` | model specs, training, preset architectures |
 //! | [`quant`] | `ei-quant` | int8 quantization + operator fusion |
