@@ -396,7 +396,9 @@ impl Trainer {
             if metric > best_metric || (metric == best_metric && loss < best_loss) {
                 (best_metric, best_loss) = (metric, loss);
                 report.best_epoch = epoch;
-                report.best_val_accuracy = val_accuracy.unwrap_or(report.best_val_accuracy);
+                if let Some(acc) = val_accuracy {
+                    report.best_val_accuracy = acc;
+                }
                 if self.config.restore_best {
                     best_ckpt = Some(snapshot(model));
                 }
